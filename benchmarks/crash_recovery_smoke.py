@@ -5,9 +5,11 @@ The end-to-end acceptance check for the harness-resilience contract
 
 1. **Supervised sweep.** A journaled page-load sweep is started in a
    child process and SIGKILLed after it has checkpointed at least two
-   trials. The sweep is then resumed from the journal left behind; the
-   merged sample *and* the combined event-stream digest must be
-   byte-identical to an uninterrupted reference run.
+   trials. Every warm worker of the killed driver must be gone within a
+   few seconds (no orphans blocked on a pipe). The sweep is then resumed
+   from the journal left behind; the merged sample *and* the combined
+   event-stream digest must be byte-identical to an uninterrupted
+   reference run.
 
 2. **mm-corpus generate.** A corpus generation is started via the real
    CLI, SIGKILLed after at least two sites have been journaled, then
@@ -42,6 +44,7 @@ from repro.corpus import generate_site
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
 from repro.sim import Simulator
+from repro.testing import pids_alive
 
 TRIALS = 6
 RUN_KEY = "crash-recovery-smoke"
@@ -49,12 +52,15 @@ CORPUS_ARGS = ["--size", "10", "--singles", "2", "--scale", "0.4",
                "--seed", "7", "--workers", "2"]
 
 
-def _make_factory(pace: float = 0.0):
-    """A deterministic page-load factory; ``pace`` widens the kill window."""
+def _make_factory(pace: float = 0.0, pid_dir: str = ""):
+    """A deterministic page-load factory; ``pace`` widens the kill window
+    and ``pid_dir`` collects one file per worker pid that ran a trial."""
     site = generate_site("crashsmoke.com", seed=11, n_origins=3, scale=0.4)
     store = site.to_recorded_site()
 
     def factory(trial):
+        if pid_dir:
+            open(os.path.join(pid_dir, str(os.getpid())), "w").close()
         if pace:
             time.sleep(pace)
         sim = Simulator(seed=trial)
@@ -68,10 +74,10 @@ def _make_factory(pace: float = 0.0):
     return factory
 
 
-def _sweep_driver(journal_path: str) -> None:
+def _sweep_driver(journal_path: str, pid_dir: str) -> None:
     """Child-process entry: run the journaled sweep to completion."""
-    run_supervised(_make_factory(pace=0.3), trials=TRIALS, workers=2,
-                   journal=journal_path, run_key=RUN_KEY,
+    run_supervised(_make_factory(pace=0.3, pid_dir=pid_dir), trials=TRIALS,
+                   workers=2, journal=journal_path, run_key=RUN_KEY,
                    capture_digest=True)
 
 
@@ -107,8 +113,12 @@ def _tree_digest(root: str) -> str:
 
 def run_sweep_phase(journal_dir: str) -> bool:
     journal_path = os.path.join(journal_dir, "sweep.journal.jsonl")
+    pid_dir = os.path.join(journal_dir, "sweep-worker-pids")
+    shutil.rmtree(pid_dir, ignore_errors=True)
+    os.makedirs(pid_dir)
     context = multiprocessing.get_context("fork")
-    driver = context.Process(target=_sweep_driver, args=(journal_path,))
+    driver = context.Process(target=_sweep_driver,
+                             args=(journal_path, pid_dir))
     driver.start()
     if not _wait_for_journal_lines(journal_path, wanted=2, timeout=120):
         driver.kill()
@@ -118,6 +128,15 @@ def run_sweep_phase(journal_dir: str) -> bool:
     os.kill(driver.pid, signal.SIGKILL)
     driver.join()
     assert driver.exitcode == -signal.SIGKILL
+    workers = [int(name) for name in os.listdir(pid_dir)]
+    orphans = sorted(pids_alive(workers, within=5.0))
+    shutil.rmtree(pid_dir)
+    print(f"sweep: killed driver had {len(workers)} worker(s); still "
+          f"alive 5s later: {orphans or 'none'}")
+    if orphans or not workers:
+        print("FAIL sweep: the killed driver left orphan workers (or "
+              "recorded none)")
+        return False
 
     journaled = len(TrialJournal(journal_path, key=RUN_KEY))
     resumed = run_supervised(_make_factory(), trials=TRIALS, workers=2,

@@ -24,6 +24,9 @@ Workloads (mirroring ``bench_micro.py``'s hot-path benchmarks):
   (backoff + quarantine + redistribution overhead included).
 * ``cas_corpus_load`` — loading a CAS-backed (format v3) corpus, blob
   resolution included.
+* ``supervised_trials_per_s`` — the fabric workloads' trial set through
+  ``run_supervised(workers=2, journal, capture_digest)``: the warm
+  worker pool, result pickling and the fsync'd journal.
 
 ``REPRO_BENCH_SCALE`` scales the event count and transfer size exactly as
 the rest of the bench suite scales trial counts (CI uses 0.1); the scale
@@ -253,6 +256,23 @@ def wl_fabric_degraded() -> Tuple[float, str]:
     return float(trials), "trials"
 
 
+def wl_supervised_trials() -> Tuple[float, str]:
+    """The fabric workloads' trial set through the supervised pool: two
+    warm workers, digest capture and a fresh fsync'd journal (sample and
+    digest identity are the test suite's job, as for the fabric)."""
+    import tempfile
+
+    from repro.measure.supervise import run_supervised
+
+    trials = max(8, int(32 * bench_scale()))
+    with tempfile.TemporaryDirectory(prefix="perf-gate-sup-") as scratch:
+        result = run_supervised(
+            _fabric_factory(), trials, workers=2, capture_digest=True,
+            journal=os.path.join(scratch, "sweep.jsonl"))
+    assert result.complete
+    return float(trials), "trials"
+
+
 _CAS_CORPUS = None
 
 
@@ -298,6 +318,7 @@ WORKLOADS: List[Tuple[str, Callable[[], Tuple[float, str]]]] = [
     ("fabric_trials_per_s", wl_fabric_trials),
     ("fabric_degraded_trials_per_s", wl_fabric_degraded),
     ("cas_corpus_load", wl_cas_corpus_load),
+    ("supervised_trials_per_s", wl_supervised_trials),
 ]
 
 # ---------------------------------------------------------------------- #

@@ -70,7 +70,7 @@ from repro.measure.supervise import (
     SweepResult,
     TrialOutcome,
     _journal_record,
-    _unwrap_journal_payload,
+    _replay_journal,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -307,19 +307,7 @@ def run_fabric(
             for path in leftover:
                 os.remove(path)
 
-    outcomes: Dict[int, TrialOutcome] = {}
-    pending: List[int] = []
-    for trial in range(trials):
-        if journal is not None and trial in journal:
-            entry = journal.completed[trial]
-            status, attempts, result = _unwrap_journal_payload(entry)
-            outcomes[trial] = TrialOutcome(
-                trial=trial, status=status, attempts=attempts, error=None,
-                result=result, from_journal=True,
-                digest=journal.digest_for(trial),
-            )
-        else:
-            pending.append(trial)
+    outcomes, pending = _replay_journal(journal, trials)
     metrics.counter("fabric.shards").add(shards)
     metrics.counter("fabric.trials_from_journal").add(len(outcomes))
 

@@ -22,12 +22,11 @@ lock so frames never interleave), which is how the coordinator tells a
 slow worker from a wedged one.
 
 Trial semantics are *identical to the serial supervised sweep*
-(:func:`repro.measure.supervise.run_supervised`): the same
-:func:`~repro.measure.runner.run_trial` unit, the same bounded-retry
-loop, the same :class:`~repro.measure.supervise.TrialOutcome` taxonomy,
-and the same optional per-trial event-stream digest. That shared core is
-what makes the fabric's byte-identical-to-serial guarantee a matter of
-construction rather than luck.
+(:func:`repro.measure.supervise.run_supervised`) because they are the
+same code: :func:`~repro.measure.supervise.run_shard`, the one
+attempt/quarantine loop (re-exported here), runs both. That shared core
+is what makes the fabric's byte-identical-to-serial guarantee a matter
+of construction rather than luck.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ import importlib
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Dict, Iterable, Iterator, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from repro.errors import FabricError, ProtocolError, ReproError
 from repro.fabric.health import HeartbeatSender
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.measure.journal import TrialJournal
-from repro.measure.runner import ScenarioFactory, run_trial
-from repro.measure.supervise import TrialOutcome, _success_outcome
+from repro.measure.runner import ScenarioFactory
+from repro.measure.supervise import run_shard
 
 __all__ = [
     "FactorySpec",
@@ -94,51 +93,6 @@ class FactorySpec:
                 f"{type(factory).__name__}"
             )
         return factory
-
-
-def run_shard(
-    factory: ScenarioFactory,
-    indices: Iterable[int],
-    timeout: float,
-    allow_failures: bool = False,
-    retries: int = 1,
-    capture_digest: bool = False,
-    journal: Optional[TrialJournal] = None,
-) -> Iterator[TrialOutcome]:
-    """Run a shard's trials in order, yielding each outcome as it lands.
-
-    Mirrors the serial path of :func:`run_supervised` exactly: first
-    successful attempt → ``ok``; success after failures → ``retried``;
-    retry budget exhausted → ``quarantined``. When a ``journal`` is
-    given, every *successful* outcome is checkpointed (fsync'd) before
-    it is yielded — so a worker that dies after journaling trial N never
-    makes the coordinator re-run N, it merges the sidecar instead.
-    """
-    for trial in indices:
-        error = None
-        outcome: Optional[TrialOutcome] = None
-        for attempt in range(1, retries + 2):
-            try:
-                result = run_trial(factory, trial, timeout, allow_failures,
-                                   capture_digest=capture_digest)
-            except ReproError as exc:
-                error = str(exc)
-                continue
-            outcome = _success_outcome(trial, attempt, result)
-            break
-        if outcome is None:
-            outcome = TrialOutcome(
-                trial=trial, status="quarantined", attempts=retries + 1,
-                error=error, result=None,
-            )
-        if journal is not None and outcome.succeeded:
-            journal.append(
-                outcome.trial,
-                {"status": outcome.status, "attempts": outcome.attempts,
-                 "result": outcome.result},
-                digest=outcome.digest,
-            )
-        yield outcome
 
 
 def worker_loop(

@@ -9,10 +9,15 @@ OOM-killed worker or one pathological trial must not cost the run.
 
 :func:`run_supervised` is the harness-resilience contract:
 
-* **Watchdog** — every trial gets a *wall-clock* deadline in addition to
-  its virtual-time budget. A worker that stops making progress (a real
-  infinite loop, a deadlocked import, a pathological allocation) is
-  SIGKILLed at the deadline and treated like any other failed attempt.
+* **Warm workers** — trials run in at most ``workers`` long-lived
+  forked processes, each handed one attempt at a time over its pipe:
+  losing a worker costs exactly the attempt it held (see
+  :func:`_run_pool` for what that keeps and what it gives up).
+* **Watchdog** — every attempt gets a *wall-clock* deadline, counted
+  from its dispatch, in addition to its virtual-time budget. A worker
+  that stops making progress (a real infinite loop, a deadlocked import,
+  a pathological allocation) is SIGKILLed at the deadline and treated
+  like any other failed attempt.
 * **Crash detection** — a worker that dies without reporting (nonzero
   exit, SIGKILL, segfault) is detected by its exit, not by a hung pipe.
 * **Bounded retry with quarantine** — a failed attempt is retried up to
@@ -38,9 +43,13 @@ import hashlib
 import multiprocessing
 import pickle
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple,
+    Union,
+)
 
 from repro.errors import ReproError
 from repro.measure.journal import TrialJournal
@@ -57,6 +66,7 @@ __all__ = [
     "OUTCOME_STATES",
     "SweepResult",
     "TrialOutcome",
+    "run_shard",
     "run_supervised",
 ]
 
@@ -205,53 +215,61 @@ class SweepResult:
 # worker side
 
 
-def _supervised_worker(
-    conn: Connection,
-    factory: ScenarioFactory,
-    trial: int,
-    timeout: float,
-    allow_failures: bool,
-    capture_digest: bool,
-) -> None:
-    """Run one trial in a forked worker and report through ``conn``.
+def _attempt(run: Callable[[int], Any], trial: int) -> Tuple[str, Any]:
+    """Run one attempt in a worker; the message to send the parent.
 
     The result is pickled *here*, so an unpicklable result becomes a
     clear structured error instead of an opaque pool crash — the parent
     re-raises it with the trial index attached.
     """
     try:
-        result = run_trial(factory, trial, timeout, allow_failures,
-                           capture_digest=capture_digest)
-        try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            conn.send((
-                "error",
+        result = run(trial)
+    except Exception as exc:
+        text = str(exc)
+        return ("error", text if text.startswith(f"trial {trial}")
+                else f"trial {trial}: {text}")
+    try:
+        return ("ok", pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:
+        return ("error",
                 f"trial {trial} returned an unpicklable result "
-                f"({type(result).__name__}): {exc}",
-            ))
-        else:
-            conn.send(("ok", payload))
-    except BaseException as exc:
-        try:
-            conn.send(("error", f"trial {trial}: {exc}"
-                       if not str(exc).startswith(f"trial {trial}") else
-                       str(exc)))
-        except Exception:
-            pass  # parent will see the exit as a crash
+                f"({type(result).__name__}): {exc}")
+
+
+def _warm_worker(conn: Connection, inherited: List[Connection],
+                 run: Callable[[int], Any]) -> None:
+    """One warm worker: ``recv trial index → run → send result`` over
+    ``conn``, until the parent closes its end.
+
+    ``inherited`` are the parent-side pipe ends fork copied into this
+    process — this worker's own and every earlier worker's. They are
+    closed first: while any copy stays open ``recv`` never sees EOF, and
+    the workers of a SIGKILLed driver would block in it forever.
+
+    A failed attempt (an exception, an unpicklable result) is reported
+    and the loop goes on; only a death the trial inflicts on the process,
+    or the watchdog's SIGKILL, ends a worker early.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            conn.send(_attempt(run, conn.recv()))
+    except (EOFError, ConnectionError):
+        pass  # the parent retired this worker, or is gone
     finally:
         conn.close()
 
 
 @dataclass
-class _Running:
-    """Parent-side record of one in-flight worker."""
+class _Worker:
+    """Parent-side record of one warm worker and its in-flight attempt."""
 
     process: multiprocessing.process.BaseProcess
-    reader: Connection
-    trial: int
-    attempt: int
-    started: float
+    conn: Connection
+    trial: int = -1
+    attempt: int = 0
+    started: float = 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -314,12 +332,40 @@ def run_supervised(
     if journal is not None and not isinstance(journal, TrialJournal):
         journal = TrialJournal(journal, key=run_key)
 
+    outcomes, pending = _replay_journal(journal, trials)
+    try:
+        # The pool is used whenever it can be (even for one pending
+        # trial): supervision — the watchdog kill, crash containment —
+        # only works across a process boundary.
+        if workers == 1 or not fork_available():
+            for outcome in run_shard(factory, pending, timeout,
+                                     allow_failures, retries,
+                                     capture_digest, journal):
+                outcomes[outcome.trial] = outcome
+        elif pending:
+            _run_pool(
+                lambda trial: run_trial(factory, trial, timeout,
+                                        allow_failures,
+                                        capture_digest=capture_digest),
+                pending, workers, deadline, retries, journal, outcomes)
+    finally:
+        if journal is not None:
+            journal.close()
+    return SweepResult([outcomes[trial] for trial in range(trials)])
+
+
+def _replay_journal(
+    journal: Optional[TrialJournal], trials: int,
+) -> Tuple[Dict[int, TrialOutcome], List[int]]:
+    """Split a sweep into the outcomes ``journal`` already holds
+    (``from_journal=True``) and the trial indices still to run."""
+    completed = journal.completed if journal is not None else {}
     outcomes: Dict[int, TrialOutcome] = {}
     pending: List[int] = []
     for trial in range(trials):
-        if journal is not None and trial in journal:
-            entry = journal.completed[trial]
-            status, attempts, result = _unwrap_journal_payload(entry)
+        if trial in completed:
+            status, attempts, result = \
+                _unwrap_journal_payload(completed[trial])
             outcomes[trial] = TrialOutcome(
                 trial=trial, status=status, attempts=attempts, error=None,
                 result=result, from_journal=True,
@@ -327,21 +373,7 @@ def run_supervised(
             )
         else:
             pending.append(trial)
-
-    if pending:
-        # The pool is used whenever it can be (even for one pending
-        # trial): supervision — the watchdog kill, crash containment —
-        # only works across a process boundary.
-        if workers == 1 or not fork_available():
-            _run_serial(factory, pending, timeout, allow_failures,
-                        retries, capture_digest, journal, outcomes)
-        else:
-            _run_pool(factory, pending, workers, timeout, allow_failures,
-                      deadline, retries, capture_digest, journal, outcomes)
-
-    if journal is not None:
-        journal.close()
-    return SweepResult([outcomes[trial] for trial in range(trials)])
+    return outcomes, pending
 
 
 def _unwrap_journal_payload(entry: Any) -> Tuple[str, int, Any]:
@@ -377,19 +409,30 @@ def _success_outcome(trial: int, attempt: int, result: Any) -> TrialOutcome:
     )
 
 
-def _run_serial(
+def run_shard(
     factory: ScenarioFactory,
-    pending: List[int],
+    indices: Iterable[int],
     timeout: float,
-    allow_failures: bool,
-    retries: int,
-    capture_digest: bool,
-    journal: Optional[TrialJournal],
-    outcomes: Dict[int, TrialOutcome],
-) -> None:
-    """In-process fallback: same taxonomy, no kill/crash containment."""
-    for trial in pending:
+    allow_failures: bool = False,
+    retries: int = 1,
+    capture_digest: bool = False,
+    journal: Optional[TrialJournal] = None,
+) -> Iterator[TrialOutcome]:
+    """Run trials in order in this process, yielding each outcome as it
+    lands — the one attempt/quarantine loop, shared by the in-process
+    fallback of :func:`run_supervised` (same taxonomy, no kill/crash
+    containment) and by every fabric worker.
+
+    First successful attempt → ``ok``; success after failures →
+    ``retried``; retry budget exhausted → ``quarantined``. When a
+    ``journal`` is given, every *successful* outcome is checkpointed
+    (fsync'd) before it is yielded — so a fabric worker that dies after
+    journaling trial N never makes the coordinator re-run N, it merges
+    the sidecar instead.
+    """
+    for trial in indices:
         error = None
+        outcome: Optional[TrialOutcome] = None
         for attempt in range(1, retries + 2):
             try:
                 result = run_trial(factory, trial, timeout, allow_failures,
@@ -397,130 +440,143 @@ def _run_serial(
             except ReproError as exc:
                 error = str(exc)
                 continue
-            outcomes[trial] = _success_outcome(trial, attempt, result)
-            _journal_record(journal, outcomes[trial])
+            outcome = _success_outcome(trial, attempt, result)
             break
-        else:
-            outcomes[trial] = TrialOutcome(
+        if outcome is None:
+            outcome = TrialOutcome(
                 trial=trial, status="quarantined", attempts=retries + 1,
                 error=error, result=None,
             )
+        _journal_record(journal, outcome)
+        yield outcome
 
 
 def _run_pool(
-    factory: ScenarioFactory,
+    run: Callable[[int], Any],
     pending: List[int],
     workers: int,
-    timeout: float,
-    allow_failures: bool,
     deadline: Optional[float],
     retries: int,
-    capture_digest: bool,
     journal: Optional[TrialJournal],
     outcomes: Dict[int, TrialOutcome],
 ) -> None:
-    """The supervising pool: fork-per-trial with watchdog and retry.
+    """The supervising pool: warm workers with watchdog and retry.
 
-    One process per in-flight trial (not a reusable pool): a crashed or
-    killed worker then takes down exactly one attempt, and SIGKILL needs
-    no cooperation from the victim. Page-load trials are seconds of work,
-    so the fork cost is noise.
+    At most ``workers`` long-lived forked processes (never more than
+    there are attempts to run), each handed **one attempt at a time**.
+    That is what keeps the isolation contract: the deadline clock of an
+    attempt starts at its dispatch, SIGKILL needs no cooperation from
+    the victim, and a crashed or killed worker takes down exactly the
+    one attempt it held — it is replaced by a fresh fork before that
+    trial is retried. What is given up against a process per trial is
+    interpreter state: it now carries across the trials one worker
+    runs, exactly as in :func:`run_shard` and every fabric worker;
+    trial purity (DESIGN.md §6) is what makes that safe.
+
+    A worker that reports is handed its next attempt *before* its result
+    is unpickled and journaled, so it computes through the fsync. Every
+    worker in ``pool`` has an attempt in flight; one with nothing left
+    to run is retired on the spot.
     """
     context = multiprocessing.get_context("fork")
-    queue: List[Tuple[int, int]] = [(trial, 1) for trial in pending]
-    running: List[_Running] = []
+    queue: Deque[Tuple[int, int]] = deque((trial, 1) for trial in pending)
+    pool: List[_Worker] = []
 
-    def launch() -> None:
-        while queue and len(running) < workers:
-            trial, attempt = queue.pop(0)
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_supervised_worker,
-                args=(writer, factory, trial, timeout, allow_failures,
-                      capture_digest),
-            )
-            process.start()
-            writer.close()  # parent keeps only the read end
-            running.append(_Running(process, reader, trial, attempt,
-                                    time.monotonic()))
+    def spawn() -> _Worker:
+        conn, child = context.Pipe()
+        process = context.Process(
+            target=_warm_worker,
+            args=(child, [worker.conn for worker in pool] + [conn], run),
+        )
+        process.start()
+        child.close()  # the worker's death is then EOF on ``conn``
+        pool.append(_Worker(process, conn))
+        return pool[-1]
 
-    def retire(entry: _Running, failure: Optional[str],
-               crashed: bool) -> None:
-        running.remove(entry)
-        entry.reader.close()
-        if failure is None:
+    def feed(worker: _Worker) -> None:
+        """Hand ``worker`` the next queued attempt, or retire it."""
+        if not queue:
+            drop(worker)
             return
-        if entry.attempt <= retries:
-            queue.append((entry.trial, entry.attempt + 1))
+        worker.trial, worker.attempt = queue.popleft()
+        worker.started = time.monotonic()
+        try:
+            worker.conn.send(worker.trial)
+        except OSError:
+            pass  # died between trials: its sentinel fails this attempt
+
+    def drop(worker: _Worker) -> None:
+        pool.remove(worker)
+        worker.conn.close()  # EOF ends a live worker's loop
+        worker.process.join()
+
+    def lose(worker: _Worker, failure: str, crashed: bool) -> None:
+        """``worker``'s attempt failed: requeue the trial or record it."""
+        if worker.attempt <= retries:
+            queue.append((worker.trial, worker.attempt + 1))
             return
-        outcomes[entry.trial] = TrialOutcome(
-            trial=entry.trial,
-            status="crashed" if crashed else "quarantined",
-            attempts=entry.attempt,
-            error=failure,
-            result=None,
+        outcomes[worker.trial] = TrialOutcome(
+            trial=worker.trial, attempts=worker.attempt, error=failure,
+            status="crashed" if crashed else "quarantined", result=None,
         )
 
     try:
-        while queue or running:
-            launch()
-            tick = 0.25
-            if deadline is not None and running:
-                now = time.monotonic()
-                nearest = min(
-                    entry.started + deadline - now for entry in running
-                )
-                tick = max(0.01, min(tick, nearest))
-            connection_wait(
-                [entry.reader for entry in running]
-                + [entry.process.sentinel for entry in running],
-                timeout=tick,
+        while queue or pool:
+            while queue and len(pool) < workers:
+                feed(spawn())
+            # A report or a death is a readable fd; only a deadline
+            # passing needs a timeout.
+            wait = None
+            if deadline is not None:
+                wait = max(0.01, min(worker.started for worker in pool)
+                           + deadline - time.monotonic())
+            ready = connection_wait(
+                [worker.conn for worker in pool]
+                + [worker.process.sentinel for worker in pool],
+                timeout=wait,
             )
-            for entry in list(running):
-                if entry.reader.poll():
+            for worker in list(pool):
+                message = None
+                if worker.conn in ready:
                     try:
-                        message = entry.reader.recv()
+                        message = worker.conn.recv()
                     except (EOFError, OSError):
-                        entry.process.join()
-                        retire(entry, _crash_message(entry), crashed=True)
-                        continue
-                    entry.process.join()
-                    if message[0] == "ok":
-                        result = pickle.loads(message[1])
-                        outcome = _success_outcome(
-                            entry.trial, entry.attempt, result
+                        pass  # died mid-report
+                elif worker.process.sentinel not in ready:
+                    if (deadline is not None
+                            and time.monotonic() - worker.started > deadline):
+                        worker.process.kill()
+                        drop(worker)
+                        lose(
+                            worker,
+                            f"trial {worker.trial}: exceeded the {deadline}s "
+                            f"wall-clock deadline (attempt {worker.attempt}); "
+                            f"worker killed by the watchdog",
+                            crashed=False,
                         )
-                        outcomes[entry.trial] = outcome
-                        _journal_record(journal, outcome)
-                        retire(entry, None, crashed=False)
-                    else:
-                        retire(entry, message[1], crashed=False)
-                elif not entry.process.is_alive():
-                    entry.process.join()
-                    retire(entry, _crash_message(entry), crashed=True)
-                elif (deadline is not None
-                      and time.monotonic() - entry.started > deadline):
-                    entry.process.kill()
-                    entry.process.join()
-                    retire(
-                        entry,
-                        f"trial {entry.trial}: exceeded the {deadline}s "
-                        f"wall-clock deadline (attempt {entry.attempt}); "
-                        f"worker killed by the watchdog",
-                        crashed=False,
+                    continue
+                if message is None:
+                    drop(worker)
+                    code = worker.process.exitcode
+                    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                    lose(
+                        worker,
+                        f"trial {worker.trial}: worker process died without "
+                        f"reporting ({how}, attempt {worker.attempt})",
+                        crashed=True,
                     )
+                    continue
+                kind, body = message
+                trial, attempt = worker.trial, worker.attempt
+                if kind != "ok":
+                    lose(worker, body, crashed=False)  # requeue, then feed
+                feed(worker)
+                if kind == "ok":
+                    outcome = _success_outcome(trial, attempt,
+                                               pickle.loads(body))
+                    outcomes[trial] = outcome
+                    _journal_record(journal, outcome)
     finally:
-        for entry in running:
-            entry.process.kill()
-            entry.process.join()
-            entry.reader.close()
-
-
-def _crash_message(entry: _Running) -> str:
-    code = entry.process.exitcode
-    how = f"signal {-code}" if code is not None and code < 0 else \
-        f"exit code {code}"
-    return (
-        f"trial {entry.trial}: worker process died without reporting "
-        f"({how}, attempt {entry.attempt})"
-    )
+        for worker in list(pool):
+            worker.process.kill()
+            drop(worker)

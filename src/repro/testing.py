@@ -13,7 +13,9 @@ of a scenario in one line.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import os
+import time
+from typing import Any, Callable, Iterable, Optional, Set
 
 from repro.linkem.overhead import OverheadModel
 from repro.net.address import Endpoint, IPv4Address
@@ -185,3 +187,31 @@ def delayed_world(
         pipe_ba=DelayPipe(sim, one_way_delay, OverheadModel.none()),
         tcp_config=tcp_config,
     )
+
+
+def _pid_gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie nobody reaps counts)."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] == "Z"
+        except OSError:
+            return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def pids_alive(pids: Iterable[int], within: float = 0.0) -> Set[int]:
+    """The ``pids`` still running ``within`` wall seconds from now (empty
+    as soon as all are gone) — how the crash-recovery checks assert that
+    a killed driver leaves no orphan workers behind."""
+    deadline = time.monotonic() + within
+    left = set(pids)
+    while True:
+        left = {pid for pid in left if not _pid_gone(pid)}
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.02)

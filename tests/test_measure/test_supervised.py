@@ -19,22 +19,26 @@ from repro.measure.supervise import (
     run_supervised,
 )
 from repro.sim import Simulator
+from repro.testing import pids_alive
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
 )
 
 
-def _make_factory(pace: float = 0.0):
+def _make_factory(pace: float = 0.0, pid_dir=None):
     """A real page-load factory over a small generated site.
 
     ``pace`` adds wall-clock seconds per trial so kill-mid-sweep tests
-    have a window to interrupt; zero for fast tests.
+    have a window to interrupt; zero for fast tests. With ``pid_dir``,
+    every attempt appends the pid it runs in to ``<pid_dir>/<trial>``
+    (read back with :func:`_attempt_pids`).
     """
     site = generate_site("supervised.com", seed=3, n_origins=2, scale=0.3)
     store = site.to_recorded_site()
 
     def factory(trial):
+        _log_pid(pid_dir, trial)
         if pace:
             time.sleep(pace)
         sim = Simulator(seed=trial)
@@ -48,16 +52,39 @@ def _make_factory(pace: float = 0.0):
     return factory
 
 
-def _flaky_factory(marker_dir, fail_with):
+def _log_pid(pid_dir, trial):
+    if pid_dir is not None:
+        with open(os.path.join(pid_dir, str(trial)), "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+
+def _attempt_pids(pid_dir):
+    """trial -> the pid of each of its attempts, in attempt order."""
+    pids = {}
+    for name in os.listdir(pid_dir):
+        with open(os.path.join(pid_dir, name)) as fh:
+            pids[int(name)] = [int(line) for line in fh]
+    return pids
+
+
+def _all_pids(pid_dir):
+    return {pid for pids in _attempt_pids(pid_dir).values() for pid in pids}
+
+
+def _flaky_factory(marker_dir, fail_with, only=None, pid_dir=None):
     """Fails each trial's first attempt, succeeds on retry.
 
     ``fail_with="error"`` raises ReproError; ``"crash"`` kills the
     worker process outright; ``"stall"`` blocks past any deadline.
+    ``only`` restricts the failures to those trials.
     """
     inner = _make_factory()
 
     def factory(trial):
+        _log_pid(pid_dir, trial)
         marker = os.path.join(marker_dir, f"attempted-{trial}")
+        if only is not None and trial not in only:
+            return inner(trial)
         if not os.path.exists(marker):
             with open(marker, "w") as fh:
                 fh.write("x")
@@ -210,6 +237,120 @@ class TestUnpicklableResults:
         assert "unpicklable" in result.outcomes[0].error
 
 
+def _dirs(tmp_path):
+    markers, pids = tmp_path / "markers", tmp_path / "pids"
+    markers.mkdir()
+    pids.mkdir()
+    return str(markers), str(pids)
+
+
+def _unpicklable_on(trials):
+    """A page-load factory whose result cannot be pickled on ``trials``."""
+    def decorate(inner):
+        def factory(trial):
+            sim, load = inner(trial)
+            if trial in trials:
+                load.unpicklable = lambda: None
+            return sim, load
+
+        return factory
+
+    return decorate
+
+
+@needs_fork
+class TestWarmPool:
+    """The pool forks ``workers`` times, not ``trials`` times, and still
+    loses exactly one attempt of one trial to a dead worker."""
+
+    def test_clean_sweep_forks_once_per_worker(self, tmp_path):
+        __, pids = _dirs(tmp_path)
+        result = run_supervised(_make_factory(pid_dir=pids), trials=8,
+                                workers=2)
+        assert result.counts()["ok"] == 8
+        assert len(_all_pids(pids)) == 2
+        assert os.getpid() not in _all_pids(pids)
+        assert not pids_alive(_all_pids(pids))
+
+    def test_more_workers_than_trials_forks_once_per_trial(self, tmp_path):
+        __, pids = _dirs(tmp_path)
+        result = run_supervised(_make_factory(pid_dir=pids), trials=2,
+                                workers=5)
+        assert result.complete
+        assert len(_all_pids(pids)) == 2
+
+    @pytest.mark.parametrize("fail_with,deadline",
+                             [("crash", None), ("stall", 1.0)])
+    def test_lost_worker_costs_one_attempt_of_one_trial(
+            self, tmp_path, fail_with, deadline):
+        markers, pids = _dirs(tmp_path)
+        factory = _flaky_factory(markers, fail_with, only={0}, pid_dir=pids)
+        result = run_supervised(factory, trials=8, workers=2, retries=1,
+                                deadline=deadline)
+        assert result.complete
+        assert [(o.status, o.attempts) for o in result.outcomes] == \
+            [("retried", 2)] + [("ok", 1)] * 7
+        attempts = _attempt_pids(pids)
+        lost, retry = attempts[0]
+        assert retry != lost
+        assert all(trial_pids != [lost] for trial, trial_pids
+                   in attempts.items() if trial != 0)
+        # One replacement fork for the one lost worker.
+        assert len(_all_pids(pids)) == 3
+
+    @pytest.mark.parametrize("failure", ["error", "unpicklable"])
+    def test_reported_failure_keeps_the_worker(self, tmp_path, failure):
+        markers, pids = _dirs(tmp_path)
+        if failure == "error":
+            factory = _flaky_factory(markers, "error", only={0},
+                                     pid_dir=pids)
+        else:
+            factory = _unpicklable_on({0})(_make_factory(pid_dir=pids))
+        result = run_supervised(factory, trials=6, workers=2, retries=1)
+        assert result.outcomes[0].attempts == 2
+        assert result.outcomes[0].status == \
+            ("retried" if failure == "error" else "quarantined")
+        assert all(o.status == "ok" for o in result.outcomes[1:])
+        assert len(_all_pids(pids)) == 2
+
+    def test_deadline_is_per_attempt_not_per_worker(self, tmp_path):
+        __, pids = _dirs(tmp_path)
+        deadline = 0.5
+        started = time.monotonic()
+        result = run_supervised(_make_factory(pace=0.15, pid_dir=pids),
+                                trials=70, workers=2, deadline=deadline)
+        elapsed = time.monotonic() - started
+        assert elapsed > 10 * deadline  # both workers outlived it 10x over
+        assert result.counts()["ok"] == 70
+        assert len(_all_pids(pids)) == 2
+
+    def test_next_trial_dispatched_before_previous_is_journaled(
+            self, tmp_path):
+        __, pids = _dirs(tmp_path)
+        trials, workers = 6, 2
+
+        class WaitingJournal(TrialJournal):
+            """``append`` holds the parent until the trial that takes
+            the reporting worker's slot has started (or 5 s pass)."""
+
+            started_at_append = []
+
+            def append(self, trial, result, digest=None):
+                want = min(trials, len(self.started_at_append) + workers + 1)
+                deadline = time.monotonic() + 5.0
+                while (len(os.listdir(pids)) < want
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                self.started_at_append.append(len(os.listdir(pids)))
+                super().append(trial, result, digest=digest)
+
+        journal = WaitingJournal(str(tmp_path / "sweep.jsonl"), key="k")
+        result = run_supervised(_make_factory(pid_dir=pids), trials=trials,
+                                workers=workers, journal=journal)
+        assert result.complete
+        assert journal.started_at_append == [3, 4, 5, 6, 6, 6]
+
+
 class TestJournalResume:
     def test_journal_replay_skips_completed(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
@@ -257,10 +398,29 @@ class TestJournalResume:
                            journal=path, run_key=run_key(config="b"))
 
 
-def _driver(journal_path):
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_journal_closed_and_workers_reaped_when_append_raises(
+            self, tmp_path, workers):
+        __, pids = _dirs(tmp_path)
+
+        class FullDisk(TrialJournal):
+            def append(self, trial, result, digest=None):
+                self._open()
+                raise OSError("no space left on device")
+
+        journal = FullDisk(str(tmp_path / "sweep.jsonl"), key="k")
+        with pytest.raises(OSError, match="no space left"):
+            run_supervised(_make_factory(pace=0.05, pid_dir=pids), trials=6,
+                           workers=workers, journal=journal)
+        assert journal._handle is None
+        assert not pids_alive(_all_pids(pids) - {os.getpid()})
+
+
+def _driver(journal_path, pid_dir):
     """Child-process entry: run a paced, journaled sweep to completion."""
-    run_supervised(_make_factory(pace=0.2), trials=6, workers=2,
-                   journal=journal_path, run_key="kill-test",
+    run_supervised(_make_factory(pace=0.2, pid_dir=pid_dir), trials=6,
+                   workers=2, journal=journal_path, run_key="kill-test",
                    capture_digest=True)
 
 
@@ -274,7 +434,8 @@ class TestKillAndResume:
 
         context = multiprocessing.get_context("fork")
         journal_path = str(tmp_path / "sweep.jsonl")
-        driver = context.Process(target=_driver, args=(journal_path,))
+        __, pids = _dirs(tmp_path)
+        driver = context.Process(target=_driver, args=(journal_path, pids))
         driver.start()
         # Wait for >= 2 journaled trials, then kill the whole driver.
         deadline = time.monotonic() + 60
@@ -290,6 +451,10 @@ class TestKillAndResume:
         os.kill(driver.pid, signal.SIGKILL)
         driver.join()
         assert driver.exitcode == -signal.SIGKILL
+        # Its workers see EOF on their pipes and exit instead of idling
+        # as orphans.
+        assert _all_pids(pids)
+        assert not pids_alive(_all_pids(pids), within=5.0)
 
         # Resume from the journal left behind.
         factory = _make_factory()
