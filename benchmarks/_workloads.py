@@ -13,6 +13,7 @@ from repro.corpus.sitegen import SyntheticSite
 from repro.errors import ReproError
 from repro.measure.journal import run_key
 from repro.measure.parallel import ParallelRunner, default_workers
+from repro.measure.supervise import run_supervised
 from repro.sim import Simulator
 
 
@@ -68,9 +69,10 @@ def run_sweep(label: str, factory, trials: int, timeout: float = 900.0):
     if journal_dir is None:
         return runner.run_page_loads(factory, trials, timeout=timeout)
     os.makedirs(journal_dir, exist_ok=True)
-    sweep = runner.run_supervised(
+    sweep = run_supervised(
         factory,
         trials,
+        workers=runner.workers,
         timeout=timeout,
         journal=os.path.join(journal_dir, f"{label}.journal.jsonl"),
         run_key=run_key(bench=label, trials=trials, scale=bench_scale()),

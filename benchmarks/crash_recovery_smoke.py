@@ -12,10 +12,12 @@ The end-to-end acceptance check for the harness-resilience contract
    reference run.
 
 2. **mm-corpus generate.** A corpus generation is started via the real
-   CLI, SIGKILLed after at least two sites have been journaled, then
-   finished with ``--resume``. The resulting tree (every file under
-   every site folder) must hash identically to a corpus generated
-   without interruption.
+   CLI, SIGKILLed after at least two sites have been journaled — its
+   workers (the same dispatched workers, through ``parallel_map``) must
+   be gone within the same few seconds — then finished with
+   ``--resume``. The resulting tree (every file under every site
+   folder) must hash identically to a corpus generated without
+   interruption.
 
 Both phases leave their journals under ``--journal-dir`` (default
 ``benchmarks/results/crash-recovery``) so CI can upload them as
@@ -44,7 +46,7 @@ from repro.corpus import generate_site
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
 from repro.sim import Simulator
-from repro.testing import pids_alive
+from repro.testing import child_pids, pids_alive
 
 TRIALS = 6
 RUN_KEY = "crash-recovery-smoke"
@@ -178,8 +180,16 @@ def run_corpus_phase(journal_dir: str) -> bool:
         child.wait()
         print("FAIL corpus: generate never journaled two sites")
         return False
+    workers = child_pids(child.pid)
     child.send_signal(signal.SIGKILL)
     child.wait()
+    orphans = sorted(pids_alive(workers, within=5.0))
+    print(f"corpus: killed generate had {len(workers)} worker(s); still "
+          f"alive 5s later: {orphans or 'none'}")
+    if orphans or not workers:
+        print("FAIL corpus: the killed generate left orphan workers (or "
+              "had none)")
+        return False
 
     journaled = len(TrialJournal(journal_path))
     # Keep a copy of what the killed run had checkpointed for the

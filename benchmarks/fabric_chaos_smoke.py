@@ -1,14 +1,15 @@
 """Fabric chaos soak: every harness-fault class, byte-identical to serial.
 
 The end-to-end acceptance check for the chaos-hardened fabric (DESIGN.md
-section 13 failure-mode matrix). One serial ``run_supervised`` reference
+section 9 failure-mode matrix). One serial ``run_supervised`` reference
 is recorded, then the same sweep is run under ``FaultyBackend`` once per
 fault class — dropped frames, delayed frames, corrupted frames, a
 truncated stream, injected spawn failures, a SIGKILLed worker, and a
 wedged (silent but alive) worker — plus two combined scenarios:
 
-* **wedge + speculate**: the wedged shard's trials are speculatively
-  re-executed on the idle worker; first outcome wins.
+* **wedge + speculate**: the trial the wedged worker holds is
+  speculatively re-executed by the worker that empties the queue; first
+  outcome wins.
 * **wedge + slow**: one wedged worker and one slow-but-alive worker in
   the same sweep; heartbeats must keep the watchdog from killing the
   slow one (exactly one watchdog kill).
@@ -86,7 +87,7 @@ def _scenarios():
         ("quarantine-degrade",
          FabricFaultPlan([SpawnFault(shard=1, fail_first=99)], seed=6),
          {"spawn_retries": 1, "quarantine_after": 2}, {},
-         {"fabric.hosts_quarantined": 1, "fabric.shards_degraded": 1}),
+         {"fabric.hosts_quarantined": 1, "fabric.spawn_failures": 1}),
         ("kill-worker",
          FabricFaultPlan([KillWorker(shard=0, after_outcomes=1)], seed=7),
          {"worker_retries": 2}, {},

@@ -6,18 +6,19 @@ section 13), exercised at CI scale over the *subprocess* backend — real
 ``mm-fabric worker`` child interpreters wired over pipes, the transport
 shape every other backend shares. Two phases:
 
-1. **Worker kill.** A sweep is sharded across two subprocess workers and
-   one of them is SIGKILLed mid-shard. The coordinator must reassign the
-   dead worker's unreported trials to a replacement, finish the sweep,
-   and produce a PLT sample, a combined event-stream digest, *and a
-   journal file* byte-identical to a serial ``run_supervised`` of the
-   same sweep.
+1. **Worker kill.** A sweep is dispatched to two subprocess workers and
+   one of them is SIGKILLed mid-sweep. The coordinator must put the one
+   trial the dead worker held back on the queue, spawn a replacement,
+   finish the sweep, and produce a PLT sample, a combined event-stream
+   digest, *and a journal file* byte-identical to a serial
+   ``run_supervised`` of the same sweep.
 
 2. **Coordinator kill.** A journaled fabric run is started in a child
    process and SIGKILLed after it has checkpointed at least two trials.
-   ``run_fabric`` is then pointed at the journal left behind; it must
-   replay the checkpointed trials, run only the rest, and again match
-   the serial reference byte for byte.
+   Its workers must be gone within a few seconds (they see EOF on their
+   pipes; no orphans). ``run_fabric`` is then pointed at the journal
+   left behind; it must replay the checkpointed trials, run only the
+   rest, and again match the serial reference byte for byte.
 
 Artifacts land under ``--journal-dir`` (default
 ``benchmarks/results/fabric``) for CI upload. Exit status 0 when both
@@ -43,6 +44,7 @@ from repro.fabric.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
+from repro.testing import child_pids, pids_alive
 
 TRIALS = 6
 RUN_KEY = "fabric-smoke"
@@ -57,7 +59,7 @@ SPEC = FactorySpec("repro.fabric.scenarios:replay_smoke",
 
 
 class _KillOneWorker(SubprocessBackend):
-    """A SubprocessBackend whose first worker is SIGKILLed mid-shard."""
+    """A SubprocessBackend whose first worker is SIGKILLed mid-sweep."""
 
     def __init__(self, spec, after: float) -> None:
         super().__init__(spec)
@@ -110,7 +112,7 @@ def run_worker_kill_phase(journal_dir: str, reference,
     identical = _identical(result, reference)
     journals_equal = journal_bytes == reference_bytes
     print(f"worker-kill: SIGKILLed worker pid {backend.killed[0]}; "
-          f"{crashes} crash(es), {reassigned} trial(s) reassigned")
+          f"{crashes} crash(es), {reassigned} trial(s) requeued")
     print(f"worker-kill: sample+digest identical to serial: {identical}; "
           f"journal byte-identical: {journals_equal} ({result.digest})")
     return identical and journals_equal and crashes >= 1
@@ -148,9 +150,17 @@ def run_coordinator_kill_phase(journal_dir: str, reference,
         driver.join()
         print("FAIL coordinator-kill: driver never journaled two trials")
         return False
+    workers = child_pids(driver.pid)
     os.kill(driver.pid, signal.SIGKILL)
     driver.join()
     assert driver.exitcode == -signal.SIGKILL
+    orphans = sorted(pids_alive(workers, within=5.0))
+    print(f"coordinator-kill: killed coordinator had {len(workers)} "
+          f"worker(s); still alive 5s later: {orphans or 'none'}")
+    if orphans or not workers:
+        print("FAIL coordinator-kill: the killed coordinator left orphan "
+              "workers (or had none)")
+        return False
 
     journaled = len(TrialJournal(journal_path, key=RUN_KEY))
     resumed = run_fabric(SubprocessBackend(SPEC), trials=TRIALS, shards=2,

@@ -17,16 +17,16 @@ Workloads (mirroring ``bench_micro.py``'s hot-path benchmarks):
 * ``tcp_bulk``   — bytes through two full TCP stacks over a delay pipe.
 * ``page_load``  — one replayed page load through ReplayShell + LinkShell
   + DelayShell (the unit every paper experiment multiplies).
-* ``fabric_trials_per_s`` — a sweep sharded over 2 forked fabric workers
+* ``fabric_trials_per_s`` — a sweep dispatched to 2 forked fabric workers
   (coordinator + wire protocol + merge overhead on top of the trials).
 * ``fabric_degraded_trials_per_s`` — the same sweep degraded to one
-  worker after injected spawn failures quarantine the other shard's host
-  (backoff + quarantine + redistribution overhead included).
+  worker after injected spawn failures quarantine the other worker's
+  host (backoff + quarantine overhead included).
 * ``cas_corpus_load`` — loading a CAS-backed (format v3) corpus, blob
   resolution included.
 * ``supervised_trials_per_s`` — the fabric workloads' trial set through
-  ``run_supervised(workers=2, journal, capture_digest)``: the warm
-  worker pool, result pickling and the fsync'd journal.
+  ``run_supervised(workers=2, journal, capture_digest)``: the same
+  dispatcher, plus result pickling and the fsync'd journal.
 
 ``REPRO_BENCH_SCALE`` scales the event count and transfer size exactly as
 the rest of the bench suite scales trial counts (CI uses 0.1); the scale
@@ -219,7 +219,7 @@ def _fabric_factory():
 
 
 def wl_fabric_trials() -> Tuple[float, str]:
-    """A sharded sweep over 2 forked local workers (coordinator overhead
+    """A sweep dispatched to 2 forked local workers (coordinator overhead
     included); byte-identity with serial is asserted by the test suite,
     this gate watches only the throughput."""
     from repro.fabric.backend import LocalBackend
@@ -233,11 +233,11 @@ def wl_fabric_trials() -> Tuple[float, str]:
 
 
 def wl_fabric_degraded() -> Tuple[float, str]:
-    """The same sharded sweep running *degraded*: shard 1's spawns always
-    fail, so after the retry budget the host is quarantined and every
-    trial lands on the surviving worker — spawn-retry backoff, the
-    quarantine decision, and trial redistribution all inside the timed
-    region. Guards the cost of the fault-tolerance path itself."""
+    """The same sweep running *degraded*: worker 1's spawns always fail,
+    so after the retry budget the host is quarantined and the surviving
+    worker pulls every trial off the queue — spawn-retry backoff and
+    the quarantine decision inside the timed region. Guards the cost of
+    the fault-tolerance path itself."""
     from repro.fabric.backend import LocalBackend
     from repro.fabric.coordinator import run_fabric
     from repro.fabric.faults import (

@@ -107,8 +107,15 @@ _ARTIFACT_SINKS = frozenset({"write_artifact"})
 
 #: Callables that fan work out to forked workers; function-valued
 #: arguments run post-fork and may not capture pre-fork handles (REP012).
+#: ``LocalBackend`` is the one fork site; the rest hand it their factory.
 _RUNNER_NAMES = frozenset(
-    {"ParallelRunner", "parallel_map", "run_supervised", "run_page_loads"}
+    {
+        "LocalBackend",
+        "ParallelRunner",
+        "parallel_map",
+        "run_supervised",
+        "run_page_loads",
+    }
 )
 
 #: Runner keyword arguments whose callables run in the *parent* process

@@ -33,8 +33,8 @@ REP005  No ``os.environ``/``os.getenv`` reads inside simulation
         components — configuration must arrive explicitly so replays do
         not depend on ambient process state.
 REP006  No module-level mutable state in simulation-domain packages —
-        it silently survives ``ParallelRunner`` forks and couples
-        trials. (Non-empty ALL_CAPS literal tables are treated as
+        a warm worker (forked once, then handed trial after trial)
+        carries it from one trial into the next and couples them. (Non-empty ALL_CAPS literal tables are treated as
         constants and allowed.)
 REP007  Observer-domain code (the ``repro.obs`` package) may not
         schedule/cancel events, install trace hooks, write attributes
@@ -53,8 +53,9 @@ REP011  No seeded ``random.Random`` instance shared across the chaos /
         link / transport domains — derive one stream per domain via
         ``stable_seed``.
 REP012  No fork-hostile handles (files, locks, journals, sockets)
-        created pre-fork and used inside ``ParallelRunner`` /
-        ``run_supervised`` / ``parallel_map`` worker functions.
+        created pre-fork and used inside worker functions handed to
+        ``LocalBackend`` / ``ParallelRunner`` / ``run_supervised`` /
+        ``parallel_map``.
 ======  ==============================================================
 
 Rules REP001, REP003, REP005, REP006 and REP008-REP011 apply to
@@ -165,7 +166,7 @@ RULE_REGISTRY: Dict[str, Rule] = {
     ),
     "REP006": Rule(
         "REP006",
-        "module-level mutable state survives ParallelRunner forks",
+        "module-level mutable state carries across trials in a warm worker",
         "ast",
         "sim",
     ),
@@ -687,9 +688,9 @@ class _Checker(ast.NodeVisitor):
                 self._report(
                     stmt,
                     "REP006",
-                    f"module-level mutable {name!r} survives ParallelRunner "
-                    "forks and couples trials; move it onto an object owned "
-                    "by the simulation",
+                    f"module-level mutable {name!r} carries from one trial "
+                    "into the next inside a warm worker and couples them; "
+                    "move it onto an object owned by the simulation",
                 )
 
 

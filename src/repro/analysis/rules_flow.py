@@ -23,9 +23,10 @@ REP011  RNG stream aliasing: one seeded ``random.Random`` instance may
         domain derives its own stream via ``stable_seed``.
 REP012  Fork-hostile handles: file descriptors, locks, journals, and
         sockets created before the fork may not be used inside worker
-        functions handed to ``ParallelRunner`` / ``run_supervised`` /
-        ``parallel_map`` — the child inherits a duplicated, corrupt
-        handle.
+        functions handed to ``LocalBackend`` (the one fork site) or to
+        the entry points that feed it — ``ParallelRunner`` /
+        ``run_supervised`` / ``parallel_map`` — the child inherits a
+        duplicated, corrupt handle.
 ======  ==============================================================
 
 REP008-REP011 apply to simulation-domain files; REP012 applies

@@ -9,15 +9,15 @@ Subcommands::
                   [--capture-digest] [--progress-deadline S]
                   [--heartbeat S] [--io-deadline S] [--spawn-retries R]
                   [--quarantine-after K] [--speculate]
-                  [--speculate-copies N] [--artifact PATH] [--json]
+                  [--artifact PATH] [--json]
     mm-fabric worker
     mm-fabric ship SRC DEST [--json]
 
-``run`` shards the sweep's trial indices across workers and merges the
-streamed outcomes by trial index — the output (sample, combined
-event-stream digest, journal) is byte-identical to a serial
-``run_supervised`` of the same sweep, for any ``--shards`` and any
-``--backend``. ``--factory`` names a scenario-factory *builder*
+``run`` feeds the sweep's trial indices to ``--shards`` workers, one
+trial at a time, and merges the streamed outcomes by trial index — the
+output (sample, combined event-stream digest, journal) is byte-identical
+to a serial ``run_supervised`` of the same sweep, for any ``--shards``
+and any ``--backend``. ``--factory`` names a scenario-factory *builder*
 (e.g. ``repro.fabric.scenarios:replay_smoke``); ``--kwargs`` is a JSON
 object of its arguments.
 
@@ -26,9 +26,10 @@ Robustness knobs: ``--heartbeat`` turns on worker liveness beats so the
 slow-but-alive ones; ``--io-deadline`` bounds every protocol read/write;
 ``--spawn-retries`` retries failed spawns with capped seeded backoff and
 ``--quarantine-after`` benches a host after that many consecutive
-crashes (the sweep degrades to the surviving shards); ``--speculate``
-duplicates straggler trials on idle workers, first outcome wins. None of
-these change results: every knob preserves byte-identity to serial.
+crashes (the sweep degrades to the surviving workers); ``--speculate``
+has a worker that finds the queue empty duplicate the oldest trial still
+in flight, first outcome wins. None of these change results: every knob
+preserves byte-identity to serial.
 
 When a run resumes from ``--journal``, corrupt journal lines are dropped
 (their trials re-run) and surfaced as the ``journal_records_dropped``
@@ -107,7 +108,6 @@ def _run(argv: List[str]) -> int:
     spawn_retries = 2
     quarantine_after = 3
     speculate = False
-    speculate_copies = 1
     artifact: Optional[str] = None
     as_json = False
     rest = list(argv)
@@ -151,8 +151,6 @@ def _run(argv: List[str]) -> int:
             quarantine_after = int(rest.pop(0))
         elif flag == "--speculate":
             speculate = True
-        elif flag == "--speculate-copies":
-            speculate_copies = int(rest.pop(0))
         elif flag == "--artifact":
             artifact = rest.pop(0)
         elif flag == "--json":
@@ -194,7 +192,6 @@ def _run(argv: List[str]) -> int:
         progress_deadline=progress_deadline, heartbeat=heartbeat,
         io_deadline=io_deadline, spawn_retries=spawn_retries,
         quarantine_after=quarantine_after, speculate=speculate,
-        speculate_copies=speculate_copies,
     )
     counters = {name: c.value
                 for name, c in sorted(result.metrics.counters.items())}

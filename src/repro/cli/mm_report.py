@@ -115,8 +115,7 @@ _FABRIC_GROUPS = (
     ("sweep", ("workers_spawned", "trials_completed", "trials_crashed")),
     ("liveness", ("heartbeats", "watchdog_kills", "worker_crashes")),
     ("wire", ("frames_resynced", "trials_redelivered")),
-    ("spawning", ("spawn_retries", "spawn_failures", "hosts_quarantined",
-                  "shards_degraded", "trials_redistributed")),
+    ("spawning", ("spawn_retries", "spawn_failures", "hosts_quarantined")),
     ("speculation", ("speculative_trials", "speculative_wins",
                      "speculative_losses")),
     ("journal", ("journal_records_dropped",)),

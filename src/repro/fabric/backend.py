@@ -1,12 +1,14 @@
 """Fabric backends: interchangeable ways to get a worker process.
 
 A backend answers exactly one question — *give me a live worker speaking
-the fabric protocol over a stream pair* — and the coordinator never asks
+the fabric protocol over a stream pair* — and the dispatcher never asks
 anything else. Three implementations cover the deployment spectrum:
 
 * :class:`LocalBackend` — ``fork()`` a worker that inherits the scenario
   factory closure directly. Zero serialization of the factory, fastest
-  startup; the default for single-host campaigns.
+  startup; the default for single-host campaigns, and what
+  ``run_supervised`` and ``parallel_map`` dispatch to. This is the one
+  place in the package that forks (a tier-1 test holds it to that).
 * :class:`SubprocessBackend` — launch ``mm-fabric worker`` as a fresh
   interpreter wired over stdin/stdout pipes. The factory travels as a
   :class:`~repro.fabric.worker.FactorySpec` import path. This is the
@@ -95,15 +97,7 @@ class WorkerHandle:
 
 
 class FabricBackend:
-    """The pluggable backend interface the coordinator programs against.
-
-    Attributes:
-        needs_factory_spec: True when workers are fresh processes that
-            must receive a :class:`FactorySpec` in their config (they
-            cannot inherit a closure).
-    """
-
-    needs_factory_spec = False
+    """The pluggable backend interface the dispatcher programs against."""
 
     def start_worker(self, shard: int) -> WorkerHandle:
         """Launch one worker for shard ``shard`` and return its handle.
@@ -116,8 +110,9 @@ class FabricBackend:
         raise NotImplementedError
 
     def factory_spec(self) -> Optional[FactorySpec]:
-        """The spec spawned workers resolve their factory from (None for
-        backends whose workers inherit a closure)."""
+        """The spec fresh-process workers receive in their config and
+        resolve their factory from (None for backends whose workers
+        inherit a closure)."""
         return None
 
     def host_key(self, shard: int) -> str:
@@ -158,8 +153,6 @@ class LocalBackend(FabricBackend):
         FabricError: on platforms without ``fork`` (use
             :class:`SubprocessBackend` there).
     """
-
-    needs_factory_spec = False
 
     def __init__(self, factory: ScenarioFactory) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -224,8 +217,6 @@ class SubprocessBackend(FabricBackend):
         python: interpreter for the worker (default: this one).
     """
 
-    needs_factory_spec = True
-
     def __init__(self, spec: FactorySpec,
                  python: Optional[str] = None) -> None:
         self.spec = spec
@@ -271,8 +262,6 @@ class RemoteBackend(FabricBackend):
         remote_pythonpath: when set, exported before the worker command
             so a checkout-only remote can resolve ``repro``.
     """
-
-    needs_factory_spec = True
 
     def __init__(
         self,

@@ -1,53 +1,60 @@
-"""The fabric coordinator: shard, dispatch, merge — byte-identical.
+"""The trial dispatcher: one queue, one kind of worker — byte-identical.
 
-:func:`run_fabric` is the distributed sibling of
-:func:`~repro.measure.supervise.run_supervised`: the same sweep contract
-(per-trial outcome taxonomy, bounded retry, checkpoint/resume journal),
-executed by sharding trial indices across workers obtained from a
-pluggable :class:`~repro.fabric.backend.FabricBackend`.
+Every parallel batch of trials in this repo runs through
+:func:`dispatch`: a single loop that owns a FIFO of pending trials and a
+set of live workers obtained from a
+:class:`~repro.fabric.backend.FabricBackend`, and hands each worker
+**one trial at a time** over the framed protocol (``run [t]`` →
+``outcome``, ``done``). Three entry points feed it:
+
+* :func:`run_fabric` — ``shards`` workers from any backend (forked,
+  subprocess, SSH-shaped), heartbeats, journal, speculation;
+* :func:`~repro.measure.supervise.run_supervised` — ``workers`` forked
+  workers (:class:`~repro.fabric.backend.LocalBackend`), its
+  ``deadline`` being the liveness deadline with no heartbeat: seconds
+  since dispatch;
+* :func:`~repro.measure.parallel.parallel_map` — the same with loss
+  budget 0, no journal, and the lowest failing index re-raised.
 
 **The byte-identity guarantee.** Because trials are deterministic pure
-functions of their index (DESIGN.md §6), *where* a trial runs cannot
-change its result. The coordinator assigns shards round-robin
-(``todo[k::shards]``), but merges outcomes purely by trial index — so
+functions of their index (DESIGN.md §6), *where* and *when* a trial runs
+cannot change its result. Outcomes are merged purely by trial index — so
 the :class:`~repro.measure.supervise.SweepResult` sample, the combined
 event-stream digest, and the rewritten journal are byte-identical to a
-serial ``run_supervised`` of the same sweep, for any shard count, any
-backend, and any interleaving of worker completions. Tests assert this
-literally (``tests/test_fabric/``) and CI re-proves it on every push —
-including under injected harness faults (:mod:`repro.fabric.faults`).
+serial ``run_supervised(workers=1)`` of the same sweep, for any worker
+count, any backend, and any interleaving of worker completions. Tests
+assert this literally (``tests/test_fabric/``) and CI re-proves it on
+every push — including under injected harness faults
+(:mod:`repro.fabric.faults`).
 
-**Failure model** (DESIGN.md §13 has the full fault × detection ×
+**One loss/retry rule** (DESIGN.md §9 has the full fault × detection ×
 recovery matrix):
 
-* A worker that *dies* mid-shard (crash, SIGKILL, torn transport, read
-  deadline) forfeits only its unreported trials: those are reassigned
-  to a replacement worker up to ``worker_retries`` times, then recorded
-  as ``crashed``. Trials that already have an outcome — journaled the
-  moment they arrive — are never re-run.
-* A worker that goes *silent* is distinguished from one that is merely
-  slow by heartbeats: with ``heartbeat`` set, workers pulse liveness
-  frames on a wall-clock timer even mid-trial, so ``progress_deadline``
-  measures silence, not slowness. A wedged worker (alive, accepting
-  work, never replying — the half-open connection) misses its beats,
-  is SIGKILLed by the watchdog, and its trials reassigned.
+* A *reported* failure (a ``ReproError`` from the trial) never leaves
+  the worker: :func:`~repro.measure.supervise.run_shard` retries it
+  there ``retries`` times, then reports the trial ``quarantined``.
+* A *lost holder* — crash, SIGKILL, torn stream, watchdog kill — costs
+  exactly the one trial the worker held: it goes back on the queue and
+  a replacement worker is spawned, until the trial has lost
+  ``worker_retries`` + 1 holders and is recorded ``crashed``. Losses are
+  counted per trial and never show in a successful outcome, which
+  records only the trial's own deterministic history.
+* A worker is *silent*, not slow, when neither an outcome nor a
+  heartbeat arrived for ``deadline`` seconds since its trial was
+  dispatched; the watchdog SIGKILLs it (a lost holder). With
+  ``heartbeat`` set a slow trial keeps beating and is left alone.
 * A *spawn failure* is retried with capped exponential backoff and
-  seeded jitter (``spawn_retries`` attempts); hosts that crash
-  ``quarantine_after`` times consecutively are quarantined, and their
-  trials are *redistributed* to live workers — the sweep degrades to
-  fewer shards instead of aborting. Quarantined hosts surface on
-  :attr:`FabricResult.quarantined_hosts`.
-* Outcome frames *eaten by the wire* (drop, resync'd corruption) are
-  detected by the per-batch ``done`` message — the worker says how many
-  trials it ran; any still-unreported trial is redelivered to the same
-  live worker (bounded), because re-running a pure function is always
-  safe.
-* Near sweep end, ``speculate=True`` duplicates still-unfinished trials
-  onto idle workers (MapReduce-style speculative execution). The first
-  outcome per trial wins, duplicates are discarded unjournaled, and the
-  sweep returns as soon as every trial has an outcome — stragglers stop
-  setting the makespan, and determinism makes the duplicate's bytes
-  identical anyway.
+  seeded jitter; a slot that cannot be filled is given up and a host
+  that crashes ``quarantine_after`` times running is benched — fewer
+  workers pull from the same queue, the sweep degrades instead of
+  aborting.
+* An outcome frame *eaten by the wire* shows as a ``done`` for the run
+  in flight with no outcome before it: the trial is sent again
+  (bounded), because re-running a pure function is always safe.
+* With ``speculate``, a worker that finds the queue empty copies the
+  oldest trial still in flight elsewhere; the first outcome per trial
+  wins, the duplicate is discarded unjournaled, and the sweep returns
+  as soon as every trial has an outcome.
 """
 
 from __future__ import annotations
@@ -57,8 +64,11 @@ import os
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import FabricError, ProtocolError
 from repro.fabric.backend import FabricBackend, WorkerHandle
@@ -76,16 +86,23 @@ from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "FabricResult",
+    "dispatch",
     "run_fabric",
 ]
 
 #: How many damaged frames one read_message call may resync past in the
-#: coordinator's reader threads (checksum skips + magic scans).
+#: dispatcher's reader threads (checksum skips + magic scans).
 _READ_RESYNC = 8
 
-#: How many times a live worker may be asked to redeliver outcomes the
-#: wire ate before the coordinator gives up on its stream.
+#: How many times one worker may be sent a trial again because the wire
+#: ate its outcome before the dispatcher gives up on its stream.
 _MAX_REDELIVERIES = 3
+
+#: How many speculative duplicates one trial may get.
+_SPECULATE_COPIES = 1
+
+#: Seconds a worker told to shut down may linger before it is SIGKILLed.
+_LINGER = 5.0
 
 
 class FabricResult(SweepResult):
@@ -99,7 +116,7 @@ class FabricResult(SweepResult):
             shards, workers spawned, crashes, trials completed / resumed
             / reassigned / redelivered, spawn retries, heartbeats,
             speculative wins/losses, wall seconds, trials per second.
-        shards: the shard count the sweep ran with.
+        shards: the worker count the sweep ran with.
         quarantined_hosts: hosts evicted for consecutive crashes, mapped
             to the crash streak that evicted them (empty when none — the
             degraded-but-complete signal).
@@ -119,30 +136,20 @@ class FabricResult(SweepResult):
 
 
 @dataclass
-class _ShardState:
-    """Coordinator-side record of one live worker and its trials."""
+class _Worker:
+    """Dispatcher-side record of one live worker and the trial it holds."""
 
     seq: int                      # worker sequence number (sidecar name)
     handle: WorkerHandle
     host: str                     # backend host key (health bookkeeping)
-    remaining: List[int]          # assigned trials not yet reported
-    last_progress: float          # wall clock of the last outcome
-    last_heartbeat: float = 0.0   # wall clock of the last heartbeat
-    configured: bool = False      # hello handshake completed
-    batches_sent: int = 0
-    batches_done: int = 0
+    trial: int                    # the one trial in flight
+    started: float                # wall clock of that trial's dispatch
+    last_beat: float              # dispatch or latest heartbeat since
+    runs: int = 0                 # ``run`` frames sent so far
+    speculative: bool = False     # ``trial`` is a copy of a straggler's
     redeliveries: int = 0
-    kill_reason: Optional[str] = None
-    thread: Optional[threading.Thread] = None
-    sidecar: Optional[str] = None
-    stats: Dict[str, int] = field(default_factory=dict)
-
-    def last_beat(self) -> float:
-        """Latest evidence of life (outcome or heartbeat)."""
-        return max(self.last_progress, self.last_heartbeat)
-
-    def fail_message(self, fallback: str) -> str:
-        return self.kill_reason or fallback
+    stats: Dict[str, int] = field(default_factory=dict)  # reader's resyncs
+    thread: threading.Thread = field(init=False)         # the reader
 
 
 _Event = Tuple[int, str, Any]
@@ -150,11 +157,11 @@ _Event = Tuple[int, str, Any]
 
 def _reader(seq: int, handle: WorkerHandle, events: "queue.Queue[_Event]",
             io_deadline: Optional[float], stats: Dict[str, int]) -> None:
-    """Pump one worker's messages into the coordinator's event queue.
+    """Pump one worker's messages into the dispatcher's event queue.
 
     One thread per worker: a blocking read only ever stalls its own
     worker's lane, and worker death surfaces as an ``eof``/``broken``
-    event instead of a hung coordinator. With an ``io_deadline`` even
+    event instead of a hung dispatcher. With an ``io_deadline`` even
     the blocking read is bounded (half-open connections become
     ``broken`` events); damaged frames are resync'd up to
     :data:`_READ_RESYNC` per read and counted in ``stats``.
@@ -189,28 +196,25 @@ def run_fabric(
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    spawn_backoff: Optional[BackoffPolicy] = None,
     quarantine_after: int = 3,
     speculate: bool = False,
-    speculate_copies: int = 1,
 ) -> FabricResult:
-    """Run a sweep sharded across fabric workers; merge byte-identically.
+    """Run a sweep over ``shards`` fabric workers; merge byte-identically.
 
     Args:
         backend: where workers come from (local fork, subprocess,
             remote). Spawned backends carry their own
             :class:`~repro.fabric.worker.FactorySpec`.
         trials: number of independent trials (indices ``0..trials-1``).
-        shards: how many workers to split the pending trials across.
-            Sharding is round-robin by index; the merge is by index, so
-            the shard count never shows in the output.
+        shards: how many workers pull from the trial queue (never more
+            than there are trials to run). The merge is by index, so
+            the count never shows in the output.
         timeout: virtual-time budget per trial (as ``run_supervised``).
         allow_failures: forwarded to each trial.
-        retries: *in-worker* retry budget per trial (the serial retry
-            loop each worker runs; same meaning as ``run_supervised``).
-        worker_retries: how many replacement workers a trial may be
-            reassigned to after worker deaths before it is recorded as
-            ``crashed``.
+        retries: *in-worker* retry budget per trial for reported
+            failures (same meaning as ``run_supervised``).
+        worker_retries: how many lost holders (worker deaths, watchdog
+            kills) a trial survives before it is recorded ``crashed``.
         journal: a :class:`TrialJournal` or path. Completed trials are
             replayed, not re-run; new outcomes are checkpointed as they
             stream in; the journal is compacted (``rewrite``) on return,
@@ -218,13 +222,14 @@ def run_fabric(
         run_key: stamps/validates the journal.
         capture_digest: capture per-trial event-stream digests so
             :attr:`SweepResult.digest` proves cross-backend equivalence.
-        progress_deadline: wall-clock seconds a worker may go without
-            evidence of life before the watchdog kills it (None
-            disables). With ``heartbeat`` set this measures *silence* —
-            a slow trial keeps beating and is left alone; without
-            heartbeats it measures time between outcomes, so a long
-            trial can be killed as stalled. Harness wall time only; the
-            per-trial virtual ``timeout`` still governs simulated time.
+        progress_deadline: wall-clock seconds a worker holding a trial
+            may go without evidence of life before the watchdog kills it
+            (None disables). With ``heartbeat`` set this measures
+            *silence* — a slow trial keeps beating and is left alone;
+            without heartbeats it is seconds since the trial's dispatch,
+            so a long trial can be killed as stalled. Harness wall time
+            only; the per-trial virtual ``timeout`` still governs
+            simulated time.
         worker_journals: also have each worker checkpoint to a
             ``<journal>.shard<seq>`` sidecar, merged into the main
             journal on the next resume (defense in depth for a killed
@@ -237,21 +242,18 @@ def run_fabric(
             several beats fit in one watchdog window.
         io_deadline: per-frame read/write deadline (wall seconds) on the
             coordinator's side of every worker stream. Bounds even the
-            reader threads: a half-open connection becomes a retire
+            reader threads: a half-open connection becomes a lost worker
             instead of a hang. Must exceed ``heartbeat`` (beats are what
             keep an idle stream alive under a deadline).
         spawn_retries: extra attempts when ``backend.start_worker``
-            fails, spaced by ``spawn_backoff``.
-        spawn_backoff: the backoff policy between spawn retries
-            (default: :class:`BackoffPolicy` with its seeded jitter).
+            fails, spaced by a :class:`BackoffPolicy` (seeded jitter).
         quarantine_after: consecutive crashes (spawn failures or worker
             deaths) after which a host is quarantined and the sweep
             degrades to the remaining workers.
-        speculate: near sweep end, duplicate still-unfinished trials
-            onto idle workers; first outcome wins, byte-identity is
-            unaffected (trials are pure functions of their index).
-        speculate_copies: how many speculative duplicates one trial may
-            get.
+        speculate: a worker that finds the queue empty duplicates the
+            oldest trial still in flight; first outcome wins,
+            byte-identity is unaffected (trials are pure functions of
+            their index).
 
     Returns:
         A :class:`FabricResult` whose sample, digest, and journal are
@@ -283,47 +285,60 @@ def run_fabric(
     if spawn_retries < 0:
         raise ValueError(
             f"spawn_retries must be >= 0, got {spawn_retries!r}")
-    if speculate_copies < 1:
-        raise ValueError(
-            f"speculate_copies must be >= 1, got {speculate_copies!r}")
 
     if metrics is None:
         metrics = MetricsRegistry()
     health = HostHealth(quarantine_after=quarantine_after)
-    backoff = spawn_backoff if spawn_backoff is not None else BackoffPolicy()
     started = time.monotonic()
 
     if journal is not None and not isinstance(journal, TrialJournal):
         journal = TrialJournal(journal, key=run_key)
-    if journal is not None:
-        # Surface resume-time damage instead of silently swallowing it:
-        # records the journal reader had to drop (torn tail, bitrot).
-        metrics.counter("fabric.journal_records_dropped").add(
-            journal.dropped_records)
-        leftover = sorted(glob.glob(journal.path + ".shard*"))
-        if leftover:
-            merged = merge_journals(journal, leftover)
-            metrics.counter("fabric.sidecar_trials_merged").add(merged)
-            for path in leftover:
-                os.remove(path)
+    try:
+        if journal is not None:
+            # Surface resume-time damage instead of silently swallowing
+            # it: records the journal reader had to drop (torn tail,
+            # bitrot).
+            metrics.counter("fabric.journal_records_dropped").add(
+                journal.dropped_records)
+            leftover = sorted(glob.glob(journal.path + ".shard*"))
+            if leftover:
+                merged = merge_journals(journal, leftover)
+                metrics.counter("fabric.sidecar_trials_merged").add(merged)
+                for path in leftover:
+                    os.remove(path)
 
-    outcomes, pending = _replay_journal(journal, trials)
-    metrics.counter("fabric.shards").add(shards)
-    metrics.counter("fabric.trials_from_journal").add(len(outcomes))
+        outcomes, pending = _replay_journal(journal, trials)
+        metrics.counter("fabric.shards").add(shards)
+        metrics.counter("fabric.trials_from_journal").add(len(outcomes))
 
-    if pending:
-        _run_sharded(
-            backend, pending, shards, timeout, allow_failures, retries,
-            worker_retries, capture_digest, progress_deadline,
-            worker_journals, journal, outcomes, metrics,
-            heartbeat, io_deadline, spawn_retries, backoff, health,
-            speculate, speculate_copies,
-        )
+        if pending:
+            sidecars = journal.path \
+                if worker_journals and journal is not None else None
+            dispatch(
+                backend, pending, shards, outcomes,
+                config={
+                    "timeout": timeout, "allow_failures": allow_failures,
+                    "retries": retries, "capture_digest": capture_digest,
+                    "heartbeat": heartbeat,
+                    "run_key": journal.key if journal is not None else None,
+                },
+                record=lambda outcome: _journal_record(journal, outcome),
+                worker_retries=worker_retries, deadline=progress_deadline,
+                io_deadline=io_deadline, spawn_retries=spawn_retries,
+                health=health, speculate=speculate, sidecars=sidecars,
+                metrics=metrics,
+            )
+            if sidecars is not None:
+                for path in glob.glob(sidecars + ".shard*"):
+                    os.remove(path)
 
-    if journal is not None:
-        # Canonical form: header + one record per trial, in trial order —
-        # byte-identical to an uninterrupted serial run's journal.
-        journal.rewrite()
+        if journal is not None:
+            # Canonical form: header + one record per trial, in trial
+            # order — byte-identical to an uninterrupted serial run's.
+            journal.rewrite()
+    finally:
+        if journal is not None:
+            journal.close()
 
     elapsed = time.monotonic() - started
     completed = sum(1 for o in outcomes.values()
@@ -336,385 +351,315 @@ def run_fabric(
         quarantined_hosts=health.quarantined)
 
 
-def _run_sharded(
+def dispatch(
     backend: FabricBackend,
-    pending: List[int],
-    shards: int,
-    timeout: float,
-    allow_failures: bool,
-    retries: int,
-    worker_retries: int,
-    capture_digest: bool,
-    progress_deadline: Optional[float],
-    worker_journals: bool,
-    journal: Optional[TrialJournal],
+    pending: Sequence[int],
+    workers: int,
     outcomes: Dict[int, TrialOutcome],
-    metrics: MetricsRegistry,
-    heartbeat: Optional[float],
-    io_deadline: Optional[float],
-    spawn_retries: int,
-    backoff: BackoffPolicy,
-    health: HostHealth,
-    speculate: bool,
-    speculate_copies: int,
+    config: Dict[str, Any],
+    record: Callable[[TrialOutcome], None],
+    worker_retries: int,
+    deadline: Optional[float] = None,
+    io_deadline: Optional[float] = None,
+    spawn_retries: int = 2,
+    health: Optional[HostHealth] = None,
+    speculate: bool = False,
+    sidecars: Optional[str] = None,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Dispatch pending trials across workers and merge their streams."""
-    events: "queue.Queue[_Event]" = queue.Queue()
-    active: Dict[int, _ShardState] = {}
-    spent: List[_ShardState] = []   # retired states, closed at the end
-    next_seq = 0
-    #: trial -> number of workers it has been assigned to so far
-    assignments: Dict[int, int] = {}
-    #: trial -> speculative duplicate count / owning worker seqs
-    spec_copies: Dict[int, int] = {}
-    spec_seqs: Dict[int, Set[int]] = {}
-    max_gap = 0.0
-    spec = backend.factory_spec()
-    if backend.needs_factory_spec and spec is None:
-        raise FabricError(
-            f"{type(backend).__name__} spawns fresh workers but carries "
-            f"no factory spec"
-        )
+    """Run ``pending`` trials on up to ``workers`` workers from
+    ``backend``, one trial per worker at a time; fill ``outcomes``.
 
-    def crash_trial(trial: int, reason: str) -> None:
+    The queue is FIFO; a worker that reports is handed the next trial
+    *before* its outcome is passed to ``record`` (the journal fsync), so
+    it computes through the write. A worker with nothing left to run is
+    sent home on the spot, so every live worker holds exactly one trial
+    — which is what makes a loss cost exactly that trial, lets the
+    watchdog clock start at dispatch, and needs no cooperation from a
+    SIGKILLed victim. Every trial in ``pending`` has an outcome on
+    return; every worker is reaped, whatever raises.
+
+    Args:
+        config: the trial knobs every worker is configured with
+            (``timeout``, ``allow_failures``, ``retries``,
+            ``capture_digest``, ``heartbeat``, ``run_key``).
+        record: called once per trial with its first outcome, in
+            arrival order (the journal writer, or a caller's hook).
+        worker_retries: lost holders a trial survives (see module doc).
+        deadline: the liveness deadline, wall seconds (None: no
+            watchdog).
+        health: per-host crash streaks; the default never quarantines
+            (one host has nowhere to fall back to).
+        sidecars: journal path workers derive their ``.shard<seq>``
+            sidecar journals from (None: workers hold no journal).
+    """
+    if metrics is None:
+        metrics = MetricsRegistry()
+    if health is None:
+        # More consecutive crashes than every loss budget together allows.
+        health = HostHealth(len(pending) * (worker_retries + 1) + 1)
+    events: "queue.Queue[_Event]" = queue.Queue()
+    todo: Deque[int] = deque(pending)
+    active: Dict[int, _Worker] = {}
+    spent: List[_Worker] = []       # retired workers, reaped at the end
+    losses: Dict[int, int] = {}     # trial -> holders lost so far
+    copies: Dict[int, int] = {}     # trial -> speculative duplicates
+    slots = min(workers, len(pending))
+    unresolved = len(pending)
+    next_seq = 0
+    max_gap = 0.0
+    gave_up = "no worker could be spawned"
+    backoff = BackoffPolicy()
+    spec = backend.factory_spec()
+
+    def crash(trial: int, reason: str) -> None:
+        nonlocal unresolved
         outcomes[trial] = TrialOutcome(
-            trial=trial, status="crashed",
-            attempts=assignments.get(trial, 1),
+            trial=trial, status="crashed", attempts=losses.get(trial, 1),
             error=f"trial {trial}: {reason}", result=None,
         )
+        unresolved -= 1
         metrics.counter("fabric.trials_crashed").add(1)
 
-    def degrade(indices: List[int], reason: str) -> None:
-        """A shard could not be (re)spawned: push its trials onto the
-        least-loaded live worker instead of aborting; with no live
-        worker left, the trials crash (the sweep still returns)."""
-        indices = [t for t in indices if t not in outcomes]
-        if not indices:
-            return
-        live = [st for st in active.values() if st.kill_reason is None]
-        if live:
-            target = min(live, key=lambda st: len(st.remaining))
-            metrics.counter("fabric.shards_degraded").add(1)
-            metrics.counter("fabric.trials_redistributed").add(len(indices))
-            queue_batch(target, indices)
-        else:
-            for trial in indices:
-                crash_trial(trial, reason)
-
-    def queue_batch(state: _ShardState, indices: List[int]) -> None:
-        """Hand extra trials to a live worker (it runs batches in
-        arrival order). Before the handshake the batch just joins the
-        initial assignment."""
-        fresh = [t for t in indices if t not in state.remaining]
-        state.remaining.extend(fresh)
-        for trial in indices:
-            assignments[trial] = assignments.get(trial, 0) + 1
-        if state.configured:
-            send_run(state, indices)
-
-    def send_run(state: _ShardState, indices: List[int]) -> bool:
-        try:
-            write_message(state.handle.wfile, ("run", list(indices)),
-                          timeout=io_deadline)
-            state.batches_sent += 1
-            return True
-        except (ProtocolError, OSError, ValueError) as exc:
-            retire(state, f"worker unreachable for a new batch: {exc}")
-            return False
-
-    def start_shard(indices: List[int],
-                    deferred: Optional[List[Tuple[List[int], str]]] = None,
-                    ) -> None:
-        """Spawn a worker for ``indices``, with backoff-retry and host
-        quarantine; on total failure degrade (or defer the degrade, for
-        the initial sharding where later shards may still spawn)."""
-        nonlocal next_seq
-        indices = [t for t in indices if t not in outcomes]
-        if not indices:
-            return
+    def spawn() -> bool:
+        """Start a worker for the head of the queue, with backoff-retry
+        and host quarantine; False when the slot cannot be filled."""
+        nonlocal next_seq, gave_up
         seq = next_seq
         next_seq += 1
         host = backend.host_key(seq)
-        if not health.usable(host):
-            reason = f"host {host!r} is quarantined"
-            if deferred is not None:
-                deferred.append((indices, reason))
-            else:
-                degrade(indices, reason)
-            return
         handle: Optional[WorkerHandle] = None
+        gave_up = f"host {host!r} is quarantined"
         for attempt in range(spawn_retries + 1):
+            if not health.usable(host):
+                break
             try:
                 handle = backend.start_worker(seq)
                 break
             except FabricError as exc:
+                gave_up = (f"cannot spawn a worker on {host!r} after "
+                           f"{attempt + 1} attempts: {exc}")
                 if health.record_crash(host):
                     metrics.counter("fabric.hosts_quarantined").add(1)
-                if attempt >= spawn_retries or not health.usable(host):
-                    metrics.counter("fabric.spawn_failures").add(1)
-                    reason = (f"cannot spawn worker on {host!r} after "
-                              f"{attempt + 1} attempts: {exc}")
-                    if deferred is not None:
-                        deferred.append((indices, reason))
-                    else:
-                        degrade(indices, reason)
-                    return
-                metrics.counter("fabric.spawn_retries").add(1)
-                backoff.sleep(attempt)
-        assert handle is not None
-        sidecar = None
-        if worker_journals and journal is not None:
-            sidecar = f"{journal.path}.shard{seq}"
-        state = _ShardState(
-            seq=seq, handle=handle, host=host, remaining=list(indices),
-            last_progress=time.monotonic(), sidecar=sidecar,
-        )
-        state.thread = threading.Thread(
+                if attempt < spawn_retries and health.usable(host):
+                    metrics.counter("fabric.spawn_retries").add(1)
+                    backoff.sleep(attempt)
+        if handle is None:
+            metrics.counter("fabric.spawn_failures").add(1)
+            return False
+        now = time.monotonic()
+        worker = _Worker(seq=seq, handle=handle, host=host,
+                         trial=todo.popleft(), started=now, last_beat=now)
+        worker.thread = threading.Thread(
             target=_reader, args=(seq, handle, events, io_deadline,
-                                  state.stats),
+                                  worker.stats),
             name=f"fabric-reader-{seq}", daemon=True,
         )
-        state.thread.start()
-        active[seq] = state
-        for trial in indices:
-            assignments[trial] = assignments.get(trial, 0) + 1
+        worker.thread.start()
+        active[seq] = worker
         metrics.counter("fabric.workers_spawned").add(1)
+        return True
 
-    def configure(state: _ShardState, hello: Any) -> None:
+    def send(worker: _Worker, message: Tuple[str, Any]) -> None:
+        try:
+            write_message(worker.handle.wfile, message, timeout=io_deadline)
+        except (ProtocolError, OSError, ValueError) as exc:
+            lose(worker, f"worker unreachable: {exc}")
+
+    def run(worker: _Worker, trial: int) -> None:
+        worker.trial = trial
+        worker.started = worker.last_beat = time.monotonic()
+        worker.runs += 1
+        send(worker, ("run", [trial]))
+
+    def configure(worker: _Worker, hello: Any) -> None:
         if not isinstance(hello, dict) or \
                 hello.get("protocol") != PROTOCOL_VERSION:
             raise FabricError(
-                f"worker {state.handle.pid} speaks protocol "
+                f"worker {worker.handle.pid} speaks protocol "
                 f"{hello.get('protocol') if isinstance(hello, dict) else hello!r}, "
                 f"coordinator speaks {PROTOCOL_VERSION} — refusing the "
                 f"whole sweep (a version skew is systemic, not a crash)"
             )
-        config: Dict[str, Any] = {
-            "protocol": PROTOCOL_VERSION,
-            "timeout": timeout,
-            "allow_failures": allow_failures,
-            "retries": retries,
-            "capture_digest": capture_digest,
-            "journal": state.sidecar,
-            "run_key": journal.key if journal is not None else None,
-            "heartbeat": heartbeat,
-        }
-        if backend.needs_factory_spec:
-            config["factory"] = (spec.spec, spec.kwargs)
-        write_message(state.handle.wfile, ("config", config),
-                      timeout=io_deadline)
-        state.configured = True
-        send_run(state, state.remaining)
+        settings = dict(config, protocol=PROTOCOL_VERSION, journal=(
+            f"{sidecars}.shard{worker.seq}" if sidecars is not None else None))
+        if spec is not None:  # fresh-process workers inherit no closure
+            settings["factory"] = (spec.spec, spec.kwargs)
+        send(worker, ("config", settings))
+        if worker.seq in active:
+            run(worker, worker.trial)
 
-    def retire(state: _ShardState, failure: Optional[str]) -> None:
-        """Tear a worker down; reassign or quarantine its leftovers.
+    def feed(worker: _Worker) -> None:
+        """Hand ``worker`` its next trial: the head of the queue, else
+        (speculating) a copy of the oldest trial still in flight
+        elsewhere, else send it home."""
+        worker.speculative = False
+        if todo:
+            run(worker, todo.popleft())
+            return
+        stragglers = [
+            other for other in active.values()
+            if other is not worker and other.trial not in outcomes
+            and copies.get(other.trial, 0) < _SPECULATE_COPIES
+        ] if speculate else []
+        if not stragglers:
+            shutdown(worker)
+            return
+        trial = min(stragglers, key=lambda other: other.started).trial
+        copies[trial] = copies.get(trial, 0) + 1
+        worker.speculative = True
+        metrics.counter("fabric.speculative_trials").add(1)
+        run(worker, trial)
+
+    def shutdown(worker: _Worker) -> None:
+        """End a finished worker's conversation politely (reaped, and
+        SIGKILLed if it lingers, once the sweep is over)."""
+        del active[worker.seq]
+        spent.append(worker)
+        try:
+            write_message(worker.handle.wfile, ("shutdown", None),
+                          timeout=io_deadline if io_deadline else _LINGER)
+            worker.handle.wfile.close()
+        except (ProtocolError, OSError, ValueError):
+            pass
+
+    def lose(worker: _Worker, failure: Optional[str]) -> None:
+        """``worker`` is gone (dead, torn, wedged): reap it, and put the
+        one trial it held back on the queue — or record the trial
+        ``crashed`` once its loss budget is spent.
 
         Streams are closed later (at sweep end, once the reader thread
         has drained): a wedged stream's reader can be blocked forever,
         and closing its fd out from under it would let the fd number be
         reused mid-read.
         """
-        if state.seq not in active:
+        if active.pop(worker.seq, None) is None:
             return
-        del active[state.seq]
-        spent.append(state)
-        state.handle.kill()
-        state.handle.wait()
-        if failure is None:
-            return
+        spent.append(worker)
+        worker.handle.kill()
+        code = worker.handle.wait()
         metrics.counter("fabric.worker_crashes").add(1)
-        if health.record_crash(state.host):
+        if health.record_crash(worker.host):
             metrics.counter("fabric.hosts_quarantined").add(1)
-        reassign: List[int] = []
-        for trial in state.remaining:
-            if trial in outcomes:
-                # Already answered — by a speculative duplicate or an
-                # earlier copy of a redelivered batch. Re-running it
-                # would waste a worker and double-journal the trial.
-                continue
-            if assignments.get(trial, 1) <= worker_retries:
-                reassign.append(trial)
-            else:
-                crash_trial(trial, failure)
-        if reassign:
-            metrics.counter("fabric.trials_reassigned").add(len(reassign))
-            start_shard(reassign)
-
-    def shutdown_worker(state: _ShardState) -> None:
-        """End a finished worker's conversation politely; escalate to
-        SIGKILL only if it lingers."""
-        if state.seq in active:
-            del active[state.seq]
-        spent.append(state)
-        try:
-            write_message(state.handle.wfile, ("shutdown", None),
-                          timeout=io_deadline if io_deadline else 5.0)
-        except (ProtocolError, OSError, ValueError):
-            pass
-        try:
-            state.handle.wfile.close()
-        except (OSError, ValueError):
-            pass
-        if state.handle.wait(timeout=5.0) is None and state.handle.alive():
-            state.handle.kill()
-            state.handle.wait()
-
-    def speculative_batch() -> List[int]:
-        """Unfinished trials an idle worker may duplicate."""
-        batch = []
-        for trial in pending:
-            if trial in outcomes:
-                continue
-            if spec_copies.get(trial, 0) >= speculate_copies:
-                continue
-            batch.append(trial)
-        return batch
-
-    def worker_idle(state: _ShardState) -> None:
-        """All the worker's batches are done and nothing is owed:
-        speculate on stragglers or send it home."""
-        batch = speculative_batch() if speculate else []
-        if batch:
-            for trial in batch:
-                spec_copies[trial] = spec_copies.get(trial, 0) + 1
-                spec_seqs.setdefault(trial, set()).add(state.seq)
-            metrics.counter("fabric.speculative_trials").add(len(batch))
-            queue_batch(state, batch)
+        trial = worker.trial
+        if trial in outcomes or any(other.trial == trial
+                                    for other in active.values()):
+            return  # answered, or a speculative copy still holds it
+        losses[trial] = losses.get(trial, 0) + 1
+        if losses[trial] <= worker_retries:
+            todo.append(trial)
+            metrics.counter("fabric.trials_reassigned").add(1)
         else:
-            shutdown_worker(state)
-
-    def watchdog() -> None:
-        """Retire workers silent past the progress deadline.
-
-        Silence is measured from the last *evidence of life* — outcome
-        or heartbeat — so with heartbeats on, a slow-but-alive worker
-        is never killed; a wedged one (or a half-open pipe) is. Idle
-        workers (nothing owed) are exempt. Retiring here, not via the
-        reader thread, matters: a wedged stream's reader may never wake
-        to deliver an eof."""
-        if progress_deadline is None:
-            return
-        now = time.monotonic()
-        for state in list(active.values()):
-            if state.kill_reason is not None or not state.remaining:
-                continue
-            if now - state.last_beat() > progress_deadline:
-                state.kill_reason = (
-                    f"no outcome or heartbeat for {progress_deadline}s "
-                    f"(wall clock); worker killed by the fabric watchdog"
-                )
-                metrics.counter("fabric.watchdog_kills").add(1)
-                retire(state, state.kill_reason)
-
-    # Initial round-robin sharding. The scheme is irrelevant to the
-    # output (the merge is by trial index); round-robin just balances
-    # shard sizes within one trial of each other. Spawn failures are
-    # deferred until every shard has had its chance, so early failures
-    # degrade onto later successes.
-    deferred: List[Tuple[List[int], str]] = []
-    for k in range(shards):
-        shard_indices = pending[k::shards]
-        if shard_indices:
-            start_shard(shard_indices, deferred=deferred)
-    for indices, reason in deferred:
-        degrade(indices, reason)
+            crash(trial, failure or "worker process died without reporting ("
+                  + (f"signal {-code}" if code < 0 else f"exit code {code}")
+                  + ")")
 
     try:
-        while active and any(t not in outcomes for t in pending):
+        while unresolved:
+            while todo and len(active) < slots:
+                if not spawn():
+                    slots -= 1  # fewer workers pull from the same queue
+            if not active:
+                break  # nobody left to run what remains
+            # A frame or a death is an event; only a deadline passing
+            # needs a timeout.
+            wait = None
+            if deadline is not None:
+                wait = max(0.0, min(w.last_beat for w in active.values())
+                           + deadline - time.monotonic())
             try:
-                seq, kind, data = events.get(timeout=0.25)
+                seq, kind, data = events.get(timeout=wait)
             except queue.Empty:
-                watchdog()
+                # Nothing is waiting to be read, so the silence is the
+                # workers', not this loop's. It is measured from the
+                # last *evidence of life* — dispatch or heartbeat — so
+                # with heartbeats on, a slow-but-alive worker is never
+                # killed; a wedged one (or a half-open pipe) is. Killing
+                # here, not via the reader thread, matters: a wedged
+                # stream's reader may never wake to deliver an eof.
+                now = time.monotonic()
+                for worker in [w for w in active.values()
+                               if now - w.last_beat >= deadline]:
+                    metrics.counter("fabric.watchdog_kills").add(1)
+                    lose(worker, f"no outcome or heartbeat within the "
+                                 f"{deadline}s wall-clock deadline; worker "
+                                 f"killed by the watchdog")
                 continue
-            state = active.get(seq)
-            if state is None:
+            worker = active.get(seq)
+            if worker is None:
                 continue  # stale event from an already-retired worker
             now = time.monotonic()
             if kind == "hello":
-                try:
-                    configure(state, data)
-                except (ProtocolError, BrokenPipeError, OSError) as exc:
-                    retire(state, f"worker died during handshake: {exc}")
+                configure(worker, data)
             elif kind == "heartbeat":
-                max_gap = max(max_gap, now - state.last_beat())
-                state.last_heartbeat = now
+                max_gap = max(max_gap, now - worker.last_beat)
+                worker.last_beat = now
                 metrics.counter("fabric.heartbeats").add(1)
             elif kind == "outcome":
-                if not isinstance(data, TrialOutcome):
-                    retire(state, f"worker sent a "
-                                  f"{type(data).__name__} outcome")
+                if not isinstance(data, TrialOutcome) \
+                        or data.trial != worker.trial:
+                    lose(worker, f"worker holding trial {worker.trial} sent "
+                                 f"{data!r:.80} as its outcome")
                     continue
-                max_gap = max(max_gap, now - state.last_beat())
-                state.last_progress = now
-                health.record_success(state.host)
-                if data.trial not in outcomes:
+                max_gap = max(max_gap, now - worker.last_beat)
+                health.record_success(worker.host)
+                first = data.trial not in outcomes
+                won = first and worker.speculative
+                if first:
                     outcomes[data.trial] = data
-                    _journal_record(journal, data)
+                    unresolved -= 1
+                feed(worker)  # before the fsync below, not after
+                if first:
+                    record(data)
                     metrics.counter("fabric.trials_completed").add(1)
-                    if seq in spec_seqs.get(data.trial, ()):
+                    if won:
                         metrics.counter("fabric.speculative_wins").add(1)
-                elif data.trial in spec_copies:
+                elif data.trial in copies:
                     # A duplicate landed after the race was decided;
                     # discard it (first outcome won, bytes identical).
                     metrics.counter("fabric.speculative_losses").add(1)
-                for other in active.values():
-                    if data.trial in other.remaining:
-                        other.remaining.remove(data.trial)
             elif kind == "done":
-                state.batches_done += 1
-                if state.batches_done >= state.batches_sent:
-                    state.remaining = [t for t in state.remaining
-                                       if t not in outcomes]
-                    if state.remaining:
-                        # The worker ran everything it was given, yet
-                        # trials are unreported: the wire ate outcome
-                        # frames (drop, resync'd corruption). Pure
-                        # functions re-run safely — redeliver, bounded.
-                        if state.redeliveries >= _MAX_REDELIVERIES:
-                            retire(state, f"worker lost outcomes for "
-                                          f"{len(state.remaining)} trials "
-                                          f"after {state.redeliveries} "
-                                          f"redeliveries")
-                        else:
-                            state.redeliveries += 1
-                            metrics.counter(
-                                "fabric.trials_redelivered").add(
-                                    len(state.remaining))
-                            send_run(state, state.remaining)
-                    else:
-                        worker_idle(state)
+                if not isinstance(data, dict) \
+                        or data.get("batch") != worker.runs - 1:
+                    continue  # an earlier run's: its outcome fed the worker
+                # The run in flight is over and no outcome fed the
+                # worker: the wire ate the frame (drop, resync'd
+                # corruption). Pure functions re-run safely — bounded.
+                if worker.trial in outcomes:
+                    feed(worker)
+                elif worker.redeliveries >= _MAX_REDELIVERIES:
+                    lose(worker, f"worker's outcome frames were lost "
+                                 f"{worker.redeliveries + 1} times running")
+                else:
+                    worker.redeliveries += 1
+                    metrics.counter("fabric.trials_redelivered").add(1)
+                    run(worker, worker.trial)
             elif kind == "error":
-                retire(state, f"worker error: {data}")
-            elif kind in ("eof", "broken"):
-                detail = "worker stream ended mid-shard" if kind == "eof" \
-                    else f"worker stream broke: {data}"
-                retire(state, state.fail_message(detail))
-            watchdog()
+                lose(worker, f"worker error: {data}")
+            elif kind == "eof":
+                lose(worker, None)
+            elif kind == "broken":
+                lose(worker, f"worker stream broke: {data}")
     finally:
-        for state in list(active.values()):
-            state.handle.kill()
-            state.handle.wait()
-            spent.append(state)
-        active.clear()
-        for state in spent:
-            if state.thread is not None:
-                state.thread.join(timeout=2.0)
-            if state.thread is None or not state.thread.is_alive():
+        for worker in active.values():
+            worker.handle.kill()
+        spent.extend(active.values())
+        for worker in spent:
+            if worker.handle.wait(timeout=_LINGER) is None:  # lingering
+                worker.handle.kill()
+                worker.handle.wait()
+            worker.thread.join(timeout=2.0)
+            if not worker.thread.is_alive():
                 # A still-blocked reader (wedged stream) keeps its fds:
                 # closing them would free the numbers for reuse under a
                 # live read. The thread is a daemon; the leak is bounded
                 # by the handful of wedges a sweep can see.
-                state.handle.close()
+                worker.handle.close()
 
     metrics.counter("fabric.frames_resynced").add(
-        sum(state.stats.get("resyncs", 0) for state in spent))
+        sum(worker.stats.get("resyncs", 0) for worker in spent))
     metrics.gauge("fabric.heartbeat_gap_max").set(max_gap, 0.0)
 
-    for trial in pending:  # safety net: no trial leaves without a fate
+    for trial in pending:  # no trial leaves without a fate
         if trial not in outcomes:
-            crash_trial(trial, "lost by the fabric (worker retired "
-                               "without reporting it)")
-
-    if worker_journals and journal is not None:
-        for path in glob.glob(journal.path + ".shard*"):
-            os.remove(path)
+            crash(trial, gave_up)

@@ -45,7 +45,7 @@ import random
 import threading
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Any, BinaryIO, Dict, Optional, Tuple, Type, Union
+from typing import BinaryIO, Dict, Optional, Tuple, Type, Union
 
 from repro.errors import ChaosError, FabricError
 from repro.fabric.backend import FabricBackend, WorkerHandle
@@ -556,7 +556,6 @@ class FaultyBackend(FabricBackend):
         self.backend = backend
         self.plan = plan
         self.seed = plan.seed if seed is None else seed
-        self.needs_factory_spec = backend.needs_factory_spec
         self.injected: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._spawn_attempts: Dict[int, int] = {}

@@ -1,40 +1,44 @@
-"""The fabric worker: runs batches of trials, streams outcomes back.
+"""The worker: runs the trials it is sent, streams outcomes back.
 
 A worker is one process executing a conversation over the wire protocol
-(:mod:`repro.fabric.protocol`): hello → config → then a *batch loop* —
+(:mod:`repro.fabric.protocol`): hello → config → then a *run loop* —
 each ``run`` message answered by a stream of ``outcome`` messages and a
-per-batch ``done``, until ``shutdown`` (or a clean EOF) ends the
-conversation. The same :func:`worker_loop` body runs under every
-backend — forked with an inherited factory closure
+``done``, until ``shutdown`` (or a clean EOF) ends the conversation. The
+same :func:`worker_loop` body runs under every backend — forked with an
+inherited factory closure
 (:class:`~repro.fabric.backend.LocalBackend`), launched as
 ``mm-fabric worker`` over pipes
 (:class:`~repro.fabric.backend.SubprocessBackend`), or launched through
-an SSH-shaped transport (:class:`~repro.fabric.backend.RemoteBackend`).
+an SSH-shaped transport (:class:`~repro.fabric.backend.RemoteBackend`) —
+and it is the only kind of worker there is: ``run_fabric``,
+``run_supervised`` and ``parallel_map`` all dispatch to it.
 
-The batch loop (protocol v2) is what makes the fabric's fault tolerance
-possible: the coordinator can *redeliver* trials whose outcome frames
-the wire ate, push *speculative* copies of straggler trials to idle
-workers, and *rebalance* a dead peer's remaining trials onto live ones —
-all without respawning anything. Alongside the trial work, a
+The dispatcher (:func:`repro.fabric.coordinator.dispatch`) sends one
+trial per ``run``, which is what the fault tolerance rests on: a lost
+worker costs the one trial it held, a trial whose outcome frame the wire
+ate is simply sent again, and a straggler's trial can be copied to a
+worker with nothing else to do — all without respawning anything.
+Alongside the trial work, a
 :class:`~repro.fabric.health.HeartbeatSender` daemon thread pulses
 ``heartbeat`` frames on a wall-clock period (sharing this module's write
-lock so frames never interleave), which is how the coordinator tells a
+lock so frames never interleave), which is how the dispatcher tells a
 slow worker from a wedged one.
 
 Trial semantics are *identical to the serial supervised sweep*
 (:func:`repro.measure.supervise.run_supervised`) because they are the
 same code: :func:`~repro.measure.supervise.run_shard`, the one
 attempt/quarantine loop (re-exported here), runs both. That shared core
-is what makes the fabric's byte-identical-to-serial guarantee a matter
-of construction rather than luck.
+is what makes the byte-identical-to-serial guarantee a matter of
+construction rather than luck.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, BinaryIO, Dict, Optional
 
 from repro.errors import FabricError, ProtocolError, ReproError
@@ -173,7 +177,18 @@ def worker_loop(
                 capture_digest=bool(config.get("capture_digest", False)),
                 journal=journal,
             ):
-                send(("outcome", outcome))
+                try:
+                    send(("outcome", outcome))
+                except (pickle.PicklingError, AttributeError,
+                        TypeError) as exc:
+                    # Nothing reached the wire (a frame is pickled before
+                    # it is written): report the trial, keep the worker.
+                    send(("outcome", replace(
+                        outcome, status="quarantined", result=None,
+                        digest=None,
+                        error=f"trial {outcome.trial} returned an "
+                              f"unpicklable result "
+                              f"({type(outcome.result).__name__}): {exc}")))
                 completed += 1
             send(("done", {"trials": completed, "batch": batch}))
             batch += 1

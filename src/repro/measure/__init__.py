@@ -6,7 +6,7 @@ the paper asks: mean, standard deviation, percentiles, CDFs, and percent
 differences. :func:`~repro.measure.runner.run_page_loads` runs N
 independent page-load trials of a scenario factory serially;
 :class:`~repro.measure.parallel.ParallelRunner` fans the same trials out
-over a process pool with bit-identical statistics;
+over forked workers with bit-identical statistics;
 :mod:`~repro.measure.report` renders the paper's tables and ASCII CDF
 plots. :func:`~repro.measure.supervise.run_supervised` is the resilient
 sweep: wall-clock watchdog, bounded retry with quarantine, crash
@@ -16,11 +16,7 @@ checkpoint/resume.
 
 from repro.measure.compare import Comparison, compare_page_loads
 from repro.measure.journal import TrialJournal, run_key
-from repro.measure.parallel import (
-    ParallelRunner,
-    parallel_map,
-    run_page_loads_parallel,
-)
+from repro.measure.parallel import ParallelRunner, parallel_map
 from repro.measure.supervise import (
     SweepResult,
     TrialOutcome,
@@ -59,7 +55,6 @@ __all__ = [
     "run_chaos_trials",
     "run_key",
     "run_page_loads",
-    "run_page_loads_parallel",
     "run_supervised",
     "run_trial",
 ]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.measure.runner import ScenarioFactory, run_page_loads
+from repro.measure.parallel import ParallelRunner
+from repro.measure.runner import ScenarioFactory
 from repro.measure.stats import Sample
 
 
@@ -55,17 +56,12 @@ def compare_page_loads(
             simulators from it produce paired runs.
         trials: paired trials to run.
         timeout: virtual-time budget per load.
-        workers: process-pool size; above 1, each arm's trials are fanned
-            out via :class:`~repro.measure.parallel.ParallelRunner`
+        workers: worker count; above 1, each arm's trials are fanned
+            out by :class:`~repro.measure.parallel.ParallelRunner`
             (pairing and statistics are unaffected — results stay in
             trial order).
     """
-    if workers > 1:
-        from repro.measure.parallel import ParallelRunner
-
-        runner = ParallelRunner(workers=workers).run_page_loads
-    else:
-        runner = run_page_loads
+    runner = ParallelRunner(workers=workers).run_page_loads
     base = runner(baseline, trials, timeout=timeout)
     treat = runner(treatment, trials, timeout=timeout)
     diffs = [

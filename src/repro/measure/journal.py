@@ -67,6 +67,10 @@ def _checksum(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class TrialJournal:
     """Append-only journal of completed trial results.
 
@@ -199,17 +203,32 @@ class TrialJournal:
             fresh = not os.path.exists(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
             if fresh or os.path.getsize(self.path) == 0:
-                self._emit({
-                    "kind": "journal",
-                    "version": JOURNAL_VERSION,
-                    "run_key": self.key if self.key is not None else "-",
-                })
+                self._emit(self._header())
         return self._handle
 
-    def _emit(self, record: Dict[str, Any]) -> None:
+    def _header(self) -> str:
+        return _line({
+            "kind": "journal",
+            "version": JOURNAL_VERSION,
+            "run_key": self.key if self.key is not None else "-",
+        })
+
+    def _record(self, trial: int, result: Any, digest: Optional[str]) -> str:
+        """One trial's journal line — the same bytes whether appended as
+        the trial lands or written by :meth:`rewrite`."""
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        return _line({
+            "kind": "trial",
+            "run_key": self.key if self.key is not None else "-",
+            "trial": trial,
+            "digest": digest,
+            "checksum": _checksum(payload),
+            "payload": base64.b64encode(payload).decode("ascii"),
+        })
+
+    def _emit(self, line: str) -> None:
         assert self._handle is not None
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
+        self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -223,17 +242,9 @@ class TrialJournal:
             digest: the trial's event-stream digest hex, when captured —
                 journaled so a resumed sweep can prove byte-equivalence.
         """
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        record = {
-            "kind": "trial",
-            "run_key": self.key if self.key is not None else "-",
-            "trial": trial,
-            "digest": digest,
-            "checksum": _checksum(payload),
-            "payload": base64.b64encode(payload).decode("ascii"),
-        }
+        line = self._record(trial, result, digest)
         self._open()
-        self._emit(record)
+        self._emit(line)
         self._completed[trial] = (result, digest)
 
     def rewrite(self) -> None:
@@ -247,27 +258,9 @@ class TrialJournal:
         self.close()
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            header = {
-                "kind": "journal",
-                "version": JOURNAL_VERSION,
-                "run_key": self.key if self.key is not None else "-",
-            }
-            fh.write(json.dumps(header, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+            fh.write(self._header())
             for trial in sorted(self._completed):
-                result, digest = self._completed[trial]
-                payload = pickle.dumps(result,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-                record = {
-                    "kind": "trial",
-                    "run_key": self.key if self.key is not None else "-",
-                    "trial": trial,
-                    "digest": digest,
-                    "checksum": _checksum(payload),
-                    "payload": base64.b64encode(payload).decode("ascii"),
-                }
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+                fh.write(self._record(trial, *self._completed[trial]))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)

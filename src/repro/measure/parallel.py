@@ -1,4 +1,4 @@
-"""Parallel trial execution over a process pool.
+"""Parallel trial execution over forked workers.
 
 Every measurement in the paper is built from *independent* simulated page
 loads — Figure 2's corpus CDF, Table 1's 100-load distributions, Table 2's
@@ -8,8 +8,8 @@ embarrassingly parallel: each trial owns its whole world (simulator,
 namespaces, browser), so trials can run on separate cores with no shared
 state at all.
 
-:class:`ParallelRunner` fans trials out over a ``multiprocessing`` fork
-pool and preserves the serial runner's contract exactly:
+:class:`ParallelRunner` fans trials out over forked workers and preserves
+the serial runner's contract exactly:
 
 * **Determinism** — seeding lives in the scenario factory (``factory(i)``
   seeds from the trial index), and results are collected in trial-index
@@ -23,14 +23,14 @@ pool and preserves the serial runner's contract exactly:
 * **Graceful degradation** — ``workers=1``, ``trials == 1``, or a
   platform without ``fork`` all fall back to the serial in-process path.
 
-Scenario factories are usually closures (over a recorded site, a machine
-profile, link parameters) and closures do not pickle. The pool therefore
-uses the *fork* start method and passes the factory to workers through the
-pool initializer: under fork, initializer arguments are inherited by the
-child's memory image rather than pickled, so any factory the serial runner
-accepts works unchanged. Workers execute a module-level trampoline
-(:func:`_call_task`), which is picklable by qualified name — the only
-object that ever crosses the pipe besides trial indices and results.
+There is no pool of its own here: :func:`parallel_map` runs on the one
+trial dispatcher (:func:`repro.fabric.coordinator.dispatch`) — the loop
+``run_supervised`` and ``run_fabric`` run on — with loss budget 0 (a dead
+worker is an error, not a retry) and no journal. Scenario factories and
+tasks are usually closures (over a recorded site, a machine profile, link
+parameters) and closures do not pickle; the dispatcher's local workers are
+*forked*, so they inherit the task with their memory image, and only trial
+indices and pickled results ever cross a pipe.
 
 Why trial-level and not event-level parallelism: the simulator's event
 loop is intrinsically sequential (each event may schedule the next), and
@@ -45,16 +45,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.measure.runner import (
     DEFAULT_TRIAL_TIMEOUT,
     ScenarioFactory,
     ScenarioResult,
-    run_page_loads,
     run_trial,
 )
 from repro.measure.stats import Sample
@@ -64,44 +61,41 @@ __all__ = [
     "default_workers",
     "fork_available",
     "parallel_map",
-    "run_page_loads_parallel",
 ]
 
-#: Per-worker task state, installed by :func:`_init_worker` at pool start.
-#: Module-level so the trampoline survives pickling by qualified name.
-_POOL_TASK: Optional[Callable[[int], Any]] = None
 
+class _Finished:
+    """One generic task's result, shaped like the finished world a
+    worker's ``run_trial`` drives: a simulator with nothing left to run
+    and a page load that is already complete. The payload is pickled
+    *here*, in the worker, so an unpicklable result is a clear error
+    naming its index instead of a dead worker."""
 
-def _init_worker(task: Callable[[int], Any]) -> None:
-    """Pool initializer: stash the (fork-inherited) task in the worker."""
-    global _POOL_TASK
-    _POOL_TASK = task
+    complete = True
+    resources_failed = 0
+    metrics = None
 
+    def __init__(self, task: Callable[[int], Any], index: int) -> None:
+        try:
+            value, self.ok = task(index), True
+        except Exception as exc:
+            # ``trial_index`` survives pickling via the exception's
+            # ``__dict__``: the caller learns *which* index failed even
+            # when the message does not say.
+            exc.trial_index = index
+            value, self.ok = exc, False
+        try:
+            self.payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            error = ReproError(
+                f"trial {index} returned an unpicklable result "
+                f"({type(value).__name__}): {exc}"
+            )
+            error.trial_index = index
+            self.payload, self.ok = pickle.dumps(error), False
 
-def _call_task(index: int) -> Any:
-    """Module-level trampoline the pool actually pickles and calls.
-
-    Failures cross the pipe pre-digested: a task exception is tagged
-    with its index (``exc.trial_index``, surviving pickling via the
-    exception's ``__dict__``) so the caller knows *which* trial failed
-    even when the message does not say; an unpicklable return value
-    becomes a clear :class:`ReproError` here, in the worker, instead of
-    a raw ``PicklingError`` escaping the pool's result plumbing.
-    """
-    assert _POOL_TASK is not None, "worker used before initialization"
-    try:
-        result = _POOL_TASK(index)
-    except Exception as exc:
-        exc.trial_index = index
-        raise
-    try:
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise ReproError(
-            f"trial {index} returned an unpicklable result "
-            f"({type(result).__name__}): {exc}"
-        ) from None
-    return result
+    def run_until(self, *_args: Any, **_kwargs: Any) -> None:
+        """Nothing to simulate."""
 
 
 def fork_available() -> bool:
@@ -121,7 +115,6 @@ def parallel_map(
     task: Callable[[int], Any],
     count: int,
     workers: int,
-    chunksize: int = 1,
     indices: Optional[Sequence[int]] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
@@ -136,9 +129,7 @@ def parallel_map(
     Args:
         task: called with each index; may be a closure (fork-inherited).
         count: number of indices.
-        workers: pool size cap; effective size is ``min(workers, count)``.
-        chunksize: indices handed to a worker per dispatch — raise it for
-            very cheap tasks to amortise pipe traffic.
+        workers: worker cap; effective size is ``min(workers, count)``.
         indices: run exactly these indices instead of ``range(count)``
             (a resumed run's remaining work); results come back in the
             order given.
@@ -148,7 +139,8 @@ def parallel_map(
             a kill, not everything. Completion order, not index order.
 
     Raises:
-        ReproError: if a worker process dies (the pool is then broken).
+        ReproError: if a worker process dies holding an index (the
+            other indices still run; the lowest failing index wins).
         Exception: whatever ``task`` itself raised, re-raised for the
             lowest failing index.
     """
@@ -170,52 +162,58 @@ def parallel_map(
                 on_result(index, result)
             results.append(result)
         return results
-    context = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(task,),
-        ) as pool:
-            if indices is None and on_result is None:
-                return list(pool.map(_call_task, range(count), chunksize=chunksize))
-            # Explicit work-list or checkpoint hook: submit per index and
-            # harvest in completion order so every finished result is
-            # reported (and journalable) before any straggler finishes.
-            futures = {pool.submit(_call_task, i): i for i in todo}
-            collected: dict = {}
-            failures: dict = {}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    result = future.result()
-                except Exception as exc:  # re-raised below, lowest first
-                    failures[index] = exc
-                    continue
-                if on_result is not None:
-                    on_result(index, result)
-                collected[index] = result
-            if failures:
-                raise failures[min(failures)]
-            return [collected[i] for i in todo]
-    except BrokenProcessPool as exc:
-        raise ReproError(
-            f"parallel worker process died unexpectedly "
-            f"(workers={workers}, count={count}): {exc}"
-        ) from exc
+
+    # Imported here: repro.fabric is built on repro.measure.
+    from repro.fabric.backend import LocalBackend
+    from repro.fabric.coordinator import dispatch
+
+    def finished(index: int):
+        done = _Finished(task, index)
+        return done, done  # (simulator, page load) to run_trial
+
+    collected: Dict[int, Any] = {}
+    failures: Dict[int, BaseException] = {}
+
+    def collect(outcome) -> None:
+        value = pickle.loads(outcome.result.payload)
+        if not outcome.result.ok:
+            failures[outcome.trial] = value  # re-raised below, lowest first
+            return
+        if on_result is not None:
+            on_result(outcome.trial, value)
+        collected[outcome.trial] = value
+
+    outcomes: Dict[int, Any] = {}
+    dispatch(
+        LocalBackend(finished),
+        list(dict.fromkeys(todo)),
+        workers,
+        outcomes,
+        config={"retries": 0},
+        record=collect,
+        worker_retries=0,
+    )
+    for index, outcome in outcomes.items():
+        if not outcome.succeeded:
+            failures[index] = ReproError(
+                f"parallel worker process died unexpectedly "
+                f"(workers={workers}, count={count}): {outcome.error}"
+            )
+    if failures:
+        raise failures[min(failures)]
+    return [collected[index] for index in todo]
 
 
 class ParallelRunner:
-    """Run independent page-load trials across a process pool.
+    """Run independent page-load trials across forked workers.
 
     Drop-in counterpart to :func:`~repro.measure.runner.run_page_loads`:
     same arguments, same :class:`~repro.measure.runner.ScenarioResult`,
     same errors — the only difference is wall-clock time.
 
     Args:
-        workers: pool size; defaults to the number of available cores.
-            ``workers=1`` runs serially in-process (no pool, no fork).
+        workers: worker cap; defaults to the number of available cores.
+            ``workers=1`` runs serially in-process (no fork).
 
     Example:
         >>> from repro.measure.parallel import ParallelRunner
@@ -237,7 +235,7 @@ class ParallelRunner:
         timeout: float = DEFAULT_TRIAL_TIMEOUT,
         allow_failures: bool = False,
     ) -> ScenarioResult:
-        """Run ``trials`` independent page loads, fanned over the pool.
+        """Run ``trials`` independent page loads, fanned over the workers.
 
         Results (and therefore the PLT :class:`Sample`) are ordered by
         trial index regardless of completion order, so statistics are
@@ -255,8 +253,6 @@ class ParallelRunner:
         """
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials!r}")
-        if min(self.workers, trials) <= 1 or not fork_available():
-            return run_page_loads(factory, trials, timeout, allow_failures)
 
         def task(trial: int):
             return run_trial(factory, trial, timeout, allow_failures)
@@ -264,54 +260,5 @@ class ParallelRunner:
         results = parallel_map(task, trials, workers=self.workers)
         return ScenarioResult(Sample(r.page_load_time for r in results), results)
 
-    def run_supervised(
-        self,
-        factory: ScenarioFactory,
-        trials: int,
-        timeout: float = DEFAULT_TRIAL_TIMEOUT,
-        allow_failures: bool = False,
-        deadline: Optional[float] = None,
-        retries: int = 1,
-        journal=None,
-        run_key: Optional[str] = None,
-        capture_digest: bool = False,
-    ):
-        """Run the sweep under supervision (watchdog, retry, resume).
-
-        The resilient counterpart to :meth:`run_page_loads`: per-trial
-        wall-clock deadlines, crash detection, bounded retry with
-        quarantine, and journal checkpoint/resume — returning a partial
-        :class:`~repro.measure.supervise.SweepResult` with a per-trial
-        outcome taxonomy instead of raising on the first loss. See
-        :func:`repro.measure.supervise.run_supervised`.
-        """
-        from repro.measure.supervise import run_supervised
-
-        return run_supervised(
-            factory,
-            trials,
-            workers=self.workers,
-            timeout=timeout,
-            allow_failures=allow_failures,
-            deadline=deadline,
-            retries=retries,
-            journal=journal,
-            run_key=run_key,
-            capture_digest=capture_digest,
-        )
-
     def __repr__(self) -> str:
         return f"ParallelRunner(workers={self.workers})"
-
-
-def run_page_loads_parallel(
-    factory: ScenarioFactory,
-    trials: int,
-    workers: Optional[int] = None,
-    timeout: float = DEFAULT_TRIAL_TIMEOUT,
-    allow_failures: bool = False,
-) -> ScenarioResult:
-    """Functional shorthand for ``ParallelRunner(workers).run_page_loads``."""
-    return ParallelRunner(workers).run_page_loads(
-        factory, trials, timeout=timeout, allow_failures=allow_failures
-    )

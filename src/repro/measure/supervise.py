@@ -7,30 +7,36 @@ wrong one for the paper's production shape — Figure 2 sweeps 500 sites,
 Tables 1–2 run 100 loads per configuration, and at that scale a single
 OOM-killed worker or one pathological trial must not cost the run.
 
-:func:`run_supervised` is the harness-resilience contract:
+:func:`run_supervised` is the harness-resilience contract. It has two
+ways to run a batch: in this process (:func:`run_shard`, for
+``workers=1`` or a platform without ``fork``) or *dispatched* — the one
+trial dispatcher (:func:`repro.fabric.coordinator.dispatch`) over
+forked workers, the engine ``run_fabric`` and ``parallel_map`` also run
+on. What the caller gets either way:
 
-* **Warm workers** — trials run in at most ``workers`` long-lived
-  forked processes, each handed one attempt at a time over its pipe:
-  losing a worker costs exactly the attempt it held (see
-  :func:`_run_pool` for what that keeps and what it gives up).
-* **Watchdog** — every attempt gets a *wall-clock* deadline, counted
-  from its dispatch, in addition to its virtual-time budget. A worker
-  that stops making progress (a real infinite loop, a deadlocked import,
-  a pathological allocation) is SIGKILLed at the deadline and treated
-  like any other failed attempt.
-* **Crash detection** — a worker that dies without reporting (nonzero
-  exit, SIGKILL, segfault) is detected by its exit, not by a hung pipe.
-* **Bounded retry with quarantine** — a failed attempt is retried up to
-  ``retries`` times; a trial that exhausts its budget is *quarantined*:
-  recorded, excluded from the sample, and the sweep moves on.
+* **Warm workers** — at most ``workers`` long-lived forked processes,
+  each handed one trial at a time: losing a worker costs exactly the
+  trial it held, and one replacement fork.
+* **Watchdog** — ``deadline`` wall-clock seconds from a trial's
+  dispatch, in addition to its virtual-time budget. A worker that stops
+  making progress (a real infinite loop, a deadlocked import, a
+  pathological allocation) is SIGKILLed at the deadline — a lost holder.
+* **One loss/retry rule** — a *reported* failure (``ReproError``) is
+  retried inside the worker up to ``retries`` times, then the trial is
+  ``quarantined``; a *lost holder* (crash, SIGKILL, watchdog kill) is
+  counted per trial separately, also bounded by ``retries``, then the
+  trial is ``crashed``. A successful outcome records only the trial's
+  own deterministic history, so the journal is byte-identical to the
+  serial one under any harness fault.
 * **Partial results** — the sweep always returns a :class:`SweepResult`
   carrying a per-trial outcome taxonomy (``ok`` / ``retried`` /
   ``quarantined`` / ``crashed``) instead of raising on the first loss.
 * **Checkpoint/resume** — with a ``journal``, every completed trial is
   fsync'd to disk as it finishes; a killed sweep restarted with the same
-  journal re-runs only the missing trials. Determinism (DESIGN.md §6)
-  makes the merge exact: the resumed sweep's sample and per-trial
-  event-stream digests are byte-identical to an uninterrupted run's.
+  journal re-runs only the missing trials, and the journal is compacted
+  to canonical trial order on return. Determinism (DESIGN.md §6) makes
+  the merge exact: the resumed sweep's sample and per-trial event-stream
+  digests are byte-identical to an uninterrupted run's.
 
 Wall clocks are deliberate here: this module is *harness*-domain, not
 simulation-domain (mm-lint's REP001 scope) — deadlines measure the real
@@ -40,16 +46,8 @@ machine the sweep runs on, never the simulated world.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import pickle
-import time
-from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait as connection_wait
-from typing import (
-    Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.measure.journal import TrialJournal
@@ -84,10 +82,14 @@ class TrialOutcome:
     Attributes:
         trial: the trial index.
         status: ``ok`` (first attempt succeeded), ``retried`` (succeeded
-            after >= 1 failed attempt), ``quarantined`` (every attempt
-            failed with an error or deadline), ``crashed`` (the final
-            attempt's worker died without reporting).
-        attempts: attempts consumed (including the successful one).
+            after >= 1 attempt that reported an error), ``quarantined``
+            (every attempt reported an error), ``crashed`` (every worker
+            that held the trial was lost: died, or was killed by the
+            watchdog, without reporting).
+        attempts: attempts the trial itself consumed (including the
+            successful one) — lost holders are not attempts and never
+            show in a successful outcome; for ``crashed``, the number
+            of holders lost.
         error: the final failure message (None for ok/retried).
         result: the trial's result (None for quarantined/crashed).
         from_journal: True when the result was replayed from a journal
@@ -160,12 +162,12 @@ class SweepResult:
 
     @property
     def quarantined(self) -> List[TrialOutcome]:
-        """Trials lost to repeated errors or deadlines."""
+        """Trials lost to repeated reported errors."""
         return [o for o in self.outcomes if o.status == "quarantined"]
 
     @property
     def crashed(self) -> List[TrialOutcome]:
-        """Trials lost to worker crashes."""
+        """Trials lost to worker crashes and watchdog kills."""
         return [o for o in self.outcomes if o.status == "crashed"]
 
     @property
@@ -212,67 +214,6 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------- #
-# worker side
-
-
-def _attempt(run: Callable[[int], Any], trial: int) -> Tuple[str, Any]:
-    """Run one attempt in a worker; the message to send the parent.
-
-    The result is pickled *here*, so an unpicklable result becomes a
-    clear structured error instead of an opaque pool crash — the parent
-    re-raises it with the trial index attached.
-    """
-    try:
-        result = run(trial)
-    except Exception as exc:
-        text = str(exc)
-        return ("error", text if text.startswith(f"trial {trial}")
-                else f"trial {trial}: {text}")
-    try:
-        return ("ok", pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception as exc:
-        return ("error",
-                f"trial {trial} returned an unpicklable result "
-                f"({type(result).__name__}): {exc}")
-
-
-def _warm_worker(conn: Connection, inherited: List[Connection],
-                 run: Callable[[int], Any]) -> None:
-    """One warm worker: ``recv trial index → run → send result`` over
-    ``conn``, until the parent closes its end.
-
-    ``inherited`` are the parent-side pipe ends fork copied into this
-    process — this worker's own and every earlier worker's. They are
-    closed first: while any copy stays open ``recv`` never sees EOF, and
-    the workers of a SIGKILLed driver would block in it forever.
-
-    A failed attempt (an exception, an unpicklable result) is reported
-    and the loop goes on; only a death the trial inflicts on the process,
-    or the watchdog's SIGKILL, ends a worker early.
-    """
-    for end in inherited:
-        end.close()
-    try:
-        while True:
-            conn.send(_attempt(run, conn.recv()))
-    except (EOFError, ConnectionError):
-        pass  # the parent retired this worker, or is gone
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Worker:
-    """Parent-side record of one warm worker and its in-flight attempt."""
-
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    trial: int = -1
-    attempt: int = 0
-    started: float = 0.0
-
-
-# ---------------------------------------------------------------------- #
 # supervisor
 
 
@@ -299,14 +240,18 @@ def run_supervised(
             crash containment (those need process isolation).
         timeout: virtual-time budget per trial (inside the simulation).
         allow_failures: forwarded to :func:`run_trial`.
-        deadline: wall-clock seconds per *attempt*; a worker still
-            running at its deadline is SIGKILLed and the attempt counts
-            as failed. None disables the watchdog.
-        retries: failed attempts retried at most this many times before
-            the trial is quarantined.
+        deadline: wall-clock seconds from a trial's dispatch; a worker
+            still holding the trial then is SIGKILLed — a lost holder.
+            None disables the watchdog.
+        retries: the budget of each of a trial's two failure counts: a
+            trial whose attempt *reports* an error is retried in place
+            at most this many times, then ``quarantined``; a trial whose
+            *holder is lost* (crash, watchdog kill) goes back on the
+            queue at most this many times, then is ``crashed``.
         journal: a :class:`TrialJournal` or a path to one. Completed
             trials found in it are replayed, not re-run; every newly
-            completed trial is appended (fsync'd) as it finishes.
+            completed trial is appended (fsync'd) as it finishes, and
+            the journal is compacted to trial order on return.
         run_key: stamps/validates the journal (see
             :func:`repro.measure.journal.run_key`); ignored when
             ``journal`` is already a TrialJournal.
@@ -334,7 +279,7 @@ def run_supervised(
 
     outcomes, pending = _replay_journal(journal, trials)
     try:
-        # The pool is used whenever it can be (even for one pending
+        # Workers are used whenever they can be (even for one pending
         # trial): supervision — the watchdog kill, crash containment —
         # only works across a process boundary.
         if workers == 1 or not fork_available():
@@ -343,11 +288,18 @@ def run_supervised(
                                      capture_digest, journal):
                 outcomes[outcome.trial] = outcome
         elif pending:
-            _run_pool(
-                lambda trial: run_trial(factory, trial, timeout,
-                                        allow_failures,
-                                        capture_digest=capture_digest),
-                pending, workers, deadline, retries, journal, outcomes)
+            # Imported here: repro.fabric is built on this module.
+            from repro.fabric.backend import LocalBackend
+            from repro.fabric.coordinator import dispatch
+
+            dispatch(
+                LocalBackend(factory), pending, workers, outcomes,
+                config={"timeout": timeout, "allow_failures": allow_failures,
+                        "retries": retries, "capture_digest": capture_digest},
+                record=lambda outcome: _journal_record(journal, outcome),
+                worker_retries=retries, deadline=deadline)
+        if journal is not None:
+            journal.rewrite()
     finally:
         if journal is not None:
             journal.close()
@@ -398,17 +350,6 @@ def _journal_record(journal: Optional[TrialJournal],
     )
 
 
-def _success_outcome(trial: int, attempt: int, result: Any) -> TrialOutcome:
-    return TrialOutcome(
-        trial=trial,
-        status="ok" if attempt == 1 else "retried",
-        attempts=attempt,
-        error=None,
-        result=result,
-        digest=getattr(result, "event_digest", None),
-    )
-
-
 def run_shard(
     factory: ScenarioFactory,
     indices: Iterable[int],
@@ -419,16 +360,16 @@ def run_shard(
     journal: Optional[TrialJournal] = None,
 ) -> Iterator[TrialOutcome]:
     """Run trials in order in this process, yielding each outcome as it
-    lands — the one attempt/quarantine loop, shared by the in-process
+    lands — the one attempt/quarantine loop, run by the in-process
     fallback of :func:`run_supervised` (same taxonomy, no kill/crash
-    containment) and by every fabric worker.
+    containment) and inside every dispatched worker.
 
     First successful attempt → ``ok``; success after failures →
     ``retried``; retry budget exhausted → ``quarantined``. When a
     ``journal`` is given, every *successful* outcome is checkpointed
-    (fsync'd) before it is yielded — so a fabric worker that dies after
-    journaling trial N never makes the coordinator re-run N, it merges
-    the sidecar instead.
+    (fsync'd) before it is yielded — so a worker that dies after
+    journaling trial N to its sidecar never makes a resumed sweep
+    re-run N, the sidecar is merged instead.
     """
     for trial in indices:
         error = None
@@ -440,7 +381,11 @@ def run_shard(
             except ReproError as exc:
                 error = str(exc)
                 continue
-            outcome = _success_outcome(trial, attempt, result)
+            outcome = TrialOutcome(
+                trial=trial, status="ok" if attempt == 1 else "retried",
+                attempts=attempt, error=None, result=result,
+                digest=getattr(result, "event_digest", None),
+            )
             break
         if outcome is None:
             outcome = TrialOutcome(
@@ -449,134 +394,3 @@ def run_shard(
             )
         _journal_record(journal, outcome)
         yield outcome
-
-
-def _run_pool(
-    run: Callable[[int], Any],
-    pending: List[int],
-    workers: int,
-    deadline: Optional[float],
-    retries: int,
-    journal: Optional[TrialJournal],
-    outcomes: Dict[int, TrialOutcome],
-) -> None:
-    """The supervising pool: warm workers with watchdog and retry.
-
-    At most ``workers`` long-lived forked processes (never more than
-    there are attempts to run), each handed **one attempt at a time**.
-    That is what keeps the isolation contract: the deadline clock of an
-    attempt starts at its dispatch, SIGKILL needs no cooperation from
-    the victim, and a crashed or killed worker takes down exactly the
-    one attempt it held — it is replaced by a fresh fork before that
-    trial is retried. What is given up against a process per trial is
-    interpreter state: it now carries across the trials one worker
-    runs, exactly as in :func:`run_shard` and every fabric worker;
-    trial purity (DESIGN.md §6) is what makes that safe.
-
-    A worker that reports is handed its next attempt *before* its result
-    is unpickled and journaled, so it computes through the fsync. Every
-    worker in ``pool`` has an attempt in flight; one with nothing left
-    to run is retired on the spot.
-    """
-    context = multiprocessing.get_context("fork")
-    queue: Deque[Tuple[int, int]] = deque((trial, 1) for trial in pending)
-    pool: List[_Worker] = []
-
-    def spawn() -> _Worker:
-        conn, child = context.Pipe()
-        process = context.Process(
-            target=_warm_worker,
-            args=(child, [worker.conn for worker in pool] + [conn], run),
-        )
-        process.start()
-        child.close()  # the worker's death is then EOF on ``conn``
-        pool.append(_Worker(process, conn))
-        return pool[-1]
-
-    def feed(worker: _Worker) -> None:
-        """Hand ``worker`` the next queued attempt, or retire it."""
-        if not queue:
-            drop(worker)
-            return
-        worker.trial, worker.attempt = queue.popleft()
-        worker.started = time.monotonic()
-        try:
-            worker.conn.send(worker.trial)
-        except OSError:
-            pass  # died between trials: its sentinel fails this attempt
-
-    def drop(worker: _Worker) -> None:
-        pool.remove(worker)
-        worker.conn.close()  # EOF ends a live worker's loop
-        worker.process.join()
-
-    def lose(worker: _Worker, failure: str, crashed: bool) -> None:
-        """``worker``'s attempt failed: requeue the trial or record it."""
-        if worker.attempt <= retries:
-            queue.append((worker.trial, worker.attempt + 1))
-            return
-        outcomes[worker.trial] = TrialOutcome(
-            trial=worker.trial, attempts=worker.attempt, error=failure,
-            status="crashed" if crashed else "quarantined", result=None,
-        )
-
-    try:
-        while queue or pool:
-            while queue and len(pool) < workers:
-                feed(spawn())
-            # A report or a death is a readable fd; only a deadline
-            # passing needs a timeout.
-            wait = None
-            if deadline is not None:
-                wait = max(0.01, min(worker.started for worker in pool)
-                           + deadline - time.monotonic())
-            ready = connection_wait(
-                [worker.conn for worker in pool]
-                + [worker.process.sentinel for worker in pool],
-                timeout=wait,
-            )
-            for worker in list(pool):
-                message = None
-                if worker.conn in ready:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        pass  # died mid-report
-                elif worker.process.sentinel not in ready:
-                    if (deadline is not None
-                            and time.monotonic() - worker.started > deadline):
-                        worker.process.kill()
-                        drop(worker)
-                        lose(
-                            worker,
-                            f"trial {worker.trial}: exceeded the {deadline}s "
-                            f"wall-clock deadline (attempt {worker.attempt}); "
-                            f"worker killed by the watchdog",
-                            crashed=False,
-                        )
-                    continue
-                if message is None:
-                    drop(worker)
-                    code = worker.process.exitcode
-                    how = f"signal {-code}" if code < 0 else f"exit code {code}"
-                    lose(
-                        worker,
-                        f"trial {worker.trial}: worker process died without "
-                        f"reporting ({how}, attempt {worker.attempt})",
-                        crashed=True,
-                    )
-                    continue
-                kind, body = message
-                trial, attempt = worker.trial, worker.attempt
-                if kind != "ok":
-                    lose(worker, body, crashed=False)  # requeue, then feed
-                feed(worker)
-                if kind == "ok":
-                    outcome = _success_outcome(trial, attempt,
-                                               pickle.loads(body))
-                    outcomes[trial] = outcome
-                    _journal_record(journal, outcome)
-    finally:
-        for worker in list(pool):
-            worker.process.kill()
-            drop(worker)

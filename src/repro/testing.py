@@ -14,8 +14,9 @@ of a scenario in one line.
 from __future__ import annotations
 
 import os
+import subprocess
 import time
-from typing import Any, Callable, Iterable, Optional, Set
+from typing import Any, Callable, Iterable, List, Optional, Set
 
 from repro.linkem.overhead import OverheadModel
 from repro.net.address import Endpoint, IPv4Address
@@ -189,19 +190,42 @@ def delayed_world(
     )
 
 
+def _proc_stat(pid: object) -> Optional[List[str]]:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state,
+    parent pid, ...); None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+
+
 def _pid_gone(pid: int) -> bool:
     """True once ``pid`` has exited (a zombie nobody reaps counts)."""
     if os.path.isdir("/proc/self"):
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                return fh.read().rpartition(")")[2].split()[0] == "Z"
-        except OSError:
-            return True
+        stat = _proc_stat(pid)
+        return stat is None or stat[0] == "Z"
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return True
     return False
+
+
+def child_pids(pid: int) -> Set[int]:
+    """The live child processes of ``pid`` — read *before* killing a
+    driver whose workers' pids nothing else records, then handed to
+    :func:`pids_alive`."""
+    if not os.path.isdir("/proc/self"):
+        found = subprocess.run(["pgrep", "-P", str(pid)],
+                               capture_output=True, text=True)
+        return {int(line) for line in found.stdout.split()}
+    children = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        stat = _proc_stat(entry)  # None: exited while we were listing
+        if stat is not None and stat[0] != "Z" and int(stat[1]) == pid:
+            children.add(int(entry))
+    return children
 
 
 def pids_alive(pids: Iterable[int], within: float = 0.0) -> Set[int]:

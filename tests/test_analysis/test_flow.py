@@ -466,6 +466,34 @@ class TestRep012ForkHostileHandles:
             path=OUTSIDE_PATH,
         ) == []
 
+    def test_factory_handed_to_the_fork_site(self):
+        # LocalBackend is where every worker is forked: a factory it is
+        # given runs post-fork, whichever entry point passes it on.
+        assert codes(
+            """
+            def run(path, key, trials):
+                journal = TrialJournal(path, key=key)
+                def factory(trial):
+                    journal.append(trial, None)
+                run_fabric(LocalBackend(factory), trials, shards=2)
+            """,
+            path=OUTSIDE_PATH,
+        ) == ["REP012"]
+
+    def test_journal_beside_the_fork_site_is_clean(self):
+        # The coordinator's own journal never enters the factory.
+        assert codes(
+            """
+            def run(path, key, trials, store):
+                journal = TrialJournal(path, key=key)
+                def factory(trial):
+                    return build_world(store, trial)
+                run_fabric(LocalBackend(factory), trials, shards=2,
+                           journal=journal)
+            """,
+            path=OUTSIDE_PATH,
+        ) == []
+
     def test_parent_side_on_result_callback_is_clean(self):
         # parallel_map's on_result runs in the parent (documented); a
         # handle captured there never crosses the fork.

@@ -122,7 +122,7 @@ class TestSpawnedBackends:
 
 
 class _KillFirstWorker(LocalBackend):
-    """A LocalBackend whose first worker is SIGKILLed mid-shard."""
+    """A LocalBackend whose first worker is SIGKILLed mid-sweep."""
 
     def __init__(self, factory, after=0.5):
         super().__init__(factory)
@@ -147,6 +147,7 @@ class _KillFirstWorker(LocalBackend):
 
 class TestWorkerCrash:
     def test_sigkill_mid_shard_reassigns_and_stays_identical(self, serial):
+        # The killed worker's one in-flight trial goes back on the queue.
         reference, __ = serial
         # pace widens the kill window in wall time only — virtual-time
         # results (and therefore digests) are untouched.
@@ -157,22 +158,52 @@ class TestWorkerCrash:
         assert backend.killed
         assert_identical(result, reference)
         metrics = result.metrics
-        assert metrics.counter("fabric.worker_crashes").value >= 1
-        assert metrics.counter("fabric.trials_reassigned").value >= 1
-        assert metrics.counter("fabric.workers_spawned").value >= 3
+        assert metrics.counter("fabric.worker_crashes").value == 1
+        assert metrics.counter("fabric.trials_reassigned").value == 1
+        assert metrics.counter("fabric.workers_spawned").value == 3
 
     def test_worker_retries_zero_quarantines_as_crashed(self, factory):
         paced = replay_smoke(pace=0.3, **KW)
         backend = _KillFirstWorker(paced, after=0.5)
         result = run_fabric(backend, TRIALS, shards=2, worker_retries=0)
         assert not result.complete
-        crashed = result.crashed
-        assert crashed
-        assert all(o.status == "crashed" for o in crashed)
-        assert (result.metrics.counter("fabric.trials_crashed").value
-                == len(crashed))
-        # The untouched worker's trials still landed.
-        assert any(o.succeeded for o in result.outcomes)
+        # The kill cost exactly the one trial the worker held; a
+        # replacement worker ran the rest of the queue.
+        assert result.counts() == {"ok": TRIALS - 1, "retried": 0,
+                                   "quarantined": 0, "crashed": 1}
+        assert "signal 9" in result.crashed[0].error
+        assert result.metrics.counter("fabric.trials_crashed").value == 1
+
+
+class TestPoisonTrial:
+    """One trial that always kills its worker costs itself, not its
+    queue-mates — under either entry point to the dispatcher."""
+
+    @pytest.mark.parametrize("engine", ["run_fabric", "run_supervised"])
+    def test_poison_trial_costs_only_itself(self, engine, factory,
+                                            tmp_path):
+        budget = 1
+
+        def poisoned(trial):
+            # One file per worker pid that ever ran a trial.
+            open(tmp_path / str(os.getpid()), "w").close()
+            if trial == 0:
+                os._exit(9)
+            return factory(trial)
+
+        if engine == "run_fabric":
+            result = run_fabric(LocalBackend(poisoned), 12, shards=2,
+                                worker_retries=budget)
+        else:
+            result = run_supervised(poisoned, 12, workers=2,
+                                    retries=budget)
+        poison = result.outcomes[0]
+        assert (poison.status, poison.attempts) == ("crashed", budget + 1)
+        assert "exit code 9" in poison.error
+        assert [(o.status, o.attempts) for o in result.outcomes[1:]] == \
+            [("ok", 1)] * 11
+        # Two workers, plus at most one replacement per holder lost.
+        assert len(list(tmp_path.iterdir())) <= 2 + budget + 1
 
 
 class TestRobustness:
@@ -235,19 +266,20 @@ class TestRobustness:
             [SpawnFault(shard=1, fail_first=99)]))
         result = run_fabric(backend, TRIALS, shards=2, spawn_retries=1,
                             quarantine_after=2, capture_digest=True)
-        # Shard 1 never spawned; its trials ran on shard 0's worker.
+        # Worker 1 never spawned: its slot was given up and the one
+        # live worker pulled every trial off the shared queue.
         assert result.quarantined_hosts == {"local": 2}
         metrics = result.metrics
         assert metrics.counter("fabric.hosts_quarantined").value == 1
-        assert metrics.counter("fabric.shards_degraded").value == 1
-        assert metrics.counter("fabric.trials_redistributed").value == 3
+        assert metrics.counter("fabric.spawn_retries").value == 1
+        assert metrics.counter("fabric.spawn_failures").value == 1
         assert metrics.counter("fabric.workers_spawned").value == 1
         assert_identical(result, reference)
 
     def test_inflight_trials_reassigned_after_instant_kill(self, serial):
-        # Regression pin: a worker dying *between assignment and its
-        # first outcome* must forfeit every assigned trial exactly once
-        # — no loss, no double-run.
+        # Regression pin: a worker dying *between dispatch and its
+        # first outcome* forfeits the trial it held exactly once — no
+        # loss, no double-run.
         reference, __ = serial
         paced = replay_smoke(pace=0.3, **KW)
         backend = _KillFirstWorker(paced, after=0.0)
@@ -257,10 +289,9 @@ class TestRobustness:
         assert_identical(result, reference)
 
     def test_reassignment_skips_trials_that_already_landed(self, serial):
-        # Regression pin for the speculation-era retire() audit: when a
-        # worker dies while every one of its trials already has an
-        # outcome (here: delivered speculatively by its peer), no
-        # replacement worker is spawned for them.
+        # Regression pin: when a worker is lost while the trial it
+        # holds already has an outcome (here: delivered speculatively
+        # by its peer), no replacement worker is spawned for it.
         from repro.fabric.faults import (
             FabricFaultPlan, FaultyBackend, WedgeWorker,
         )
@@ -272,8 +303,8 @@ class TestRobustness:
                             heartbeat=0.1, progress_deadline=1.0,
                             worker_retries=2, capture_digest=True)
         assert_identical(result, reference)
-        # Two initial workers; the wedge's trials landed speculatively,
-        # so its watchdog retirement spawned nothing new.
+        # Two initial workers; the wedge's trial landed speculatively,
+        # so its watchdog kill spawned nothing new.
         assert result.metrics.counter("fabric.workers_spawned").value == 2
 
     def test_io_deadline_must_exceed_heartbeat(self, factory):
@@ -284,8 +315,6 @@ class TestRobustness:
             run_fabric(backend, 1, heartbeat=0.0)
         with pytest.raises(ValueError, match="spawn_retries"):
             run_fabric(backend, 1, spawn_retries=-1)
-        with pytest.raises(ValueError, match="speculate_copies"):
-            run_fabric(backend, 1, speculate_copies=0)
 
     def test_io_deadline_bounded_run_stays_identical(self, factory,
                                                      serial):

@@ -1,4 +1,4 @@
-"""Tests for the parallel trial runner and its process-pool primitive."""
+"""Tests for the parallel trial runner and its ``parallel_map`` primitive."""
 
 import os
 
@@ -13,7 +13,6 @@ from repro.measure.parallel import (
     default_workers,
     fork_available,
     parallel_map,
-    run_page_loads_parallel,
 )
 from repro.measure.runner import run_page_loads
 from repro.sim import Simulator
@@ -82,8 +81,14 @@ class TestParallelMap:
                 os._exit(13)  # hard crash, no exception to pickle
             return i
 
-        with pytest.raises(ReproError, match="worker process died"):
-            parallel_map(task, 4, workers=2)
+        seen = []
+        with pytest.raises(ReproError, match="worker process died") as info:
+            parallel_map(task, 4, workers=2,
+                         on_result=lambda i, r: seen.append(i))
+        assert "exit code 13" in str(info.value)
+        # Loss budget 0: the dead worker's index is an error, not a
+        # retry — and it cost nothing but itself.
+        assert sorted(seen) == [0, 2, 3]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -208,14 +213,6 @@ class TestParallelRunner:
 
         with pytest.raises(ReproError, match="worker process died"):
             ParallelRunner(workers=2).run_page_loads(factory, trials=3)
-
-    @needs_fork
-    def test_functional_shorthand(self):
-        site = generate_site("func.com", seed=56, n_origins=3, scale=0.5)
-        factory = _make_factory(site)
-        result = run_page_loads_parallel(factory, trials=2, workers=2)
-        assert result.sample.values == \
-            run_page_loads(factory, trials=2).sample.values
 
 
 def _instrumented_factory(site, store=None):

@@ -15,7 +15,6 @@ from repro.measure.parallel import ParallelRunner, fork_available
 from repro.measure.supervise import (
     OUTCOME_STATES,
     SweepResult,
-    TrialOutcome,
     run_supervised,
 )
 from repro.sim import Simulator
@@ -74,9 +73,11 @@ def _all_pids(pid_dir):
 def _flaky_factory(marker_dir, fail_with, only=None, pid_dir=None):
     """Fails each trial's first attempt, succeeds on retry.
 
-    ``fail_with="error"`` raises ReproError; ``"crash"`` kills the
-    worker process outright; ``"stall"`` blocks past any deadline.
-    ``only`` restricts the failures to those trials.
+    ``fail_with="error"`` raises ReproError (a *reported* failure,
+    retried inside the worker); ``"crash"`` kills the worker process
+    outright and ``"stall"`` blocks past any deadline (a *lost holder*:
+    the trial goes back on the queue). ``only`` restricts the failures
+    to those trials.
     """
     inner = _make_factory()
 
@@ -168,10 +169,13 @@ class TestRetryAndQuarantine:
 
     @needs_fork
     def test_pool_retry_after_crash(self, tmp_path):
+        # A lost holder is not an attempt: the trial is run again and
+        # its outcome records only its own (clean) history.
         factory = _flaky_factory(str(tmp_path), fail_with="crash")
         result = run_supervised(factory, trials=2, workers=2, retries=1)
         assert result.complete
-        assert result.counts()["retried"] == 2
+        assert [(o.status, o.attempts) for o in result.outcomes] == \
+            [("ok", 1)] * 2
 
     @needs_fork
     def test_pool_crash_taxonomy_when_budget_exhausted(self):
@@ -180,20 +184,24 @@ class TestRetryAndQuarantine:
 
         result = run_supervised(factory, trials=2, workers=2, retries=1)
         assert result.counts()["crashed"] == 2
-        assert "died without reporting" in result.outcomes[0].error
-        assert "exit code 23" in result.outcomes[0].error
+        for outcome in result.outcomes:
+            assert outcome.attempts == 2  # holders lost: retries + 1
+            assert "died without reporting" in outcome.error
+            assert "exit code 23" in outcome.error
 
 
 class TestWatchdog:
     @needs_fork
-    def test_stalled_trial_killed_retried_quarantined(self):
+    def test_stalled_trial_killed_requeued_crashed(self):
+        # A watchdog kill is a lost holder, like any other worker
+        # death: requeued ``retries`` times, then ``crashed``.
         started = time.monotonic()
         result = run_supervised(
             _always_stalling_factory(), trials=1, workers=2,
             deadline=0.3, retries=1,
         )
         elapsed = time.monotonic() - started
-        assert result.counts()["quarantined"] == 1
+        assert result.counts()["crashed"] == 1
         outcome = result.outcomes[0]
         assert outcome.attempts == 2
         assert "wall-clock deadline" in outcome.error
@@ -205,7 +213,7 @@ class TestWatchdog:
         result = run_supervised(factory, trials=1, workers=2,
                                 deadline=1.0, retries=1)
         assert result.complete
-        assert result.outcomes[0].status == "retried"
+        assert result.outcomes[0].status == "ok"
 
     @needs_fork
     def test_healthy_sweep_unaffected_by_deadline(self):
@@ -260,8 +268,8 @@ def _unpicklable_on(trials):
 
 @needs_fork
 class TestWarmPool:
-    """The pool forks ``workers`` times, not ``trials`` times, and still
-    loses exactly one attempt of one trial to a dead worker."""
+    """The dispatcher forks ``workers`` times, not ``trials`` times, and
+    loses exactly the one trial a dead worker held."""
 
     def test_clean_sweep_forks_once_per_worker(self, tmp_path):
         __, pids = _dirs(tmp_path)
@@ -289,7 +297,7 @@ class TestWarmPool:
                                 deadline=deadline)
         assert result.complete
         assert [(o.status, o.attempts) for o in result.outcomes] == \
-            [("retried", 2)] + [("ok", 1)] * 7
+            [("ok", 1)] * 8
         attempts = _attempt_pids(pids)
         lost, retry = attempts[0]
         assert retry != lost
@@ -307,9 +315,10 @@ class TestWarmPool:
         else:
             factory = _unpicklable_on({0})(_make_factory(pid_dir=pids))
         result = run_supervised(factory, trials=6, workers=2, retries=1)
-        assert result.outcomes[0].attempts == 2
-        assert result.outcomes[0].status == \
-            ("retried" if failure == "error" else "quarantined")
+        # An error is retried in place; an unpicklable result is
+        # deterministic, so it is reported once, not re-run.
+        assert (result.outcomes[0].status, result.outcomes[0].attempts) == \
+            (("retried", 2) if failure == "error" else ("quarantined", 1))
         assert all(o.status == "ok" for o in result.outcomes[1:])
         assert len(_all_pids(pids)) == 2
 
@@ -322,6 +331,25 @@ class TestWarmPool:
         elapsed = time.monotonic() - started
         assert elapsed > 10 * deadline  # both workers outlived it 10x over
         assert result.counts()["ok"] == 70
+        assert len(_all_pids(pids)) == 2
+
+    def test_slow_parent_is_not_mistaken_for_silent_workers(self, tmp_path):
+        # The parent spends longer than the deadline inside every journal
+        # append, so each worker's next outcome is already queued, and
+        # older than the deadline, when the loop comes back. Unread
+        # evidence of life outranks the clock: nobody is killed.
+        __, pids = _dirs(tmp_path)
+
+        class SlowDisk(TrialJournal):
+            def append(self, trial, result, digest=None):
+                time.sleep(0.5)
+                super().append(trial, result, digest=digest)
+
+        journal = SlowDisk(str(tmp_path / "sweep.jsonl"), key="k")
+        result = run_supervised(_make_factory(pid_dir=pids), trials=6,
+                                workers=2, deadline=0.3, journal=journal)
+        assert [(o.status, o.attempts) for o in result.outcomes] == \
+            [("ok", 1)] * 6
         assert len(_all_pids(pids)) == 2
 
     def test_next_trial_dispatched_before_previous_is_journaled(
@@ -386,6 +414,22 @@ class TestJournalResume:
             [True, False, True, False]
         assert list(resumed.sample.values) == list(reference.sample.values)
         assert resumed.digest == reference.digest
+
+    @needs_fork
+    def test_journal_byte_identical_to_serial_after_lost_worker(
+            self, tmp_path):
+        # A harness fault leaves no trace in the journal: trial 0's
+        # first worker dies, the sweep still journals what a clean
+        # serial run does, in canonical trial order.
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pool.jsonl"
+        run_supervised(_make_factory(), trials=6, workers=1,
+                       journal=str(serial), run_key="k", capture_digest=True)
+        markers, __ = _dirs(tmp_path)
+        result = run_supervised(
+            _flaky_factory(markers, "crash", only={0}), trials=6, workers=2,
+            journal=str(pooled), run_key="k", capture_digest=True)
+        assert result.complete
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_wrong_run_key_refused(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
@@ -471,11 +515,3 @@ class TestKillAndResume:
                                    capture_digest=True)
         assert list(resumed.sample.values) == list(reference.sample.values)
         assert resumed.digest == reference.digest
-
-
-class TestParallelRunnerIntegration:
-    def test_runner_method_delegates(self):
-        runner = ParallelRunner(workers=1)
-        result = runner.run_supervised(_make_factory(), trials=2)
-        assert result.complete
-        assert isinstance(result.outcomes[0], TrialOutcome)

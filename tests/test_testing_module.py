@@ -1,5 +1,7 @@
 """Tests for the repro.testing scaffolding itself."""
 
+import os
+
 import pytest
 
 from repro.net.address import IPv4Address
@@ -63,3 +65,22 @@ class TestScriptedLossPipe:
                              1, 2, None, 0))
         sim.run()
         assert got == [pytest.approx(0.001)]
+
+
+class TestProcessHelpers:
+    def test_child_pids_then_pids_alive(self):
+        import subprocess
+        import sys
+
+        from repro.testing import child_pids, pids_alive
+
+        child = subprocess.Popen([sys.executable, "-c",
+                                  "import time; time.sleep(60)"])
+        try:
+            assert child.pid in child_pids(os.getpid())
+            assert pids_alive([child.pid]) == {child.pid}
+        finally:
+            child.kill()
+            child.wait()
+        assert child.pid not in child_pids(os.getpid())
+        assert not pids_alive([child.pid], within=5.0)
