@@ -3,7 +3,7 @@
 Subcommands::
 
     mm-corpus generate --out DIR [--size N] [--singles K] [--scale S]
-                       [--seed X] [--workers W] [--resume] [--cas]
+                       [--seed X] [--workers W] [--resume]
     mm-corpus stats DIR
 
 ``--workers`` materialises recorded sites (synthesis + save) over that
@@ -11,12 +11,11 @@ many worker processes; each site is an independent deterministic function
 of the corpus seed, so the output is identical at any worker count.
 ``--workers 0`` uses every available core.
 
-``--cas`` saves sites in format v3: response bodies land in one shared
-content-addressed store (``<out>/.cas``) and identical bodies across the
-whole corpus are stored exactly once. Concurrent workers share the store
-safely (per-process temp names + atomic rename). ``stats`` reports the
-resulting body dedup: unique vs total body bytes and the dedup ratio,
-for flat and CAS corpora alike.
+Response bodies land in one content-addressed store shared by the whole
+corpus (``<out>/.cas``), so identical bodies are stored exactly once.
+Concurrent workers share the store safely (per-process temp names +
+atomic rename). ``stats`` reports the resulting body dedup: unique vs
+total body bytes and the dedup ratio.
 
 Generation checkpoints every completed site in a crash-safe journal
 (``.generate-journal.jsonl`` inside the output folder, removed once the
@@ -39,11 +38,11 @@ from repro.errors import JournalError
 from repro.measure.journal import TrialJournal, run_key
 from repro.measure.parallel import default_workers, parallel_map
 from repro.record.cas import CAS_DIR_NAME, CasStore, body_checksum
-from repro.record.fsck import is_site_dir
+from repro.record.fsck import corpus_site_dirs
 from repro.record.store import RecordedSite
 
 USAGE = ("usage: mm-corpus generate --out DIR [--size N] [--singles K] "
-         "[--scale S] [--seed X] [--workers W] [--resume] [--cas] "
+         "[--scale S] [--seed X] [--workers W] [--resume] "
          "| mm-corpus stats DIR")
 
 #: Checkpoint journal inside the output folder (dot-named: not a site).
@@ -66,7 +65,6 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
 def _generate(argv: List[str]) -> int:
     out, size, singles, scale, seed, workers = None, 500, 9, 1.0, 0, 1
     resume = False
-    use_cas = False
     rest = list(argv)
     while rest:
         flag = rest.pop(0)
@@ -84,8 +82,6 @@ def _generate(argv: List[str]) -> int:
             workers = int(rest.pop(0))
         elif flag == "--resume":
             resume = True
-        elif flag == "--cas":
-            use_cas = True
         else:
             raise CliError(f"{USAGE}\nunknown option {flag!r}")
     if out is None:
@@ -99,8 +95,7 @@ def _generate(argv: List[str]) -> int:
     os.makedirs(out, exist_ok=True)
 
     journal_path = os.path.join(out, JOURNAL_FILE)
-    key = run_key(seed=seed, size=size, singles=singles, scale=scale,
-                  cas=use_cas)
+    key = run_key(seed=seed, size=size, singles=singles, scale=scale)
     if not resume and os.path.exists(journal_path):
         os.remove(journal_path)  # fresh run: discard stale checkpoints
     try:
@@ -118,7 +113,7 @@ def _generate(argv: List[str]) -> int:
         site = sites[index]
         # One CasStore instance per call: worker processes must not
         # share handles, and the store itself is concurrent-safe.
-        cas = CasStore(os.path.join(out, CAS_DIR_NAME)) if use_cas else None
+        cas = CasStore(os.path.join(out, CAS_DIR_NAME))
         site.to_recorded_site().save(os.path.join(out, site.name), cas=cas)
         return site.name
 
@@ -146,18 +141,16 @@ def _stats(argv: List[str]) -> int:
     counts = []
     total_bodies = total_bytes = 0
     unique: dict = {}  # body checksum -> length
-    for name in sorted(os.listdir(directory)):
-        site_dir = os.path.join(directory, name)
-        if os.path.isdir(site_dir) and is_site_dir(site_dir):
-            store = RecordedSite.load(site_dir)
-            counts.append(len(store.origins()))
-            for pair in store.pairs:
-                for body in (pair.request.body, pair.response.body):
-                    if body.length and body.is_fully_real:
-                        total_bodies += 1
-                        total_bytes += body.length
-                        unique.setdefault(body_checksum(body.as_bytes()),
-                                          body.length)
+    for site_dir in corpus_site_dirs(directory):
+        store = RecordedSite.load(site_dir)
+        counts.append(len(store.origins()))
+        for pair in store.pairs:
+            for body in (pair.request.body, pair.response.body):
+                if body.length and body.is_fully_real:
+                    total_bodies += 1
+                    total_bytes += body.length
+                    unique.setdefault(body_checksum(body.as_bytes()),
+                                      body.length)
     if not counts:
         raise CliError(f"no recorded sites under {directory!r}")
     counts.sort()

@@ -6,21 +6,20 @@ Usage::
 
 ``DIR`` is one recorded site folder (contains ``site.json``) or a corpus
 folder of them (e.g. ``mm-corpus generate --out DIR``); every site under
-it is checked. Checks per pair file: presence, size and BLAKE2 checksum
-against the manifest (format v2), JSON well-formedness, and semantic
-validity; plus manifest consistency (orphans, numbering gaps in v1
-folders, pair-count mismatches). Format-v3 folders additionally resolve
-every CAS body reference, and a corpus check verifies the shared
-content-addressed store itself: every blob re-hashed against its
-address, orphan blobs (referenced by no site) and dangling references
-reported.
+it is checked by the same walk that loads it
+(:func:`repro.record.store.read_site`). Per manifest entry: a name
+confined to the folder, presence, size and BLAKE2 checksum against the
+manifest, JSON well-formedness, semantic validity, and every CAS body
+reference resolved; then pair files the manifest does not name. Every
+content-addressed store under ``DIR`` — a corpus's shared ``.cas`` or a
+lone site's own — is verified too: every blob re-hashed against its
+address, and blobs no surviving pair references reported as orphans.
 
 ``--repair`` quarantines damaged pair files into ``quarantine/`` (moved,
-never deleted), rewrites the manifest atomically to cover exactly the
-surviving pairs, and upgrades v1 folders to v2 (v3 folders stay v3) —
-valid pair files are never touched. In the CAS, corrupt and orphan
-blobs are quarantined into ``<cas>/quarantine/`` the same way. ``--json``
-emits the machine-readable reports instead of text.
+never deleted) and rewrites the manifest atomically to cover exactly the
+surviving pairs — valid pair files are never touched. In the CAS,
+corrupt and orphan blobs are quarantined into ``<cas>/quarantine/`` the
+same way. ``--json`` emits the machine-readable reports instead of text.
 
 Exit status: 0 when every folder is clean; 1 when any problem was found
 (repaired or not — rerun to confirm a repair); 2 on usage errors.
@@ -33,7 +32,8 @@ import os
 from typing import List
 
 from repro.cli.common import CliError, ShellSpec, main_wrapper
-from repro.record.fsck import FsckReport, fsck_tree
+from repro.record.fsck import fsck_tree
+from repro.record.store import StoreDamage
 
 USAGE = "usage: mm-fsck DIR [--repair] [--json]"
 
@@ -69,7 +69,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     return 0 if all(r.clean for r in reports) else 1
 
 
-def _print_reports(reports: List[FsckReport]) -> None:
+def _print_reports(reports: List[StoreDamage]) -> None:
     dirty = 0
     for report in reports:
         if report.clean:
@@ -85,9 +85,8 @@ def _print_reports(reports: List[FsckReport]) -> None:
                 print(f"  repaired: {len(report.quarantined)} blob(s) "
                       f"quarantined")
             else:
-                upgraded = " (upgraded v1 -> v2)" if report.upgraded else ""
                 print(f"  repaired: {len(report.quarantined)} file(s) "
-                      f"quarantined, manifest rewritten{upgraded}")
+                      f"quarantined, manifest rewritten")
         elif report.fatal:
             print("  NOT repairable: site.json is unusable")
     sites = [r for r in reports if r.kind == "site"]

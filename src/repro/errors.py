@@ -144,8 +144,8 @@ class BlobMissingError(StoreIntegrityError):
     """A content-addressed site references a blob the CAS does not hold.
 
     The dangling-reference case: the pair file is intact but its body
-    cannot be materialised. ``mm-fsck`` reports it as ``missing`` damage
-    against the blob path.
+    cannot be materialised. Tolerant loads and ``mm-fsck`` report it as
+    ``dangling`` damage of that pair.
     """
 
 

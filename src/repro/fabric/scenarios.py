@@ -12,9 +12,9 @@ Two builders cover the common cases:
 
 * :func:`replay_smoke` — a self-contained synthetic-site page-load
   sweep (the CI smoke scenario; needs nothing on disk).
-* :func:`recorded_site` — page loads against a recorded folder (flat v2
-  or CAS-backed v3), the production shape: ship the corpus with
-  :mod:`repro.fabric.sync`, then point every worker's spec at it.
+* :func:`recorded_site` — page loads against a recorded folder, the
+  production shape: ship the corpus with :mod:`repro.fabric.sync`, then
+  point every worker's spec at it.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def recorded_site(
 ) -> ScenarioFactory:
     """Build a page-load factory over a recorded folder on this host.
 
-    The store is loaded once per worker (flat v2 and CAS-backed v3 both
-    resolve transparently through :meth:`RecordedSite.load
-    <repro.record.store.RecordedSite.load>`), then every trial replays
-    it in a fresh simulator seeded with the trial index.
+    The store is loaded (strictly) once per worker through
+    :meth:`RecordedSite.load <repro.record.store.RecordedSite.load>`,
+    then every trial replays it in a fresh simulator seeded with the
+    trial index.
     """
     from repro.cli.common import page_from_recording
     from repro.record.store import RecordedSite

@@ -7,7 +7,12 @@ always copied whole. The *bodies* live in the content-addressed store
 from a previous campaign, another site in the same corpus, or any
 recording that ever contained the same bytes — never receives it again:
 the shipment is exactly the missing-blob delta, computed from the CAS
-addresses the site's pair files reference.
+addresses the site's pairs reference.
+
+What is shipped is what was verified: the file list and the references
+both come from one strict :func:`repro.record.store.read_site` of the
+source, so a damaged source folder is a named error before anything
+lands at the destination.
 
 Everything here is plain directory-to-directory I/O: run it locally, over
 a mounted remote filesystem, or as the unit an rsync/scp step carries.
@@ -18,17 +23,17 @@ so a corrupted transfer is caught at the destination, not at replay time.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.errors import StoreFormatError
-from repro.fsutil import atomic_write_bytes, fsync_dir
+from repro.fsutil import fsync_dir
 from repro.obs.registry import MetricsRegistry
-from repro.record.cas import CasStore, missing_blobs
-from repro.record.store import read_manifest, site_blob_refs, site_cas
+from repro.record.cas import CAS_DIR_NAME, CasStore, missing_blobs
+from repro.record.fsck import corpus_site_dirs
+from repro.record.store import read_site, site_cas, write_manifest
 
 __all__ = [
     "ShipReport",
@@ -74,23 +79,6 @@ class ShipReport:
         )
 
 
-def corpus_site_dirs(corpus_dir: Any) -> List[str]:
-    """The site folders directly under a corpus directory (sorted).
-
-    A site folder is any subdirectory holding a ``site.json``; other
-    entries (the shared ``.cas`` tree, journals, loose files) are not
-    sites and are skipped.
-    """
-    corpus_dir = os.fspath(corpus_dir)
-    sites = []
-    for name in sorted(os.listdir(corpus_dir)):
-        path = os.path.join(corpus_dir, name)
-        if os.path.isdir(path) and \
-                os.path.exists(os.path.join(path, "site.json")):
-            sites.append(path)
-    return sites
-
-
 def ship_site(
     source_dir: Any,
     dest_dir: Any,
@@ -99,75 +87,60 @@ def ship_site(
 ) -> ShipReport:
     """Ship one recorded site folder; move only the missing blobs.
 
-    The manifest and pair files are always (re)copied — they are the
-    cheap part and carry the site's identity. For a v3 site, referenced
+    The source is read strictly first (:func:`read_site`), so nothing
+    damaged ships. The manifest and pair files are always (re)copied —
+    they are the cheap part and carry the site's identity. Referenced
     blobs already present in ``dest_cas`` are skipped; the rest are read
     from the source CAS and imported (verified) into the destination.
-    The shipped ``site.json`` is rewritten so its ``"cas"`` key points
-    at ``dest_cas`` relative to the destination folder.
+    The shipped ``site.json`` is the source's with its ``"cas"`` key
+    pointing at ``dest_cas`` relative to the destination folder.
 
     Args:
         source_dir: the site folder to ship.
-        dest_dir: where the site folder lands (created; pair files are
-            replaced atomically).
-        dest_cas: the destination's CAS. Required for v3 sites; ignored
-            for flat v2/v1 sites (they carry their bodies inline).
+        dest_dir: where the site folder lands (created).
+        dest_cas: the destination's CAS; only a folder that references
+            no blob at all (a flat one, inline bodies) ships without.
         metrics: counts land under ``fabric.blobs_*`` when given.
 
     Returns:
         A :class:`ShipReport` for this one site.
 
     Raises:
-        StoreFormatError: a v3 source with no ``dest_cas`` to land in.
+        StoreFormatError: the source is damaged (or its
+            :class:`~repro.errors.StoreIntegrityError` subclasses, the
+            path in the message), or references blobs with no
+            ``dest_cas`` to land them in.
     """
     source_dir = os.fspath(source_dir)
     dest_dir = os.fspath(dest_dir)
-    metadata = read_manifest(source_dir)
-    report = ShipReport(sites=1, shipped_sites=[dest_dir])
-    is_v3 = metadata.get("format_version") == 3
-
-    refs: List[str] = []
-    if is_v3:
+    metadata, pairs, __ = read_site(source_dir, strict=True)
+    refs = sorted({ref for item in pairs for ref in item.refs})
+    report = ShipReport(sites=1, refs=len(refs), shipped_sites=[dest_dir])
+    if refs:
         if dest_cas is None:
             raise StoreFormatError(
-                f"{source_dir} is format v3; shipping it needs a "
+                f"{source_dir} references CAS blobs; shipping it needs a "
                 f"destination CAS"
             )
         source_cas = site_cas(source_dir, metadata)
-        refs = site_blob_refs(source_dir)
-        report.refs = len(refs)
-        missing = set(missing_blobs(refs, dest_cas))
         # Blobs land before any pair file that references them — the
-        # same durability ordering RecordedSite.save(cas=...) keeps.
-        for ref in refs:
-            if ref in missing:
-                data = source_cas.get(ref)
-                dest_cas.import_blob(ref, data)
-                report.blobs_transferred += 1
-                report.bytes_transferred += len(data)
-            else:
-                report.blobs_deduped += 1
+        # same durability ordering RecordedSite.save keeps.
+        for ref in missing_blobs(refs, dest_cas):
+            data = source_cas.get(ref)
+            dest_cas.import_blob(ref, data)
+            report.blobs_transferred += 1
+            report.bytes_transferred += len(data)
+        report.blobs_deduped = len(refs) - report.blobs_transferred
 
     os.makedirs(dest_dir, exist_ok=True)
-    entries = metadata.get("pairs")
-    if isinstance(entries, list):
-        pair_files = [e.get("file") for e in entries
-                      if isinstance(e, dict) and isinstance(e.get("file"), str)]
-    else:  # v1: no manifest — ship every pair file on disk
-        pair_files = sorted(
-            f for f in os.listdir(source_dir)
-            if f.startswith("pair-") and not f.endswith(".tmp")
-        )
-    for filename in pair_files:
+    for item in pairs:
+        filename = item.entry["file"]
         shutil.copyfile(os.path.join(source_dir, filename),
                         os.path.join(dest_dir, filename))
-    if is_v3:
-        metadata = dict(metadata)
-        metadata["cas"] = os.path.relpath(dest_cas.root, dest_dir)
-    atomic_write_bytes(
-        os.path.join(dest_dir, "site.json"),
-        json.dumps(metadata, indent=2, sort_keys=True).encode("utf-8"),
-    )
+    if dest_cas is not None:
+        metadata = dict(metadata,
+                        cas=os.path.relpath(dest_cas.root, dest_dir))
+    write_manifest(dest_dir, metadata)
     fsync_dir(dest_dir)
 
     if metrics is not None:
@@ -186,14 +159,14 @@ def ship_corpus(
 ) -> ShipReport:
     """Ship every site of a corpus into ``dest_dir``.
 
-    Sites land under their source names; v3 sites share one destination
-    CAS at ``<dest_dir>/.cas``, so cross-site duplicates transfer once
-    — the delta shrinks with every site shipped.
+    Sites land under their source names and share one destination CAS
+    at ``<dest_dir>/.cas``, so cross-site duplicates transfer once — the
+    delta shrinks with every site shipped.
     """
     source_dir = os.fspath(source_dir)
     dest_dir = os.fspath(dest_dir)
     os.makedirs(dest_dir, exist_ok=True)
-    dest_cas = CasStore(os.path.join(dest_dir, ".cas"))
+    dest_cas = CasStore(os.path.join(dest_dir, CAS_DIR_NAME))
     total = ShipReport()
     for site_dir in corpus_site_dirs(source_dir):
         name = os.path.basename(site_dir)

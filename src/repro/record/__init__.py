@@ -4,7 +4,8 @@
   with its origin (scheme, IP, port), mirroring Mahimahi's one-file-per-pair
   protobufs (here: one JSON file per pair).
 * :class:`~repro.record.store.RecordedSite` — a recorded folder: load,
-  save, and query origins/hostnames.
+  save, and query origins/hostnames; :func:`~repro.record.store.read_site`
+  is the one verifying walk behind every reader of such a folder.
 * :class:`~repro.record.matcher.RequestMatcher` — the replay-side matching
   algorithm (exact URI, else longest common query prefix on the same
   host+path), re-implemented from Mahimahi's CGI replay server semantics.
@@ -18,7 +19,7 @@ from repro.record.entry import RequestResponsePair
 from repro.record.har import save_har, to_har
 from repro.record.matcher import MatchResult, RequestMatcher
 from repro.record.proxy import RecordingProxy, Redirector
-from repro.record.store import RecordedSite, site_blob_refs, site_cas
+from repro.record.store import RecordedSite, read_site, site_cas
 
 __all__ = [
     "CasStore",
@@ -30,8 +31,8 @@ __all__ = [
     "RequestResponsePair",
     "body_checksum",
     "missing_blobs",
+    "read_site",
     "save_har",
-    "site_blob_refs",
     "site_cas",
     "to_har",
 ]

@@ -1,12 +1,14 @@
-"""Content-addressed body store (the CAS behind format-v3 recorded sites).
+"""Content-addressed body store (the CAS every recorded site keeps its
+bodies in).
 
 Motivation (the Web Execution Bundles argument, PAPERS.md): across a
 recorded corpus the same response bodies recur constantly — shared CDN
 objects, analytics beacons, font files, the same jQuery on five hundred
-sites. The flat store (format v2) duplicates every byte per site; the CAS
-stores each unique body **exactly once**, addressed by the same BLAKE2
-checksum family the v2 manifests already use, and site pair files carry
-``{"length": N, "cas": "<hex>"}`` references instead of base64 content.
+sites. The CAS stores each unique body **exactly once**, addressed by
+the same BLAKE2 checksum family the site manifests use for pair files,
+and pair files carry ``{"length": N, "cas": "<hex>"}`` references
+instead of base64 content (:mod:`repro.record.store` describes the whole
+bundle).
 
 Layout::
 
@@ -24,15 +26,15 @@ Properties:
   blob path, with no manifest needed.
 * **Concurrent-safe** — puts write a per-process temp name and
   ``os.replace`` into place, so parallel corpus generators (``mm-corpus
-  generate --workers --cas``) can share one store without torn writes.
+  generate --workers``) can share one store without torn writes.
 * **Shippable** — :func:`missing_blobs` computes the blob *delta* between
-  a manifest's references and a local store, so a corpus travels to a
+  a site's references and a local store, so a corpus travels to a
   fabric worker as site manifests plus only the blobs the worker lacks
   (see :mod:`repro.fabric.sync`).
 
 The round-trip contract: a site saved through a CAS and loaded back is
-*pair-for-pair byte-identical* (``to_canonical_bytes``) to the same site
-saved flat — so replay measurements cannot tell the layouts apart.
+*pair-for-pair byte-identical* (``to_canonical_bytes``) to the site that
+was saved — replay measurements cannot see the store.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ CAS_DIR_NAME = ".cas"
 
 _OBJECTS_DIR = "objects"
 _BLOB_SUFFIX = ".bin"
-_DIGEST_SIZE = 16  # same family/width as the v2 pair checksums
+_DIGEST_SIZE = 16  # same family/width as the manifests' pair checksums
 
 
 def body_checksum(data: bytes) -> str:
@@ -65,8 +67,8 @@ def body_checksum(data: bytes) -> str:
 
     Same digest family and width as
     :func:`repro.record.store.pair_checksum`, applied to body bytes
-    instead of pair-file bytes — one checksum vocabulary across both
-    store formats.
+    instead of pair-file bytes — one checksum vocabulary across the
+    bundle.
     """
     return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).hexdigest()
 
@@ -108,7 +110,9 @@ class CasStore:
 
     @staticmethod
     def _check_ref(ref: str) -> str:
-        ref = str(ref).lower()
+        # Exactly what body_checksum emits, nothing equivalent to it: two
+        # spellings of one address would be two entries in a reference set.
+        ref = str(ref)
         if len(ref) != _DIGEST_SIZE * 2 or any(
             c not in "0123456789abcdef" for c in ref
         ):
@@ -135,7 +139,7 @@ class CasStore:
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             raise BlobMissingError(
                 f"dangling CAS reference {ref}: no blob at {path}"
             ) from None

@@ -3,8 +3,9 @@
 Mahimahi stores each pair as a protobuf file containing the raw request,
 the raw response, and the connection's original destination (IP/port) —
 the datum that makes multi-origin replay possible. This class is the same
-record with JSON serialization; response bodies can be real (base64) or
-virtual (length only).
+record with JSON serialization; bodies can be real (on disk: a reference
+into the content-addressed store; in the canonical in-memory form:
+base64) or virtual (length only).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import base64
 import json
 from typing import Any, Callable, Dict, Optional
 
-from repro.errors import StoreFormatError
+from repro.errors import AddressError, StoreFormatError
 
 #: Resolves a CAS body reference (hex address) to the body's raw bytes.
 BodyResolver = Callable[[str], bytes]
@@ -79,11 +80,11 @@ class RequestResponsePair:
     def to_canonical_bytes(self) -> bytes:
         """The pair's canonical serialized form (sorted keys, no spaces).
 
-        This is the exact byte sequence :meth:`RecordedSite.save
-        <repro.record.store.RecordedSite.save>` writes to a pair file and
-        the input to the store's per-pair BLAKE2 checksum — one canonical
-        encoding, so a checksum mismatch always means damage, never an
-        encoder's whitespace mood.
+        The pair's identity, bodies inline: what "pair-for-pair
+        byte-identical" compares across a save/load round trip, and the
+        encoding :meth:`to_cas_bytes` shares (one canonical encoding, so
+        a pair-file checksum mismatch always means damage, never an
+        encoder's whitespace mood).
         """
         return json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
@@ -108,8 +109,9 @@ class RequestResponsePair:
         return data
 
     def to_cas_bytes(self, put: BodyPut) -> bytes:
-        """Canonical bytes of the :meth:`to_cas_dict` form (the v3 pair
-        file content and its checksum input)."""
+        """Canonical bytes of the :meth:`to_cas_dict` form: exactly what
+        :meth:`RecordedSite.save <repro.record.store.RecordedSite.save>`
+        writes to a pair file, and the manifest checksum's input."""
         return json.dumps(
             self.to_cas_dict(put), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
@@ -159,7 +161,7 @@ class RequestResponsePair:
                 request,
                 response,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AddressError) as exc:
             raise StoreFormatError(f"malformed pair record: {exc}") from exc
 
     def __repr__(self) -> str:
@@ -203,7 +205,7 @@ def _body_from_dict(
         if resolver is None:
             raise StoreFormatError(
                 f"body references CAS blob {cas_ref!r} but no store is "
-                f"attached (format v3 needs its cas directory)"
+                f"attached (the manifest names no cas directory)"
             )
         raw = resolver(str(cas_ref))
         if len(raw) != length:

@@ -2,29 +2,26 @@
 
 A recorded folder is the *input* to every replay measurement, so a
 damaged folder silently skews results long after the recording session
-is gone. This module verifies a site folder the way a filesystem fsck
-verifies a disk — every pair file is checked for presence, size,
-checksum (format v2), JSON well-formedness, and semantic validity — and
-optionally repairs it:
+is gone. Checking is :func:`repro.record.store.read_site` — the same
+walk, the same problem kinds a tolerant load reports; this module adds
+what to *do* about them:
 
-* damaged pair files are **quarantined** (moved into a ``quarantine/``
-  subfolder, never deleted — the bytes may still be forensically useful);
-* the manifest is **rewritten** to vouch for exactly the surviving
-  pairs (atomically, via temp + fsync + rename);
+* damaged and orphan pair files are **quarantined** (moved into a
+  ``quarantine/`` subfolder, never deleted — the bytes may still be
+  forensically useful);
+* the manifest is **rewritten** (atomically) as the one that was read
+  with only ``pairs``/``pair_count`` replaced, so it vouches for exactly
+  the surviving pairs and still names the same CAS;
 * valid pair files are **never touched** — no rewrite, no renumber, no
-  re-encode;
-* format v1 folders are **upgraded** to v2 on repair (checksums computed
-  from the surviving files' bytes as they are);
-* format v3 folders keep their CAS layout: pair-file body references are
-  resolved through the site's content-addressed store, a dangling or
-  corrupt reference damages *that pair* (quarantined on repair like any
-  other damage), and the rewritten manifest stays v3.
+  re-encode — and a problem in ``site.json`` itself (a malformed
+  manifest entry) moves nothing: the entry is simply not carried over.
 
-Corpus-level checks extend to the CAS itself (:func:`fsck_cas`): every
-blob is re-hashed against its address, and blobs referenced by no site
-under the checked tree are reported as **orphans** (quarantined on
-repair — moved into ``<cas>/quarantine/``, never deleted, so a blob
-orphaned by a quarantined pair file can still be recovered).
+The check extends to every content-addressed store inside the checked
+tree (:func:`fsck_cas`) — a corpus's shared ``.cas`` or a lone site's
+own: every blob is re-hashed against its address, and blobs referenced
+by no surviving pair under the tree are reported as **orphans**
+(quarantined on repair into ``<cas>/quarantine/``, never deleted, so a
+blob orphaned by a quarantined pair file can still be recovered).
 
 After a repair, :meth:`RecordedSite.load` succeeds strictly and
 ReplayShell serves the surviving pairs, with the losses counted in the
@@ -33,30 +30,22 @@ obs artifact (see :class:`~repro.core.replayshell.ReplayShell`).
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import BlobCorruptError, BlobMissingError, StoreFormatError
-from repro.fsutil import atomic_write_bytes
 from repro.record.cas import CasStore
-from repro.record.entry import RequestResponsePair
 from repro.record.store import (
-    _CAS_FORMAT_VERSION,
-    _PAIR_PREFIX,
     _QUARANTINE_DIR,
     _SITE_FILE,
-    pair_checksum,
-    pair_filename,
-    read_manifest,
-    site_blob_refs,
+    StoreDamage,
+    read_site,
     site_cas,
+    write_manifest,
 )
 
 __all__ = [
-    "FsckProblem",
-    "FsckReport",
+    "corpus_site_dirs",
     "fsck_cas",
     "fsck_site",
     "fsck_tree",
@@ -64,412 +53,171 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FsckProblem:
-    """One integrity problem found in a site folder."""
-
-    file: str  #: file name within the folder ("site.json" or a pair
-    #: file), or a blob address in a CAS report
-    kind: str  #: missing | truncated | corrupt | malformed | orphan |
-    #: dangling | fatal
-    detail: str  #: human-readable specifics
-
-
-@dataclass
-class FsckReport:
-    """Outcome of one :func:`fsck_site` (or :func:`fsck_cas`) pass."""
-
-    directory: str
-    format_version: Optional[int] = None
-    pairs_ok: int = 0  #: valid pair files (site) / intact blobs (cas)
-    problems: List[FsckProblem] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-    repaired: bool = False
-    upgraded: bool = False
-    kind: str = "site"  #: "site" or "cas"
-
-    @property
-    def clean(self) -> bool:
-        """True when the folder was fully intact."""
-        return not self.problems
-
-    @property
-    def fatal(self) -> bool:
-        """True when the folder cannot be repaired (site.json unusable)."""
-        return any(p.kind == "fatal" for p in self.problems)
-
-    def add(self, file: str, kind: str, detail: str) -> None:
-        self.problems.append(FsckProblem(file, kind, detail))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "directory": str(self.directory),
-            "kind": self.kind,
-            "format_version": self.format_version,
-            "pairs_ok": self.pairs_ok,
-            "clean": self.clean,
-            "repaired": self.repaired,
-            "upgraded": self.upgraded,
-            "quarantined": list(self.quarantined),
-            "problems": [
-                {"file": p.file, "kind": p.kind, "detail": p.detail}
-                for p in self.problems
-            ],
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<FsckReport {self.directory!r} ok={self.pairs_ok} "
-            f"problems={len(self.problems)} repaired={self.repaired}>"
-        )
-
-
 def is_site_dir(directory: Any) -> bool:
     """Whether ``directory`` looks like one recorded site folder."""
     return os.path.isfile(os.path.join(os.fspath(directory), _SITE_FILE))
 
 
-def _verify_pair_file(
-    directory: str,
-    filename: str,
-    size: Optional[int],
-    checksum: Optional[str],
-    resolver: Optional[Callable[[str], bytes]] = None,
-) -> Tuple[Optional[FsckProblem], Optional[Dict[str, Any]]]:
-    """Check one pair file; return (problem, manifest-entry-if-valid).
+def corpus_site_dirs(corpus_dir: Any) -> List[str]:
+    """The site folders directly under a corpus directory (sorted).
 
-    ``resolver`` resolves CAS body references (v3 folders): a dangling
-    reference is the pair's problem (kind ``dangling``), a blob that no
-    longer hashes to its address is ``corrupt`` — either way the pair
-    cannot serve its recorded body and repair quarantines it.
+    A site folder is any subdirectory holding a ``site.json``; other
+    entries (the shared ``.cas`` tree, journals, loose files) are not
+    sites and are skipped.
     """
-    path = os.path.join(directory, filename)
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except FileNotFoundError:
-        return FsckProblem(
-            filename, "missing", f"missing pair file: {path}"
-        ), None
-    if size is not None and len(raw) != size:
-        return FsckProblem(
-            filename, "truncated",
-            f"truncated pair file {path}: {len(raw)} bytes, "
-            f"manifest says {size}",
-        ), None
-    if checksum is not None and pair_checksum(raw) != checksum:
-        return FsckProblem(
-            filename, "corrupt", f"checksum mismatch in pair file {path}"
-        ), None
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return FsckProblem(
-            filename, "corrupt", f"corrupt pair file {path}: {exc}"
-        ), None
-    try:
-        RequestResponsePair.from_dict(data, body_resolver=resolver)
-    except BlobMissingError as exc:
-        return FsckProblem(
-            filename, "dangling", f"pair file {path}: {exc}"
-        ), None
-    except BlobCorruptError as exc:
-        return FsckProblem(
-            filename, "corrupt", f"pair file {path}: {exc}"
-        ), None
-    except StoreFormatError as exc:
-        return FsckProblem(
-            filename, "malformed", f"malformed pair file {path}: {exc}"
-        ), None
-    return None, {
-        "file": filename,
-        "size": len(raw),
-        "checksum": pair_checksum(raw),
-    }
+    corpus_dir = os.fspath(corpus_dir)
+    sites = []
+    for name in sorted(os.listdir(corpus_dir)):
+        path = os.path.join(corpus_dir, name)
+        if is_site_dir(path):
+            sites.append(path)
+    return sites
 
 
-def fsck_site(directory: Any, repair: bool = False) -> FsckReport:
+def fsck_site(directory: Any, repair: bool = False) -> StoreDamage:
     """Verify (and optionally repair) one recorded site folder.
 
     Args:
         directory: the site folder.
         repair: quarantine damaged/orphan pair files into
-            ``quarantine/`` and atomically rewrite the manifest (format
-            v2) to cover exactly the surviving pairs. Valid pair files
-            are never modified.
+            ``quarantine/`` and atomically rewrite the manifest to cover
+            exactly the surviving pairs. Valid pair files are never
+            modified.
 
     Returns:
-        An :class:`FsckReport`; ``report.clean`` means nothing was
-        wrong, ``report.repaired`` means damage was found and repaired.
+        A :class:`~repro.record.store.StoreDamage`; ``report.clean``
+        means nothing was wrong, ``report.repaired`` means damage was
+        found and repaired, ``report.fatal`` that ``site.json`` is
+        unusable and nothing was attempted.
     """
-    directory = os.fspath(directory)
-    report = FsckReport(directory=directory)
+    return _fsck_site(os.fspath(directory), repair)[0]
+
+
+def _fsck_site(
+    directory: str, repair: bool
+) -> Tuple[StoreDamage, Optional[str], Set[str]]:
+    """:func:`fsck_site`, also returning the site's CAS root and the
+    blob addresses its surviving pairs reference (for the CAS pass)."""
     try:
-        metadata = read_manifest(directory)
+        metadata, pairs, report = read_site(directory)
     except StoreFormatError as exc:
+        report = StoreDamage(directory)
         report.add(_SITE_FILE, "fatal", str(exc))
-        return report
-    version = metadata.get("format_version")
-    report.format_version = version
-    resolver: Optional[Callable[[str], bytes]] = None
-    if version == _CAS_FORMAT_VERSION:
-        try:
-            resolver = site_cas(directory, metadata).get
-        except StoreFormatError as exc:
-            report.add(_SITE_FILE, "fatal", str(exc))
-            return report
-
-    valid_entries: List[Dict[str, Any]] = []
-    bad_files: List[str] = []
-
-    if version == 1:
-        # v1 manifests carry no per-pair metadata, so the folder itself
-        # is the source of truth: every pair-NNNNN.json present is a
-        # candidate (content-verified below), and holes in the numbering
-        # are reported as missing files. Repair keeps whatever verifies
-        # — the rewritten v2 manifest names survivors explicitly, so
-        # contiguous numbering stops being a load requirement.
-        found = sorted(
-            f for f in os.listdir(directory)
-            if f.startswith(_PAIR_PREFIX) and not f.endswith(".tmp")
-        )
-        declared = metadata.get("pair_count")
-        if declared is not None and declared != len(found):
-            report.add(
-                _SITE_FILE, "missing",
-                f"{os.path.join(directory, _SITE_FILE)} declares "
-                f"{declared} pairs but {len(found)} pair files exist",
-            )
-        top = max(len(found), declared or 0)
-        for index in range(top):
-            gap = pair_filename(index)
-            if gap not in found and index < (declared or len(found)):
-                report.add(
-                    gap, "missing",
-                    f"pair numbering has a gap: missing "
-                    f"{os.path.join(directory, gap)}",
-                )
-        for filename in found:
-            problem, entry = _verify_pair_file(
-                directory, filename, size=None, checksum=None
-            )
-            if problem is not None:
-                report.problems.append(problem)
-                bad_files.append(filename)
-            else:
-                valid_entries.append(entry)
-    else:
-        entries = metadata.get("pairs")
-        if not isinstance(entries, list):
-            report.add(
-                _SITE_FILE, "fatal",
-                f"{os.path.join(directory, _SITE_FILE)}: format v2 "
-                f"requires a 'pairs' manifest list",
-            )
-            return report
-        manifest_files = set()
-        for entry in entries:
-            try:
-                filename = entry["file"]
-                size = int(entry["size"])
-                checksum = str(entry["checksum"])
-            except (TypeError, KeyError, ValueError):
-                report.add(
-                    _SITE_FILE, "corrupt",
-                    f"malformed manifest entry {entry!r} in "
-                    f"{os.path.join(directory, _SITE_FILE)}",
-                )
+        return report, None, set()
+    cas_root = site_cas(directory, metadata).root if "cas" in metadata else None
+    if repair and report.problems:
+        quarantine = os.path.join(directory, _QUARANTINE_DIR)
+        for problem in report.problems:
+            source = os.path.join(directory, problem.file)
+            if problem.file == _SITE_FILE or not os.path.exists(source):
                 continue
-            manifest_files.add(filename)
-            problem, valid = _verify_pair_file(
-                directory, filename, size=size, checksum=checksum,
-                resolver=resolver,
-            )
-            if problem is not None:
-                report.problems.append(problem)
-                if problem.kind != "missing":
-                    bad_files.append(filename)
-            else:
-                valid_entries.append(valid)
-        for filename in sorted(os.listdir(directory)):
-            if (filename.startswith(_PAIR_PREFIX)
-                    and not filename.endswith(".tmp")
-                    and filename not in manifest_files):
-                report.add(
-                    filename, "orphan",
-                    f"orphan pair file not in the manifest: "
-                    f"{os.path.join(directory, filename)}",
-                )
-                bad_files.append(filename)
-
-    report.pairs_ok = len(valid_entries)
-
-    if repair and report.problems and not report.fatal:
-        _repair(directory, metadata, valid_entries, bad_files, report)
-    return report
-
-
-def _repair(
-    directory: str,
-    metadata: Dict[str, Any],
-    valid_entries: List[Dict[str, Any]],
-    bad_files: List[str],
-    report: FsckReport,
-) -> None:
-    """Quarantine the damage and commit a clean manifest.
-
-    v1 folders are upgraded to v2; v3 folders *stay* v3 (the surviving
-    pair files still reference the CAS, so the manifest must keep naming
-    it).
-    """
-    quarantine = os.path.join(directory, _QUARANTINE_DIR)
-    for filename in bad_files:
-        source = os.path.join(directory, filename)
-        if not os.path.exists(source):
-            continue
-        os.makedirs(quarantine, exist_ok=True)
-        os.replace(source, os.path.join(quarantine, filename))
-        report.quarantined.append(filename)
-    is_v3 = metadata.get("format_version") == _CAS_FORMAT_VERSION
-    manifest = {
-        "format_version": _CAS_FORMAT_VERSION if is_v3 else 2,
-        "name": metadata.get("name", os.path.basename(directory)),
-        "pair_count": len(valid_entries),
-        "pairs": valid_entries,
-    }
-    if is_v3:
-        manifest["cas"] = metadata.get("cas")
-    atomic_write_bytes(
-        os.path.join(directory, _SITE_FILE),
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-    )
-    report.repaired = True
-    report.upgraded = metadata.get("format_version") == 1
+            os.makedirs(quarantine, exist_ok=True)
+            os.replace(source, os.path.join(quarantine, problem.file))
+            report.quarantined.append(problem.file)
+        write_manifest(directory, dict(
+            metadata, pair_count=len(pairs),
+            pairs=[item.entry for item in pairs]))
+        report.repaired = True
+    return report, cas_root, {ref for item in pairs for ref in item.refs}
 
 
 def fsck_cas(
     cas_root: Any,
     referenced: Set[str],
     repair: bool = False,
-) -> FsckReport:
+) -> StoreDamage:
     """Verify one content-addressed store against its referencing sites.
 
     Checks every stored blob re-hashes to its address (``corrupt``
-    otherwise), reports blobs no site references as ``orphan``, and
-    reports referenced addresses with no blob as ``dangling`` (the
-    CAS-level view of the same damage the per-pair check finds).
+    otherwise) and reports blobs no surviving pair references as
+    ``orphan``. A referenced address with no blob is not this pass's to
+    report: it is the ``dangling`` damage of the pair that references it.
 
     ``repair`` moves corrupt and orphan blobs into ``<cas>/quarantine/``
     — moved, never deleted; an orphan produced by a quarantined pair
-    file stays recoverable. Dangling references are *not* repairable
-    here: the missing bytes are gone, and the referencing pair files are
-    the site-level repair's to quarantine.
+    file stays recoverable.
 
     Args:
         cas_root: the store directory.
-        referenced: every blob address the in-scope sites reference.
+        referenced: every blob address the in-scope sites' valid pairs
+            reference.
         repair: quarantine corrupt and orphan blobs.
     """
     cas_root = os.fspath(cas_root)
     store = CasStore(cas_root)
-    report = FsckReport(directory=cas_root, kind="cas",
-                        format_version=_CAS_FORMAT_VERSION)
+    report = StoreDamage(cas_root, kind="cas")
     bad: List[str] = []
-    stored: Set[str] = set()
     for ref, __ in store.blobs():
-        stored.add(ref)
         try:
             store.get(ref)
         except BlobCorruptError as exc:
             report.add(ref, "corrupt", str(exc))
             bad.append(ref)
-            continue
         except BlobMissingError as exc:  # malformed name in objects/
             report.add(ref, "malformed", str(exc))
-            continue
-        if ref not in referenced:
-            report.add(ref, "orphan",
-                       f"orphan blob (referenced by no site): "
-                       f"{store.path_for(ref)}")
-            bad.append(ref)
-    report.pairs_ok = len(stored) - len(bad)
-    for ref in sorted(referenced - stored):
-        report.add(ref, "dangling",
-                   f"dangling reference: no blob at {store.path_for(ref)}")
+        else:
+            if ref in referenced:
+                report.pairs_ok += 1
+            else:
+                report.add(ref, "orphan",
+                           f"orphan blob (referenced by no site): "
+                           f"{store.path_for(ref)}")
+                bad.append(ref)
     if repair and bad:
         quarantine = os.path.join(cas_root, _QUARANTINE_DIR)
         os.makedirs(quarantine, exist_ok=True)
         for ref in bad:
-            source = store.path_for(ref)
-            if os.path.exists(source):
-                os.replace(source,
-                           os.path.join(quarantine, ref + ".bin"))
-                report.quarantined.append(ref)
+            os.replace(store.path_for(ref),
+                       os.path.join(quarantine, ref + ".bin"))
+            report.quarantined.append(ref)
         report.repaired = True
     return report
 
 
-def _cas_scope(site_dirs: List[str], tree_root: str) -> Dict[str, Set[str]]:
-    """CAS root -> union of blob refs, over the v3 sites in scope.
-
-    Only stores *inside* ``tree_root`` are returned: a store outside the
-    checked tree may be shared with sites fsck cannot see, and an orphan
-    verdict there would be unsound.
-    """
-    tree_root = os.path.realpath(tree_root)
-    scope: Dict[str, Set[str]] = {}
-    for site_dir in site_dirs:
-        try:
-            metadata = read_manifest(site_dir)
-        except StoreFormatError:
-            continue
-        if metadata.get("format_version") != _CAS_FORMAT_VERSION:
-            continue
-        try:
-            store = site_cas(site_dir, metadata)
-        except StoreFormatError:
-            continue
-        root = os.path.realpath(store.root)
-        if os.path.commonpath([tree_root, root]) != tree_root:
-            continue
-        scope.setdefault(root, set()).update(site_blob_refs(site_dir))
-    return scope
-
-
 def fsck_tree(
     directory: Any, repair: bool = False
-) -> List[FsckReport]:
-    """Fsck a corpus folder: every immediate subdirectory with a
-    ``site.json``, in sorted order, then every content-addressed store
-    those sites reference (when it lives under ``directory`` — see
-    :func:`fsck_cas` for why out-of-tree stores are skipped). A site
-    folder passed directly is checked as itself, without a CAS orphan
-    pass (one site cannot vouch for a store other sites may share).
+) -> List[StoreDamage]:
+    """Fsck a site folder, or a corpus folder: every immediate
+    subdirectory with a ``site.json``, in sorted order. Then every
+    content-addressed store those sites reference that lives under
+    ``directory`` — a store outside the checked tree may be shared with
+    sites fsck cannot see, and an orphan verdict there would be unsound.
 
-    The CAS pass runs *after* any site repairs, so blobs referenced only
-    by just-quarantined pair files are correctly reported (and
-    quarantined) as orphans.
+    The CAS pass judges orphans by the pairs that *survive* the site
+    pass, so blobs referenced only by damaged pair files are reported
+    (and, with ``repair``, quarantined alongside those pairs). It is
+    skipped while any site under the tree is ``fatal``.
 
     Raises:
         StoreFormatError: when ``directory`` contains no recorded site.
     """
     directory = os.fspath(directory)
     if is_site_dir(directory):
-        return [fsck_site(directory, repair=repair)]
-    if not os.path.isdir(directory):
+        site_dirs = [directory]
+    elif not os.path.isdir(directory):
         raise StoreFormatError(f"not a directory: {directory}")
-    reports = []
-    site_dirs = []
-    for name in sorted(os.listdir(directory)):
-        candidate = os.path.join(directory, name)
-        if os.path.isdir(candidate) and is_site_dir(candidate):
-            site_dirs.append(candidate)
-            reports.append(fsck_site(candidate, repair=repair))
-    if not reports:
+    else:
+        site_dirs = corpus_site_dirs(directory)
+    if not site_dirs:
         raise StoreFormatError(
             f"no recorded sites under {directory!r} "
             f"(expected site folders containing {_SITE_FILE})"
         )
-    for root, refs in sorted(_cas_scope(site_dirs, directory).items()):
-        reports.append(fsck_cas(root, refs, repair=repair))
+    tree_root = os.path.realpath(directory)
+    reports = []
+    scope: Dict[str, Set[str]] = {}  # in-tree CAS root -> surviving refs
+    for site_dir in site_dirs:
+        report, cas_root, refs = _fsck_site(site_dir, repair)
+        reports.append(report)
+        if cas_root is not None:
+            cas_root = os.path.realpath(cas_root)
+            if os.path.commonpath([tree_root, cas_root]) == tree_root:
+                scope.setdefault(cas_root, set()).update(refs)
+    if any(report.fatal for report in reports):
+        # A site whose manifest cannot be read may reference any blob
+        # in any of these stores: no orphan verdict is sound until it
+        # is fixed.
+        return reports
+    for cas_root, refs in sorted(scope.items()):
+        reports.append(fsck_cas(cas_root, refs, repair=repair))
     return reports

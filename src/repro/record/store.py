@@ -1,39 +1,37 @@
-"""Recorded-site folders.
+"""Recorded-site bundles: one on-disk format, one reader.
 
-A recorded site is a directory: ``site.json`` with metadata plus one
-``pair-NNNNN.json`` per request-response exchange — the JSON analogue of
-Mahimahi's recorded folders of protobuf files. The store also answers the
-two questions ReplayShell asks: which (IP, port) origins existed, and which
-hostnames map to which recorded IP.
+A recorded site is a directory — the JSON analogue of Mahimahi's
+recorded folders of protobuf files::
 
-Format v2 makes the folder *verifiable and durable* (the Web Execution
-Bundles argument: a recorded measurement is only reproducible if the
-recording itself can be checked):
+    <site>/
+      site.json          # the manifest, committed last
+      pair-00000.json    # one file per request-response exchange
+      ...
+      .cas/              # bodies, content-addressed (or a shared store
+                         # elsewhere; the manifest's "cas" key says where)
 
-* ``site.json`` carries a **manifest**: one entry per pair file with its
-  size and a BLAKE2 checksum over the pair's canonical bytes, so
-  truncation, bitrot, and missing files are all detectable;
-* :meth:`RecordedSite.save` is **atomic** — every file is written to a
-  temp name, fsync'd, and ``os.replace``d, with the manifest committed
-  last, so a crash mid-save never leaves a folder that later loads as
-  valid-but-wrong;
-* :meth:`RecordedSite.load` verifies the manifest (strict: any damage
-  raises with the offending path); :meth:`RecordedSite.load_tolerant`
-  degrades gracefully — loads every valid pair and reports the damage in
-  a :class:`StoreDamage` so ReplayShell can serve what survives.
+``site.json`` (``format_version`` 3) names the site, the CAS directory
+(relative to the folder) and, per pair file, its size and a BLAKE2
+checksum over its bytes. Pair files carry ``{"length", "cas"}`` body
+references; the bytes live once in the content-addressed store
+(:mod:`repro.record.cas`), however many pairs or sites repeat them.
+:meth:`RecordedSite.save` is the only writer: every file goes through
+temp + fsync + ``os.replace``, blobs before the pairs that reference
+them and the manifest last, so a crash mid-save never leaves a folder
+that later loads as valid-but-wrong.
 
-Format v1 folders (no manifest) still load: checksums are simply not
-checked, and the pair numbering is validated against ``pair_count``
-instead. ``mm-fsck --repair`` upgrades a folder to v2 in place.
-
-Format v3 is v2 with bodies externalised into a **content-addressed
-store** (:mod:`repro.record.cas`): pair files carry ``{"length", "cas"}``
-body references instead of inline base64, ``site.json`` names the CAS
-directory (``"cas"``: a path relative to the site folder), and identical
-bodies across a whole corpus are stored once. The load path resolves
-references transparently — a v3 site loads into exactly the same
-:class:`RecordedSite` (pair-for-pair canonical-byte identical) as its
-flat v2 twin, so ReplayShell and every measurement are layout-blind.
+:func:`read_site` is the only reader — one walk of the folder that
+verifies everything the manifest vouches for and describes whatever
+fails in one vocabulary (:data:`STRICT_ERRORS`). Strict
+:meth:`RecordedSite.load` raises on the first problem,
+:meth:`RecordedSite.load_tolerant` and ``mm-fsck``
+(:mod:`repro.record.fsck`) collect them, ``mm-fabric ship``
+(:mod:`repro.fabric.sync`) takes its file list and blob references from
+it. The walk resolves a body reference wherever it meets one and accepts
+an inline body wherever it meets one, so a flat folder from before the
+CAS (``format_version`` 2, no ``"cas"`` key, base64 bodies) is the same
+walk with no resolver attached; re-saving it upgrades it. Version 1
+folders had no manifest to verify against and are refused.
 """
 
 from __future__ import annotations
@@ -41,6 +39,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
@@ -51,15 +51,41 @@ from repro.errors import (
 )
 from repro.fsutil import atomic_write_bytes, fsync_dir as _fsync_dir
 from repro.net.address import IPv4Address
-from repro.record.cas import CasStore
+from repro.record.cas import CAS_DIR_NAME, CasStore
 from repro.record.entry import RequestResponsePair
 
 _SITE_FILE = "site.json"
 _PAIR_PREFIX = "pair-"
 _QUARANTINE_DIR = "quarantine"
-_FORMAT_VERSION = 2
-_CAS_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_FORMAT_VERSION = 3
+#: What :func:`read_manifest` accepts: the format, and its flat ancestor.
+_READABLE_VERSIONS = (_FORMAT_VERSION, 2)
+#: The only pair-file names a manifest may vouch for: bare, so an entry
+#: can never point the reader, the shipper or the repair outside the folder.
+_PAIR_NAME = re.compile(r"pair-[0-9]+\.json")
+
+#: The damage vocabulary: every kind :func:`read_site` reports, and the
+#: error a strict load raises for it.
+#:
+#: * ``missing`` — the manifest names a pair file that is not there;
+#: * ``truncated`` / ``corrupt`` — the file's size / checksum differs
+#:   from the manifest's;
+#: * ``malformed`` — bytes the manifest vouches for are not a pair (bad
+#:   JSON, bad fields), or a manifest entry is not ``{"file": a bare
+#:   pair-<digits>.json name, "size", "checksum"}`` (reported against
+#:   ``site.json``);
+#: * ``dangling`` / ``corrupt-blob`` — a body references a blob the CAS
+#:   does not hold / that no longer hashes to its address;
+#: * ``orphan`` — a ``pair-*`` file on disk the manifest does not name.
+STRICT_ERRORS = {
+    "missing": StoreFormatError,
+    "truncated": StoreIntegrityError,
+    "corrupt": StoreIntegrityError,
+    "malformed": StoreFormatError,
+    "dangling": BlobMissingError,
+    "corrupt-blob": BlobCorruptError,
+    "orphan": StoreFormatError,
+}
 
 
 def pair_checksum(data: bytes) -> str:
@@ -75,13 +101,13 @@ def pair_filename(index: int) -> str:
 def read_manifest(directory: Any) -> Dict[str, Any]:
     """Read and validate a site folder's ``site.json``.
 
-    Returns the metadata dict (format version already checked against
-    :data:`_SUPPORTED_VERSIONS`).
+    Returns the metadata dict: a readable format version (the only place
+    one is compared) and a ``pairs`` list.
 
     Raises:
-        StoreFormatError: missing folder/file, corrupt JSON, or an
-            unsupported format version — always naming the offending
-            path.
+        StoreFormatError: missing folder/file, corrupt JSON, no manifest
+            list, or an unreadable format version — always naming the
+            offending path.
     """
     site_path = os.path.join(os.fspath(directory), _SITE_FILE)
     try:
@@ -89,7 +115,7 @@ def read_manifest(directory: Any) -> Dict[str, Any]:
             metadata = json.load(handle)
     except FileNotFoundError:
         raise StoreFormatError(f"not a recorded site: {directory}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StoreFormatError(
             f"corrupt {_SITE_FILE}: {site_path}: {exc}"
         ) from exc
@@ -98,123 +124,197 @@ def read_manifest(directory: Any) -> Dict[str, Any]:
             f"corrupt {_SITE_FILE}: {site_path}: not a JSON object"
         )
     version = metadata.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version not in _READABLE_VERSIONS:
         raise StoreFormatError(
             f"unsupported format version {version!r} in {site_path}"
+        )
+    if not isinstance(metadata.get("pairs"), list):
+        raise StoreFormatError(
+            f"{site_path}: requires a 'pairs' manifest list"
         )
     return metadata
 
 
+def write_manifest(directory: str, metadata: Dict[str, Any]) -> None:
+    """Atomically commit ``metadata`` as a folder's ``site.json``."""
+    atomic_write_bytes(
+        os.path.join(directory, _SITE_FILE),
+        json.dumps(metadata, indent=2, sort_keys=True).encode("utf-8"),
+    )
+
+
 def site_cas(directory: Any, metadata: Optional[Dict[str, Any]] = None) -> CasStore:
-    """The CAS store a format-v3 site folder references.
+    """The CAS store a site folder references.
 
     Args:
         directory: the site folder.
         metadata: its already-read manifest (read here when omitted).
 
     Raises:
-        StoreFormatError: the manifest is not v3 or names no CAS.
+        StoreFormatError: the manifest names no CAS directory.
     """
     directory = os.fspath(directory)
     if metadata is None:
         metadata = read_manifest(directory)
-    if metadata.get("format_version") != _CAS_FORMAT_VERSION:
-        raise StoreFormatError(
-            f"{os.path.join(directory, _SITE_FILE)}: format "
-            f"v{metadata.get('format_version')} has no CAS"
-        )
     cas_rel = metadata.get("cas")
     if not isinstance(cas_rel, str) or not cas_rel:
         raise StoreFormatError(
-            f"{os.path.join(directory, _SITE_FILE)}: format v3 requires "
-            f"a 'cas' directory reference"
+            f"{os.path.join(directory, _SITE_FILE)}: no 'cas' directory "
+            f"reference"
         )
     return CasStore(os.path.normpath(os.path.join(directory, cas_rel)))
 
 
-def site_blob_refs(directory: Any) -> List[str]:
-    """Every CAS address a site folder's pair files reference (sorted,
-    deduplicated). Non-v3 folders reference nothing.
+class StoreProblem(NamedTuple):
+    """One integrity problem found in a site folder or a CAS."""
 
-    Unreadable or corrupt pair files contribute no references (they are
-    mm-fsck's problem, reported separately); the refs of everything
-    readable are still returned, which is what both the orphan-blob scan
-    and the fabric corpus delta need.
-    """
-    directory = os.fspath(directory)
-    metadata = read_manifest(directory)
-    if metadata.get("format_version") != _CAS_FORMAT_VERSION:
-        return []
-    refs: Set[str] = set()
-    entries = metadata.get("pairs")
-    if not isinstance(entries, list):
-        return []
-    for entry in entries:
-        filename = entry.get("file") if isinstance(entry, dict) else None
-        if not isinstance(filename, str):
-            continue
-        path = os.path.join(directory, filename)
-        try:
-            with open(path, "rb") as handle:
-                data = json.loads(handle.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if not isinstance(data, dict):
-            continue
-        for message in ("request", "response"):
-            body = data.get(message, {}).get("body", {})
-            ref = body.get("cas") if isinstance(body, dict) else None
-            if isinstance(ref, str):
-                refs.add(ref)
-    return sorted(refs)
+    file: str  #: "site.json" or a pair file name (site), a blob address (cas)
+    kind: str  #: a :data:`STRICT_ERRORS` key, or "fatal" (unusable site.json)
+    detail: str  #: human-readable specifics, naming the offending path
 
 
-class DamagedPair(NamedTuple):
-    """One damaged pair file, as found by a tolerant load or mm-fsck."""
-
-    file: str  #: pair file name within the site folder
-    problem: str  #: "missing" | "truncated" | "corrupt" | "malformed" | "orphan"
-    detail: str  #: human-readable specifics
-
-
+@dataclass
 class StoreDamage:
-    """Damage report from :meth:`RecordedSite.load_tolerant`.
+    """What one pass over a site folder (or a CAS) found, and — after
+    ``mm-fsck --repair`` — what was done about it."""
 
-    Attributes:
-        directory: the site folder inspected.
-        damaged: the per-file damage records.
-        pairs_loaded: pairs that survived and were loaded.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        self.damaged: List[DamagedPair] = []
-        self.pairs_loaded = 0
-
-    def add(self, file: str, problem: str, detail: str) -> None:
-        self.damaged.append(DamagedPair(file, problem, detail))
+    directory: str
+    kind: str = "site"  #: "site" or "cas"
+    format_version: Optional[int] = None
+    pairs_ok: int = 0  #: valid pair files (site) / intact blobs (cas)
+    problems: List[StoreProblem] = field(default_factory=list)
+    quarantined: List[str] = field(default_factory=list)
+    repaired: bool = False
 
     @property
-    def ok(self) -> bool:
+    def clean(self) -> bool:
         """True when the folder was fully intact."""
-        return not self.damaged
+        return not self.problems
+
+    @property
+    def fatal(self) -> bool:
+        """True when the folder cannot be repaired (site.json unusable)."""
+        return any(p.kind == "fatal" for p in self.problems)
+
+    def add(self, file: str, kind: str, detail: str) -> None:
+        self.problems.append(StoreProblem(file, kind, detail))
 
     def __len__(self) -> int:
-        return len(self.damaged)
+        return len(self.problems)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "directory": str(self.directory),
-            "pairs_loaded": self.pairs_loaded,
-            "pairs_damaged": len(self.damaged),
-            "damaged": [d._asdict() for d in self.damaged],
+            "kind": self.kind,
+            "format_version": self.format_version,
+            "pairs_ok": self.pairs_ok,
+            "clean": self.clean,
+            "repaired": self.repaired,
+            "quarantined": list(self.quarantined),
+            "problems": [p._asdict() for p in self.problems],
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"<StoreDamage {self.directory!r} loaded={self.pairs_loaded} "
-            f"damaged={len(self.damaged)}>"
-        )
+
+class SitePair(NamedTuple):
+    """One pair :func:`read_site` verified."""
+
+    entry: Dict[str, Any]  #: its manifest entry, as read
+    pair: RequestResponsePair
+    refs: List[str]  #: the CAS addresses its bodies reference
+
+
+def read_site(
+    directory: Any, strict: bool = False
+) -> Tuple[Dict[str, Any], List[SitePair], StoreDamage]:
+    """Walk a site folder once, verifying everything its manifest names.
+
+    Per manifest entry: the name is confined to the folder, the file is
+    read, its size and checksum compared with the manifest's, its JSON
+    parsed and the pair built with body references resolved through the
+    manifest's CAS (no ``"cas"`` key, no resolver: bodies must be
+    inline). Then the folder is scanned for pair files the manifest does
+    not name. Each entry ends up in the returned pairs or as one
+    :class:`StoreProblem` in the returned damage.
+
+    Args:
+        strict: raise the :data:`STRICT_ERRORS` class of the first
+            problem (its detail as the message) instead of collecting.
+
+    Raises:
+        StoreFormatError: ``site.json`` itself is unusable — nothing can
+            be verified against it, strict or not.
+    """
+    directory = os.fspath(directory)
+    metadata = read_manifest(directory)
+    damage = StoreDamage(directory, format_version=metadata["format_version"])
+    get = site_cas(directory, metadata).get if "cas" in metadata else None
+    refs: List[str] = []  # every address resolved so far, in walk order
+
+    def resolve(ref: str) -> bytes:
+        refs.append(ref)
+        return get(ref)
+
+    resolver = resolve if get is not None else None
+
+    def problem(file: str, kind: str, detail: str) -> None:
+        if strict:
+            raise STRICT_ERRORS[kind](detail)
+        damage.add(file, kind, detail)
+
+    pairs: List[SitePair] = []
+    named: Set[str] = set()
+    for entry in metadata["pairs"]:
+        try:
+            filename = entry["file"]
+            size, checksum = int(entry["size"]), str(entry["checksum"])
+            if not (isinstance(filename, str) and _PAIR_NAME.fullmatch(filename)):
+                raise ValueError("'file' is not a bare pair-<digits>.json name")
+            if filename in named:
+                raise ValueError("'file' is already named by an earlier entry")
+        except (TypeError, KeyError, ValueError) as exc:
+            problem(_SITE_FILE, "malformed",
+                    f"{os.path.join(directory, _SITE_FILE)}: malformed "
+                    f"manifest entry {entry!r}: {exc}")
+            continue
+        named.add(filename)
+        path = os.path.join(directory, filename)
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            problem(filename, "missing", f"missing pair file: {path}")
+            continue
+        if len(raw) != size:
+            problem(filename, "truncated",
+                    f"truncated pair file {path}: {len(raw)} bytes, "
+                    f"manifest says {size}")
+            continue
+        if pair_checksum(raw) != checksum:
+            problem(filename, "corrupt",
+                    f"checksum mismatch in pair file {path}")
+            continue
+        resolved = len(refs)
+        try:
+            pair = RequestResponsePair.from_dict(
+                json.loads(raw.decode("utf-8")), body_resolver=resolver)
+        except BlobMissingError as exc:
+            problem(filename, "dangling", f"pair file {path}: {exc}")
+        except BlobCorruptError as exc:
+            problem(filename, "corrupt-blob", f"pair file {path}: {exc}")
+        except (StoreFormatError, ValueError) as exc:  # ValueError: bad JSON
+            problem(filename, "malformed", f"malformed pair file {path}: {exc}")
+        else:
+            pairs.append(SitePair(entry, pair, refs[resolved:]))
+    # Orphans: pair files on disk the manifest does not vouch for.
+    for filename in sorted(os.listdir(directory)):
+        if (filename.startswith(_PAIR_PREFIX)
+                and not filename.endswith(".tmp")
+                and filename not in named):
+            problem(filename, "orphan",
+                    f"orphan pair file not in the manifest: "
+                    f"{os.path.join(directory, filename)}")
+    damage.pairs_ok = len(pairs)
+    return metadata, pairs, damage
 
 
 class RecordedSite:
@@ -278,50 +378,42 @@ class RecordedSite:
     # persistence
 
     def save(self, directory, cas: Optional[CasStore] = None) -> None:
-        """Write the site folder atomically (format v2, with manifest).
+        """Write the site folder atomically.
 
         Every pair file and the manifest go through temp + fsync +
-        ``os.replace``; the manifest is committed *last*, so a crash at
-        any point leaves either no loadable site (no/old ``site.json``)
-        or a complete one — never a half-written folder that loads as
-        valid.
+        ``os.replace``. Bodies land in the CAS *before* the pair files
+        that reference them and the manifest is committed *last*, so a
+        crash at any point leaves either no loadable site (no/old
+        ``site.json``) or a complete one — nothing loadable ever
+        references a blob that was not yet durable.
 
         Args:
-            cas: a :class:`~repro.record.cas.CasStore` to externalise
-                bodies into (format v3). Bodies land in the CAS *before*
-                the pair files that reference them, and the manifest
-                still commits last, so the crash-safety ordering holds:
-                nothing loadable ever references a blob that was not yet
-                durable.
+            cas: the :class:`~repro.record.cas.CasStore` to share bodies
+                through (a corpus passes one store for all its sites);
+                defaults to the folder's own ``.cas``, which keeps a
+                lone recording self-contained.
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
+        if cas is None:
+            cas = CasStore(os.path.join(directory, CAS_DIR_NAME))
         manifest_pairs: List[Dict[str, Any]] = []
         for index, pair in enumerate(self._pairs):
             filename = pair_filename(index)
-            if cas is not None:
-                data = pair.to_cas_bytes(cas.put)
-            else:
-                data = pair.to_canonical_bytes()
+            data = pair.to_cas_bytes(cas.put)
             atomic_write_bytes(os.path.join(directory, filename), data)
             manifest_pairs.append({
                 "file": filename,
                 "size": len(data),
                 "checksum": pair_checksum(data),
             })
-        metadata = {
-            "format_version": (_CAS_FORMAT_VERSION if cas is not None
-                               else _FORMAT_VERSION),
+        write_manifest(directory, {
+            "format_version": _FORMAT_VERSION,
             "name": self.name,
             "pair_count": len(self._pairs),
             "pairs": manifest_pairs,
-        }
-        if cas is not None:
-            metadata["cas"] = os.path.relpath(cas.root, directory)
-        atomic_write_bytes(
-            os.path.join(directory, _SITE_FILE),
-            json.dumps(metadata, indent=2, sort_keys=True).encode("utf-8"),
-        )
+            "cas": os.path.relpath(cas.root, directory),
+        })
         _fsync_dir(directory)
 
     @classmethod
@@ -329,15 +421,14 @@ class RecordedSite:
         """Read a site folder, verifying it completely (strict).
 
         Raises:
-            StoreFormatError: missing/malformed folder, orphan or gap in
-                the pair numbering, or a pair that fails to parse — the
+            StoreFormatError: missing/malformed folder, a missing or
+                orphan pair file, or a pair that fails to parse — the
                 message names the offending path.
             StoreIntegrityError: a pair file whose size or checksum does
-                not match the manifest (truncation, bitrot).
+                not match the manifest (truncation, bitrot), or (its
+                subclasses) a dangling or corrupt body blob.
         """
-        site, damage = cls._load(os.fspath(directory), strict=True)
-        assert damage.ok
-        return site
+        return cls._load(directory, strict=True)[0]
 
     @classmethod
     def load_tolerant(cls, directory) -> Tuple["RecordedSite", StoreDamage]:
@@ -352,190 +443,16 @@ class RecordedSite:
         Raises:
             StoreFormatError: when ``site.json`` itself is unusable.
         """
-        site, damage = cls._load(os.fspath(directory), strict=False)
-        return site, damage
+        return cls._load(directory, strict=False)
 
     @classmethod
-    def _load(
-        cls, directory: str, strict: bool
-    ) -> Tuple["RecordedSite", StoreDamage]:
-        metadata = read_manifest(directory)
+    def _load(cls, directory, strict: bool) -> Tuple["RecordedSite", StoreDamage]:
+        directory = os.fspath(directory)
+        metadata, pairs, damage = read_site(directory, strict)
         site = cls(str(metadata.get("name", os.path.basename(directory))))
-        damage = StoreDamage(directory)
-        version = metadata.get("format_version")
-        if version == 1:
-            cls._load_v1(directory, metadata, site, damage, strict)
-        else:
-            resolver = None
-            if version == _CAS_FORMAT_VERSION:
-                resolver = site_cas(directory, metadata).get
-            cls._load_v2(directory, metadata, site, damage, strict,
-                         resolver=resolver)
-        site.damage = None if damage.ok else damage
-        damage.pairs_loaded = len(site)
+        site._pairs = [item.pair for item in pairs]
+        site.damage = None if damage.clean else damage
         return site, damage
-
-    # -- v1: no manifest; discover files, validate numbering ----------- #
-
-    @classmethod
-    def _load_v1(
-        cls,
-        directory: str,
-        metadata: Dict[str, Any],
-        site: "RecordedSite",
-        damage: StoreDamage,
-        strict: bool,
-    ) -> None:
-        found = sorted(
-            f for f in os.listdir(directory)
-            if f.startswith(_PAIR_PREFIX) and not f.endswith(".tmp")
-        )
-        expected = [pair_filename(i) for i in range(len(found))]
-        if found != expected:
-            # Same length by construction, so the first positional
-            # mismatch names the file that breaks contiguous numbering —
-            # an orphan, or the first file after a gap.
-            offender, wanted = next(
-                (f, e) for f, e in zip(found, expected) if f != e
-            )
-            problem = (
-                f"pair numbering has an orphan or gap: found "
-                f"{os.path.join(directory, offender)} where "
-                f"{wanted} was expected"
-            )
-            if strict:
-                raise StoreFormatError(problem)
-            damage.add(offender, "orphan", problem)
-        declared = metadata.get("pair_count")
-        if declared is not None and declared != len(found):
-            problem = (
-                f"{os.path.join(directory, _SITE_FILE)} declares "
-                f"{declared} pairs but {len(found)} pair files exist"
-            )
-            if strict:
-                raise StoreFormatError(problem)
-            damage.add(_SITE_FILE, "missing", problem)
-        for filename in found:
-            if filename not in expected and not strict:
-                continue  # orphan already reported
-            cls._load_pair_file(
-                directory, filename, site, damage, strict,
-                size=None, checksum=None,
-            )
-
-    # -- v2/v3: trust the manifest, verify everything against it ------- #
-
-    @classmethod
-    def _load_v2(
-        cls,
-        directory: str,
-        metadata: Dict[str, Any],
-        site: "RecordedSite",
-        damage: StoreDamage,
-        strict: bool,
-        resolver=None,
-    ) -> None:
-        entries = metadata.get("pairs")
-        if not isinstance(entries, list):
-            raise StoreFormatError(
-                f"{os.path.join(directory, _SITE_FILE)}: format v2 "
-                f"requires a 'pairs' manifest list"
-            )
-        manifest_files = set()
-        for entry in entries:
-            try:
-                filename = entry["file"]
-                size = int(entry["size"])
-                checksum = str(entry["checksum"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise StoreFormatError(
-                    f"{os.path.join(directory, _SITE_FILE)}: malformed "
-                    f"manifest entry {entry!r}: {exc}"
-                ) from exc
-            manifest_files.add(filename)
-            cls._load_pair_file(
-                directory, filename, site, damage, strict,
-                size=size, checksum=checksum, resolver=resolver,
-            )
-        # Orphans: pair files on disk the manifest does not vouch for.
-        for filename in sorted(os.listdir(directory)):
-            if (filename.startswith(_PAIR_PREFIX)
-                    and not filename.endswith(".tmp")
-                    and filename not in manifest_files):
-                problem = (
-                    f"orphan pair file not in the manifest: "
-                    f"{os.path.join(directory, filename)}"
-                )
-                if strict:
-                    raise StoreFormatError(problem)
-                damage.add(filename, "orphan", problem)
-
-    @classmethod
-    def _load_pair_file(
-        cls,
-        directory: str,
-        filename: str,
-        site: "RecordedSite",
-        damage: StoreDamage,
-        strict: bool,
-        size: Optional[int],
-        checksum: Optional[str],
-        resolver=None,
-    ) -> None:
-        path = os.path.join(directory, filename)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            problem = f"missing pair file: {path}"
-            if strict:
-                raise StoreFormatError(problem) from None
-            damage.add(filename, "missing", problem)
-            return
-        if size is not None and len(raw) != size:
-            problem = (
-                f"truncated pair file {path}: {len(raw)} bytes, "
-                f"manifest says {size}"
-            )
-            if strict:
-                raise StoreIntegrityError(problem)
-            damage.add(filename, "truncated", problem)
-            return
-        if checksum is not None and pair_checksum(raw) != checksum:
-            problem = f"checksum mismatch in pair file {path}"
-            if strict:
-                raise StoreIntegrityError(problem)
-            damage.add(filename, "corrupt", problem)
-            return
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            problem = f"corrupt pair file {path}: {exc}"
-            if strict:
-                raise StoreFormatError(problem) from exc
-            damage.add(filename, "corrupt", problem)
-            return
-        try:
-            pair = RequestResponsePair.from_dict(data, body_resolver=resolver)
-        except BlobMissingError as exc:
-            problem = f"pair file {path}: {exc}"
-            if strict:
-                raise BlobMissingError(problem) from exc
-            damage.add(filename, "missing", problem)
-            return
-        except BlobCorruptError as exc:
-            problem = f"pair file {path}: {exc}"
-            if strict:
-                raise BlobCorruptError(problem) from exc
-            damage.add(filename, "corrupt", problem)
-            return
-        except StoreFormatError as exc:
-            problem = f"malformed pair file {path}: {exc}"
-            if strict:
-                raise StoreFormatError(problem) from exc
-            damage.add(filename, "malformed", problem)
-            return
-        site.add_pair(pair)
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,7 @@ from repro.cli import (
 from repro.cli.common import CliError, page_from_recording, parse_trace_or_rate
 from repro.corpus import generate_site
 from repro.linkem import PacketDeliveryTrace
+from repro.record.fsck import corpus_site_dirs
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +197,18 @@ class TestMmCorpus:
             ["generate", "--out", str(out), "--size", "6", "--singles", "1",
              "--scale", "0.3"], [])
         assert code == 0
-        assert len(os.listdir(out)) == 6
+        assert len(corpus_site_dirs(out)) == 6
+        assert ".cas" in os.listdir(out)  # one store for the whole corpus
         code = mm_corpus.run(["stats", str(out)], [])
         assert code == 0
         text = capsys.readouterr().out
         assert "sites: 6" in text
         assert "single-server sites: 1" in text
+
+    def test_cas_switch_is_gone(self, tmp_path):
+        with pytest.raises(CliError, match="unknown option '--cas'"):
+            mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
+                           "--cas"], [])
 
     def test_stats_missing_dir(self):
         with pytest.raises(CliError):
@@ -223,7 +230,7 @@ class TestMmCorpusResume:
         out = tmp_path / "corpus"
         assert self._generate(out) == 0
         assert not (out / mm_corpus.JOURNAL_FILE).exists()
-        assert len(os.listdir(out)) == 4
+        assert len(corpus_site_dirs(out)) == 4
 
     def test_resume_skips_journaled_sites(self, tmp_path, capsys):
         from repro.corpus import alexa_corpus
@@ -233,14 +240,14 @@ class TestMmCorpusResume:
         assert self._generate(out) == 0
         reference = {
             name: (out / name / "site.json").read_bytes()
-            for name in os.listdir(out)
+            for name in map(os.path.basename, corpus_site_dirs(out))
         }
         capsys.readouterr()
         # Reconstruct the state a SIGKILL after two sites leaves behind:
         # two journaled site folders, the rest missing.
         sites = alexa_corpus(seed=2, size=4, single_origin_sites=1,
                              scale=0.3)
-        key = run_key(seed=2, size=4, singles=1, scale=0.3, cas=False)
+        key = run_key(seed=2, size=4, singles=1, scale=0.3)
         for index in (2, 3):
             import shutil
 
@@ -314,8 +321,10 @@ class TestMmFsck:
         (fsck_dir / "pair-00001.json").write_bytes(b"junk")
         assert mm_fsck.run([str(fsck_dir), "--json"], []) == 1
         reports = json.loads(capsys.readouterr().out)
-        assert len(reports) == 1
-        assert reports[0]["problems"][0]["kind"] == "truncated"
+        assert [r["kind"] for r in reports] == ["site", "cas"]
+        assert reports[0]["problems"][0] == {
+            "file": "pair-00001.json", "kind": "truncated",
+            "detail": reports[0]["problems"][0]["detail"]}
 
     def test_usage_errors(self, fsck_dir):
         with pytest.raises(CliError):

@@ -1,8 +1,11 @@
 """Tests for corpus shipping: manifests + missing-blob delta."""
 
+import json
+import os
+
 import pytest
 
-from repro.errors import StoreFormatError
+from repro.errors import StoreFormatError, StoreIntegrityError
 from repro.http.body import Body
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
@@ -11,6 +14,7 @@ from repro.record.cas import CasStore, body_checksum
 from repro.record.entry import RequestResponsePair
 from repro.record.store import RecordedSite, read_manifest
 from repro.fabric.sync import corpus_site_dirs, ship_corpus, ship_site
+from tests.store_fixtures import revouch, write_flat_site
 
 SHARED_BODY = b"function jquery() { /* everywhere */ }" * 30
 
@@ -28,14 +32,18 @@ def make_pair(host, uri, ip, body=None):
                                request, response)
 
 
+def make_site(name, n=0):
+    """A site carrying one unique body plus the shared one."""
+    site = RecordedSite(name)
+    site.add_pair(make_pair(name, "/", f"23.1.{n}.1"))
+    site.add_pair(make_pair(name, "/lib.js", f"23.1.{n}.1",
+                            body=SHARED_BODY))
+    return site
+
+
 def make_corpus(root, names, cas=None):
-    """Sites that each carry one unique body plus the shared one."""
     for n, name in enumerate(names):
-        site = RecordedSite(name)
-        site.add_pair(make_pair(name, "/", f"23.1.{n}.1"))
-        site.add_pair(make_pair(name, "/lib.js", f"23.1.{n}.1",
-                                body=SHARED_BODY))
-        site.save(root / name, cas=cas)
+        make_site(name, n).save(root / name, cas=cas)
 
 
 def pairs_bytes(directory):
@@ -45,7 +53,8 @@ def pairs_bytes(directory):
 
 class TestShipSite:
     def test_flat_site_ships_without_cas(self, tmp_path):
-        make_corpus(tmp_path / "src", ["flat.example"])
+        write_flat_site(make_site("flat.example"),
+                        tmp_path / "src" / "flat.example")
         report = ship_site(tmp_path / "src" / "flat.example",
                            tmp_path / "dst" / "flat.example")
         assert report.sites == 1 and report.refs == 0
@@ -86,6 +95,44 @@ class TestShipSite:
         assert again.blobs_transferred == 0
         assert again.blobs_deduped == 2
         assert again.bytes_transferred == 0
+
+
+    def test_damaged_source_ships_nothing(self, tmp_path):
+        make_corpus(tmp_path / "src", ["a.example"],
+                    cas=CasStore(tmp_path / "src" / ".cas"))
+        target = tmp_path / "src" / "a.example" / "pair-00001.json"
+        raw = bytearray(target.read_bytes())
+        raw[40] ^= 0x01
+        target.write_bytes(bytes(raw))
+        dest_cas = CasStore(tmp_path / "dst" / ".cas")
+        with pytest.raises(StoreIntegrityError, match=str(target)):
+            ship_site(tmp_path / "src" / "a.example",
+                      tmp_path / "dst" / "a.example", dest_cas=dest_cas)
+        assert not (tmp_path / "dst").exists()
+        # Not a pair at all, though the manifest vouches for the bytes.
+        target.write_bytes(b"{}")
+        revouch(tmp_path / "src" / "a.example", "pair-00001.json")
+        with pytest.raises(StoreFormatError, match=str(target)):
+            ship_site(tmp_path / "src" / "a.example",
+                      tmp_path / "dst" / "a.example", dest_cas=dest_cas)
+        assert not (tmp_path / "dst").exists()
+
+    def test_entry_outside_the_folder_ships_nothing_anywhere(self, tmp_path):
+        source = tmp_path / "src" / "a.example"
+        make_corpus(tmp_path / "src", ["a.example"],
+                    cas=CasStore(tmp_path / "src" / ".cas"))
+        (tmp_path / "victim.json").write_bytes(
+            (source / "pair-00000.json").read_bytes())
+        manifest = read_manifest(source)
+        manifest["pairs"][0]["file"] = "../../victim.json"
+        (source / "site.json").write_text(json.dumps(manifest))
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(StoreFormatError, match="site.json"):
+            ship_site(source, tmp_path / "dst" / "deep" / "a.example",
+                      dest_cas=CasStore(tmp_path / "dst" / ".cas"))
+        # <dest>/../../victim.json is where the parent commit wrote.
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not (tmp_path / "dst").exists()
 
 
 class TestShipCorpus:

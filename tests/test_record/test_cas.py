@@ -1,4 +1,4 @@
-"""Tests for the content-addressed body store and format-v3 sites."""
+"""Tests for the content-addressed body store and the bundles built on it."""
 
 import json
 import os
@@ -13,8 +13,9 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
 from repro.record.cas import CasStore, body_checksum, missing_blobs
 from repro.record.entry import RequestResponsePair
-from repro.record.store import RecordedSite, site_blob_refs, site_cas
+from repro.record.store import RecordedSite, read_site, site_cas
 from repro.sim import Simulator
+from tests.store_fixtures import revouch, write_flat_site
 
 SHARED_BODY = b"var jquery = 'the same on every site';" * 20
 
@@ -121,7 +122,7 @@ class TestFormatV3:
         site = make_site("v3.example")
         flat_dir = tmp_path / "flat"
         cas_dir = tmp_path / "cased"
-        site.save(flat_dir)
+        write_flat_site(site, flat_dir)
         site.save(cas_dir, cas=CasStore(tmp_path / "cas"))
         flat = RecordedSite.load(flat_dir)
         cased = RecordedSite.load(cas_dir)
@@ -159,21 +160,30 @@ class TestFormatV3:
         assert len(cas) == 7
         assert cas.deduped > 0
 
+    def test_self_contained_by_default(self, tmp_path):
+        site = make_site("v3.example")
+        site.save(tmp_path / "site")
+        metadata = json.load(open(tmp_path / "site" / "site.json"))
+        assert metadata["format_version"] == 3 and metadata["cas"] == ".cas"
+        assert len(CasStore(tmp_path / "site" / ".cas")) == 3
+        loaded = RecordedSite.load(tmp_path / "site")
+        assert ([p.to_canonical_bytes() for p in loaded.pairs]
+                == [p.to_canonical_bytes() for p in site.pairs])
+
     def test_site_blob_refs(self, tmp_path):
         site = make_site("v3.example")
         flat_dir = tmp_path / "flat"
-        site.save(flat_dir)
-        assert site_blob_refs(flat_dir) == []
+        write_flat_site(site, flat_dir)
+        assert [p.refs for p in read_site(flat_dir)[1]] == [[]] * 4
         cas_dir = tmp_path / "cased"
         site.save(cas_dir, cas=CasStore(tmp_path / "cas"))
-        refs = site_blob_refs(cas_dir)
-        assert body_checksum(SHARED_BODY) in refs
-        assert refs == sorted(set(refs))
-        assert len(refs) == 3  # 2 unique + 1 shared
+        refs = [ref for p in read_site(cas_dir)[1] for ref in p.refs]
+        assert refs.count(body_checksum(SHARED_BODY)) == 2
+        assert len(set(refs)) == 3  # 2 unique + 1 shared
 
     def test_site_cas_rejects_v2(self, tmp_path):
         site = make_site("flat.example")
-        site.save(tmp_path / "site")
+        write_flat_site(site, tmp_path / "site")
         with pytest.raises(StoreFormatError):
             site_cas(tmp_path / "site")
 
@@ -191,8 +201,8 @@ class TestFormatV3:
         site.save(tmp_path / "site", cas=cas)
         os.remove(cas.path_for(body_checksum(SHARED_BODY)))
         loaded, damage = RecordedSite.load_tolerant(tmp_path / "site")
-        assert not damage.ok
-        assert {d.problem for d in damage.damaged} == {"missing"}
+        assert not damage.clean
+        assert {d.kind for d in damage.problems} == {"dangling"}
         assert len(loaded) == 2  # the two pairs with unique bodies
 
     def test_corrupt_blob_tolerant_load_reports(self, tmp_path):
@@ -204,7 +214,84 @@ class TestFormatV3:
         raw[0] ^= 0xFF
         open(path, "wb").write(bytes(raw))
         __, damage = RecordedSite.load_tolerant(tmp_path / "site")
-        assert {d.problem for d in damage.damaged} == {"corrupt"}
+        assert {d.kind for d in damage.problems} == {"corrupt-blob"}
+
+
+class TestStrictLoadNamesTheDamage:
+    """Each damage kind: the exception class and the path it names."""
+
+    def _saved(self, tmp_path):
+        cas = CasStore(tmp_path / "cas")
+        directory = tmp_path / "site"
+        make_site("strict.example").save(directory, cas=cas)
+        return directory, cas
+
+    def _assert_raises(self, directory, error, names):
+        with pytest.raises(error) as info:
+            RecordedSite.load(directory)
+        assert type(info.value) is error
+        assert str(names) in str(info.value)
+
+    def test_missing(self, tmp_path):
+        directory, __ = self._saved(tmp_path)
+        (directory / "pair-00002.json").unlink()
+        self._assert_raises(directory, StoreFormatError,
+                            directory / "pair-00002.json")
+
+    def test_truncated(self, tmp_path):
+        from repro.errors import StoreIntegrityError
+
+        directory, __ = self._saved(tmp_path)
+        target = directory / "pair-00002.json"
+        target.write_bytes(target.read_bytes()[:-1])
+        self._assert_raises(directory, StoreIntegrityError, target)
+
+    def test_checksum(self, tmp_path):
+        from repro.errors import StoreIntegrityError
+
+        directory, __ = self._saved(tmp_path)
+        target = directory / "pair-00002.json"
+        target.write_bytes(target.read_bytes().replace(b"GET", b"PUT"))
+        self._assert_raises(directory, StoreIntegrityError, target)
+
+    def test_bad_json(self, tmp_path):
+        directory, __ = self._saved(tmp_path)
+        (directory / "pair-00002.json").write_bytes(b"{broken")
+        revouch(directory, "pair-00002.json")
+        self._assert_raises(directory, StoreFormatError,
+                            directory / "pair-00002.json")
+
+    @pytest.mark.parametrize("bent", ["request", "response", "body"])
+    def test_malformed_pair(self, tmp_path, bent):
+        directory, __ = self._saved(tmp_path)
+        target = directory / "pair-00002.json"
+        data = json.loads(target.read_text())
+        if bent == "body":
+            data["response"]["body"] = "not an object"
+        else:
+            data[bent] = "not an object"
+        target.write_text(json.dumps(data))
+        revouch(directory, "pair-00002.json")
+        self._assert_raises(directory, StoreFormatError, target)
+
+    def test_dangling_blob(self, tmp_path):
+        directory, cas = self._saved(tmp_path)
+        os.remove(cas.path_for(body_checksum(SHARED_BODY)))
+        self._assert_raises(directory, BlobMissingError,
+                            directory / "pair-00001.json")
+
+    def test_corrupt_blob(self, tmp_path):
+        directory, cas = self._saved(tmp_path)
+        path = cas.path_for(body_checksum(SHARED_BODY))
+        open(path, "wb").write(b"rotten")
+        self._assert_raises(directory, BlobCorruptError,
+                            directory / "pair-00001.json")
+
+    def test_orphan(self, tmp_path):
+        directory, __ = self._saved(tmp_path)
+        (directory / "pair-00042.json").write_text("{}")
+        self._assert_raises(directory, StoreFormatError,
+                            directory / "pair-00042.json")
 
 
 class TestReplayRoundTrip:
@@ -234,7 +321,7 @@ class TestReplayRoundTrip:
                                 body=SHARED_BODY))
         flat_dir = tmp_path / "flat"
         cas_dir = tmp_path / "cased"
-        site.save(flat_dir)
+        write_flat_site(site, flat_dir)
         site.save(cas_dir, cas=CasStore(tmp_path / "cas"))
 
         flat_result = self._load_page(RecordedSite.load(flat_dir))

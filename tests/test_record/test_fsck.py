@@ -12,6 +12,7 @@ from repro.net.address import AddressAllocator, IPv4Address
 from repro.record.entry import RequestResponsePair
 from repro.record.fsck import fsck_site, fsck_tree, is_site_dir
 from repro.record.store import RecordedSite
+from tests.store_fixtures import revouch, write_flat_site
 
 
 def make_pair(host, uri, ip):
@@ -51,7 +52,7 @@ class TestCleanSite:
         report = fsck_site(site_dir)
         assert report.clean
         assert report.pairs_ok == 6
-        assert report.format_version == 2
+        assert report.format_version == 3
         assert not report.repaired
 
     def test_is_site_dir(self, site_dir, tmp_path):
@@ -82,14 +83,7 @@ class TestDetection:
         # the manifest entry so size/checksum match the bad content.
         bad = site_dir / "pair-00003.json"
         bad.write_text('{"scheme": "http"}')
-        manifest = json.loads((site_dir / "site.json").read_text())
-        from repro.record.store import pair_checksum
-
-        for entry in manifest["pairs"]:
-            if entry["file"] == "pair-00003.json":
-                entry["size"] = len(bad.read_bytes())
-                entry["checksum"] = pair_checksum(bad.read_bytes())
-        (site_dir / "site.json").write_text(json.dumps(manifest))
+        revouch(site_dir, "pair-00003.json")
         report = fsck_site(site_dir)
         assert [p.kind for p in report.problems] == ["malformed"]
 
@@ -125,7 +119,7 @@ class TestRepair:
             assert (site_dir / name).read_bytes() == content
         # The rewritten manifest covers exactly the survivors.
         manifest = json.loads((site_dir / "site.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3 and manifest["cas"] == ".cas"
         assert manifest["pair_count"] == 3
         assert sorted(e["file"] for e in manifest["pairs"]) == \
             sorted(survivors)
@@ -147,50 +141,133 @@ class TestRepair:
         assert (site_dir / "site.json").read_bytes() == before
 
 
-class TestV1Folders:
-    def _downgrade(self, site_dir):
+class TestManifestEntriesConfined:
+    def test_repair_never_touches_a_file_outside_the_folder(self, tmp_path):
+        site = RecordedSite("escape")
+        site.add_pair(make_pair("x.com", "/", "23.0.0.1"))
+        site.add_pair(make_pair("x.com", "/kept", "23.0.0.1"))
+        directory = tmp_path / "corpus" / "site"
+        site.save(directory)
+        victim = tmp_path / "victim.json"
+        victim.write_bytes(b"not this folder's to judge")
+        manifest = json.loads((directory / "site.json").read_text())
+        manifest["pairs"][0]["file"] = "../../victim.json"
+        (directory / "site.json").write_text(json.dumps(manifest))
+
+        report = fsck_site(directory, repair=True)
+        assert [(p.file, p.kind) for p in report.problems] == [
+            ("site.json", "malformed"), ("pair-00000.json", "orphan")]
+        assert victim.read_bytes() == b"not this folder's to judge"
+        assert report.quarantined == ["pair-00000.json"]
+        assert os.listdir(directory / "quarantine") == ["pair-00000.json"]
+        assert len(RecordedSite.load(directory)) == 1
+        assert fsck_site(directory).clean
+
+
+class TestOlderFormats:
+    def test_v1_folder_is_fatal_and_left_alone(self, site_dir):
         manifest = json.loads((site_dir / "site.json").read_text())
-        v1 = {
-            "format_version": 1,
-            "name": manifest["name"],
-            "pair_count": manifest["pair_count"],
-            "pairs": [e["file"] for e in manifest["pairs"]],
-        }
+        v1 = dict(manifest, format_version=1,
+                  pairs=[e["file"] for e in manifest["pairs"]])
         (site_dir / "site.json").write_text(json.dumps(v1))
-
-    def test_clean_v1_passes(self, site_dir):
-        self._downgrade(site_dir)
-        report = fsck_site(site_dir)
-        assert report.clean
-        assert report.format_version == 1
-
-    def test_v1_gap_reported_and_survivors_kept(self, site_dir):
-        self._downgrade(site_dir)
-        (site_dir / "pair-00004.json").unlink()
+        before = sorted(os.listdir(site_dir))
         report = fsck_site(site_dir, repair=True)
-        assert report.upgraded and report.repaired
-        # pair-00005 sits past the gap but is valid: it must survive.
-        manifest = json.loads((site_dir / "site.json").read_text())
-        assert manifest["format_version"] == 2
-        assert manifest["pair_count"] == 5
-        assert "pair-00005.json" in [e["file"] for e in manifest["pairs"]]
-        assert RecordedSite.load(site_dir).damage is None
+        assert report.fatal and not report.repaired
+        assert "format version 1" in report.problems[0].detail
+        assert sorted(os.listdir(site_dir)) == before
+
+    def test_flat_folder_checks_and_repairs_without_a_cas(self, tmp_path):
+        site = RecordedSite("flat")
+        for i in range(3):
+            site.add_pair(make_pair("x.com", f"/{i}", "23.0.0.1"))
+        flat = tmp_path / "flat"
+        write_flat_site(site, flat)
+        assert [r.kind for r in fsck_tree(flat)] == ["site"]
+        assert fsck_site(flat).clean
+        (flat / "pair-00001.json").write_bytes(b"junk")
+        assert fsck_site(flat, repair=True).repaired
+        manifest = json.loads((flat / "site.json").read_text())
+        # Repair copies the manifest it read: still flat, still v2.
+        assert manifest["format_version"] == 2 and "cas" not in manifest
+        assert len(RecordedSite.load(flat)) == 2
 
 
 class TestFsckTree:
     def test_corpus_directory(self, tmp_path):
+        from repro.record.cas import CasStore
+
         for name in ("site-a", "site-b"):
             site = RecordedSite(name)
             site.add_pair(make_pair("x.com", "/", "23.0.0.1"))
-            site.save(tmp_path / name)
+            site.save(tmp_path / name, cas=CasStore(tmp_path / ".cas"))
         (tmp_path / "site-b" / "pair-00000.json").write_bytes(b"junk")
         reports = fsck_tree(tmp_path)
-        assert len(reports) == 2
+        assert [r.kind for r in reports] == ["site", "site", "cas"]
         assert reports[0].clean and not reports[1].clean
+        assert reports[2].clean  # site-a still references the one blob
 
     def test_single_site_directory(self, site_dir):
         reports = fsck_tree(site_dir)
-        assert len(reports) == 1
+        assert [r.kind for r in reports] == ["site", "cas"]
+        assert all(r.clean for r in reports)
+        assert reports[1].pairs_ok == 6  # one blob per pair body
+
+    def test_single_site_checks_the_store_it_owns(self, site_dir):
+        from repro.record.cas import CasStore, body_checksum
+
+        cas = CasStore(site_dir / ".cas")
+        flipped = body_checksum(b"<html>/r0</html>")
+        path = cas.path_for(flipped)
+        raw = bytearray(open(path, "rb").read())
+        raw[0] ^= 0xFF
+        open(path, "wb").write(bytes(raw))
+        unreferenced = cas.put(b"nobody references this")
+
+        site, store = fsck_tree(site_dir)
+        assert [(p.file, p.kind) for p in site.problems] == [
+            ("pair-00000.json", "corrupt-blob")]
+        assert {(p.file, p.kind) for p in store.problems} == {
+            (flipped, "corrupt"), (unreferenced, "orphan")}
+        assert os.path.exists(path) and cas.has(unreferenced)  # dry run
+
+        site, store = fsck_tree(site_dir, repair=True)
+        assert site.quarantined == ["pair-00000.json"]
+        assert sorted(store.quarantined) == sorted([flipped, unreferenced])
+        assert sorted(os.listdir(site_dir / ".cas" / "quarantine")) == \
+            sorted([flipped + ".bin", unreferenced + ".bin"])
+        assert all(r.clean for r in fsck_tree(site_dir))
+        assert len(RecordedSite.load(site_dir)) == 5
+
+    def test_site_inside_a_corpus_leaves_the_shared_store_alone(
+            self, tmp_path):
+        from repro.record.cas import CasStore
+
+        cas = CasStore(tmp_path / ".cas")
+        for name in ("site-a", "site-b"):
+            site = RecordedSite(name)
+            site.add_pair(make_pair("x.com", f"/{name}", "23.0.0.1"))
+            site.save(tmp_path / name, cas=cas)
+        # site-b's blob is no orphan just because only site-a is checked.
+        assert [r.kind for r in fsck_tree(tmp_path / "site-a")] == ["site"]
+        assert [r.kind for r in fsck_tree(tmp_path)] == [
+            "site", "site", "cas"]
+
+    def test_unreadable_site_keeps_every_store_out_of_judgement(
+            self, tmp_path):
+        from repro.record.cas import CasStore
+
+        cas = CasStore(tmp_path / ".cas")
+        for name in ("site-a", "site-b"):
+            site = RecordedSite(name)
+            site.add_pair(make_pair("x.com", f"/{name}", "23.0.0.1"))
+            site.save(tmp_path / name, cas=cas)
+        (tmp_path / "site-b" / "site.json").write_text("{torn")
+        reports = fsck_tree(tmp_path, repair=True)
+        # site-b's blob is referenced by a manifest nobody can read: it
+        # is not an orphan, and nothing may move until site-b is fixed.
+        assert [(r.kind, r.fatal) for r in reports] == [
+            ("site", False), ("site", True)]
+        assert len(cas) == 2 and not (tmp_path / ".cas/quarantine").exists()
 
     def test_no_sites_is_an_error(self, tmp_path):
         with pytest.raises(StoreFormatError):

@@ -11,6 +11,7 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
 from repro.record.entry import RequestResponsePair
 from repro.record.store import RecordedSite
+from tests.store_fixtures import write_flat_site
 
 
 def make_pair(host="www.example.com", uri="/", ip="23.0.0.1", port=80,
@@ -145,7 +146,7 @@ class TestRecordedSite:
 
 
 class TestStoreIntegrityV2:
-    """Format v2: per-pair checksums, atomic save, tolerant loads."""
+    """Per-pair checksums, atomic save, tolerant loads."""
 
     def _saved(self, tmp_path, pairs=3):
         site = RecordedSite("v2site")
@@ -159,7 +160,7 @@ class TestStoreIntegrityV2:
     def test_manifest_carries_size_and_checksum(self, tmp_path):
         directory = self._saved(tmp_path)
         manifest = json.loads((directory / "site.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         for entry in manifest["pairs"]:
             raw = (directory / entry["file"]).read_bytes()
             assert entry["size"] == len(raw)
@@ -207,57 +208,94 @@ class TestStoreIntegrityV2:
         assert len(site) == 2
         assert len(damage) == 1
         assert site.damage is damage
-        assert damage.damaged[0].file == "pair-00001.json"
-        assert not damage.ok
+        assert damage.problems[0].file == "pair-00001.json"
+        assert not damage.clean
 
     def test_load_tolerant_clean_site_reports_no_damage(self, tmp_path):
         directory = self._saved(tmp_path)
         site, damage = RecordedSite.load_tolerant(directory)
         assert len(site) == 3
-        assert damage.ok and len(damage) == 0
+        assert damage.clean and len(damage) == 0
 
 
-class TestStoreV1BackCompat:
-    """Pre-checksum folders (format v1) still load."""
+class TestManifestEntriesConfined:
+    """A manifest entry names a bare pair-<digits>.json or nothing."""
 
-    def _v1_dir(self, tmp_path, pairs=3):
+    def _escaping(self, tmp_path):
+        site = RecordedSite("escape")
+        site.add_pair(make_pair(body=Body.from_bytes(b"inside")))
+        directory = tmp_path / "deep" / "er" / "site"
+        site.save(directory)
+        victim = tmp_path / "victim.json"
+        victim.write_bytes((directory / "pair-00000.json").read_bytes())
+        manifest = json.loads((directory / "site.json").read_text())
+        manifest["pairs"][0]["file"] = "../../../victim.json"
+        (directory / "site.json").write_text(json.dumps(manifest))
+        return directory, victim
+
+    def test_strict_load_refuses_naming_site_json(self, tmp_path):
+        directory, __ = self._escaping(tmp_path)
+        with pytest.raises(StoreFormatError, match="site.json") as info:
+            RecordedSite.load(directory)
+        assert "victim.json" in str(info.value)  # quoted, never opened
+
+    def test_tolerant_load_reports_a_site_json_problem(self, tmp_path):
+        directory, __ = self._escaping(tmp_path)
+        site, damage = RecordedSite.load_tolerant(directory)
+        assert len(site) == 0
+        # The entry is refused; the pair file it should have named is
+        # then on disk unvouched-for.
+        assert [(p.file, p.kind) for p in damage.problems] == [
+            ("site.json", "malformed"), ("pair-00000.json", "orphan")]
+
+    @pytest.mark.parametrize("name", [
+        "sub/pair-00000.json", "./pair-00000.json", "/etc/passwd",
+        "pair-00000.json/..", "pair-.json", "pair-1.json.tmp", "", 7, None,
+    ])
+    def test_only_bare_pair_names_are_entries(self, tmp_path, name):
+        directory, __ = self._escaping(tmp_path)
+        manifest = json.loads((directory / "site.json").read_text())
+        manifest["pairs"][0]["file"] = name
+        (directory / "site.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreFormatError, match="malformed manifest"):
+            RecordedSite.load(directory)
+
+    def test_duplicate_entry_is_malformed(self, tmp_path):
+        directory, __ = self._escaping(tmp_path)
+        manifest = json.loads((directory / "site.json").read_text())
+        manifest["pairs"][0]["file"] = "pair-00000.json"
+        manifest["pairs"].append(dict(manifest["pairs"][0]))
+        (directory / "site.json").write_text(json.dumps(manifest))
+        site, damage = RecordedSite.load_tolerant(directory)
+        assert len(site) == 1
+        assert [(p.file, p.kind) for p in damage.problems] == [
+            ("site.json", "malformed")]
+
+
+class TestOlderFormats:
+    def test_v1_folder_is_refused_by_name(self, tmp_path):
         site = RecordedSite("v1site")
-        for i in range(pairs):
-            site.add_pair(make_pair(uri=f"/{i}"))
+        site.add_pair(make_pair())
         directory = tmp_path / "v1"
         site.save(directory)
-        manifest = json.loads((directory / "site.json").read_text())
-        v1 = {
-            "format_version": 1,
-            "name": manifest["name"],
-            "pair_count": manifest["pair_count"],
-            "pairs": [e["file"] for e in manifest["pairs"]],
-        }
-        (directory / "site.json").write_text(json.dumps(v1))
-        return directory
-
-    def test_v1_loads(self, tmp_path):
-        directory = self._v1_dir(tmp_path)
-        loaded = RecordedSite.load(directory)
-        assert len(loaded) == 3
-        assert loaded.name == "v1site"
-
-    def test_v1_gap_names_first_file_after_gap(self, tmp_path):
-        directory = self._v1_dir(tmp_path)
-        (directory / "pair-00001.json").unlink()
-        with pytest.raises(StoreFormatError, match="pair-00002.json"):
+        (directory / "site.json").write_text(json.dumps({
+            "format_version": 1, "name": "v1site", "pair_count": 1,
+            "pairs": ["pair-00000.json"]}))
+        with pytest.raises(StoreFormatError) as info:
             RecordedSite.load(directory)
+        assert "format version 1" in str(info.value)
+        assert str(directory / "site.json") in str(info.value)
+        with pytest.raises(StoreFormatError, match="format version 1"):
+            RecordedSite.load_tolerant(directory)
 
-    def test_v1_orphan_names_offender(self, tmp_path):
-        directory = self._v1_dir(tmp_path)
-        (directory / "pair-00042.json").write_text("{}")
-        with pytest.raises(StoreFormatError, match="pair-00042.json"):
-            RecordedSite.load(directory)
-
-    def test_v1_pair_count_mismatch(self, tmp_path):
-        directory = self._v1_dir(tmp_path)
-        manifest = json.loads((directory / "site.json").read_text())
-        manifest["pair_count"] = 7
-        (directory / "site.json").write_text(json.dumps(manifest))
-        with pytest.raises(StoreFormatError, match="declares 7"):
-            RecordedSite.load(directory)
+    def test_flat_folder_resaves_as_a_cas_bundle(self, tmp_path):
+        site = RecordedSite("old")
+        site.add_pair(make_pair(body=Body.from_bytes(b"<html>old</html>")))
+        site.add_pair(make_pair(uri="/big", body=Body.virtual(4000)))
+        flat = write_flat_site(site, tmp_path / "flat")
+        RecordedSite.load(flat).save(tmp_path / "new")
+        manifest = json.loads((tmp_path / "new" / "site.json").read_text())
+        assert manifest["format_version"] == 3 and manifest["cas"] == ".cas"
+        assert ([p.to_canonical_bytes()
+                 for p in RecordedSite.load(tmp_path / "new").pairs]
+                == [p.to_canonical_bytes() for p in site.pairs])
