@@ -12,7 +12,8 @@ from repro.corpus import alexa_corpus
 from repro.corpus.sitegen import SyntheticSite
 from repro.errors import ReproError
 from repro.measure.journal import run_key
-from repro.measure.parallel import ParallelRunner, default_workers
+from repro.measure.parallel import default_workers
+from repro.measure.runner import run_page_loads
 from repro.measure.supervise import run_supervised
 from repro.sim import Simulator
 
@@ -35,11 +36,6 @@ def bench_workers() -> int:
     return max(1, workers)
 
 
-def trial_runner() -> ParallelRunner:
-    """The trial runner every bench shares, sized by REPRO_BENCH_WORKERS."""
-    return ParallelRunner(workers=bench_workers())
-
-
 def bench_journal_dir() -> Optional[str]:
     """Where sweep checkpoint journals go (REPRO_BENCH_JOURNAL, or off)."""
     return os.environ.get("REPRO_BENCH_JOURNAL") or None
@@ -50,8 +46,8 @@ def run_sweep(label: str, factory, trials: int, timeout: float = 900.0):
 
     The single entry point the paper benches (Figure 2, Table 1,
     Table 2) share. Without ``REPRO_BENCH_JOURNAL`` it is exactly
-    ``trial_runner().run_page_loads(...)``. With it, the sweep runs
-    under supervision (per-trial deadline, crash containment, retry)
+    ``run_page_loads(..., workers=bench_workers())``. With it, the sweep
+    runs under supervision (per-trial deadline, crash containment, retry)
     and checkpoints every completed trial to
     ``$REPRO_BENCH_JOURNAL/<label>.journal.jsonl`` — a killed bench
     resumes from the journal and, because every trial is a
@@ -64,15 +60,15 @@ def run_sweep(label: str, factory, trials: int, timeout: float = 900.0):
     order) under both paths. A trial lost even after retry fails the
     bench loudly rather than silently shrinking the sample.
     """
-    runner = trial_runner()
+    workers = bench_workers()
     journal_dir = bench_journal_dir()
     if journal_dir is None:
-        return runner.run_page_loads(factory, trials, timeout=timeout)
+        return run_page_loads(factory, trials, timeout, workers=workers)
     os.makedirs(journal_dir, exist_ok=True)
     sweep = run_supervised(
         factory,
         trials,
-        workers=runner.workers,
+        workers=workers,
         timeout=timeout,
         journal=os.path.join(journal_dir, f"{label}.journal.jsonl"),
         run_key=run_key(bench=label, trials=trials, scale=bench_scale()),

@@ -1,10 +1,10 @@
-"""Micro-benchmark: parallel trial runner vs. the serial runner.
+"""Micro-benchmark: ``run_page_loads(workers=N)`` vs. the same call serial.
 
 Not a paper artifact — this guards the two properties the parallel
 execution layer promises on the Table 1 workload (wikiHow behind an
 8 Mbit/s link with 40 ms one-way delay):
 
-1. **Determinism**: the PLT ``Sample`` from ``ParallelRunner`` is
+1. **Determinism**: the PLT ``Sample`` at ``workers=N`` is
    bit-identical to the serial ``run_page_loads`` — same trials, same
    seeds, same ordering, merely on more cores.
 2. **Speedup**: with 4 workers on >= 4 usable cores, wall-clock time is
@@ -23,11 +23,7 @@ from benchmarks._workloads import scaled
 from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import named_site
-from repro.measure.parallel import (
-    ParallelRunner,
-    default_workers,
-    fork_available,
-)
+from repro.measure.parallel import default_workers, fork_available
 from repro.measure.runner import run_page_loads
 from repro.sim import Simulator
 
@@ -62,9 +58,8 @@ def test_parallel_runner_speedup(report):
     serial = run_page_loads(factory, trials, timeout=900)
     serial_secs = time.perf_counter() - start
 
-    runner = ParallelRunner(workers=WORKERS)
     start = time.perf_counter()
-    parallel = runner.run_page_loads(factory, trials, timeout=900)
+    parallel = run_page_loads(factory, trials, timeout=900, workers=WORKERS)
     parallel_secs = time.perf_counter() - start
 
     speedup = serial_secs / parallel_secs

@@ -14,7 +14,7 @@ paper-size runs; EXPERIMENTS.md records numbers from such a run.
 Parallelism: ``REPRO_BENCH_WORKERS`` (default 1 — serial, the historical
 behaviour) fans each experiment's independent page loads out over that
 many worker processes via
-:class:`repro.measure.parallel.ParallelRunner`. Per-trial seeding and
+``repro.measure.run_page_loads(workers=)``. Per-trial seeding and
 trial ordering are preserved, so reported statistics are bit-identical
 at any worker count; ``REPRO_BENCH_WORKERS=0`` means one worker per
 available core.

@@ -38,15 +38,11 @@ import shutil
 import signal
 import subprocess
 import sys
-import time
 
-from repro.browser import Browser
-from repro.core import HostMachine, ShellStack
-from repro.corpus import generate_site
+from repro.fabric.scenarios import replay_smoke
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
-from repro.sim import Simulator
-from repro.testing import child_pids, pids_alive
+from repro.testing import child_pids, pids_alive, wait_for_journal_trials
 
 TRIALS = 6
 RUN_KEY = "crash-recovery-smoke"
@@ -55,23 +51,14 @@ CORPUS_ARGS = ["--size", "10", "--singles", "2", "--scale", "0.4",
 
 
 def _make_factory(pace: float = 0.0, pid_dir: str = ""):
-    """A deterministic page-load factory; ``pace`` widens the kill window
-    and ``pid_dir`` collects one file per worker pid that ran a trial."""
-    site = generate_site("crashsmoke.com", seed=11, n_origins=3, scale=0.4)
-    store = site.to_recorded_site()
+    """The fabric's smoke factory; ``pace`` widens the kill window and
+    ``pid_dir`` collects one file per worker pid that ran a trial."""
+    inner = replay_smoke(name="crashsmoke.com", pace=pace)
 
     def factory(trial):
         if pid_dir:
             open(os.path.join(pid_dir, str(os.getpid())), "w").close()
-        if pace:
-            time.sleep(pace)
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
-        stack.add_replay(store)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        return inner(trial)
 
     return factory
 
@@ -81,21 +68,6 @@ def _sweep_driver(journal_path: str, pid_dir: str) -> None:
     run_supervised(_make_factory(pace=0.3, pid_dir=pid_dir), trials=TRIALS,
                    workers=2, journal=journal_path, run_key=RUN_KEY,
                    capture_digest=True)
-
-
-def _wait_for_journal_lines(path: str, wanted: int, timeout: float) -> bool:
-    """Poll until ``path`` holds >= ``wanted`` trial records."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    if sum(1 for line in fh if '"trial"' in line) >= wanted:
-                        return True
-            except OSError:
-                pass
-        time.sleep(0.02)
-    return False
 
 
 def _tree_digest(root: str) -> str:
@@ -122,7 +94,7 @@ def run_sweep_phase(journal_dir: str) -> bool:
     driver = context.Process(target=_sweep_driver,
                              args=(journal_path, pid_dir))
     driver.start()
-    if not _wait_for_journal_lines(journal_path, wanted=2, timeout=120):
+    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
         driver.kill()
         driver.join()
         print("FAIL sweep: driver never journaled two trials")
@@ -175,7 +147,7 @@ def run_corpus_phase(journal_dir: str) -> bool:
     child = subprocess.Popen(command, env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL)
-    if not _wait_for_journal_lines(journal_path, wanted=2, timeout=120):
+    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
         child.kill()
         child.wait()
         print("FAIL corpus: generate never journaled two sites")

@@ -47,6 +47,7 @@ from repro.fabric.faults import (
 from repro.fabric.scenarios import replay_smoke
 from repro.measure.supervise import run_supervised
 from repro.obs import write_artifact
+from repro.testing import sweeps_identical
 
 TRIALS = 6
 FACTORY_KW = {"name": "fabricchaos.com", "seed": 13, "n_origins": 3,
@@ -113,23 +114,13 @@ def _scenarios():
     ]
 
 
-def _identical(result, reference) -> bool:
-    return (result.complete
-            and result.digest == reference.digest
-            and list(result.sample.values) == list(reference.sample.values)
-            and all(ours.status == theirs.status
-                    and ours.digest == theirs.digest
-                    for ours, theirs in zip(result.outcomes,
-                                            reference.outcomes)))
-
-
 def run_scenario(name, plan, kwargs, factory_kw, required, reference,
                  journal_dir):
     factory = replay_smoke(**{**FACTORY_KW, **factory_kw})
     backend = FaultyBackend(LocalBackend(factory), plan)
     result = run_fabric(backend, trials=TRIALS, shards=2,
                         capture_digest=True, **kwargs)
-    identical = _identical(result, reference)
+    identical = sweeps_identical(result, reference)
     short = []
     ok = identical
     for counter, floor in required.items():

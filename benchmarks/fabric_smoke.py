@@ -44,7 +44,12 @@ from repro.fabric.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
-from repro.testing import child_pids, pids_alive
+from repro.testing import (
+    child_pids,
+    pids_alive,
+    sweeps_identical,
+    wait_for_journal_trials,
+)
 
 TRIALS = 6
 RUN_KEY = "fabric-smoke"
@@ -91,13 +96,6 @@ def _serial_reference(journal_path: str):
         return result, fh.read()
 
 
-def _identical(result, reference) -> bool:
-    return (result.complete
-            and result.digest == reference.digest
-            and list(result.sample.values)
-            == list(reference.sample.values))
-
-
 def run_worker_kill_phase(journal_dir: str, reference,
                           reference_bytes: bytes) -> bool:
     journal_path = os.path.join(journal_dir, "worker-kill.journal.jsonl")
@@ -109,7 +107,7 @@ def run_worker_kill_phase(journal_dir: str, reference,
         journal_bytes = fh.read()
     crashes = result.metrics.counter("fabric.worker_crashes").value
     reassigned = result.metrics.counter("fabric.trials_reassigned").value
-    identical = _identical(result, reference)
+    identical = sweeps_identical(result, reference)
     journals_equal = journal_bytes == reference_bytes
     print(f"worker-kill: SIGKILLed worker pid {backend.killed[0]}; "
           f"{crashes} crash(es), {reassigned} trial(s) requeued")
@@ -124,20 +122,6 @@ def _fabric_driver(journal_path: str) -> None:
                journal=journal_path, run_key=RUN_KEY, capture_digest=True)
 
 
-def _wait_for_journal_lines(path: str, wanted: int, timeout: float) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    if sum(1 for line in fh if '"trial"' in line) >= wanted:
-                        return True
-            except OSError:
-                pass
-        time.sleep(0.02)
-    return False
-
-
 def run_coordinator_kill_phase(journal_dir: str, reference,
                                reference_bytes: bytes) -> bool:
     journal_path = os.path.join(journal_dir,
@@ -145,7 +129,7 @@ def run_coordinator_kill_phase(journal_dir: str, reference,
     context = multiprocessing.get_context("fork")
     driver = context.Process(target=_fabric_driver, args=(journal_path,))
     driver.start()
-    if not _wait_for_journal_lines(journal_path, wanted=2, timeout=120):
+    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
         driver.kill()
         driver.join()
         print("FAIL coordinator-kill: driver never journaled two trials")
@@ -169,7 +153,7 @@ def run_coordinator_kill_phase(journal_dir: str, reference,
     with open(journal_path, "rb") as fh:
         journal_bytes = fh.read()
     replayed = resumed.metrics.counter("fabric.trials_from_journal").value
-    identical = _identical(resumed, reference)
+    identical = sweeps_identical(resumed, reference)
     journals_equal = journal_bytes == reference_bytes
     print(f"coordinator-kill: killed with {journaled}/{TRIALS} trials "
           f"journaled; resume replayed {replayed} and ran "

@@ -111,7 +111,6 @@ _ARTIFACT_SINKS = frozenset({"write_artifact"})
 _RUNNER_NAMES = frozenset(
     {
         "LocalBackend",
-        "ParallelRunner",
         "parallel_map",
         "run_supervised",
         "run_page_loads",

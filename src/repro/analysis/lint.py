@@ -54,7 +54,7 @@ REP011  No seeded ``random.Random`` instance shared across the chaos /
         ``stable_seed``.
 REP012  No fork-hostile handles (files, locks, journals, sockets)
         created pre-fork and used inside worker functions handed to
-        ``LocalBackend`` / ``ParallelRunner`` / ``run_supervised`` /
+        ``LocalBackend`` / ``run_page_loads`` / ``run_supervised`` /
         ``parallel_map``.
 ======  ==============================================================
 

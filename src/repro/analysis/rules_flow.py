@@ -24,7 +24,7 @@ REP011  RNG stream aliasing: one seeded ``random.Random`` instance may
 REP012  Fork-hostile handles: file descriptors, locks, journals, and
         sockets created before the fork may not be used inside worker
         functions handed to ``LocalBackend`` (the one fork site) or to
-        the entry points that feed it — ``ParallelRunner`` /
+        the entry points that feed it — ``run_page_loads`` /
         ``run_supervised`` / ``parallel_map`` — the child inherits a
         duplicated, corrupt handle.
 ======  ==============================================================

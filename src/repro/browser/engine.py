@@ -44,8 +44,8 @@ class PageLoadResult:
         self.errors: List[str] = []
         #: Structured failures: (url, exception) per failed fetch. The
         #: exceptions are the client's typed errors (ResetMidTransfer,
-        #: TruncatedBody, DnsError...), picklable across ParallelRunner
-        #: workers, and what measure.robustness classifies.
+        #: TruncatedBody, DnsError...), picklable across worker
+        #: processes, and what measure.robustness classifies.
         self.failures: List[Tuple[str, Exception]] = []
         # url text -> (request_enqueued, response_done) in sim time.
         self.timings: Dict[str, Tuple[float, float]] = {}

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a schedule of fault *clauses* — link outages,
 Gilbert–Elliott burst loss, packet corruption and reordering, SYN
 blackholes, server-side stalls/resets/truncations/error bursts, and DNS
 failure/latency clauses. Plans are plain frozen dataclasses: picklable
-(they cross ``ParallelRunner`` fork boundaries inside scenario factories)
+(they cross fork boundaries inside scenario factories)
 and JSON-serializable (``to_json``/``from_json``), so a fault scenario is
 a reviewable artifact, exactly like a Mahimahi packet-delivery trace.
 
@@ -42,6 +42,112 @@ def _check_direction(direction: str) -> None:
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ChaosError(f"{name} must be in [0, 1], got {value!r}")
+
+
+class PlanCodec:
+    """What every fault plan shares: a tuple of frozen clauses, and the
+    ``type``-tagged, versioned JSON form they serialize to.
+
+    The base of :class:`FaultPlan` and of its harness-side sibling
+    :class:`repro.fabric.faults.FabricFaultPlan`; a subclass is a frozen
+    dataclass whose first field is ``clauses`` and which names its
+    clause vocabulary below. Every other field (``name``, ``seed``...)
+    is serialized under its own name.
+    """
+
+    #: JSON tag -> clause class (the serialized form's discriminator).
+    CLAUSE_KINDS: Dict[str, Type] = {}
+    #: Schema version stamped into serialized plans.
+    FORMAT_VERSION = 1
+    #: What error messages call this kind of plan and its clauses.
+    WHAT = "fault"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.clauses, tuple):
+            object.__setattr__(self, "clauses", tuple(self.clauses))
+        kinds = self.CLAUSE_KINDS.values()
+        for clause in self.clauses:
+            if type(clause) not in kinds:
+                raise ChaosError(
+                    f"not a {self.WHAT} clause: {clause!r} (expected "
+                    f"one of {sorted(c.__name__ for c in kinds)})"
+                )
+
+    def _tags(self) -> Tuple[str, ...]:
+        """Each clause's JSON tag, in plan order."""
+        tag_of = {cls: tag for tag, cls in self.CLAUSE_KINDS.items()}
+        return tuple(tag_of[type(clause)] for clause in self.clauses)
+
+    def to_dict(self) -> dict:
+        """Plain-data form (stable key order; JSON-ready)."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["version"] = self.FORMAT_VERSION
+        # The clause-type tag is "type", not "kind": server/DNS clauses
+        # carry their own "kind" field (stall, servfail...) and the two
+        # must not collide in the flat clause object.
+        data["clauses"] = [
+            {"type": tag, **asdict(clause)}
+            for tag, clause in zip(self._tags(), self.clauses)
+        ]
+        return data
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        """Serialize to JSON (sorted keys, so equal plans are equal text)."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Inverse of :meth:`to_dict`; validates every clause."""
+        if not isinstance(data, dict):
+            raise ChaosError(
+                f"{cls.WHAT} plan must be an object, got {type(data)}")
+        version = data.get("version", cls.FORMAT_VERSION)
+        if version != cls.FORMAT_VERSION:
+            raise ChaosError(
+                f"unsupported {cls.WHAT.replace(' ', '-')}-plan version "
+                f"{version!r} (this build reads version "
+                f"{cls.FORMAT_VERSION})"
+            )
+        clauses = []
+        for index, entry in enumerate(data.get("clauses", ())):
+            if not isinstance(entry, dict) or "type" not in entry:
+                raise ChaosError(
+                    f"clause {index} must be an object with a 'type' key"
+                )
+            entry = dict(entry)
+            tag = entry.pop("type")
+            clause_cls = cls.CLAUSE_KINDS.get(tag)
+            if clause_cls is None:
+                raise ChaosError(
+                    f"clause {index}: unknown type {tag!r} (expected one "
+                    f"of {sorted(cls.CLAUSE_KINDS)})"
+                )
+            known = {f.name for f in fields(clause_cls)}
+            unknown = set(entry) - known
+            if unknown:
+                raise ChaosError(
+                    f"clause {index} ({tag}): unknown fields {sorted(unknown)}"
+                )
+            try:
+                clauses.append(clause_cls(**entry))
+            except TypeError as exc:
+                raise ChaosError(f"clause {index} ({tag}): {exc}") from None
+        rest = {f.name: data[f.name] for f in fields(cls)
+                if f.name != "clauses" and f.name in data}
+        return cls(clauses=tuple(clauses), **rest)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Parse a plan from JSON text."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ChaosError(
+                f"{cls.WHAT} plan is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
+
+    def __len__(self) -> int:
+        return len(self.clauses)
 
 
 @dataclass(frozen=True)
@@ -296,25 +402,8 @@ LINK_CLAUSE_TYPES: Tuple[Type, ...] = (
     SynBlackholeClause,
 )
 
-#: JSON tag -> clause class (the wire format's discriminator).
-_CLAUSE_KINDS: Dict[str, Type] = {
-    "outage": OutageClause,
-    "ge-loss": GilbertElliottClause,
-    "corruption": CorruptionClause,
-    "reorder": ReorderClause,
-    "syn-blackhole": SynBlackholeClause,
-    "server": ServerFaultClause,
-    "dns": DnsFaultClause,
-}
-
-_KIND_BY_TYPE: Dict[Type, str] = {cls: tag for tag, cls in _CLAUSE_KINDS.items()}
-
-#: Schema version stamped into serialized plans.
-PLAN_FORMAT_VERSION = 1
-
-
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(PlanCodec):
     """A named, ordered collection of fault clauses.
 
     The plan is pure data: build one, serialize it with :meth:`to_json`,
@@ -328,15 +417,15 @@ class FaultPlan:
     clauses: Tuple[Clause, ...] = ()
     name: str = "chaos"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(self.clauses))
-        for clause in self.clauses:
-            if type(clause) not in _KIND_BY_TYPE:
-                raise ChaosError(
-                    f"not a fault clause: {clause!r} (expected one of "
-                    f"{sorted(c.__name__ for c in _KIND_BY_TYPE)})"
-                )
+    CLAUSE_KINDS = {
+        "outage": OutageClause,
+        "ge-loss": GilbertElliottClause,
+        "corruption": CorruptionClause,
+        "reorder": ReorderClause,
+        "syn-blackhole": SynBlackholeClause,
+        "server": ServerFaultClause,
+        "dns": DnsFaultClause,
+    }
 
     # ------------------------------------------------------------------ #
     # selection
@@ -374,79 +463,8 @@ class FaultPlan:
         """Whether any clause rides on the link pipes."""
         return any(isinstance(c, LINK_CLAUSE_TYPES) for c in self.clauses)
 
-    # ------------------------------------------------------------------ #
-    # serialization
-
-    def to_dict(self) -> dict:
-        """Plain-data form (stable key order; JSON-ready)."""
-        return {
-            "version": PLAN_FORMAT_VERSION,
-            "name": self.name,
-            # The clause-type tag is "type", not "kind": server/DNS
-            # clauses carry their own "kind" field (stall, servfail...)
-            # and the two must not collide in the flat clause object.
-            "clauses": [
-                {"type": _KIND_BY_TYPE[type(clause)], **asdict(clause)}
-                for clause in self.clauses
-            ],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize to JSON (sorted keys, so equal plans are equal text)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; validates every clause."""
-        if not isinstance(data, dict):
-            raise ChaosError(f"fault plan must be an object, got {type(data)}")
-        version = data.get("version", PLAN_FORMAT_VERSION)
-        if version != PLAN_FORMAT_VERSION:
-            raise ChaosError(
-                f"unsupported fault-plan version {version!r} "
-                f"(this build reads version {PLAN_FORMAT_VERSION})"
-            )
-        clauses = []
-        for index, entry in enumerate(data.get("clauses", ())):
-            if not isinstance(entry, dict) or "type" not in entry:
-                raise ChaosError(
-                    f"clause {index} must be an object with a 'type' key"
-                )
-            entry = dict(entry)
-            tag = entry.pop("type")
-            clause_cls = _CLAUSE_KINDS.get(tag)
-            if clause_cls is None:
-                raise ChaosError(
-                    f"clause {index}: unknown type {tag!r} (expected one "
-                    f"of {sorted(_CLAUSE_KINDS)})"
-                )
-            known = {f.name for f in fields(clause_cls)}
-            unknown = set(entry) - known
-            if unknown:
-                raise ChaosError(
-                    f"clause {index} ({tag}): unknown fields {sorted(unknown)}"
-                )
-            try:
-                clauses.append(clause_cls(**entry))
-            except TypeError as exc:
-                raise ChaosError(f"clause {index} ({tag}): {exc}") from None
-        return cls(clauses=tuple(clauses), name=data.get("name", "chaos"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from JSON text."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ChaosError(f"fault plan is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
     def __repr__(self) -> str:
-        kinds = ", ".join(_KIND_BY_TYPE[type(c)] for c in self.clauses)
-        return f"<FaultPlan {self.name!r} [{kinds}]>"
+        return f"<FaultPlan {self.name!r} [{', '.join(self._tags())}]>"
 
 
 class OutageSchedule:
@@ -495,6 +513,7 @@ __all__ = [
     "GilbertElliottClause",
     "OutageClause",
     "OutageSchedule",
+    "PlanCodec",
     "ReorderClause",
     "ServerFaultClause",
     "SynBlackholeClause",

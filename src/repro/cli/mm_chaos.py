@@ -31,10 +31,11 @@ _EXAMPLE_CLAUSES = (
 
 
 def _example_plan():
-    from repro.chaos.plan import FaultPlan, _CLAUSE_KINDS
+    from repro.chaos.plan import FaultPlan
 
     clauses = tuple(
-        _CLAUSE_KINDS[kind](**args) for kind, args in _EXAMPLE_CLAUSES
+        FaultPlan.CLAUSE_KINDS[kind](**args)
+        for kind, args in _EXAMPLE_CLAUSES
     )
     return FaultPlan(clauses=clauses, name="example")
 

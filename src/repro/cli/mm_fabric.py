@@ -52,10 +52,11 @@ re-transferred.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn
 
 from repro.cli.common import CliError, ShellSpec, main_wrapper
 from repro.fabric.backend import (
@@ -88,124 +89,99 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     raise CliError(USAGE)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse for one subcommand, with a malformed argv reported the
+    way every mm-* tool reports bad usage: a :class:`CliError` (exit
+    status 2), never a traceback and never a ``sys.exit`` from here."""
+
+    def __init__(self, command: str) -> None:
+        super().__init__(prog=f"mm-fabric {command}", add_help=False,
+                         allow_abbrev=False)
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(f"{USAGE}\n{message}")
+
+
+def _run_parser() -> _Parser:
+    parser = _Parser("run")
+    add = parser.add_argument
+    add("--factory", required=True)
+    add("--kwargs", default="{}")
+    add("--trials", type=int, required=True)
+    add("--shards", type=int, default=2)
+    add("--backend", default="subprocess",
+        choices=("local", "subprocess", "remote"))
+    add("--host", action="append", default=[])
+    add("--ssh", default="ssh")
+    add("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+    add("--retries", type=int, default=1)
+    add("--worker-retries", type=int, default=1)
+    add("--journal")
+    add("--run-key")
+    add("--capture-digest", action="store_true")
+    add("--progress-deadline", type=float)
+    add("--heartbeat", type=float)
+    add("--io-deadline", type=float)
+    add("--spawn-retries", type=int, default=2)
+    add("--quarantine-after", type=int, default=3)
+    add("--speculate", action="store_true")
+    add("--artifact")
+    add("--json", action="store_true")
+    return parser
+
+
 def _run(argv: List[str]) -> int:
-    factory_spec: Optional[str] = None
-    kwargs_json = "{}"
-    trials: Optional[int] = None
-    shards = 2
-    backend_name = "subprocess"
-    hosts: List[str] = []
-    ssh = "ssh"
-    timeout = DEFAULT_TRIAL_TIMEOUT
-    retries = 1
-    worker_retries = 1
-    journal: Optional[str] = None
-    key: Optional[str] = None
-    capture_digest = False
-    progress_deadline: Optional[float] = None
-    heartbeat: Optional[float] = None
-    io_deadline: Optional[float] = None
-    spawn_retries = 2
-    quarantine_after = 3
-    speculate = False
-    artifact: Optional[str] = None
-    as_json = False
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--factory":
-            factory_spec = rest.pop(0)
-        elif flag == "--kwargs":
-            kwargs_json = rest.pop(0)
-        elif flag == "--trials":
-            trials = int(rest.pop(0))
-        elif flag == "--shards":
-            shards = int(rest.pop(0))
-        elif flag == "--backend":
-            backend_name = rest.pop(0)
-        elif flag == "--host":
-            hosts.append(rest.pop(0))
-        elif flag == "--ssh":
-            ssh = rest.pop(0)
-        elif flag == "--timeout":
-            timeout = float(rest.pop(0))
-        elif flag == "--retries":
-            retries = int(rest.pop(0))
-        elif flag == "--worker-retries":
-            worker_retries = int(rest.pop(0))
-        elif flag == "--journal":
-            journal = rest.pop(0)
-        elif flag == "--run-key":
-            key = rest.pop(0)
-        elif flag == "--capture-digest":
-            capture_digest = True
-        elif flag == "--progress-deadline":
-            progress_deadline = float(rest.pop(0))
-        elif flag == "--heartbeat":
-            heartbeat = float(rest.pop(0))
-        elif flag == "--io-deadline":
-            io_deadline = float(rest.pop(0))
-        elif flag == "--spawn-retries":
-            spawn_retries = int(rest.pop(0))
-        elif flag == "--quarantine-after":
-            quarantine_after = int(rest.pop(0))
-        elif flag == "--speculate":
-            speculate = True
-        elif flag == "--artifact":
-            artifact = rest.pop(0)
-        elif flag == "--json":
-            as_json = True
-        else:
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-    if factory_spec is None or trials is None:
-        raise CliError(USAGE)
+    options = _run_parser().parse_args(argv)
+    factory_spec, trials = options.factory, options.trials
+    backend_name, key = options.backend, options.run_key
     try:
-        kwargs = json.loads(kwargs_json)
+        kwargs = json.loads(options.kwargs)
     except json.JSONDecodeError as exc:
         raise CliError(f"--kwargs is not valid JSON: {exc}")
     if not isinstance(kwargs, dict):
         raise CliError("--kwargs must be a JSON object")
     spec = FactorySpec(factory_spec, kwargs)
-    if key is None and journal is not None:
-        key = make_run_key(factory=factory_spec, kwargs=kwargs_json,
-                           trials=trials, timeout=timeout)
+    if key is None and options.journal is not None:
+        key = make_run_key(factory=factory_spec, kwargs=options.kwargs,
+                           trials=trials, timeout=options.timeout)
 
     if backend_name == "local":
         backend = LocalBackend(spec.resolve())
     elif backend_name == "subprocess":
         backend = SubprocessBackend(spec)
-    elif backend_name == "remote":
-        if not hosts:
+    else:
+        if not options.host:
             raise CliError("--backend remote needs at least one --host")
         # The SSH-shaped stub drives one host; shard-per-host fan-out
         # rides on the same protocol (DESIGN.md §13).
-        backend = RemoteBackend(hosts[0], spec,
-                                ssh_command=ssh.split())
-    else:
-        raise CliError(f"unknown backend {backend_name!r} "
-                       f"(expected local, subprocess, or remote)")
+        backend = RemoteBackend(options.host[0], spec,
+                                ssh_command=options.ssh.split())
 
     result = run_fabric(
-        backend, trials, shards=shards, timeout=timeout,
-        retries=retries, worker_retries=worker_retries,
-        journal=journal, run_key=key, capture_digest=capture_digest,
-        progress_deadline=progress_deadline, heartbeat=heartbeat,
-        io_deadline=io_deadline, spawn_retries=spawn_retries,
-        quarantine_after=quarantine_after, speculate=speculate,
+        backend, trials, shards=options.shards, timeout=options.timeout,
+        retries=options.retries, worker_retries=options.worker_retries,
+        journal=options.journal, run_key=key,
+        capture_digest=options.capture_digest,
+        progress_deadline=options.progress_deadline,
+        heartbeat=options.heartbeat, io_deadline=options.io_deadline,
+        spawn_retries=options.spawn_retries,
+        quarantine_after=options.quarantine_after,
+        speculate=options.speculate,
     )
     counters = {name: c.value
                 for name, c in sorted(result.metrics.counters.items())}
     gauges = {name: g.value
               for name, g in sorted(result.metrics.gauges.items())}
     dropped = counters.get("fabric.journal_records_dropped", 0)
-    if artifact is not None:
+    if options.artifact is not None:
         from repro.obs import write_artifact
 
-        write_artifact(artifact, registry=result.metrics, meta={
+        write_artifact(options.artifact, registry=result.metrics, meta={
             "tool": "mm-fabric", "factory": factory_spec,
-            "trials": trials, "shards": shards, "backend": backend_name,
+            "trials": trials, "shards": options.shards,
+            "backend": backend_name,
         })
-    if as_json:
+    if options.json:
         print(json.dumps({
             "sweep": result.to_dict(),
             "fabric": {"counters": counters, "gauges": gauges},
@@ -238,8 +214,7 @@ def _run(argv: List[str]) -> int:
 
 
 def _worker(argv: List[str]) -> int:
-    if argv:
-        raise CliError(f"{USAGE}\nworker takes no arguments")
+    _Parser("worker").parse_args(argv)  # takes no arguments
     # The protocol owns the real stdout. Point fd 1 at stderr so any
     # stray print inside scenario code lands in the log, not the frame
     # stream (the magic check would catch it, but loudly and fatally).
@@ -249,20 +224,12 @@ def _worker(argv: List[str]) -> int:
 
 
 def _ship(argv: List[str]) -> int:
-    as_json = False
-    positional: List[str] = []
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--json":
-            as_json = True
-        elif flag.startswith("-"):
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-        else:
-            positional.append(flag)
-    if len(positional) != 2:
-        raise CliError(USAGE)
-    source, dest = positional
+    parser = _Parser("ship")
+    parser.add_argument("source")
+    parser.add_argument("dest")
+    parser.add_argument("--json", action="store_true")
+    options = parser.parse_args(argv)
+    source, dest, as_json = options.source, options.dest, options.json
     if not os.path.isdir(source):
         raise CliError(f"not a corpus directory: {source!r}")
     report = ship_corpus(source, dest)

@@ -99,7 +99,7 @@ class HttpTransferError(HttpError):
 
     def __reduce__(self):
         # Default Exception pickling restores only ``args``; these errors
-        # ride back from ParallelRunner workers inside PageLoadResults,
+        # ride back from forked workers inside PageLoadResults,
         # so the structured fields must survive the round trip.
         return (type(self), (self.args[0], self.url, self.bytes_received))
 

@@ -7,7 +7,8 @@ anything else. Three implementations cover the deployment spectrum:
 * :class:`LocalBackend` — ``fork()`` a worker that inherits the scenario
   factory closure directly. Zero serialization of the factory, fastest
   startup; the default for single-host campaigns, and what
-  ``run_supervised`` and ``parallel_map`` dispatch to. This is the one
+  ``run_supervised`` and ``parallel_map`` dispatch to (the latter's
+  workers inherit its task in the factory's place). This is the one
   place in the package that forks (a tier-1 test holds it to that).
 * :class:`SubprocessBackend` — launch ``mm-fabric worker`` as a fresh
   interpreter wired over stdin/stdout pipes. The factory travels as a
@@ -208,6 +209,20 @@ def _pythonpath_env() -> dict:
     return env
 
 
+def _spawn_worker(argv: Sequence[str], what: str,
+                  env: Optional[dict] = None) -> WorkerHandle:
+    """Launch ``argv`` as a worker wired over unbuffered stdin/stdout
+    pipes — the transport every spawned backend shares."""
+    try:
+        process = subprocess.Popen(
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            bufsize=0, env=env)
+    except OSError as exc:
+        raise FabricError(f"cannot launch {what}: {exc}") from exc
+    return WorkerHandle(rfile=process.stdout, wfile=process.stdin,
+                        process=process, pid=process.pid)
+
+
 class SubprocessBackend(FabricBackend):
     """Launch ``mm-fabric worker`` children over stdin/stdout pipes.
 
@@ -226,21 +241,8 @@ class SubprocessBackend(FabricBackend):
         return self.spec
 
     def start_worker(self, shard: int) -> WorkerHandle:
-        try:
-            process = subprocess.Popen(
-                worker_command(self.python),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                bufsize=0,
-                env=_pythonpath_env(),
-            )
-        except OSError as exc:
-            raise FabricError(
-                f"cannot launch worker subprocess: {exc}") from exc
-        return WorkerHandle(
-            rfile=process.stdout, wfile=process.stdin,
-            process=process, pid=process.pid,
-        )
+        return _spawn_worker(worker_command(self.python),
+                             "worker subprocess", env=_pythonpath_env())
 
 
 class RemoteBackend(FabricBackend):
@@ -294,19 +296,6 @@ class RemoteBackend(FabricBackend):
         return command
 
     def start_worker(self, shard: int) -> WorkerHandle:
-        argv = [*self.ssh_command, self.host, self.remote_command()]
-        try:
-            process = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                bufsize=0,
-            )
-        except OSError as exc:
-            raise FabricError(
-                f"cannot launch remote worker via "
-                f"{self.ssh_command!r}: {exc}") from exc
-        return WorkerHandle(
-            rfile=process.stdout, wfile=process.stdin,
-            process=process, pid=process.pid,
-        )
+        return _spawn_worker(
+            [*self.ssh_command, self.host, self.remote_command()],
+            f"remote worker via {self.ssh_command!r}")

@@ -5,34 +5,28 @@ Every parallel batch of trials in this repo runs through
 set of live workers obtained from a
 :class:`~repro.fabric.backend.FabricBackend`, and hands each worker
 **one trial at a time** over the framed protocol (``run [t]`` →
-``outcome``, ``done``). Three entry points feed it:
-
-* :func:`run_fabric` — ``shards`` workers from any backend (forked,
-  subprocess, SSH-shaped), heartbeats, journal, speculation;
-* :func:`~repro.measure.supervise.run_supervised` — ``workers`` forked
-  workers (:class:`~repro.fabric.backend.LocalBackend`), its
-  ``deadline`` being the liveness deadline with no heartbeat: seconds
-  since dispatch;
-* :func:`~repro.measure.parallel.parallel_map` — the same with loss
-  budget 0, no journal, and the lowest failing index re-raised.
+``outcome``, ``done``). It has two callers: the sweep
+(:func:`~repro.measure.supervise.run_sweep`, the one body under
+``run_supervised`` and :func:`run_fabric`, which adds the journal around
+it) and :func:`~repro.measure.parallel.parallel_map` (loss budget 0, no
+journal, the lowest failing index re-raised).
 
 **The byte-identity guarantee.** Because trials are deterministic pure
 functions of their index (DESIGN.md §6), *where* and *when* a trial runs
 cannot change its result. Outcomes are merged purely by trial index — so
 the :class:`~repro.measure.supervise.SweepResult` sample, the combined
-event-stream digest, and the rewritten journal are byte-identical to a
-serial ``run_supervised(workers=1)`` of the same sweep, for any worker
-count, any backend, and any interleaving of worker completions. Tests
-assert this literally (``tests/test_fabric/``) and CI re-proves it on
-every push — including under injected harness faults
+event-stream digest, and the rewritten journal are byte-identical to an
+in-process ``run_supervised(workers=1)`` of the same sweep, for any
+worker count, any backend, and any interleaving of worker completions.
+Tests assert this literally (``tests/test_fabric/``) and CI re-proves it
+on every push — including under injected harness faults
 (:mod:`repro.fabric.faults`).
 
 **One loss/retry rule** (DESIGN.md §9 has the full fault × detection ×
 recovery matrix):
 
-* A *reported* failure (a ``ReproError`` from the trial) never leaves
-  the worker: :func:`~repro.measure.supervise.run_shard` retries it
-  there ``retries`` times, then reports the trial ``quarantined``.
+* A *reported* failure never leaves the worker — that is
+  :func:`~repro.measure.supervise.run_shard`'s retry/quarantine loop.
 * A *lost holder* — crash, SIGKILL, torn stream, watchdog kill — costs
   exactly the one trial the worker held: it goes back on the queue and
   a replacement worker is spawned, until the trial has lost
@@ -59,8 +53,6 @@ recovery matrix):
 
 from __future__ import annotations
 
-import glob
-import os
 import queue
 import threading
 import time
@@ -74,14 +66,9 @@ from repro.errors import FabricError, ProtocolError
 from repro.fabric.backend import FabricBackend, WorkerHandle
 from repro.fabric.health import BackoffPolicy, HostHealth
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
-from repro.measure.journal import TrialJournal, merge_journals
+from repro.measure.journal import TrialJournal
 from repro.measure.runner import DEFAULT_TRIAL_TIMEOUT
-from repro.measure.supervise import (
-    SweepResult,
-    TrialOutcome,
-    _journal_record,
-    _replay_journal,
-)
+from repro.measure.supervise import SweepResult, TrialOutcome, run_sweep
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -105,34 +92,9 @@ _SPECULATE_COPIES = 1
 _LINGER = 5.0
 
 
-class FabricResult(SweepResult):
-    """A :class:`SweepResult` plus the fabric's own observability.
-
-    Everything inherited (sample, digest, counts, to_dict) is computed
-    from the outcomes alone, so it compares equal to a serial sweep's.
-
-    Attributes:
-        metrics: harness-side instruments under the ``fabric.`` prefix —
-            shards, workers spawned, crashes, trials completed / resumed
-            / reassigned / redelivered, spawn retries, heartbeats,
-            speculative wins/losses, wall seconds, trials per second.
-        shards: the worker count the sweep ran with.
-        quarantined_hosts: hosts evicted for consecutive crashes, mapped
-            to the crash streak that evicted them (empty when none — the
-            degraded-but-complete signal).
-    """
-
-    def __init__(self, outcomes: List[TrialOutcome],
-                 metrics: MetricsRegistry, shards: int,
-                 quarantined_hosts: Optional[Dict[str, int]] = None) -> None:
-        super().__init__(outcomes)
-        self.metrics = metrics
-        self.shards = shards
-        self.quarantined_hosts = dict(quarantined_hosts or {})
-
-    def __repr__(self) -> str:
-        return super().__repr__().replace(
-            "<SweepResult", f"<FabricResult shards={self.shards}")
+#: What ``run_fabric`` returns: the one :class:`SweepResult` every sweep
+#: returns, under the fabric's name for it.
+FabricResult = SweepResult
 
 
 @dataclass
@@ -198,7 +160,7 @@ def run_fabric(
     spawn_retries: int = 2,
     quarantine_after: int = 3,
     speculate: bool = False,
-) -> FabricResult:
+) -> SweepResult:
     """Run a sweep over ``shards`` fabric workers; merge byte-identically.
 
     Args:
@@ -209,19 +171,12 @@ def run_fabric(
         shards: how many workers pull from the trial queue (never more
             than there are trials to run). The merge is by index, so
             the count never shows in the output.
-        timeout: virtual-time budget per trial (as ``run_supervised``).
-        allow_failures: forwarded to each trial.
+        timeout, allow_failures, journal, run_key, capture_digest: as
+            for :func:`~repro.measure.supervise.run_supervised`.
         retries: *in-worker* retry budget per trial for reported
             failures (same meaning as ``run_supervised``).
         worker_retries: how many lost holders (worker deaths, watchdog
             kills) a trial survives before it is recorded ``crashed``.
-        journal: a :class:`TrialJournal` or path. Completed trials are
-            replayed, not re-run; new outcomes are checkpointed as they
-            stream in; the journal is compacted (``rewrite``) on return,
-            so its bytes match a serial run's journal.
-        run_key: stamps/validates the journal.
-        capture_digest: capture per-trial event-stream digests so
-            :attr:`SweepResult.digest` proves cross-backend equivalence.
         progress_deadline: wall-clock seconds a worker holding a trial
             may go without evidence of life before the watchdog kills it
             (None disables). With ``heartbeat`` set this measures
@@ -256,99 +211,19 @@ def run_fabric(
             their index).
 
     Returns:
-        A :class:`FabricResult` whose sample, digest, and journal are
+        A :class:`SweepResult` whose sample, digest, and journal are
         byte-identical to ``run_supervised(...)`` over the same sweep.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards!r}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries!r}")
-    if worker_retries < 0:
-        raise ValueError(
-            f"worker_retries must be >= 0, got {worker_retries!r}")
-    if progress_deadline is not None and progress_deadline <= 0:
-        raise ValueError(
-            f"progress_deadline must be positive, got {progress_deadline!r}")
-    if heartbeat is not None and heartbeat <= 0:
-        raise ValueError(f"heartbeat must be positive, got {heartbeat!r}")
-    if io_deadline is not None and io_deadline <= 0:
-        raise ValueError(
-            f"io_deadline must be positive, got {io_deadline!r}")
-    if io_deadline is not None and heartbeat is not None \
-            and io_deadline <= heartbeat:
-        raise ValueError(
-            f"io_deadline ({io_deadline!r}) must exceed the heartbeat "
-            f"interval ({heartbeat!r}): beats are what keep an idle "
-            f"stream alive under a read deadline")
-    if spawn_retries < 0:
-        raise ValueError(
-            f"spawn_retries must be >= 0, got {spawn_retries!r}")
-
-    if metrics is None:
-        metrics = MetricsRegistry()
-    health = HostHealth(quarantine_after=quarantine_after)
-    started = time.monotonic()
-
-    if journal is not None and not isinstance(journal, TrialJournal):
-        journal = TrialJournal(journal, key=run_key)
-    try:
-        if journal is not None:
-            # Surface resume-time damage instead of silently swallowing
-            # it: records the journal reader had to drop (torn tail,
-            # bitrot).
-            metrics.counter("fabric.journal_records_dropped").add(
-                journal.dropped_records)
-            leftover = sorted(glob.glob(journal.path + ".shard*"))
-            if leftover:
-                merged = merge_journals(journal, leftover)
-                metrics.counter("fabric.sidecar_trials_merged").add(merged)
-                for path in leftover:
-                    os.remove(path)
-
-        outcomes, pending = _replay_journal(journal, trials)
-        metrics.counter("fabric.shards").add(shards)
-        metrics.counter("fabric.trials_from_journal").add(len(outcomes))
-
-        if pending:
-            sidecars = journal.path \
-                if worker_journals and journal is not None else None
-            dispatch(
-                backend, pending, shards, outcomes,
-                config={
-                    "timeout": timeout, "allow_failures": allow_failures,
-                    "retries": retries, "capture_digest": capture_digest,
-                    "heartbeat": heartbeat,
-                    "run_key": journal.key if journal is not None else None,
-                },
-                record=lambda outcome: _journal_record(journal, outcome),
-                worker_retries=worker_retries, deadline=progress_deadline,
-                io_deadline=io_deadline, spawn_retries=spawn_retries,
-                health=health, speculate=speculate, sidecars=sidecars,
-                metrics=metrics,
-            )
-            if sidecars is not None:
-                for path in glob.glob(sidecars + ".shard*"):
-                    os.remove(path)
-
-        if journal is not None:
-            # Canonical form: header + one record per trial, in trial
-            # order — byte-identical to an uninterrupted serial run's.
-            journal.rewrite()
-    finally:
-        if journal is not None:
-            journal.close()
-
-    elapsed = time.monotonic() - started
-    completed = sum(1 for o in outcomes.values()
-                    if o.succeeded and not o.from_journal)
-    metrics.gauge("fabric.wall_seconds").set(elapsed, 0.0)
-    if elapsed > 0:
-        metrics.gauge("fabric.trials_per_s").set(completed / elapsed, 0.0)
-    return FabricResult(
-        [outcomes[trial] for trial in range(trials)], metrics, shards,
-        quarantined_hosts=health.quarantined)
+    return run_sweep(
+        None, backend, trials, shards, timeout=timeout,
+        allow_failures=allow_failures, retries=retries,
+        worker_retries=worker_retries, deadline=progress_deadline,
+        journal=journal, run_key=run_key, capture_digest=capture_digest,
+        worker_journals=worker_journals, metrics=metrics,
+        heartbeat=heartbeat, io_deadline=io_deadline,
+        spawn_retries=spawn_retries,
+        health=HostHealth(quarantine_after=quarantine_after),
+        speculate=speculate, spelled=("shards", "progress_deadline"))
 
 
 def dispatch(
@@ -380,9 +255,9 @@ def dispatch(
     return; every worker is reaped, whatever raises.
 
     Args:
-        config: the trial knobs every worker is configured with
-            (``timeout``, ``allow_failures``, ``retries``,
-            ``capture_digest``, ``heartbeat``, ``run_key``).
+        config: what every worker is configured with: ``retries``,
+            ``heartbeat``, ``run_key``, and the trial knobs (``timeout``,
+            ``allow_failures``, ``capture_digest``) or ``task``.
         record: called once per trial with its first outcome, in
             arrival order (the journal writer, or a caller's hook).
         worker_retries: lost holders a trial survives (see module doc).

@@ -38,18 +38,18 @@ Clause catalogue:
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import random
 import threading
 import time
-from dataclasses import asdict, dataclass, fields
-from typing import BinaryIO, Dict, Optional, Tuple, Type, Union
+from dataclasses import dataclass
+from typing import BinaryIO, Callable, Dict, Optional, Tuple, Union
 
+from repro.chaos.plan import PlanCodec
 from repro.errors import ChaosError, FabricError
 from repro.fabric.backend import FabricBackend, WorkerHandle
-from repro.fabric.protocol import _HEADER, _MAGIC
+from repro.fabric.protocol import BadFrame, FrameReader
 from repro.fabric.worker import FactorySpec
 from repro.sim.random import stable_seed
 
@@ -163,13 +163,9 @@ class SpawnFault:
 
 
 @dataclass(frozen=True)
-class KillWorker:
-    """SIGKILL the shard's worker after ``after_outcomes`` outcomes.
-
-    ``after_outcomes=0`` kills on the first frame (before any trial
-    completes). The coordinator sees the stream tear and must reassign
-    the worker's unreported trials.
-    """
+class _AfterOutcomes:
+    """A clause that strikes one shard's worker once ``after_outcomes``
+    outcome frames have crossed its wire."""
 
     shard: int = 0
     after_outcomes: int = 0
@@ -183,8 +179,16 @@ class KillWorker:
             )
 
 
-@dataclass(frozen=True)
-class WedgeWorker:
+class KillWorker(_AfterOutcomes):
+    """SIGKILL the shard's worker after ``after_outcomes`` outcomes.
+
+    ``after_outcomes=0`` kills on the first frame (before any trial
+    completes). The coordinator sees the stream tear and must reassign
+    the worker's unreported trials.
+    """
+
+
+class WedgeWorker(_AfterOutcomes):
     """Silence the shard's wire after ``after_outcomes`` outcomes.
 
     The worker process stays alive and keeps computing; its frames
@@ -193,59 +197,32 @@ class WedgeWorker:
     detect this.
     """
 
-    shard: int = 0
-    after_outcomes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shard < 0:
-            raise ChaosError(f"shard must be >= 0, got {self.shard!r}")
-        if self.after_outcomes < 0:
-            raise ChaosError(
-                f"after_outcomes must be >= 0, got {self.after_outcomes!r}"
-            )
-
 
 #: Any clause a fabric fault plan can hold.
 FabricClause = Union[FrameFault, SpawnFault, KillWorker, WedgeWorker]
 
-#: JSON tag -> clause class (the serialized form's discriminator).
-_CLAUSE_KINDS: Dict[str, Type] = {
-    "frame": FrameFault,
-    "spawn": SpawnFault,
-    "kill": KillWorker,
-    "wedge": WedgeWorker,
-}
-
-_KIND_BY_TYPE: Dict[Type, str] = {
-    cls: tag for tag, cls in _CLAUSE_KINDS.items()
-}
-
-#: Schema version stamped into serialized fabric fault plans.
-PLAN_FORMAT_VERSION = 1
-
-
 @dataclass(frozen=True)
-class FabricFaultPlan:
+class FabricFaultPlan(PlanCodec):
     """A named, seeded schedule of harness faults.
 
-    Pure data, like its chaos sibling: picklable, JSON-round-trippable,
-    reviewable. The ``seed`` drives every stochastic clause (``rate``
-    frame faults); deterministic clauses ignore it.
+    Pure data, like its chaos sibling, and serialized by the same codec
+    (:class:`~repro.chaos.plan.PlanCodec`): picklable,
+    JSON-round-trippable, reviewable. The ``seed`` drives every
+    stochastic clause (``rate`` frame faults); deterministic clauses
+    ignore it.
     """
 
     clauses: Tuple[FabricClause, ...] = ()
     name: str = "fabric-chaos"
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.clauses, tuple):
-            object.__setattr__(self, "clauses", tuple(self.clauses))
-        for clause in self.clauses:
-            if type(clause) not in _KIND_BY_TYPE:
-                raise ChaosError(
-                    f"not a fabric fault clause: {clause!r} (expected one "
-                    f"of {sorted(c.__name__ for c in _KIND_BY_TYPE)})"
-                )
+    CLAUSE_KINDS = {
+        "frame": FrameFault,
+        "spawn": SpawnFault,
+        "kill": KillWorker,
+        "wedge": WedgeWorker,
+    }
+    WHAT = "fabric fault"
 
     # ------------------------------------------------------------------ #
     # selection
@@ -271,115 +248,23 @@ class FabricFaultPlan:
             and clause.shard in (None, shard)
         )
 
+    def _first(self, kind: type, shard: int) -> Optional[_AfterOutcomes]:
+        return next((clause for clause in self.clauses
+                     if type(clause) is kind and clause.shard == shard), None)
+
     def kill_clause(self, shard: int) -> Optional[KillWorker]:
-        for clause in self.clauses:
-            if isinstance(clause, KillWorker) and clause.shard == shard:
-                return clause
-        return None
+        return self._first(KillWorker, shard)
 
     def wedge_clause(self, shard: int) -> Optional[WedgeWorker]:
-        for clause in self.clauses:
-            if isinstance(clause, WedgeWorker) and clause.shard == shard:
-                return clause
-        return None
-
-    # ------------------------------------------------------------------ #
-    # serialization (mirrors chaos.FaultPlan)
-
-    def to_dict(self) -> dict:
-        """Plain-data form (stable key order; JSON-ready)."""
-        return {
-            "version": PLAN_FORMAT_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "clauses": [
-                {"type": _KIND_BY_TYPE[type(clause)], **asdict(clause)}
-                for clause in self.clauses
-            ],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialize to JSON (sorted keys: equal plans are equal text)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FabricFaultPlan":
-        """Inverse of :meth:`to_dict`; validates every clause."""
-        if not isinstance(data, dict):
-            raise ChaosError(
-                f"fabric fault plan must be an object, got {type(data)}"
-            )
-        version = data.get("version", PLAN_FORMAT_VERSION)
-        if version != PLAN_FORMAT_VERSION:
-            raise ChaosError(
-                f"unsupported fabric-fault-plan version {version!r} "
-                f"(this build reads version {PLAN_FORMAT_VERSION})"
-            )
-        clauses = []
-        for index, entry in enumerate(data.get("clauses", ())):
-            if not isinstance(entry, dict) or "type" not in entry:
-                raise ChaosError(
-                    f"clause {index} must be an object with a 'type' key"
-                )
-            entry = dict(entry)
-            tag = entry.pop("type")
-            clause_cls = _CLAUSE_KINDS.get(tag)
-            if clause_cls is None:
-                raise ChaosError(
-                    f"clause {index}: unknown type {tag!r} (expected one "
-                    f"of {sorted(_CLAUSE_KINDS)})"
-                )
-            known = {f.name for f in fields(clause_cls)}
-            unknown = set(entry) - known
-            if unknown:
-                raise ChaosError(
-                    f"clause {index} ({tag}): unknown fields "
-                    f"{sorted(unknown)}"
-                )
-            if "kinds" in entry and entry["kinds"] is not None:
-                entry["kinds"] = tuple(entry["kinds"])
-            try:
-                clauses.append(clause_cls(**entry))
-            except TypeError as exc:
-                raise ChaosError(f"clause {index} ({tag}): {exc}") from None
-        return cls(
-            clauses=tuple(clauses),
-            name=data.get("name", "fabric-chaos"),
-            seed=int(data.get("seed", 0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FabricFaultPlan":
-        """Parse a plan from JSON text."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ChaosError(
-                f"fabric fault plan is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
+        return self._first(WedgeWorker, shard)
 
     def __repr__(self) -> str:
-        kinds = ", ".join(_KIND_BY_TYPE[type(c)] for c in self.clauses)
-        return f"<FabricFaultPlan {self.name!r} seed={self.seed} [{kinds}]>"
+        return (f"<FabricFaultPlan {self.name!r} seed={self.seed} "
+                f"[{', '.join(self._tags())}]>")
 
 
 # ---------------------------------------------------------------------- #
 # injection
-
-
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    """Read exactly n bytes; b"" on clean EOF, short bytes on torn EOF."""
-    chunks = b""
-    while len(chunks) < n:
-        chunk = stream.read(n - len(chunks))
-        if not chunk:
-            return chunks
-        chunks += chunk
-    return chunks
 
 
 class _FramePump(threading.Thread):
@@ -393,8 +278,7 @@ class _FramePump(threading.Thread):
     def __init__(self, src: BinaryIO, dst_fd: int,
                  clauses: Tuple[FrameFault, ...],
                  rng: random.Random,
-                 counters: Dict[str, int],
-                 lock: threading.Lock,
+                 count: Callable[[str], None],
                  handle: Optional[WorkerHandle] = None,
                  kill: Optional[KillWorker] = None,
                  wedge: Optional[WedgeWorker] = None,
@@ -404,8 +288,7 @@ class _FramePump(threading.Thread):
         self._dst_fd = dst_fd
         self._clauses = clauses
         self._rng = rng
-        self._counters = counters
-        self._lock = lock
+        self._count = count
         self._handle = handle
         self._kill = kill
         self._wedge = wedge
@@ -413,10 +296,6 @@ class _FramePump(threading.Thread):
         self._outcomes = 0
         self._wedged = False
         self._killed = False
-
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + 1
 
     def _clause_for(self, kind: Optional[str]) -> Optional[FrameFault]:
         """First clause afflicting this frame, stepping match counters."""
@@ -455,35 +334,28 @@ class _FramePump(threading.Thread):
             self._close_dst()
 
     def _pump(self) -> None:
+        frames = FrameReader(self._src)
         while True:
-            header = _read_exact(self._src, _HEADER.size)
-            if len(header) < _HEADER.size:
-                # Source ended (cleanly or mid-frame). Relay whatever
-                # arrived so the receiver sees the same tear — unless
-                # wedged, where silence must persist.
-                if header and not self._wedged:
-                    self._forward(header)
+            try:
+                header, payload = frames.read()
+            except EOFError:
                 if not self._wedged:
                     self._close_dst()
                 return
-            magic, length, _checksum = _HEADER.unpack(header)
-            if magic != _MAGIC or length > 64 * 1024 * 1024:
-                # Not a frame boundary we understand; relay verbatim and
-                # fall back to byte-pump mode (no more frame parsing).
+            except BadFrame as exc:
+                # The source ended mid-frame, or stopped speaking frames.
+                # Relay what arrived, then bytes verbatim to the end, so
+                # the receiver sees the same damage — unless wedged,
+                # where silence must persist.
                 if not self._wedged:
-                    self._forward(header)
-                    while True:
-                        chunk = self._src.read(65536)
-                        if not chunk:
-                            self._close_dst()
-                            return
+                    self._forward(exc.consumed)
+                    for chunk in iter(lambda: self._src.read(65536), b""):
                         self._forward(chunk)
+                    self._close_dst()
                 return
-            payload = _read_exact(self._src, length)
-            torn = len(payload) < length
             kind: Optional[str] = None
             try:
-                message = pickle.loads(payload) if not torn else None
+                message = pickle.loads(payload)
                 if isinstance(message, tuple) and message:
                     kind = message[0]
             except Exception:
@@ -491,10 +363,8 @@ class _FramePump(threading.Thread):
             if self._wedged:
                 # Drain silently; the worker keeps producing into the
                 # void and both pipe ends stay open.
-                if torn:
-                    return
                 continue
-            clause = None if torn else self._clause_for(kind)
+            clause = self._clause_for(kind)
             frame = header + payload
             if clause is None:
                 self._forward(frame)
@@ -506,17 +376,15 @@ class _FramePump(threading.Thread):
                 self._forward(frame)
             elif clause.action == "corrupt":
                 self._count("frames_corrupted")
-                at = _HEADER.size + length // 2
+                at = len(header) + len(payload) // 2
                 frame = (frame[:at]
                          + bytes([frame[at] ^ 0xFF])
                          + frame[at + 1:])
                 self._forward(frame)
             elif clause.action == "truncate":
                 self._count("frames_truncated")
-                self._forward(frame[:_HEADER.size + max(1, length // 2)])
-                self._close_dst()
-                return
-            if torn:
+                self._forward(
+                    frame[:len(header) + max(1, len(payload) // 2)])
                 self._close_dst()
                 return
             if kind == "outcome":
@@ -560,6 +428,10 @@ class FaultyBackend(FabricBackend):
         self._lock = threading.Lock()
         self._spawn_attempts: Dict[int, int] = {}
 
+    def _count(self, key: str) -> None:
+        with self._lock:  # pumps count from their own threads
+            self.injected[key] = self.injected.get(key, 0) + 1
+
     def factory_spec(self) -> Optional[FactorySpec]:
         return self.backend.factory_spec()
 
@@ -577,10 +449,7 @@ class FaultyBackend(FabricBackend):
             attempts = self._spawn_attempts.get(shard, 0)
             if attempts < budget:
                 self._spawn_attempts[shard] = attempts + 1
-                with self._lock:
-                    self.injected["spawn_failures"] = (
-                        self.injected.get("spawn_failures", 0) + 1
-                    )
+                self._count("spawn_failures")
                 raise FabricError(
                     f"injected spawn failure {attempts + 1}/{budget} "
                     f"for shard {shard}"
@@ -596,8 +465,8 @@ class FaultyBackend(FabricBackend):
             read_fd, write_fd = os.pipe()
             _FramePump(
                 src=handle.rfile, dst_fd=write_fd, clauses=w2c,
-                rng=self._rng(shard, "w2c"), counters=self.injected,
-                lock=self._lock, handle=handle, kill=kill, wedge=wedge,
+                rng=self._rng(shard, "w2c"), count=self._count,
+                handle=handle, kill=kill, wedge=wedge,
                 name=f"fault-pump-w2c-{shard}",
             ).start()
             rfile = os.fdopen(read_fd, "rb", buffering=0)
@@ -607,10 +476,11 @@ class FaultyBackend(FabricBackend):
             read_fd, write_fd = os.pipe()
             _FramePump(
                 src=os.fdopen(read_fd, "rb", buffering=0),
-                dst_fd=_dup_writer(handle.wfile),
+                # A raw dup: the pump writes with os.write, the stream
+                # object stays owned by its handle.
+                dst_fd=os.dup(handle.wfile.fileno()),
                 clauses=c2w,
-                rng=self._rng(shard, "c2w"), counters=self.injected,
-                lock=self._lock,
+                rng=self._rng(shard, "c2w"), count=self._count,
                 name=f"fault-pump-c2w-{shard}",
             ).start()
             wfile = os.fdopen(write_fd, "wb", buffering=0)
@@ -625,9 +495,3 @@ class FaultyBackend(FabricBackend):
         wrapped.inner = handle
         return wrapped
 
-
-def _dup_writer(stream: BinaryIO) -> int:
-    """A raw dup of a write stream's fd for pump output (the pump writes
-    with os.write; the original stream object stays owned by its
-    handle)."""
-    return os.dup(stream.fileno())

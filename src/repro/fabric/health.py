@@ -194,5 +194,5 @@ class HostHealth:
     @property
     def quarantined(self) -> Dict[str, int]:
         """Quarantined hosts mapped to the crash streak that evicted
-        them (insertion-ordered, for FabricResult reporting)."""
+        them (insertion-ordered, for SweepResult reporting)."""
         return dict(self._quarantined)

@@ -72,6 +72,8 @@ from typing import Any, BinaryIO, Dict, Optional, Tuple
 from repro.errors import ProtocolError, ProtocolTimeout
 
 __all__ = [
+    "BadFrame",
+    "FrameReader",
     "MAX_FRAME",
     "MAX_RESYNC_SCAN",
     "PROTOCOL_VERSION",
@@ -179,56 +181,111 @@ def write_message(stream: BinaryIO, message: Tuple[str, Any],
         os.set_blocking(fd, blocking)
 
 
-def _read_exact(stream: BinaryIO, n: int, context: str,
-                deadline: Optional[float], fd: Optional[int]) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        _wait_readable(fd, deadline, context)
-        chunk = stream.read(remaining)
-        if not chunk:
-            if chunks or context == "frame body":
+class BadFrame(ProtocolError):
+    """The stream did not yield a whole frame: it ended part-way through
+    one, or what arrived was not one.
+
+    Attributes:
+        consumed: every byte taken off the stream for the frame, so a
+            relay can pass the damage on exactly as it arrived.
+        scannable: the frame *marker* was wrong (not the length, not the
+            stream's end): a resyncing reader may scan for the next one.
+    """
+
+    def __init__(self, message: str, consumed: bytes,
+                 scannable: bool = False) -> None:
+        super().__init__(message)
+        self.consumed = consumed
+        self.scannable = scannable
+
+
+class FrameReader:
+    """Raw frames off one byte stream: the one framing layer, under
+    :func:`read_message` and under the fault injector's relay, which
+    must cut the stream exactly where a receiver would.
+
+    Args:
+        stream: the peer's byte stream.
+        timeout: wall seconds, counted from construction, for everything
+            read through this reader (see :func:`read_message`).
+    """
+
+    def __init__(self, stream: BinaryIO,
+                 timeout: Optional[float] = None) -> None:
+        self._stream = stream
+        self._deadline = _deadline(timeout)
+        self._fd = _selectable_fd(stream) if timeout is not None else None
+        # Resync scans read in chunks and can overshoot past the marker
+        # they find; those already-consumed bytes are served first, so
+        # nothing on the wire is lost or double-read.
+        self._ahead = b""
+
+    def _take(self, n: int, context: str) -> bytes:
+        ahead, self._ahead = self._ahead[:n], self._ahead[n:]
+        chunks = [ahead] if ahead else []
+        remaining = n - len(ahead)
+        while remaining:
+            _wait_readable(self._fd, self._deadline, context)
+            chunk = self._stream.read(remaining)
+            if not chunk:
+                if chunks or context == "frame body":
+                    raise BadFrame(
+                        f"stream ended inside a {context}: got "
+                        f"{n - remaining} of {n} bytes", b"".join(chunks))
+                raise EOFError("fabric stream closed at a frame boundary")
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks)
+
+    def read(self) -> Tuple[bytes, bytes]:
+        """The next frame as ``(header, payload)``, exactly as on the
+        wire; the checksum is the caller's to verify. Raises EOFError at
+        a clean end of stream, :class:`BadFrame` for a truncated frame, a
+        bad magic or an oversized length."""
+        header = self._take(_HEADER.size, "frame header")
+        magic, length, _ = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise BadFrame(
+                f"bad frame magic {magic!r} (stream is not speaking "
+                f"the fabric protocol)", header, scannable=True)
+        if length > MAX_FRAME:
+            raise BadFrame(
+                f"frame length {length} exceeds the {MAX_FRAME}-byte cap "
+                f"(corrupted length prefix?)", header)
+        try:
+            return header, self._take(length, "frame body")
+        except BadFrame as exc:
+            exc.consumed = header + exc.consumed
+            raise
+
+    def scan(self, garbage: bytes) -> None:
+        """Recover a frame boundary: search ``garbage`` and then the
+        stream for the next MAGIC, so the next :meth:`read` starts on
+        it. Raises ProtocolError when no marker appears within
+        :data:`MAX_RESYNC_SCAN` bytes."""
+        buffer, self._ahead = garbage + self._ahead, b""
+        scanned = 0
+        while True:
+            at = buffer.find(_MAGIC)
+            if at >= 0:
+                self._ahead = buffer[at:]
+                return
+            # Keep a window of len(MAGIC)-1 bytes in case the marker spans
+            # the chunk boundary.
+            scanned += max(0, len(buffer) - (len(_MAGIC) - 1))
+            if scanned > MAX_RESYNC_SCAN:
                 raise ProtocolError(
-                    f"stream ended inside a {context}: got "
-                    f"{n - remaining} of {n} bytes"
+                    f"no frame marker within {MAX_RESYNC_SCAN} bytes of "
+                    f"garbage (resync abandoned)"
                 )
-            raise EOFError("fabric stream closed at a frame boundary")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _scan_for_magic(stream: BinaryIO, head: bytes,
-                    deadline: Optional[float], fd: Optional[int]) -> bytes:
-    """Recover a frame boundary: find the next MAGIC and return the
-    re-aligned header bytes. Raises ProtocolError when no marker appears
-    within :data:`MAX_RESYNC_SCAN` bytes."""
-    buffer = head
-    scanned = 0
-    while True:
-        at = buffer.find(_MAGIC)
-        if at >= 0:
-            buffer = buffer[at:]
-            if len(buffer) < _HEADER.size:
-                buffer += _read_exact(stream, _HEADER.size - len(buffer),
-                                      "frame header", deadline, fd)
-            return buffer
-        # Keep a window of len(MAGIC)-1 bytes in case the marker spans
-        # the chunk boundary.
-        scanned += max(0, len(buffer) - (len(_MAGIC) - 1))
-        if scanned > MAX_RESYNC_SCAN:
-            raise ProtocolError(
-                f"no frame marker within {MAX_RESYNC_SCAN} bytes of "
-                f"garbage (resync abandoned)"
-            )
-        buffer = buffer[-(len(_MAGIC) - 1):] if buffer else b""
-        _wait_readable(fd, deadline, "resync scan")
-        chunk = stream.read(4096)
-        if not chunk:
-            raise ProtocolError(
-                "stream ended while scanning for a frame marker"
-            )
-        buffer += chunk
+            buffer = buffer[-(len(_MAGIC) - 1):] if buffer else b""
+            _wait_readable(self._fd, self._deadline, "resync scan")
+            chunk = self._stream.read(4096)
+            if not chunk:
+                raise ProtocolError(
+                    "stream ended while scanning for a frame marker"
+                )
+            buffer += chunk
 
 
 def read_message(stream: BinaryIO, timeout: Optional[float] = None,
@@ -256,74 +313,36 @@ def read_message(stream: BinaryIO, timeout: Optional[float] = None,
             frame, or an unpicklable payload (after ``resync`` damaged
             frames, where allowed).
     """
-    deadline = _deadline(timeout)
-    fd = _selectable_fd(stream) if timeout is not None else None
+    reader = FrameReader(stream, timeout)
     budget = resync
-    # Resync scans read in chunks and can overshoot past the next frame
-    # header; ``leftover`` holds those already-consumed bytes so nothing
-    # on the wire is lost or double-read.
-    leftover = b""
-
-    def take(n: int, context: str) -> bytes:
-        nonlocal leftover
-        if len(leftover) >= n:
-            part, leftover = leftover[:n], leftover[n:]
-            return part
-        part, leftover = leftover, b""
-        if not part:
-            return _read_exact(stream, n, context, deadline, fd)
-        try:
-            return part + _read_exact(stream, n - len(part), context,
-                                      deadline, fd)
-        except EOFError:
-            raise ProtocolError(
-                f"stream ended inside a {context}: got {len(part)} of "
-                f"{n} bytes"
-            ) from None
-
-    header = take(_HEADER.size, "frame header")
     while True:
-        magic, length, checksum = _HEADER.unpack(header)
-        if magic != _MAGIC:
+        try:
+            header, payload = reader.read()
+        except BadFrame as exc:
+            if not exc.scannable or budget <= 0:
+                raise
+            reader.scan(exc.consumed[1:])
+        else:
+            if _checksum(payload) == _HEADER.unpack(header)[2]:
+                break
             if budget <= 0:
                 raise ProtocolError(
-                    f"bad frame magic {magic!r} (stream is not speaking "
-                    f"the fabric protocol)"
-                )
-            budget -= 1
-            if stats is not None:
-                stats["resyncs"] = stats.get("resyncs", 0) + 1
-            buffer = _scan_for_magic(stream, header[1:] + leftover,
-                                     deadline, fd)
-            leftover = b""
-            header, leftover = buffer[:_HEADER.size], buffer[_HEADER.size:]
-            continue
-        if length > MAX_FRAME:
-            raise ProtocolError(
-                f"frame length {length} exceeds the {MAX_FRAME}-byte cap "
-                f"(corrupted length prefix?)"
-            )
-        payload = take(length, "frame body")
-        if _checksum(payload) != checksum:
-            if budget <= 0:
-                raise ProtocolError(
-                    f"frame checksum mismatch over {length} payload bytes"
+                    f"frame checksum mismatch over {len(payload)} "
+                    f"payload bytes"
                 )
             # The boundary is intact (length was trusted and verified by
             # position); drop the damaged frame and read the next one.
-            budget -= 1
-            if stats is not None:
-                stats["resyncs"] = stats.get("resyncs", 0) + 1
-            header = take(_HEADER.size, "frame header")
-            continue
-        try:
-            message = pickle.loads(payload)
-        except Exception as exc:
-            raise ProtocolError(f"unpicklable frame payload: {exc}") from exc
-        if (not isinstance(message, tuple) or len(message) != 2
-                or not isinstance(message[0], str)):
-            raise ProtocolError(
-                f"malformed message {type(message).__name__} (expected a "
-                f"(kind, data) tuple)"
-            )
-        return message
+        budget -= 1
+        if stats is not None:
+            stats["resyncs"] = stats.get("resyncs", 0) + 1
+    try:
+        message = pickle.loads(payload)
+    except Exception as exc:
+        raise ProtocolError(f"unpicklable frame payload: {exc}") from exc
+    if (not isinstance(message, tuple) or len(message) != 2
+            or not isinstance(message[0], str)):
+        raise ProtocolError(
+            f"malformed message {type(message).__name__} (expected a "
+            f"(kind, data) tuple)"
+        )
+    return message

@@ -41,9 +41,9 @@ def replay_smoke(
 ) -> ScenarioFactory:
     """Build the self-contained smoke factory: synthetic site, replayed.
 
-    Identical in shape to the crash-recovery smoke's factory: one
-    generated site, replayed through a fresh simulator per trial with
-    the trial index as the seed. ``pace`` sleeps that many *wall* seconds
+    One generated site, replayed through a fresh simulator per trial
+    with the trial index as the seed (the crash-recovery smoke runs this
+    factory too). ``pace`` sleeps that many *wall* seconds
     per trial — it widens CI kill windows without touching virtual time,
     so it cannot perturb results.
     """

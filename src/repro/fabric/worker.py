@@ -10,8 +10,8 @@ inherited factory closure
 ``mm-fabric worker`` over pipes
 (:class:`~repro.fabric.backend.SubprocessBackend`), or launched through
 an SSH-shaped transport (:class:`~repro.fabric.backend.RemoteBackend`) —
-and it is the only kind of worker there is: ``run_fabric``,
-``run_supervised`` and ``parallel_map`` all dispatch to it.
+and it is the only kind of worker there is: every dispatched sweep
+and ``parallel_map`` run on it.
 
 The dispatcher (:func:`repro.fabric.coordinator.dispatch`) sends one
 trial per ``run``, which is what the fault tolerance rests on: a lost
@@ -24,12 +24,15 @@ Alongside the trial work, a
 lock so frames never interleave), which is how the dispatcher tells a
 slow worker from a wedged one.
 
-Trial semantics are *identical to the serial supervised sweep*
-(:func:`repro.measure.supervise.run_supervised`) because they are the
-same code: :func:`~repro.measure.supervise.run_shard`, the one
-attempt/quarantine loop (re-exported here), runs both. That shared core
-is what makes the byte-identical-to-serial guarantee a matter of
-construction rather than luck.
+What a worker runs is a *task*, ``index -> result``: for a sweep,
+:func:`~repro.measure.runner.run_trial` bound to the scenario factory
+and the config's trial knobs; for ``parallel_map``, the caller's task
+as it is. Trial semantics are *identical to the in-process sweep*
+because they are the same code:
+:func:`~repro.measure.supervise.run_shard`, the one attempt/quarantine
+loop (re-exported here), runs both. That shared core is what makes the
+byte-identical-to-serial guarantee a matter of construction rather than
+luck.
 """
 
 from __future__ import annotations
@@ -39,13 +42,18 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, BinaryIO, Dict, Optional
 
 from repro.errors import FabricError, ProtocolError, ReproError
 from repro.fabric.health import HeartbeatSender
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
-from repro.measure.journal import TrialJournal
-from repro.measure.runner import ScenarioFactory
+from repro.measure.journal import open_journal
+from repro.measure.runner import (
+    DEFAULT_TRIAL_TIMEOUT,
+    ScenarioFactory,
+    run_trial,
+)
 from repro.measure.supervise import run_shard
 
 __all__ = [
@@ -111,7 +119,9 @@ def worker_loop(
         wfile: worker → coordinator byte stream.
         factory: an inherited factory closure (fork backends); spawned
             workers leave it None and receive a :class:`FactorySpec`
-            in their config instead.
+            in their config instead. When the config says ``"task"``
+            (``parallel_map``) it already is the ``index -> result``
+            task, and runs as it is.
 
     Returns:
         Process exit status (0 on a completed conversation — a
@@ -150,9 +160,16 @@ def worker_loop(
                 )
             factory = spec.resolve() if isinstance(spec, FactorySpec) \
                 else FactorySpec(*spec).resolve()
-        if config.get("journal"):
-            journal = TrialJournal(config["journal"],
-                                   key=config.get("run_key"))
+        if config.get("task"):
+            task = factory  # already ``index -> result``: run as it is
+        else:
+            task = partial(
+                run_trial, factory,
+                timeout=config.get("timeout", DEFAULT_TRIAL_TIMEOUT),
+                allow_failures=bool(config.get("allow_failures", False)),
+                capture_digest=bool(config.get("capture_digest", False)))
+        journal = open_journal(config.get("journal") or None,
+                               config.get("run_key"))
         interval = float(config.get("heartbeat") or 0)
         if interval > 0:
             heartbeat = HeartbeatSender(
@@ -168,15 +185,8 @@ def worker_loop(
             if kind != "run":
                 raise ProtocolError(f"expected run or shutdown, got {kind!r}")
             completed = 0
-            for outcome in run_shard(
-                factory,
-                list(data),
-                timeout=config.get("timeout", 600.0),
-                allow_failures=bool(config.get("allow_failures", False)),
-                retries=int(config.get("retries", 1)),
-                capture_digest=bool(config.get("capture_digest", False)),
-                journal=journal,
-            ):
+            for outcome in run_shard(task, list(data),
+                                     int(config.get("retries", 1)), journal):
                 try:
                     send(("outcome", outcome))
                 except (pickle.PicklingError, AttributeError,

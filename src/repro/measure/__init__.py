@@ -4,19 +4,18 @@
 load times, usually) and answers the questions every table and figure in
 the paper asks: mean, standard deviation, percentiles, CDFs, and percent
 differences. :func:`~repro.measure.runner.run_page_loads` runs N
-independent page-load trials of a scenario factory serially;
-:class:`~repro.measure.parallel.ParallelRunner` fans the same trials out
-over forked workers with bit-identical statistics;
-:mod:`~repro.measure.report` renders the paper's tables and ASCII CDF
-plots. :func:`~repro.measure.supervise.run_supervised` is the resilient
-sweep: wall-clock watchdog, bounded retry with quarantine, crash
-detection, and :class:`~repro.measure.journal.TrialJournal`
-checkpoint/resume.
+independent page-load trials of a scenario factory, all-or-nothing —
+serially, or with ``workers=`` fanned out over forked workers with
+bit-identical statistics; :mod:`~repro.measure.report` renders the
+paper's tables and ASCII CDF plots.
+:func:`~repro.measure.supervise.run_supervised` is the resilient sweep:
+wall-clock watchdog, bounded retry with quarantine, crash detection, and
+:class:`~repro.measure.journal.TrialJournal` checkpoint/resume.
 """
 
 from repro.measure.compare import Comparison, compare_page_loads
 from repro.measure.journal import TrialJournal, run_key
-from repro.measure.parallel import ParallelRunner, parallel_map
+from repro.measure.parallel import parallel_map
 from repro.measure.supervise import (
     SweepResult,
     TrialOutcome,
@@ -37,7 +36,6 @@ __all__ = [
     "Comparison",
     "FAILURE_CLASSES",
     "LoadOutcome",
-    "ParallelRunner",
     "RobustnessSummary",
     "Sample",
     "ScenarioResult",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.measure.parallel import ParallelRunner
-from repro.measure.runner import ScenarioFactory
+from repro.measure.runner import ScenarioFactory, run_page_loads
 from repro.measure.stats import Sample
 
 
@@ -57,13 +56,11 @@ def compare_page_loads(
         trials: paired trials to run.
         timeout: virtual-time budget per load.
         workers: worker count; above 1, each arm's trials are fanned
-            out by :class:`~repro.measure.parallel.ParallelRunner`
-            (pairing and statistics are unaffected — results stay in
-            trial order).
+            out over forked workers (pairing and statistics are
+            unaffected — results stay in trial order).
     """
-    runner = ParallelRunner(workers=workers).run_page_loads
-    base = runner(baseline, trials, timeout=timeout)
-    treat = runner(treatment, trials, timeout=timeout)
+    base = run_page_loads(baseline, trials, timeout, workers=workers)
+    treat = run_page_loads(treatment, trials, timeout, workers=workers)
     diffs = [
         (t - b) / b * 100.0
         for b, t in zip(

@@ -44,6 +44,7 @@ __all__ = [
     "JOURNAL_VERSION",
     "TrialJournal",
     "merge_journals",
+    "open_journal",
     "run_key",
 ]
 
@@ -285,6 +286,16 @@ class TrialJournal:
         )
 
 
+def open_journal(journal: Any, key: Optional[str] = None
+                 ) -> Optional[TrialJournal]:
+    """The journal a caller's ``journal=`` argument names: a
+    :class:`TrialJournal` (or None) is returned as it is, a path is
+    opened — recovered, and stamped or checked against ``key``."""
+    if journal is None or isinstance(journal, TrialJournal):
+        return journal
+    return TrialJournal(journal, key=key)
+
+
 def merge_journals(target: TrialJournal, sources: Iterable[Any]) -> int:
     """Fold other journals' completed trials into ``target``.
 
@@ -309,7 +320,7 @@ def merge_journals(target: TrialJournal, sources: Iterable[Any]) -> int:
         path = os.fspath(source)
         if not os.path.exists(path):
             continue
-        other = TrialJournal(path, key=target.key)
+        other = open_journal(path, key=target.key)
         for trial in other:
             if trial in target:
                 continue

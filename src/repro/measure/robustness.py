@@ -25,7 +25,7 @@ within the timeout).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.browser.engine import PageLoadResult
 from repro.errors import (
@@ -36,17 +36,14 @@ from repro.errors import (
     TimeoutError_,
     TruncatedBody,
 )
+from repro.measure.journal import open_journal
+from repro.measure.runner import DEFAULT_TRIAL_TIMEOUT, ScenarioFactory
 from repro.measure.stats import Sample
-from repro.sim.simulator import Simulator
-
-ScenarioFactory = Callable[[int], Tuple[Simulator, PageLoadResult]]
 
 #: Stable category order for tables and artifacts.
 FAILURE_CLASSES = ("reset", "truncated", "dns", "timeout", "closed", "other")
 
 OUTCOMES = ("success", "degraded", "hung")
-
-DEFAULT_TRIAL_TIMEOUT = 600.0
 
 
 def classify_error(exc: Exception) -> str:
@@ -218,11 +215,7 @@ def run_chaos_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if journal is not None:
-        from repro.measure.journal import TrialJournal
-
-        if not isinstance(journal, TrialJournal):
-            journal = TrialJournal(journal, key=run_key)
+    journal = open_journal(journal, run_key)
     outcomes: List[LoadOutcome] = []
     for trial in range(trials):
         if journal is not None and trial in journal:

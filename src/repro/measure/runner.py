@@ -10,10 +10,12 @@ between loads, matching how the paper restarts the browser per load.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, NamedTuple, Tuple
 
 from repro.browser.engine import PageLoadResult
 from repro.errors import ReproError
+from repro.measure.parallel import parallel_map
 from repro.measure.stats import Sample
 from repro.sim.simulator import Simulator
 
@@ -63,9 +65,9 @@ def run_trial(
 ) -> PageLoadResult:
     """Build and drive one trial to completion.
 
-    The single-trial unit shared by the serial runner below, the
-    process-pool trampoline in :mod:`repro.measure.parallel`, and the
-    supervised sweep in :mod:`repro.measure.supervise` — keeping every
+    The single-trial unit: ``run_page_loads`` below, the sweep in
+    :mod:`repro.measure.supervise` and every dispatched worker run a
+    page-load trial as this function bound to a factory — keeping every
     path identical in behaviour and error wording by construction.
 
     Args:
@@ -112,8 +114,13 @@ def run_page_loads(
     trials: int,
     timeout: float = DEFAULT_TRIAL_TIMEOUT,
     allow_failures: bool = False,
+    workers: int = 1,
 ) -> ScenarioResult:
     """Run ``trials`` independent page loads and collect their PLTs.
+
+    All-or-nothing: the first failing trial (by index) raises and the
+    rest are discarded — :func:`~repro.measure.supervise.run_supervised`
+    is the sweep that keeps partial results.
 
     Args:
         factory: builds one trial world; receives the trial index (use it
@@ -122,13 +129,20 @@ def run_page_loads(
         timeout: virtual-time budget per trial.
         allow_failures: when False (default), a load with failed resources
             raises — silent partial loads would corrupt the measurement.
+        workers: above 1, trials are fanned out over that many forked
+            workers (:func:`~repro.measure.parallel.parallel_map`).
+            Results — each carrying its trial's metrics registry — are
+            collected by trial index, so the sample is bit-identical to
+            ``workers=1``; only wall-clock time differs.
 
     Raises:
-        ReproError: on a hung load, or failed resources unless allowed.
+        ReproError: on a hung load, or failed resources unless allowed
+            (the lowest failing trial index wins at any ``workers``), or
+            a crashed worker process.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    results: List[PageLoadResult] = []
-    for trial in range(trials):
-        results.append(run_trial(factory, trial, timeout, allow_failures))
+    task = partial(run_trial, factory, timeout=timeout,
+                   allow_failures=allow_failures)
+    results = parallel_map(task, trials, workers)
     return ScenarioResult(Sample(r.page_load_time for r in results), results)

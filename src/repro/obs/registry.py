@@ -158,7 +158,7 @@ class MetricsRegistry:
     instrumentation sites need no registration ceremony.
 
     The registry is plain picklable data: per-trial registries cross the
-    :class:`~repro.measure.parallel.ParallelRunner` process boundary
+    worker process boundary (``run_page_loads(workers=)``, sweeps)
     intact and re-assemble with :meth:`merge_trials`.
     """
 

@@ -239,3 +239,32 @@ def pids_alive(pids: Iterable[int], within: float = 0.0) -> Set[int]:
         if not left or time.monotonic() >= deadline:
             return left
         time.sleep(0.02)
+
+
+def wait_for_journal_trials(path: str, wanted: int, timeout: float) -> bool:
+    """Poll until the journal at ``path`` holds >= ``wanted`` trial
+    records (False when ``timeout`` wall seconds pass first) — how the
+    kill-and-resume checks pick the moment to SIGKILL a live driver."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(path) as fh:
+                if sum(1 for line in fh if '"trial"' in line) >= wanted:
+                    return True
+        except OSError:
+            pass  # not created yet, or mid-rewrite
+        time.sleep(0.02)
+    return False
+
+
+def sweeps_identical(result: Any, reference: Any) -> bool:
+    """Whether two sweeps agree byte for byte: both complete, the same
+    combined digest and PLT sample, and per trial the same status and
+    event-stream digest."""
+    return (result.complete
+            and result.digest == reference.digest
+            and list(result.sample.values) == list(reference.sample.values)
+            and all(ours.status == theirs.status
+                    and ours.digest == theirs.digest
+                    for ours, theirs in zip(result.outcomes,
+                                            reference.outcomes)))

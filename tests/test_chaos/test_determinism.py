@@ -1,7 +1,7 @@
 """Determinism under fault injection: the chaos contract.
 
 Same seed + same FaultPlan => bit-identical event stream, within one
-process and across ParallelRunner fork workers.
+process and across forked workers.
 """
 
 from repro.analysis.sanitizer import (

@@ -1,6 +1,7 @@
 """Tests for FactorySpec resolution and the in-process worker shard."""
 
 import threading
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.fabric.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec, run_shard, worker_loop
 from repro.measure.journal import TrialJournal
+from repro.measure.runner import run_trial
 from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
@@ -55,8 +57,8 @@ class TestFactorySpec:
 class TestRunShard:
     def test_outcomes_match_serial_supervised(self, factory):
         serial = run_supervised(factory, 4, workers=1, capture_digest=True)
-        sharded = list(run_shard(factory, range(4), timeout=600.0,
-                                 capture_digest=True))
+        sharded = list(run_shard(
+            partial(run_trial, factory, capture_digest=True), range(4)))
         assert [o.trial for o in sharded] == [0, 1, 2, 3]
         for ours, theirs in zip(sharded, serial.outcomes):
             assert ours.status == theirs.status == "ok"
@@ -65,12 +67,13 @@ class TestRunShard:
                     == theirs.result.page_load_time)
 
     def test_respects_index_order_given(self, factory):
-        outcomes = list(run_shard(factory, [3, 1], timeout=600.0))
+        outcomes = list(run_shard(partial(run_trial, factory), [3, 1]))
         assert [o.trial for o in outcomes] == [3, 1]
 
     def test_journal_checkpoints_successes(self, factory, tmp_path):
         journal = TrialJournal(tmp_path / "shard.jsonl")
-        list(run_shard(factory, [0, 1], timeout=600.0, journal=journal))
+        list(run_shard(partial(run_trial, factory), [0, 1],
+                       journal=journal))
         journal.close()
         recovered = TrialJournal(tmp_path / "shard.jsonl")
         assert sorted(recovered.completed) == [0, 1]

@@ -1,4 +1,4 @@
-"""Tests for the parallel trial runner and its ``parallel_map`` primitive."""
+"""Tests for ``run_page_loads(workers=)`` and its ``parallel_map`` primitive."""
 
 import os
 
@@ -9,7 +9,6 @@ from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.errors import ReproError
 from repro.measure.parallel import (
-    ParallelRunner,
     default_workers,
     fork_available,
     parallel_map,
@@ -144,22 +143,23 @@ class TestParallelMap:
 
 
 class TestParallelRunner:
+    """``run_page_loads(workers=N)``: the all-or-nothing call, fanned out."""
+
     def test_default_workers_positive(self):
         assert default_workers() >= 1
-        assert ParallelRunner().workers == default_workers()
 
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=0)
+        site = generate_site("badw.com", seed=50, n_origins=2, scale=0.3)
+        with pytest.raises(ValueError, match="workers"):
+            run_page_loads(_make_factory(site), trials=2, workers=0)
 
     def test_bad_trials(self):
         with pytest.raises(ValueError):
-            ParallelRunner(workers=2).run_page_loads(lambda t: None, trials=0)
+            run_page_loads(lambda t: None, trials=0, workers=2)
 
     def test_workers_1_is_serial(self):
         site = generate_site("ser.com", seed=50, n_origins=4, scale=0.5)
-        result = ParallelRunner(workers=1).run_page_loads(
-            _make_factory(site), trials=3)
+        result = run_page_loads(_make_factory(site), trials=3, workers=1)
         assert len(result.plt) == 3
         assert all(v > 0 for v in result.plt.values)
 
@@ -168,7 +168,7 @@ class TestParallelRunner:
         site = generate_site("det.com", seed=51, n_origins=4, scale=0.5)
         factory = _make_factory(site)
         serial = run_page_loads(factory, trials=5)
-        parallel = ParallelRunner(workers=3).run_page_loads(factory, trials=5)
+        parallel = run_page_loads(factory, trials=5, workers=3)
         assert serial.sample.values == parallel.sample.values
         assert [r.page_load_time for r in serial.results] == \
             [r.page_load_time for r in parallel.results]
@@ -177,20 +177,19 @@ class TestParallelRunner:
     def test_trials_fewer_than_workers(self):
         site = generate_site("few.com", seed=53, n_origins=3, scale=0.5)
         factory = _make_factory(site)
-        parallel = ParallelRunner(workers=8).run_page_loads(factory, trials=2)
+        parallel = run_page_loads(factory, trials=2, workers=8)
         serial = run_page_loads(factory, trials=2)
         assert parallel.sample.values == serial.sample.values
 
     @needs_fork
     def test_failure_propagates_with_trial_index(self):
         with pytest.raises(ReproError, match="trial 0: 1 resources failed"):
-            ParallelRunner(workers=2).run_page_loads(
-                _failing_factory(), trials=3)
+            run_page_loads(_failing_factory(), trials=3, workers=2)
 
     @needs_fork
     def test_allow_failures_collects_results(self):
-        result = ParallelRunner(workers=2).run_page_loads(
-            _failing_factory(), trials=3, allow_failures=True)
+        result = run_page_loads(_failing_factory(), trials=3,
+                                allow_failures=True, workers=2)
         assert len(result.results) == 3
         assert all(r.resources_failed == 1 for r in result.results)
 
@@ -198,8 +197,8 @@ class TestParallelRunner:
     def test_timeout_raises(self):
         site = generate_site("slowpar.com", seed=54, n_origins=3, scale=0.5)
         with pytest.raises(ReproError, match="did not finish"):
-            ParallelRunner(workers=2).run_page_loads(
-                _make_factory(site), trials=2, timeout=0.001)
+            run_page_loads(_make_factory(site), trials=2, timeout=0.001,
+                           workers=2)
 
     @needs_fork
     def test_worker_crash_surfaces_as_repro_error(self):
@@ -212,7 +211,7 @@ class TestParallelRunner:
             return inner(trial)
 
         with pytest.raises(ReproError, match="worker process died"):
-            ParallelRunner(workers=2).run_page_loads(factory, trials=3)
+            run_page_loads(factory, trials=3, workers=2)
 
 
 def _instrumented_factory(site, store=None):
@@ -250,7 +249,7 @@ class TestMetricsRideAlong:
     def test_parallel_metrics_pickle_back_in_trial_order(self):
         site = generate_site("obs-par.com", seed=59, n_origins=3, scale=0.5)
         factory = _instrumented_factory(site)
-        parallel = ParallelRunner(workers=3).run_page_loads(factory, trials=4)
+        parallel = run_page_loads(factory, trials=4, workers=3)
         for trial, registry in enumerate(parallel.metrics):
             assert registry.series["trial_marker"].last == float(trial)
         merged = parallel.merged_metrics()

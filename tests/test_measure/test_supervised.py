@@ -11,14 +11,15 @@ from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.errors import ReproError
 from repro.measure.journal import TrialJournal, run_key
-from repro.measure.parallel import ParallelRunner, fork_available
+from repro.measure.parallel import fork_available
+from repro.measure.runner import run_page_loads
 from repro.measure.supervise import (
     OUTCOME_STATES,
     SweepResult,
     run_supervised,
 )
 from repro.sim import Simulator
-from repro.testing import pids_alive
+from repro.testing import pids_alive, wait_for_journal_trials
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -126,7 +127,7 @@ class TestTaxonomy:
     def test_matches_unsupervised_sample(self):
         factory = _make_factory()
         supervised = run_supervised(factory, trials=3, workers=1)
-        plain = ParallelRunner(workers=1).run_page_loads(factory, trials=3)
+        plain = run_page_loads(factory, trials=3)
         assert list(supervised.sample.values) == list(plain.sample.values)
 
     def test_to_dict_shape(self):
@@ -482,14 +483,7 @@ class TestKillAndResume:
         driver = context.Process(target=_driver, args=(journal_path, pids))
         driver.start()
         # Wait for >= 2 journaled trials, then kill the whole driver.
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if os.path.exists(journal_path):
-                with open(journal_path) as fh:
-                    if sum(1 for line in fh if '"trial"' in line) >= 2:
-                        break
-            time.sleep(0.02)
-        else:
+        if not wait_for_journal_trials(journal_path, wanted=2, timeout=60):
             driver.kill()
             pytest.fail("driver never journaled two trials")
         os.kill(driver.pid, signal.SIGKILL)
