@@ -6,8 +6,7 @@ import os
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
-from repro.browser import Browser
-from repro.core import HostMachine, MachineProfile, ShellStack
+from repro.core import ShellStack
 from repro.corpus import alexa_corpus
 from repro.corpus.sitegen import SyntheticSite
 from repro.errors import ReproError
@@ -15,7 +14,6 @@ from repro.measure.journal import run_key
 from repro.measure.parallel import default_workers
 from repro.measure.runner import run_page_loads
 from repro.measure.supervise import run_supervised
-from repro.sim import Simulator
 
 
 def bench_scale() -> float:
@@ -98,11 +96,7 @@ def site_store(site: SyntheticSite):
     return store
 
 
-def page_load_factory(
-    sites,
-    build: Callable,
-    profile: Optional[MachineProfile] = None,
-):
+def page_load_factory(sites, build: Callable):
     """A :data:`~repro.measure.runner.ScenarioFactory` over a site list.
 
     Trial ``i`` loads ``sites[i]`` through a stack built by
@@ -113,14 +107,9 @@ def page_load_factory(
     stores = [site_store(site) for site in sites]
 
     def factory(trial: int):
-        site, store = sites[trial], stores[trial]
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim, profile)
-        stack = ShellStack(machine)
-        build(stack, store)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        stack = ShellStack.fresh(trial)
+        build(stack, stores[trial])
+        return stack.sim, stack.load(sites[trial].page)
 
     return factory
 
@@ -131,29 +120,6 @@ def corpus(size: int) -> Tuple[SyntheticSite, ...]:
     singles = max(1, round(9 * size / 500))
     return tuple(alexa_corpus(seed=0, size=size,
                               single_origin_sites=singles))
-
-
-def load_once(
-    site: SyntheticSite,
-    build: Callable[[ShellStack], None],
-    seed: int = 0,
-    profile: Optional[MachineProfile] = None,
-    timeout: float = 900.0,
-):
-    """One page load through a stack built by ``build``; returns the
-    PageLoadResult (load must complete with no failures)."""
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim, profile)
-    stack = ShellStack(machine)
-    build(stack, site_store(site))
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(site.page)
-    sim.run_until(lambda: result.complete, timeout=timeout)
-    assert result.complete, f"{site.name}: load hung"
-    assert result.resources_failed == 0, \
-        f"{site.name}: {result.errors[:3]}"
-    return result
 
 
 def replay_alone(stack, store):

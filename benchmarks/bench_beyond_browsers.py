@@ -12,10 +12,9 @@ consistency check.
 
 from benchmarks._workloads import scaled
 from repro.apps import ApiClient, ApiWorkload, make_api_site
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.measure import Sample
 from repro.measure.report import format_table
-from repro.sim import Simulator
 
 WORKLOAD = ApiWorkload(feed_items=15)
 STORE = make_api_site(WORKLOAD)
@@ -29,15 +28,14 @@ PROFILES = [
 
 
 def _run(rate, delay, seed):
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(STORE)
     stack.add_link(rate, rate)
     stack.add_delay(delay)
-    app = ApiClient(sim, stack.transport, stack.resolver_endpoint, WORKLOAD)
+    app = ApiClient(stack.sim, stack.transport, stack.resolver_endpoint,
+                    WORKLOAD)
     app.launch()
-    sim.run_until(lambda: app.done, timeout=900)
+    stack.sim.run_until(lambda: app.done, timeout=900)
     assert app.done and not app.errors, app.errors[:3]
     return app.time_to_interactive
 

@@ -12,14 +12,12 @@ Measured here, on a 3 Mbit/s link with a background bulk download:
 """
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.corpus import generate_site
 from repro.linkem import CoDelQueue, DropTailQueue
 from repro.measure import Sample
 from repro.measure.report import format_table
 from repro.net.address import Endpoint
-from repro.sim import Simulator
 
 SITE = generate_site("bloated.com", seed=123, n_origins=8, scale=0.7)
 STORE = SITE.to_recorded_site()
@@ -32,9 +30,8 @@ DISCIPLINES = [
 
 
 def _measure(make_queue, seed):
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
+    sim = stack.sim
     stack.add_replay(STORE)
     stack.add_link(3.0, 3.0, downlink_queue=make_queue(),
                    uplink_queue=make_queue())
@@ -60,9 +57,7 @@ def _measure(make_queue, seed):
     probe_rtt = probe_done[0] - probe_start
 
     # Page load sharing the link with the bulk flow.
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(SITE.page)
+    result = stack.load(SITE.page)
     sim.run_until(lambda: result.complete, timeout=900)
     assert result.complete and result.resources_failed == 0
     return probe_rtt, result.page_load_time

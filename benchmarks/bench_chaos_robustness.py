@@ -21,7 +21,6 @@ import json
 import os
 
 from benchmarks._workloads import bench_journal_dir, scaled, site_store
-from repro.browser import Browser
 from repro.chaos import (
     DnsFaultClause,
     FaultPlan,
@@ -29,12 +28,11 @@ from repro.chaos import (
     OutageClause,
     ServerFaultClause,
 )
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.corpus import generate_site
 from repro.measure import run_chaos_trials
 from repro.measure.journal import run_key
 from repro.measure.report import format_table
-from repro.sim import Simulator
 
 LINK_MBPS = 14.0
 ONE_WAY_DELAY = 0.030
@@ -66,17 +64,13 @@ def chaos_factory(site, plan):
     store = site_store(site)
 
     def factory(trial):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial)
         stack.add_replay(store)
         stack.add_link(LINK_MBPS, LINK_MBPS)
         if plan is not None:
             stack.add_chaos(plan)
         stack.add_delay(ONE_WAY_DELAY)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        return stack.sim, stack.load(site.page)
 
     return factory
 

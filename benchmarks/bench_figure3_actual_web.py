@@ -13,13 +13,11 @@ methodology.
 """
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import named_site
 from repro.measure import Sample
 from repro.measure.report import ascii_cdf, percent_diff
 from repro.sim import Simulator
-from repro.transport.host import TransportHost
 from repro.web import Internet
 
 SITE = named_site("nytimes")
@@ -32,24 +30,20 @@ def load_actual_web(seed):
     internet.install_site(SITE)
     machine = HostMachine(sim)
     internet.attach_machine(machine)
-    browser = Browser(sim, TransportHost.ensure(sim, machine.namespace),
-                      internet.resolver_endpoint, machine=machine)
-    result = browser.load(SITE.page)
+    # No shells: the browser runs on the machine itself, on the live Web.
+    result = ShellStack(machine).load(
+        SITE.page, resolver=internet.resolver_endpoint)
     sim.run_until(lambda: result.complete, timeout=900)
     assert result.complete and result.resources_failed == 0
     return result.page_load_time, internet.min_rtt(MAIN_HOST)
 
 
 def load_replay(seed, min_rtt, single_server):
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(SITE.to_recorded_site(), single_server=single_server)
     stack.add_delay(min_rtt / 2.0)
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(SITE.page)
-    sim.run_until(lambda: result.complete, timeout=900)
+    result = stack.load(SITE.page)
+    stack.sim.run_until(lambda: result.complete, timeout=900)
     assert result.complete and result.resources_failed == 0
     return result.page_load_time
 

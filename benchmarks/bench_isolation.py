@@ -11,7 +11,6 @@ namespace. All three must be bit-identical.
 """
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.measure import Sample
@@ -22,23 +21,20 @@ SITE = generate_site("isolation-bench.com", seed=77, n_origins=12)
 STORE = SITE.to_recorded_site()
 
 
-def _browser(sim, tag):
-    machine = HostMachine(sim, name=f"host-{tag}")
-    stack = ShellStack(machine)
+def _load(sim, tag):
+    """One more machine on ``sim``, loading the site through its own stack."""
+    stack = ShellStack(HostMachine(sim, name=f"host-{tag}"))
     stack.add_replay(STORE)
     stack.add_link(14, 14)
     stack.add_delay(0.040)
-    return Browser(sim, stack.transport, stack.resolver_endpoint,
-                   machine=machine)
+    return stack.load(SITE.page)
 
 
 def _run(seed, concurrent_stacks=0, host_noise=False):
     sim = Simulator(seed=seed)
-    browser = _browser(sim, "main")
-    result = browser.load(SITE.page)
-    extras = []
-    for extra in range(concurrent_stacks):
-        extras.append(_browser(sim, f"extra-{extra}").load(SITE.page))
+    result = _load(sim, "main")
+    extras = [_load(sim, f"extra-{extra}")
+              for extra in range(concurrent_stacks)]
     if host_noise:
         from repro.testing import TwoHostWorld
         noise = TwoHostWorld(sim=sim)

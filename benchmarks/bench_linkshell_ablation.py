@@ -12,15 +12,13 @@ capacity — visibly inflating page load times on slow links.
 """
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.corpus import generate_site
 from repro.linkem.overhead import OverheadModel
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.tracelink import TracePipe
 from repro.measure import Sample
 from repro.measure.report import format_table
-from repro.sim import Simulator
 
 SITE = generate_site("ablation.com", seed=88, n_origins=8)
 STORE = SITE.to_recorded_site()
@@ -41,9 +39,8 @@ class NaiveTracePipe(TracePipe):
 def _run(pipe_class, rate_mbps, seed):
     from repro.linkem.trace import ConstantRateSchedule
 
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
+    sim = stack.sim
     stack.add_replay(STORE)
     # Hand-build the link shell so the pipe class is swappable.
     from repro.core.base import Shell
@@ -52,13 +49,12 @@ def _run(pipe_class, rate_mbps, seed):
                           DropTailQueue(), OverheadModel.none())
     uplink = pipe_class(sim, ConstantRateSchedule(rate_mbps * 1e6, sim.now),
                         DropTailQueue(), OverheadModel.none())
-    shell = Shell(sim, stack.namespace, machine.allocator, "ablation-link",
+    shell = Shell(sim, stack.namespace, stack.machine.allocator,
+                  "ablation-link",
                   downlink=downlink, uplink=uplink)
     stack.shells.append(shell)
     stack.add_delay(0.040)
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(SITE.page)
+    result = stack.load(SITE.page)
     sim.run_until(lambda: result.complete, timeout=900)
     assert result.complete and result.resources_failed == 0
     return result.page_load_time

@@ -83,28 +83,21 @@ def test_page_load_obs_overhead(obs_dir):
     import os
     import time
 
-    from repro.browser import Browser
-    from repro.core import HostMachine, ShellStack
-    from repro.obs import MetricsRegistry, write_artifact
+    from repro.core import ShellStack
+    from repro.obs import write_artifact
 
     site = generate_site("obs-overhead.com", seed=11, n_origins=15)
     store = site.to_recorded_site()
 
     def load(instrument):
-        sim = Simulator(seed=0)
-        if instrument:
-            MetricsRegistry.install(sim)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(seed=0, instrument=instrument)
         stack.add_replay(store)
         stack.add_link(14, 14)
         stack.add_delay(0.040)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        result = browser.load(site.page)
-        sim.run_until(lambda: result.complete, timeout=600)
+        result = stack.load(site.page)
+        stack.sim.run_until(lambda: result.complete, timeout=600)
         assert result.resources_failed == 0
-        return sim
+        return stack.sim
 
     load(False)
     load(True)  # warm import/allocation caches before timing
@@ -139,23 +132,18 @@ def test_page_load_obs_overhead(obs_dir):
 def test_page_load_simulation_speed(benchmark):
     """Wall-clock cost of one replayed page load (the unit every
     experiment above multiplies)."""
-    from repro.browser import Browser
-    from repro.core import HostMachine, ShellStack
+    from repro.core import ShellStack
 
     site = generate_site("speed.com", seed=10, n_origins=15)
     store = site.to_recorded_site()
 
     def load():
-        sim = Simulator(seed=0)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(seed=0)
         stack.add_replay(store)
         stack.add_link(14, 14)
         stack.add_delay(0.040)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        result = browser.load(site.page)
-        sim.run_until(lambda: result.complete, timeout=600)
+        result = stack.load(site.page)
+        stack.sim.run_until(lambda: result.complete, timeout=600)
         assert result.resources_failed == 0
         return result.resources_loaded
 

@@ -20,12 +20,11 @@ one shared loss domain.
 """
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser, BrowserConfig
-from repro.core import HostMachine, ShellStack
+from repro.browser import BrowserConfig
+from repro.core import ShellStack
 from repro.corpus import generate_site
 from repro.measure import Sample
 from repro.measure.report import format_table
-from repro.sim import Simulator
 
 #: A typical sharded 2014 page (many origins, few objects each) and a
 #: consolidated one (few origins, deep per-origin queues) — multiplexing
@@ -47,19 +46,14 @@ CONFIGS = [
 
 def _run(site_label, protocol, rate, delay, loss, seed):
     site = dict(SITES)[site_label]
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(STORES[site_label], protocol=protocol)
     if loss:
         stack.add_loss(downlink_loss=loss, uplink_loss=loss)
     stack.add_link(rate, rate)
     stack.add_delay(delay)
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      config=BrowserConfig(protocol=protocol),
-                      machine=machine)
-    result = browser.load(site.page)
-    sim.run_until(lambda: result.complete, timeout=900)
+    result = stack.load(site.page, config=BrowserConfig(protocol=protocol))
+    stack.sim.run_until(lambda: result.complete, timeout=900)
     assert result.complete and result.resources_failed == 0
     return result.page_load_time
 

@@ -20,12 +20,10 @@ import os
 import time
 
 from benchmarks._workloads import scaled
-from repro.browser import Browser
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.corpus import named_site
 from repro.measure.parallel import default_workers, fork_available
 from repro.measure.runner import run_page_loads
-from repro.sim import Simulator
 
 LINK_MBPS = 8.0
 ONE_WAY_DELAY = 0.040
@@ -37,15 +35,11 @@ def _table1_factory():
     store = site.to_recorded_site()
 
     def factory(trial):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial)
         stack.add_replay(store)
         stack.add_link(LINK_MBPS, LINK_MBPS)
         stack.add_delay(ONE_WAY_DELAY)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        return stack.sim, stack.load(site.page)
 
     return factory
 

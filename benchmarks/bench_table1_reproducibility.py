@@ -10,11 +10,9 @@ load runs the full ReplayShell > LinkShell > DelayShell stack.
 """
 
 from benchmarks._workloads import run_sweep, scaled
-from repro.browser import Browser
-from repro.core import HostMachine, MachineProfile, ShellStack
+from repro.core import MachineProfile, ShellStack
 from repro.corpus import named_site
 from repro.measure.report import format_table, mean_pm_std
-from repro.sim import Simulator
 
 MACHINES = [
     MachineProfile(name="Machine 1", cpu_factor=1.000, jitter_stddev=0.015),
@@ -32,15 +30,11 @@ def measure(site, profile, trials):
     store = site.to_recorded_site()
 
     def factory(trial):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim, profile)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial, profile)
         stack.add_replay(store)
         stack.add_link(LINK_MBPS, LINK_MBPS)
         stack.add_delay(ONE_WAY_DELAY)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        return stack.sim, stack.load(site.page)
 
     label = f"table1-{site.name}-{profile.name.replace(' ', '').lower()}"
     return run_sweep(label, factory, trials, timeout=900).sample

@@ -39,7 +39,7 @@ import signal
 import subprocess
 import sys
 
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
 from repro.testing import child_pids, pids_alive, wait_for_journal_trials

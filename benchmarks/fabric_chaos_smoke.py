@@ -44,7 +44,7 @@ from repro.fabric.faults import (
     SpawnFault,
     WedgeWorker,
 )
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.measure.supervise import run_supervised
 from repro.obs import write_artifact
 from repro.testing import sweeps_identical

@@ -40,7 +40,7 @@ import time
 
 from repro.fabric.backend import SubprocessBackend
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
@@ -59,7 +59,7 @@ RUN_KEY = "fabric-smoke"
 #: cannot see it.
 FACTORY_KW = {"name": "fabricsmoke.com", "seed": 11, "n_origins": 3,
               "scale": 0.4}
-SPEC = FactorySpec("repro.fabric.scenarios:replay_smoke",
+SPEC = FactorySpec("repro.scenarios:replay_smoke",
                    {**FACTORY_KW, "pace": 0.3})
 
 

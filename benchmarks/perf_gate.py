@@ -159,21 +159,15 @@ def _page_site():
 
 
 def wl_page_load() -> Tuple[float, str]:
-    from repro.browser import Browser
-    from repro.core import HostMachine, ShellStack
-    from repro.sim import Simulator
+    from repro.core import ShellStack
 
     site, store = _page_site()
-    sim = Simulator(seed=0)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed=0)
     stack.add_replay(store)
     stack.add_link(14, 14)
     stack.add_delay(0.040)
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(site.page)
-    sim.run_until(lambda: result.complete, timeout=600)
+    result = stack.load(site.page)
+    stack.sim.run_until(lambda: result.complete, timeout=600)
     assert result.resources_failed == 0
     return 1.0, "loads"
 
@@ -211,7 +205,7 @@ _FABRIC_FACTORY = None
 def _fabric_factory():
     global _FABRIC_FACTORY
     if _FABRIC_FACTORY is None:
-        from repro.fabric.scenarios import replay_smoke
+        from repro.scenarios import replay_smoke
 
         _FABRIC_FACTORY = replay_smoke(
             name="perf-fabric.com", seed=4, n_origins=8, scale=1.0)

@@ -11,9 +11,8 @@ Run: python examples/beyond_browsers.py
 """
 
 from repro.apps import ApiClient, ApiWorkload, make_api_site
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.measure.report import format_table
-from repro.sim import Simulator
 
 PROFILES = [
     ("WiFi", 25.0, 0.010),
@@ -24,9 +23,8 @@ PROFILES = [
 
 
 def launch_once(store, workload, rate, delay, loss=0.0, seed=0):
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
+    sim = stack.sim
     stack.add_replay(store)
     if loss:
         stack.add_loss(downlink_loss=loss, uplink_loss=loss)

@@ -12,8 +12,7 @@ Run: python examples/cellular_emulation.py
 import random
 
 from repro import (
-    Browser, HostMachine, Sample, ShellStack, Simulator, cellular_trace,
-    constant_rate_trace, generate_site,
+    Sample, ShellStack, cellular_trace, constant_rate_trace, generate_site,
 )
 from repro.measure.report import ascii_cdf
 
@@ -21,16 +20,12 @@ from repro.measure.report import ascii_cdf
 def run_trials(store, page, make_link_args, trials=15):
     plts = []
     for trial in range(trials):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial)
         stack.add_replay(store)
         stack.add_link(**make_link_args(trial))
         stack.add_delay(0.030)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        result = browser.load(page)
-        sim.run_until(lambda: result.complete, timeout=900)
+        result = stack.load(page)
+        stack.sim.run_until(lambda: result.complete, timeout=900)
         assert result.resources_failed == 0, result.errors
         plts.append(result.page_load_time)
     return Sample(plts)

@@ -19,9 +19,7 @@ replaying one faulty load twice, bit for bit.
 Run: python examples/chaos_robustness.py
 """
 
-from repro import (
-    Browser, FaultPlan, HostMachine, ShellStack, Simulator, generate_site,
-)
+from repro import FaultPlan, ShellStack, generate_site
 from repro.chaos import (
     DnsFaultClause,
     GilbertElliottClause,
@@ -57,17 +55,13 @@ PLANS = {
 
 def make_factory(site, store, plan):
     def factory(trial):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial)
         stack.add_replay(store)                    # mm-webreplay
         stack.add_link(14.0, 14.0)                 # mm-link 14 14
         if len(plan):
             stack.add_chaos(plan)                  # mm-chaos plan.json
         stack.add_delay(0.030)                     # mm-delay 30
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        return sim, browser.load(site.page)
+        return stack.sim, stack.load(site.page)    # load
 
     return factory
 

@@ -9,29 +9,27 @@ the measurement it produces running alone — namespaces are airtight.
 Run: python examples/concurrent_isolation.py
 """
 
-from repro import Browser, HostMachine, ShellStack, Simulator, generate_site
+from repro import HostMachine, ShellStack, Simulator, generate_site
 
 SITE = generate_site("isolated.com", seed=8, n_origins=10)
 STORE = SITE.to_recorded_site()
 CONFIGS = [("slow", 5), ("medium", 14), ("fast", 50)]
 
 
-def build_stack(sim, tag, rate):
-    machine = HostMachine(sim, name=f"host-{tag}")
-    stack = ShellStack(machine)
+def start_load(sim, tag, rate):
+    """One more machine on ``sim``, loading the site through its own stack."""
+    stack = ShellStack(HostMachine(sim, name=f"host-{tag}"))
     stack.add_replay(STORE)
     stack.add_link(rate, rate)
     stack.add_delay(0.040)
-    return Browser(sim, stack.transport, stack.resolver_endpoint,
-                   machine=machine)
+    return stack.load(SITE.page)
 
 
 def solo_runs():
     plts = {}
     for tag, rate in CONFIGS:
         sim = Simulator(seed=0)
-        browser = build_stack(sim, tag, rate)
-        result = browser.load(SITE.page)
+        result = start_load(sim, tag, rate)
         sim.run_until(lambda: result.complete, timeout=900)
         plts[tag] = result.page_load_time
     return plts
@@ -41,8 +39,7 @@ def concurrent_run():
     sim = Simulator(seed=0)
     results = {}
     for tag, rate in CONFIGS:
-        browser = build_stack(sim, tag, rate)
-        results[tag] = browser.load(SITE.page)
+        results[tag] = start_load(sim, tag, rate)
     sim.run_until(lambda: all(r.complete for r in results.values()),
                   timeout=900)
     return {tag: r.page_load_time for tag, r in results.items()}

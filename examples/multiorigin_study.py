@@ -9,23 +9,19 @@ inflation, a single-page miniature of the paper's Table 2.
 Run: python examples/multiorigin_study.py
 """
 
-from repro import Browser, HostMachine, Sample, ShellStack, Simulator, generate_site
+from repro import Sample, ShellStack, generate_site
 from repro.measure.report import format_table
 
 
 def measure(store, page, single_server, rate, delay, trials=3):
     plts = []
     for trial in range(trials):
-        sim = Simulator(seed=trial)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
+        stack = ShellStack.fresh(trial)
         stack.add_replay(store, single_server=single_server)
         stack.add_link(rate, rate)
         stack.add_delay(delay)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        result = browser.load(page)
-        sim.run_until(lambda: result.complete, timeout=900)
+        result = stack.load(page)
+        stack.sim.run_until(lambda: result.complete, timeout=900)
         assert result.resources_failed == 0, result.errors
         plts.append(result.page_load_time)
     return Sample(plts)

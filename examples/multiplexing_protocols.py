@@ -11,24 +11,19 @@ each is known to shine or suffer.
 Run: python examples/multiplexing_protocols.py
 """
 
-from repro import Browser, BrowserConfig, HostMachine, ShellStack, Simulator, generate_site
+from repro import BrowserConfig, ShellStack, generate_site
 from repro.measure.report import format_table
 
 
 def load(store, page, protocol, rate, delay, loss=0.0, seed=0):
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(store, protocol=protocol)
     if loss:
         stack.add_loss(downlink_loss=loss, uplink_loss=loss)
     stack.add_link(rate, rate)
     stack.add_delay(delay)
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      config=BrowserConfig(protocol=protocol),
-                      machine=machine)
-    result = browser.load(page)
-    sim.run_until(lambda: result.complete, timeout=900)
+    result = stack.load(page, config=BrowserConfig(protocol=protocol))
+    stack.sim.run_until(lambda: result.complete, timeout=900)
     assert result.resources_failed == 0, result.errors
     return result
 

@@ -5,30 +5,24 @@ The 60-second tour of the toolkit: generate a synthetic multi-origin site
 (standing in for a recorded one), replay it inside ReplayShell nested in
 LinkShell and DelayShell — the programmatic equivalent of::
 
-    mm-webreplay site/ mm-link 14 14 mm-delay 40 <browser>
+    mm-webreplay site/ mm-link 14 14 mm-delay 40 load
 
 — and measure the page load time under a few network conditions.
 
 Run: python examples/quickstart.py
 """
 
-from repro import Browser, HostMachine, ShellStack, Simulator, generate_site
+from repro import ShellStack, generate_site
 
 
 def load_page(store, page, rate_mbps, one_way_delay_s, seed=0):
     """One page load through replay > link > delay; returns the PLT."""
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(store)                       # mm-webreplay
     stack.add_link(rate_mbps, rate_mbps)          # mm-link
     stack.add_delay(one_way_delay_s)              # mm-delay
-
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(page)
-    sim.run_until(lambda: result.complete, timeout=600)
+    result = stack.load(page)                     # load
+    stack.sim.run_until(lambda: result.complete, timeout=600)
     assert result.resources_failed == 0, result.errors
     return result
 

@@ -18,8 +18,7 @@ import os
 import tempfile
 
 from repro import (
-    Browser, HostMachine, Internet, RecordedSite, ShellStack, Simulator,
-    generate_site,
+    HostMachine, Internet, RecordedSite, ShellStack, Simulator, generate_site,
 )
 
 
@@ -33,11 +32,10 @@ def record(site, seed=0):
 
     store = RecordedSite(site.name)
     stack = ShellStack(machine)
-    shell = stack.add_record(store)
+    stack.add_record(store)
 
-    browser = Browser(sim, stack.transport, internet.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(site.page)
+    # Nothing replays here, so the browser resolves on the public Internet.
+    result = stack.load(site.page, resolver=internet.resolver_endpoint)
     sim.run_until(lambda: result.complete, timeout=600)
     assert result.resources_failed == 0, result.errors
     main_host = f"www.{site.name}"
@@ -46,15 +44,11 @@ def record(site, seed=0):
 
 def replay(store, page, min_rtt, seed=0):
     """Load ``page`` from the recording, emulating the recorded RTT."""
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed)
     stack.add_replay(store)
     stack.add_delay(min_rtt / 2)   # mm-delay with the recorded min RTT
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(page)
-    sim.run_until(lambda: result.complete, timeout=600)
+    result = stack.load(page)
+    stack.sim.run_until(lambda: result.complete, timeout=600)
     assert result.resources_failed == 0, result.errors
     return result
 

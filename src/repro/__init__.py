@@ -8,24 +8,17 @@ a deterministic discrete-event simulation.
 
 Quick start::
 
-    from repro import (
-        Browser, HostMachine, ShellStack, Simulator, generate_site,
-    )
+    from repro import ShellStack, generate_site
 
     site = generate_site("example.com", seed=1)
     store = site.to_recorded_site()
 
-    sim = Simulator(seed=42)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    stack = ShellStack.fresh(seed=42)
     stack.add_replay(store)          # mm-webreplay
     stack.add_link(14, 14)           # mm-link (14 Mbit/s each way)
     stack.add_delay(0.040)           # mm-delay 40
-
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(site.page)
-    sim.run_until(lambda: result.complete)
+    result = stack.load(site.page)   # load
+    stack.sim.run_until(lambda: result.complete)
     print(f"page load time: {result.page_load_time * 1000:.0f} ms")
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the

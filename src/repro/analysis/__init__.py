@@ -6,9 +6,8 @@ event stream, byte for byte, on any machine. This package makes that
 contract mechanically checked rather than hoped for:
 
 * :mod:`repro.analysis.lint` — ``mm-lint``, the front end: per-node AST
-  rules (REP001-REP007) plus the flow rules below, with JSON/SARIF
-  output, a committed-findings baseline, a content-hash incremental
-  cache, and a stale-suppression audit.
+  rules (REP001-REP007) plus the flow rules below, and a
+  stale-suppression audit.
 * :mod:`repro.analysis.flow` — the interprocedural dataflow engine:
   per-module call graph, function summaries, and a forward abstract
   interpretation tracking pool lifecycle, wall-clock/env taint, RNG
@@ -18,9 +17,6 @@ contract mechanically checked rather than hoped for:
   aliasing, handle capture in forked workers).
 * :mod:`repro.analysis.base` — the shared front end (file discovery,
   domain classification, suppression comments, :class:`Diagnostic`).
-* :mod:`repro.analysis.output` / :mod:`repro.analysis.baseline` /
-  :mod:`repro.analysis.cache` — machine-readable reports, the committed
-  baseline, and the incremental cache.
 * :mod:`repro.analysis.sanitizer` — an opt-in
   :class:`~repro.sim.simulator.Simulator` execution observer that folds
   every executed event into a BLAKE2 digest, and
@@ -34,11 +30,8 @@ would put a second copy of the module in ``sys.modules`` under ``runpy``.
 
 __all__ = [
     "base",
-    "baseline",
-    "cache",
     "flow",
     "lint",
-    "output",
     "rules_flow",
     "sanitizer",
 ]

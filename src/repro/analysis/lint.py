@@ -76,12 +76,7 @@ anything so the audit trail cannot rot. REP009 additionally honours a
 ``# mm-lint: transfer`` annotation marking a deliberate ownership
 hand-off of a pooled object.
 
-The CLI supports machine-readable output (``--output json|sarif``), a
-committed-findings baseline (``--baseline lint-baseline.json`` with
-``--write-baseline`` to refresh it), and a content-hash incremental
-cache (``--cache DIR``) so CI lint time tracks the size of the diff, not
-the tree. Run as ``mm-lint [paths…]`` or ``python -m
-repro.analysis.lint``.
+Run as ``mm-lint [paths…]`` or ``python -m repro.analysis.lint``.
 """
 
 from __future__ import annotations
@@ -92,7 +87,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.analysis.base import (
     OBS_DOMAIN_DIRS,
@@ -760,44 +755,20 @@ def lint_source(
 def lint_file(
     path: Union[str, Path],
     select: Optional[Set[str]] = None,
-    cache: Optional["LintCacheProtocol"] = None,
 ) -> List[Diagnostic]:
-    """Lint one file on disk (optionally through the incremental cache)."""
-    raw = Path(path).read_bytes()
-    if cache is not None:
-        key = cache.key(raw, sorted(select) if select else None)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    diagnostics = lint_source(raw.decode("utf-8"), path, select)
-    if cache is not None:
-        cache.put(key, diagnostics)
-    return diagnostics
-
-
-class LintCacheProtocol(Protocol):
-    """Structural interface ``lint_file`` expects of a cache (see
-    :class:`repro.analysis.cache.LintCache`)."""
-
-    def key(self, source: bytes, select: Optional[Sequence[str]]) -> str:
-        ...
-
-    def get(self, key: str) -> Optional[List[Diagnostic]]:
-        ...
-
-    def put(self, key: str, diagnostics: Sequence[Diagnostic]) -> None:
-        ...
+    """Lint one file on disk."""
+    source = Path(path).read_bytes().decode("utf-8")
+    return lint_source(source, path, select)
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Set[str]] = None,
-    cache: Optional[LintCacheProtocol] = None,
 ) -> List[Diagnostic]:
     """Lint files and directory trees; returns all diagnostics."""
     diagnostics: List[Diagnostic] = []
     for path in _iter_python_files(paths):
-        diagnostics.extend(lint_file(path, select, cache))
+        diagnostics.extend(lint_file(path, select))
     return diagnostics
 
 
@@ -876,27 +847,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
     parser.add_argument(
-        "--output",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text; json/sarif for CI annotation)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline FILE and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-hash incremental cache directory",
-    )
-    parser.add_argument(
         "--check-suppressions",
         action="store_true",
         help="audit inline disable= comments; stale ones fail the run",
@@ -925,62 +875,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown rule code(s): {', '.join(sorted(unknown))}")
 
-    cache: Optional[LintCacheProtocol] = None
-    if options.cache:
-        from repro.analysis.cache import LintCache
-
-        cache = LintCache(options.cache)
-
-    diagnostics = lint_paths(options.paths, select, cache)
-
-    if options.write_baseline:
-        if not options.baseline:
-            parser.error("--write-baseline requires --baseline FILE")
-        from repro.analysis.baseline import write_baseline
-
-        count = write_baseline(options.baseline, diagnostics)
-        print(
-            f"mm-lint: wrote {count} finding(s) to baseline "
-            f"{options.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined = 0
-    if options.baseline:
-        from repro.analysis.baseline import BaselineError, load_baseline, partition
-
-        try:
-            entries = load_baseline(options.baseline)
-        except FileNotFoundError:
-            parser.error(f"baseline file not found: {options.baseline}")
-        except BaselineError as exc:
-            parser.error(str(exc))
-        diagnostics, baselined = partition(diagnostics, entries)
-
-    if options.output == "json":
-        from repro.analysis.output import to_json
-
-        sys.stdout.write(to_json(diagnostics))
-    elif options.output == "sarif":
-        from repro.analysis.output import to_sarif
-
-        sys.stdout.write(to_sarif(diagnostics, RULES))
-    else:
-        for diag in diagnostics:
-            print(diag.format())
+    diagnostics = lint_paths(options.paths, select)
+    for diag in diagnostics:
+        print(diag.format())
     if diagnostics:
-        suffix = f" ({baselined} baselined)" if baselined else ""
         print(
-            f"mm-lint: {len(diagnostics)} determinism violation(s){suffix}",
+            f"mm-lint: {len(diagnostics)} determinism violation(s)",
             file=sys.stderr,
         )
         return 1
-    if baselined:
-        print(
-            f"mm-lint: clean ({baselined} baselined finding(s) remain)",
-            file=sys.stderr,
-        )
     return 0
 
 

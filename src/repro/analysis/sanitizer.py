@@ -11,9 +11,11 @@ digest bit for bit; any divergence is reported at the *first divergent
 event*, with both runs' surrounding context — which usually names the
 guilty callback outright.
 
-Run ``python -m repro.analysis.sanitizer`` for a self-contained 2-run
-digest check over a reduced-scale replay scenario (the CI bench-smoke
-job's determinism gate).
+Run ``python -m repro.analysis.sanitizer [--scenario NAME]`` for a
+self-contained 2-run digest check over a named world of the
+:mod:`repro.scenarios` registry (default ``smoke``, the CI bench-smoke
+job's determinism gate). This module itself builds no world and imports
+only the simulator: workers load it just to capture a digest.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import DeterminismError
 from repro.sim.events import EventCallback
 from repro.sim.simulator import Simulator
-
-if TYPE_CHECKING:
-    from repro.load.runner import LoadSession
 
 __all__ = [
     "DeterminismReport",
@@ -286,159 +285,12 @@ def check_observer_effect(
     )
 
 
-# ---------------------------------------------------------------------- #
-# CLI smoke scenario (the CI bench-smoke determinism gate)
-
-
-def _smoke_scenario(seed: int, instrument: bool = False) -> Simulator:
-    """Reduced-scale replay scenario exercising the full stack.
-
-    One synthetic multi-origin site loaded through ReplayShell + LinkShell
-    (14 Mbit/s) + DelayShell (30 ms) — the Table 2 shape at Figure 2 cost:
-    browser, DNS, HTTP, TCP, link emulation, and host jitter all feed the
-    event stream, so the digest covers every simulation-domain package.
-    """
-    from repro.browser import Browser
-    from repro.core import HostMachine, ShellStack
-    from repro.corpus.sitegen import generate_site
-
-    site = generate_site("smoke.example", seed=seed, n_origins=4, scale=0.3)
-    sim = Simulator(seed=seed)
-    if instrument:
-        from repro.obs import MetricsRegistry
-
-        MetricsRegistry.install(sim)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
-    stack.add_replay(site.to_recorded_site())
-    stack.add_link(14.0, 14.0)
-    stack.add_delay(0.030)
-    browser = Browser(
-        sim, stack.transport, stack.resolver_endpoint, machine=machine
-    )
-    browser.load(site.page)
-    return sim
-
-
-def _chaos_plan():
-    """The sanitizer's nontrivial fault plan: every injection layer.
-
-    A downlink outage, a bursty-loss chain, one server stall, and one
-    DNS SERVFAIL — so the chaos digest covers link suppression, the GE
-    RNG stream, the server fault path (split/stall/resume), and the DNS
-    fault path in a single scenario.
-    """
-    from repro.chaos import (
-        DnsFaultClause,
-        FaultPlan,
-        GilbertElliottClause,
-        OutageClause,
-        ServerFaultClause,
-    )
-
-    return FaultPlan(
-        clauses=(
-            OutageClause(direction="downlink", start=0.35, duration=0.15),
-            GilbertElliottClause(
-                direction="downlink",
-                p_good_bad=0.05, p_bad_good=0.4, loss_bad=0.5,
-            ),
-            ServerFaultClause(
-                kind="stall", skip=3, count=1, after_bytes=512, stall=0.3,
-            ),
-            DnsFaultClause(kind="servfail", skip=1, count=1),
-        ),
-        name="sanitizer",
-    )
-
-
-def _chaos_scenario(seed: int, instrument: bool = False) -> Simulator:
-    """The smoke scenario under fault injection.
-
-    Same world as :func:`_smoke_scenario` plus a ChaosShell running
-    :func:`_chaos_plan` between the link and the delay — the determinism
-    contract must hold with every fault layer firing (same seed + same
-    plan => bit-identical event stream).
-    """
-    from repro.browser import Browser
-    from repro.core import HostMachine, ShellStack
-    from repro.corpus.sitegen import generate_site
-
-    site = generate_site("smoke.example", seed=seed, n_origins=4, scale=0.3)
-    sim = Simulator(seed=seed)
-    if instrument:
-        from repro.obs import MetricsRegistry
-
-        MetricsRegistry.install(sim)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
-    stack.add_replay(site.to_recorded_site())
-    stack.add_link(14.0, 14.0)
-    stack.add_chaos(_chaos_plan())
-    stack.add_delay(0.030)
-    browser = Browser(
-        sim, stack.transport, stack.resolver_endpoint, machine=machine
-    )
-    browser.load(site.page)
-    return sim
-
-
-def _load_world(seed: int, instrument: bool) -> LoadSession:
-    """The load sanitizer's world: a reduced heavy-traffic level.
-
-    60 open-loop clients (browser/api/fetch mix) Poisson-arriving at
-    8/s against a 3-site corpus behind one ReplayShell — every load-path
-    stream (arrivals, population, and the world under them) feeds the
-    digest.
-    """
-    from repro.load import LoadScenario, Poisson, default_population
-    from repro.load.runner import LoadSession
-
-    population = default_population(seed=1, n_sites=3, scale=0.2)
-    scenario = LoadScenario(population, Poisson(8.0), clients=60)
-    return LoadSession(scenario, seed, instrument=instrument)
-
-
-def _load_scenario(seed: int, instrument: bool = False) -> Simulator:
-    """Digest-check builder for the heavy-traffic load scenario."""
-    return _load_world(seed, instrument).sim
-
-
-def _load_artifact_bytes(seed: int) -> bytes:
-    """One reduced capacity sweep, serialised to artifact bytes.
-
-    The artifact half of the load determinism contract: two sweeps of
-    the same seed must serialise to *identical bytes* — quantiles, knee,
-    occupancy series and all — not merely identical event streams.
-    """
-    from repro.load import (
-        capacity_artifact_bytes,
-        default_population,
-        run_capacity_curve,
-    )
-
-    population = default_population(seed=1, n_sites=3, scale=0.2)
-    curve = run_capacity_curve(
-        population, [10, 20, 40], window=5.0, seed=seed,
-        capture_digest=True,
-    )
-    return capacity_artifact_bytes(curve, meta={"seed": seed})
-
-
-_SCENARIOS = {
-    "smoke": _smoke_scenario,
-    "chaos": _chaos_scenario,
-    "load": _load_scenario,
-}
-
-#: Scenarios that can also prove *artifact* byte-identity across runs.
-_ARTIFACT_SCENARIOS = {
-    "load": _load_artifact_bytes,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    """2-run digest check over the built-in smoke scenario."""
+    """2-run digest check over one registered scenario."""
+    from repro.scenarios import SCENARIOS
+
+    buildable = sorted(n for n, e in SCENARIOS.items() if e.digest is not None)
+    with_artifact = sorted(n for n, e in SCENARIOS.items() if e.artifact)
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.sanitizer",
         description="Determinism sanitizer: replay a reduced-scale "
@@ -449,12 +301,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument(
         "--scenario",
-        choices=sorted(_SCENARIOS),
+        choices=buildable,
         default="smoke",
-        help="smoke: plain replay stack; chaos: the same stack under a "
-        "nontrivial fault plan (outage + Gilbert-Elliott loss + server "
-        "stall + DNS SERVFAIL); load: an open-loop heavy-traffic level "
-        "(60 mixed clients, Poisson arrivals) through repro.load",
+        help="a world of the repro.scenarios registry that builds with "
+        "its defaults. smoke: plain replay stack; chaos: the same stack "
+        "under a nontrivial fault plan (outage + Gilbert-Elliott loss + "
+        "server stall + DNS SERVFAIL); load: an open-loop heavy-traffic "
+        "level (60 mixed clients, Poisson arrivals) through repro.load",
     )
     parser.add_argument(
         "--max-events",
@@ -474,13 +327,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="also serialise the scenario's measurement artifact twice "
         "and require byte-identical output (supported by: "
-        + ", ".join(sorted(_ARTIFACT_SCENARIOS)) + ")",
+        + ", ".join(with_artifact) + ")",
     )
     options = parser.parse_args(argv)
-    scenario = _SCENARIOS[options.scenario]
+    entry = SCENARIOS[options.scenario]
     try:
         report = check_determinism(
-            scenario,
+            entry.simulator,
             seed=options.seed,
             runs=options.runs,
             max_events=options.max_events,
@@ -492,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.obs_check:
         try:
             obs_report = check_observer_effect(
-                scenario,
+                entry.simulator,
                 seed=options.seed,
                 max_events=options.max_events,
             )
@@ -504,12 +357,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({obs_report.events} events, digest {obs_report.digest})"
         )
     if options.artifact_check:
-        artifact_fn = _ARTIFACT_SCENARIOS.get(options.scenario)
+        artifact_fn = entry.artifact
         if artifact_fn is None:
             print(
                 f"error: --artifact-check is not supported for scenario "
                 f"{options.scenario!r} (supported: "
-                f"{', '.join(sorted(_ARTIFACT_SCENARIOS))})",
+                f"{', '.join(with_artifact)})",
                 file=sys.stderr,
             )
             return 2

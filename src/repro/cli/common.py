@@ -13,10 +13,10 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.browser import Browser
-from repro.browser.html import scan_references
+from repro.browser import BrowserConfig
+from repro.browser.html import page_from_recording
 from repro.browser.resources import PageModel, Resource, Url
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.errors import ReproError
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.trace import PacketDeliveryTrace
@@ -26,12 +26,6 @@ ShellSpec = Tuple[str, Dict]
 
 _KNOWN_INNER = ("mm-delay", "mm-link", "mm-loss", "mm-chaos",
                 "mm-webreplay", "mm-webrecord")
-
-_CONTENT_KINDS = {
-    ".css": "css", ".js": "js", ".jpg": "image", ".jpeg": "image",
-    ".png": "image", ".gif": "image", ".woff2": "font", ".woff": "font",
-    ".json": "xhr", ".html": "html",
-}
 
 
 class CliError(ReproError):
@@ -80,12 +74,12 @@ def format_stack(specs: List[ShellSpec]) -> str:
 
 
 def build_stack(specs: List[ShellSpec], seed: int = 0):
-    """Materialize a spec list into a simulator + machine + stack."""
-    from repro.sim import Simulator
+    """Materialize a spec list into a stack in a fresh seeded world.
 
-    sim = Simulator(seed=seed)
-    machine = HostMachine(sim)
-    stack = ShellStack(machine)
+    Returns ``(stack, replay_store)``; the store is None when the specs
+    hold no ``replay`` shell.
+    """
+    stack = ShellStack.fresh(seed)
     replay_store: Optional[RecordedSite] = None
     for kind, args in specs:
         if kind == "delay":
@@ -114,7 +108,7 @@ def build_stack(specs: List[ShellSpec], seed: int = 0):
                              protocol=args.get("protocol", "http/1.1"))
         else:
             raise CliError(f"cannot build shell kind {kind!r}")
-    return sim, machine, stack, replay_store
+    return stack, replay_store
 
 
 def _ge_clause(params, direction: str):
@@ -148,86 +142,28 @@ def parse_trace_or_rate(text: str):
     return rate
 
 
-def page_from_recording(store: RecordedSite) -> PageModel:
-    """Reconstruct a loadable page from a recorded folder.
-
-    The root document's real HTML is scanned for subresource references
-    (what a browser would rediscover); recorded exchanges that the scan
-    cannot see (XHRs hidden in scripts, fonts behind stylesheets — their
-    bodies are virtual) become direct children of the root so the load
-    still covers the full recording.
-    """
-    root_pair = None
-    for pair in store.pairs:
-        if pair.request.path == "/" and pair.response.body.is_fully_real:
-            root_pair = pair
-            break
-    if root_pair is None:
-        raise CliError(
-            f"recording {store.name!r} has no scannable root document")
-    scheme = root_pair.scheme
-    root_url = Url(scheme, root_pair.host or store.name,
-                   root_pair.origin_port, "/")
-
-    by_key = {}
-    for pair in store.pairs:
-        by_key[(pair.host, pair.request.path)] = pair
-
-    children: List[Resource] = []
-    seen = set()
-    for ref in scan_references(root_pair.response.body.as_bytes()):
-        try:
-            url = Url.parse(ref)
-        except ReproError:
-            continue
-        pair = by_key.get((url.host, url.path))
-        if pair is None or (url.host, url.path) in seen:
-            continue
-        seen.add((url.host, url.path))
-        children.append(Resource(url, _kind_for(url.path),
-                                 pair.response.body.length))
-    # Sweep in anything unreferenced (discovered via CSS/JS originally).
-    for pair in store.pairs:
-        key = (pair.host, pair.request.path)
-        if pair is root_pair or key in seen:
-            continue
-        seen.add(key)
-        url = Url(pair.scheme, pair.host or "", pair.origin_port,
-                  pair.request.uri)
-        children.append(Resource(url, _kind_for(pair.request.path),
-                                 pair.response.body.length))
-    root = Resource(root_url, "html", root_pair.response.body.length,
-                    children=children)
-    return PageModel(root, name=store.name)
-
-
-def _kind_for(path: str) -> str:
-    for suffix, kind in _CONTENT_KINDS.items():
-        if path.endswith(suffix):
-            return kind
-    return "other"
-
-
 def run_load(argv: List[str], specs: List[ShellSpec]) -> int:
     """The ``load`` application command: load the replayed site once."""
     seed = 0
     if argv and argv[0] == "--seed":
-        seed = int(argv[1])
+        try:
+            seed = int(argv[1])
+        except IndexError:
+            raise CliError("load --seed needs a value") from None
+        except ValueError:
+            raise CliError(
+                f"load --seed needs an integer, got {argv[1]!r}") from None
         argv = argv[2:]
     if argv:
         raise CliError(f"load takes no further arguments, got {argv!r}")
     if not any(kind == "replay" for kind, __ in specs):
         raise CliError("load needs a mm-webreplay shell in the stack")
-    sim, machine, stack, store = build_stack(specs, seed=seed)
+    stack, store = build_stack(specs, seed=seed)
     page = page_from_recording(store)
     protocol = next((args.get("protocol", "http/1.1")
                      for kind, args in specs if kind == "replay"), "http/1.1")
-    from repro.browser import BrowserConfig
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      config=BrowserConfig(protocol=protocol),
-                      machine=machine)
-    result = browser.load(page)
-    sim.run_until(lambda: result.complete, timeout=600.0)
+    result = stack.load(page, config=BrowserConfig(protocol=protocol))
+    stack.sim.run_until(lambda: result.complete, timeout=600.0)
     if not result.complete:
         print("page load did not complete within 600 virtual seconds",
               file=sys.stderr)
@@ -248,14 +184,11 @@ def run_fetch(argv: List[str], specs: List[ShellSpec]) -> int:
     if len(argv) != 1:
         raise CliError("usage: ... fetch <url>")
     url = Url.parse(argv[0])
-    sim, machine, stack, store = build_stack(specs)
+    stack, store = build_stack(specs)
     if store is None:
         raise CliError("fetch needs a mm-webreplay shell in the stack")
-    browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      machine=machine)
-    page = PageModel(Resource(url, "html", 0), name=str(url))
-    result = browser.load(page)
-    sim.run_until(lambda: result.complete, timeout=120.0)
+    result = stack.load(PageModel(Resource(url, "html", 0), name=str(url)))
+    stack.sim.run_until(lambda: result.complete, timeout=120.0)
     status = "ok" if result.resources_failed == 0 else "FAILED"
     print(f"fetch {url}: {status} in {result.page_load_time * 1000:.1f} ms "
           f"({result.bytes_downloaded} bytes)")

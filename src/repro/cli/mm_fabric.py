@@ -18,7 +18,7 @@ trial at a time, and merges the streamed outcomes by trial index — the
 output (sample, combined event-stream digest, journal) is byte-identical
 to a serial ``run_supervised`` of the same sweep, for any ``--shards``
 and any ``--backend``. ``--factory`` names a scenario-factory *builder*
-(e.g. ``repro.fabric.scenarios:replay_smoke``); ``--kwargs`` is a JSON
+(e.g. ``repro.scenarios:replay_smoke``); ``--kwargs`` is a JSON
 object of its arguments.
 
 Robustness knobs: ``--heartbeat`` turns on worker liveness beats so the

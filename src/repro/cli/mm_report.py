@@ -2,8 +2,9 @@
 
 Like ``mm-lint``, this tool is not a nesting shell: it reads JSONL
 artifacts written by :func:`repro.obs.write_artifact` (or records a fresh
-one from the built-in smoke scenario) and renders them as ASCII
-time-series plots, resource waterfalls, and machine-readable summaries.
+one from the :mod:`repro.scenarios` ``smoke`` world) and renders them as
+ASCII time-series plots, resource waterfalls, and machine-readable
+summaries.
 
 Subcommands::
 
@@ -180,16 +181,16 @@ def _cmd_fabric(options: argparse.Namespace) -> int:
 
 
 def _cmd_record_smoke(options: argparse.Namespace) -> int:
-    from repro.analysis.sanitizer import _smoke_scenario
     from repro.obs import write_artifact
+    from repro.scenarios import SCENARIOS
 
-    sim = _smoke_scenario(options.seed, instrument=True)
+    sim = SCENARIOS["smoke"].simulator(options.seed, instrument=True)
     sim.run(max_events=options.max_events)
     path = write_artifact(
         options.out,
         registry=sim.metrics,
         meta={
-            "scenario": "sanitizer-smoke",
+            "scenario": "smoke",
             "seed": options.seed,
             "events": sim.events_processed,
         },
@@ -259,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     smoke = commands.add_parser(
         "record-smoke",
-        help="run the instrumented sanitizer smoke scenario and write "
+        help="run the registry's smoke scenario instrumented and write "
         "its artifact (CI's render input)",
     )
     smoke.add_argument("--out", required=True, help="artifact output path")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import sys
 from typing import List
 
-from repro.browser import Browser
 from repro.browser.resources import Url
 from repro.cli.common import CliError, ShellSpec, main_wrapper
 from repro.core import HostMachine, ShellStack
@@ -66,9 +65,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     store = RecordedSite(site.name)
     stack = ShellStack(machine)
     stack.add_record(store)
-    browser = Browser(sim, stack.transport, internet.resolver_endpoint,
-                      machine=machine)
-    result = browser.load(site.page)
+    result = stack.load(site.page, resolver=internet.resolver_endpoint)
     sim.run_until(lambda: result.complete, timeout=600.0)
     if not result.complete or result.resources_failed:
         print(f"record-mode load failed: {result.errors[:3]}",

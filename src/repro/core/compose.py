@@ -1,25 +1,29 @@
 """Shell composition: nesting shells like Mahimahi command lines.
 
-``mm-webreplay site mm-link up down mm-delay 40 <browser>`` becomes::
+``mm-webreplay site mm-link 14 14 mm-delay 40 load`` becomes::
 
-    stack = ShellStack(machine)
-    replay = stack.add_replay(site)
+    stack = ShellStack.fresh(seed=42)
+    stack.add_replay(site)
     stack.add_link(uplink=14, downlink=14)
     stack.add_delay(0.040)
-    # run the browser in stack.namespace, resolving via replay DNS
+    result = stack.load(page)    # the browser, in the innermost namespace
+    stack.sim.run_until(lambda: result.complete)
 
 Each shell nests inside the previous one's namespace; the application runs
-in the innermost. The stack tracks the replay shell's resolver endpoint so
-browsers can be pointed at it with no extra wiring.
+in the innermost. :meth:`ShellStack.fresh` and :meth:`ShellStack.load` are
+the one place a single-machine world is wired (simulator, metrics
+registry, host machine, stack; then a browser on the innermost transport
+resolving against the replay DNS); ``ShellStack(machine)`` is for worlds
+that put several machines on one simulator.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.delayshell import DelayShell
 from repro.core.linkshell import LinkShell
-from repro.core.machine import HostMachine
+from repro.core.machine import HostMachine, MachineProfile
 from repro.core.recordshell import RecordShell
 from repro.core.replayshell import ReplayShell
 from repro.errors import ShellError
@@ -28,7 +32,11 @@ from repro.linkem.queues import DropTailQueue
 from repro.net.address import Endpoint
 from repro.net.namespace import NetworkNamespace
 from repro.record.store import RecordedSite
+from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
+
+if TYPE_CHECKING:
+    from repro.browser import BrowserConfig, PageLoadResult, PageModel
 
 
 class ShellStack:
@@ -43,6 +51,30 @@ class ShellStack:
         self.machine = machine
         self.shells: List = []
         self._names_used: dict = {}
+
+    @classmethod
+    def fresh(
+        cls,
+        seed: int = 0,
+        profile: Optional[MachineProfile] = None,
+        instrument: bool = False,
+    ) -> "ShellStack":
+        """An empty stack on a new machine in a new seeded simulator.
+
+        Args:
+            seed: the simulator's master seed.
+            profile: the machine's timing profile (default: reference).
+            instrument: attach a
+                :class:`~repro.obs.registry.MetricsRegistry` first, so
+                every component built afterwards captures its probes
+                (read it back as ``stack.sim.metrics``).
+        """
+        sim = Simulator(seed=seed)
+        if instrument:
+            from repro.obs import MetricsRegistry
+
+            MetricsRegistry.install(sim)
+        return cls(HostMachine(sim, profile))
 
     # ------------------------------------------------------------------ #
     # building
@@ -181,6 +213,11 @@ class ShellStack:
     # where things run
 
     @property
+    def sim(self) -> Simulator:
+        """The simulator this stack's machine lives in."""
+        return self.machine.sim
+
+    @property
     def namespace(self) -> NetworkNamespace:
         """The innermost namespace (where the application runs)."""
         if self.shells:
@@ -206,6 +243,32 @@ class ShellStack:
             if isinstance(shell, ReplayShell):
                 return shell.resolver_endpoint
         raise ShellError("no ReplayShell in this stack to resolve against")
+
+    def load(
+        self,
+        page: PageModel,
+        config: Optional[BrowserConfig] = None,
+        resolver: Optional[Endpoint] = None,
+    ) -> PageLoadResult:
+        """Start a browser in the innermost namespace loading ``page``.
+
+        The stack's innermost application command. Returns the live
+        result; run the simulator to make progress.
+
+        Args:
+            config: browser configuration (default: ``BrowserConfig()``).
+            resolver: DNS endpoint to resolve against; defaults to the
+                stack's ReplayShell. Record and live-web worlds pass the
+                simulated Internet's public resolver.
+        """
+        from repro.browser import Browser
+
+        browser = Browser(
+            self.sim, self.transport,
+            self.resolver_endpoint if resolver is None else resolver,
+            config=config, machine=self.machine,
+        )
+        return browser.load(page)
 
     def __repr__(self) -> str:
         chain = " > ".join(type(s).__name__ for s in self.shells) or "(empty)"

@@ -74,9 +74,9 @@ class FactorySpec:
     produce the actual :data:`~repro.measure.runner.ScenarioFactory`.
 
     Example:
-        >>> FactorySpec("repro.fabric.scenarios:replay_smoke",
+        >>> FactorySpec("repro.scenarios:replay_smoke",
         ...             {"scale": 0.4}).spec
-        'repro.fabric.scenarios:replay_smoke'
+        'repro.scenarios:replay_smoke'
     """
 
     spec: str

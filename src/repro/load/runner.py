@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.browser import Browser
 from repro.apps.apiclient import ApiClient
-from repro.core import HostMachine, ShellStack
+from repro.core import ShellStack
 from repro.dns.resolver import StubResolver
 from repro.errors import ReproError
 from repro.http.client import FailableCallback, HttpClient
@@ -37,7 +36,6 @@ from repro.load.arrivals import ARRIVALS_STREAM, ArrivalProcess
 from repro.load.population import POPULATION_STREAM, ClientPlan, Population
 from repro.measure.stats import StreamingQuantiles
 from repro.net.address import Endpoint
-from repro.sim.simulator import Simulator
 
 __all__ = [
     "ClientRecord",
@@ -196,11 +194,7 @@ class _BrowserClient:
     def __init__(self, session: "LoadSession", plan: ClientPlan) -> None:
         site = session.scenario.population.sites[plan.site_index]
         self.target = site.name
-        browser = Browser(
-            session.sim, session.stack.transport,
-            session.stack.resolver_endpoint, machine=session.machine,
-        )
-        self.result = browser.load(site.page)
+        self.result = session.stack.load(site.page)
 
     @property
     def done(self) -> bool:
@@ -345,13 +339,9 @@ class LoadSession:
     ) -> None:
         self.scenario = scenario
         self.seed = seed
-        sim = Simulator(seed=seed)
-        self.sim = sim
-        self.registry = None
-        if instrument:
-            from repro.obs import MetricsRegistry
-
-            self.registry = MetricsRegistry.install(sim)
+        self.stack = ShellStack.fresh(seed, instrument=instrument)
+        sim = self.sim = self.stack.sim
+        self.registry = sim.metrics
         # The plan first, from dedicated streams — a pure function of
         # (scenario, seed), fixed before any world event runs.
         self.arrival_times = scenario.arrivals.times(
@@ -359,8 +349,6 @@ class LoadSession:
         self.plan = scenario.population.plan(
             scenario.clients, sim.streams.stream(POPULATION_STREAM))
         # The shared world.
-        self.machine = HostMachine(sim)
-        self.stack = ShellStack(self.machine)
         self.stack.add_replay(
             scenario.population.merged_store(),
             server_workers=scenario.server_workers,

@@ -133,7 +133,8 @@ class CasStore:
             BlobMissingError: no blob at this address (a dangling
                 reference), naming the path that should have held it.
             BlobCorruptError: the blob's bytes no longer hash to the
-                address (bitrot), naming the blob path.
+                address (bitrot) or cannot be read at all (a directory
+                in its place, no permission), naming the blob path.
         """
         path = self.path_for(ref)
         try:
@@ -143,6 +144,10 @@ class CasStore:
             raise BlobMissingError(
                 f"dangling CAS reference {ref}: no blob at {path}"
             ) from None
+        except OSError as exc:
+            raise BlobCorruptError(
+                f"unreadable CAS blob {path}: {exc}"
+            ) from exc
         if body_checksum(data) != self._check_ref(ref):
             raise BlobCorruptError(
                 f"CAS blob {path} does not hash to its address {ref}"

@@ -68,6 +68,8 @@ _PAIR_NAME = re.compile(r"pair-[0-9]+\.json")
 #: error a strict load raises for it.
 #:
 #: * ``missing`` — the manifest names a pair file that is not there;
+#: * ``unreadable`` — the file is there but its bytes cannot be had (a
+#:   directory in its place, no permission);
 #: * ``truncated`` / ``corrupt`` — the file's size / checksum differs
 #:   from the manifest's;
 #: * ``malformed`` — bytes the manifest vouches for are not a pair (bad
@@ -79,6 +81,7 @@ _PAIR_NAME = re.compile(r"pair-[0-9]+\.json")
 #: * ``orphan`` — a ``pair-*`` file on disk the manifest does not name.
 STRICT_ERRORS = {
     "missing": StoreFormatError,
+    "unreadable": StoreIntegrityError,
     "truncated": StoreIntegrityError,
     "corrupt": StoreIntegrityError,
     "malformed": StoreFormatError,
@@ -105,9 +108,9 @@ def read_manifest(directory: Any) -> Dict[str, Any]:
     one is compared) and a ``pairs`` list.
 
     Raises:
-        StoreFormatError: missing folder/file, corrupt JSON, no manifest
-            list, or an unreadable format version — always naming the
-            offending path.
+        StoreFormatError: missing or unreadable folder/file, corrupt
+            JSON, no manifest list, or an unreadable format version —
+            always naming the offending path.
     """
     site_path = os.path.join(os.fspath(directory), _SITE_FILE)
     try:
@@ -115,6 +118,10 @@ def read_manifest(directory: Any) -> Dict[str, Any]:
             metadata = json.load(handle)
     except FileNotFoundError:
         raise StoreFormatError(f"not a recorded site: {directory}") from None
+    except OSError as exc:
+        raise StoreFormatError(
+            f"unreadable {_SITE_FILE}: {site_path}: {exc}"
+        ) from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StoreFormatError(
             f"corrupt {_SITE_FILE}: {site_path}: {exc}"
@@ -283,6 +290,10 @@ def read_site(
                 raw = handle.read()
         except FileNotFoundError:
             problem(filename, "missing", f"missing pair file: {path}")
+            continue
+        except OSError as exc:
+            problem(filename, "unreadable",
+                    f"unreadable pair file {path}: {exc}")
             continue
         if len(raw) != size:
             problem(filename, "truncated",

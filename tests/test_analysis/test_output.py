@@ -1,204 +1,11 @@
-"""mm-lint's CI surface: JSON/SARIF output, baseline, cache, audits.
-
-The SARIF rendering is pinned to a committed golden file: CI uploads
-the artifact from the determinism job, and identical findings must
-produce byte-identical documents (same rule the obs layer follows for
-its artifacts).
-"""
+"""mm-lint's stale-suppression audit (``--check-suppressions``)."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.base import Diagnostic, suppression_comments
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    write_baseline,
-)
-from repro.analysis.cache import LintCache
-from repro.analysis.lint import RULES, check_suppressions, lint_file, main
-from repro.analysis.output import diagnostics_from_json, to_json, to_sarif
-
-GOLDEN_SARIF = Path(__file__).parent / "data" / "golden.sarif"
-
-FIXED_DIAGS = [
-    Diagnostic(
-        "src/repro/sim/clock.py",
-        12,
-        4,
-        "REP001",
-        "wall-clock read time.time() in simulation-domain code; "
-        "virtual time is sim.now",
-    ),
-    Diagnostic(
-        "src/repro/transport/host.py",
-        260,
-        8,
-        "REP008",
-        "use-after-recycle: 'packet' may already be back in the pool",
-    ),
-]
-
-
-class TestJsonOutput:
-    def test_document_shape_and_counts(self):
-        payload = json.loads(to_json(FIXED_DIAGS))
-        assert payload["tool"] == "mm-lint"
-        assert payload["schema_version"] == 1
-        assert payload["counts"] == {"REP001": 1, "REP008": 1}
-        assert len(payload["diagnostics"]) == 2
-
-    def test_round_trip(self):
-        payload = json.loads(to_json(FIXED_DIAGS))
-        assert diagnostics_from_json(payload["diagnostics"]) == FIXED_DIAGS
-
-    def test_rendering_is_deterministic(self):
-        assert to_json(FIXED_DIAGS) == to_json(list(FIXED_DIAGS))
-        assert to_json(FIXED_DIAGS).endswith("\n")
-
-
-class TestSarifOutput:
-    def test_matches_committed_golden_file(self):
-        # Byte-identical: CI uploads this artifact, and a drifting
-        # rendering would make identical findings diff across runs.
-        rendered = to_sarif(FIXED_DIAGS, RULES)
-        assert rendered == GOLDEN_SARIF.read_text(encoding="utf-8")
-
-    def test_every_registry_rule_gets_a_descriptor(self):
-        payload = json.loads(to_sarif([], RULES))
-        driver = payload["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "mm-lint"
-        ids = [rule["id"] for rule in driver["rules"]]
-        assert ids == sorted(RULES)
-
-    def test_columns_are_one_based(self):
-        payload = json.loads(to_sarif(FIXED_DIAGS, RULES))
-        region = payload["runs"][0]["results"][0]["locations"][0][
-            "physicalLocation"
-        ]["region"]
-        assert region["startLine"] == 12
-        assert region["startColumn"] == 5  # Diagnostic.col 4, 0-based
-
-
-class TestBaseline:
-    def _violating_file(self, tmp_path):
-        sim = tmp_path / "sim"
-        sim.mkdir()
-        target = sim / "mod.py"
-        target.write_text(
-            "import time\n\ndef f():\n    return time.time()\n"
-        )
-        return target
-
-    def test_baselined_finding_is_subtracted(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        found = lint_file(target)
-        assert [d.code for d in found] == ["REP001"]
-        baseline_path = tmp_path / "baseline.json"
-        assert write_baseline(baseline_path, found) == 1
-        fresh, suppressed = partition(found, load_baseline(baseline_path))
-        assert fresh == [] and suppressed == 1
-
-    def test_fingerprints_survive_line_shifts(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_file(target))
-        # Unrelated edit above the finding shifts its line number.
-        target.write_text(
-            "import time\n\nPAD = 1\n\n\ndef f():\n    return time.time()\n"
-        )
-        fresh, suppressed = partition(
-            lint_file(target), load_baseline(baseline_path)
-        )
-        assert fresh == [] and suppressed == 1
-
-    def test_editing_the_offending_line_retires_the_entry(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, lint_file(target))
-        target.write_text(
-            "import time\n\ndef f():\n    return time.time() + 1\n"
-        )
-        fresh, suppressed = partition(
-            lint_file(target), load_baseline(baseline_path)
-        )
-        assert [d.code for d in fresh] == ["REP001"] and suppressed == 0
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{}")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-        bad.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_main_with_baseline_exits_clean(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    str(target),
-                    "--baseline",
-                    str(baseline_path),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert main([str(target), "--baseline", str(baseline_path)]) == 0
-        err = capsys.readouterr().err
-        assert "1 baselined" in err
-
-
-class TestLintCache:
-    def _violating_file(self, tmp_path):
-        sim = tmp_path / "sim"
-        sim.mkdir()
-        target = sim / "mod.py"
-        target.write_text(
-            "import time\n\ndef f():\n    return time.time()\n"
-        )
-        return target
-
-    def test_hit_returns_identical_diagnostics(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        first = lint_file(target, cache=cache)
-        assert cache.hits == 0 and cache.misses == 1
-        second = lint_file(target, cache=cache)
-        assert cache.hits == 1
-        assert second == first
-
-    def test_source_edit_misses(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        lint_file(target, cache=cache)
-        target.write_text("def f(sim):\n    return sim.now\n")
-        assert lint_file(target, cache=cache) == []
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_select_parameterises_the_key(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        lint_file(target, cache=cache)
-        found = lint_file(target, select={"REP008"}, cache=cache)
-        assert found == []
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        target = self._violating_file(tmp_path)
-        cache = LintCache(tmp_path / "cache")
-        lint_file(target, cache=cache)
-        for entry in (tmp_path / "cache").rglob("*.json"):
-            entry.write_text("{ not json")
-        assert [d.code for d in lint_file(target, cache=cache)] == ["REP001"]
+from repro.analysis.base import suppression_comments
+from repro.analysis.lint import check_suppressions, main
 
 
 class TestSuppressionAudit:
@@ -255,34 +62,3 @@ class TestSuppressionAudit:
     def test_repo_tree_has_no_stale_suppressions(self):
         src = Path(__file__).resolve().parents[2] / "src"
         assert check_suppressions([src]) == []
-
-
-class TestCliOutputs:
-    def _violating_tree(self, tmp_path):
-        sim = tmp_path / "sim"
-        sim.mkdir()
-        (sim / "mod.py").write_text(
-            "import time\n\ndef f():\n    return time.time()\n"
-        )
-        return tmp_path
-
-    def test_json_output(self, tmp_path, capsys):
-        tree = self._violating_tree(tmp_path)
-        assert main([str(tree), "--output", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {"REP001": 1}
-
-    def test_sarif_output(self, tmp_path, capsys):
-        tree = self._violating_tree(tmp_path)
-        assert main([str(tree), "--output", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "REP001"
-
-    def test_cache_flag_round_trips(self, tmp_path, capsys):
-        tree = self._violating_tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        assert main([str(tree), "--cache", str(cache_dir)]) == 1
-        assert main([str(tree), "--cache", str(cache_dir)]) == 1
-        out = capsys.readouterr()
-        assert out.out.count("REP001") == 2

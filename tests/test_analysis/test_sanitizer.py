@@ -212,9 +212,9 @@ class TestSmokeScenario:
         # The end-to-end contract behind Table 1, asserted directly: a
         # whole replay-shell page load (browser, DNS, TCP, link, jitter)
         # is one digest, twice.
-        from repro.analysis.sanitizer import _smoke_scenario
+        from repro.scenarios import SCENARIOS
 
-        report = determinism(_smoke_scenario, seed=1)
+        report = determinism(SCENARIOS["smoke"].simulator, seed=1)
         assert report.events > 100
 
 
@@ -242,7 +242,7 @@ class TestLoadScenario:
         assert "artifact" in capsys.readouterr().err
 
     def test_load_world_replays_bit_identically(self, determinism):
-        from repro.analysis.sanitizer import _load_scenario
+        from repro.scenarios import SCENARIOS
 
-        report = determinism(_load_scenario, seed=1)
+        report = determinism(SCENARIOS["load"].simulator, seed=1)
         assert report.events > 1000

@@ -6,15 +6,17 @@ process and across forked workers.
 
 from repro.analysis.sanitizer import (
     EventStreamDigest,
-    _chaos_scenario,
     check_determinism,
     check_observer_effect,
 )
 from repro.measure import parallel_map
+from repro.scenarios import SCENARIOS
+
+chaos_scenario = SCENARIOS["chaos"].simulator
 
 
 def digest_of(seed):
-    sim = _chaos_scenario(seed)
+    sim = chaos_scenario(seed)
     digest = EventStreamDigest()
     sim.set_trace(digest)
     sim.run(max_events=2_000_000)
@@ -23,18 +25,18 @@ def digest_of(seed):
 
 class TestChaosDeterminism:
     def test_chaos_scenario_replays_bit_identically(self, determinism):
-        report = determinism(_chaos_scenario, seed=0, runs=3)
+        report = determinism(chaos_scenario, seed=0, runs=3)
         assert report.events > 0
 
     def test_different_seeds_diverge(self):
         assert digest_of(0) != digest_of(1)
 
     def test_observer_effect_is_zero_under_faults(self):
-        report = check_observer_effect(_chaos_scenario, seed=0)
+        report = check_observer_effect(chaos_scenario, seed=0)
         assert report.events > 0
 
     def test_check_determinism_accepts_chaos_scenario(self):
-        report = check_determinism(_chaos_scenario, seed=5, runs=2)
+        report = check_determinism(chaos_scenario, seed=5, runs=2)
         assert report.seed == 5
 
 

@@ -78,6 +78,17 @@ class TestMmWebreplayLoad:
         with pytest.raises(CliError):
             mm_delay.run(["40", "load"], [])
 
+    @pytest.mark.parametrize("seed_argv", [["--seed"], ["--seed", "x"]])
+    def test_load_seed_must_be_an_integer(self, recorded_dir, seed_argv,
+                                          monkeypatch, capsys):
+        with pytest.raises(CliError, match="--seed"):
+            mm_webreplay.run([recorded_dir, "load"] + seed_argv, [])
+        monkeypatch.setattr(
+            "sys.argv", ["mm-webreplay", recorded_dir, "load"] + seed_argv)
+        assert mm_webreplay.main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_directory_rejected(self):
         with pytest.raises(CliError):
             mm_webreplay.run(["/nonexistent-dir", "load"], [])
@@ -353,10 +364,24 @@ class TestHelpers:
         page = page_from_recording(store)
         assert page.resource_count == len(store)
 
-    def test_page_from_recording_needs_root(self):
+    def test_page_from_recording_needs_root(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro.errors import StoreFormatError
         from repro.record.store import RecordedSite
-        with pytest.raises(CliError):
-            page_from_recording(RecordedSite("empty"))
+        rootless = RecordedSite("rootless")
+        for pair in generate_site("pfr.com", seed=6).to_recorded_site().pairs:
+            if pair.request.path != "/":
+                rootless.add_pair(pair)
+        # A property of the store, named as one...
+        with pytest.raises(StoreFormatError, match="'rootless'"):
+            page_from_recording(rootless)
+        # ... and still an ``error:`` line and exit 2 from the CLI.
+        rootless.save(tmp_path / "rootless")
+        monkeypatch.setattr(
+            "sys.argv", ["mm-webreplay", str(tmp_path / "rootless"), "load"])
+        assert mm_webreplay.main() == 2
+        assert capsys.readouterr().err.startswith(
+            "error: recording 'rootless' has no scannable root")
 
 
 class TestMmLossGeMode:

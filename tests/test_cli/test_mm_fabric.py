@@ -7,7 +7,7 @@ import pytest
 from repro.cli import mm_fabric
 from repro.cli.common import CliError
 
-RUN = ["run", "--factory", "repro.fabric.scenarios:replay_smoke"]
+RUN = ["run", "--factory", "repro.scenarios:replay_smoke"]
 
 MALFORMED = {
     # id: (argv, what the message must name)

@@ -55,7 +55,7 @@ class TestSummary:
     def test_json_summary_shape(self, smoke_artifact, capsys):
         assert main(["summary", str(smoke_artifact)]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["meta"]["scenario"] == "sanitizer-smoke"
+        assert data["meta"]["scenario"] == "smoke"
         assert data["series"]  # non-empty
         one = next(iter(data["series"].values()))
         assert set(one) >= {"n", "last", "min", "max"}

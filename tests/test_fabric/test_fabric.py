@@ -19,13 +19,13 @@ import pytest
 from repro.errors import JournalError
 from repro.fabric.backend import LocalBackend, RemoteBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal, merge_journals
 from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
-SPEC = FactorySpec("repro.fabric.scenarios:replay_smoke", KW)
+SPEC = FactorySpec("repro.scenarios:replay_smoke", KW)
 TRIALS = 6
 
 

@@ -14,7 +14,7 @@ from repro.fabric.faults import (
     SpawnFault,
     WedgeWorker,
 )
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}

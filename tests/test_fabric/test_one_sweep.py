@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ReproError
 from repro.fabric.backend import LocalBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.parallel import fork_available

@@ -7,14 +7,14 @@ import pytest
 
 from repro.errors import FabricError
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
-from repro.fabric.scenarios import replay_smoke
+from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec, run_shard, worker_loop
 from repro.measure.journal import TrialJournal
 from repro.measure.runner import run_trial
 from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
-SPEC = "repro.fabric.scenarios:replay_smoke"
+SPEC = "repro.scenarios:replay_smoke"
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestFactorySpec:
 
     def test_missing_attribute(self):
         with pytest.raises(FabricError, match="cannot resolve"):
-            FactorySpec("repro.fabric.scenarios:no_such_builder").resolve()
+            FactorySpec("repro.scenarios:no_such_builder").resolve()
 
     def test_non_callable_factory(self):
         # os:getcwd is a fine builder but returns a string, not a factory.

@@ -87,6 +87,22 @@ class TestDetection:
         report = fsck_site(site_dir)
         assert [p.kind for p in report.problems] == ["malformed"]
 
+    def test_unreadable_pair_is_damage_not_an_oserror(self, site_dir):
+        # The file is there, the OS will not hand over its bytes.
+        bad = site_dir / "pair-00000.json"
+        bad.unlink()
+        bad.mkdir()
+        with pytest.raises(StoreIntegrityError, match=str(bad)):
+            RecordedSite.load(site_dir)
+        salvaged, damage = RecordedSite.load_tolerant(site_dir)
+        assert len(salvaged) == 5
+        assert [(p.file, p.kind) for p in damage.problems] == [
+            ("pair-00000.json", "unreadable")]
+        assert fsck_site(site_dir).problems == damage.problems
+        assert fsck_site(site_dir, repair=True).quarantined == [
+            "pair-00000.json"]
+        assert len(RecordedSite.load(site_dir)) == 5
+
     def test_unusable_manifest_is_fatal(self, tmp_path):
         directory = tmp_path / "broken"
         directory.mkdir()

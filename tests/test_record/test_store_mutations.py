@@ -4,7 +4,8 @@ A freshly saved 2-site corpus is damaged the way real folders get
 damaged — a manifest field edited or lost, a pair file's JSON bent out
 of shape (with the manifest re-vouching for it, so the damage reaches
 the parser, or not, so the checksum catches it), a blob flipped or gone,
-the ``cas`` key broken — and every reader is run over the result:
+the ``cas`` key broken, a file left in place but unreadable — and every
+reader is run over the result:
 
 * ``RecordedSite.load`` / ``load_tolerant`` / ``fsck_tree`` (dry and
   ``--repair``) / ``ship_corpus`` raise nothing but ``ReproError``;
@@ -122,8 +123,17 @@ blob_mutations = st.tuples(
     st.sampled_from(["blob-flip", "blob-drop", "blob-empty"]), SITE,
     st.integers(0, 2))
 
+#: The file stays where it is but cannot be read: (…, as a directory?)
+unreadable_mutations = st.one_of(
+    st.tuples(st.just("manifest-unreadable"), SITE, st.booleans()),
+    st.tuples(st.just("pair-unreadable"), SITE, PAIR, st.booleans()),
+    st.tuples(st.just("blob-unreadable"), SITE, st.integers(0, 2),
+              st.booleans()),
+)
+
 MUTATIONS = st.lists(
-    st.one_of(manifest_mutations, pair_mutations, blob_mutations),
+    st.one_of(manifest_mutations, pair_mutations, blob_mutations,
+              unreadable_mutations),
     min_size=1, max_size=3)
 
 
@@ -135,6 +145,27 @@ def _edit_json(path, edit):
         json.dump(data, fh)
 
 
+def _make_unreadable(path, as_directory):
+    """Leave ``path`` in place but unreadable: mode 000, or a directory
+    of that name — always the latter for a user no mode binds (root)."""
+    if not as_directory:
+        os.chmod(path, 0)
+        try:
+            open(path, "rb").close()
+        except PermissionError:
+            return
+    os.remove(path)
+    os.mkdir(path)
+
+
+def _blob_path(corpus, site_index, which):
+    host = SITES[site_index]
+    body = [f"<html>{host}/0</html>".encode(), SHARED,
+            f"<html>{host}/2</html>".encode()][which]
+    return CasStore(os.path.join(corpus, ".cas")).path_for(
+        body_checksum(body))
+
+
 def _apply(corpus, mutation):
     """Apply one mutation; mutations that no longer find their target
     (an earlier one removed it) are no-ops."""
@@ -142,7 +173,14 @@ def _apply(corpus, mutation):
     site_dir = os.path.join(corpus, SITES[site_index])
     manifest_path = os.path.join(site_dir, "site.json")
     try:
-        if kind == "manifest-bytes":
+        if kind == "manifest-unreadable":
+            _make_unreadable(manifest_path, args[0])
+        elif kind == "pair-unreadable":
+            _make_unreadable(
+                os.path.join(site_dir, f"pair-{args[0]:05d}.json"), args[1])
+        elif kind == "blob-unreadable":
+            _make_unreadable(_blob_path(corpus, site_index, args[0]), args[1])
+        elif kind == "manifest-bytes":
             if args[0] is None:
                 os.remove(manifest_path)
             else:
@@ -206,11 +244,7 @@ def _apply(corpus, mutation):
             if revouch:
                 revouch(site_dir, filename)
         else:
-            host = SITES[site_index]
-            body = [f"<html>{host}/0</html>".encode(), SHARED,
-                    f"<html>{host}/2</html>".encode()][args[0]]
-            path = CasStore(os.path.join(corpus, ".cas")).path_for(
-                body_checksum(body))
+            path = _blob_path(corpus, site_index, args[0])
             if kind == "blob-drop":
                 os.remove(path)
             else:
@@ -236,14 +270,18 @@ def _named_errors_only(call, *args, **kwargs):
 
 def _files(root):
     """{relative path: bytes} of every pair file and blob under root,
-    wherever repair may have moved it."""
+    wherever repair may have moved it (a file made unreadable still
+    counts: it must be moved, not lost)."""
     found = {}
     for dirpath, __, filenames in os.walk(root):
         for name in filenames:
             if name != "site.json":
                 path = os.path.join(dirpath, name)
-                with open(path, "rb") as fh:
-                    found[os.path.relpath(path, root)] = fh.read()
+                try:
+                    with open(path, "rb") as fh:
+                        found[os.path.relpath(path, root)] = fh.read()
+                except PermissionError:
+                    found[os.path.relpath(path, root)] = b"<unreadable>"
     return found
 
 
