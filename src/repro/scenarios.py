@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.browser.html import page_from_recording
 from repro.chaos import (
@@ -33,9 +33,13 @@ from repro.chaos import (
 )
 from repro.core import ShellStack
 from repro.corpus import generate_site
+from repro.linkem.queues import DropTailQueue
 from repro.measure.runner import ScenarioFactory
+from repro.net.address import Endpoint
 from repro.record.store import RecordedSite
 from repro.sim.simulator import Simulator
+from repro.transport.host import TransportHost
+from repro.transport.tcp import TcpConnection
 
 
 def smoke(plan: Optional[FaultPlan] = None) -> ScenarioFactory:
@@ -180,6 +184,78 @@ def recorded_site(
                      single_server=single_server, protocol=protocol)
 
 
+class BulkFlows:
+    """Live result of :func:`bulk_download`.
+
+    Attributes:
+        connections: both ends of every flow — the clients first, in
+            flow order, then the servers as they accept — so their public
+            counters can be read afterwards.
+        finished: each flow's virtual completion time, None while it runs.
+    """
+
+    def __init__(self, flows: int) -> None:
+        self.connections: List[TcpConnection] = []
+        self.finished: List[Optional[float]] = [None] * flows
+
+    @property
+    def complete(self) -> bool:
+        return None not in self.finished
+
+
+def bulk_download(stack: ShellStack, flows: int, flow_bytes: int) -> BulkFlows:
+    """Start ``flows`` concurrent downloads of ``flow_bytes`` virtual
+    bytes each, from a server in the machine's root namespace to clients
+    in the stack's innermost one — no browser, HTTP or DNS, only TCP over
+    whatever shells ``stack`` holds."""
+    sim = stack.sim
+    server = TransportHost.ensure(sim, stack.machine.namespace)
+    address = stack.machine.namespace.any_local_address()
+    result = BulkFlows(flows)
+
+    def on_connection(conn: TcpConnection) -> None:
+        result.connections.append(conn)
+        conn.on_data = lambda pieces: conn.send_virtual(flow_bytes)
+
+    server.listen(address, 80, on_connection)
+
+    def start(flow: int) -> None:
+        conn = stack.transport.connect(Endpoint(address, 80))
+        result.connections.append(conn)
+        conn.on_established = lambda: conn.send(b"GET")
+
+        def on_data(pieces) -> None:
+            if (conn.bytes_delivered >= flow_bytes
+                    and result.finished[flow] is None):
+                result.finished[flow] = sim.now
+
+        conn.on_data = on_data
+
+    for flow in range(flows):
+        start(flow)
+    return result
+
+
+def bulk_lossy() -> ScenarioFactory:
+    """Loss recovery, every path of it: four concurrent 300 kB downloads
+    through a 3 Mbit/s link with a 60-packet drop-tail queue, 1 % random
+    downlink loss and 20 ms of delay — random loss, queue overflow, fast
+    retransmit, partial ACKs and RTOs all fire within seconds, so the
+    digest covers the SACK scoreboard, the retransmit ledger and the
+    reassembly map that the page-load worlds (which drop nothing) never
+    reach."""
+
+    def factory(seed: int, instrument: bool = False):
+        stack = ShellStack.fresh(seed, instrument=instrument)
+        stack.add_link(3.0, 3.0,
+                       downlink_queue=DropTailQueue(max_packets=60))
+        stack.add_loss(0.01)
+        stack.add_delay(0.020)
+        return stack.sim, bulk_download(stack, flows=4, flow_bytes=300_000)
+
+    return factory
+
+
 class Scenario(NamedTuple):
     """One registry entry.
 
@@ -213,5 +289,6 @@ SCENARIOS: Dict[str, Scenario] = {
                      artifact=load_artifact),
     "replay_smoke": Scenario(replay_smoke,
                              "9b0675286d55d5a789bb0c703d2b1db0"),
+    "bulk_lossy": Scenario(bulk_lossy, "898ea11067bf08842a3795f9d6107368"),
     "recorded_site": Scenario(recorded_site),
 }

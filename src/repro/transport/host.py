@@ -83,6 +83,9 @@ class TransportHost:
         namespace.attach_transport(self.receive)
         namespace.transport_host = self
         self._connections: Dict[ConnKey, TcpConnection] = {}
+        # How many connections hold each local (address value, port), so
+        # picking an ephemeral port is a lookup, not a scan of the table.
+        self._tcp_ports: Dict[Tuple[int, int], int] = {}
         self._listeners: Dict[Tuple[Optional[int], int], TcpListener] = {}
         self._udp_sockets: Dict[Tuple[int, int], UdpSocket] = {}
         self._next_ephemeral = _EPHEMERAL_FIRST
@@ -162,11 +165,16 @@ class TransportHost:
             config if config is not None else self.tcp_config,
             passive=False,
         )
-        self._connections[
-            (local.address._value, local.port, remote.address._value, remote.port)
-        ] = conn
+        self._register(conn)
         conn.connect()
         return conn
+
+    def _register(self, conn: TcpConnection) -> None:
+        """Enter a new connection in the demux table."""
+        local, remote = conn.local, conn.remote
+        bound = (local.address._value, local.port)
+        self._connections[bound + (remote.address._value, remote.port)] = conn
+        self._tcp_ports[bound] = self._tcp_ports.get(bound, 0) + 1
 
     def _source_address_for(self, destination: IPv4Address) -> IPv4Address:
         if self.namespace.is_local(destination):
@@ -183,11 +191,8 @@ class TransportHost:
             self._next_ephemeral += 1
             if self._next_ephemeral > _EPHEMERAL_LAST:
                 self._next_ephemeral = _EPHEMERAL_FIRST
-            in_use = any(
-                key[0] == value and key[1] == port
-                for key in self._connections
-            )
-            if not in_use and (value, port) not in self._udp_sockets:
+            bound = (value, port)
+            if bound not in self._tcp_ports and bound not in self._udp_sockets:
                 return port
         raise TransportError("ephemeral port range exhausted")
 
@@ -199,7 +204,11 @@ class TransportHost:
             conn.remote.address._value,
             conn.remote.port,
         )
-        self._connections.pop(key, None)
+        if self._connections.pop(key, None) is not None:
+            bound = key[:2]
+            self._tcp_ports[bound] -= 1
+            if not self._tcp_ports[bound]:
+                del self._tcp_ports[bound]
 
     # ------------------------------------------------------------------ #
     # UDP
@@ -286,9 +295,7 @@ class TransportHost:
         remote = Endpoint(packet.src, packet.sport)
         config = listener.config if listener.config is not None else self.tcp_config
         conn = TcpConnection(self.sim, self, local, remote, config, passive=True)
-        self._connections[
-            (local.address._value, local.port, remote.address._value, remote.port)
-        ] = conn
+        self._register(conn)
 
         def _accepted() -> None:
             listener.accepted += 1

@@ -32,7 +32,7 @@ from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.transport.congestion import CongestionControl, NewReno
 from repro.transport.rto import RttEstimator
-from repro.transport.wire import Piece, ReassemblyBuffer, SendBuffer
+from repro.transport.wire import Piece, RangeSet, ReassemblyBuffer, SendBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transport.host import TransportHost
@@ -56,12 +56,6 @@ class TcpConfig:
         min_rto / max_rto / initial_rto: RTO policy, seconds.
         dupack_threshold: duplicate ACKs that trigger fast retransmit.
         max_syn_retries: SYN / SYN-ACK retransmissions before giving up.
-        sack_blocks: maximum SACK ranges reported per ACK. Real stacks fit
-            3-4 blocks in the option space and cycle through them across
-            consecutive ACKs, so the sender's scoreboard converges to the
-            receiver's full picture within a round trip; ``None`` (the
-            default) models that converged state directly. A small value
-            reproduces option-space-starved behaviour for experiments.
         congestion_control: factory ``mss -> CongestionControl``; defaults
             to NewReno with the configured initial window.
     """
@@ -74,7 +68,6 @@ class TcpConfig:
     initial_rto: float = 1.0
     dupack_threshold: int = 3
     max_syn_retries: int = 6
-    sack_blocks: Optional[int] = None
     congestion_control: Optional[Callable[[int], CongestionControl]] = None
 
     def make_congestion_control(self) -> CongestionControl:
@@ -88,8 +81,12 @@ class TcpSegment:
     """One TCP segment (the payload of a "tcp" packet).
 
     ``flags`` is a string drawn from "S", "A", "F", "R". ``sack`` carries
-    up to three selective-acknowledgement blocks as (start, end) sequence
-    ranges, like the SACK option every modern stack negotiates.
+    the selective-acknowledgement blocks as (start, end) sequence ranges,
+    RFC 2018's meaning: one block per contiguous run the receiver holds
+    above a hole. Every run is reported on every ACK — real stacks fit 3-4
+    blocks in the option space and cycle through them, so the sender's
+    scoreboard converges to the receiver's picture within a round trip;
+    this models that converged state directly.
     """
 
     __slots__ = (
@@ -120,45 +117,6 @@ class TcpSegment:
             f"<TcpSegment [{self.flags}] seq={self.seq} ack={self.ack} "
             f"len={self.data_len} wnd={self.wnd}>"
         )
-
-
-def _merge_range(
-    ranges: List[Tuple[int, int]], start: int, end: int
-) -> List[Tuple[int, int]]:
-    """Insert [start, end) into a sorted disjoint range list."""
-    merged: List[Tuple[int, int]] = []
-    placed = False
-    for r_start, r_end in ranges:
-        if r_end < start or (placed and r_start > end):
-            merged.append((r_start, r_end))
-        elif r_start > end:
-            if not placed:
-                merged.append((start, end))
-                placed = True
-            merged.append((r_start, r_end))
-        else:
-            start = min(start, r_start)
-            end = max(end, r_end)
-    if not placed:
-        merged.append((start, end))
-    merged.sort()
-    return merged
-
-
-def _subtract_range(
-    ranges: List[Tuple[int, int]], start: int, end: int
-) -> List[Tuple[int, int]]:
-    """Remove [start, end) from a sorted disjoint range list."""
-    result: List[Tuple[int, int]] = []
-    for r_start, r_end in ranges:
-        if r_end <= start or r_start >= end:
-            result.append((r_start, r_end))
-            continue
-        if r_start < start:
-            result.append((r_start, start))
-        if r_end > end:
-            result.append((end, r_end))
-    return result
 
 
 # Connection states (strings keep debugging output readable).
@@ -296,9 +254,9 @@ class TcpConnection:
         self._dupacks = 0
         self._in_recovery = False
         self._recover_seq = 0
-        # SACK scoreboard: sorted disjoint (start, end) sequence ranges the
-        # peer has reported holding above snd_una.
-        self._sacked: List[Tuple[int, int]] = []
+        # SACK scoreboard: the sequence ranges the peer has reported
+        # holding above snd_una.
+        self._sacked = RangeSet()
         # Within a recovery episode, holes below this have been retransmitted.
         self._rexmit_next = 0
         # After an RTO, every unsacked byte below this sequence is presumed
@@ -307,7 +265,7 @@ class TcpConnection:
         # Ranges retransmitted but not yet cumulatively ACKed or SACKed;
         # these count as in-flight in the pipe estimate while the holes
         # they repair are presumed lost.
-        self._rexmit_out: List[Tuple[int, int]] = []
+        self._rexmit_out = RangeSet()
         self._rtt_seq: Optional[int] = None
         self._rtt_time = 0.0
         self._peer_rwnd = self.config.receive_window
@@ -566,7 +524,8 @@ class TcpConnection:
             self._snd_una = ack
             self._dupacks = 0
             self._rexmit_next = max(self._rexmit_next, ack)
-            self._trim_sacked()
+            self._sacked.trim_below(ack)
+            self._rexmit_out.trim_below(ack)
             # Advance the acknowledged prefix of the stream (sequence 0 is
             # the SYN; the FIN sequence is past the stream end).
             stream_len = self._send_buffer.length
@@ -652,7 +611,7 @@ class TcpConnection:
             return
         offset = segment.seq - 1
         reasm = self._reasm
-        if offset == reasm.next_offset and not reasm._fragments:
+        if offset == reasm.next_offset and not reasm._runs:
             # In-order fast path (the overwhelmingly common case): hand the
             # segment's piece list straight to the application instead of
             # copying it through the interval map. Ownership transfers
@@ -715,7 +674,7 @@ class TcpConnection:
         # or an RTO having declared the outstanding window lost.
         if (
             not self._in_recovery
-            and not self._sacked
+            and not self._sacked.total
             and self._snd_una >= self._lost_edge
         ):
             # Loss-free fast path (the steady state): no scoreboard, no
@@ -728,10 +687,7 @@ class TcpConnection:
             repairing = (
                 self._in_recovery
                 or self._snd_una < self._lost_edge
-                or (
-                    self._sacked_bytes()
-                    >= self.config.dupack_threshold * self.config.mss
-                )
+                or self._sacked.total >= self.config.dupack_threshold * self.config.mss
             )
             pipe = self._pipe_bytes()
         while pipe < window:
@@ -815,9 +771,7 @@ class TcpConnection:
             return 0
         pieces = self._send_buffer.slice(offset, seg_len)
         self.retransmissions += 1
-        self._rexmit_out = _merge_range(
-            self._rexmit_out, start_seq, start_seq + seg_len
-        )
+        self._rexmit_out.add(start_seq, start_seq + seg_len)
         self._send_segment(
             "A", seq=start_seq, ack=self._rcv_nxt, pieces=pieces, data_len=seg_len
         )
@@ -827,30 +781,23 @@ class TcpConnection:
     # SACK scoreboard
 
     def _merge_sack(self, blocks: Tuple[Tuple[int, int], ...]) -> None:
-        ranges = list(self._sacked)
+        """Fold an ACK's blocks into the scoreboard. Every ACK of a loss
+        episode repeats the receiver's whole picture, so nearly every
+        block is already held and costs one bisect."""
+        sacked = self._sacked
         for start, end in blocks:
             start = max(start, self._snd_una)
-            if end <= start:
+            if end <= start or sacked.covers(start, end):
                 continue
-            ranges = _merge_range(ranges, start, end)
-            # SACKed data no longer counts as a retransmission in flight.
-            self._rexmit_out = _subtract_range(self._rexmit_out, start, end)
-        self._sacked = ranges
-
-    def _trim_sacked(self) -> None:
-        una = self._snd_una
-        self._sacked = [
-            (max(start, una), end) for start, end in self._sacked if end > una
-        ]
-        self._rexmit_out = _subtract_range(self._rexmit_out, 0, una)
-
-    def _sacked_bytes(self) -> int:
-        return sum(end - start for start, end in self._sacked)
+            sacked.add(start, end)
+            # SACKed data no longer counts as a retransmission in flight
+            # (a block already held took its share out when it was added).
+            self._rexmit_out.remove(start, end)
 
     def _loss_bound(self) -> int:
         """Sequence below which unsacked bytes are presumed lost: the
         highest SACKed byte, or the RTO-declared lost edge."""
-        high = self._sacked[-1][1] if self._sacked else 0
+        high = self._sacked.ends[-1] if self._sacked.total else 0
         return max(high, self._lost_edge)
 
     def _pipe_bytes(self) -> int:
@@ -863,39 +810,24 @@ class TcpConnection:
         (RFC 6675's pipe algorithm, simplified; an RTO extends the bound
         over the whole outstanding window).
         """
-        bound = max(self._loss_bound(), self._snd_una)
-        above = max(0, self._snd_nxt - bound)
-        rexmit = sum(end - start for start, end in self._rexmit_out)
+        bound = self._loss_bound()
         if bound <= self._snd_una:
             return self._snd_nxt - self._snd_una
-        return above + rexmit
+        return max(0, self._snd_nxt - bound) + self._rexmit_out.total
 
     def _next_hole(self) -> Optional[Tuple[int, int]]:
         """The next unretransmitted presumed-lost hole, as
         (start_seq, bound); None when no repairable hole remains."""
         bound = self._loss_bound()
         cursor = max(self._snd_una, self._rexmit_next)
-        if cursor >= bound:
-            return None
-        for start, end in self._sacked:
-            if start >= bound:
-                break
-            if cursor < start:
-                return (cursor, min(start, bound))
-            cursor = max(cursor, end)
-        if cursor < bound:
-            return (cursor, bound)
-        return None
+        # The first unsacked stretch of [cursor, bound), found from a
+        # bisect at the cursor rather than a walk from the scoreboard's head.
+        return next(self._sacked.gaps(cursor, bound), None)
 
     def _build_sack(self) -> Tuple[Tuple[int, int], ...]:
-        """SACK blocks for the out-of-order data we hold, lowest first.
-
-        See TcpConfig.sack_blocks for why the default reports every range.
-        """
-        return tuple(
-            (start + 1, end + 1)
-            for start, end in self._reasm.ranges(self.config.sack_blocks)
-        )
+        """SACK blocks for the out-of-order runs we hold, lowest first:
+        one per hole in the stream (see TcpSegment for why all of them)."""
+        return tuple((start + 1, end + 1) for start, end in self._reasm.ranges())
 
     def _on_rto(self) -> None:
         if self._snd_una == self._snd_nxt:
@@ -916,7 +848,7 @@ class TcpConnection:
         # whole outstanding window is now presumed lost: hole repair
         # restarts from snd_una under the collapsed window, skipping
         # SACKed ranges (go-back-N, SACK-aware).
-        self._rexmit_out = []
+        self._rexmit_out = RangeSet()
         self._lost_edge = self._snd_nxt
         self._rtt_seq = None
         sent_before = self.segments_sent
@@ -944,7 +876,7 @@ class TcpConnection:
         data_len: int = 0,
     ) -> None:
         sack: tuple = ()
-        if "A" in flags and "S" not in flags and self._reasm._fragments:
+        if "A" in flags and "S" not in flags and self._reasm._runs:
             sack = self._build_sack()
         # Pooled construction: pop and re-stamp free records instead of
         # running the constructors (see repro.net.packet.PacketPool for

@@ -10,13 +10,14 @@ inside real pieces.
 serves arbitrary byte-range slices, so retransmissions need no per-segment
 copies. :class:`ReassemblyBuffer` is the receive side: an interval map that
 tolerates duplication, reordering, and partial overlap, releasing in-order
-pieces to the application.
+pieces to the application. :class:`RangeSet` is the one interval structure
+under it and under the sender's SACK scoreboard and retransmit ledger.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import List, Optional, Tuple, Union
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Tuple, Union
 
 Piece = Union[bytes, int]
 
@@ -168,80 +169,146 @@ class SendBuffer:
             del self._pieces[:drop]
 
 
+class RangeSet:
+    """A set of integers kept as sorted, disjoint, non-touching half-open
+    ``[start, end)`` ranges, with the total they cover.
+
+    Every operation is a bisect plus work proportional to the ranges it
+    merges or cuts — never to the ranges held — so a TCP window with a
+    handful of holes costs a handful of steps per ACK however many
+    segments sit between them. ``starts`` and ``ends`` are parallel lists,
+    public to read (bisect, walk) and changed only by the methods.
+    """
+
+    __slots__ = ("starts", "ends", "total")
+
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.total = 0
+
+    def __bool__(self) -> bool:
+        return bool(self.starts)
+
+    def ranges(self) -> List[Tuple[int, int]]:
+        """The held ``(start, end)`` ranges, lowest first."""
+        return list(zip(self.starts, self.ends))
+
+    def covers(self, start: int, end: int) -> bool:
+        """Whether all of ``[start, end)`` is held (one bisect)."""
+        index = bisect_right(self.starts, start) - 1
+        return index >= 0 and end <= self.ends[index]
+
+    def add(self, start: int, end: int) -> Tuple[int, int]:
+        """Insert the non-empty ``[start, end)``, absorbing every range it
+        overlaps or touches; returns the held range that now contains it."""
+        starts, ends = self.starts, self.ends
+        lo = bisect_left(ends, start)  # first range ending at or after start
+        hi = bisect_right(starts, end, lo)  # first range starting after end
+        if lo < hi:
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+            self.total -= sum(ends[lo:hi]) - sum(starts[lo:hi])
+        starts[lo:hi] = (start,)
+        ends[lo:hi] = (end,)
+        self.total += end - start
+        return start, end
+
+    def remove(self, start: int, end: int) -> None:
+        """Delete ``[start, end)``, cutting the ranges it crosses."""
+        starts, ends = self.starts, self.ends
+        lo = bisect_right(ends, start)  # first range ending after start
+        hi = bisect_left(starts, end, lo)  # first range starting at/after end
+        if lo == hi:
+            return
+        first, last = starts[lo], ends[hi - 1]
+        self.total -= sum(ends[lo:hi]) - sum(starts[lo:hi])
+        keep_starts, keep_ends = [], []
+        if first < start:
+            keep_starts.append(first)
+            keep_ends.append(start)
+            self.total += start - first
+        if last > end:
+            keep_starts.append(end)
+            keep_ends.append(last)
+            self.total += last - end
+        starts[lo:hi] = keep_starts
+        ends[lo:hi] = keep_ends
+
+    def trim_below(self, bound: int) -> None:
+        """Delete everything below ``bound`` (free when nothing is)."""
+        if self.starts and self.starts[0] < bound:
+            self.remove(self.starts[0], bound)
+
+    def gaps(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
+        """The sub-ranges of ``[start, end)`` not held, lowest first,
+        found from a bisect at ``start``. Do not mutate while iterating."""
+        starts, ends = self.starts, self.ends
+        index = bisect_right(ends, start)  # first range ending after start
+        while start < end:
+            if index == len(starts) or starts[index] >= end:
+                yield start, end
+                return
+            if starts[index] > start:
+                yield start, starts[index]
+            start = ends[index]
+            index += 1
+
+
 class ReassemblyBuffer:
     """Receive-side interval map delivering in-order stream pieces.
 
     ``insert`` accepts any (offset, pieces) fragment — duplicated,
     reordered, or partially overlapping previously received data —
     and ``pop_ready`` releases whatever is now contiguous from
-    :attr:`next_offset`.
+    :attr:`next_offset`. Out-of-order data is held as *coalesced runs*:
+    a fragment that touches a stored run joins it, so the runs (and the
+    SACK blocks TCP builds from :meth:`ranges`) number one per hole in
+    the stream, not one per segment received.
     """
 
-    __slots__ = ("next_offset", "_fragments")
+    __slots__ = ("next_offset", "_held", "_runs")
 
     def __init__(self) -> None:
         self.next_offset = 0
-        # Non-overlapping stored fragments: sorted list of (start, end, pieces).
-        self._fragments: List[Tuple[int, int, List[Piece]]] = []
+        # The offsets held out of order, and each run's pieces (in stream
+        # order) keyed by the run's start offset.
+        self._held = RangeSet()
+        self._runs: Dict[int, List[Piece]] = {}
 
     @property
     def buffered_bytes(self) -> int:
         """Bytes held out of order, not yet deliverable."""
-        return sum(end - start for start, end, __ in self._fragments)
+        return self._held.total
 
-    def ranges(self, limit: Optional[int] = None) -> List[Tuple[int, int]]:
-        """The out-of-order (start, end) offset ranges held, lowest first.
-
-        Used by TCP to build SACK blocks; ``limit`` caps the count.
-        """
-        out = [(start, end) for start, end, __ in self._fragments]
-        if limit is not None:
-            out = out[:limit]
-        return out
+    def ranges(self) -> List[Tuple[int, int]]:
+        """The out-of-order (start, end) offset runs held, lowest first:
+        what TCP reports as SACK blocks."""
+        return self._held.ranges()
 
     def insert(self, offset: int, pieces: List[Piece]) -> None:
         """Store a fragment of the stream starting at ``offset``."""
-        length = pieces_len(pieces)
-        start, end = offset, offset + length
-        if end <= self.next_offset:
-            return
-        if start < self.next_offset:
-            pieces = pieces_slice(pieces, self.next_offset - start, length)
-            start = self.next_offset
-        # Clip the incoming fragment into the gaps between stored fragments.
-        gaps = self._gaps(start, end)
-        new_fragments = []
-        for gap_start, gap_end in gaps:
-            part = pieces_slice(pieces, gap_start - start, gap_end - start)
-            if part:
-                new_fragments.append((gap_start, gap_end, part))
-        if new_fragments:
-            self._fragments.extend(new_fragments)
-            self._fragments.sort(key=lambda frag: frag[0])
-
-    def _gaps(self, start: int, end: int) -> List[Tuple[int, int]]:
-        """Sub-ranges of [start, end) not covered by stored fragments."""
-        gaps = []
-        cursor = start
-        for frag_start, frag_end, __ in self._fragments:
-            if frag_end <= cursor:
-                continue
-            if frag_start >= end:
-                break
-            if frag_start > cursor:
-                gaps.append((cursor, min(frag_start, end)))
-            cursor = max(cursor, frag_end)
-            if cursor >= end:
-                break
-        if cursor < end:
-            gaps.append((cursor, end))
-        return gaps
+        end = offset + pieces_len(pieces)
+        held, runs = self._held, self._runs
+        # Only what falls in the gaps between stored runs (and above the
+        # delivered prefix) is new; stored data wins an overlap.
+        for gap_start, gap_end in list(held.gaps(max(offset, self.next_offset), end)):
+            run_start, run_end = held.add(gap_start, gap_end)
+            # The gap was uncovered, so add() merged at most a run ending
+            # exactly at gap_start (whose list this extends) and one
+            # starting exactly at gap_end (whose list is appended).
+            run = runs.setdefault(run_start, [])
+            run.extend(pieces_slice(pieces, gap_start - offset, gap_end - offset))
+            if run_end > gap_end:
+                run.extend(runs.pop(gap_end))
 
     def pop_ready(self) -> List[Piece]:
         """Remove and return all pieces now contiguous at ``next_offset``."""
-        ready: List[Piece] = []
-        while self._fragments and self._fragments[0][0] == self.next_offset:
-            __, end, pieces = self._fragments.pop(0)
-            ready.extend(pieces)
-            self.next_offset = end
+        held = self._held
+        if not held.starts or held.starts[0] != self.next_offset:
+            return []
+        # Runs never touch, so at most the lowest one is deliverable.
+        ready = self._runs.pop(self.next_offset)
+        self.next_offset = held.ends[0]
+        held.trim_below(self.next_offset)
         return ready

@@ -80,6 +80,27 @@ class TestPortsAndTables:
         world.sim.run_for(2.0)
         assert world.client.open_connections == 0
         assert world.server.open_connections == 0
+        assert world.client._tcp_ports == world.server._tcp_ports == {}
+
+    def test_wrapped_allocator_skips_held_ports_and_reuses_freed_ones(self):
+        world = delayed_world(0.001)
+
+        def on_conn(conn):
+            conn.on_remote_close = conn.close
+        world.server.listen(None, 80, on_conn)
+        held = world.client.connect(world.server_endpoint)
+        freed = world.client.connect(world.server_endpoint)
+        world.sim.run_for(1.0)
+        assert list(world.server._tcp_ports.values()) == [2]  # both on :80
+        freed.close()
+        world.sim.run_for(2.0)
+        assert world.client.open_connections == 1
+        # As if the ephemeral range had wrapped back onto the held port.
+        world.client._next_ephemeral = held.local.port
+        again = world.client.connect(world.server_endpoint)
+        assert again.local.port == freed.local.port == held.local.port + 1
+        assert sorted(port for _, port in world.client._tcp_ports) == [
+            held.local.port, again.local.port]
 
     def test_connect_without_route_raises(self):
         sim = Simulator()

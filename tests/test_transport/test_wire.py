@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.reference import ListReassembly, merge_range
 from repro.transport.wire import (
     ReassemblyBuffer,
     SendBuffer,
@@ -187,7 +188,8 @@ class TestReassemblyBuffer:
         buf.insert(10, [b"aa"])
         buf.insert(20, [b"bb"])
         assert buf.ranges() == [(10, 12), (20, 22)]
-        assert buf.ranges(limit=1) == [(10, 12)]
+        buf.insert(12, [b"cc"])  # touches the first run: joins it
+        assert buf.ranges() == [(10, 14), (20, 22)]
 
 
 # ---------------------------------------------------------------------- #
@@ -195,6 +197,9 @@ class TestReassemblyBuffer:
 
 @st.composite
 def stream_and_fragments(draw):
+    """A stream, fragments of it (a partition into segments plus arbitrary
+    slices that partially overlap them), an arrival order over all the
+    fragments, and some duplicates."""
     data = draw(st.binary(min_size=1, max_size=400))
     # Cut points partition the stream into segments.
     n_cuts = draw(st.integers(min_value=0, max_value=10))
@@ -207,6 +212,10 @@ def stream_and_fragments(draw):
         (start, data[start:end])
         for start, end in zip(bounds, bounds[1:]) if end > start
     ]
+    for start in draw(st.lists(
+            st.integers(min_value=0, max_value=len(data) - 1), max_size=4)):
+        length = draw(st.integers(min_value=1, max_value=120))
+        segments.append((start, data[start:start + length]))
     order = draw(st.permutations(range(len(segments))))
     duplicates = draw(st.lists(
         st.integers(min_value=0, max_value=len(segments) - 1),
@@ -232,6 +241,31 @@ class TestReassemblyProperties:
         assert bytes(received) == data
         assert buf.next_offset == len(data)
         assert buf.buffered_bytes == 0
+
+    @given(stream_and_fragments())
+    @settings(max_examples=200, deadline=None)
+    def test_coalescing_buffer_agrees_with_the_fragment_list(self, case):
+        """Same pieces, in the same order, at the same step as the
+        one-fragment-per-segment reference; and the runs it reports (its
+        SACK blocks) are the coalesced cover of the reference's fragments,
+        so they never touch: one per hole."""
+        data, segments, order, duplicates = case
+        buf, reference = ReassemblyBuffer(), ListReassembly()
+        for index in list(order) + list(duplicates):
+            offset, chunk = segments[index]
+            half = len(chunk) // 2
+            for buffer in (buf, reference):
+                buffer.insert(offset, [chunk[:half], chunk[half:]])
+            cover = []
+            for start, end in reference.ranges():
+                cover = merge_range(cover, start, end)
+            assert buf.ranges() == cover
+            assert buf.buffered_bytes == sum(end - start for start, end in cover)
+            if index % 2:  # leave some deliverable data waiting a step
+                assert buf.pop_ready() == reference.pop_ready()
+                assert buf.next_offset == reference.next_offset
+        assert buf.pop_ready() == reference.pop_ready()
+        assert buf.next_offset == reference.next_offset == len(data)
 
     @given(st.binary(min_size=1, max_size=300),
            st.integers(min_value=1, max_value=50))
