@@ -10,11 +10,11 @@ contract mechanically checked rather than hoped for:
   stale-suppression audit.
 * :mod:`repro.analysis.flow` — the interprocedural dataflow engine:
   per-module call graph, function summaries, and a forward abstract
-  interpretation tracking pool lifecycle, wall-clock/env taint, RNG
-  identity, and fork-hostile handles.
-* :mod:`repro.analysis.rules_flow` — flow rules REP008-REP012
-  (use-after-recycle, pooled-object escape, taint-to-sink, RNG stream
-  aliasing, handle capture in forked workers).
+  interpretation tracking wall-clock/env taint, RNG identity, and
+  fork-hostile handles.
+* :mod:`repro.analysis.rules_flow` — flow rules REP010-REP012
+  (taint-to-sink, RNG stream aliasing, handle capture in forked
+  workers).
 * :mod:`repro.analysis.base` — the shared front end (file discovery,
   domain classification, suppression comments, :class:`Diagnostic`).
 * :mod:`repro.analysis.sanitizer` — an opt-in

@@ -3,7 +3,7 @@
 Both the per-node AST lint (:mod:`repro.analysis.lint`, rules
 REP001-REP007) and the interprocedural dataflow pass
 (:mod:`repro.analysis.flow` + :mod:`repro.analysis.rules_flow`, rules
-REP008-REP012) share one front end: the :class:`Diagnostic` type, the
+REP010-REP012) share one front end: the :class:`Diagnostic` type, the
 domain classification (which files are simulation-domain or
 observer-domain), the inline suppression grammar, file discovery, and a
 handful of AST chain helpers. Keeping these here breaks the import cycle
@@ -25,11 +25,9 @@ __all__ = [
     "Diagnostic",
     "OBS_DOMAIN_DIRS",
     "SIM_DOMAIN_DIRS",
-    "TRANSFER_RE",
     "chain_parts",
     "disabled_codes",
     "dotted",
-    "has_transfer_annotation",
     "is_obs_domain",
     "is_sim_domain",
     "iter_python_files",
@@ -54,12 +52,6 @@ OBS_DOMAIN_DIRS = frozenset({"obs"})
 #: placeholder here so this very comment never registers as a stale
 #: suppression in the ``--check-suppressions`` audit.
 DISABLE_RE = re.compile(r"#\s*mm-lint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: Ownership-transfer annotation for REP009: a pooled object deliberately
-#: handed to a longer-lived owner (``# mm-lint: transfer``). Unlike
-#: ``disable=``, it only waives the escape rule, and it documents intent:
-#: the new owner is now responsible for recycling (or leaking) the object.
-TRANSFER_RE = re.compile(r"#\s*mm-lint:\s*transfer\b")
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,6 @@ def disabled_codes(line: str) -> Set[str]:
     if match is None:
         return set()
     return {code.strip().upper() for code in match.group(1).split(",") if code.strip()}
-
-
-def has_transfer_annotation(line: str) -> bool:
-    """Whether the line carries the REP009 ownership-transfer annotation."""
-    return TRANSFER_RE.search(line) is not None
 
 
 def suppression_comments(source: str) -> Dict[int, Set[str]]:

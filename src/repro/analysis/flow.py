@@ -1,28 +1,28 @@
-"""Interprocedural dataflow engine for ``mm-lint`` (rules REP008-REP012).
+"""Interprocedural dataflow engine for ``mm-lint`` (rules REP010-REP012).
 
 The per-node AST rules in :mod:`repro.analysis.lint` catch determinism
-hazards visible in a single expression. The hazards PR 6's hot-core
-rewrite introduced — use-after-recycle, pooled objects escaping their
-handler, wall-clock values flowing into the event queue — are *flow*
-properties: they emerge from the order of statements and from calls
-between functions. This module supplies the machinery to see them:
+hazards visible in a single expression. Where a value *came from* — a
+wall-clock read flowing into the event queue, one seeded RNG fed to two
+domains, a pre-fork handle read inside a forked worker — is a *flow*
+property: it emerges from the order of statements and from calls
+between functions. This module supplies the machinery to see it:
 
 * a per-module **function table and call graph** (module-level functions,
   methods resolved through ``self``, nested defs);
-* **function summaries** computed to a fixpoint — which parameters a
-  function recycles, which flow through to its return value, which reach
-  a taint sink inside it, and which tags its return value carries;
+* **function summaries** computed to a fixpoint — which parameters flow
+  through to a function's return value, which reach a taint sink inside
+  it, and which tags its return value carries;
 * a forward **abstract interpretation** over each function body: every
-  name maps to a set of abstract tags (``pooled``, ``recycled``,
-  ``taint:time``, ``taint:env``, ``rng``, ``handle``), branches join by
-  union (a *may* analysis: "recycled on some path" taints the join), and
-  loops run to a two-iteration fixpoint so loop-carried facts propagate.
+  name maps to a set of abstract provenance tags (``taint:time``,
+  ``taint:env``, ``rng``, ``handle``), branches join by union (a *may*
+  analysis: "tainted on some path" taints the join), and loops run to a
+  two-iteration fixpoint so loop-carried facts propagate.
 
-The engine is policy-free: as it interprets, it emits events (name
-reads, attribute/container stores, sink calls, RNG sharing, worker
-captures) to a :class:`FlowListener`. The REP008-REP012 decisions and
-messages live in :mod:`repro.analysis.rules_flow`, which implements the
-listener; :mod:`repro.analysis.lint` drives both from ``lint_source``.
+The engine is policy-free: as it interprets, it emits events (sink
+calls, RNG sharing, worker captures) to a :class:`FlowListener`. The
+REP010-REP012 decisions and messages live in
+:mod:`repro.analysis.rules_flow`, which implements the listener;
+:mod:`repro.analysis.lint` drives both from ``lint_source``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
     "FlowListener",
     "FunctionInfo",
     "HANDLE",
-    "POOLED",
-    "RECYCLED",
     "RNG",
     "Summary",
     "TAINT_ENV",
@@ -50,20 +48,6 @@ __all__ = [
 TagSet = FrozenSet[str]
 
 EMPTY: TagSet = frozenset()
-
-#: The object was acquired from a :class:`~repro.net.packet.PacketPool`
-#: free list (directly, via an ``acquire*`` method, or through a local
-#: function that returns a pooled object).
-POOLED = "pooled"
-
-#: The object was handed back to a pool (``pool.recycle(x)``, the inline
-#: ``x._in_pool = True`` hand-back, or a callee that recycles the
-#: argument). Reading it afterwards can observe a re-stamped record.
-RECYCLED = "recycled"
-
-#: A pool free list itself (``pool.packets`` / ``pool.segments``);
-#: ``.pop()`` yields POOLED, ``.append()`` is the hand-back.
-FREELIST = "freelist"
 
 #: Value derived from a wall-clock read (``time.time()`` and friends).
 TAINT_TIME = "taint:time"
@@ -82,8 +66,9 @@ FUNC = "func"
 
 _TAINT_TAGS: TagSet = frozenset({TAINT_TIME, TAINT_ENV})
 
-#: Tags that propagate through operators, containers and unknown calls.
-#: (POOLED/RECYCLED identify one object and do not survive arithmetic.)
+#: Summary-mode tag for "the value of parameter N" (``param:0``, ...).
+#: Taint and parameter tags propagate through operators, containers and
+#: unknown calls; RNG/HANDLE identify one object and do not.
 _PARAM_PREFIX = "param:"
 
 _WALL_CLOCK_CALLS = frozenset(
@@ -137,18 +122,6 @@ _HANDLE_TERMINALS = frozenset(
 
 _HANDLE_DOTTED = frozenset({"socket.socket", "sqlite3.connect", "socket.create_connection"})
 
-#: Container-mutator method names that store their argument (REP009).
-_CONTAINER_ADDERS = frozenset(
-    {"append", "appendleft", "add", "insert", "extend", "extendleft", "push", "put"}
-)
-
-_FREELIST_ATTRS = frozenset({"packets", "segments"})
-
-
-def _poolish(parts: Sequence[str]) -> bool:
-    """Does any chain segment name a pool (``pool``, ``_pool``, ...)?"""
-    return any("pool" in part.lower() for part in parts)
-
 
 def _param_indices(tags: TagSet) -> List[int]:
     """Parameter indices encoded in summary-mode tags."""
@@ -157,19 +130,6 @@ def _param_indices(tags: TagSet) -> List[int]:
         for tag in tags
         if tag.startswith(_PARAM_PREFIX)
     ]
-
-
-def _is_clearing_value(node: ast.expr) -> bool:
-    """An *empty* value (None, (), [], {}): field-clearing stores on a
-    recycled object during the inline hand-back are allowed. Non-empty
-    constants are re-stamps, not clears, and stay reportable."""
-    if isinstance(node, ast.Constant):
-        return node.value is None
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return not node.elts
-    if isinstance(node, ast.Dict):
-        return not node.keys
-    return False
 
 
 @dataclass(frozen=True)
@@ -187,13 +147,11 @@ class FunctionInfo:
 class Summary:
     """Interprocedural facts about one function, grown to a fixpoint."""
 
-    #: Tags the return value carries intrinsically (e.g. POOLED for an
-    #: acquire wrapper, TAINT_TIME for a wall-clock reader).
+    #: Tags the return value carries intrinsically (e.g. TAINT_TIME for
+    #: a wall-clock reader, RNG for a stream factory).
     return_tags: TagSet = EMPTY
     #: Parameter indices whose tags flow into the return value.
     passthrough: FrozenSet[int] = frozenset()
-    #: Parameter indices handed back to a pool on some path.
-    recycles: FrozenSet[int] = frozenset()
     #: Parameter indices that reach a schedule/seed/artifact sink inside.
     taint_sinks: FrozenSet[int] = frozenset()
 
@@ -202,17 +160,14 @@ class Summary:
         before = (
             self.return_tags,
             self.passthrough,
-            self.recycles,
             self.taint_sinks,
         )
         self.return_tags = self.return_tags | other.return_tags
         self.passthrough = self.passthrough | other.passthrough
-        self.recycles = self.recycles | other.recycles
         self.taint_sinks = self.taint_sinks | other.taint_sinks
         return before != (
             self.return_tags,
             self.passthrough,
-            self.recycles,
             self.taint_sinks,
         )
 
@@ -221,17 +176,7 @@ class FlowListener:
     """Event sink for the interpreter; the base class ignores everything.
 
     :mod:`repro.analysis.rules_flow` subclasses this to turn events into
-    REP008-REP012 diagnostics. Contexts passed to :meth:`read`:
-
-    ``load``
-        An ordinary read (the only context REP008 reports on).
-    ``recycle`` / ``freelist``
-        The name is being handed back to a pool — part of recycling.
-    ``inpool``
-        Reading the ``_in_pool`` idempotency flag.
-    ``assert``
-        Inside an ``assert`` statement (debug guards may inspect
-        recycled objects; the statement vanishes under ``-O``).
+    REP010-REP012 diagnostics.
     """
 
     def enter_function(self, qualname: str) -> None:
@@ -239,37 +184,6 @@ class FlowListener:
 
     def exit_function(self) -> None:
         """The current function body is done."""
-
-    def read(
-        self,
-        name: str,
-        tags: TagSet,
-        node: ast.AST,
-        context: str,
-        recycled_line: Optional[int],
-    ) -> None:
-        """A name was read (Load) with the given abstract tags."""
-
-    def store_attr(
-        self,
-        base_name: str,
-        base_tags: TagSet,
-        attr: str,
-        value_tags: TagSet,
-        clearing: bool,
-        node: ast.AST,
-    ) -> None:
-        """``base.attr = value`` — base/value tags as computed."""
-
-    def store_subscript(
-        self, base_chain: List[str], value_tags: TagSet, node: ast.AST
-    ) -> None:
-        """``base[...] = value``."""
-
-    def container_store(
-        self, receiver_chain: List[str], value_tags: TagSet, node: ast.AST
-    ) -> None:
-        """``receiver.append(value)`` (or another adder method)."""
 
     def sink(
         self, kind: str, callee: List[str], taints: TagSet, node: ast.AST
@@ -512,12 +426,8 @@ class _Interpreter:
         self.listener = listener
         self.summary = summary
         self.env: Env = {}
-        #: Where each currently-recycled name was recycled (for messages).
-        self.recycled_at: Dict[str, int] = {}
         #: Function defs seen in this scope (REP012 worker resolution).
         self.local_defs: Dict[str, ast.AST] = {}
-        self._read_ctx = "load"
-        self._in_assert = False
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -550,23 +460,6 @@ class _Interpreter:
     # ------------------------------------------------------------------ #
     # state helpers
 
-    def _mark_recycled(self, name: str, node: ast.AST) -> None:
-        tags = self.env.get(name, EMPTY)
-        self.env[name] = (tags - {POOLED}) | {RECYCLED}
-        self.recycled_at.setdefault(name, getattr(node, "lineno", 0))
-        if self.summary is not None:
-            for index in _param_indices(tags):
-                self.summary.recycles = self.summary.recycles | {index}
-
-    def _clear_recycled(self, name: str) -> None:
-        tags = self.env.get(name, EMPTY)
-        self.env[name] = tags - {RECYCLED}
-        self.recycled_at.pop(name, None)
-
-    def _check_read(self, name: str, tags: TagSet, node: ast.AST) -> None:
-        context = "assert" if self._in_assert else self._read_ctx
-        self.listener.read(name, tags, node, context, self.recycled_at.get(name))
-
     def _record_sink(self, kind: str, callee: List[str], tags: TagSet, node: ast.AST) -> None:
         taints = tags & _TAINT_TAGS
         if taints:
@@ -577,15 +470,6 @@ class _Interpreter:
 
     # ------------------------------------------------------------------ #
     # expressions
-
-    def _read_name(self, node: ast.Name, ctx: Optional[str] = None) -> TagSet:
-        tags = self.env.get(node.id, EMPTY)
-        saved = self._read_ctx
-        if ctx is not None:
-            self._read_ctx = ctx
-        self._check_read(node.id, tags, node)
-        self._read_ctx = saved
-        return tags
 
     def _propagate(self, tags: TagSet) -> TagSet:
         """Tags that survive operators/containers/unknown calls."""
@@ -599,8 +483,6 @@ class _Interpreter:
         if node is None:
             return EMPTY
         if isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
-                return self._read_name(node)
             return self.env.get(node.id, EMPTY)
         if isinstance(node, ast.Constant):
             return EMPTY
@@ -614,7 +496,7 @@ class _Interpreter:
                 return frozenset({TAINT_ENV})
             value = self._eval(node.value)
             self._eval(node.slice)
-            return self._propagate(value) | (value & {FREELIST})
+            return self._propagate(value)
         if isinstance(node, ast.BinOp):
             return self._propagate(self._eval(node.left) | self._eval(node.right))
         if isinstance(node, ast.UnaryOp):
@@ -661,7 +543,6 @@ class _Interpreter:
             tags = self._eval(node.value)
             if isinstance(node.target, ast.Name):
                 self.env[node.target.id] = tags
-                self._clear_recycled(node.target.id)
             return tags
         if isinstance(node, ast.Lambda):
             return EMPTY
@@ -699,17 +580,7 @@ class _Interpreter:
     def _eval_attribute(self, node: ast.Attribute) -> TagSet:
         if dotted(node) == "os.environ":
             return frozenset({TAINT_ENV})
-        base = node.value
-        if isinstance(base, ast.Name) and isinstance(base.ctx, ast.Load):
-            ctx = "inpool" if node.attr == "_in_pool" else None
-            base_tags = self._read_name(base, ctx)
-        else:
-            base_tags = self._eval(base)
-        if node.attr in _FREELIST_ATTRS:
-            chain = chain_parts(node)
-            if (chain and _poolish(chain[:-1])) or FREELIST in base_tags:
-                return frozenset({FREELIST})
-        return self._propagate(base_tags)
+        return self._propagate(self._eval(node.value))
 
     # ------------------------------------------------------------------ #
     # calls
@@ -725,67 +596,17 @@ class _Interpreter:
             receiver_tags = EMPTY
             receiver_chain = []
 
-        is_recycle = term == "recycle" and (
-            not receiver_chain or _poolish(receiver_chain)
-        )
-        is_freelist_store = (
-            term in _CONTAINER_ADDERS
-            and isinstance(func, ast.Attribute)
-            and (
-                FREELIST in receiver_tags
-                or (
-                    _poolish(receiver_chain)
-                    and bool(receiver_chain)
-                    and receiver_chain[-1] in _FREELIST_ATTRS
-                )
-            )
-        )
-        arg_ctx: Optional[str] = None
-        if is_recycle:
-            arg_ctx = "recycle"
-        elif is_freelist_store:
-            arg_ctx = "freelist"
-
-        arg_tags: List[TagSet] = []
-        for arg in node.args:
-            if isinstance(arg, ast.Name) and arg_ctx is not None:
-                arg_tags.append(self._read_name(arg, arg_ctx))
-            else:
-                arg_tags.append(self._eval(arg))
-        kw_tags: List[Tuple[Optional[str], TagSet, ast.expr]] = []
+        arg_tags: List[TagSet] = [self._eval(arg) for arg in node.args]
+        kw_tags: List[Tuple[Optional[str], TagSet]] = []
         for keyword in node.keywords:
-            kw_tags.append((keyword.arg, self._eval(keyword.value), keyword.value))
+            kw_tags.append((keyword.arg, self._eval(keyword.value)))
         all_arg_tags: TagSet = EMPTY
         for tags in arg_tags:
             all_arg_tags |= tags
-        for _, tags, _node in kw_tags:
+        for _, tags in kw_tags:
             all_arg_tags |= tags
 
         callee_chain = chain_parts(func) or ([term] if term else [])
-
-        # -- pool lifecycle effects ------------------------------------ #
-        if is_recycle:
-            for arg in node.args:
-                if isinstance(arg, ast.Name):
-                    self._mark_recycled(arg.id, arg)
-            if self.summary is not None:
-                for tags in arg_tags:
-                    for index in _param_indices(tags):
-                        self.summary.recycles = self.summary.recycles | {index}
-            return EMPTY
-        if is_freelist_store:
-            for arg in node.args:
-                if isinstance(arg, ast.Name):
-                    self._mark_recycled(arg.id, arg)
-            return EMPTY
-
-        # -- container stores (REP009) --------------------------------- #
-        if (
-            term in _CONTAINER_ADDERS
-            and isinstance(func, ast.Attribute)
-            and POOLED in all_arg_tags
-        ):
-            self.listener.container_store(receiver_chain, all_arg_tags, node)
 
         # -- RNG sharing (REP011) -------------------------------------- #
         if callee_chain:
@@ -817,18 +638,14 @@ class _Interpreter:
             info, offset = resolved
             callee_summary = self.engine.summaries.get(info.qualname, Summary())
             param_of_kw = {name: i for i, name in enumerate(info.params)}
-            mapped: List[Tuple[int, Optional[ast.expr], TagSet]] = []
-            for position, arg in enumerate(node.args):
-                mapped.append((position + offset, arg, arg_tags[position]))
-            for kw_name, tags, value_node in kw_tags:
+            mapped: List[Tuple[int, TagSet]] = []
+            for position, tags in enumerate(arg_tags):
+                mapped.append((position + offset, tags))
+            for kw_name, tags in kw_tags:
                 if kw_name is not None and kw_name in param_of_kw:
-                    mapped.append((param_of_kw[kw_name], value_node, tags))
+                    mapped.append((param_of_kw[kw_name], tags))
             result = callee_summary.return_tags
-            for index, arg_node, tags in mapped:
-                if index in callee_summary.recycles and isinstance(
-                    arg_node, ast.Name
-                ):
-                    self._mark_recycled(arg_node.id, arg_node)
+            for index, tags in mapped:
                 if index in callee_summary.taint_sinks:
                     self._record_sink("call", [info.name], tags, node)
                 if index in callee_summary.passthrough:
@@ -853,12 +670,6 @@ class _Interpreter:
             dotted_name is not None and dotted_name.startswith("os.environ.")
         ):
             return frozenset({TAINT_ENV})
-        if term is not None and term.startswith("acquire") and (
-            _poolish(receiver_chain) or FREELIST in receiver_tags
-        ):
-            return frozenset({POOLED})
-        if term == "pop" and FREELIST in receiver_tags:
-            return frozenset({POOLED})
         if term == "Random":
             return frozenset({RNG}) | self._propagate(all_arg_tags)
         if term == "stream" and any(
@@ -911,15 +722,10 @@ class _Interpreter:
     def _branch(self, stmts: Sequence[ast.stmt]) -> Env:
         """Run a block on a copy of the current state; return its out-state."""
         saved_env = self.env
-        saved_recycled = dict(self.recycled_at)
         self.env = dict(saved_env)
         self._exec_block(stmts)
         out = self.env
         self.env = saved_env
-        # recycled_at lines accumulate across branches (first line wins).
-        for name, line in self.recycled_at.items():
-            saved_recycled.setdefault(name, line)
-        self.recycled_at = saved_recycled
         return out
 
     def _exec(self, stmt: ast.stmt) -> None:
@@ -927,31 +733,17 @@ class _Interpreter:
         if isinstance(stmt, ast.Assign):
             value_tags = self._eval(stmt.value)
             for target in stmt.targets:
-                self._assign_target(target, value_tags, stmt.value, stmt)
+                self._assign_target(target, value_tags)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 value_tags = self._eval(stmt.value)
-                self._assign_target(stmt.target, value_tags, stmt.value, stmt)
+                self._assign_target(stmt.target, value_tags)
         elif isinstance(stmt, ast.AugAssign):
             value_tags = self._eval(stmt.value)
             target = stmt.target
             if isinstance(target, ast.Name):
-                current = self._read_name(
-                    ast.copy_location(ast.Name(id=target.id, ctx=ast.Load()), target)
-                )
+                current = self.env.get(target.id, EMPTY)
                 self.env[target.id] = current | self._propagate(value_tags)
-            elif isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name
-            ):
-                base_tags = self.env.get(target.value.id, EMPTY)
-                self.listener.store_attr(
-                    target.value.id,
-                    base_tags,
-                    target.attr,
-                    value_tags,
-                    False,
-                    stmt,
-                )
         elif isinstance(stmt, ast.Expr):
             self._eval(stmt.value)
         elif isinstance(stmt, ast.Return):
@@ -959,7 +751,7 @@ class _Interpreter:
             if self.summary is not None:
                 generated = frozenset(
                     tag for tag in tags if not tag.startswith(_PARAM_PREFIX)
-                ) - {FREELIST}
+                )
                 self.summary.return_tags = self.summary.return_tags | generated
                 self.summary.passthrough = self.summary.passthrough | frozenset(
                     _param_indices(tags)
@@ -970,8 +762,8 @@ class _Interpreter:
             else_env = self._branch(stmt.orelse)
             # A branch that always diverts control (return/raise/...)
             # contributes nothing to the fall-through state; joining it
-            # anyway would, e.g., leak RECYCLED tags from an early-return
-            # hand-back path into code that only runs when it was taken.
+            # anyway would leak, e.g., a taint picked up on an early-return
+            # path into code that only runs when that path was not taken.
             body_exits = _block_terminates(stmt.body)
             else_exits = _block_terminates(stmt.orelse)
             if body_exits and not else_exits:
@@ -991,7 +783,6 @@ class _Interpreter:
             for target_node in ast.walk(stmt.target):
                 if isinstance(target_node, ast.Name):
                     self.env[target_node.id] = iter_tags
-                    self._clear_recycled(target_node.id)
             once = _join_env(self.env, self._branch(stmt.body))
             self.env = once
             self.env = _join_env(once, self._branch(stmt.body))
@@ -1018,7 +809,6 @@ class _Interpreter:
                 tags = self._eval(item.context_expr)
                 if isinstance(item.optional_vars, ast.Name):
                     self.env[item.optional_vars.id] = tags
-                    self._clear_recycled(item.optional_vars.id)
             self._exec_block(stmt.body)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.local_defs[stmt.name] = stmt
@@ -1026,16 +816,12 @@ class _Interpreter:
         elif isinstance(stmt, ast.ClassDef):
             self.env[stmt.name] = EMPTY
         elif isinstance(stmt, ast.Assert):
-            self._in_assert = True
             self._eval(stmt.test)
-            if stmt.msg is not None:
-                self._eval(stmt.msg)
-            self._in_assert = False
+            self._eval(stmt.msg)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
-                    self.recycled_at.pop(target.id, None)
         elif isinstance(stmt, ast.Raise):
             self._eval(stmt.exc)
             self._eval(stmt.cause)
@@ -1055,66 +841,17 @@ class _Interpreter:
                 self.env = _join_env(self.env, joined)
         # Pass/Break/Continue/Global/Nonlocal: no dataflow effect.
 
-    def _assign_target(
-        self,
-        target: ast.expr,
-        value_tags: TagSet,
-        value_node: ast.expr,
-        stmt: ast.stmt,
-    ) -> None:
+    def _assign_target(self, target: ast.expr, value_tags: TagSet) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = value_tags
-            self._clear_recycled(target.id)
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
+        elif isinstance(target, (ast.Tuple, ast.List)):
             element_tags = self._propagate(value_tags)
             for elt in target.elts:
-                self._assign_target(elt, element_tags, value_node, stmt)
-            return
-        if isinstance(target, ast.Attribute):
-            base = target.value
-            if isinstance(base, ast.Name):
-                base_tags = self.env.get(base.id, EMPTY)
-                if target.attr == "_in_pool":
-                    if (
-                        isinstance(value_node, ast.Constant)
-                        and value_node.value is True
-                    ):
-                        self._mark_recycled(base.id, stmt)
-                    elif (
-                        isinstance(value_node, ast.Constant)
-                        and value_node.value is False
-                    ):
-                        self._clear_recycled(base.id)
-                    return
-                self.listener.store_attr(
-                    base.id,
-                    base_tags,
-                    target.attr,
-                    value_tags,
-                    _is_clearing_value(value_node),
-                    stmt,
-                )
-            else:
-                self._eval(base)
-                chain = chain_parts(target)
-                if POOLED in value_tags:
-                    self.listener.store_attr(
-                        chain[0] if chain else "<expr>",
-                        EMPTY,
-                        target.attr,
-                        value_tags,
-                        _is_clearing_value(value_node),
-                        stmt,
-                    )
-            return
-        if isinstance(target, ast.Subscript):
+                self._assign_target(elt, element_tags)
+        elif isinstance(target, ast.Attribute):
+            self._eval(target.value)
+        elif isinstance(target, ast.Subscript):
             self._eval(target.value)
             self._eval(target.slice)
-            if POOLED in value_tags:
-                self.listener.store_subscript(
-                    chain_parts(target.value), value_tags, stmt
-                )
-            return
-        if isinstance(target, ast.Starred):
-            self._assign_target(target.value, value_tags, value_node, stmt)
+        elif isinstance(target, ast.Starred):
+            self._assign_target(target.value, value_tags)

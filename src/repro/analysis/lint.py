@@ -9,12 +9,11 @@ checks the contract statically, with two engines behind one front end:
   in a single expression — wall-clock reads, unseeded RNG, float ``==``
   on virtual time, hash-ordered scheduling, environment reads,
   module-level mutable state, observer-effect writes.
-* **Interprocedural dataflow rules** (REP008-REP012,
+* **Interprocedural dataflow rules** (REP010-REP012,
   :mod:`repro.analysis.flow` + :mod:`repro.analysis.rules_flow`):
   hazards that emerge from statement order and calls between functions —
-  use-after-recycle, pooled-object escape, wall-clock/env taint reaching
-  sinks, RNG stream aliasing across domains, fork-hostile handles inside
-  forked workers.
+  wall-clock/env taint reaching sinks, RNG stream aliasing across
+  domains, fork-hostile handles inside forked workers.
 
 ======  ==============================================================
 REP001  No wall-clock reads (``time.time``/``time.monotonic``/argless
@@ -41,11 +40,6 @@ REP007  Observer-domain code (the ``repro.obs`` package) may not
         on a simulator, or mutate queues — probes read simulation
         state and append to observer-owned storage, nothing else (the
         zero-observer-effect contract).
-REP008  No use-after-recycle: a name handed back to a ``PacketPool``
-        may not be read, stored, or scheduled afterwards on any path.
-REP009  No pooled-object escape: pool-acquired objects may not be
-        stored into containers/attributes that outlive the handler
-        without a ``# mm-lint: transfer`` ownership annotation.
 REP010  No wall-clock/environment taint reaching ``schedule()``, RNG
         seeds, or obs artifacts — tracked through assignments and call
         returns, not just the call sites REP001/REP005 flag.
@@ -58,7 +52,7 @@ REP012  No fork-hostile handles (files, locks, journals, sockets)
         ``parallel_map``.
 ======  ==============================================================
 
-Rules REP001, REP003, REP005, REP006 and REP008-REP011 apply to
+Rules REP001, REP003, REP005, REP006, REP010 and REP011 apply to
 *simulation-domain* files (any file under a :data:`SIM_DOMAIN_DIRS`
 directory); REP007 applies to *observer-domain* files (under an
 :data:`OBS_DOMAIN_DIRS` directory); REP002, REP004 and REP012 apply
@@ -72,9 +66,7 @@ Any diagnostic can be silenced for one line with an inline escape hatch::
 (``disable=all`` silences every rule on the line). The comment is the
 audit trail: it marks the spot as reviewed-and-intentional, and
 ``mm-lint --check-suppressions`` flags comments that no longer silence
-anything so the audit trail cannot rot. REP009 additionally honours a
-``# mm-lint: transfer`` annotation marking a deliberate ownership
-hand-off of a pooled object.
+anything so the audit trail cannot rot.
 
 Run as ``mm-lint [paths…]`` or ``python -m repro.analysis.lint``.
 """
@@ -96,7 +88,6 @@ from repro.analysis.base import (
     chain_parts as _chain_parts,
     disabled_codes as _disabled_codes,
     dotted as _dotted,
-    has_transfer_annotation,
     is_obs_domain,
     is_sim_domain,
     iter_python_files as _iter_python_files,
@@ -171,8 +162,6 @@ RULE_REGISTRY: Dict[str, Rule] = {
         "ast",
         "obs",
     ),
-    "REP008": Rule("REP008", FLOW_RULES["REP008"], "flow", "sim"),
-    "REP009": Rule("REP009", FLOW_RULES["REP009"], "flow", "sim"),
     "REP010": Rule("REP010", FLOW_RULES["REP010"], "flow", "sim"),
     "REP011": Rule("REP011", FLOW_RULES["REP011"], "flow", "sim"),
     "REP012": Rule("REP012", FLOW_RULES["REP012"], "flow", "all"),
@@ -706,9 +695,9 @@ def lint_source(
         path: where it (notionally) lives — drives the simulation-domain
             rule scoping and appears in diagnostics.
         select: restrict to these rule codes (default: all rules).
-        respect_suppressions: honour inline ``# mm-lint: disable=`` and
-            ``# mm-lint: transfer`` comments (disabled by the
-            stale-suppression audit, which needs the raw findings).
+        respect_suppressions: honour inline ``# mm-lint: disable=``
+            comments (disabled by the stale-suppression audit, which
+            needs the raw findings).
     """
     path_str = str(path)
     try:
@@ -744,8 +733,6 @@ def lint_source(
         if respect_suppressions:
             disabled = _disabled_codes(line_text)
             if "ALL" in disabled or diag.code in disabled:
-                continue
-            if diag.code == "REP009" and has_transfer_annotation(line_text):
                 continue
         kept.append(diag)
     kept.sort(key=lambda d: (d.line, d.col, d.code))
@@ -830,7 +817,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mm-lint",
         description="Determinism lint for the Mahimahi reproduction "
-        "(rules REP001-REP012; see repro.analysis.lint).",
+        "(rules REP001-REP007 and REP010-REP012; see repro.analysis.lint).",
     )
     parser.add_argument(
         "paths",

@@ -1,18 +1,9 @@
-"""Flow-sensitive lint rules REP008-REP012 (``mm-lint``).
+"""Flow-sensitive lint rules REP010-REP012 (``mm-lint``).
 
 These rules consume the events emitted by the interprocedural dataflow
 engine in :mod:`repro.analysis.flow` and turn them into diagnostics:
 
 ======  ==============================================================
-REP008  Use-after-recycle: a name handed back to a ``PacketPool`` (via
-        ``pool.recycle(x)``, the inline ``x._in_pool = True`` hand-back,
-        or a callee that recycles its parameter) may not be read,
-        stored, or scheduled afterwards along any path — the record can
-        be re-stamped by the next acquire at any moment.
-REP009  Pooled-object escape: an object acquired from a pool may not be
-        stored into containers or attributes that outlive the handler
-        (``self.last = pkt``, ``self._log.append(pkt)``) without an
-        explicit ``# mm-lint: transfer`` ownership annotation.
 REP010  Wall-clock/environment taint: values *derived from*
         ``time.*``/``os.environ`` (tracked through assignments,
         arithmetic, and call returns — not just the call site REP001 and
@@ -29,7 +20,7 @@ REP012  Fork-hostile handles: file descriptors, locks, journals, and
         duplicated, corrupt handle.
 ======  ==============================================================
 
-REP008-REP011 apply to simulation-domain files; REP012 applies
+REP010 and REP011 apply to simulation-domain files; REP012 applies
 everywhere (the harness code that forks lives outside the sim domain).
 """
 
@@ -39,31 +30,19 @@ import ast
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.base import Diagnostic
-from repro.analysis.flow import (
-    HANDLE,
-    POOLED,
-    RECYCLED,
-    FlowEngine,
-    FlowListener,
-    TagSet,
-)
+from repro.analysis.flow import HANDLE, FlowEngine, FlowListener, TagSet
 
 __all__ = ["FLOW_RULES", "FlowRuleChecker", "run_flow_rules"]
 
 #: Rule code -> one-line summary (merged into the mm-lint registry).
 FLOW_RULES: Dict[str, str] = {
-    "REP008": "use-after-recycle of a pooled object (flow analysis)",
-    "REP009": "pooled object escapes its handler without ownership transfer",
     "REP010": "wall-clock/environment taint reaches a schedule/seed/artifact sink",
     "REP011": "one seeded RNG instance shared across chaos/link/transport domains",
     "REP012": "fork-hostile handle used inside a forked worker function",
 }
 
 #: Flow rules restricted to simulation-domain files.
-SIM_DOMAIN_FLOW_RULES = frozenset({"REP008", "REP009", "REP010", "REP011"})
-
-#: Read contexts that are legitimately part of the recycle hand-back.
-_ALLOWED_READ_CONTEXTS = frozenset({"recycle", "freelist", "inpool", "assert"})
+SIM_DOMAIN_FLOW_RULES = frozenset({"REP010", "REP011"})
 
 #: (domain, keywords) — matched against call-chain segments, in order;
 #: the first matching domain wins (so ``ChaosPipe`` is chaos, not link).
@@ -92,7 +71,7 @@ def classify_rng_domain(callee_chain: List[str]) -> Optional[str]:
 
 
 class FlowRuleChecker(FlowListener):
-    """Turn dataflow events into REP008-REP012 diagnostics."""
+    """Turn dataflow events into REP010-REP012 diagnostics."""
 
     def __init__(self, path: str, sim_domain: bool) -> None:
         self.path = path
@@ -121,98 +100,6 @@ class FlowRuleChecker(FlowListener):
 
     def enter_function(self, qualname: str) -> None:
         self._rng_domains = {}
-
-    def read(
-        self,
-        name: str,
-        tags: TagSet,
-        node: ast.AST,
-        context: str,
-        recycled_line: Optional[int],
-    ) -> None:
-        if RECYCLED not in tags or context in _ALLOWED_READ_CONTEXTS:
-            return
-        where = f" (recycled at line {recycled_line})" if recycled_line else ""
-        self._report(
-            node,
-            "REP008",
-            f"use-after-recycle: {name!r} may already be back in the "
-            f"pool{where}; a concurrent acquire can re-stamp it under "
-            "you — make the recycle the last use, or restructure so "
-            "this path keeps ownership",
-        )
-
-    def store_attr(
-        self,
-        base_name: str,
-        base_tags: TagSet,
-        attr: str,
-        value_tags: TagSet,
-        clearing: bool,
-        node: ast.AST,
-    ) -> None:
-        if RECYCLED in base_tags and not clearing:
-            self._report(
-                node,
-                "REP008",
-                f"use-after-recycle: writing {base_name}.{attr} after "
-                f"{base_name!r} was handed back to the pool mutates a "
-                "record the next acquire may already own",
-            )
-        # Composition into another short-lived object (``packet.payload =
-        # segment`` while assembling an in-flight packet) stays inside
-        # the pool lifecycle; only stores onto long-lived bases escape.
-        if POOLED in value_tags and self._outlives_handler([base_name]):
-            self._report(
-                node,
-                "REP009",
-                f"pooled object escapes into attribute "
-                f"{base_name}.{attr}; the store outlives the handler "
-                "while the pool can re-stamp the object — copy the data "
-                "out, or annotate the hand-off with '# mm-lint: transfer'",
-            )
-
-    def store_subscript(
-        self, base_chain: List[str], value_tags: TagSet, node: ast.AST
-    ) -> None:
-        if POOLED not in value_tags:
-            return
-        if self._outlives_handler(base_chain):
-            target = ".".join(base_chain) if base_chain else "<expr>"
-            self._report(
-                node,
-                "REP009",
-                f"pooled object escapes into container {target}[...]; "
-                "the store outlives the handler while the pool can "
-                "re-stamp the object — copy the data out, or annotate "
-                "the hand-off with '# mm-lint: transfer'",
-            )
-
-    def container_store(
-        self, receiver_chain: List[str], value_tags: TagSet, node: ast.AST
-    ) -> None:
-        if POOLED not in value_tags:
-            return
-        if self._outlives_handler(receiver_chain):
-            target = ".".join(receiver_chain) if receiver_chain else "<expr>"
-            self._report(
-                node,
-                "REP009",
-                f"pooled object escapes into container {target}; the "
-                "store outlives the handler while the pool can re-stamp "
-                "the object — copy the data out, or annotate the "
-                "hand-off with '# mm-lint: transfer'",
-            )
-
-    @staticmethod
-    def _outlives_handler(chain: List[str]) -> bool:
-        """Attribute-rooted receivers (``self.x``, ``obj.attr``) outlive
-        the handler; a bare local name does not."""
-        if not chain:
-            return True  # computed receiver: assume the worst
-        if chain[0] in ("self", "cls"):
-            return True
-        return len(chain) >= 2
 
     def sink(
         self, kind: str, callee: List[str], taints: TagSet, node: ast.AST
@@ -272,7 +159,7 @@ def run_flow_rules(
 ) -> List[Diagnostic]:
     """Run the dataflow engine over one parsed module.
 
-    Rule scoping (sim-domain only for REP008-REP011) happens inside the
+    Rule scoping (sim-domain only for REP010/REP011) happens inside the
     checker; rule *selection* happens in ``lint_source`` alongside the
     AST rules, so ``--select`` treats both engines uniformly.
     """

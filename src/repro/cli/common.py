@@ -10,8 +10,9 @@ all inside one fresh simulator.
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
 from repro.browser import BrowserConfig
 from repro.browser.html import page_from_recording
@@ -30,6 +31,20 @@ _KNOWN_INNER = ("mm-delay", "mm-link", "mm-loss", "mm-chaos",
 
 class CliError(ReproError):
     """Bad command-line usage."""
+
+
+class Parser(argparse.ArgumentParser):
+    """argparse for one tool or subcommand, with a malformed argv reported
+    the way every mm-* tool reports bad usage: a :class:`CliError` (exit
+    status 2) under the tool's usage line, never a traceback and never a
+    ``sys.exit`` from here."""
+
+    def __init__(self, prog: str, usage: str) -> None:
+        super().__init__(prog=prog, usage=usage, add_help=False,
+                         allow_abbrev=False)
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(f"{self.usage}\n{message}")
 
 
 def continue_command_line(argv: List[str], specs: List[ShellSpec]) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import List
 
-from repro.cli.common import CliError, ShellSpec, main_wrapper
+from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
 from repro.corpus import alexa_corpus, corpus_statistics
 from repro.errors import JournalError
 from repro.measure.journal import TrialJournal, run_key
@@ -63,29 +63,18 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
 
 
 def _generate(argv: List[str]) -> int:
-    out, size, singles, scale, seed, workers = None, 500, 9, 1.0, 0, 1
-    resume = False
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--out":
-            out = rest.pop(0)
-        elif flag == "--size":
-            size = int(rest.pop(0))
-        elif flag == "--singles":
-            singles = int(rest.pop(0))
-        elif flag == "--scale":
-            scale = float(rest.pop(0))
-        elif flag == "--seed":
-            seed = int(rest.pop(0))
-        elif flag == "--workers":
-            workers = int(rest.pop(0))
-        elif flag == "--resume":
-            resume = True
-        else:
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-    if out is None:
-        raise CliError(USAGE)
+    parser = Parser("mm-corpus generate", USAGE)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--size", type=int, default=500)
+    parser.add_argument("--singles", type=int, default=9)
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--resume", action="store_true")
+    options = parser.parse_args(argv)
+    out, size, singles = options.out, options.size, options.singles
+    scale, seed, workers = options.scale, options.seed, options.workers
+    resume = options.resume
     if workers == 0:
         workers = default_workers()
     if workers < 0:

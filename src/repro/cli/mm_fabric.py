@@ -19,7 +19,9 @@ output (sample, combined event-stream digest, journal) is byte-identical
 to a serial ``run_supervised`` of the same sweep, for any ``--shards``
 and any ``--backend``. ``--factory`` names a scenario-factory *builder*
 (e.g. ``repro.scenarios:replay_smoke``); ``--kwargs`` is a JSON
-object of its arguments.
+object of its arguments. ``--backend remote`` drives exactly one
+``--host``: more than one is refused, not half-applied, until a
+multi-host backend exists.
 
 Robustness knobs: ``--heartbeat`` turns on worker liveness beats so the
 ``--progress-deadline`` watchdog kills only wedged workers, never
@@ -52,13 +54,12 @@ re-transferred.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from typing import List, NoReturn
+from typing import List
 
-from repro.cli.common import CliError, ShellSpec, main_wrapper
+from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
 from repro.fabric.backend import (
     LocalBackend,
     RemoteBackend,
@@ -89,21 +90,8 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     raise CliError(USAGE)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse for one subcommand, with a malformed argv reported the
-    way every mm-* tool reports bad usage: a :class:`CliError` (exit
-    status 2), never a traceback and never a ``sys.exit`` from here."""
-
-    def __init__(self, command: str) -> None:
-        super().__init__(prog=f"mm-fabric {command}", add_help=False,
-                         allow_abbrev=False)
-
-    def error(self, message: str) -> NoReturn:
-        raise CliError(f"{USAGE}\n{message}")
-
-
-def _run_parser() -> _Parser:
-    parser = _Parser("run")
+def _run_parser() -> Parser:
+    parser = Parser("mm-fabric run", USAGE)
     add = parser.add_argument
     add("--factory", required=True)
     add("--kwargs", default="{}")
@@ -150,10 +138,12 @@ def _run(argv: List[str]) -> int:
     elif backend_name == "subprocess":
         backend = SubprocessBackend(spec)
     else:
-        if not options.host:
-            raise CliError("--backend remote needs at least one --host")
         # The SSH-shaped stub drives one host; shard-per-host fan-out
         # rides on the same protocol (DESIGN.md §13).
+        if len(options.host) != 1:
+            raise CliError(
+                "--backend remote drives exactly one --host (got "
+                f"{len(options.host)}): there is no multi-host backend yet")
         backend = RemoteBackend(options.host[0], spec,
                                 ssh_command=options.ssh.split())
 
@@ -214,7 +204,7 @@ def _run(argv: List[str]) -> int:
 
 
 def _worker(argv: List[str]) -> int:
-    _Parser("worker").parse_args(argv)  # takes no arguments
+    Parser("mm-fabric worker", USAGE).parse_args(argv)  # takes no arguments
     # The protocol owns the real stdout. Point fd 1 at stderr so any
     # stray print inside scenario code lands in the log, not the frame
     # stream (the magic check would catch it, but loudly and fatally).
@@ -224,7 +214,7 @@ def _worker(argv: List[str]) -> int:
 
 
 def _ship(argv: List[str]) -> int:
-    parser = _Parser("ship")
+    parser = Parser("mm-fabric ship", USAGE)
     parser.add_argument("source")
     parser.add_argument("dest")
     parser.add_argument("--json", action="store_true")

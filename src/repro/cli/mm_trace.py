@@ -13,7 +13,7 @@ import random
 import sys
 from typing import List
 
-from repro.cli.common import CliError, ShellSpec, main_wrapper
+from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
 from repro.linkem import PacketDeliveryTrace, cellular_trace, constant_rate_trace
 from repro.sim.random import stable_seed
 
@@ -37,46 +37,37 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     raise CliError(USAGE)
 
 
-def _options(rest: List[str], allowed) -> dict:
-    options = {}
-    while rest:
-        flag = rest.pop(0)
-        name = flag.lstrip("-")
-        if not flag.startswith("--") or name not in allowed:
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-        if not rest:
-            raise CliError(f"option {flag} needs a value")
-        options[name] = rest.pop(0)
-    return options
-
-
 def _constant(rest: List[str]) -> int:
-    options = _options(rest, {"rate", "duration", "out"})
-    if "rate" not in options or "out" not in options:
-        raise CliError(USAGE)
-    trace = constant_rate_trace(
-        float(options["rate"]), int(options.get("duration", 1000)))
-    trace.to_file(options["out"])
+    parser = Parser("mm-trace constant", USAGE)
+    parser.add_argument("--rate", type=float, required=True)
+    parser.add_argument("--duration", type=int, default=1000)
+    parser.add_argument("--out", required=True)
+    options = parser.parse_args(rest)
+    trace = constant_rate_trace(options.rate, options.duration)
+    trace.to_file(options.out)
     print(f"wrote {len(trace)} opportunities "
-          f"({trace.average_rate_mbps:.2f} Mbit/s) to {options['out']}")
+          f"({trace.average_rate_mbps:.2f} Mbit/s) to {options.out}")
     return 0
 
 
 def _cellular(rest: List[str]) -> int:
-    options = _options(rest, {"mean", "duration", "seed", "out"})
-    if "out" not in options:
-        raise CliError(USAGE)
+    parser = Parser("mm-trace cellular", USAGE)
+    parser.add_argument("--mean", type=float, default=9.0)
+    parser.add_argument("--duration", type=int, default=60_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True)
+    options = parser.parse_args(rest)
     # Derive the stream seed via stable_seed (REP002): the raw --seed value
     # stays the user-facing knob, but the generator's seed universe cannot
     # collide with other consumers of small integer seeds.
     trace = cellular_trace(
-        random.Random(stable_seed(int(options.get("seed", 0)), "mm-trace:cellular")),
-        duration_ms=int(options.get("duration", 60_000)),
-        mean_mbps=float(options.get("mean", 9.0)),
+        random.Random(stable_seed(options.seed, "mm-trace:cellular")),
+        duration_ms=options.duration,
+        mean_mbps=options.mean,
     )
-    trace.to_file(options["out"])
+    trace.to_file(options.out)
     print(f"wrote {len(trace)} opportunities "
-          f"(avg {trace.average_rate_mbps:.2f} Mbit/s) to {options['out']}")
+          f"(avg {trace.average_rate_mbps:.2f} Mbit/s) to {options.out}")
     return 0
 
 

@@ -20,7 +20,7 @@ import sys
 from typing import List
 
 from repro.browser.resources import Url
-from repro.cli.common import CliError, ShellSpec, main_wrapper
+from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.record.store import RecordedSite
@@ -34,28 +34,20 @@ USAGE = ("usage: mm-webrecord [--seed N] [--origins K] [--scale S] "
 def run(argv: List[str], specs: List[ShellSpec]) -> int:
     if specs:
         raise CliError("mm-webrecord cannot nest inside other shells")
-    seed, origins, scale, https = 0, None, 1.0, False
-    rest = list(argv)
-    while rest and rest[0].startswith("--"):
-        flag = rest.pop(0)
-        if flag == "--seed":
-            seed = int(rest.pop(0))
-        elif flag == "--origins":
-            origins = int(rest.pop(0))
-        elif flag == "--scale":
-            scale = float(rest.pop(0))
-        elif flag == "--https":
-            https = True
-        else:
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-    if len(rest) != 2:
-        raise CliError(USAGE)
-    output_dir, url_text = rest
-    url = Url.parse(url_text)
+    parser = Parser("mm-webrecord", USAGE)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--origins", type=int)
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--https", action="store_true")
+    parser.add_argument("output_dir")
+    parser.add_argument("url")
+    options = parser.parse_args(argv)
+    output_dir, seed = options.output_dir, options.seed
+    url = Url.parse(options.url)
     stem = url.host[4:] if url.host.startswith("www.") else url.host
 
-    site = generate_site(stem, seed=seed, n_origins=origins, scale=scale,
-                         https=https)
+    site = generate_site(stem, seed=seed, n_origins=options.origins,
+                         scale=options.scale, https=options.https)
     sim = Simulator(seed=seed)
     internet = Internet(sim)
     internet.install_site(site)

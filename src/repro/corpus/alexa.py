@@ -12,12 +12,12 @@ The paper's in-text corpus statistics (§4) are reproduced by construction:
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List
 
 from repro.corpus.sitegen import SyntheticSite, draw_origin_count, generate_site
 from repro.errors import CorpusError
+from repro.measure.stats import interpolated_quantile
 from repro.sim.random import stable_seed
 
 DEFAULT_CORPUS_SIZE = 500
@@ -60,25 +60,13 @@ def alexa_corpus(
 def corpus_statistics(sites: List[SyntheticSite]) -> Dict[str, float]:
     """The §4 statistics over a corpus: origin-count median, 95th
     percentile, and the number of single-server pages."""
-    counts = sorted(site.origin_count for site in sites)
+    counts = sorted(float(site.origin_count) for site in sites)
     if not counts:
         raise CorpusError("empty corpus")
-
-    def percentile(p: float) -> float:
-        if len(counts) == 1:
-            return float(counts[0])
-        rank = p * (len(counts) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return float(counts[low])
-        frac = rank - low
-        return counts[low] * (1 - frac) + counts[high] * frac
-
     return {
         "sites": len(counts),
-        "median_origins": percentile(0.50),
-        "p95_origins": percentile(0.95),
-        "max_origins": float(counts[-1]),
+        "median_origins": interpolated_quantile(counts, 0.50),
+        "p95_origins": interpolated_quantile(counts, 0.95),
+        "max_origins": counts[-1],
         "single_server_sites": float(sum(1 for c in counts if c == 1)),
     }

@@ -6,6 +6,25 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
+def interpolated_quantile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolation quantile of a non-empty sorted sequence.
+
+    ``q`` in [0, 1]; numpy's default ``linear`` method, so the 0.5
+    quantile of ``[1, 2, 3, 4]`` is 2.5. The one implementation under
+    :meth:`Sample.percentile`, :meth:`StreamingQuantiles.quantile` and
+    the corpus statistics.
+    """
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = q * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1 - frac) + ordered[high] * frac
+
+
 class Sample:
     """An immutable batch of measurements with the usual statistics.
 
@@ -62,15 +81,7 @@ class Sample:
         """Linear-interpolation percentile, ``p`` in [0, 100]."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile out of range: {p!r}")
-        if len(self._values) == 1:
-            return self._values[0]
-        rank = (p / 100.0) * (len(self._values) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return self._values[low]
-        frac = rank - low
-        return self._values[low] * (1 - frac) + self._values[high] * frac
+        return interpolated_quantile(self._values, p / 100.0)
 
     def cdf(self) -> List[Tuple[float, float]]:
         """The empirical CDF as (value, cumulative proportion) points."""
@@ -215,15 +226,7 @@ class StreamingQuantiles:
         values = self._sorted()
         if not values:
             raise ValueError("no observations")
-        if len(values) == 1:
-            return values[0]
-        rank = q * (len(values) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return values[low]
-        frac = rank - low
-        return values[low] * (1 - frac) + values[high] * frac
+        return interpolated_quantile(values, q)
 
     @property
     def p50(self) -> float:

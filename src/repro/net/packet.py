@@ -46,7 +46,7 @@ class Packet:
     """
 
     __slots__ = ("src", "dst", "sport", "dport", "protocol", "payload",
-                 "size", "ttl", "uid", "_in_pool")
+                 "size", "ttl", "uid")
 
     def __init__(
         self,
@@ -72,7 +72,6 @@ class Packet:
         self.size = size
         self.ttl = ttl
         self.uid = next(_packet_ids)
-        self._in_pool = False
 
     @property
     def flow(self) -> tuple:
@@ -89,114 +88,6 @@ class Packet:
             f"{self.src}:{self.sport} -> {self.dst}:{self.dport} "
             f"{self.size}B ttl={self.ttl}>"
         )
-
-
-class PacketPool:
-    """Free lists of :class:`Packet` and TCP segment objects.
-
-    One pool per simulator (stored as ``sim.packet_pool`` so parallel worlds
-    never share mutable state). The TCP hot path allocates thousands of
-    short-lived packet/segment pairs per page load; recycling them at the
-    single terminal demux point (``TransportHost._receive_tcp``) skips both
-    object construction and ``Packet.__init__``'s per-packet validation —
-    the transport layer validates ``mss`` + headers against the MTU once
-    per connection instead.
-
-    The free lists are plain list attributes on purpose: the hot paths in
-    :mod:`repro.transport.tcp` pop and re-stamp records inline rather than
-    paying a method call per packet. The ``_in_pool`` flag on each pooled
-    object makes recycling idempotent — a double recycle (or recycling an
-    object already handed back) is a no-op rather than a corruption, and
-    the flag is what the pool-reuse tests assert on.
-
-    Lifecycle contract:
-
-    * acquire (pop + re-stamp every slot, ``_in_pool = False``) only from a
-      free list; a fresh construction is the fallback when the list is dry.
-    * recycle only a packet that has reached its terminal consumer and
-      whose payload has been fully copied out (the reassembly buffer slices
-      pieces into new lists, so a delivered segment retains nothing).
-    * dropped packets are *not* recycled — drops happen in many places
-      (queues, loss pipes, TTL, downed interfaces) and chasing them all
-      risks recycling a packet something still holds; the garbage collector
-      handles the rare drop just fine.
-
-    Under ``__debug__`` the pool also tracks which TCP packet uids are
-    currently in flight (:meth:`mark_in_flight` on send,
-    :meth:`mark_arrived` at the terminal demux), and :meth:`recycle`
-    asserts the packet being handed back is not one of them — the runtime
-    counterpart of mm-lint's REP008 use-after-recycle rule. Both markers
-    return ``True`` so call sites can wrap them in ``assert`` and the
-    bookkeeping vanishes entirely under ``python -O``. Dropped packets
-    are never unmarked (drops are not recycled, so the stale uid can
-    never trip the assert); the set grows with lifetime drops, which is
-    acceptable for a debug aid.
-    """
-
-    __slots__ = ("packets", "segments", "_in_flight")
-
-    def __init__(self) -> None:
-        #: Free :class:`Packet` records, ready to re-stamp.
-        self.packets: list = []
-        #: Free ``TcpSegment`` records (typed loosely: the segment class
-        #: lives in :mod:`repro.transport.tcp`, which imports this module).
-        self.segments: list = []
-        #: Debug-only: uids of TCP packets between send and terminal demux.
-        self._in_flight: set = set()
-
-    def acquire_tcp(
-        self,
-        src: IPv4Address,
-        dst: IPv4Address,
-        sport: int,
-        dport: int,
-        payload: Any,
-        size: int,
-    ) -> Packet:
-        """Reference (cold-path) acquire: pooled TCP packet or a fresh one.
-
-        Callers must guarantee ``size`` <= MTU; pooled reuse skips the
-        constructor's validation (the fresh-construction fallback still
-        validates).
-        """
-        packets = self.packets
-        if packets:
-            packet = packets.pop()
-            packet._in_pool = False
-            packet.src = src
-            packet.dst = dst
-            packet.sport = sport
-            packet.dport = dport
-            packet.protocol = "tcp"
-            packet.payload = payload
-            packet.size = size
-            packet.ttl = 64
-            packet.uid = next(_packet_ids)
-            return packet
-        return Packet(src, dst, sport, dport, "tcp", payload, size)
-
-    def mark_in_flight(self, packet: Packet) -> bool:
-        """Debug marker: this packet has been handed to the network."""
-        self._in_flight.add(packet.uid)
-        return True
-
-    def mark_arrived(self, packet: Packet) -> bool:
-        """Debug marker: this packet reached its terminal consumer."""
-        self._in_flight.discard(packet.uid)
-        return True
-
-    def recycle(self, packet: Packet) -> None:
-        """Hand a terminally-consumed packet back to the pool (idempotent)."""
-        if packet._in_pool:
-            return
-        assert packet.uid not in self._in_flight, (
-            f"recycling in-flight packet #{packet.uid}: it has not reached "
-            "its terminal consumer, so something still holds it and the "
-            "next acquire would re-stamp it underneath them"
-        )
-        packet._in_pool = True
-        packet.payload = None
-        self.packets.append(packet)
 
 
 def tcp_packet(

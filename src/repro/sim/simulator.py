@@ -27,7 +27,6 @@ from repro.sim.events import EventCallback, EventHandle, EventQueue
 from repro.sim.random import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.packet import PacketPool
     from repro.obs.registry import MetricsRegistry
 
 #: A trace hook: called as ``hook(time, seq, callback)`` per executed event.
@@ -62,9 +61,6 @@ class Simulator:
         #: this at construction to capture their probe handles, so attach
         #: a registry *before* building the world (see repro.obs).
         self.metrics: Optional["MetricsRegistry"] = None
-        #: Shared packet pool, created on first use by the transport layer
-        #: (kept per-simulator so parallel worlds never share mutable state).
-        self.packet_pool: Optional["PacketPool"] = None
 
     @property
     def now(self) -> float:

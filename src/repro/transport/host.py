@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.errors import PortInUse, TransportError
 from repro.net.address import Endpoint, IPv4Address
 from repro.net.namespace import NetworkNamespace
-from repro.net.packet import Packet, PacketPool, tcp_packet
+from repro.net.packet import Packet, tcp_packet
 from repro.sim.simulator import Simulator
 from repro.transport.tcp import TcpConfig, TcpConnection, TcpSegment
 from repro.transport.udp import UdpSocket
@@ -90,12 +90,6 @@ class TransportHost:
         self._udp_sockets: Dict[Tuple[int, int], UdpSocket] = {}
         self._next_ephemeral = _EPHEMERAL_FIRST
         self.rst_sent = 0
-        # One packet/segment pool per simulator, shared by every host in
-        # the world (packets recycle at the *receiving* host).
-        pool = sim.packet_pool
-        if pool is None:
-            pool = sim.packet_pool = PacketPool()
-        self._pool = pool
 
     @classmethod
     def ensure(
@@ -242,9 +236,6 @@ class TransportHost:
 
     def send_packet(self, packet: Packet) -> None:
         """Hand an outbound packet to the namespace's routing."""
-        # Debug-only in-flight tracking: PacketPool.recycle asserts a
-        # packet between here and the terminal demux is never recycled.
-        assert packet.protocol != "tcp" or self._pool.mark_in_flight(packet)
         self.namespace.originate(packet)
 
     def receive(self, packet: Packet) -> None:
@@ -256,30 +247,13 @@ class TransportHost:
         # Other protocols are silently dropped, like an unhandled proto.
 
     def _receive_tcp(self, packet: Packet) -> None:
-        assert self._pool.mark_arrived(packet)
         conn = self._connections.get(
             (packet.dst._value, packet.dport, packet.src._value, packet.sport)
         )
         if conn is not None:
-            segment: TcpSegment = packet.payload
-            conn.segment_arrived(segment)
-            # This is the terminal consumer of an in-flight TCP packet:
-            # the reassembly buffer copied any payload pieces out during
-            # segment_arrived, so both records go back to the pool. The
-            # _in_pool flag makes a double recycle a no-op (see
-            # repro.net.packet.PacketPool for the lifecycle contract).
-            pool = self._pool
-            if not packet._in_pool:
-                packet._in_pool = True
-                packet.payload = None
-                pool.packets.append(packet)
-            if not segment._in_pool:
-                segment._in_pool = True
-                segment.pieces = ()
-                segment.sack = ()
-                pool.segments.append(segment)
+            conn.segment_arrived(packet.payload)
             return
-        segment = packet.payload
+        segment: TcpSegment = packet.payload
         if "S" in segment.flags and "A" not in segment.flags:
             listener = self._listeners.get((packet.dst._value, packet.dport))
             if listener is None:

@@ -20,14 +20,7 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConnectionClosed, ConnectionReset, TransportError
 from repro.net.address import Endpoint
-from repro.net.packet import (
-    IP_HEADER_BYTES,
-    MTU_BYTES,
-    TCP_HEADER_BYTES,
-    Packet,
-    PacketPool,
-    _packet_ids,
-)
+from repro.net.packet import IP_HEADER_BYTES, MTU_BYTES, TCP_HEADER_BYTES, Packet
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.transport.congestion import CongestionControl, NewReno
@@ -89,9 +82,7 @@ class TcpSegment:
     this models that converged state directly.
     """
 
-    __slots__ = (
-        "flags", "seq", "ack", "pieces", "data_len", "wnd", "sack", "_in_pool"
-    )
+    __slots__ = ("flags", "seq", "ack", "pieces", "data_len", "wnd", "sack")
 
     def __init__(
         self,
@@ -110,7 +101,6 @@ class TcpSegment:
         self.data_len = data_len
         self.wnd = wnd
         self.sack = sack
-        self._in_pool = False
 
     def __repr__(self) -> str:
         return (
@@ -199,7 +189,6 @@ class TcpConnection:
         "_obs_prev_rto",
         "_header_bytes",
         "_rcv_wnd",
-        "_pool",
     )
 
     def __init__(
@@ -219,21 +208,15 @@ class TcpConnection:
         self.passive = passive
         self.state = CLOSED
 
-        # Hot-path precomputation. The per-packet header size and the MTU
-        # bound are fixed for the connection's lifetime, so the old
-        # per-segment arithmetic and per-packet size validation
-        # (Packet.__init__) collapse to this single check — pooled packet
-        # reuse in _send_segment re-stamps records without re-validating.
+        # The per-packet header size is fixed for the connection's
+        # lifetime; an mss that cannot fit the MTU is refused here rather
+        # than by Packet.__init__ on the first full-size segment.
         self._header_bytes = IP_HEADER_BYTES + TCP_HEADER_BYTES
         if self.config.mss + self._header_bytes > MTU_BYTES:
             raise TransportError(
                 f"mss {self.config.mss} + headers exceeds MTU {MTU_BYTES}"
             )
         self._rcv_wnd = self.config.receive_window
-        pool = sim.packet_pool
-        if pool is None:
-            pool = sim.packet_pool = PacketPool()
-        self._pool = pool
 
         # Callbacks
         self.on_established: Optional[Callable[[], None]] = None
@@ -615,8 +598,7 @@ class TcpConnection:
             # In-order fast path (the overwhelmingly common case): hand the
             # segment's piece list straight to the application instead of
             # copying it through the interval map. Ownership transfers
-            # cleanly — the sender built the list fresh per segment and
-            # segment recycling rebinds (never mutates) the pieces slot.
+            # cleanly — the sender built the list fresh per segment.
             ready = segment.pieces
             reasm.next_offset = offset + segment.data_len
         else:
@@ -878,57 +860,26 @@ class TcpConnection:
         sack: tuple = ()
         if "A" in flags and "S" not in flags and self._reasm._runs:
             sack = self._build_sack()
-        # Pooled construction: pop and re-stamp free records instead of
-        # running the constructors (see repro.net.packet.PacketPool for
-        # the lifecycle contract). The MTU bound was checked once in
-        # __init__, so re-stamping skips the per-packet size validation.
-        pool = self._pool
-        free_segments = pool.segments
-        if free_segments:
-            segment = free_segments.pop()
-            segment._in_pool = False
-            segment.flags = flags
-            segment.seq = seq
-            segment.ack = ack
-            segment.pieces = pieces if pieces is not None else []
-            segment.data_len = data_len
-            segment.wnd = self._rcv_wnd
-            segment.sack = sack
-        else:
-            segment = TcpSegment(
-                flags,
-                seq,
-                ack,
-                pieces if pieces is not None else [],
-                data_len,
-                self._rcv_wnd,
-                sack,
-            )
+        segment = TcpSegment(
+            flags,
+            seq,
+            ack,
+            pieces if pieces is not None else [],
+            data_len,
+            self._rcv_wnd,
+            sack,
+        )
         local = self.local
         remote = self.remote
-        free_packets = pool.packets
-        if free_packets:
-            packet = free_packets.pop()
-            packet._in_pool = False
-            packet.src = local.address
-            packet.dst = remote.address
-            packet.sport = local.port
-            packet.dport = remote.port
-            packet.protocol = "tcp"
-            packet.payload = segment
-            packet.size = self._header_bytes + data_len
-            packet.ttl = 64
-            packet.uid = next(_packet_ids)
-        else:
-            packet = Packet(
-                local.address,
-                remote.address,
-                local.port,
-                remote.port,
-                "tcp",
-                segment,
-                self._header_bytes + data_len,
-            )
+        packet = Packet(
+            local.address,
+            remote.address,
+            local.port,
+            remote.port,
+            "tcp",
+            segment,
+            self._header_bytes + data_len,
+        )
         self.segments_sent += 1
         if "A" in flags:
             self._ack_pending = False

@@ -1,9 +1,9 @@
-"""Interprocedural dataflow rules REP008-REP012 (``repro.analysis.flow``).
+"""Interprocedural dataflow rules REP010-REP012 (``repro.analysis.flow``).
 
 Each rule gets positive fixtures (the hazard, reported) and negative
 fixtures (the idiomatic safe pattern, silent), plus engine-level cases:
 interprocedural propagation through function summaries, branch joins,
-and the early-return hand-back shape used by the real transport demux.
+loop fixpoints, suppression and rule selection.
 """
 
 from __future__ import annotations
@@ -23,217 +23,6 @@ def codes(source: str, path: str = SIM_PATH) -> list:
 
 def diags(source: str, path: str = SIM_PATH) -> list:
     return lint_source(textwrap.dedent(source), path)
-
-
-# --------------------------------------------------------------------- #
-# REP008: use-after-recycle
-
-
-class TestRep008UseAfterRecycle:
-    def test_read_after_recycle(self):
-        assert codes(
-            """
-            def deliver(pool, pkt):
-                pool.recycle(pkt)
-                return pkt.size
-            """
-        ) == ["REP008"]
-
-    def test_write_after_recycle(self):
-        assert codes(
-            """
-            def deliver(pool, pkt):
-                pool.recycle(pkt)
-                pkt.ttl = 64
-            """
-        ) == ["REP008"]
-
-    def test_schedule_after_recycle(self):
-        assert codes(
-            """
-            def deliver(sim, pool, pkt):
-                pool.recycle(pkt)
-                sim.schedule(0.1, lambda: None, pkt)
-            """
-        ) == ["REP008"]
-
-    def test_recycle_on_one_branch_taints_the_join(self):
-        # May-analysis: recycled on the taken branch, used after the join.
-        assert codes(
-            """
-            def deliver(pool, pkt, fast):
-                if fast:
-                    pool.recycle(pkt)
-                return pkt.uid
-            """
-        ) == ["REP008"]
-
-    def test_interprocedural_recycle_via_helper(self):
-        # The helper's summary records that it recycles its parameter.
-        assert codes(
-            """
-            def hand_back(pool, pkt):
-                pool.recycle(pkt)
-
-            def deliver(pool, pkt):
-                hand_back(pool, pkt)
-                return pkt.size
-            """
-        ) == ["REP008"]
-
-    def test_recycle_as_last_use_is_clean(self):
-        assert codes(
-            """
-            def deliver(pool, pkt):
-                size = pkt.size
-                pool.recycle(pkt)
-                return size
-            """
-        ) == []
-
-    def test_early_return_hand_back_is_clean(self):
-        # The real _receive_tcp shape: the recycling branch returns, so
-        # the fall-through path still owns the packet.
-        assert codes(
-            """
-            def receive(pool, pkt, conn):
-                if conn is not None:
-                    conn.segment_arrived(pkt.payload)
-                    pool.recycle(pkt)
-                    return
-                flags = pkt.payload.flags
-                return flags
-            """
-        ) == []
-
-    def test_inline_hand_back_idiom_is_clean(self):
-        # The hot-path inline recycle: flag write, clearing store, append.
-        assert codes(
-            """
-            def receive(pool, pkt):
-                if not pkt._in_pool:
-                    pkt._in_pool = True
-                    pkt.payload = None
-                    pool.packets.append(pkt)
-            """
-        ) == []
-
-    def test_reacquire_clears_the_recycled_state(self):
-        # Popping the freelist and clearing _in_pool re-stamps the record.
-        assert codes(
-            """
-            def send(pool):
-                pkt = pool.packets.pop()
-                pkt._in_pool = False
-                pkt.ttl = 64
-                return pkt.uid
-            """
-        ) == []
-
-    def test_fresh_binding_clears_the_recycled_state(self):
-        assert codes(
-            """
-            def deliver(pool, pkt, make):
-                pool.recycle(pkt)
-                pkt = make()
-                return pkt.size
-            """
-        ) == []
-
-    def test_not_reported_outside_sim_domain(self):
-        assert (
-            codes(
-                """
-                def deliver(pool, pkt):
-                    pool.recycle(pkt)
-                    return pkt.size
-                """,
-                path=OUTSIDE_PATH,
-            )
-            == []
-        )
-
-
-# --------------------------------------------------------------------- #
-# REP009: pooled-object escape
-
-
-class TestRep009PooledEscape:
-    def test_escape_into_instance_attribute(self):
-        assert codes(
-            """
-            class Host:
-                def deliver(self, pool):
-                    pkt = pool.acquire_tcp()
-                    self.last_packet = pkt
-            """
-        ) == ["REP009"]
-
-    def test_escape_into_instance_container(self):
-        assert codes(
-            """
-            class Host:
-                def deliver(self, pool):
-                    pkt = pool.acquire_tcp()
-                    self._log.append(pkt)
-            """
-        ) == ["REP009"]
-
-    def test_escape_into_instance_mapping(self):
-        assert codes(
-            """
-            class Host:
-                def deliver(self, pool, key):
-                    pkt = pool.acquire_tcp()
-                    self.pending[key] = pkt
-            """
-        ) == ["REP009"]
-
-    def test_transfer_annotation_silences(self):
-        assert codes(
-            """
-            class Host:
-                def deliver(self, pool):
-                    pkt = pool.acquire_tcp()
-                    self.owned = pkt  # mm-lint: transfer
-            """
-        ) == []
-
-    def test_composition_into_local_pooled_object_is_clean(self):
-        # Assembling an in-flight packet (tcp.py _send_segment shape).
-        assert codes(
-            """
-            def send(pool):
-                seg = pool.segments.pop()
-                seg._in_pool = False
-                pkt = pool.packets.pop()
-                pkt._in_pool = False
-                pkt.payload = seg
-                return pkt
-            """
-        ) == []
-
-    def test_local_list_store_is_clean(self):
-        # A local batch that dies with the handler is not an escape.
-        assert codes(
-            """
-            def deliver(pool, batch):
-                pkt = pool.acquire_tcp()
-                staged = []
-                staged.append(pkt)
-                return len(staged)
-            """
-        ) == []
-
-    def test_copying_fields_out_is_clean(self):
-        assert codes(
-            """
-            class Host:
-                def deliver(self, pool):
-                    pkt = pool.acquire_tcp()
-                    self.last_uid = pkt.uid
-            """
-        ) == []
 
 
 # --------------------------------------------------------------------- #
@@ -516,50 +305,92 @@ class TestRep012ForkHostileHandles:
 
 class TestFlowEngine:
     def test_loop_body_reaches_fixpoint(self):
-        # The recycle in iteration N must poison the read in iteration
-        # N+1 (requires the second loop pass).
+        # The taint picked up at the bottom of iteration N must reach the
+        # sink at the top of iteration N+1 (requires the second loop pass).
         assert codes(
             """
-            def drain(pool, pkts):
-                last = None
-                for pkt in pkts:
-                    if last is not None:
-                        pool.recycle(last)
-                    last = pkt
-                    size = last.size
+            def pace(sim, n):
+                delay = 0.0
+                for _ in range(n):
+                    sim.schedule(delay, None)
+                    delay = sim.now + 0.5
             """
-        ) == []  # re-binding `last` each iteration keeps this clean
+        ) == []  # re-binding `delay` from sim.now keeps this clean
 
         assert codes(
             """
-            def drain(pool, pkt, n):
+            import time
+            def pace(sim, n):
+                delay = 0.0
                 for _ in range(n):
-                    size = pkt.size
-                    pool.recycle(pkt)
+                    sim.schedule(delay, None)
+                    delay = time.time()  # mm-lint: disable=REP001
             """
-        ) == ["REP008"]
+        ) == ["REP010"]
+
+    def test_early_return_branch_does_not_taint_the_fall_through(self):
+        # A branch that always returns contributes nothing to the code
+        # after the conditional; a branch that falls through does.
+        assert codes(
+            """
+            import time
+            def kick(sim, wall):
+                delay = 0.5
+                if wall:
+                    delay = time.time()  # mm-lint: disable=REP001
+                    return delay
+                sim.schedule(delay, None)
+            """
+        ) == []
+
+        assert codes(
+            """
+            import time
+            def kick(sim, wall):
+                delay = 0.5
+                if wall:
+                    delay = time.time()  # mm-lint: disable=REP001
+                sim.schedule(delay, None)
+            """
+        ) == ["REP010"]
 
     def test_suppression_comment_silences_flow_rules(self):
         assert codes(
             """
-            def deliver(pool, pkt):
-                pool.recycle(pkt)
-                return pkt.uid  # mm-lint: disable=REP008
+            import time
+            def kick(sim):
+                start = time.time()  # mm-lint: disable=REP001
+                sim.schedule(start, None)  # mm-lint: disable=REP010
             """
         ) == []
 
     def test_select_filters_flow_rules(self):
         source = textwrap.dedent(
             """
-            def deliver(pool, pkt):
-                pool.recycle(pkt)
-                return pkt.size
+            import time
+            def kick(sim):
+                start = time.time()
+                sim.schedule(start, None)
             """
         )
         assert [
-            d.code for d in lint_source(source, SIM_PATH, select={"REP008"})
-        ] == ["REP008"]
-        assert lint_source(source, SIM_PATH, select={"REP001"}) == []
+            d.code for d in lint_source(source, SIM_PATH, select={"REP010"})
+        ] == ["REP010"]
+        assert [
+            d.code for d in lint_source(source, SIM_PATH, select={"REP001"})
+        ] == ["REP001"]
+        assert lint_source(source, SIM_PATH, select={"REP003"}) == []
+
+    def test_sim_domain_flow_rules_are_silent_outside_it(self):
+        assert codes(
+            """
+            import time
+            def kick(sim):
+                start = time.time()
+                sim.schedule(start, None)
+            """,
+            path=OUTSIDE_PATH,
+        ) == []
 
     def test_module_level_state_feeds_function_checks(self):
         # A module-level handle is visible to workers defined in functions.
@@ -576,67 +407,42 @@ class TestFlowEngine:
     def test_diagnostics_point_at_the_use_site(self):
         found = diags(
             """
-            def deliver(pool, pkt):
-                pool.recycle(pkt)
-                return pkt.size
+            import time
+            def kick(sim):
+                start = time.time()  # mm-lint: disable=REP001
+                sim.schedule(start, None)
             """
         )
         assert len(found) == 1
-        assert found[0].line == 4
-        assert "recycled at line 3" in found[0].message
+        assert found[0].line == 5
+        assert "wall-clock" in found[0].message
+        assert "sim.schedule()" in found[0].message
 
     def test_syntax_error_does_not_crash_flow_pass(self):
         assert codes("def broken(:\n") == ["E999"]
 
-    def test_real_demux_shape_stays_clean(self):
-        # Condensed from transport/host.py _receive_tcp: inline hand-back
-        # of packet and segment behind early-return branches.
-        assert codes(
-            """
-            class Host:
-                def _receive_tcp(self, packet):
-                    conn = self._connections.get(packet.dst)
-                    if conn is not None:
-                        segment = packet.payload
-                        conn.segment_arrived(segment)
-                        pool = self._pool
-                        if not packet._in_pool:
-                            packet._in_pool = True
-                            packet.payload = None
-                            pool.packets.append(packet)
-                        if not segment._in_pool:
-                            segment._in_pool = True
-                            segment.pieces = ()
-                            pool.segments.append(segment)
-                        return
-                    segment = packet.payload
-                    if "R" not in segment.flags:
-                        self._send_rst(packet)
-            """,
-            path=TRANSPORT_PATH,
-        ) == []
-
 
 class TestScratchFixtureTree:
-    def test_synthetic_use_after_recycle_fails_the_cli(self, tmp_path, capsys):
+    def test_synthetic_taint_to_sink_fails_the_cli(self, tmp_path, capsys):
         # End-to-end acceptance: a scratch tree with a planted
-        # use-after-recycle makes mm-lint exit non-zero and name REP008.
+        # wall-clock-to-schedule flow makes mm-lint exit non-zero and
+        # name REP010.
         sim = tmp_path / "scratch" / "sim"
         sim.mkdir(parents=True)
         (sim / "clean.py").write_text(
-            "def ok(pool, pkt):\n"
-            "    size = pkt.size\n"
-            "    pool.recycle(pkt)\n"
-            "    return size\n"
+            "def ok(sim):\n"
+            "    deadline = sim.now + 0.5\n"
+            "    sim.schedule_at(deadline, None)\n"
         )
         (sim / "planted.py").write_text(
-            "def bad(pool, pkt):\n"
-            "    pool.recycle(pkt)\n"
-            "    return pkt.size\n"
+            "import time\n"
+            "def bad(sim):\n"
+            "    start = time.time()  # mm-lint: disable=REP001\n"
+            "    sim.schedule(start % 10, None)\n"
         )
         from repro.analysis.lint import main
 
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "REP008" in out and "planted.py" in out
+        assert "REP010" in out and "planted.py" in out
         assert "clean.py" not in out

@@ -411,8 +411,6 @@ class TestLintInfrastructure:
             "REP005",
             "REP006",
             "REP007",
-            "REP008",
-            "REP009",
             "REP010",
             "REP011",
             "REP012",

@@ -8,6 +8,7 @@ from repro.cli import (
     mm_chaos,
     mm_corpus,
     mm_delay,
+    mm_fabric,
     mm_fsck,
     mm_link,
     mm_loss,
@@ -44,6 +45,42 @@ class TestMmWebrecord:
     def test_usage_error(self):
         with pytest.raises(CliError):
             mm_webrecord.run([], [])
+
+
+MALFORMED_ARGV = {
+    # id: (tool, argv, what the error line must name)
+    "corpus-out-missing-value": (mm_corpus, ["generate", "--out"], "--out"),
+    "corpus-size-non-numeric": (
+        mm_corpus, ["generate", "--out", "D", "--size", "abc"], "--size"),
+    "corpus-workers-non-numeric": (
+        mm_corpus, ["generate", "--out", "D", "--workers", "x"], "--workers"),
+    "trace-rate-non-numeric": (
+        mm_trace, ["constant", "--rate", "abc", "--out", "F"], "--rate"),
+    "trace-seed-non-numeric": (
+        mm_trace, ["cellular", "--seed", "x", "--out", "F"], "--seed"),
+    "webrecord-seed-non-numeric": (
+        mm_webrecord, ["--seed", "abc", "O", "http://x.com/"], "--seed"),
+    "webrecord-origins-non-numeric": (
+        mm_webrecord, ["--origins", "x", "O", "http://x.com/"], "--origins"),
+    "webrecord-seed-missing-value": (mm_webrecord, ["--seed"], "--seed"),
+    "fabric-two-remote-hosts": (
+        mm_fabric,
+        ["run", "--factory", "repro.scenarios:replay_smoke", "--trials", "2",
+         "--backend", "remote", "--host", "a", "--host", "b"],
+        "--host"),
+}
+
+
+@pytest.mark.parametrize(
+    "tool,argv,names", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV)
+def test_malformed_argv_exits_2_with_a_named_error(
+        tool, argv, names, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", [tool.__name__] + argv)
+    assert tool.main() == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert names in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestMmWebreplayLoad:
@@ -217,7 +254,7 @@ class TestMmCorpus:
         assert "single-server sites: 1" in text
 
     def test_cas_switch_is_gone(self, tmp_path):
-        with pytest.raises(CliError, match="unknown option '--cas'"):
+        with pytest.raises(CliError, match="unrecognized arguments: --cas"):
             mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
                            "--cas"], [])
 

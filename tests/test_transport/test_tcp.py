@@ -340,3 +340,38 @@ class TestDeterminism:
 
     def test_identical_seeds_identical_runs(self):
         assert self._run_once(5) == self._run_once(5)
+
+
+class TestPacketRetention:
+    def test_observer_may_keep_every_packet_it_is_shown(self):
+        # Packets and segments are allocated per send and never reused, so
+        # anything that holds on to one (a capture, a prerouting hook, a
+        # debugger) holds a distinct object nobody writes to afterwards.
+        # This is the test that fails if a free list comes back.
+        world = delayed_world(0.010)
+        kept = []
+        world.client_ns.prerouting_hooks.append(
+            lambda packet, interface: kept.append(
+                (packet, packet.uid, packet.payload, packet.size,
+                 packet.payload.seq)))
+        echo_server(world, respond=lambda conn, pieces:
+                    conn.send_virtual(100_000))
+        conn = world.client.connect(world.server_endpoint)
+        total = [0]
+        conn.on_established = lambda: conn.send(b"GET")
+
+        def on_data(pieces):
+            total[0] += pieces_len(pieces)
+        conn.on_data = on_data
+        world.sim.run_until(lambda: total[0] >= 100_000, timeout=60)
+        assert total[0] == 100_000
+
+        # SYN-ACK plus ceil(100 000 / 1460) = 69 data segments.
+        assert len(kept) == 70
+        assert len({id(entry[0]) for entry in kept}) == len(kept)
+        assert len({id(entry[2]) for entry in kept}) == len(kept)
+        for packet, uid, segment, size, seq in kept:
+            assert packet.uid == uid
+            assert packet.payload is segment
+            assert packet.size == size
+            assert segment.seq == seq
