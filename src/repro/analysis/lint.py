@@ -3,17 +3,9 @@
 The simulator promises bit-identical replay for a given seed (DESIGN.md,
 "Determinism contract"). Nothing in Python stops a contributor from
 breaking that promise with one innocent-looking line, so this module
-checks the contract statically, with two engines behind one front end:
-
-* **Per-node AST rules** (REP001-REP007, this module): hazards visible
-  in a single expression — wall-clock reads, unseeded RNG, float ``==``
-  on virtual time, hash-ordered scheduling, environment reads,
-  module-level mutable state, observer-effect writes.
-* **Interprocedural dataflow rules** (REP010-REP012,
-  :mod:`repro.analysis.flow` + :mod:`repro.analysis.rules_flow`):
-  hazards that emerge from statement order and calls between functions —
-  wall-clock/env taint reaching sinks, RNG stream aliasing across
-  domains, fork-hostile handles inside forked workers.
+checks the contract statically: seven rules, each a hazard visible in a
+single expression or statement, all collected by one
+:class:`ast.NodeVisitor` pass per file.
 
 ======  ==============================================================
 REP001  No wall-clock reads (``time.time``/``time.monotonic``/argless
@@ -40,24 +32,15 @@ REP007  Observer-domain code (the ``repro.obs`` package) may not
         on a simulator, or mutate queues — probes read simulation
         state and append to observer-owned storage, nothing else (the
         zero-observer-effect contract).
-REP010  No wall-clock/environment taint reaching ``schedule()``, RNG
-        seeds, or obs artifacts — tracked through assignments and call
-        returns, not just the call sites REP001/REP005 flag.
-REP011  No seeded ``random.Random`` instance shared across the chaos /
-        link / transport domains — derive one stream per domain via
-        ``stable_seed``.
-REP012  No fork-hostile handles (files, locks, journals, sockets)
-        created pre-fork and used inside worker functions handed to
-        ``LocalBackend`` / ``run_page_loads`` / ``run_supervised`` /
-        ``parallel_map``.
 ======  ==============================================================
 
-Rules REP001, REP003, REP005, REP006, REP010 and REP011 apply to
-*simulation-domain* files (any file under a :data:`SIM_DOMAIN_DIRS`
-directory); REP007 applies to *observer-domain* files (under an
-:data:`OBS_DOMAIN_DIRS` directory); REP002, REP004 and REP012 apply
-everywhere (REP002 excepts ``sim/random.py`` itself, where the blessed
-streams live).
+Rules REP001, REP003, REP005 and REP006 apply to *simulation-domain*
+files (any file under a :data:`SIM_DOMAIN_DIRS` directory); REP007
+applies to *observer-domain* files (under an :data:`OBS_DOMAIN_DIRS`
+directory); REP002 and REP004 apply everywhere (REP002 excepts
+``sim/random.py`` itself, where the blessed streams live). REP001,
+REP002 and REP005 see through import aliases (``import time as t``,
+``from os import environ``).
 
 Any diagnostic can be silenced for one line with an inline escape hatch::
 
@@ -75,26 +58,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import re
 import sys
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
-
-from repro.analysis.base import (
-    OBS_DOMAIN_DIRS,
-    SIM_DOMAIN_DIRS,
-    Diagnostic,
-    chain_parts as _chain_parts,
-    disabled_codes as _disabled_codes,
-    dotted as _dotted,
-    is_obs_domain,
-    is_sim_domain,
-    iter_python_files as _iter_python_files,
-    suppression_comments,
-    terminal_name as _terminal_name,
-)
-from repro.analysis.rules_flow import FLOW_RULES, run_flow_rules
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 __all__ = [
     "Diagnostic",
@@ -104,88 +74,188 @@ __all__ = [
     "Rule",
     "SIM_DOMAIN_DIRS",
     "check_suppressions",
+    "is_obs_domain",
+    "is_sim_domain",
     "lint_file",
     "lint_paths",
     "lint_source",
     "main",
+    "suppression_comments",
 ]
+
+#: Directories whose code runs inside the simulated world. A file is
+#: "simulation-domain" when any of its path components is one of these.
+SIM_DOMAIN_DIRS = frozenset(
+    {"sim", "net", "linkem", "transport", "core", "browser", "web", "dns",
+     "http", "record", "apps", "corpus", "chaos", "load"}
+)
+
+#: Directories whose code *observes* the simulated world. A file is
+#: "observer-domain" when any of its path components is one of these;
+#: REP007 holds such code to the zero-observer-effect contract.
+OBS_DOMAIN_DIRS = frozenset({"obs"})
+
+#: Inline escape hatch: a comment of the form ``mm-lint: disable=<CODE>``
+#: (or ``disable=all``) on the offending line. Spelled with a
+#: placeholder here so this very comment never registers as a stale
+#: suppression in the ``--check-suppressions`` audit.
+_DISABLE_RE = re.compile(r"#\s*mm-lint:\s*disable=([A-Za-z0-9_,\s]+)")
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One lint finding, pointing at a file position."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+    def format(self) -> str:
+        """``path:line:col: REPxxx message`` — editor-clickable."""
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One entry in the unified rule registry."""
+    """One entry in the rule registry."""
 
     code: str
     summary: str
-    #: Which engine implements it: "ast" (per-node) or "flow" (dataflow).
-    engine: str
     #: Scope: "sim" (simulation-domain files), "obs" (observer-domain
     #: files), or "all".
     scope: str
 
 
-#: The unified registry both engines report against. Ordered by code.
+#: Every rule ``mm-lint`` knows. Ordered by code.
 RULE_REGISTRY: Dict[str, Rule] = {
     "REP001": Rule(
-        "REP001",
-        "wall-clock read in simulation-domain code (use sim.now)",
-        "ast",
-        "sim",
+        "REP001", "wall-clock read in simulation-domain code (use sim.now)", "sim"
     ),
     "REP002": Rule(
         "REP002",
         "unseeded or unstably-seeded RNG (derive seeds via stable_seed)",
-        "ast",
         "all",
     ),
-    "REP003": Rule(
-        "REP003", "float equality on a virtual-time expression", "ast", "sim"
-    ),
+    "REP003": Rule("REP003", "float equality on a virtual-time expression", "sim"),
     "REP004": Rule(
-        "REP004",
-        "unordered iteration feeds the event queue (sort first)",
-        "ast",
-        "all",
+        "REP004", "unordered iteration feeds the event queue (sort first)", "all"
     ),
-    "REP005": Rule(
-        "REP005", "environment read inside a simulation component", "ast", "sim"
-    ),
+    "REP005": Rule("REP005", "environment read inside a simulation component", "sim"),
     "REP006": Rule(
         "REP006",
         "module-level mutable state carries across trials in a warm worker",
-        "ast",
         "sim",
     ),
     "REP007": Rule(
-        "REP007",
-        "observer-domain code schedules events or writes sim state",
-        "ast",
-        "obs",
+        "REP007", "observer-domain code schedules events or writes sim state", "obs"
     ),
-    "REP010": Rule("REP010", FLOW_RULES["REP010"], "flow", "sim"),
-    "REP011": Rule("REP011", FLOW_RULES["REP011"], "flow", "sim"),
-    "REP012": Rule("REP012", FLOW_RULES["REP012"], "flow", "all"),
 }
 
 #: Rule code -> one-line summary (shown by ``mm-lint --list-rules``).
 RULES: Dict[str, str] = {code: rule.summary for code, rule in RULE_REGISTRY.items()}
 
-#: AST-engine rules restricted to simulation-domain files.
+#: Rules restricted to simulation-domain files.
 SIM_DOMAIN_RULES = frozenset(
-    rule.code
-    for rule in RULE_REGISTRY.values()
-    if rule.engine == "ast" and rule.scope == "sim"
+    rule.code for rule in RULE_REGISTRY.values() if rule.scope == "sim"
 )
 
-#: AST-engine rules restricted to observer-domain files.
+#: Rules restricted to observer-domain files.
 OBS_DOMAIN_RULES = frozenset(
     rule.code for rule in RULE_REGISTRY.values() if rule.scope == "obs"
 )
 
-#: Codes implemented by the dataflow engine.
-FLOW_RULE_CODES = frozenset(
-    rule.code for rule in RULE_REGISTRY.values() if rule.engine == "flow"
-)
+
+def is_sim_domain(path: Union[str, Path]) -> bool:
+    """Whether ``path`` lies in a simulation-domain directory.
+
+    Classification is lexical: a symlink *named* after a sim-domain
+    directory classifies everything under it, regardless of where the
+    link target lives (the lint never resolves links).
+    """
+    return any(part in SIM_DOMAIN_DIRS for part in Path(path).parts[:-1])
+
+
+def is_obs_domain(path: Union[str, Path]) -> bool:
+    """Whether ``path`` lies in an observer-domain directory."""
+    return any(part in OBS_DOMAIN_DIRS for part in Path(path).parts[:-1])
+
+
+def _disabled_codes(line: str) -> Set[str]:
+    """Rule codes silenced by an inline ``# mm-lint: disable=`` comment."""
+    match = _DISABLE_RE.search(line)
+    if match is None:
+        return set()
+    return {code.strip().upper() for code in match.group(1).split(",") if code.strip()}
+
+
+def suppression_comments(source: str) -> Dict[int, Set[str]]:
+    """Map line number -> codes suppressed by a *real* comment there.
+
+    Unlike the per-line regex used while linting (which deliberately
+    matches anything that looks like a suppression), this tokenizes the
+    source so suppressions quoted inside string literals/docstrings are
+    not counted. Used by ``mm-lint --check-suppressions``: a comment the
+    tokenizer sees but that silences nothing is a stale suppression.
+    """
+    found: Dict[int, Set[str]] = {}
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for tok in tokens:
+            if tok.type != tokenize.COMMENT:
+                continue
+            codes = _disabled_codes(tok.string)
+            if codes:
+                found.setdefault(tok.start[0], set()).update(codes)
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return {}
+    return found
+
+
+def _terminal_name(node: ast.expr) -> Optional[str]:
+    """Last identifier of a Name/Attribute chain (``a.b.c`` -> ``c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _chain_parts(node: ast.expr) -> List[str]:
+    """All identifiers of a Name/Attribute chain (``a.b.c`` ->
+    ``[a, b, c]``); empty when the chain is rooted elsewhere."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return []
+    parts.append(node.id)
+    parts.reverse()
+    return parts
+
+
+def _dotted(node: ast.expr) -> Optional[str]:
+    """Dotted-name string of a Name/Attribute chain, else None."""
+    return ".".join(_chain_parts(node)) or None
+
+
+def _iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
+    """Yield ``.py`` files under the given files/directories, sorted."""
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            for candidate in sorted(path.rglob("*.py")):
+                if any(
+                    part.startswith(".") or part == "__pycache__"
+                    for part in candidate.parts
+                ):
+                    continue
+                yield candidate
+        else:
+            yield path
+
 
 #: Virtual-time identifiers: exactly now/deadline/at, or a ``*_time`` suffix.
 _TIME_NAME_RE = re.compile(r"^(?:now|deadline|at)$|_time$")
@@ -205,6 +275,11 @@ _WALL_CLOCK_CALLS = frozenset(
         "time.process_time",
         "time.process_time_ns",
     }
+)
+
+#: ``from <module> import <name>`` spellings REP001/REP005 see through.
+_TRACKED_FROM_IMPORTS = _WALL_CLOCK_CALLS | frozenset(
+    {"os.environ", "os.getenv", "datetime.datetime", "datetime.date"}
 )
 
 #: ``random`` module-level draw functions (all share one unseeded global).
@@ -339,7 +414,7 @@ def _is_empty_container(node: ast.expr) -> bool:
 
 
 class _Checker(ast.NodeVisitor):
-    """One-pass visitor collecting diagnostics for every AST-engine rule."""
+    """One-pass visitor collecting diagnostics for every rule."""
 
     def __init__(
         self,
@@ -360,6 +435,10 @@ class _Checker(ast.NodeVisitor):
         self._system_random_classes: Set[str] = set()
         #: Local aliases of module-level draw fns (``from random import …``).
         self._random_fns: Set[str] = set()
+        #: Local name -> what it was imported as, for the REP001/REP005
+        #: sources (``import time as t`` -> ``{"t": "time"}``; ``from os
+        #: import environ`` -> ``{"environ": "os.environ"}``).
+        self._aliases: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -374,12 +453,14 @@ class _Checker(ast.NodeVisitor):
         self.diagnostics.append(Diagnostic(self.path, line, col, code, message))
 
     # ------------------------------------------------------------------ #
-    # imports (REP002 alias tracking)
+    # imports (REP001/REP002/REP005 alias tracking)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             if alias.name == "random":
                 self._random_modules.add(alias.asname or alias.name)
+            elif alias.asname and alias.name in {"time", "os"}:
+                self._aliases[alias.asname] = alias.name
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -392,19 +473,32 @@ class _Checker(ast.NodeVisitor):
                     self._system_random_classes.add(bound)
                 elif alias.name in _GLOBAL_RANDOM_FNS:
                     self._random_fns.add(bound)
+        for alias in node.names:
+            origin = f"{node.module}.{alias.name}"
+            if origin in _TRACKED_FROM_IMPORTS:
+                self._aliases[alias.asname or alias.name] = origin
         self.generic_visit(node)
+
+    def _resolve(self, dotted: Optional[str]) -> Optional[str]:
+        """Undo import aliasing on the head of a dotted name (``t.time``
+        -> ``time.time`` after ``import time as t``)."""
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        return self._aliases.get(head, head) + dot + rest
 
     # ------------------------------------------------------------------ #
     # calls: REP001, REP002, REP005
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
-        self._check_wall_clock(node, dotted)
+        resolved = self._resolve(dotted)
+        self._check_wall_clock(node, resolved)
         if not self.blessed_random:
             self._check_rng(node, dotted)
         if self.obs_domain:
             self._check_obs_call(node)
-        if dotted == "os.getenv":
+        if resolved == "os.getenv":
             self._report(
                 node,
                 "REP005",
@@ -635,7 +729,15 @@ class _Checker(ast.NodeVisitor):
     # REP005: os.environ reads
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if _dotted(node) == "os.environ":
+        self._check_environ(node)
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        # ``from os import environ`` leaves a bare name to read.
+        self._check_environ(node)
+
+    def _check_environ(self, node: ast.expr) -> None:
+        if self._resolve(_dotted(node)) == "os.environ":
             self._report(
                 node,
                 "REP005",
@@ -643,7 +745,6 @@ class _Checker(ast.NodeVisitor):
                 "configuration in explicitly so replays do not depend on "
                 "ambient process state",
             )
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------ #
     # REP006: module-level mutable state (driven from lint_source — the
@@ -687,9 +788,6 @@ def lint_source(
 ) -> List[Diagnostic]:
     """Lint one module's source text; returns sorted diagnostics.
 
-    Runs both engines: the per-node AST rules and (unless ``select``
-    excludes every flow rule) the interprocedural dataflow rules.
-
     Args:
         source: the module text.
         path: where it (notionally) lives — drives the simulation-domain
@@ -712,21 +810,17 @@ def lint_source(
                 f"syntax error: {exc.msg}",
             )
         ]
-    sim_domain = is_sim_domain(path)
     checker = _Checker(
         path_str,
-        sim_domain=sim_domain,
+        sim_domain=is_sim_domain(path),
         blessed_random=_is_blessed_random_module(path),
         obs_domain=is_obs_domain(path),
     )
     checker.visit(tree)
     checker.check_module_level(tree)
-    diagnostics = list(checker.diagnostics)
-    if select is None or select & FLOW_RULE_CODES:
-        diagnostics.extend(run_flow_rules(tree, path_str, sim_domain=sim_domain))
     lines = source.splitlines()
     kept: List[Diagnostic] = []
-    for diag in diagnostics:
+    for diag in checker.diagnostics:
         if select is not None and diag.code not in select:
             continue
         line_text = lines[diag.line - 1] if 0 < diag.line <= len(lines) else ""
@@ -739,12 +833,26 @@ def lint_source(
     return kept
 
 
+def _read(path: Union[str, Path]) -> Union[str, Diagnostic]:
+    """The one place files are read: the text, or why there is none.
+
+    A missing path (a typo in the CI step) or undecodable bytes must
+    fail the run like any other finding, not pass it vacuously.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return Diagnostic(str(path), 1, 0, "E902", f"cannot read: {exc}")
+
+
 def lint_file(
     path: Union[str, Path],
     select: Optional[Set[str]] = None,
 ) -> List[Diagnostic]:
     """Lint one file on disk."""
-    source = Path(path).read_bytes().decode("utf-8")
+    source = _read(path)
+    if isinstance(source, Diagnostic):
+        return [source]
     return lint_source(source, path, select)
 
 
@@ -768,13 +876,14 @@ def check_suppressions(
     ``disable=all``, any rule) no longer produces a diagnostic on that
     line — the hazard it documented is gone, so the comment is now a
     misleading audit trail. Suppressions inside string literals are
-    ignored (they are documentation, not comments).
+    ignored (they are documentation, not comments). A file that cannot
+    be read is reported (``E902``) rather than skipped.
     """
-    stale: List[Diagnostic] = []
+    findings: List[Diagnostic] = []
     for file_path in _iter_python_files(paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except OSError:
+        source = _read(file_path)
+        if isinstance(source, Diagnostic):
+            findings.append(source)
             continue
         comments = suppression_comments(source)
         if not comments:
@@ -787,7 +896,7 @@ def check_suppressions(
             present = by_line.get(line, set())
             if "ALL" in codes:
                 if not present:
-                    stale.append(
+                    findings.append(
                         Diagnostic(
                             str(file_path),
                             line,
@@ -799,7 +908,7 @@ def check_suppressions(
                     )
                 continue
             for code in sorted(codes - present):
-                stale.append(
+                findings.append(
                     Diagnostic(
                         str(file_path),
                         line,
@@ -809,7 +918,7 @@ def check_suppressions(
                         "no longer fires on this line — remove the comment",
                     )
                 )
-    return stale
+    return findings
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -817,7 +926,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mm-lint",
         description="Determinism lint for the Mahimahi reproduction "
-        "(rules REP001-REP007 and REP010-REP012; see repro.analysis.lint).",
+        "(rules REP001-REP007; see repro.analysis.lint).",
     )
     parser.add_argument(
         "paths",
@@ -845,12 +954,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if options.check_suppressions:
-        stale = check_suppressions(options.paths)
-        for diag in stale:
+        findings = check_suppressions(options.paths)
+        for diag in findings:
             print(diag.format())
-        if stale:
+        if findings:
             print(
-                f"mm-lint: {len(stale)} stale suppression(s)", file=sys.stderr
+                f"mm-lint: {len(findings)} suppression-audit finding(s)",
+                file=sys.stderr,
             )
             return 1
         return 0

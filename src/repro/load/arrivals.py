@@ -14,7 +14,7 @@ function of ``(parameters, rng stream)``:
 * each process draws from the dedicated ``load:arrivals`` stream the
   runner hands it — never from a stream shared with link jitter, chaos,
   or server compute — so adding arrival draws cannot perturb any other
-  consumer (the REP011 stream-aliasing contract).
+  consumer (held by ``test_arrivals_invariant_to_world_execution``).
 
 Processes:
 
@@ -36,8 +36,9 @@ from typing import Sequence, Tuple
 __all__ = ["ArrivalProcess", "Diurnal", "FixedRate", "Poisson"]
 
 #: The RNG stream name the load runner draws arrival times from. Keeping
-#: it a module constant (and unique to this package) is what REP011
-#: checks: no other simulation domain may alias it.
+#: it a module constant (and unique to this package) keeps any other
+#: simulation domain from aliasing it; the test that would notice is
+#: ``tests/test_load/test_capacity.py::test_arrivals_invariant_to_world_execution``.
 ARRIVALS_STREAM = "load:arrivals"
 
 

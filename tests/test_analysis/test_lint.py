@@ -3,20 +3,23 @@
 Each rule gets at least one positive fixture (the violation is detected)
 and one negative fixture (conforming or out-of-scope code is not
 flagged), plus coverage of the inline ``# mm-lint: disable=`` escape
-hatch and the CLI wrapper.
+hatch, its stale-suppression audit and the CLI wrapper.
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import (
     RULES,
     Diagnostic,
+    check_suppressions,
     is_sim_domain,
     lint_paths,
     lint_source,
     main,
+    suppression_comments,
 )
 
 SIM_PATH = "src/repro/sim/module.py"
@@ -71,6 +74,41 @@ class TestRep001WallClock:
                 return time.time()
         """
         assert codes(src, path=OUTSIDE_PATH) == []
+
+    @pytest.mark.parametrize(
+        "imported, call",
+        [
+            ("import time as t", "t.time()"),
+            ("from time import monotonic", "monotonic()"),
+            ("from time import perf_counter as clock", "clock()"),
+            ("from datetime import datetime as dt", "dt.now()"),
+            ("from datetime import date as d", "d.today()"),
+        ],
+        ids=[
+            "import_time_as",
+            "from_time_import",
+            "from_time_import_as",
+            "from_datetime_import_datetime_as",
+            "from_datetime_import_date_as",
+        ],
+    )
+    def test_aliased_import_flagged(self, imported, call):
+        src = f"""
+            {imported}
+
+            def stamp():
+                return {call}
+        """
+        assert codes(src) == ["REP001"]
+
+    def test_local_named_time_not_flagged(self):
+        # Only an import makes a name a clock; a parameter that merely
+        # happens to be called ``time`` (or ``clock``) is just a name.
+        src = """
+            def stamp(time, clock):
+                return time() + clock()
+        """
+        assert codes(src) == []
 
 
 class TestRep002UnseededRng:
@@ -271,6 +309,41 @@ class TestRep005EnvironmentReads:
         """
         assert codes(src, path=OUTSIDE_PATH) == []
 
+    @pytest.mark.parametrize(
+        "imported, read",
+        [
+            ("import os as o", 'o.environ["REPRO_SCALE"]'),
+            ("import os as o", 'o.getenv("REPRO_SCALE")'),
+            ("from os import environ", 'environ["REPRO_SCALE"]'),
+            ("from os import environ as env", 'env.get("REPRO_SCALE")'),
+            ("from os import getenv", 'getenv("REPRO_SCALE")'),
+            ("from os import getenv as lookup", 'lookup("REPRO_SCALE")'),
+        ],
+        ids=[
+            "import_os_as_environ",
+            "import_os_as_getenv",
+            "from_os_import_environ",
+            "from_os_import_environ_as",
+            "from_os_import_getenv",
+            "from_os_import_getenv_as",
+        ],
+    )
+    def test_aliased_import_flagged(self, imported, read):
+        src = f"""
+            {imported}
+
+            def scale():
+                return {read}
+        """
+        assert codes(src) == ["REP005"]
+
+    def test_local_named_environ_not_flagged(self):
+        src = """
+            def scale(environ, getenv):
+                return environ["REPRO_SCALE"] or getenv("REPRO_SCALE")
+        """
+        assert codes(src) == []
+
 
 class TestRep006ModuleLevelMutableState:
     def test_module_level_dict_flagged(self):
@@ -371,10 +444,67 @@ class TestEscapeHatch:
         assert codes(src) == ["REP003"]
 
 
+class TestSuppressionAudit:
+    def test_live_suppression_passes(self, tmp_path):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "mod.py").write_text(
+            "import time\n\ndef f():\n"
+            "    return time.time()  # mm-lint: disable=REP001\n"
+        )
+        assert check_suppressions([tmp_path]) == []
+
+    def test_stale_suppression_is_reported(self, tmp_path):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "mod.py").write_text(
+            "def f(sim):\n"
+            "    return sim.now  # mm-lint: disable=REP001\n"
+        )
+        stale = check_suppressions([tmp_path])
+        assert [d.code for d in stale] == ["SUP001"]
+        assert "REP001" in stale[0].message
+
+    def test_wrong_code_is_stale_even_with_a_live_finding(self, tmp_path):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "mod.py").write_text(
+            "import time\n\ndef f():\n"
+            "    return time.time()  # mm-lint: disable=REP001,REP003\n"
+        )
+        stale = check_suppressions([tmp_path])
+        assert len(stale) == 1
+        assert "REP003" in stale[0].message
+
+    def test_docstring_lookalike_is_not_audited(self, tmp_path):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "mod.py").write_text(
+            '"""Docs show the escape hatch: # mm-lint: disable=REP003"""\n'
+        )
+        assert suppression_comments((sim / "mod.py").read_text()) == {}
+        assert check_suppressions([tmp_path]) == []
+
+    def test_cli_flag_exits_nonzero_on_stale(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "mod.py").write_text(
+            "def f(sim):\n"
+            "    return sim.now  # mm-lint: disable=REP001\n"
+        )
+        assert main([str(tmp_path), "--check-suppressions"]) == 1
+        assert "stale suppression" in capsys.readouterr().out
+
+    def test_repo_tree_has_no_stale_suppressions(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        assert check_suppressions([src]) == []
+
+
 class TestLintInfrastructure:
     def test_sim_domain_classification(self):
         assert is_sim_domain("src/repro/sim/simulator.py")
         assert is_sim_domain("src/repro/linkem/codel.py")
+        assert is_sim_domain("src/repro/net/namespace.py")
         assert not is_sim_domain("src/repro/measure/parallel.py")
         assert not is_sim_domain("src/repro/analysis/lint.py")
 
@@ -411,9 +541,6 @@ class TestLintInfrastructure:
             "REP005",
             "REP006",
             "REP007",
-            "REP010",
-            "REP011",
-            "REP012",
         ]
 
     def test_lint_paths_walks_directories(self, tmp_path):
@@ -538,6 +665,20 @@ class TestCli:
         for code in RULES:
             assert code in out
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["--check-suppressions"]], ids=["lint", "check_suppressions"]
+    )
+    @pytest.mark.parametrize("name", ["missing.py", "missing_dir", "binary.py"])
+    def test_unreadable_path_is_a_diagnostic(self, tmp_path, capsys, name, mode):
+        # A typo'd path in the CI step must fail it, in either mode, with
+        # a diagnostic naming the path — not a traceback, not exit 0.
+        (tmp_path / "binary.py").write_bytes(b"\xff\xfe not utf-8")
+        target = str(tmp_path / name)
+        assert main([target, *mode]) == 1
+        captured = capsys.readouterr()
+        assert f"{target}:1:0: E902 cannot read: " in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_repo_sources_are_clean(self):
         # The acceptance gate: the shipped tree itself lints clean.
         import pathlib
@@ -548,9 +689,15 @@ class TestCli:
 
 CHAOS_PATH = "src/repro/chaos/pipes.py"
 
+#: Sim-domain too: every packet, recorded pair and page crosses these.
+each_newly_covered_package = pytest.mark.parametrize(
+    "package", ["net", "record", "apps", "corpus"]
+)
+
 
 class TestChaosDomainCoverage:
-    """repro.chaos is simulation-domain code: every REP rule applies."""
+    """repro.chaos is simulation-domain code: every REP rule applies —
+    and so are the other packages the simulated world runs through."""
 
     def test_chaos_is_sim_domain(self):
         assert is_sim_domain(CHAOS_PATH)
@@ -584,6 +731,14 @@ class TestChaosDomainCoverage:
     def test_shipped_chaos_package_is_clean(self):
         diags = lint_paths(["src/repro/chaos"])
         assert diags == []
+
+    @each_newly_covered_package
+    def test_package_is_sim_domain(self, package):
+        assert is_sim_domain(f"src/repro/{package}/module.py")
+
+    @each_newly_covered_package
+    def test_shipped_package_is_clean(self, package):
+        assert lint_paths([f"src/repro/{package}"]) == []
 
 
 class TestDomainClassificationEdgeCases:
