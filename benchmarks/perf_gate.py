@@ -12,8 +12,10 @@ normalization doesn't.
 
 Workloads (mirroring ``bench_micro.py``'s hot-path benchmarks):
 
-* ``event_loop`` — schedule+dispatch of chained timer events (the
-  simulator kernel).
+* ``event_loop`` — schedule+dispatch of one chained timer (the simulator
+  kernel at its monotone best case: the heap never holds more than one
+  record, so this prices the call frames of push + drain, not the sifts
+  a real world's few-hundred-record heap pays; DESIGN.md §10).
 * ``tcp_bulk``   — bytes through two full TCP stacks over a delay pipe.
 * ``page_load``  — one replayed page load through ReplayShell + LinkShell
   + DelayShell (the unit every paper experiment multiplies).

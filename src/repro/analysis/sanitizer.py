@@ -42,6 +42,9 @@ __all__ = [
 #: One executed event, as folded into the digest.
 TraceEntry = Tuple[float, int, str]
 
+#: Entries :class:`EventStreamDigest` buffers before hashing them together.
+FOLD_BLOCK = 256
+
 #: A scenario builder: seed in, fully built (not yet run) simulator out.
 ScenarioBuilder = Callable[[int], Simulator]
 
@@ -70,7 +73,9 @@ class EventStreamDigest:
     Install with ``sim.set_trace(digest)`` before running. Each executed
     event contributes ``repr(time) | seq | qualname`` — virtual times are
     folded through ``repr``, so even a single-ulp scheduling difference
-    changes the digest.
+    changes the digest. Entries are hashed a block of :data:`FOLD_BLOCK`
+    at a time (BLAKE2 is a stream hash: same bytes, same order, same
+    digest); every reader below folds the open block first.
 
     Args:
         keep_log: also retain the full entry list (needed to locate the
@@ -82,34 +87,55 @@ class EventStreamDigest:
 
     def __init__(self, keep_log: bool = False, context: int = 8) -> None:
         self._hash = hashlib.blake2b(digest_size=16)
-        self.events = 0
-        self.log: Optional[List[TraceEntry]] = [] if keep_log else None
+        self._folded = 0
+        self._block: List[TraceEntry] = []
+        self._log: Optional[List[TraceEntry]] = [] if keep_log else None
         self._context = max(1, context)
         self._recent: List[TraceEntry] = []
 
     def __call__(self, time: float, seq: int, callback: EventCallback) -> None:
-        entry = (time, seq, callback_name(callback))
+        # The name is resolved now: an entry must not hold a reference
+        # into the world it observes.
+        block = self._block
+        block.append((time, seq, callback_name(callback)))
+        if len(block) >= FOLD_BLOCK:
+            self._fold()
+
+    def _fold(self) -> None:
+        block = self._block
+        if not block:
+            return
         self._hash.update(
-            f"{entry[0]!r}|{entry[1]}|{entry[2]}\n".encode("utf-8")
+            "".join([f"{time!r}|{seq}|{name}\n" for time, seq, name in block])
+            .encode("utf-8")
         )
-        self.events += 1
-        if self.log is not None:
-            self.log.append(entry)
-        else:
-            self._recent.append(entry)
-            if len(self._recent) > self._context:
-                del self._recent[0]
+        self._folded += len(block)
+        self._recent = (self._recent + block)[-self._context:]
+        if self._log is not None:
+            self._log.extend(block)
+        block.clear()
+
+    @property
+    def events(self) -> int:
+        """Number of events observed so far."""
+        return self._folded + len(self._block)
+
+    @property
+    def log(self) -> Optional[List[TraceEntry]]:
+        """Every entry so far, or None unless ``keep_log``."""
+        self._fold()
+        return self._log
 
     @property
     def hexdigest(self) -> str:
-        """Digest over every event folded so far."""
+        """Digest over every event observed so far."""
+        self._fold()
         return self._hash.hexdigest()
 
     @property
     def recent(self) -> List[TraceEntry]:
-        """The most recent entries (the full log when ``keep_log``)."""
-        if self.log is not None:
-            return self.log[-self._context:]
+        """The most recent entries (at most ``context`` of them)."""
+        self._fold()
         return list(self._recent)
 
     def __repr__(self) -> str:

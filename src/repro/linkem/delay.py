@@ -9,8 +9,6 @@ ordering is preserved by construction.
 
 from __future__ import annotations
 
-from heapq import heappush
-
 from repro.linkem.overhead import OverheadModel
 from repro.linkem.processing import SerialProcessor
 from repro.net.packet import Packet
@@ -45,13 +43,10 @@ class DelayPipe(PacketPipe):
 
     def send(self, packet: Packet) -> None:
         self.packets_sent += 1
-        # SerialProcessor.finish_time and Simulator.schedule_at inlined:
-        # this runs once per packet on every delayed path. The delivery
-        # time is now + service + delay with both terms >= 0, so
-        # schedule_at's into-the-past check can never fire; the scheduled
-        # event (time, seq, DelayPipe.deliver) is identical either way.
+        # SerialProcessor.finish_time inlined: this runs once per packet
+        # on every delayed path.
         sim = self._sim
-        now = sim._clock._now
+        now = sim.now
         processor = self._processor
         service = processor.service_time
         if service > 0.0:
@@ -62,17 +57,7 @@ class DelayPipe(PacketPipe):
             processor.packets_processed += 1
         else:
             processed_at = now
-        time = processed_at + self.one_way_delay
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        queue._live += 1
-        entry = [time, seq, self.deliver, (packet,)]
-        tail = queue._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            heappush(queue._heap, entry)
+        sim.schedule_at(processed_at + self.one_way_delay, self.deliver, packet)
 
 
 class LossPipe(PacketPipe):

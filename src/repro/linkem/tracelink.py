@@ -125,7 +125,7 @@ class TracePipe(PacketPipe):
         processor = self._processor
         service = processor.service_time
         if service > 0.0:
-            now = sim._clock._now
+            now = sim.now
             busy = processor._busy_until
             start = now if now > busy else busy
             processed_at = start + service
@@ -136,7 +136,7 @@ class TracePipe(PacketPipe):
         self._enqueue(packet)
 
     def _enqueue(self, packet: Packet) -> None:
-        if not self._queue.push(packet, self._sim._clock._now):
+        if not self._queue.push(packet, self._sim.now):
             self.packets_dropped += 1
             if self._obs_drops is not None:
                 self._obs_drops.add(1)
@@ -145,7 +145,7 @@ class TracePipe(PacketPipe):
             self._schedule_wake()
 
     def _schedule_wake(self) -> None:
-        when = self._schedule.next_opportunity(self._sim._clock._now)
+        when = self._schedule.next_opportunity(self._sim.now)
         if self._outages is not None:
             # Opportunities inside an outage window never happen; the
             # next usable one is the schedule's first opportunity after

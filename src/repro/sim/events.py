@@ -1,4 +1,4 @@
-"""The pending-event queue: slotted event records in a two-lane calendar.
+"""The pending-event queue: slotted event records in one binary heap.
 
 The queue orders events by ``(time, sequence)``. The sequence number is a
 global insertion counter, so two events scheduled for the same instant fire
@@ -7,49 +7,40 @@ simulation deterministic.
 
 Each pending event is one *record*: a four-slot list
 ``[time, seq, callback, args]`` that doubles as the caller's handle
-(:data:`EventHandle`). Records compare element-wise exactly like the old
+(:data:`EventHandle`). Records compare element-wise exactly like
 ``(time, seq, …)`` tuples — ``seq`` is unique, so a comparison never
-reaches the callback slot — and they are mutable, which is what makes the
-hot paths allocation-lean: cancellation nulls the callback slot in place
-(O(1), no tombstone objects), and consuming an executed event nulls the
-same slots, so a stale handle held after its event fired can never corrupt
-a later event. A parallel-array layout with free-list slot recycling was
-benchmarked here and lost: four array writes per push plus free-list churn
-cost more than CPython's small-object allocator, which *is* a free list
-(see DESIGN.md §10 for the measurements).
+reaches the callback slot — and they are mutable: cancellation nulls the
+callback slot in place (O(1), no tombstone objects), and executing an
+event or clearing the queue nulls the same slots, so a stale handle can
+never corrupt a later event. A parallel-array layout with free-list slot
+recycling was benchmarked here and lost: four array writes per push plus
+free-list churn cost more than CPython's small-object allocator, which
+*is* a free list (see DESIGN.md §10 for the measurements).
 
-Two lanes order the records:
+The records sit in one ``heapq``. This class is the producer side —
+push, cancel, compact, clear — and the accounting; the consumer side is
+the one loop in :meth:`Simulator._drain <repro.sim.simulator.Simulator>`,
+which pops the heap directly (a ``pop`` method per event would be two
+call frames on the hottest path in the toolkit; ``perf_gate.py``'s
+``event_loop`` reads +34 % with them and +2–5 % without). Why one heap and
+not a heap plus an append-only lane for monotone pushes: DESIGN.md §10,
+*Why not two lanes*.
 
-* ``_heap`` — a binary heap for events pushed out of time order.
-* ``_tail`` — a deque for events pushed in monotone time order: a push
-  whose time is at or past the lane's last entry appends in O(1), no
-  sift. Because ``seq`` always increases, the deque stays sorted by
-  ``(time, seq)`` by construction. Chained timers, same-instant callbacks
-  (``schedule(0, …)`` / ``call_soon``), and steadily advancing link
-  deliveries — the bulk of real workloads — all ride this lane and never
-  touch the heap.
-
-Dispatch takes the smaller of the two lane heads by plain record
-comparison, so the merged order is exactly the global ``(time, seq)``
-order — bit-identical to a single heap, as the determinism sanitizer
-digests verify.
-
-Cancellation is lazy: the dead record stays in its lane until it surfaces
-at a head and is discarded. To stop dead records from bloating the lanes
-during long loads, the queue runs a compaction sweep —
-rebuild-and-heapify, O(n) — whenever cancelled records outnumber live
-ones in lanes of at least :data:`COMPACT_MIN_SIZE` entries. Compaction
-mutates the lane containers *in place* so that hot loops holding direct
-references (see ``Simulator.run``) never go stale.
+Cancellation is lazy: the dead record stays in the heap until it surfaces
+at the top and the drain loop discards it. To stop dead records from
+bloating the heap during long loads, the queue runs a compaction sweep —
+filter and re-heapify, O(n) — whenever cancelled records outnumber live
+ones in a heap of at least :data:`COMPACT_MIN_SIZE` entries. Compaction
+and ``clear`` mutate the heap list *in place*: the drain loop holds a
+direct reference to it across callbacks.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
-#: Lane size below which compaction is never worth the O(n) rebuild.
+#: Heap size below which compaction is never worth the O(n) rebuild.
 COMPACT_MIN_SIZE = 512
 
 #: A scheduled callback's signature.
@@ -62,13 +53,12 @@ EventHandle = List[Any]
 
 
 class EventQueue:
-    """Two-lane calendar of event records ordered by (time, sequence)."""
+    """Binary heap of event records ordered by (time, sequence)."""
 
-    __slots__ = ("_heap", "_tail", "_seq", "_live", "_dead")
+    __slots__ = ("_heap", "_seq", "_live", "_dead")
 
     def __init__(self) -> None:
         self._heap: List[EventHandle] = []
-        self._tail: Deque[EventHandle] = deque()
         self._seq = 0
         self._live = 0
         self._dead = 0
@@ -83,29 +73,21 @@ class EventQueue:
     def push(
         self, time: float, callback: EventCallback, args: Tuple[Any, ...]
     ) -> EventHandle:
-        """Insert a callback to fire at ``time``; returns a cancellable handle.
-
-        Pushes at or past the tail lane's last time append in O(1); only
-        out-of-order pushes pay the heap's O(log n) sift.
-        """
+        """Insert a callback to fire at ``time``; returns a cancellable handle."""
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
         entry: EventHandle = [time, seq, callback, args]
-        tail = self._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, entry)
         return entry
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event; returns False if it already fired.
 
-        O(1): the record's callback slot is nulled and the lane entry is
-        left to be discarded lazily. Consuming an executed event nulls the
-        same slot, so cancelling twice — or cancelling after the event
-        fired — is a safe no-op.
+        O(1): the record's callback slot is nulled and the heap entry is
+        left to be discarded lazily. Executing an event nulls the same
+        slot, so cancelling twice — or cancelling after the event fired or
+        the queue was cleared — is a safe no-op.
         """
         if handle[2] is None:
             return False
@@ -113,107 +95,26 @@ class EventQueue:
         handle[3] = None
         self._live -= 1
         self._dead += 1
-        if self._dead > self._live and (
-            len(self._heap) + len(self._tail) >= COMPACT_MIN_SIZE
-        ):
+        if self._dead > self._live and len(self._heap) >= COMPACT_MIN_SIZE:
             self._compact()
         return True
 
-    def consume(self, entry: EventHandle) -> Tuple[EventCallback, Tuple[Any, ...]]:
-        """Release a just-popped live record; returns (callback, args).
-
-        Only valid for a record returned by :meth:`pop_due` (which removes
-        it from its lane but leaves its slots set). Nulling the slots here
-        is what makes a retained handle inert after its event fires.
-        """
-        callback = entry[2]
-        assert callback is not None, "consume() of a dead record"
-        args = entry[3]
-        entry[2] = None
-        entry[3] = None
-        self._live -= 1
-        return callback, args
-
-    def pop_due(self, deadline: Optional[float]) -> Optional[EventHandle]:
-        """Remove and return the earliest live record if due by ``deadline``.
-
-        Returns None — leaving the event queued — when the earliest live
-        event is after ``deadline``, or when no live event remains. The
-        returned record stays live until :meth:`consume`.
-        """
-        heap = self._heap
-        tail = self._tail
-        while True:
-            if tail:
-                head = tail[0]
-                if heap and heap[0] < head:
-                    head = heapq.heappop(heap)
-                else:
-                    tail.popleft()
-            elif heap:
-                head = heapq.heappop(heap)
-            else:
-                return None
-            if head[2] is None:
-                self._dead -= 1
-                continue
-            if deadline is not None and head[0] > deadline:
-                # Overshot: un-pop. The heap accepts records from either
-                # lane — dispatch order only depends on (time, seq).
-                heapq.heappush(heap, head)
-                return None
-            return head
-
-    def pop(self) -> Tuple[float, int, EventCallback, Tuple[Any, ...]]:
-        """Remove the earliest live event; returns (time, seq, callback, args).
-
-        Raises:
-            IndexError: if the queue holds no live events.
-        """
-        entry = self.pop_due(None)
-        if entry is None:
-            raise IndexError("pop from empty EventQueue")
-        callback, args = self.consume(entry)
-        return entry[0], entry[1], callback, args
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event, or None if empty."""
-        heap = self._heap
-        tail = self._tail
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._dead -= 1
-        while tail and tail[0][2] is None:
-            tail.popleft()
-            self._dead -= 1
-        if tail:
-            if heap and heap[0] < tail[0]:
-                return float(heap[0][0])
-            return float(tail[0][0])
-        if heap:
-            return float(heap[0][0])
-        return None
-
     def _compact(self) -> None:
-        """Drop cancelled records and re-heapify (O(n)), **in place**.
-
-        Hot loops cache direct references to the lane containers, so
-        compaction must never rebind ``_heap`` or ``_tail`` to new objects.
-        """
+        """Drop cancelled records and re-heapify (O(n)), **in place**."""
         heap = self._heap
-        live_heap = [entry for entry in heap if entry[2] is not None]
-        heap[:] = live_heap
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapq.heapify(heap)
-        tail = self._tail
-        if tail:
-            live_tail = [entry for entry in tail if entry[2] is not None]
-            tail.clear()
-            tail.extend(live_tail)
         self._dead = 0
 
     def clear(self) -> None:
-        """Drop every pending event (the sequence counter keeps counting)."""
+        """Drop every pending event (the sequence counter keeps counting).
+
+        The dropped records' slots are nulled like a cancelled or executed
+        record's, so a handle that outlives the clear is inert.
+        """
+        for entry in self._heap:
+            entry[2] = None
+            entry[3] = None
         self._heap.clear()
-        self._tail.clear()
         self._live = 0
         self._dead = 0

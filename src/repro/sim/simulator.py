@@ -4,16 +4,16 @@ One :class:`Simulator` instance owns the virtual clock and the event queue
 for an entire emulated world (all namespaces, links, connections, browsers).
 Components schedule callbacks; ``run`` drains the queue in causal order.
 
-The scheduling entry points and the drain loops are the hottest code in the
-toolkit — every packet, timer, and browser action passes through them — so
-they work on the queue's lanes and event records directly (see
-:mod:`repro.sim.events` for the layout and its invariants) instead of
-through per-event method calls. ``run`` and ``run_until`` each have two
-drain loops: an allocation-lean fast loop used when no trace hook or event
-budget is installed, and a checked loop that replicates the exact same
-dispatch order while honouring ``max_events`` and the trace hook. Both
-produce bit-identical event streams — the determinism sanitizer digests
-(time, seq, callback) per executed event and is run against both paths.
+Every packet, timer, and browser action passes through two short pieces
+of code: :meth:`EventQueue.push <repro.sim.events.EventQueue.push>`, which
+every scheduling entry point calls, and :meth:`Simulator._drain`, the one
+loop under ``run``, ``run_for``, ``run_until`` and ``step``, which pops
+the queue's heap of event records directly (see :mod:`repro.sim.events`
+for the record layout and its invariants). The trace hook, the predicate
+countdown, the deadline and the ``max_events`` guard are ``is not None``
+tests inside that loop, so a traced run executes the same code as an
+untraced one — the determinism sanitizer digests (time, seq, callback)
+per executed event of the loop production runs.
 """
 
 from __future__ import annotations
@@ -94,27 +94,12 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        This is :meth:`EventQueue.push` inlined (the single hottest call
-        in a simulation): monotone pushes — zero delays and chained
-        timeouts — append to the queue's tail lane in O(1).
-
         Raises:
             SimulationError: if ``delay`` is negative.
         """
         if delay < 0.0:
             raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
-        time = self._clock._now + delay
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        queue._live += 1
-        entry: EventHandle = [time, seq, callback, args]
-        tail = queue._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            heapq.heappush(queue._heap, entry)
-        return entry
+        return self._queue.push(self._clock._now + delay, callback, args)
 
     def schedule_at(
         self, time: float, callback: EventCallback, *args: Any
@@ -129,33 +114,12 @@ class Simulator:
                 f"cannot schedule into the past: "
                 f"t={time!r} < now={self._clock._now!r}"
             )
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        queue._live += 1
-        entry: EventHandle = [time, seq, callback, args]
-        tail = queue._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            heapq.heappush(queue._heap, entry)
-        return entry
+        return self._queue.push(time, callback, args)
 
     def call_soon(self, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant (after pending
         same-time events already in the queue)."""
-        time = self._clock._now
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        queue._live += 1
-        entry: EventHandle = [time, seq, callback, args]
-        tail = queue._tail
-        if not tail or time >= tail[-1][0]:
-            tail.append(entry)
-        else:
-            heapq.heappush(queue._heap, entry)
-        return entry
+        return self._queue.push(self._clock._now, callback, args)
 
     def cancel(self, event: EventHandle) -> None:
         """Cancel a scheduled event. Cancelling twice (or cancelling a
@@ -180,28 +144,81 @@ class Simulator:
 
         The hook is called as ``hook(time, seq, callback)`` once per
         executed event, after the clock has advanced to the event's time
-        and immediately before its callback runs. The main loops read it
-        once per drain, so install it before calling :meth:`run` /
+        and immediately before its callback runs. The drain loop reads it
+        once on entry, so install it before calling :meth:`run` /
         :meth:`run_until`. The intended consumer is the determinism
-        sanitizer (:class:`repro.analysis.sanitizer.EventStreamDigest`);
-        when no hook is installed the drain takes an allocation-lean fast
-        loop with zero per-event hook cost.
+        sanitizer (:class:`repro.analysis.sanitizer.EventStreamDigest`).
         """
         self._trace = hook
 
+    def _drain(
+        self,
+        deadline: Optional[float],
+        max_events: Optional[int] = None,
+        predicate: Optional[Callable[[], bool]] = None,
+        check_every: int = 1,
+    ) -> bool:
+        """Execute due events in (time, seq) order: the one event loop.
+
+        Stops — returning True — as soon as ``predicate`` holds, tested
+        after every ``check_every``-th executed event; returns False once
+        no live event is due by ``deadline`` (None: no deadline).
+
+        Raises:
+            SimulationError: when more than ``max_events`` events execute.
+        """
+        queue = self._queue
+        clock = self._clock
+        trace = self._trace
+        # Cached once: the queue compacts and clears its heap in place,
+        # never rebinding it (EventQueue._compact).
+        heap = queue._heap
+        heappop = heapq.heappop
+        executed = 0
+        countdown = check_every
+        try:
+            while heap:
+                entry = heappop(heap)
+                callback = entry[2]
+                if callback is None:  # cancelled: discard lazily
+                    queue._dead -= 1
+                    continue
+                time = entry[0]
+                if deadline is not None and time > deadline:
+                    heapq.heappush(heap, entry)  # overshot: un-pop
+                    return False
+                if time > clock._now:
+                    # Direct store: pop order is monotone by construction,
+                    # so this cannot move backwards.
+                    clock._now = time
+                # Nulling the slots is what makes a retained handle inert
+                # once its event has fired.
+                args = entry[3]
+                entry[2] = None
+                entry[3] = None
+                queue._live -= 1
+                executed += 1
+                if max_events is not None and executed > max_events:
+                    raise SimulationError(
+                        f"run() exceeded max_events={max_events}; "
+                        "likely an event loop that never drains"
+                    )
+                if trace is not None:
+                    trace(time, entry[1], callback)
+                callback(*args)
+                if predicate is not None:
+                    countdown -= 1
+                    if countdown == 0:
+                        if predicate():
+                            return True
+                        countdown = check_every
+            return False
+        finally:
+            self._events_processed += executed
+
     def step(self) -> bool:
         """Execute the single earliest event. Returns False if queue empty."""
-        queue = self._queue
-        entry = queue.pop_due(None)
-        if entry is None:
-            return False
-        self._clock.advance_to(entry[0])
-        callback, args = queue.consume(entry)
-        self._events_processed += 1
-        if self._trace is not None:
-            self._trace(entry[0], entry[1], callback)
-        callback(*args)
-        return True
+        return self._drain(None, predicate=lambda: True)
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -220,71 +237,11 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        executed = 0
-        queue = self._queue
-        clock = self._clock
-        trace = self._trace
         try:
-            if trace is None and max_events is None:
-                # Fast loop: EventQueue.pop_due / consume inlined onto the
-                # lanes. Containers are cached once — the queue compacts
-                # them in place, never rebinding (EventQueue._compact).
-                heap = queue._heap
-                tail = queue._tail
-                heappop = heapq.heappop
-                while True:
-                    if tail:
-                        head = tail[0]
-                        if heap and heap[0] < head:
-                            head = heappop(heap)
-                        else:
-                            tail.popleft()
-                    elif heap:
-                        head = heappop(heap)
-                    else:
-                        break
-                    callback = head[2]
-                    if callback is None:  # cancelled: discard lazily
-                        queue._dead -= 1
-                        continue
-                    time = head[0]
-                    if until is not None and time > until:
-                        # Overshot: un-pop (lane choice only affects cost).
-                        heapq.heappush(heap, head)
-                        break
-                    if time > clock._now:
-                        # Direct store: pop order is monotone by
-                        # construction, so this cannot move backwards.
-                        clock._now = time
-                    args = head[3]
-                    head[2] = None
-                    head[3] = None
-                    queue._live -= 1
-                    executed += 1
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-            else:
-                while True:
-                    entry = queue.pop_due(until)
-                    if entry is None:
-                        break
-                    clock.advance_to(entry[0])
-                    callback, cb_args = queue.consume(entry)
-                    executed += 1
-                    if max_events is not None and executed > max_events:
-                        raise SimulationError(
-                            f"run() exceeded max_events={max_events}; "
-                            "likely an event loop that never drains"
-                        )
-                    if trace is not None:
-                        trace(entry[0], entry[1], callback)
-                    callback(*cb_args)
-            if until is not None and until > clock._now:
-                clock.advance_to(until)
+            self._drain(until, max_events)
+            if until is not None and until > self._clock._now:
+                self._clock.advance_to(until)
         finally:
-            self._events_processed += executed
             self._running = False
 
     def run_for(self, duration: float) -> None:
@@ -317,75 +274,12 @@ class Simulator:
         deadline = None if timeout is None else self._clock._now + timeout
         if predicate():
             return True
-        queue = self._queue
-        clock = self._clock
-        trace = self._trace
-        executed = 0
-        countdown = check_every
-        try:
-            if trace is None:
-                # Fast loop: same two-lane drain as ``run``'s, plus the
-                # predicate countdown.
-                heap = queue._heap
-                tail = queue._tail
-                heappop = heapq.heappop
-                while True:
-                    if tail:
-                        head = tail[0]
-                        if heap and heap[0] < head:
-                            head = heappop(heap)
-                        else:
-                            tail.popleft()
-                    elif heap:
-                        head = heappop(heap)
-                    else:
-                        return predicate()
-                    callback = head[2]
-                    if callback is None:
-                        queue._dead -= 1
-                        continue
-                    time = head[0]
-                    if deadline is not None and time > deadline:
-                        # Events remain, but all after the deadline.
-                        heapq.heappush(heap, head)
-                        clock.advance_to(deadline)
-                        return predicate()
-                    if time > clock._now:
-                        clock._now = time
-                    args = head[3]
-                    head[2] = None
-                    head[3] = None
-                    queue._live -= 1
-                    executed += 1
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                    countdown -= 1
-                    if countdown == 0:
-                        if predicate():
-                            return True
-                        countdown = check_every
-            else:
-                while True:
-                    entry = queue.pop_due(deadline)
-                    if entry is None:
-                        if deadline is not None and queue.peek_time() is not None:
-                            # Events remain, but all after the deadline.
-                            clock.advance_to(deadline)
-                        return predicate()
-                    clock.advance_to(entry[0])
-                    callback, cb_args = queue.consume(entry)
-                    executed += 1
-                    trace(entry[0], entry[1], callback)
-                    callback(*cb_args)
-                    countdown -= 1
-                    if countdown == 0:
-                        if predicate():
-                            return True
-                        countdown = check_every
-        finally:
-            self._events_processed += executed
+        if self._drain(deadline, None, predicate, check_every):
+            return True
+        if deadline is not None and self._queue:
+            # Events remain, but all after the deadline.
+            self._clock.advance_to(deadline)
+        return predicate()
 
     def reset(self) -> None:
         """Drop all pending events (the clock keeps its value)."""

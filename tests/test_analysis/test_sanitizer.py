@@ -1,12 +1,14 @@
 """Runtime determinism sanitizer: digesting, diffing, and the fixture."""
 
 import functools
+import hashlib
 import itertools
 import time
 
 import pytest
 
 from repro.analysis.sanitizer import (
+    FOLD_BLOCK,
     DeterminismReport,
     EventStreamDigest,
     callback_name,
@@ -79,6 +81,31 @@ class TestEventStreamDigest:
         assert digest.log is None
         assert len(digest.recent) == 3
         assert digest.events == 10
+
+    @pytest.mark.parametrize("count", [FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1])
+    def test_block_folding_equals_the_naive_line_hash(self, count):
+        # Hashing a block at a time must be invisible: the digest is the
+        # hash of the concatenated per-event lines, and the counters and
+        # the recent window are right while a block is still open.
+        entries = [(0.1 * index, 3 * index, _ping) for index in range(count)]
+        name = callback_name(_ping)
+        untouched = EventStreamDigest(context=3)  # folds only when full
+        peeked = EventStreamDigest(context=3)  # read while a block is open
+        for index, (when, seq, callback) in enumerate(entries):
+            untouched(when, seq, callback)
+            peeked(when, seq, callback)
+            if index == FOLD_BLOCK // 2:
+                assert untouched.events == peeked.events == index + 1
+                assert peeked.recent == [
+                    (t, s, name) for t, s, _ in entries[index - 2 : index + 1]
+                ]
+        naive = hashlib.blake2b(digest_size=16)
+        for when, seq, _ in entries:
+            naive.update(f"{when!r}|{seq}|{name}\n".encode("utf-8"))
+        for digest in (untouched, peeked):
+            assert digest.events == count
+            assert digest.hexdigest == naive.hexdigest()
+            assert digest.recent == [(t, s, name) for t, s, _ in entries[-3:]]
 
     def test_cancelled_events_do_not_contribute(self):
         def build(seed):

@@ -9,13 +9,15 @@ test written. The second half reads source only, in the manner of
 ``tests/test_fabric/test_fork_site.py``: the order "seeded simulator,
 optional metrics registry, machine, stack, browser on the innermost
 transport and the replay resolver" is spelled in ``core/compose.py`` and
-nowhere else, and nobody reaches for a private sanitizer builder again.
+nowhere else, nobody reaches for a private sanitizer builder again, and
+nothing outside ``repro.sim`` reaches into a simulator's queue or clock.
 """
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -137,5 +139,21 @@ def test_nobody_imports_a_private_name_from_the_sanitizer():
         if isinstance(node, ast.ImportFrom)
         and node.module == "repro.analysis.sanitizer"
         for alias in node.names if alias.name.startswith("_")
+    )
+    assert offenders == []
+
+
+def test_nobody_outside_repro_sim_reaches_into_the_queue_or_clock():
+    """``repro.sim``'s boundary: the rest of ``src/repro`` schedules through
+    ``Simulator.schedule*`` and reads ``sim.now``. (Several components own
+    an unrelated ``self._queue``; only a simulator's is off limits.)"""
+    private = re.compile(
+        r"sim\._queue|\._clock\b|queue\._(seq|live|heap|dead)\b")
+    offenders = sorted(
+        f"{path.relative_to(REPO).as_posix()}:{number}: {line.strip()}"
+        for path in SRC.rglob("*.py") if SRC / "sim" not in path.parents
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1)
+        if private.search(line)
     )
     assert offenders == []

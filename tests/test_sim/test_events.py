@@ -1,15 +1,18 @@
 """EventQueue internals: lazy cancellation, compaction, and edge cases.
 
 Regression focus: the compaction sweep (rebuild-and-heapify once cancelled
-entries outnumber live ones) interacting with ``pop_due()`` when *every*
+entries outnumber live ones) interacting with the drain loop when *every*
 queued event has been cancelled — the empty-heap edge case — plus the
-record-reuse guarantees of the two-lane queue: a handle for an event that
-already fired must be inert (cancel is a no-op, no state leaks through the
-record's slots).
+record-reuse guarantees of the queue: a handle for an event that already
+fired, or that a ``reset()`` dropped, must be inert (cancel is a no-op, no
+state leaks through the record's slots). The queue has no pop of its own
+(``Simulator._drain`` is the one consumer), so every case that dispatches
+drives a ``Simulator``.
 """
 
 from repro.sim.events import COMPACT_MIN_SIZE, EventQueue
 from repro.sim.simulator import Simulator
+from repro.sim.timers import Timer
 
 
 def _noop():
@@ -17,23 +20,24 @@ def _noop():
 
 
 class TestAllCancelled:
-    def test_pop_due_on_fully_cancelled_queue_returns_none(self):
-        queue = EventQueue()
+    def test_drain_of_fully_cancelled_queue_empties_the_heap(self):
+        sim = Simulator(seed=0)
+        queue = sim._queue
         handles = [
-            queue.push(0.001 * i, _noop, ()) for i in range(COMPACT_MIN_SIZE * 2)
+            sim.schedule(0.001 * i, _noop) for i in range(COMPACT_MIN_SIZE * 2)
         ]
         for handle in handles:
-            queue.cancel(handle)
+            sim.cancel(handle)
         # Compaction fired at some point (dead > live at size >= floor),
-        # leaving at most the post-compaction cancellations in the lanes.
+        # leaving at most the post-compaction cancellations in the heap.
         assert len(queue) == 0
         assert not queue
-        assert queue.pop_due(None) is None
-        assert queue.pop_due(1e9) is None
-        assert queue.peek_time() is None
-        # The dead entries were drained; internals agree both lanes are empty.
-        assert queue._heap == []
-        assert not queue._tail
+        assert 0 < len(queue._heap) == queue._dead < COMPACT_MIN_SIZE
+        assert not sim.run_until(lambda: False, timeout=1e9)
+        # The dead entries were drained on the way to the deadline;
+        # internals agree the heap is empty and nothing ran.
+        assert queue._heap == [] and queue._dead == 0
+        assert sim.events_processed == 0
 
     def test_compaction_sweep_ran_during_mass_cancel(self):
         queue = EventQueue()
@@ -43,35 +47,31 @@ class TestAllCancelled:
         # Cancel just over half: the sweep triggers when dead > live.
         for handle in handles[: COMPACT_MIN_SIZE + 1]:
             queue.cancel(handle)
-        assert queue._dead == 0  # sweep rebuilt the lanes
-        assert len(queue._heap) + len(queue._tail) == len(queue)
+        assert queue._dead == 0  # sweep rebuilt the heap
+        assert len(queue._heap) == len(queue)
         assert len(queue) == COMPACT_MIN_SIZE - 1
 
-    def test_pop_raises_on_fully_cancelled_queue(self):
-        queue = EventQueue()
-        handles = [queue.push(float(i), _noop, ()) for i in range(8)]
+    def test_step_on_fully_cancelled_queue_returns_false(self):
+        sim = Simulator(seed=0)
+        handles = [sim.schedule(float(i), _noop) for i in range(8)]
         for handle in handles:
-            queue.cancel(handle)
-        try:
-            queue.pop()
-        except IndexError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("pop() on all-cancelled queue must raise")
+            sim.cancel(handle)
+        assert sim.step() is False
+        assert sim._queue._heap == [] and sim._queue._dead == 0
 
     def test_queue_usable_after_full_cancellation(self):
-        queue = EventQueue()
+        sim = Simulator(seed=0)
         handles = [
-            queue.push(0.001 * i, _noop, ()) for i in range(COMPACT_MIN_SIZE * 2)
+            sim.schedule(0.001 * i, _noop) for i in range(COMPACT_MIN_SIZE * 2)
         ]
         for handle in handles:
-            queue.cancel(handle)
-        fresh = queue.push(0.5, _noop, ())
-        assert len(queue) == 1
-        assert queue.peek_time() == 0.5
-        assert queue.pop_due(None) is fresh
-        queue.consume(fresh)
-        assert len(queue) == 0
+            sim.cancel(handle)
+        fired = []
+        sim.schedule(0.5, fired.append, "fresh")
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["fresh"] and sim.now == 0.5
+        assert sim.pending_events == 0
 
     def test_simulator_run_with_everything_cancelled(self):
         sim = Simulator(seed=0)
@@ -95,7 +95,7 @@ class TestAllCancelled:
         for handle in handles:
             sim.cancel(handle)
         # Queue exhausts without the predicate firing; deadline branch
-        # must not trip over the drained lanes.
+        # must not trip over the drained heap.
         assert sim.run_until(lambda: False, timeout=10.0) is False
 
 
@@ -103,26 +103,26 @@ class TestRecordLifecycle:
     def test_fired_handle_is_inert(self):
         # A handle whose event already fired: cancel must be a no-op and
         # must not corrupt later events.
-        queue = EventQueue()
-        stale = queue.push(0.1, _noop, ())
-        popped = queue.pop_due(None)
-        assert popped is stale
-        queue.consume(popped)
-        successor = queue.push(0.2, _noop, ())
-        assert queue.cancel(stale) is False
-        assert len(queue) == 1  # successor still live
-        assert queue.pop_due(None) is successor
+        sim = Simulator(seed=0)
+        fired = []
+        stale = sim.schedule(0.1, fired.append, "stale")
+        assert sim.step()
+        sim.schedule(0.2, fired.append, "successor")
+        assert sim._queue.cancel(stale) is False
+        assert sim.pending_events == 1  # successor still live
+        sim.run()
+        assert fired == ["stale", "successor"]
 
-    def test_consume_releases_callback_and_args(self):
-        # The record's slots are nulled on consume, so a retained handle
-        # cannot keep payloads (packets, closures) alive.
-        queue = EventQueue()
-        payload = object()
-        handle = queue.push(0.1, _noop, (payload,))
-        entry = queue.pop_due(None)
-        queue.consume(entry)
-        assert handle[2] is None
-        assert handle[3] is None
+    def test_firing_releases_callback_and_args(self):
+        # The record's slots are nulled before the callback runs, so a
+        # retained handle cannot keep payloads (packets, closures) alive.
+        sim = Simulator(seed=0)
+        seen = []
+        handle = sim.schedule(
+            0.1, lambda payload: seen.append(tuple(handle)), object()
+        )
+        sim.run()
+        assert seen == [(0.1, 0, None, None)]
 
     def test_double_cancel_reports_noop(self):
         queue = EventQueue()
@@ -131,16 +131,20 @@ class TestRecordLifecycle:
         assert queue.cancel(handle) is False
         assert len(queue) == 0
 
-    def test_tail_lane_merges_with_heap_in_seq_order(self):
+    def test_same_instant_pushes_fire_in_seq_order(self):
+        # The three spellings of "now" are one push: ties break on seq,
+        # whichever entry point scheduled them and whatever is queued
+        # around them.
         sim = Simulator(seed=0)
         fired = []
-        sim.schedule(0.0, fired.append, "tail-a")  # seq 0, tail lane
-        sim.call_soon(fired.append, "tail-b")  # seq 1, tail lane
-        sim.schedule_at(0.0, fired.append, "tail-c")  # seq 2, tail lane
-        sim.schedule(0.1, fired.append, "tail-d")  # seq 3, still monotone
-        sim.schedule(0.05, fired.append, "heap")  # seq 4, out of order
+        sim.schedule(0.1, fired.append, "later")  # seq 0
+        sim.schedule(0.0, fired.append, "now-a")  # seq 1
+        sim.call_soon(fired.append, "now-b")  # seq 2
+        sim.schedule_at(sim.now, fired.append, "now-c")  # seq 3
+        sim.schedule(0.05, fired.append, "between")  # seq 4
+        sim.schedule(0.0, fired.append, "now-d")  # seq 5
         sim.run()
-        assert fired == ["tail-a", "tail-b", "tail-c", "heap", "tail-d"]
+        assert fired == ["now-a", "now-b", "now-c", "now-d", "between", "later"]
 
     def test_zero_delay_event_scheduled_mid_run_fires_same_instant(self):
         sim = Simulator(seed=0)
@@ -157,8 +161,7 @@ class TestRecordLifecycle:
 
     def test_zero_delay_after_future_tail_entry_stays_ordered(self):
         # A later-scheduled zero-delay event must still fire before an
-        # earlier-scheduled future event: the monotone check routes it to
-        # the heap when the tail lane has run ahead.
+        # earlier-scheduled future event: time orders before seq.
         sim = Simulator(seed=0)
         fired = []
 
@@ -168,8 +171,8 @@ class TestRecordLifecycle:
         def zero():
             fired.append("t=0")
 
-        sim.schedule(0.5, at_half)  # tail lane runs ahead to t=0.5
-        sim.schedule(0.0, zero)  # must fire first, via the heap
+        sim.schedule(0.5, at_half)
+        sim.schedule(0.0, zero)  # must fire first
         sim.run()
         assert fired == ["t=0", "t=0.5"]
 
@@ -181,6 +184,26 @@ class TestRecordLifecycle:
         sim.cancel(doomed)
         sim.run()
         assert fired == ["kept"]
+
+    def test_handle_outliving_reset_is_inert(self):
+        # reset() drops the records; a handle kept across it must not be
+        # able to cancel "again" and drive the live count negative.
+        sim = Simulator(seed=0)
+        fired = []
+        timer = Timer(sim, lambda: fired.append("timer"))
+        timer.start(1.0)
+        plain = sim.schedule(2.0, fired.append, "plain")
+        sim.reset()
+        timer.stop()
+        sim.cancel(plain)
+        sim.cancel(plain)
+        assert plain[2] is None and plain[3] is None
+        assert sim.pending_events == 0
+        assert sim._queue._dead == 0
+        sim.schedule(0.5, fired.append, "fresh")
+        sim.run()
+        assert fired == ["fresh"]
+        assert sim.events_processed == 1
 
 
 class TestCompactionCorrectness:
@@ -197,22 +220,32 @@ class TestCompactionCorrectness:
         sim.run()
         assert fired == keep
 
-    def test_compaction_preserves_both_lanes(self):
-        queue = EventQueue()
-        kept_now = queue.push(0.0, _noop, ())
-        doomed_now = queue.push(0.0, _noop, ())
-        # Force heap-lane entries by pushing a far-future tail entry first.
-        far = queue.push(1e6, _noop, ())
+    def test_compaction_preserves_ties_and_far_future(self):
+        # Same-instant ties and a far-future record around a swept middle:
+        # the rebuilt heap still pops in (time, seq) order.
+        sim = Simulator(seed=0)
+        fired = []
+        sim.set_trace(lambda time, seq, callback: fired.append(seq))
+        kept_now = sim.call_soon(_noop)
+        doomed_now = sim.call_soon(_noop)
+        tied_now = sim.call_soon(_noop)
+        doomed_far = sim.schedule(1e6, _noop)
+        kept_far = sim.schedule(1e6, _noop)
         handles = [
-            queue.push(0.001 * (i + 1), _noop, ())
+            sim.schedule(0.001 * (i + 1), _noop)
             for i in range(COMPACT_MIN_SIZE * 2)
         ]
-        queue.cancel(doomed_now)
-        queue.cancel(far)
-        for handle in handles[:COMPACT_MIN_SIZE]:
-            queue.cancel(handle)
-        assert queue._dead == 0  # sweep ran, both lanes rebuilt
-        assert queue.pop_due(None) is kept_now
+        sim.cancel(doomed_now)
+        sim.cancel(doomed_far)
+        for handle in handles[: COMPACT_MIN_SIZE + 1]:
+            sim.cancel(handle)
+        assert sim._queue._dead == 0  # sweep ran, heap rebuilt
+        survivors = [
+            kept_now, tied_now, *handles[COMPACT_MIN_SIZE + 1 :], kept_far
+        ]
+        expected = [entry[1] for entry in survivors]
+        sim.run()
+        assert fired == expected
 
 
 class TestTraceHook:

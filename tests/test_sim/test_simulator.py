@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ClockError, SimulationError
-from repro.sim import Simulator, VirtualClock
+from repro.sim import Simulator, Timer, VirtualClock
 
 
 class TestVirtualClock:
@@ -170,3 +170,116 @@ class TestRunVariants:
         sim.run()
         assert sim.events_processed == 3
         assert sim.pending_events == 0
+
+
+# --------------------------------------------------------------------- #
+# one drain loop: every entry point, traced or not, runs the same stream
+
+def _scripted_world(sim, fired):
+    """Same-instant ties, a cancel, a callback that schedules at ``now``
+    and a re-armed Timer, between enough ticks for ``check_every`` to
+    matter. Callbacks log ``(now, label)`` so an untraced run is
+    comparable too."""
+
+    def note(label):
+        fired.append((sim.now, label))
+
+    def spawn():
+        note("spawn")
+        sim.schedule_at(sim.now, note, "spawned-at-now")
+        sim.call_soon(note, "spawned-soon")
+        sim.schedule(0.0, note, "spawned-zero")
+
+    timer = Timer(sim, lambda: note("timer"))
+
+    def rearm():
+        note("rearm")
+        timer.start(1.0)
+
+    for tag in "abc":
+        sim.schedule(0.1, note, f"tie-{tag}")
+    doomed = sim.schedule(0.15, note, "doomed")
+
+    def cancel_doomed():
+        note("cancel")
+        sim.cancel(doomed)
+
+    sim.schedule(0.12, cancel_doomed)
+    sim.schedule(0.2, spawn)
+    timer.start(1.0)
+    sim.schedule(0.3, rearm)
+    sim.schedule(0.6, rearm)
+    for tick in range(20):
+        sim.schedule(0.05 * tick, note, f"tick-{tick}")
+
+
+def _run_in_slices(sim):
+    for k in range(1, 21):
+        sim.run(until=0.1 * k)
+
+
+def _step_loop(sim):
+    while sim.step():
+        pass
+
+
+_ENTRY_POINTS = {
+    "run": lambda sim: sim.run(),
+    "run-until-slices": _run_in_slices,
+    "run-max-events": lambda sim: sim.run(max_events=10_000),
+    "run_until-every-1": lambda sim: sim.run_until(lambda: False),
+    "run_until-every-7": lambda sim: sim.run_until(lambda: False, check_every=7),
+    "step-loop": _step_loop,
+}
+
+
+def _drive(entry_point, traced):
+    sim = Simulator(seed=0)
+    fired, trace_log = [], []
+    _scripted_world(sim, fired)
+    if traced:
+        def hook(time, seq, callback):
+            assert sim.now == time  # the clock has already advanced
+            trace_log.append((time, seq, callback.__qualname__))
+        sim.set_trace(hook)
+    _ENTRY_POINTS[entry_point](sim)
+    assert sim.pending_events == 0
+    return fired, trace_log, sim.events_processed
+
+
+class TestOneDrainLoop:
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+    def test_same_stream(self, entry_point, traced):
+        want_fired, want_log, want_count = _drive("run", traced=True)
+        fired, trace_log, count = _drive(entry_point, traced)
+        labels = [label for _, label in fired]
+        assert "doomed" not in labels and labels.count("timer") == 1
+        assert labels[labels.index("spawn"):][:4] == [
+            "spawn", "tick-4", "spawned-at-now", "spawned-soon"]
+        assert fired == want_fired
+        assert count == want_count == len(want_log) == len(fired)
+        assert trace_log == (want_log if traced else [])
+        assert [time for time, _, _ in want_log] == [time for time, _ in fired]
+
+    def test_run_until_time_always_advances_the_clock(self):
+        sim = Simulator()
+        sim.run(until=3.0)  # nothing queued at all
+        assert sim.now == 3.0
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=7.0)  # queue exhausts at t=4
+        assert sim.now == 7.0
+
+    def test_run_until_timeout_advances_only_past_live_events(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        assert not sim.run_until(lambda: False, timeout=5.0)
+        assert sim.now == 1.0  # exhausted before the deadline: stays put
+        doomed = sim.schedule(10.0, lambda: None)
+        sim.cancel(doomed)
+        assert not sim.run_until(lambda: False, timeout=5.0)
+        assert sim.now == 1.0  # only a cancelled record past the deadline
+        sim.schedule(10.0, lambda: None)
+        assert not sim.run_until(lambda: False, timeout=5.0)
+        assert sim.now == 6.0  # a live event remains past the deadline
+        assert sim.pending_events == 1
