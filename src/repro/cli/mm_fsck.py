@@ -13,7 +13,9 @@ manifest, JSON well-formedness, semantic validity, and every CAS body
 reference resolved; then pair files the manifest does not name. Every
 content-addressed store under ``DIR`` — a corpus's shared ``.cas`` or a
 lone site's own — is verified too: every blob re-hashed against its
-address, and blobs no surviving pair references reported as orphans.
+address, and blobs no surviving pair references reported as orphans
+(unless some site's ``site.json`` is unreadable: that site may reference
+any blob, so no orphan is judged, but every blob is still re-hashed).
 
 ``--repair`` quarantines damaged pair files into ``quarantine/`` (moved,
 never deleted) and rewrites the manifest atomically to cover exactly the

@@ -43,20 +43,8 @@ class DelayPipe(PacketPipe):
 
     def send(self, packet: Packet) -> None:
         self.packets_sent += 1
-        # SerialProcessor.finish_time inlined: this runs once per packet
-        # on every delayed path.
         sim = self._sim
-        now = sim.now
-        processor = self._processor
-        service = processor.service_time
-        if service > 0.0:
-            busy = processor._busy_until
-            start = now if now > busy else busy
-            processed_at = start + service
-            processor._busy_until = processed_at
-            processor.packets_processed += 1
-        else:
-            processed_at = now
+        processed_at = self._processor.finish_time(sim.now)
         sim.schedule_at(processed_at + self.one_way_delay, self.deliver, packet)
 
 

@@ -31,11 +31,6 @@ class SerialProcessor:
         self._busy_until = 0.0
         self.packets_processed = 0
 
-    @property
-    def busy_until(self) -> float:
-        """Virtual time at which the server frees up."""
-        return self._busy_until
-
     def finish_time(self, now: float) -> float:
         """Admit one packet at ``now``; return its processing-complete time."""
         if self.service_time <= 0.0:  # constructor guarantees >= 0
@@ -44,7 +39,3 @@ class SerialProcessor:
         self._busy_until = start + self.service_time
         self.packets_processed += 1
         return self._busy_until
-
-    def reset(self) -> None:
-        """Forget the busy horizon (used between independent trials)."""
-        self._busy_until = 0.0

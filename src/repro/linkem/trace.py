@@ -20,6 +20,7 @@ opportunity at or after time t?":
 from __future__ import annotations
 
 import bisect
+import io
 from typing import Iterable, List, Sequence
 
 from repro.errors import TraceError
@@ -33,23 +34,25 @@ class PacketDeliveryTrace:
         times_ms: non-decreasing, non-negative integer timestamps. The last
             timestamp defines the trace period for wrap-around and must be
             positive.
+        lines: the source line of each timestamp, named in errors
+            (:meth:`from_lines` passes them).
     """
 
-    def __init__(self, times_ms: Sequence[int]) -> None:
+    def __init__(self, times_ms: Sequence[int], lines: Sequence[int] = ()) -> None:
         times = [int(t) for t in times_ms]
         if not times:
             raise TraceError("trace has no delivery opportunities")
         previous = 0
-        for t in times:
+        for index, t in enumerate(times):
+            at = f"line {lines[index]}: " if lines else ""
             if t < 0:
-                raise TraceError(f"negative timestamp in trace: {t}")
+                raise TraceError(f"{at}negative timestamp in trace: {t}")
             if t < previous:
                 raise TraceError(
-                    f"timestamps must be non-decreasing ({t} after {previous})"
-                )
+                    f"{at}timestamps must be non-decreasing ({t} after {previous})")
             previous = t
         if times[-1] <= 0:
-            raise TraceError("final timestamp (trace period) must be positive")
+            raise TraceError(f"{at}final timestamp (trace period) must be positive")
         self._times = times
 
     @property
@@ -82,6 +85,7 @@ class PacketDeliveryTrace:
     def from_lines(cls, lines: Iterable[str]) -> "PacketDeliveryTrace":
         """Parse trace text; blank lines and ``#`` comments are ignored."""
         times: List[int] = []
+        linenos: List[int] = []
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -92,13 +96,26 @@ class PacketDeliveryTrace:
                 raise TraceError(
                     f"line {lineno}: not an integer timestamp: {line!r}"
                 ) from None
-        return cls(times)
+            linenos.append(lineno)
+        return cls(times, lines=linenos)
 
     @classmethod
     def from_file(cls, path) -> "PacketDeliveryTrace":
-        """Load a trace from a file path."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_lines(handle)
+        """Load a trace from a file path. Every failure — unreadable, not
+        UTF-8, not a trace — is a :class:`TraceError` naming ``path``."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            # newline=None splits lines exactly as a text-mode open() does.
+            return cls.from_lines(io.StringIO(data.decode("utf-8"), newline=None))
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise TraceError(f"{path}: cannot read trace: {reason}") from None
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise TraceError(f"{path}: line {line}: not UTF-8 text") from None
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
         """Write the trace in Mahimahi's one-integer-per-line format."""
@@ -155,10 +172,12 @@ class FileTraceSchedule:
             rel_ms = 0.0
         times_ms = self._times_ms
         count = len(times_ms)
-        # Fast-forward whole cycles if we are far behind.
+        # Fast-forward whole cycles if we are far behind: to the cycle
+        # holding the instant just before now, whose last line falls on
+        # now when now is a period boundary.
         current_floor = self._cycle * self._period_ms
         if rel_ms - _TRACE_EPS_MS > current_floor + self._period_ms:
-            self._cycle = int(rel_ms // self._period_ms)
+            self._cycle = int((rel_ms - _TRACE_EPS_MS) // self._period_ms)
             self._index = 0
             current_floor = self._cycle * self._period_ms
         while True:

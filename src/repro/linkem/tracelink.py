@@ -77,7 +77,6 @@ class TracePipe(PacketPipe):
         self._current: Optional[Packet] = None
         self._current_sent = 0
         self._wake = None
-        self._wake_time = 0.0
         self.opportunities_used = 0
         # Probe handles, captured once at construction (None when
         # uninstrumented — the hot paths then pay one None check).
@@ -89,8 +88,7 @@ class TracePipe(PacketPipe):
             self._obs_delivered = registry.counter(f"{obs_path}.bytes_delivered")
             self._obs_wasted = registry.counter(f"{obs_path}.bytes_wasted")
             self._obs_drops = registry.counter(f"{obs_path}.drops")
-            # The opportunity loop is the hottest path in the simulator,
-            # so its probe is fully inlined: point lists captured as
+            # The opportunity probe is inlined: point lists captured as
             # direct handles, change detection via cached previous
             # values, counters bumped by attribute increment. Same
             # observable data as record_changed()/add(), no call frames.
@@ -118,20 +116,11 @@ class TracePipe(PacketPipe):
 
     def send(self, packet: Packet) -> None:
         self.packets_sent += 1
-        # SerialProcessor.finish_time inlined (runs per arriving packet).
-        # service > 0 always defers (_busy_until advances past now), so
-        # the direct-enqueue branch is exactly the service == 0 case.
-        sim = self._sim
         processor = self._processor
-        service = processor.service_time
-        if service > 0.0:
-            now = sim.now
-            busy = processor._busy_until
-            start = now if now > busy else busy
-            processed_at = start + service
-            processor._busy_until = processed_at
-            processor.packets_processed += 1
-            sim.schedule_at(processed_at, self._enqueue, packet)
+        if processor.service_time > 0.0:
+            # The shell handles the packet before it can queue for the link.
+            sim = self._sim
+            sim.schedule_at(processor.finish_time(sim.now), self._enqueue, packet)
             return
         self._enqueue(packet)
 
@@ -161,65 +150,37 @@ class TracePipe(PacketPipe):
                 )
             else:
                 when = self._outages.release_time(when)
-        # Stashed for the probe: _opportunity runs exactly at its
-        # scheduled time, so this doubles as "now" without a clock read.
-        self._wake_time = when
         self._wake = self._sim.schedule_at(when, self._opportunity)
 
     def _opportunity(self) -> None:
         self._wake = None
         self.opportunities_used += 1
-        # Batched drain: state is hoisted into locals for the loop and
-        # written back once, deliveries bypass PacketPipe.deliver's frame,
-        # and the delivery counters are bulk-updated after the loop. The
-        # event structure is untouched (deliveries were always direct
-        # calls), so the executed event stream — and the determinism
-        # digest — is bit-identical to the unbatched loop. _opportunity
-        # runs exactly at its scheduled time, so _wake_time is "now"
-        # without a clock read.
-        now = self._wake_time
+        now = self._sim.now
         queue = self._queue
-        sink = self._deliver
-        current = self._current
-        current_sent = self._current_sent
         budget = MTU_BYTES
-        delivered = 0
-        delivered_bytes = 0
         while budget > 0:
-            if current is None:
+            if self._current is None:
                 if not queue:
                     break
-                current = queue.pop(now)
-                if current is None:
+                self._current = queue.pop(now)
+                if self._current is None:
                     # The discipline dropped its way to an empty queue.
                     break
-                current_sent = 0
-            remaining = current.size - current_sent
-            if remaining <= budget:
-                budget -= remaining
-                packet = current
-                current = None
-                if sink is None:
-                    self.packets_dropped += 1
-                else:
-                    delivered += 1
-                    delivered_bytes += packet.size
-                    sink(packet)
-            else:
-                current_sent += budget
+                self._current_sent = 0
+            remaining = self._current.size - self._current_sent
+            if remaining > budget:
+                self._current_sent += budget
                 budget = 0
-        self._current = current
-        self._current_sent = current_sent
-        if delivered:
-            self.packets_delivered += delivered
-            self.bytes_delivered += delivered_bytes
+            else:
+                budget -= remaining
+                packet, self._current = self._current, None
+                self.deliver(packet)
         if self._obs_util is not None:
             # Change-point recording: runs of identical values (a
             # full-MTU bulk transfer, a large packet held across
             # opportunities) collapse to their change points — lossless
             # for a step series and far fewer appends.
             used = MTU_BYTES - budget
-            now = self._wake_time
             util = used / MTU_BYTES
             if util != self._obs_prev_util:
                 self._obs_prev_util = util

@@ -35,7 +35,6 @@ class Interface:
         self.namespace: Optional["NetworkNamespace"] = None
         self.up = True
         self._addresses: List[IPv4Address] = []
-        self._connected: List[IPv4Network] = []
         self._tx: Optional[PacketPipe] = None
         self.tx_packets = 0
         self.rx_packets = 0
@@ -71,21 +70,14 @@ class Interface:
             )
         addr = address if isinstance(address, IPv4Address) else IPv4Address(address)
         self._addresses.append(addr)
-        network = IPv4Network(addr, prefix_len)
-        self._connected.append(network)
-        self.namespace.register_address(addr, self)
+        self.namespace.register_address(addr)
         if prefix_len < 32:
-            self.namespace.routes.add(network, self)
+            self.namespace.routes.add(IPv4Network(addr, prefix_len), self)
         return addr
 
     def attach_tx(self, pipe: PacketPipe) -> None:
         """Attach the transmit pipe (done by the veth pair)."""
         self._tx = pipe
-
-    @property
-    def has_carrier(self) -> bool:
-        """True when a transmit pipe is attached (the cable is plugged in)."""
-        return self._tx is not None
 
     def send(self, packet: Packet) -> None:
         """Transmit a packet out this interface.

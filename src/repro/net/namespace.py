@@ -60,11 +60,9 @@ class NetworkNamespace:
         self.prerouting_hooks: list = []
         self.postrouting_hooks: list = []
         self._interfaces: Dict[str, Interface] = {}
-        self._local_addresses: Dict[IPv4Address, Interface] = {}
-        # Mirror of _local_addresses keyed by the raw 32-bit value: the
-        # per-packet local-delivery test probes this set with a plain int,
-        # skipping IPv4Address.__hash__/__eq__ frames on the datapath.
-        self._local_values: set = set()
+        # Raw 32-bit value -> address, in registration order: the
+        # per-packet local test probes it with a plain int.
+        self._local: Dict[int, IPv4Address] = {}
         self._transport_receive: Optional[Callable[[Packet], None]] = None
         self.forwarded_packets = 0
         self.delivered_packets = 0
@@ -104,15 +102,14 @@ class NetworkNamespace:
         """Name → interface map (a copy)."""
         return dict(self._interfaces)
 
-    def register_address(self, address: IPv4Address, interface: Interface) -> None:
+    def register_address(self, address: IPv4Address) -> None:
         """Record that ``address`` is local to this namespace."""
-        self._local_addresses[address] = interface
-        self._local_values.add(address._value)
+        self._local[address._value] = address
 
     def is_local(self, address: IPv4Address) -> bool:
         """True if ``address`` belongs to this namespace (or is loopback)."""
         value = address._value
-        return value in self._local_values or (value >> 24) == 127
+        return value in self._local or (value >> 24) == 127
 
     def any_local_address(self) -> IPv4Address:
         """Some address owned by this namespace (the first registered).
@@ -120,7 +117,7 @@ class NetworkNamespace:
         Raises:
             NamespaceError: if no interface has an address yet.
         """
-        for address in self._local_addresses:
+        for address in self._local.values():
             return address
         raise NamespaceError(f"{self.name}: no local addresses")
 
@@ -135,28 +132,17 @@ class NetworkNamespace:
         """Process a packet that arrived on ``in_interface``."""
         for hook in self.prerouting_hooks:
             hook(packet, in_interface)
-        nat = self.nat
-        if nat is not None:
-            # Reverse-translate traffic returning to a NATed inner host
-            # (Nat.translate_inbound inlined: one dict probe per packet).
-            mapping = nat._inbound.get(
-                (packet.protocol, packet.src._value, packet.sport,
-                 packet.dport)
-            )
-            if mapping is not None:
-                packet.dst, packet.dport = mapping
-                nat.translations += 1
-        # is_local() inlined on the int mirror — this runs per packet hop.
-        value = packet.dst._value
-        if value in self._local_values or (value >> 24) == 127:
+        if self.nat is not None:
+            # Reverse-translate traffic returning to a NATed inner host.
+            self.nat.translate_inbound(packet)
+        if self.is_local(packet.dst):
             self._deliver_local(packet)
             return
         self._forward(packet)
 
     def originate(self, packet: Packet) -> None:
         """Send a packet created by this namespace's own transport layer."""
-        value = packet.dst._value
-        if value in self._local_values or (value >> 24) == 127:
+        if self.is_local(packet.dst):
             # Namespace-local connection: loop it back after the loopback
             # latency, never touching any interface.
             self.sim.schedule(self.loopback_latency, self._deliver_local, packet)
@@ -174,12 +160,8 @@ class NetworkNamespace:
                 self.dropped_packets += 1
                 return
             self.forwarded_packets += 1
-        nat = self.nat
-        if nat is not None and route.interface.name in nat._masquerade:
-            # Membership pre-check hoisted from translate_outbound: most
-            # shells forward through exactly one masqueraded egress, so the
-            # other direction skips the call frame entirely.
-            nat.translate_outbound(packet, route.interface)
+        if self.nat is not None:
+            self.nat.translate_outbound(packet, route.interface)
         for hook in self.postrouting_hooks:
             hook(packet)
         if self.forwarding_delay > 0.0 and not originated:
@@ -198,5 +180,5 @@ class NetworkNamespace:
         return (
             f"<NetworkNamespace {self.name!r} "
             f"ifaces={sorted(self._interfaces)} "
-            f"addrs={len(self._local_addresses)}>"
+            f"addrs={len(self._local)}>"
         )

@@ -8,7 +8,7 @@ keep an optional ``via`` field for documentation and table dumps.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.errors import RoutingError
 from repro.net.address import IPv4Address, IPv4Network
@@ -34,16 +34,12 @@ class RoutingTable:
 
     Routes are kept sorted by descending prefix length, so lookup scans find
     the most specific match first. Tables here are tiny (a handful of
-    entries per namespace), so a scan beats fancier structures — but the
-    scan still runs per forwarded packet, so resolved lookups are memoised
-    in an int-keyed cache that add/remove invalidate. The active destination
-    set of a simulation is small (one entry per peer address), so the cache
-    stays tiny too.
+    entries per namespace — a shell's is one default route), so a scan
+    beats fancier structures.
     """
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-        self._cache: Dict[int, Route] = {}
 
     def add(
         self,
@@ -57,7 +53,6 @@ class RoutingTable:
         route = Route(prefix, interface, via)
         self._routes.append(route)
         self._routes.sort(key=lambda r: r.prefix.prefix_len, reverse=True)
-        self._cache.clear()
         return route
 
     def add_default(
@@ -72,21 +67,14 @@ class RoutingTable:
             self._routes.remove(route)
         except ValueError:
             raise RoutingError(f"route not in table: {route}") from None
-        self._cache.clear()
 
     def lookup_value(self, value: int) -> Optional[Route]:
-        """Most specific route for a raw 32-bit destination, or None.
-
-        The per-packet fast path: one dict probe when the destination has
-        been routed before, one table scan (then memoised) when not.
-        """
-        route = self._cache.get(value)
-        if route is not None:
-            return route
+        """Most specific route for a raw 32-bit destination, or None (the
+        one scan under :meth:`lookup`, :meth:`try_lookup` and the
+        per-packet forward path)."""
         for route in self._routes:
             prefix = route.prefix
             if (value & prefix._mask) == prefix._network:
-                self._cache[value] = route
                 return route
         return None
 
@@ -96,18 +84,14 @@ class RoutingTable:
         Raises:
             RoutingError: if no route (not even a default) matches.
         """
-        addr = destination if isinstance(destination, IPv4Address) \
-            else IPv4Address(destination)
-        route = self.lookup_value(addr._value)
+        route = self.try_lookup(destination)
         if route is None:
-            raise RoutingError(f"no route to {addr}")
+            raise RoutingError(f"no route to {IPv4Address(destination)}")
         return route
 
     def try_lookup(self, destination) -> Optional[Route]:
         """Like :meth:`lookup` but returns None instead of raising."""
-        addr = destination if isinstance(destination, IPv4Address) \
-            else IPv4Address(destination)
-        return self.lookup_value(addr._value)
+        return self.lookup_value(IPv4Address(destination)._value)
 
     def __len__(self) -> int:
         return len(self._routes)

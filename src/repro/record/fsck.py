@@ -125,6 +125,7 @@ def fsck_cas(
     cas_root: Any,
     referenced: Set[str],
     repair: bool = False,
+    orphans: bool = True,
 ) -> StoreDamage:
     """Verify one content-addressed store against its referencing sites.
 
@@ -141,7 +142,11 @@ def fsck_cas(
         cas_root: the store directory.
         referenced: every blob address the in-scope sites' valid pairs
             reference.
-        repair: quarantine corrupt and orphan blobs.
+        repair: quarantine corrupt (and reported orphan) blobs.
+        orphans: judge unreferenced blobs at all. False when
+            ``referenced`` may be incomplete — a site whose manifest
+            cannot be read may reference any blob — so only the re-hash
+            runs.
     """
     cas_root = os.fspath(cas_root)
     store = CasStore(cas_root)
@@ -156,7 +161,7 @@ def fsck_cas(
         except BlobMissingError as exc:  # malformed name in objects/
             report.add(ref, "malformed", str(exc))
         else:
-            if ref in referenced:
+            if ref in referenced or not orphans:
                 report.pairs_ok += 1
             else:
                 report.add(ref, "orphan",
@@ -185,8 +190,9 @@ def fsck_tree(
 
     The CAS pass judges orphans by the pairs that *survive* the site
     pass, so blobs referenced only by damaged pair files are reported
-    (and, with ``repair``, quarantined alongside those pairs). It is
-    skipped while any site under the tree is ``fatal``.
+    (and, with ``repair``, quarantined alongside those pairs). While any
+    site under the tree is ``fatal`` it still re-hashes every blob, but
+    judges no orphans: that site's manifest may reference any blob.
 
     Raises:
         StoreFormatError: when ``directory`` contains no recorded site.
@@ -213,11 +219,8 @@ def fsck_tree(
             cas_root = os.path.realpath(cas_root)
             if os.path.commonpath([tree_root, cas_root]) == tree_root:
                 scope.setdefault(cas_root, set()).update(refs)
-    if any(report.fatal for report in reports):
-        # A site whose manifest cannot be read may reference any blob
-        # in any of these stores: no orphan verdict is sound until it
-        # is fixed.
-        return reports
+    orphans = not any(report.fatal for report in reports)
     for cas_root, refs in sorted(scope.items()):
-        reports.append(fsck_cas(cas_root, refs, repair=repair))
+        reports.append(
+            fsck_cas(cas_root, refs, repair=repair, orphans=orphans))
     return reports

@@ -7,7 +7,8 @@ simulator keeps a faster form of, and a hypothesis test under ``tests/``
 drives both with the same operations and requires equal answers.
 """
 
+from repro.reference.link import list_trace_link
 from repro.reference.ranges import merge_range, subtract_range
 from repro.reference.reassembly import ListReassembly
 
-__all__ = ["ListReassembly", "merge_range", "subtract_range"]
+__all__ = ["ListReassembly", "list_trace_link", "merge_range", "subtract_range"]

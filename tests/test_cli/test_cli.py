@@ -83,6 +83,38 @@ def test_malformed_argv_exits_2_with_a_named_error(
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+#: Trace inputs that are not traces: what mm-trace info and mm-link must
+#: name (path, then the line where there is one) instead of a traceback.
+BAD_TRACES = {
+    "missing": (None, "cannot read trace: No such file or directory"),
+    "directory": ("dir", "cannot read trace: Is a directory"),
+    "not-utf8": (b"1\n2\n\xff\xfe\n", "line 3: not UTF-8 text"),
+    "garbage-line": (b"1\n# note\nabc\n", "line 3: not an integer"),
+    "decreasing": (b"5\n\n3\n", "line 3: timestamps must be non-decreasing"),
+}
+
+
+@pytest.mark.parametrize("content,detail", BAD_TRACES.values(),
+                         ids=BAD_TRACES)
+@pytest.mark.parametrize("tool,argv", [
+    (mm_trace, ["info", "{}"]),
+    (mm_link, ["{}", "14", "load"]),
+], ids=["mm-trace-info", "mm-link"])
+def test_bad_trace_file_exits_2_naming_path_and_line(
+        tool, argv, content, detail, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "link.trace"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    monkeypatch.setattr(
+        "sys.argv", [tool.__name__] + [a.format(path) for a in argv])
+    assert tool.main() == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {detail}")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestMmWebreplayLoad:
     def test_full_pipeline(self, recorded_dir, capsys):
         code = mm_webreplay.run(

@@ -55,6 +55,28 @@ class TestPacketDeliveryTrace:
         loaded = PacketDeliveryTrace.from_file(path)
         assert loaded.times_ms == trace.times_ms
 
+    @pytest.mark.parametrize("content,detail", [
+        (None, "cannot read trace"),
+        (b"3\r\n\xc3(\r\n", "line 2: not UTF-8 text"),
+        (b"1\r\n-2\r\n", "line 2: negative timestamp"),
+        (b"# only a comment\n", "trace has no delivery opportunities"),
+        (b"0\n\n0\n", "line 3: final timestamp (trace period) must be positive"),
+    ])
+    def test_from_file_errors_name_the_path_and_line(
+            self, tmp_path, content, detail):
+        path = tmp_path / "bad.trace"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(TraceError) as caught:
+            PacketDeliveryTrace.from_file(path)
+        assert str(caught.value).startswith(f"{path}: {detail}")
+
+    def test_from_lines_errors_name_the_line(self):
+        with pytest.raises(TraceError, match="^line 4: timestamps must be"):
+            PacketDeliveryTrace.from_lines(["2", "# x", "5", "4"])
+        with pytest.raises(TraceError, match="^negative timestamp"):
+            PacketDeliveryTrace([1, -1])  # no lines given, none named
+
 
 class TestFileTraceSchedule:
     def test_consumes_in_order(self):
@@ -80,6 +102,18 @@ class TestFileTraceSchedule:
         opportunity = schedule.next_opportunity(10.0)
         assert opportunity >= 10.0
         assert opportunity <= 10.0 + 0.005
+
+    def test_fast_forward_to_a_period_boundary_keeps_the_line_on_it(self):
+        # [5, 10] repeats as 5, 10, 15, 20, 25, ...: the 20 ms opportunity
+        # is the second period's last line. Fast-forwarding to exactly
+        # 20 ms used to land in the third period and return 25 ms.
+        for first in (0.020, 10.0):
+            schedule = FileTraceSchedule(PacketDeliveryTrace([5, 10]))
+            assert schedule.next_opportunity(first) == pytest.approx(first)
+            assert schedule.next_opportunity(first) == \
+                pytest.approx(first + 0.005)
+        schedule = FileTraceSchedule(PacketDeliveryTrace([1]))
+        assert schedule.next_opportunity(0.002) == pytest.approx(0.002)
 
     def test_duplicate_timestamps_are_distinct_opportunities(self):
         schedule = FileTraceSchedule(PacketDeliveryTrace([3, 3, 3, 10]))

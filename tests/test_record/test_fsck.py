@@ -268,7 +268,7 @@ class TestFsckTree:
         assert [r.kind for r in fsck_tree(tmp_path)] == [
             "site", "site", "cas"]
 
-    def test_unreadable_site_keeps_every_store_out_of_judgement(
+    def test_unreadable_site_keeps_orphans_out_of_judgement(
             self, tmp_path):
         from repro.record.cas import CasStore
 
@@ -280,10 +280,43 @@ class TestFsckTree:
         (tmp_path / "site-b" / "site.json").write_text("{torn")
         reports = fsck_tree(tmp_path, repair=True)
         # site-b's blob is referenced by a manifest nobody can read: it
-        # is not an orphan, and nothing may move until site-b is fixed.
+        # is not an orphan, so the store is checked but nothing moves.
         assert [(r.kind, r.fatal) for r in reports] == [
-            ("site", False), ("site", True)]
+            ("site", False), ("site", True), ("cas", False)]
+        assert reports[2].clean and reports[2].pairs_ok == 2
         assert len(cas) == 2 and not (tmp_path / ".cas/quarantine").exists()
+
+    def test_unreadable_site_does_not_hide_corrupt_blobs(self, tmp_path):
+        """Both blobs corrupt, s0's manifest unreadable: the re-hash still
+        finds both — the one only s0 references included — and repair
+        quarantines corrupt blobs, never an unjudged orphan."""
+        from repro.record.cas import CasStore
+
+        cas = CasStore(tmp_path / ".cas")
+        for name in ("s0", "s1"):
+            site = RecordedSite(name)
+            site.add_pair(make_pair("x.com", f"/{name}", "23.0.0.1"))
+            site.save(tmp_path / name, cas=cas)
+        blobs = sorted(ref for ref, __ in cas.blobs())
+        for ref in blobs:
+            path = cas.path_for(ref)
+            raw = bytearray(open(path, "rb").read())
+            raw[0] ^= 0xFF
+            open(path, "wb").write(bytes(raw))
+        unreferenced = cas.put(b"nobody references this")
+        (tmp_path / "s0" / "site.json").write_bytes(b"\xff{torn")
+
+        *sites, store = fsck_tree(tmp_path)
+        assert [(r.kind, r.fatal) for r in sites] == [
+            ("site", True), ("site", False)]
+        assert sorted((p.file, p.kind) for p in store.problems) == \
+            sorted((ref, "corrupt") for ref in blobs)
+
+        *sites, store = fsck_tree(tmp_path, repair=True)
+        assert sorted(store.quarantined) == blobs
+        assert sorted(os.listdir(tmp_path / ".cas" / "quarantine")) == \
+            sorted(ref + ".bin" for ref in blobs)
+        assert cas.has(unreferenced)
 
     def test_no_sites_is_an_error(self, tmp_path):
         with pytest.raises(StoreFormatError):

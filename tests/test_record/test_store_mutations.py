@@ -346,11 +346,14 @@ def _check(root, corpus):
     assert [(r.directory, r.problems) for r in dry] == \
         [(r.directory, r.problems) for r in repaired]
     if any(report.fatal for report in repaired):
-        # Refuses to guess: a fatal site's files and every store stay put.
+        # Refuses to guess: a fatal site's files stay put, and a store
+        # loses only blobs that fail their re-hash — never an orphan.
         for report in repaired:
             if report.fatal:
                 assert not report.repaired and not report.quarantined
-        assert all(r.kind == "site" for r in repaired)
+            if report.kind == "cas":
+                assert {p.kind for p in report.problems} <= {
+                    "corrupt", "malformed"}
     for report in repaired:
         if report.kind == "site" and not report.fatal:
             RecordedSite.load(report.directory)

@@ -5,15 +5,19 @@ goes through exists once.
 The first half is parametrised over the default-buildable entries: a new
 registration gets the 2-build digest, the zero-observer-effect check, the
 pinned seed-0 digest and (if declared) artifact byte-identity with no
-test written. The second half reads source only, in the manner of
+test written; ``smoke``'s instrumented obs artifact is pinned by its
+bytes. The second half reads source only, in the manner of
 ``tests/test_fabric/test_fork_site.py``: the order "seeded simulator,
 optional metrics registry, machine, stack, browser on the innermost
 transport and the replay resolver" is spelled in ``core/compose.py`` and
-nowhere else, nobody reaches for a private sanitizer builder again, and
-nothing outside ``repro.sim`` reaches into a simulator's queue or clock.
+nowhere else, nobody reaches for a private sanitizer builder again,
+nothing outside ``repro.sim`` reaches into a simulator's queue or clock,
+and no per-hop rule (serial admission, NAT, route lookup) is copied out
+of its module.
 """
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -52,6 +56,24 @@ def test_digest_is_reproducible_unobserved_and_pinned(name):
 def test_declared_artifact_is_byte_identical(name):
     artifact = SCENARIOS[name].artifact
     assert artifact(0) == artifact(0)
+
+
+#: BLAKE2b-128 of ``mm-report record-smoke --seed 0``'s artifact: the
+#: ``smoke`` world instrumented. The event digest above cannot see a probe
+#: (probes never schedule), so this pins what the probes record — a
+#: refactor that moves a link or TCP probe value fails here.
+SMOKE_ARTIFACT_DIGEST = "28adb57cbbb382010991c637d986fa53"
+
+
+def test_smoke_obs_artifact_bytes_are_pinned(tmp_path, capsys):
+    from repro.cli.mm_report import main
+
+    path = tmp_path / "smoke.jsonl"
+    assert main(["record-smoke", "--out", str(path), "--seed", "0"]) == 0
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digest == SMOKE_ARTIFACT_DIGEST, (
+        f"the smoke obs artifact hashes to {digest}; re-pin only with a "
+        f"model or probe change, and say so in CHANGES")
 
 
 def test_every_entry_resolves_by_import_path_in_a_fresh_interpreter(tmp_path):
@@ -141,6 +163,26 @@ def test_nobody_imports_a_private_name_from_the_sanitizer():
         for alias in node.names if alias.name.startswith("_")
     )
     assert offenders == []
+
+
+#: Private state of a per-hop rule -> the one module allowed to touch it.
+#: A hand-inlined copy of the rule elsewhere (on the packet path, say)
+#: has to reach for the state, and fails here.
+PER_HOP_STATE = {
+    r"\._busy_until\b": "src/repro/linkem/processing.py",
+    r"\._(inbound|outbound|masquerade)\b": "src/repro/net/nat.py",
+    r"\._routes\b": "src/repro/net/routing.py",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PER_HOP_STATE))
+def test_each_per_hop_rule_has_one_copy(pattern):
+    private = re.compile(pattern)
+    touching = sorted({
+        path.relative_to(REPO).as_posix() for path in SRC.rglob("*.py")
+        if private.search(path.read_text(encoding="utf-8"))
+    })
+    assert touching == [PER_HOP_STATE[pattern]]
 
 
 def test_nobody_outside_repro_sim_reaches_into_the_queue_or_clock():
