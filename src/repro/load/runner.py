@@ -388,6 +388,7 @@ class LoadSession:
 
             digest = EventStreamDigest()
             self.sim.set_trace(digest)
+        self.deadline = self.sim.now + self.scenario.timeout
         self.sim.run_until(
             lambda: self.done, timeout=self.scenario.timeout, check_every=32)
         result = self._collect()
@@ -426,7 +427,10 @@ class LoadResult:
             origin's worker pool (empty when uninstrumented).
         peak_occupancy / peak_backlog: worst worker-pool pressure seen
             across origins (0 when uninstrumented).
-        makespan: virtual seconds from first arrival to world drain.
+        makespan: virtual time at which the last client finished
+            (``max(arrival + duration)``), or the run's deadline when
+            any client never did — a property of the clients, not of
+            when the run loop happened to look.
         event_digest / events: set when the run captured a digest.
     """
 
@@ -437,9 +441,12 @@ class LoadResult:
         self.offered_rate = scenario.offered_rate
         self.scenario = scenario.describe()
         self.records = records
-        self.completed = sum(1 for r in records if r.duration >= 0.0)
+        finished = [r.arrival + r.duration for r in records
+                    if r.duration >= 0.0]
+        self.completed = len(finished)
         self.failed = sum(1 for r in records if not r.ok)
-        self.makespan = session.sim.now
+        self.makespan = max(finished) if self.completed == len(records) \
+            else session.deadline
         self.events = session.sim.events_processed
         self.event_digest: Optional[str] = None
         self.plt = StreamingQuantiles(

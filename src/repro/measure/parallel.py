@@ -32,13 +32,22 @@ splitting one load across cores would break the strict ``(time, seq)``
 causal order that makes runs reproducible. Parallelising *across* trials
 keeps every simulated world single-threaded and bit-exact while scaling
 throughput with cores — the same shape as ERRANT's batch emulation sweeps.
+
+A finished world is cyclic garbage (simulator → queue → connection ↔
+timer ↔ callbacks), so :func:`~repro.measure.runner.run_trial` collects
+it before returning. The loops that run trials back to back hold the
+heap they started with out of that pass (:func:`trial_scope`), so it
+walks only what the loop allocated — and a forked worker never walks,
+and so never copies, the heap it inherited.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
 
@@ -46,6 +55,7 @@ __all__ = [
     "default_workers",
     "fork_available",
     "parallel_map",
+    "trial_scope",
 ]
 
 
@@ -60,6 +70,27 @@ def default_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # platforms without sched_getaffinity
         return max(1, os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def trial_scope() -> Iterator[None]:
+    """Freeze the heap present at entry for the duration of a trial loop.
+
+    Frozen objects are skipped by every collection, so each trial's
+    closing collection walks only objects born inside the scope. Only
+    the outermost scope freezes — an inner one, or a caller that froze
+    the heap itself, finds it frozen and leaves it so — and it unfreezes
+    on every exit: return, exception, or a generator closed early. A
+    task run inside must not freeze or unfreeze the heap itself.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def parallel_map(
@@ -107,15 +138,16 @@ def parallel_map(
     workers = min(workers, len(todo))
     if workers <= 1 or not fork_available():
         results = []
-        for index in todo:
-            try:
-                result = task(index)
-            except Exception as exc:
-                exc.trial_index = index
-                raise
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
+        with trial_scope():
+            for index in todo:
+                try:
+                    result = task(index)
+                except Exception as exc:
+                    exc.trial_index = index
+                    raise
+                if on_result is not None:
+                    on_result(index, result)
+                results.append(result)
         return results
 
     # Imported here: repro.fabric is built on repro.measure.

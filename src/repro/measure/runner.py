@@ -10,6 +10,7 @@ between loads, matching how the paper restarts the browser per load.
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -70,6 +71,11 @@ def run_trial(
     page-load trial as this function bound to a factory — keeping every
     path identical in behaviour and error wording by construction.
 
+    It ends with a full collection, which frees the finished world and
+    any world the caller held into this trial; inside
+    :func:`~repro.measure.parallel.trial_scope` that pass walks only the
+    loop's own objects.
+
     Args:
         capture_digest: install an event-stream digest
             (:class:`~repro.analysis.sanitizer.EventStreamDigest`) on the
@@ -94,6 +100,11 @@ def run_trial(
     result.metrics = sim.metrics
     if digest is not None:
         result.event_digest = digest.hexdigest
+    # The world is one reference cycle, which reference counting never
+    # frees: collect it now, not at whichever full pass comes next.
+    # Inside trial_scope the pass walks only what the trial loop made.
+    del sim
+    gc.collect()
     if not result.complete:
         raise ReproError(
             f"trial {trial}: page load did not finish within "

@@ -62,7 +62,9 @@ from typing import (
 
 from repro.errors import ReproError
 from repro.measure.journal import TrialJournal, merge_journals, open_journal
-from repro.measure.parallel import default_workers, fork_available
+from repro.measure.parallel import (
+    default_workers, fork_available, trial_scope,
+)
 from repro.measure.runner import (
     DEFAULT_TRIAL_TIMEOUT,
     ScenarioFactory,
@@ -496,29 +498,31 @@ def run_shard(
     checkpointed (fsync'd) before it is yielded — so a worker that dies
     after journaling trial N to its sidecar never makes a resumed sweep
     re-run N, the sidecar is merged instead.
+    The loop runs under :func:`~repro.measure.parallel.trial_scope`.
     """
-    for trial in indices:
-        outcome: Optional[TrialOutcome] = None
-        for attempt in range(1, retries + 2):
-            try:
-                result = task(trial)
-            except ReproError as exc:
-                error = str(exc)
-                continue
-            except Exception as exc:
-                traceback.print_exc()  # the outcome keeps only the summary
-                error = f"{type(exc).__name__}: {exc}"
+    with trial_scope():
+        for trial in indices:
+            outcome: Optional[TrialOutcome] = None
+            for attempt in range(1, retries + 2):
+                try:
+                    result = task(trial)
+                except ReproError as exc:
+                    error = str(exc)
+                    continue
+                except Exception as exc:
+                    traceback.print_exc()  # the outcome keeps only the summary
+                    error = f"{type(exc).__name__}: {exc}"
+                    break
+                outcome = TrialOutcome(
+                    trial=trial, status="ok" if attempt == 1 else "retried",
+                    attempts=attempt, error=None, result=result,
+                    digest=getattr(result, "event_digest", None),
+                )
                 break
-            outcome = TrialOutcome(
-                trial=trial, status="ok" if attempt == 1 else "retried",
-                attempts=attempt, error=None, result=result,
-                digest=getattr(result, "event_digest", None),
-            )
-            break
-        if outcome is None:
-            outcome = TrialOutcome(
-                trial=trial, status="quarantined", attempts=attempt,
-                error=error, result=None,
-            )
-        _journal_record(journal, outcome)
-        yield outcome
+            if outcome is None:
+                outcome = TrialOutcome(
+                    trial=trial, status="quarantined", attempts=attempt,
+                    error=error, result=None,
+                )
+            _journal_record(journal, outcome)
+            yield outcome

@@ -7,7 +7,8 @@ would bring back its own crash detection, watchdog and retry
 bookkeeping. Likewise the journal is opened from a path, and compacted,
 in one function each, and the frame header is parsed in one module: a
 second copy of either is how ``run_supervised`` once missed the sidecar
-merge and how the fault injector came to parse frames on its own. No
+merge and how the fault injector came to parse frames on its own. The
+collector is frozen, unfrozen and run in ``repro.measure`` only. No
 subprocesses here — the source is only read.
 """
 
@@ -35,6 +36,41 @@ def test_local_backend_is_the_only_fork_site():
     )
     home = pathlib.Path(inspect.getsourcefile(LocalBackend))
     assert forking == [str(home.relative_to(ROOT))]
+
+
+_GC_POLICY = {"freeze", "unfreeze", "collect"}
+
+
+def _gc_policy_calls(tree):
+    """Whether ``tree`` freezes, unfreezes or collects through ``gc``,
+    under any import alias."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "gc"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc" \
+                and any(a.name in _GC_POLICY for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in _GC_POLICY \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            return True
+    return False
+
+
+def test_only_measure_sets_garbage_collection_policy():
+    # ``trial_scope`` and ``run_trial`` are the one policy: a second
+    # freeze or collect elsewhere would undo the scope's accounting (an
+    # unfreeze mid-sweep) or walk a forked worker's inherited heap.
+    users = sorted(
+        str(path.relative_to(ROOT))
+        for path in ROOT.rglob("*.py")
+        if _gc_policy_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert users
+    assert [user for user in users if not user.startswith("measure/")] == []
 
 
 def _harness_functions():

@@ -8,6 +8,7 @@ from repro.errors import ReproError
 from repro.load import LoadScenario, default_population, run_load
 from repro.load.arrivals import FixedRate, Poisson
 from repro.load.runner import _sum_step_series
+from repro.sim import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,31 @@ class TestDeterminism:
         assert bare.event_digest == instrumented.event_digest
 
 
+class TestMakespan:
+    run_until = Simulator.run_until
+
+    @classmethod
+    def run_checking_every(cls, monkeypatch, scenario, every):
+        """``run_load`` with the run loop's predicate checked every
+        ``every`` events instead of the session's own interval."""
+        def forced(sim, predicate, timeout=None, check_every=1):
+            return cls.run_until(sim, predicate, timeout, check_every=every)
+
+        monkeypatch.setattr(Simulator, "run_until", forced)
+        return run_load(scenario, seed=0)
+
+    def test_makespan_is_the_last_completion(self, population, monkeypatch):
+        scenario = LoadScenario(population, Poisson(8.0), clients=20)
+        every_event = self.run_checking_every(monkeypatch, scenario, 1)
+        sparse = self.run_checking_every(monkeypatch, scenario, 32)
+        assert sparse.records == every_event.records
+        for result in (every_event, sparse):
+            assert result.makespan == max(
+                r.arrival + r.duration for r in result.records)
+        assert sparse.makespan == every_event.makespan
+        assert sparse.throughput == every_event.throughput
+
+
 class TestTimeout:
     def test_unfinished_clients_recorded_not_lost(self, population):
         # A timeout far too small for anyone to finish: every client is
@@ -94,6 +120,7 @@ class TestTimeout:
         assert result.completed == 0
         assert result.failed == 5
         assert all("timeout" in r.detail for r in result.records)
+        assert result.makespan == 0.001
 
     def test_zero_clients_rejected(self, population):
         with pytest.raises(ReproError, match="clients"):
