@@ -112,8 +112,12 @@ class HttpParser:
     Args:
         kind: "request" or "response".
 
-    Feed transport deliveries with :meth:`feed`; completed messages queue up
-    in :attr:`messages` (or use the ``on_message`` callback attribute).
+    Feed transport deliveries with :meth:`feed`. Completed messages go to
+    exactly one place: the ``on_message`` callback attribute when it is
+    set, or else the :attr:`messages` queue (drain it with
+    :meth:`pop_messages`). A callback parser keeps nothing, so a message,
+    its header strings and its body bytes live only as long as the
+    callback's consumer holds them — not as long as the connection.
     For a response parser, push the method of each outstanding request with
     :meth:`expect` so HEAD responses frame correctly.
     """
@@ -339,12 +343,14 @@ class HttpParser:
             version, status, reason = self._parse_status_line()
             message = HttpResponse(status, reason, self._headers, body, version)
         self._reset_message_state()
-        self.messages.append(message)
         if self.on_message is not None:
             self.on_message(message)
+        else:
+            self.messages.append(message)
 
     def pop_messages(self) -> List:
-        """Drain and return the completed-message queue."""
+        """Drain and return the completed-message queue (callback-less
+        parsers only; a callback parser's queue stays empty)."""
         out = self.messages
         self.messages = []
         return out

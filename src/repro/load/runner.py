@@ -34,6 +34,7 @@ from repro.http.client import FailableCallback, HttpClient
 from repro.http.message import Headers, HttpRequest
 from repro.load.arrivals import ARRIVALS_STREAM, ArrivalProcess
 from repro.load.population import POPULATION_STREAM, ClientPlan, Population
+from repro.measure.parallel import collect_finished_worlds
 from repro.measure.stats import StreamingQuantiles
 from repro.net.address import Endpoint
 
@@ -270,6 +271,8 @@ class _FetchClient:
         self.resolver.resolve(url.host, self._resolved)
 
     def _resolved(self, addresses, error) -> None:
+        # One lookup per client: release its port either way.
+        self.resolver.close()
         if error is not None or not addresses:
             self._fail(error or ReproError("empty DNS answer"))
             return
@@ -337,6 +340,10 @@ class LoadSession:
     def __init__(
         self, scenario: LoadScenario, seed: int, instrument: bool = False,
     ) -> None:
+        # A finished session is one reference cycle: free any the caller
+        # has dropped, so a dead world and this one never overlap. Not at
+        # the end of run(), whose caller may still read sim and stack.
+        collect_finished_worlds()
         self.scenario = scenario
         self.seed = seed
         self.stack = ShellStack.fresh(seed, instrument=instrument)

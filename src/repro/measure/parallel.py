@@ -35,10 +35,13 @@ throughput with cores — the same shape as ERRANT's batch emulation sweeps.
 
 A finished world is cyclic garbage (simulator → queue → connection ↔
 timer ↔ callbacks), so :func:`~repro.measure.runner.run_trial` collects
-it before returning. The loops that run trials back to back hold the
-heap they started with out of that pass (:func:`trial_scope`), so it
-walks only what the loop allocated — and a forked worker never walks,
-and so never copies, the heap it inherited.
+it before returning, and a :class:`~repro.load.runner.LoadSession`
+collects before it builds its world; both go through
+:func:`collect_finished_worlds`, the package's one collection. The loops
+that run trials back to back hold the heap they started with out of that
+pass (:func:`trial_scope`), so it walks only what the loop allocated —
+and a forked worker never walks, and so never copies, the heap it
+inherited.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from repro.errors import ReproError
 
 __all__ = [
+    "collect_finished_worlds",
     "default_workers",
     "fork_available",
     "parallel_map",
@@ -91,6 +95,17 @@ def trial_scope() -> Iterator[None]:
         yield
     finally:
         gc.unfreeze()
+
+
+def collect_finished_worlds() -> None:
+    """Free every finished world nothing references any more.
+
+    A world is one reference cycle, which reference counting never
+    frees, so without this pass it waits for whichever full collection
+    comes next — overlapping the world built after it. Inside
+    :func:`trial_scope` the pass walks only what the loop allocated.
+    """
+    gc.collect()
 
 
 def parallel_map(

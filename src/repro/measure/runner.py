@@ -10,13 +10,12 @@ between loads, matching how the paper restarts the browser per load.
 
 from __future__ import annotations
 
-import gc
 from functools import partial
 from typing import Callable, List, NamedTuple, Tuple
 
 from repro.browser.engine import PageLoadResult
 from repro.errors import ReproError
-from repro.measure.parallel import parallel_map
+from repro.measure.parallel import collect_finished_worlds, parallel_map
 from repro.measure.stats import Sample
 from repro.sim.simulator import Simulator
 
@@ -100,11 +99,9 @@ def run_trial(
     result.metrics = sim.metrics
     if digest is not None:
         result.event_digest = digest.hexdigest
-    # The world is one reference cycle, which reference counting never
-    # frees: collect it now, not at whichever full pass comes next.
-    # Inside trial_scope the pass walks only what the trial loop made.
+    # Collect the world now, not at whichever full pass comes next.
     del sim
-    gc.collect()
+    collect_finished_worlds()
     if not result.complete:
         raise ReproError(
             f"trial {trial}: page load did not finish within "

@@ -1,13 +1,18 @@
 """Unit and property tests for the incremental HTTP parser."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HttpParseError
 from repro.http.body import Body
+from repro.http.client import HttpClient
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
 from repro.http.serialize import serialize_request, serialize_response
+from repro.http.server import HttpServer
+from repro.testing import delayed_world
 from repro.transport.wire import pieces_slice
 
 
@@ -181,6 +186,54 @@ class TestResponseParsing:
         parser.on_message = got.append
         parser.feed([b"GET / HTTP/1.1\r\nHost: h\r\n\r\n"])
         assert len(got) == 1
+
+
+class TestRetention:
+    """A message goes to the callback or to the queue, never both."""
+
+    WIRE = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n"
+
+    def test_callback_parser_keeps_nothing(self):
+        got = []
+        parser = HttpParser("request")
+        parser.on_message = got.append
+        for __ in range(5):
+            parser.feed([self.WIRE])
+        assert len(got) == 5
+        assert parser.messages == []
+        assert parser.pop_messages() == []
+
+    def test_callback_less_parser_queues(self):
+        parser = HttpParser("request")
+        for __ in range(5):
+            parser.feed([self.WIRE])
+        assert len(parser.messages) == 5
+        assert len(parser.pop_messages()) == 5
+        assert parser.messages == []
+
+    def test_keep_alive_client_holds_no_delivered_response(
+            self, collector_off, monkeypatch):
+        class Traceable(HttpResponse):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr("repro.http.parser.HttpResponse", Traceable)
+        world = delayed_world(0.010)
+        HttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
+                   lambda request: HttpResponse(
+                       200, body=Body.from_bytes(b"x" * 1000)))
+        client = HttpClient(world.sim, world.client, world.server_endpoint)
+        delivered = []
+
+        def take(response):
+            assert response.body.length == 1000
+            delivered.append(weakref.ref(response))
+
+        for __ in range(3):
+            client.request(HttpRequest("GET", "/", Headers([("Host", "h")])),
+                           take)
+        world.sim.run_until(lambda: len(delivered) == 3, timeout=5)
+        assert not client.closed and client.responses_received == 3
+        assert [ref() for ref in delivered] == [None, None, None]
 
 
 class TestRoundTrip:

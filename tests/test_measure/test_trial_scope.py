@@ -37,18 +37,6 @@ def factory():
     return replay_smoke()
 
 
-@pytest.fixture
-def collector_off():
-    """Automatic collection off: only an explicit pass frees a cycle."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def frozen_during(index):
     return gc.get_freeze_count()
 
