@@ -18,6 +18,9 @@ many worker processes via
 trial ordering are preserved, so reported statistics are bit-identical
 at any worker count; ``REPRO_BENCH_WORKERS=0`` means one worker per
 available core.
+
+Both variables are read by ``benchmarks/_workloads.py`` (``scaled``,
+``bench_workers``), which every bench imports them from.
 """
 
 import os
@@ -25,26 +28,6 @@ import os
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def bench_scale() -> float:
-    """Global trial-count multiplier."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
-
-
-def scaled(full_count: int, minimum: int = 3) -> int:
-    """Scale a paper-size trial count."""
-    return max(minimum, int(round(full_count * bench_scale())))
-
-
-def bench_workers() -> int:
-    """Worker-process count for trial-parallel benches (0 = all cores)."""
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    if workers == 0:
-        from repro.measure.parallel import default_workers
-
-        return default_workers()
-    return max(1, workers)
 
 
 @pytest.fixture

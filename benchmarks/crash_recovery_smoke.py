@@ -13,7 +13,7 @@ The end-to-end acceptance check for the harness-resilience contract
 
 2. **mm-corpus generate.** A corpus generation is started via the real
    CLI, SIGKILLed after at least two sites have been journaled — its
-   workers (the same dispatched workers, through ``parallel_map``) must
+   workers (the same dispatched workers, through the same sweep) must
    be gone within the same few seconds — then finished with
    ``--resume``. The resulting tree (every file under every site
    folder) must hash identically to a corpus generated without
@@ -35,14 +35,13 @@ import hashlib
 import multiprocessing
 import os
 import shutil
-import signal
 import subprocess
 import sys
 
 from repro.scenarios import replay_smoke
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
-from repro.testing import child_pids, pids_alive, wait_for_journal_trials
+from repro.testing import kill_mid_journal, smoke_journal_dir
 
 TRIALS = 6
 RUN_KEY = "crash-recovery-smoke"
@@ -50,23 +49,15 @@ CORPUS_ARGS = ["--size", "10", "--singles", "2", "--scale", "0.4",
                "--seed", "7", "--workers", "2"]
 
 
-def _make_factory(pace: float = 0.0, pid_dir: str = ""):
-    """The fabric's smoke factory; ``pace`` widens the kill window and
-    ``pid_dir`` collects one file per worker pid that ran a trial."""
-    inner = replay_smoke(name="crashsmoke.com", pace=pace)
-
-    def factory(trial):
-        if pid_dir:
-            open(os.path.join(pid_dir, str(os.getpid())), "w").close()
-        return inner(trial)
-
-    return factory
+def _make_factory(pace: float = 0.0):
+    """The fabric's smoke factory; ``pace`` widens the kill window."""
+    return replay_smoke(name="crashsmoke.com", pace=pace)
 
 
-def _sweep_driver(journal_path: str, pid_dir: str) -> None:
+def _sweep_driver(journal_path: str) -> None:
     """Child-process entry: run the journaled sweep to completion."""
-    run_supervised(_make_factory(pace=0.3, pid_dir=pid_dir), trials=TRIALS,
-                   workers=2, journal=journal_path, run_key=RUN_KEY,
+    run_supervised(_make_factory(pace=0.3), trials=TRIALS, workers=2,
+                   journal=journal_path, run_key=RUN_KEY,
                    capture_digest=True)
 
 
@@ -87,29 +78,10 @@ def _tree_digest(root: str) -> str:
 
 def run_sweep_phase(journal_dir: str) -> bool:
     journal_path = os.path.join(journal_dir, "sweep.journal.jsonl")
-    pid_dir = os.path.join(journal_dir, "sweep-worker-pids")
-    shutil.rmtree(pid_dir, ignore_errors=True)
-    os.makedirs(pid_dir)
-    context = multiprocessing.get_context("fork")
-    driver = context.Process(target=_sweep_driver,
-                             args=(journal_path, pid_dir))
+    driver = multiprocessing.get_context("fork").Process(
+        target=_sweep_driver, args=(journal_path,))
     driver.start()
-    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
-        driver.kill()
-        driver.join()
-        print("FAIL sweep: driver never journaled two trials")
-        return False
-    os.kill(driver.pid, signal.SIGKILL)
-    driver.join()
-    assert driver.exitcode == -signal.SIGKILL
-    workers = [int(name) for name in os.listdir(pid_dir)]
-    orphans = sorted(pids_alive(workers, within=5.0))
-    shutil.rmtree(pid_dir)
-    print(f"sweep: killed driver had {len(workers)} worker(s); still "
-          f"alive 5s later: {orphans or 'none'}")
-    if orphans or not workers:
-        print("FAIL sweep: the killed driver left orphan workers (or "
-              "recorded none)")
+    if not kill_mid_journal(driver, journal_path, "sweep"):
         return False
 
     journaled = len(TrialJournal(journal_path, key=RUN_KEY))
@@ -147,20 +119,7 @@ def run_corpus_phase(journal_dir: str) -> bool:
     child = subprocess.Popen(command, env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL)
-    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
-        child.kill()
-        child.wait()
-        print("FAIL corpus: generate never journaled two sites")
-        return False
-    workers = child_pids(child.pid)
-    child.send_signal(signal.SIGKILL)
-    child.wait()
-    orphans = sorted(pids_alive(workers, within=5.0))
-    print(f"corpus: killed generate had {len(workers)} worker(s); still "
-          f"alive 5s later: {orphans or 'none'}")
-    if orphans or not workers:
-        print("FAIL corpus: the killed generate left orphan workers (or "
-              "had none)")
+    if not kill_mid_journal(child, journal_path, "corpus"):
         return False
 
     journaled = len(TrialJournal(journal_path))
@@ -193,16 +152,8 @@ def run_corpus_phase(journal_dir: str) -> bool:
 
 
 def main(argv) -> int:
-    journal_dir = os.path.join("benchmarks", "results", "crash-recovery")
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--journal-dir":
-            journal_dir = rest.pop(0)
-        else:
-            print(f"unknown option {flag!r}", file=sys.stderr)
-            return 2
-    os.makedirs(journal_dir, exist_ok=True)
+    journal_dir = smoke_journal_dir(
+        argv, os.path.join("benchmarks", "results", "crash-recovery"))
     sweep_ok = run_sweep_phase(journal_dir)
     corpus_ok = run_corpus_phase(journal_dir)
     if sweep_ok and corpus_ok:

@@ -47,7 +47,7 @@ from repro.fabric.faults import (
 from repro.scenarios import replay_smoke
 from repro.measure.supervise import run_supervised
 from repro.obs import write_artifact
-from repro.testing import sweeps_identical
+from repro.testing import smoke_journal_dir, sweeps_identical
 
 TRIALS = 6
 FACTORY_KW = {"name": "fabricchaos.com", "seed": 13, "n_origins": 3,
@@ -150,16 +150,8 @@ def run_scenario(name, plan, kwargs, factory_kw, required, reference,
 
 
 def main(argv) -> int:
-    journal_dir = os.path.join("benchmarks", "results", "fabric-chaos")
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--journal-dir":
-            journal_dir = rest.pop(0)
-        else:
-            print(f"unknown option {flag!r}", file=sys.stderr)
-            return 2
-    os.makedirs(journal_dir, exist_ok=True)
+    journal_dir = smoke_journal_dir(
+        argv, os.path.join("benchmarks", "results", "fabric-chaos"))
     reference = run_supervised(replay_smoke(**FACTORY_KW), trials=TRIALS,
                                workers=1, capture_digest=True)
     assert reference.complete

@@ -45,10 +45,9 @@ from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
 from repro.testing import (
-    child_pids,
-    pids_alive,
+    kill_mid_journal,
+    smoke_journal_dir,
     sweeps_identical,
-    wait_for_journal_trials,
 )
 
 TRIALS = 6
@@ -126,24 +125,10 @@ def run_coordinator_kill_phase(journal_dir: str, reference,
                                reference_bytes: bytes) -> bool:
     journal_path = os.path.join(journal_dir,
                                 "coordinator-kill.journal.jsonl")
-    context = multiprocessing.get_context("fork")
-    driver = context.Process(target=_fabric_driver, args=(journal_path,))
+    driver = multiprocessing.get_context("fork").Process(
+        target=_fabric_driver, args=(journal_path,))
     driver.start()
-    if not wait_for_journal_trials(journal_path, wanted=2, timeout=120):
-        driver.kill()
-        driver.join()
-        print("FAIL coordinator-kill: driver never journaled two trials")
-        return False
-    workers = child_pids(driver.pid)
-    os.kill(driver.pid, signal.SIGKILL)
-    driver.join()
-    assert driver.exitcode == -signal.SIGKILL
-    orphans = sorted(pids_alive(workers, within=5.0))
-    print(f"coordinator-kill: killed coordinator had {len(workers)} "
-          f"worker(s); still alive 5s later: {orphans or 'none'}")
-    if orphans or not workers:
-        print("FAIL coordinator-kill: the killed coordinator left orphan "
-              "workers (or had none)")
+    if not kill_mid_journal(driver, journal_path, "coordinator-kill"):
         return False
 
     journaled = len(TrialJournal(journal_path, key=RUN_KEY))
@@ -164,16 +149,8 @@ def run_coordinator_kill_phase(journal_dir: str, reference,
 
 
 def main(argv) -> int:
-    journal_dir = os.path.join("benchmarks", "results", "fabric")
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--journal-dir":
-            journal_dir = rest.pop(0)
-        else:
-            print(f"unknown option {flag!r}", file=sys.stderr)
-            return 2
-    os.makedirs(journal_dir, exist_ok=True)
+    journal_dir = smoke_journal_dir(
+        argv, os.path.join("benchmarks", "results", "fabric"))
     reference, reference_bytes = _serial_reference(
         os.path.join(journal_dir, "serial.journal.jsonl"))
     worker_ok = run_worker_kill_phase(journal_dir, reference,

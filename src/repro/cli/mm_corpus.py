@@ -17,14 +17,17 @@ Concurrent workers share the store safely (per-process temp names +
 atomic rename). ``stats`` reports the resulting body dedup: unique vs
 total body bytes and the dedup ratio.
 
-Generation checkpoints every completed site in a crash-safe journal
-(``.generate-journal.jsonl`` inside the output folder, removed once the
-whole corpus has materialised). ``--resume`` picks up a killed run
-where it left off, skipping journaled sites; the
-journal is keyed to (seed, size, singles, scale), so resuming with
-different parameters is refused rather than silently mixing corpora.
-Because each site is a deterministic function of the corpus seed, a
-resumed run's output is byte-identical to an uninterrupted one.
+Generation is one sweep (:func:`repro.measure.supervise.run_sweep`,
+one site per trial, no retries): it checkpoints every completed site in
+that sweep's crash-safe journal (``.generate-journal.jsonl`` inside the
+output folder, removed once the whole corpus has materialised).
+``--resume`` picks up a killed run where it left off, skipping
+journaled sites; the journal is keyed to (seed, size, singles, scale),
+so resuming with different parameters is refused rather than silently
+mixing corpora. A site that fails is an error naming it, and the
+journal stays for ``--resume``. Because each site is a deterministic
+function of the corpus seed, a resumed run's output is byte-identical to
+an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from typing import List
 from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
 from repro.corpus import alexa_corpus, corpus_statistics
 from repro.errors import JournalError
-from repro.measure.journal import TrialJournal, run_key
-from repro.measure.parallel import default_workers, parallel_map
+from repro.measure.journal import run_key
+from repro.measure.parallel import default_workers
+from repro.measure.supervise import run_sweep
 from repro.record.cas import CAS_DIR_NAME, CasStore, body_checksum
 from repro.record.fsck import corpus_site_dirs
 from repro.record.store import RecordedSite
@@ -79,24 +83,15 @@ def _generate(argv: List[str]) -> int:
         workers = default_workers()
     if workers < 0:
         raise CliError(f"{USAGE}\n--workers must be >= 0")
+    if size < 1:
+        raise CliError(f"{USAGE}\n--size must be >= 1, got {size}")
     sites = alexa_corpus(seed=seed, size=size, single_origin_sites=singles,
                          scale=scale)
     os.makedirs(out, exist_ok=True)
 
     journal_path = os.path.join(out, JOURNAL_FILE)
-    key = run_key(seed=seed, size=size, singles=singles, scale=scale)
     if not resume and os.path.exists(journal_path):
         os.remove(journal_path)  # fresh run: discard stale checkpoints
-    try:
-        journal = TrialJournal(journal_path, key=key)
-    except JournalError as exc:
-        raise CliError(
-            f"cannot resume: {exc}\n(the journal was written by a run "
-            f"with different parameters — rerun without --resume to "
-            f"regenerate from scratch)"
-        )
-    done = sorted(journal.completed)
-    todo = [i for i in range(len(sites)) if i not in journal]
 
     def materialise(index: int) -> str:
         site = sites[index]
@@ -106,17 +101,32 @@ def _generate(argv: List[str]) -> int:
         site.to_recorded_site().save(os.path.join(out, site.name), cas=cas)
         return site.name
 
-    # Checkpoint each site as its save lands: a killed run loses only
-    # the in-flight sites, and --resume skips everything journaled.
-    parallel_map(materialise, len(sites), workers=workers, indices=todo,
-                 on_result=lambda i, name: journal.append(i, name))
-    journal.close()
+    # Each site is checkpointed as its save lands: a killed run loses
+    # only the in-flight sites, and --resume skips everything journaled.
+    try:
+        sweep = run_sweep(
+            materialise, None, len(sites), workers,
+            journal=journal_path,
+            run_key=run_key(seed=seed, size=size, singles=singles,
+                            scale=scale))
+    except JournalError as exc:
+        raise CliError(
+            f"cannot resume: {exc}\n(the journal was written by a run "
+            f"with different parameters — rerun without --resume to "
+            f"regenerate from scratch)"
+        )
+    failed = [f"site {sites[o.trial].name} {o.status}: {o.error}"
+              for o in sweep.outcomes if not o.succeeded]
+    if failed:
+        raise CliError("\n".join(failed) + "\n(the other sites stay "
+                       "journaled: rerun with --resume to finish)")
     # A finished corpus needs no checkpoint; leave the folder clean.
     os.remove(journal_path)
     stats = corpus_statistics(sites)
-    skipped = f", {len(done)} already journaled" if done else ""
-    print(f"generated {len(todo)} of {len(sites)} sites in {out}{skipped}"
-          + (f" ({workers} workers)" if workers > 1 else ""))
+    done = sum(o.from_journal for o in sweep.outcomes)
+    skipped = f", {done} already journaled" if done else ""
+    print(f"generated {len(sites) - done} of {len(sites)} sites in {out}"
+          f"{skipped}" + (f" ({workers} workers)" if workers > 1 else ""))
     _print_stats(stats)
     return 0
 

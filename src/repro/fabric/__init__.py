@@ -34,7 +34,7 @@ from repro.fabric.backend import (
     SubprocessBackend,
     WorkerHandle,
 )
-from repro.fabric.coordinator import FabricResult, run_fabric
+from repro.fabric.coordinator import run_fabric
 from repro.fabric.faults import (
     FabricFaultPlan,
     FaultyBackend,
@@ -46,13 +46,12 @@ from repro.fabric.faults import (
 from repro.fabric.health import BackoffPolicy, HeartbeatSender, HostHealth
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.fabric.sync import ShipReport, ship_corpus, ship_site
-from repro.fabric.worker import FactorySpec, run_shard, worker_loop
+from repro.fabric.worker import FactorySpec, worker_loop
 
 __all__ = [
     "BackoffPolicy",
     "FabricBackend",
     "FabricFaultPlan",
-    "FabricResult",
     "FactorySpec",
     "FaultyBackend",
     "FrameFault",
@@ -69,7 +68,6 @@ __all__ = [
     "WorkerHandle",
     "read_message",
     "run_fabric",
-    "run_shard",
     "ship_corpus",
     "ship_site",
     "worker_loop",

@@ -6,9 +6,9 @@ anything else. Three implementations cover the deployment spectrum:
 
 * :class:`LocalBackend` — ``fork()`` a worker that inherits the scenario
   factory closure directly. Zero serialization of the factory, fastest
-  startup; the default for single-host campaigns, and what
-  ``run_supervised`` and ``parallel_map`` dispatch to (the latter's
-  workers inherit its task in the factory's place). This is the one
+  startup; the default for single-host campaigns, and what a sweep
+  given no backend and ``parallel_map`` dispatch to (their workers
+  inherit a task in the factory's place). This is the one
   place in the package that forks (a tier-1 test holds it to that).
 * :class:`SubprocessBackend` — launch ``mm-fabric worker`` as a fresh
   interpreter wired over stdin/stdout pipes. The factory travels as a

@@ -7,9 +7,12 @@ set of live workers obtained from a
 **one trial at a time** over the framed protocol (``run [t]`` →
 ``outcome``, ``done``). It has two callers: the sweep
 (:func:`~repro.measure.supervise.run_sweep`, the one body under
-``run_supervised`` and :func:`run_fabric`, which adds the journal around
-it) and :func:`~repro.measure.parallel.parallel_map` (loss budget 0, no
-journal, the lowest failing index re-raised).
+``run_supervised``, :func:`run_fabric` and ``mm-corpus generate``,
+which journals every outcome it is handed) and
+:func:`~repro.measure.parallel.parallel_map` (loss budget 0, no
+journal, the lowest failing index re-raised). Workers hold no journal:
+a killed coordinator costs at most the one trial each worker had in
+flight, and determinism makes the re-run byte-identical.
 
 **The byte-identity guarantee.** Because trials are deterministic pure
 functions of their index (DESIGN.md §6), *where* and *when* a trial runs
@@ -72,7 +75,6 @@ from repro.measure.supervise import SweepResult, TrialOutcome, run_sweep
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
-    "FabricResult",
     "dispatch",
     "run_fabric",
 ]
@@ -92,16 +94,11 @@ _SPECULATE_COPIES = 1
 _LINGER = 5.0
 
 
-#: What ``run_fabric`` returns: the one :class:`SweepResult` every sweep
-#: returns, under the fabric's name for it.
-FabricResult = SweepResult
-
-
 @dataclass
 class _Worker:
     """Dispatcher-side record of one live worker and the trial it holds."""
 
-    seq: int                      # worker sequence number (sidecar name)
+    seq: int                      # worker sequence number
     handle: WorkerHandle
     host: str                     # backend host key (health bookkeeping)
     trial: int                    # the one trial in flight
@@ -153,7 +150,6 @@ def run_fabric(
     run_key: Optional[str] = None,
     capture_digest: bool = False,
     progress_deadline: Optional[float] = None,
-    worker_journals: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
@@ -185,11 +181,6 @@ def run_fabric(
             so a long trial can be killed as stalled. Harness wall time
             only; the per-trial virtual ``timeout`` still governs
             simulated time.
-        worker_journals: also have each worker checkpoint to a
-            ``<journal>.shard<seq>`` sidecar, merged into the main
-            journal on the next resume (defense in depth for a killed
-            *coordinator*; the coordinator already journals every
-            streamed outcome itself).
         metrics: registry for ``fabric.*`` instruments (created when
             None; returned on the result either way).
         heartbeat: wall seconds between worker liveness pulses (None
@@ -215,12 +206,12 @@ def run_fabric(
         byte-identical to ``run_supervised(...)`` over the same sweep.
     """
     return run_sweep(
-        None, backend, trials, shards, timeout=timeout,
-        allow_failures=allow_failures, retries=retries,
-        worker_retries=worker_retries, deadline=progress_deadline,
-        journal=journal, run_key=run_key, capture_digest=capture_digest,
-        worker_journals=worker_journals, metrics=metrics,
-        heartbeat=heartbeat, io_deadline=io_deadline,
+        None, backend, trials, shards,
+        config={"timeout": timeout, "allow_failures": allow_failures,
+                "capture_digest": capture_digest},
+        retries=retries, worker_retries=worker_retries,
+        deadline=progress_deadline, journal=journal, run_key=run_key,
+        metrics=metrics, heartbeat=heartbeat, io_deadline=io_deadline,
         spawn_retries=spawn_retries,
         health=HostHealth(quarantine_after=quarantine_after),
         speculate=speculate, spelled=("shards", "progress_deadline"))
@@ -239,7 +230,6 @@ def dispatch(
     spawn_retries: int = 2,
     health: Optional[HostHealth] = None,
     speculate: bool = False,
-    sidecars: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
     """Run ``pending`` trials on up to ``workers`` workers from
@@ -256,17 +246,15 @@ def dispatch(
 
     Args:
         config: what every worker is configured with: ``retries``,
-            ``heartbeat``, ``run_key``, and the trial knobs (``timeout``,
+            ``heartbeat``, and the trial knobs (``timeout``,
             ``allow_failures``, ``capture_digest``) or ``task``.
         record: called once per trial with its first outcome, in
-            arrival order (the journal writer, or a caller's hook).
+            arrival order (the sweep's journal writer).
         worker_retries: lost holders a trial survives (see module doc).
         deadline: the liveness deadline, wall seconds (None: no
             watchdog).
         health: per-host crash streaks; the default never quarantines
             (one host has nowhere to fall back to).
-        sidecars: journal path workers derive their ``.shard<seq>``
-            sidecar journals from (None: workers hold no journal).
     """
     if metrics is None:
         metrics = MetricsRegistry()
@@ -356,8 +344,7 @@ def dispatch(
                 f"coordinator speaks {PROTOCOL_VERSION} — refusing the "
                 f"whole sweep (a version skew is systemic, not a crash)"
             )
-        settings = dict(config, protocol=PROTOCOL_VERSION, journal=(
-            f"{sidecars}.shard{worker.seq}" if sidecars is not None else None))
+        settings = dict(config, protocol=PROTOCOL_VERSION)
         if spec is not None:  # fresh-process workers inherit no closure
             settings["factory"] = (spec.spec, spec.kwargs)
         send(worker, ("config", settings))

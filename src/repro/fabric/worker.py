@@ -24,15 +24,16 @@ Alongside the trial work, a
 lock so frames never interleave), which is how the dispatcher tells a
 slow worker from a wedged one.
 
-What a worker runs is a *task*, ``index -> result``: for a sweep,
-:func:`~repro.measure.runner.run_trial` bound to the scenario factory
-and the config's trial knobs; for ``parallel_map``, the caller's task
-as it is. Trial semantics are *identical to the in-process sweep*
-because they are the same code:
+What a worker runs is a *task*, ``index -> result``: for a page-load
+sweep, :func:`~repro.measure.runner.run_trial` bound to the scenario
+factory and the config's trial knobs; in task mode (``parallel_map``,
+``mm-corpus generate``), the inherited task as it is. Trial semantics
+are *identical to the in-process sweep* because they are the same code:
 :func:`~repro.measure.supervise.run_shard`, the one attempt/quarantine
-loop (re-exported here), runs both. That shared core is what makes the
+loop, runs both. That shared core is what makes the
 byte-identical-to-serial guarantee a matter of construction rather than
-luck.
+luck. A worker holds no journal: every outcome it streams is journaled
+by the sweep that dispatched it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Any, BinaryIO, Dict, Optional
 from repro.errors import FabricError, ProtocolError, ReproError
 from repro.fabric.health import HeartbeatSender
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
-from repro.measure.journal import open_journal
 from repro.measure.runner import (
     DEFAULT_TRIAL_TIMEOUT,
     ScenarioFactory,
@@ -58,7 +58,6 @@ from repro.measure.supervise import run_shard
 
 __all__ = [
     "FactorySpec",
-    "run_shard",
     "worker_loop",
 ]
 
@@ -120,8 +119,8 @@ def worker_loop(
         factory: an inherited factory closure (fork backends); spawned
             workers leave it None and receive a :class:`FactorySpec`
             in their config instead. When the config says ``"task"``
-            (``parallel_map``) it already is the ``index -> result``
-            task, and runs as it is.
+            it already is the ``index -> result`` task, and runs as it
+            is.
 
     Returns:
         Process exit status (0 on a completed conversation — a
@@ -139,7 +138,6 @@ def worker_loop(
 
     send(("hello", {"protocol": PROTOCOL_VERSION, "pid": os.getpid()}))
     heartbeat: Optional[HeartbeatSender] = None
-    journal = None
     configured = False
     try:
         kind, config = read_message(rfile)
@@ -168,8 +166,6 @@ def worker_loop(
                 timeout=config.get("timeout", DEFAULT_TRIAL_TIMEOUT),
                 allow_failures=bool(config.get("allow_failures", False)),
                 capture_digest=bool(config.get("capture_digest", False)))
-        journal = open_journal(config.get("journal") or None,
-                               config.get("run_key"))
         interval = float(config.get("heartbeat") or 0)
         if interval > 0:
             heartbeat = HeartbeatSender(
@@ -186,7 +182,7 @@ def worker_loop(
                 raise ProtocolError(f"expected run or shutdown, got {kind!r}")
             completed = 0
             for outcome in run_shard(task, list(data),
-                                     int(config.get("retries", 1)), journal):
+                                     int(config.get("retries", 1))):
                 try:
                     send(("outcome", outcome))
                 except (pickle.PicklingError, AttributeError,
@@ -216,5 +212,3 @@ def worker_loop(
     finally:
         if heartbeat is not None:
             heartbeat.stop()
-        if journal is not None:
-            journal.close()

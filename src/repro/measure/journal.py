@@ -36,14 +36,13 @@ import io
 import json
 import os
 import pickle
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import JournalError
 
 __all__ = [
     "JOURNAL_VERSION",
     "TrialJournal",
-    "merge_journals",
     "open_journal",
     "run_key",
 ]
@@ -294,37 +293,3 @@ def open_journal(journal: Any, key: Optional[str] = None
     if journal is None or isinstance(journal, TrialJournal):
         return journal
     return TrialJournal(journal, key=key)
-
-
-def merge_journals(target: TrialJournal, sources: Iterable[Any]) -> int:
-    """Fold other journals' completed trials into ``target``.
-
-    The fabric's shard journals are partial views of one sweep: each
-    worker checkpoints the trials *it* ran. Merging replays every source
-    record absent from the target (first source wins on a duplicate —
-    determinism makes duplicates identical anyway, and ``target``'s own
-    records always take precedence). Every source is key-checked against
-    the target, so shards of a *different* sweep raise
-    :class:`~repro.errors.JournalError` instead of polluting the merge.
-
-    Args:
-        target: the journal records are merged into (appended + fsync'd).
-        sources: journal paths (missing ones are skipped — a shard that
-            never completed a trial has no sidecar to merge).
-
-    Returns:
-        The number of trial records copied into ``target``.
-    """
-    merged = 0
-    for source in sources:
-        path = os.fspath(source)
-        if not os.path.exists(path):
-            continue
-        other = open_journal(path, key=target.key)
-        for trial in other:
-            if trial in target:
-                continue
-            result, digest = other._completed[trial]
-            target.append(trial, result, digest=digest)
-            merged += 1
-    return merged

@@ -20,7 +20,9 @@ There is no pool of its own here: :func:`parallel_map` runs on the one
 trial dispatcher (:func:`repro.fabric.coordinator.dispatch`) — the loop
 every dispatched sweep runs on — with loss budget 0 (a dead worker is an
 error, not a retry) and no journal, and its workers run the task as it
-is. Scenario factories and tasks are usually closures (over a recorded
+is. A loop that must survive a kill checkpoints through
+:func:`~repro.measure.supervise.run_sweep` instead, the one journaled
+loop. Scenario factories and tasks are usually closures (over a recorded
 site, a machine profile, link parameters) and closures do not pickle; the
 dispatcher's local workers are *forked*, so they inherit the task with
 their memory image, and only trial indices and pickled results ever cross
@@ -50,7 +52,7 @@ import contextlib
 import gc
 import multiprocessing
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List
 
 from repro.errors import ReproError
 
@@ -112,28 +114,19 @@ def parallel_map(
     task: Callable[[int], Any],
     count: int,
     workers: int,
-    indices: Optional[Sequence[int]] = None,
-    on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Evaluate ``[task(0), ..., task(count - 1)]``, possibly in parallel.
 
-    The generic primitive under ``run_page_loads(workers=)`` (and the
-    ``mm-corpus --workers`` flag): results come back in index order, an
-    exception raised by ``task`` propagates for the lowest failing index,
-    and the serial path is used when parallelism cannot help (or the
-    platform lacks fork, which closure-carrying tasks require).
+    The generic primitive under ``run_page_loads(workers=)`` and the
+    capacity sweep: results come back in index order, an exception
+    raised by ``task`` propagates for the lowest failing index, and the
+    serial path is used when parallelism cannot help (or the platform
+    lacks fork, which closure-carrying tasks require).
 
     Args:
         task: called with each index; may be a closure (fork-inherited).
         count: number of indices.
         workers: worker cap; effective size is ``min(workers, count)``.
-        indices: run exactly these indices instead of ``range(count)``
-            (a resumed run's remaining work); results come back in the
-            order given.
-        on_result: called in the *parent* as ``on_result(index, result)``
-            when each result arrives — the checkpoint hook: a caller
-            journaling completions loses at most the in-flight tasks to
-            a kill, not everything. Completion order, not index order.
 
     Raises:
         ReproError: if a worker process dies holding an index (the
@@ -149,20 +142,16 @@ def parallel_map(
         raise ValueError(f"count must be >= 0, got {count!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    todo = list(range(count)) if indices is None else list(indices)
-    workers = min(workers, len(todo))
+    workers = min(workers, count)
     if workers <= 1 or not fork_available():
         results = []
         with trial_scope():
-            for index in todo:
+            for index in range(count):
                 try:
-                    result = task(index)
+                    results.append(task(index))
                 except Exception as exc:
                     exc.trial_index = index
                     raise
-                if on_result is not None:
-                    on_result(index, result)
-                results.append(result)
         return results
 
     # Imported here: repro.fabric is built on repro.measure.
@@ -181,18 +170,14 @@ def parallel_map(
             exc.trial_index = index
             return False, exc
 
-    def arrived(outcome) -> None:
-        if on_result is not None and outcome.succeeded and outcome.result[0]:
-            on_result(outcome.trial, outcome.result[1])
-
     outcomes: Dict[int, Any] = {}
     dispatch(
         LocalBackend(carried),
-        list(dict.fromkeys(todo)),
+        range(count),
         workers,
         outcomes,
         config={"task": True, "retries": 0},
-        record=arrived,
+        record=lambda outcome: None,
         worker_retries=0,
     )
     failures: Dict[int, BaseException] = {}
@@ -208,4 +193,4 @@ def parallel_map(
             failures[index] = outcome.result[1]
     if failures:
         raise failures[min(failures)]
-    return [outcomes[index].result[1] for index in todo]
+    return [outcomes[index].result[1] for index in range(count)]

@@ -21,10 +21,14 @@ Failure classes (per failed fetch):
 Load outcomes (per trial): ``success`` (everything loaded), ``degraded``
 (onload fired with failed resources), ``hung`` (onload never fired
 within the timeout).
+
+The trials run as one in-process sweep (no retries), so a journaled
+robustness run checkpoints and resumes like every other sweep.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.browser.engine import PageLoadResult
@@ -32,13 +36,14 @@ from repro.errors import (
     ConnectionClosed,
     ConnectionReset,
     DnsError,
+    ReproError,
     ResetMidTransfer,
     TimeoutError_,
     TruncatedBody,
 )
-from repro.measure.journal import open_journal
 from repro.measure.runner import DEFAULT_TRIAL_TIMEOUT, ScenarioFactory
 from repro.measure.stats import Sample
+from repro.measure.supervise import run_sweep
 
 #: Stable category order for tables and artifacts.
 FAILURE_CLASSES = ("reset", "truncated", "dns", "timeout", "closed", "other")
@@ -205,26 +210,22 @@ def run_chaos_trials(
             ``ShellStack.add_chaos``.
         trials: how many independent loads.
         timeout: virtual-time budget per trial before it counts as hung.
-        journal: a :class:`~repro.measure.journal.TrialJournal` or path.
-            Completed trials are replayed from it instead of re-run, and
-            each newly classified :class:`LoadOutcome` is checkpointed
-            (fsync'd) as it lands — a killed robustness sweep resumes to
-            the identical summary, since trials are deterministic.
+        journal: a :class:`~repro.measure.journal.TrialJournal` or path,
+            as for :func:`~repro.measure.supervise.run_supervised` — a
+            killed robustness sweep resumes to the identical summary.
         run_key: stamps/validates a path-given journal (see
             :func:`repro.measure.journal.run_key`).
+
+    Raises:
+        ReproError: naming every trial that raised instead of loading
+            (a broken factory, not a degraded load), so the summary
+            never silently shrinks; the others stay journaled.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    journal = open_journal(journal, run_key)
-    outcomes: List[LoadOutcome] = []
-    for trial in range(trials):
-        if journal is not None and trial in journal:
-            outcomes.append(journal.completed[trial])
-            continue
-        outcome = run_chaos_trial(factory, trial, timeout)
-        if journal is not None:
-            journal.append(trial, outcome)
-        outcomes.append(outcome)
-    if journal is not None:
-        journal.close()
-    return RobustnessSummary(outcomes)
+    sweep = run_sweep(partial(run_chaos_trial, factory, timeout=timeout),
+                      None, trials, journal=journal, run_key=run_key)
+    lost = [f"trial {o.trial}: {o.error}" for o in sweep.outcomes
+            if not o.succeeded]
+    if lost:
+        raise ReproError(f"{len(lost)} of {trials} chaos trials lost: "
+                         + "; ".join(lost))
+    return RobustnessSummary(sweep.results)

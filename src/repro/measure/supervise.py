@@ -7,12 +7,15 @@ wrong one for the paper's production shape — Figure 2 sweeps 500 sites,
 Tables 1–2 run 100 loads per configuration, and at that scale a single
 OOM-killed worker or one pathological trial must not cost the run.
 
-:func:`run_sweep` is the harness-resilience contract, and
+:func:`run_sweep` is the harness-resilience contract and the one loop
+that opens, replays, appends to and compacts a journal.
 :func:`run_supervised` (local forks) and
 :func:`repro.fabric.coordinator.run_fabric` (workers from any backend)
-are its two spellings. It has two ways to run a batch: in this process
-(:func:`run_shard`, for ``workers=1`` or a platform without ``fork``)
-or *dispatched* — the one trial dispatcher
+are its two page-load spellings;
+:func:`~repro.measure.robustness.run_chaos_trials` and ``mm-corpus
+generate`` hand it tasks of their own. It has two ways to run a batch:
+in this process (:func:`run_shard`, for ``workers=1`` or a platform
+without ``fork``) or *dispatched* — the one trial dispatcher
 (:func:`repro.fabric.coordinator.dispatch`), whose workers run the same
 :func:`run_shard`. What the caller gets either way:
 
@@ -49,9 +52,7 @@ machine the sweep runs on, never the simulated world.
 
 from __future__ import annotations
 
-import glob
 import hashlib
-import os
 import time
 import traceback
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ from typing import (
 )
 
 from repro.errors import ReproError
-from repro.measure.journal import TrialJournal, merge_journals, open_journal
+from repro.measure.journal import TrialJournal, open_journal
 from repro.measure.parallel import (
     default_workers, fork_available, trial_scope,
 )
@@ -293,36 +294,24 @@ def run_supervised(
     """
     if workers is None:
         workers = default_workers()
-    backend = None
-    # Workers are used whenever they can be (even for one pending
-    # trial): supervision — the watchdog kill, crash containment —
-    # only works across a process boundary.
-    if workers > 1 and fork_available():
-        # Imported here: repro.fabric is built on this module.
-        from repro.fabric.backend import LocalBackend
-
-        backend = LocalBackend(factory)
     return run_sweep(
-        factory, backend, trials, workers, timeout=timeout,
-        allow_failures=allow_failures, retries=retries,
-        worker_retries=retries, deadline=deadline, journal=journal,
-        run_key=run_key, capture_digest=capture_digest)
+        partial(run_trial, factory, timeout=timeout,
+                allow_failures=allow_failures, capture_digest=capture_digest),
+        None, trials, workers, retries=retries, worker_retries=retries,
+        deadline=deadline, journal=journal, run_key=run_key)
 
 
 def run_sweep(
-    factory: Optional[ScenarioFactory],
+    task: Optional[Callable[[int], Any]],
     backend: Optional[Any],
     trials: int,
-    workers: int,
-    timeout: float,
-    allow_failures: bool,
-    retries: int,
-    worker_retries: int,
-    deadline: Optional[float],
-    journal: Optional[Union[str, TrialJournal]],
-    run_key: Optional[str],
-    capture_digest: bool,
-    worker_journals: bool = False,
+    workers: int = 1,
+    config: Optional[Dict[str, Any]] = None,
+    retries: int = 0,
+    worker_retries: int = 0,
+    deadline: Optional[float] = None,
+    journal: Optional[Union[str, TrialJournal]] = None,
+    run_key: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
@@ -333,16 +322,22 @@ def run_sweep(
 ) -> SweepResult:
     """The sweep: the one body under :func:`run_supervised` and
     :func:`repro.fabric.coordinator.run_fabric`, which only map their
-    arguments onto it (their docstrings describe each).
+    arguments onto it (their docstrings describe each), and under every
+    other journaled loop of trials.
 
-    Validate; open the journal, surface the records its recovery
-    dropped and merge any ``.shard*`` sidecars a killed sweep left;
-    replay what it holds; run the rest — in this process on ``factory``
-    when ``backend`` is None, else on ``workers`` workers from
-    ``backend`` through :func:`repro.fabric.coordinator.dispatch`;
-    compact the journal to trial order; close it whatever raised.
+    Validate; open the journal and count the records resume drops;
+    replay what it holds; run the rest on ``workers`` workers from
+    ``backend`` through :func:`repro.fabric.coordinator.dispatch` —
+    with no ``backend``, forked ``LocalBackend(task)`` workers when
+    ``workers > 1`` and the platform forks, else ``task`` in this
+    process; journal each success as it lands; compact the journal to
+    trial order; close it whatever raised. The defaults run each task
+    once.
 
     Args:
+        config: what dispatched workers are configured with: the trial
+            knobs of :func:`run_trial` for workers holding a factory,
+            else ``{"task": True}`` (workers of ``LocalBackend(task)``).
         health: a :class:`~repro.fabric.health.HostHealth` (per-host
             crash streaks); None never quarantines.
         spelled: what the caller's signature calls ``workers`` and
@@ -365,54 +360,43 @@ def run_sweep(
             f"interval ({heartbeat!r}): beats are what keep an idle "
             f"stream alive under a read deadline")
 
+    # Workers are used whenever they can be (even for one pending
+    # trial): supervision — the watchdog kill, crash containment —
+    # only works across a process boundary.
+    if backend is None and workers > 1 and fork_available():
+        # Imported here: repro.fabric is built on this module.
+        from repro.fabric.backend import LocalBackend
+
+        backend = LocalBackend(task)
     if metrics is None:
         metrics = MetricsRegistry()
     started = time.monotonic()
     journal = open_journal(journal, run_key)
     try:
+        outcomes, pending, dropped = _replay_journal(journal, trials)
         if journal is not None:
-            # Surface resume-time damage instead of silently swallowing
-            # it: records the journal reader had to drop (torn tail,
-            # bitrot).
-            metrics.counter("fabric.journal_records_dropped").add(
-                journal.dropped_records)
-            leftover = sorted(glob.glob(journal.path + ".shard*"))
-            if leftover:
-                merged = merge_journals(journal, leftover)
-                metrics.counter("fabric.sidecar_trials_merged").add(merged)
-                for path in leftover:
-                    os.remove(path)
-
-        outcomes, pending = _replay_journal(journal, trials)
+            # Surface resume-time damage instead of swallowing it.
+            metrics.counter("fabric.journal_records_dropped").add(dropped)
         metrics.counter("fabric.shards").add(workers)
         metrics.counter("fabric.trials_from_journal").add(len(outcomes))
 
-        knobs = {"timeout": timeout, "allow_failures": allow_failures,
-                 "capture_digest": capture_digest}
         if backend is None:
-            for outcome in run_shard(partial(run_trial, factory, **knobs),
-                                     pending, retries, journal):
+            for outcome in run_shard(task, pending, retries):
                 outcomes[outcome.trial] = outcome
+                _journal_record(journal, outcome)
                 metrics.counter("fabric.trials_completed").add(1)
         elif pending:
             from repro.fabric.coordinator import dispatch  # see above
 
-            sidecars = journal.path \
-                if worker_journals and journal is not None else None
             dispatch(
                 backend, pending, workers, outcomes,
-                config=dict(
-                    knobs, retries=retries, heartbeat=heartbeat,
-                    run_key=journal.key if journal is not None else None),
-                record=lambda outcome: _journal_record(journal, outcome),
+                config=dict(config or {"task": True}, retries=retries,
+                            heartbeat=heartbeat),
+                record=partial(_journal_record, journal),
                 worker_retries=worker_retries, deadline=deadline,
                 io_deadline=io_deadline, spawn_retries=spawn_retries,
-                health=health, speculate=speculate, sidecars=sidecars,
-                metrics=metrics,
+                health=health, speculate=speculate, metrics=metrics,
             )
-            if sidecars is not None:
-                for path in glob.glob(sidecars + ".shard*"):
-                    os.remove(path)
 
         if journal is not None:
             # Canonical form: header + one record per trial, in trial
@@ -435,34 +419,32 @@ def run_sweep(
 
 def _replay_journal(
     journal: Optional[TrialJournal], trials: int,
-) -> Tuple[Dict[int, TrialOutcome], List[int]]:
+) -> Tuple[Dict[int, TrialOutcome], List[int], int]:
     """Split a sweep into the outcomes ``journal`` already holds
-    (``from_journal=True``) and the trial indices still to run."""
-    completed = journal.completed if journal is not None else {}
+    (``from_journal=True``) and the trial indices still to run, and
+    count the records resume drops: the damaged ones recovery skipped,
+    and any not in :func:`_journal_record`'s shape (a bare result an
+    older writer journaled), whose trials run again."""
+    if journal is None:
+        return {}, list(range(trials)), 0
+    completed = journal.completed
     outcomes: Dict[int, TrialOutcome] = {}
     pending: List[int] = []
+    dropped = journal.dropped_records
     for trial in range(trials):
-        if trial in completed:
-            status, attempts, result = \
-                _unwrap_journal_payload(completed[trial])
+        entry = completed.get(trial)
+        if isinstance(entry, dict) \
+                and entry.keys() == {"status", "attempts", "result"}:
             outcomes[trial] = TrialOutcome(
-                trial=trial, status=status, attempts=attempts, error=None,
-                result=result, from_journal=True,
+                trial=trial, status=entry["status"],
+                attempts=entry["attempts"], error=None,
+                result=entry["result"], from_journal=True,
                 digest=journal.digest_for(trial),
             )
         else:
+            dropped += trial in completed
             pending.append(trial)
-    return outcomes, pending
-
-
-def _unwrap_journal_payload(entry: Any) -> Tuple[str, int, Any]:
-    """Journal payloads are ``{"status", "attempts", "result"}`` wrappers
-    (see :func:`_journal_record`); tolerate a bare result for journals
-    written by other callers."""
-    if isinstance(entry, dict) and "result" in entry:
-        return (str(entry.get("status", "ok")),
-                int(entry.get("attempts", 1)), entry["result"])
-    return "ok", 1, entry
+    return outcomes, pending, dropped
 
 
 def _journal_record(journal: Optional[TrialJournal],
@@ -481,7 +463,6 @@ def run_shard(
     task: Callable[[int], Any],
     indices: Iterable[int],
     retries: int = 1,
-    journal: Optional[TrialJournal] = None,
 ) -> Iterator[TrialOutcome]:
     """Run ``task(index)`` for each index in order in this process,
     yielding each outcome as it lands — the one attempt/quarantine loop,
@@ -493,11 +474,8 @@ def run_shard(
     ``retried``; retry budget exhausted → ``quarantined``. Any other
     ``Exception`` is a bug a deterministic task would only raise again:
     reported once, in place, ``quarantined`` with ``TypeName: message``
-    (the traceback goes to stderr).
-    When a ``journal`` is given, every *successful* outcome is
-    checkpointed (fsync'd) before it is yielded — so a worker that dies
-    after journaling trial N to its sidecar never makes a resumed sweep
-    re-run N, the sidecar is merged instead.
+    (the traceback goes to stderr). Nothing here touches a journal:
+    :func:`run_sweep` checkpoints the outcomes it is handed.
     The loop runs under :func:`~repro.measure.parallel.trial_scope`.
     """
     with trial_scope():
@@ -524,5 +502,4 @@ def run_shard(
                     trial=trial, status="quarantined", attempts=attempt,
                     error=error, result=None,
                 )
-            _journal_record(journal, outcome)
             yield outcome

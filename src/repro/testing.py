@@ -13,10 +13,11 @@ of a scenario in one line.
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import time
-from typing import Any, Callable, Iterable, List, Optional, Set
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Set
 
 from repro.linkem.overhead import OverheadModel
 from repro.net.address import Endpoint, IPv4Address
@@ -255,6 +256,44 @@ def wait_for_journal_trials(path: str, wanted: int, timeout: float) -> bool:
             pass  # not created yet, or mid-rewrite
         time.sleep(0.02)
     return False
+
+
+def kill_mid_journal(driver: Any, journal_path: str, label: str) -> bool:
+    """The kill half of a kill-and-resume check: SIGKILL a live
+    journaling ``driver`` (a started ``multiprocessing.Process`` or
+    ``subprocess.Popen``) once ``journal_path`` holds two trial records,
+    reap it, and require that every worker it had exits on its own
+    within 5 wall seconds (no orphans blocked on a pipe).
+
+    Prints what it saw under ``label``; False when the journal never got
+    there within 120 s, or the driver had no workers, or one of them
+    outlived it.
+    """
+    reached = wait_for_journal_trials(journal_path, 2, 120.0)
+    workers = child_pids(driver.pid) if reached else set()
+    driver.kill()
+    (driver.join if hasattr(driver, "join") else driver.wait)()
+    if not reached:
+        print(f"FAIL {label}: the driver never journaled 2 trials")
+        return False
+    orphans = sorted(pids_alive(workers, within=5.0))
+    print(f"{label}: the killed driver had {len(workers)} worker(s); "
+          f"still alive 5s later: {orphans or 'none'}")
+    if orphans or not workers:
+        print(f"FAIL {label}: the killed driver left orphan workers (or "
+              f"had none)")
+        return False
+    return True
+
+
+def smoke_journal_dir(argv: Sequence[str], default: str) -> str:
+    """The ``--journal-dir DIR`` a kill-and-resume smoke script was given
+    (``default`` when absent), created; malformed argv exits 2."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--journal-dir", default=default)
+    journal_dir = parser.parse_args(argv).journal_dir
+    os.makedirs(journal_dir, exist_ok=True)
+    return journal_dir
 
 
 def sweeps_identical(result: Any, reference: Any) -> bool:

@@ -16,12 +16,14 @@ from repro.errors import (
     ConnectionClosed,
     ConnectionReset,
     DnsError,
+    ReproError,
     ResetMidTransfer,
     TimeoutError_,
     TruncatedBody,
 )
 from repro.measure import (
     FAILURE_CLASSES,
+    TrialJournal,
     classify_error,
     run_chaos_trials,
 )
@@ -143,3 +145,48 @@ class TestRunChaosTrials:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             run_chaos_trials(make_factory(FaultPlan()), trials=0)
+
+
+class TestChaosResume:
+    """A journaled robustness sweep checkpoints through the one sweep."""
+
+    PLAN = FaultPlan(clauses=(
+        DnsFaultClause(kind="servfail", count=None,
+                       name_suffix="cdn0.rob.example"),))
+
+    def test_cut_journal_resumes_to_the_uninterrupted_run(self, tmp_path):
+        factory = make_factory(self.PLAN)
+        path = tmp_path / "chaos.jsonl"
+        full = run_chaos_trials(factory, trials=4, journal=str(path),
+                                run_key="chaos")
+        # What a kill after trial 1 leaves: the header and two records.
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 5
+        path.write_bytes(b"".join(lines[:3]))
+        ran = []
+
+        def counting(trial):
+            ran.append(trial)
+            return factory(trial)
+
+        resumed = run_chaos_trials(counting, trials=4, journal=str(path),
+                                   run_key="chaos")
+        assert ran == [2, 3]
+        assert resumed.to_dict() == full.to_dict()
+        # Everything but the live result object, trial by trial.
+        assert [o[:-1] for o in resumed.outcomes] == \
+            [o[:-1] for o in full.outcomes]
+
+    def test_lost_trial_raises_naming_it(self, tmp_path):
+        inner = make_factory(self.PLAN)
+
+        def factory(trial):
+            if trial == 1:
+                raise ValueError("no world for trial 1")
+            return inner(trial)
+
+        path = tmp_path / "chaos.jsonl"
+        with pytest.raises(ReproError, match="trial 1: ValueError: no world"):
+            run_chaos_trials(factory, trials=3, journal=str(path))
+        # The trials that did load stay journaled for a resume.
+        assert sorted(TrialJournal(str(path)).completed) == [0, 2]

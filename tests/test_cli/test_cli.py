@@ -290,6 +290,14 @@ class TestMmCorpus:
             mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
                            "--cas"], [])
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_size_below_one_refused(self, tmp_path, size):
+        # Not a traceback at the missing journal, nor a complaint about
+        # single-origin sites.
+        with pytest.raises(CliError, match="--size must be >= 1"):
+            mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
+                           "--size", size, "--singles", "0"], [])
+
     def test_stats_missing_dir(self):
         with pytest.raises(CliError):
             mm_corpus.run(["stats", "/nonexistent"], [])
@@ -334,7 +342,8 @@ class TestMmCorpusResume:
             shutil.rmtree(out / sites[index].name)
         with TrialJournal(out / mm_corpus.JOURNAL_FILE, key=key) as journal:
             for index in (0, 1):
-                journal.append(index, sites[index].name)
+                journal.append(index, {"status": "ok", "attempts": 1,
+                                       "result": sites[index].name})
         assert self._generate(out, extra=["--resume"]) == 0
         text = capsys.readouterr().out
         assert "generated 2 of 4 sites" in text
@@ -367,6 +376,49 @@ class TestMmCorpusResume:
         assert self._generate(out) == 0
         assert "generated 4 of 4 sites" in capsys.readouterr().out
         assert not (out / mm_corpus.JOURNAL_FILE).exists()
+
+    def test_bare_site_records_are_dropped_and_regenerated(self, tmp_path,
+                                                           capsys):
+        # A journal from before every record was a sweep outcome holds
+        # bare site names: never misread as done, never a crash.
+        from repro.measure.journal import TrialJournal, run_key
+
+        out = tmp_path / "corpus"
+        out.mkdir()
+        with TrialJournal(out / mm_corpus.JOURNAL_FILE,
+                          key=run_key(seed=2, size=4, singles=1,
+                                      scale=0.3)) as journal:
+            journal.append(0, "somesite.com")
+        assert self._generate(out, extra=["--resume"]) == 0
+        assert "generated 4 of 4 sites" in capsys.readouterr().out
+        assert len(corpus_site_dirs(out)) == 4
+
+    def test_failed_site_is_named_and_journal_kept(self, tmp_path,
+                                                    monkeypatch):
+        from repro.measure.journal import TrialJournal
+        from repro.record.store import RecordedSite
+
+        real = RecordedSite.save
+        broken = []
+
+        def flaky(store, directory, **kwargs):
+            if not broken:
+                broken.append(os.path.basename(directory))
+                raise OSError("disk full")
+            return real(store, directory, **kwargs)
+
+        monkeypatch.setattr(RecordedSite, "save", flaky)
+        out = tmp_path / "corpus"
+        with pytest.raises(CliError, match="OSError: disk full") as info:
+            self._generate(out)
+        assert f"site {broken[0]} quarantined" in str(info.value)
+        journal = out / mm_corpus.JOURNAL_FILE
+        assert sorted(TrialJournal(str(journal)).completed) == [1, 2, 3]
+        # --resume finishes the corpus from there.
+        monkeypatch.setattr(RecordedSite, "save", real)
+        assert self._generate(out, extra=["--resume"]) == 0
+        assert not journal.exists()
+        assert len(corpus_site_dirs(out)) == 4
 
 
 class TestMmFsck:

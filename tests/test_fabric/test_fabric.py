@@ -16,12 +16,11 @@ import time
 
 import pytest
 
-from repro.errors import JournalError
 from repro.fabric.backend import LocalBackend, RemoteBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
 from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
-from repro.measure.journal import TrialJournal, merge_journals
+from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
@@ -380,22 +379,23 @@ class TestJournalIntegration:
         assert_identical(result, reference)
         assert journal.read_bytes() == reference_bytes
 
-    def test_worker_sidecar_journals_cleaned_up(self, factory, serial,
-                                                tmp_path):
+    def test_workers_leave_no_sidecar_journals(self, factory, serial,
+                                               tmp_path):
+        # The coordinator journals every outcome it receives; workers
+        # write nothing beside it.
         reference, reference_bytes = serial
         journal = tmp_path / "journal.jsonl"
         result = run_fabric(LocalBackend(factory), TRIALS, shards=2,
-                            journal=str(journal), capture_digest=True,
-                            worker_journals=True)
+                            journal=str(journal), capture_digest=True)
         assert_identical(result, reference)
         assert journal.read_bytes() == reference_bytes
-        assert not list(tmp_path.glob("journal.jsonl.shard*"))
+        assert sorted(os.listdir(tmp_path)) == ["journal.jsonl"]
 
-    def test_leftover_sidecar_merged_on_resume(self, factory, serial,
-                                               tmp_path):
+    def test_leftover_sidecar_is_not_read_on_resume(self, factory, serial,
+                                                    tmp_path):
         reference, reference_bytes = serial
-        # A killed coordinator left a worker's sidecar behind: its
-        # trials must be merged, not re-run.
+        # A worker sidecar an older coordinator left behind is not part
+        # of the journal: its trial re-runs, to the same bytes.
         sidecar = TrialJournal(tmp_path / "journal.jsonl.shard0")
         first = reference.outcomes[0]
         sidecar.append(
@@ -409,39 +409,5 @@ class TestJournalIntegration:
                             journal=str(tmp_path / "journal.jsonl"),
                             capture_digest=True)
         assert_identical(result, reference)
-        assert (result.metrics.counter(
-            "fabric.sidecar_trials_merged").value == 1)
-        assert result.outcomes[0].from_journal
-        assert not (tmp_path / "journal.jsonl.shard0").exists()
+        assert not any(o.from_journal for o in result.outcomes)
         assert (tmp_path / "journal.jsonl").read_bytes() == reference_bytes
-
-
-class TestMergeJournals:
-    def _journal_with(self, path, trials, key=None):
-        journal = TrialJournal(path, key=key)
-        for trial in trials:
-            journal.append(trial, {"status": "ok", "attempts": 1,
-                                   "result": None})
-        journal.close()
-        return path
-
-    def test_merges_missing_trials(self, tmp_path):
-        target = TrialJournal(tmp_path / "main.jsonl")
-        target.append(0, {"status": "ok", "attempts": 1, "result": None})
-        a = self._journal_with(tmp_path / "a.jsonl", [0, 1])
-        b = self._journal_with(tmp_path / "b.jsonl", [2])
-        merged = merge_journals(target, [str(a), str(b)])
-        assert merged == 2  # trial 0 already present
-        assert sorted(target.completed) == [0, 1, 2]
-
-    def test_missing_source_skipped(self, tmp_path):
-        target = TrialJournal(tmp_path / "main.jsonl")
-        assert merge_journals(target,
-                              [str(tmp_path / "nothing.jsonl")]) == 0
-
-    def test_key_mismatch_refused(self, tmp_path):
-        target = TrialJournal(tmp_path / "main.jsonl", key="deadbeef")
-        source = self._journal_with(tmp_path / "other.jsonl", [1],
-                                    key="cafef00d")
-        with pytest.raises(JournalError):
-            merge_journals(target, [str(source)])

@@ -4,13 +4,14 @@
 local workers from ``LocalBackend``; a second pool appearing anywhere in
 ``src/repro`` (an executor, a bare ``os.fork``, another fork context)
 would bring back its own crash detection, watchdog and retry
-bookkeeping. Likewise the journal is opened from a path, and compacted,
-in one function each, and the frame header is parsed in one module: a
-second copy of either is how ``run_supervised`` once missed the sidecar
-merge and how the fault injector came to parse frames on its own. The
-collector is frozen and unfrozen in ``repro.measure`` only, and run in
-one function there, which trials and load sessions both call. No
-subprocesses here — the source is only read.
+bookkeeping. Likewise, anywhere in ``src/repro``, a journal is
+constructed in one function, opened and compacted only by the sweep,
+and the frame header is parsed in one module: a second journal loop is
+how three record shapes came to share one file format, and a second
+frame parser is how the fault injector came to parse frames on its
+own. The collector is frozen and unfrozen in ``repro.measure`` only,
+and run in one function there, which trials and load sessions both
+call. No subprocesses here — the source is only read.
 """
 
 import ast
@@ -117,37 +118,43 @@ def test_finished_worlds_are_collected_through_the_one_helper(function):
     assert "collect_finished_worlds" in called
 
 
-def _harness_functions():
-    """(``module.py:function``, its AST) for every function in the two
-    harness packages."""
-    for package in ("measure", "fabric"):
-        for path in sorted((ROOT / package).glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{package}/{path.name}:{node.name}", node
+def _package_functions():
+    """(``module.py:function``, its AST) for every function anywhere in
+    the package."""
+    for path in sorted(ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.relative_to(ROOT)}:{node.name}", node
 
 
 def _functions_calling(matches):
     return sorted({
-        name for name, function in _harness_functions()
+        name for name, function in _package_functions()
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and matches(node.func)
     })
 
 
+def _calls_name(name):
+    """Matches a call of ``name``, bare or as an attribute."""
+    return lambda func: (isinstance(func, ast.Name) and func.id == name) \
+        or (isinstance(func, ast.Attribute) and func.attr == name)
+
+
 def test_one_function_compacts_a_journal():
-    assert _functions_calling(
-        lambda func: isinstance(func, ast.Attribute)
-        and func.attr == "rewrite"
-    ) == ["measure/supervise.py:run_sweep"]
+    assert _functions_calling(_calls_name("rewrite")) == \
+        ["measure/supervise.py:run_sweep"]
 
 
 def test_one_function_opens_a_journal_from_a_path():
-    assert _functions_calling(
-        lambda func: isinstance(func, ast.Name)
-        and func.id == "TrialJournal"
-    ) == ["measure/journal.py:open_journal"]
+    assert _functions_calling(_calls_name("TrialJournal")) == \
+        ["measure/journal.py:open_journal"]
+
+
+def test_only_the_sweep_opens_a_journal():
+    assert _functions_calling(_calls_name("open_journal")) == \
+        ["measure/supervise.py:run_sweep"]
 
 
 def test_the_frame_header_is_parsed_in_one_module():

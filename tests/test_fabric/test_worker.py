@@ -8,10 +8,9 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.scenarios import replay_smoke
-from repro.fabric.worker import FactorySpec, run_shard, worker_loop
-from repro.measure.journal import TrialJournal
+from repro.fabric.worker import FactorySpec, worker_loop
 from repro.measure.runner import run_trial
-from repro.measure.supervise import run_supervised
+from repro.measure.supervise import run_shard, run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
 SPEC = "repro.scenarios:replay_smoke"
@@ -69,14 +68,6 @@ class TestRunShard:
     def test_respects_index_order_given(self, factory):
         outcomes = list(run_shard(partial(run_trial, factory), [3, 1]))
         assert [o.trial for o in outcomes] == [3, 1]
-
-    def test_journal_checkpoints_successes(self, factory, tmp_path):
-        journal = TrialJournal(tmp_path / "shard.jsonl")
-        list(run_shard(partial(run_trial, factory), [0, 1],
-                       journal=journal))
-        journal.close()
-        recovered = TrialJournal(tmp_path / "shard.jsonl")
-        assert sorted(recovered.completed) == [0, 1]
 
 
 class _Duplex:

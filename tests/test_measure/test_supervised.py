@@ -416,6 +416,24 @@ class TestJournalResume:
         assert list(resumed.sample.values) == list(reference.sample.values)
         assert resumed.digest == reference.digest
 
+    def test_bare_record_is_dropped_and_rerun(self, tmp_path):
+        # A result journaled bare, not as a sweep outcome (the shape
+        # older writers used), is never taken for one: it is counted as
+        # dropped and its trial runs again.
+        path = str(tmp_path / "sweep.jsonl")
+        factory = _make_factory()
+        reference = run_supervised(factory, trials=2, workers=1,
+                                   capture_digest=True)
+        first = reference.outcomes[0]
+        with TrialJournal(path, key="k") as journal:
+            journal.append(0, first.result, digest=first.digest)
+        resumed = run_supervised(factory, trials=2, workers=1, journal=path,
+                                 run_key="k", capture_digest=True)
+        assert not any(o.from_journal for o in resumed.outcomes)
+        assert resumed.metrics.counter(
+            "fabric.journal_records_dropped").value == 1
+        assert resumed.digest == reference.digest
+
     @needs_fork
     def test_journal_byte_identical_to_serial_after_lost_worker(
             self, tmp_path):
