@@ -79,23 +79,23 @@ def _scenarios():
         ("truncate-stream",
          FabricFaultPlan([FrameFault(action="truncate", kinds=("outcome",),
                                      skip=1, count=1, shard=0)], seed=4),
-         {"worker_retries": 2}, {},
+         {"retries": 2}, {},
          {"fabric.worker_crashes": 1}),
         ("spawn-failures",
          FabricFaultPlan([SpawnFault(shard=0, fail_first=2)], seed=5),
          {"spawn_retries": 2}, {},
          {"fabric.spawn_retries": 2}),
-        ("quarantine-degrade",
+        ("spawn-degrade",
          FabricFaultPlan([SpawnFault(shard=1, fail_first=99)], seed=6),
-         {"spawn_retries": 1, "quarantine_after": 2}, {},
-         {"fabric.hosts_quarantined": 1, "fabric.spawn_failures": 1}),
+         {"spawn_retries": 1}, {},
+         {"fabric.spawn_failures": 1}),
         ("kill-worker",
          FabricFaultPlan([KillWorker(shard=0, after_outcomes=1)], seed=7),
-         {"worker_retries": 2}, {},
+         {"retries": 2}, {},
          {"fabric.worker_crashes": 1}),
         ("wedge-worker",
          FabricFaultPlan([WedgeWorker(shard=0, after_outcomes=1)], seed=8),
-         {"worker_retries": 2, "heartbeat": 0.1,
+         {"retries": 2, "heartbeat": 0.1,
           "progress_deadline": 0.75}, {},
          {"fabric.watchdog_kills": 1}),
         ("wedge-speculate",
@@ -107,7 +107,7 @@ def _scenarios():
         # wedged worker from the slow-but-alive one.
         ("wedge-plus-slow",
          FabricFaultPlan([WedgeWorker(shard=0, after_outcomes=1)], seed=10),
-         {"worker_retries": 2, "heartbeat": 0.1,
+         {"retries": 2, "heartbeat": 0.1,
           "progress_deadline": 0.45},
          {"pace": 0.6},
          {"fabric.watchdog_kills": 1, "fabric.heartbeats": 1}),

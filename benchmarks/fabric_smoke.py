@@ -101,7 +101,7 @@ def run_worker_kill_phase(journal_dir: str, reference,
     backend = _KillOneWorker(SPEC, after=0.5)
     result = run_fabric(backend, trials=TRIALS, shards=2,
                         journal=journal_path, run_key=RUN_KEY,
-                        worker_retries=2, capture_digest=True)
+                        retries=2, capture_digest=True)
     with open(journal_path, "rb") as fh:
         journal_bytes = fh.read()
     crashes = result.metrics.counter("fabric.worker_crashes").value

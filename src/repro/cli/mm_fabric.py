@@ -5,10 +5,9 @@ Subcommands::
     mm-fabric run --factory MOD:ATTR --trials N [--kwargs JSON]
                   [--shards K] [--backend local|subprocess|remote]
                   [--host H]... [--ssh CMD] [--timeout S] [--retries R]
-                  [--worker-retries R] [--journal PATH] [--run-key KEY]
-                  [--capture-digest] [--progress-deadline S]
-                  [--heartbeat S] [--io-deadline S] [--spawn-retries R]
-                  [--quarantine-after K] [--speculate]
+                  [--journal PATH] [--run-key KEY] [--capture-digest]
+                  [--progress-deadline S] [--heartbeat S]
+                  [--io-deadline S] [--spawn-retries R] [--speculate]
                   [--artifact PATH] [--json]
     mm-fabric worker
     mm-fabric ship SRC DEST [--json]
@@ -23,15 +22,19 @@ object of its arguments. ``--backend remote`` drives exactly one
 ``--host``: more than one is refused, not half-applied, until a
 multi-host backend exists.
 
+``--retries`` is the one loss budget, as for ``run_supervised``: a trial
+is retried in place that many times after a reported failure, and put
+back on the queue that many times after losing the worker that held it.
+
 Robustness knobs: ``--heartbeat`` turns on worker liveness beats so the
 ``--progress-deadline`` watchdog kills only wedged workers, never
 slow-but-alive ones; ``--io-deadline`` bounds every protocol read/write;
-``--spawn-retries`` retries failed spawns with capped seeded backoff and
-``--quarantine-after`` benches a host after that many consecutive
-crashes (the sweep degrades to the surviving workers); ``--speculate``
-has a worker that finds the queue empty duplicate the oldest trial still
-in flight, first outcome wins. None of these change results: every knob
-preserves byte-identity to serial.
+``--spawn-retries`` retries failed spawns after a doubling delay, and a
+slot that still cannot be filled is given up (the sweep degrades to the
+surviving workers); ``--speculate`` has a worker that finds the queue
+empty duplicate the oldest trial still in flight, first outcome wins.
+None of these change results: every knob preserves byte-identity to
+serial. An out-of-range value is a usage error naming its flag.
 
 When a run resumes from ``--journal``, corrupt journal lines are dropped
 (their trials re-run) and surfaced as the ``journal_records_dropped``
@@ -103,7 +106,6 @@ def _run_parser() -> Parser:
     add("--ssh", default="ssh")
     add("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
     add("--retries", type=int, default=1)
-    add("--worker-retries", type=int, default=1)
     add("--journal")
     add("--run-key")
     add("--capture-digest", action="store_true")
@@ -111,15 +113,36 @@ def _run_parser() -> Parser:
     add("--heartbeat", type=float)
     add("--io-deadline", type=float)
     add("--spawn-retries", type=int, default=2)
-    add("--quarantine-after", type=int, default=3)
     add("--speculate", action="store_true")
     add("--artifact")
     add("--json", action="store_true")
     return parser
 
 
+def _check_ranges(options) -> None:
+    """Refuse an out-of-range number naming its flag, before any
+    worker is spawned."""
+    for flag, value, floor in (
+            ("--trials", options.trials, 1), ("--shards", options.shards, 1),
+            ("--retries", options.retries, 0),
+            ("--spawn-retries", options.spawn_retries, 0)):
+        if value < floor:
+            raise CliError(f"{USAGE}\n{flag} must be >= {floor}, "
+                           f"got {value}")
+    for flag, value in (("--progress-deadline", options.progress_deadline),
+                        ("--heartbeat", options.heartbeat),
+                        ("--io-deadline", options.io_deadline)):
+        if value is not None and value <= 0:
+            raise CliError(f"{USAGE}\n{flag} must be positive, got {value}")
+    if options.io_deadline is not None and options.heartbeat is not None \
+            and options.io_deadline <= options.heartbeat:
+        raise CliError(f"{USAGE}\n--io-deadline ({options.io_deadline}) "
+                       f"must exceed --heartbeat ({options.heartbeat})")
+
+
 def _run(argv: List[str]) -> int:
     options = _run_parser().parse_args(argv)
+    _check_ranges(options)
     factory_spec, trials = options.factory, options.trials
     backend_name, key = options.backend, options.run_key
     try:
@@ -149,14 +172,11 @@ def _run(argv: List[str]) -> int:
 
     result = run_fabric(
         backend, trials, shards=options.shards, timeout=options.timeout,
-        retries=options.retries, worker_retries=options.worker_retries,
-        journal=options.journal, run_key=key,
+        retries=options.retries, journal=options.journal, run_key=key,
         capture_digest=options.capture_digest,
         progress_deadline=options.progress_deadline,
         heartbeat=options.heartbeat, io_deadline=options.io_deadline,
-        spawn_retries=options.spawn_retries,
-        quarantine_after=options.quarantine_after,
-        speculate=options.speculate,
+        spawn_retries=options.spawn_retries, speculate=options.speculate,
     )
     counters = {name: c.value
                 for name, c in sorted(result.metrics.counters.items())}
@@ -176,7 +196,6 @@ def _run(argv: List[str]) -> int:
             "sweep": result.to_dict(),
             "fabric": {"counters": counters, "gauges": gauges},
             "journal_records_dropped": dropped,
-            "quarantined_hosts": dict(result.quarantined_hosts or {}),
         }, indent=2, sort_keys=True))
     else:
         counts = result.counts()
@@ -195,11 +214,6 @@ def _run(argv: List[str]) -> int:
         if dropped:
             print(f"journal: dropped {dropped} corrupt record(s) on "
                   f"resume (their trials were re-run)")
-        if result.quarantined_hosts:
-            benched = ", ".join(
-                f"{host} ({crashes} crash(es))" for host, crashes in
-                sorted(result.quarantined_hosts.items()))
-            print(f"quarantined hosts: {benched}")
     return 0 if result.complete else 1
 
 

@@ -19,6 +19,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.cli.common import CliError
 from repro.errors import ReproError
 
 __all__ = ["main"]
@@ -34,6 +35,16 @@ def _parse_levels(spec: str) -> List[int]:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ReproError(f"--levels must be strictly increasing: {spec}")
     return levels
+
+
+def _check_ranges(options: argparse.Namespace) -> None:
+    """Refuse an out-of-range number naming its flag, before any world
+    is built."""
+    if options.server_workers < 1:
+        raise CliError(f"--server-workers must be >= 1, "
+                       f"got {options.server_workers}")
+    if options.command == "run" and options.rate <= 0:
+        raise CliError(f"--rate must be positive, got {options.rate}")
 
 
 def _population(options: argparse.Namespace):
@@ -168,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     options = _build_parser().parse_args(argv)
     try:
+        _check_ranges(options)
         return options.run(options)
     except ReproError as exc:
         print(f"mm-load: {exc}", file=sys.stderr)

@@ -22,9 +22,18 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.cli.common import CliError
 from repro.errors import ReproError
 
 __all__ = ["main"]
+
+
+def _check_ranges(options: argparse.Namespace) -> None:
+    """Refuse a plot smaller than one cell, naming its flag."""
+    for flag in ("--width", "--height"):
+        value = getattr(options, flag[2:], 1)  # not every command plots
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_render(options: argparse.Namespace) -> int:
@@ -116,7 +125,7 @@ _FABRIC_GROUPS = (
     ("sweep", ("workers_spawned", "trials_completed", "trials_crashed")),
     ("liveness", ("heartbeats", "watchdog_kills", "worker_crashes")),
     ("wire", ("frames_resynced", "trials_redelivered")),
-    ("spawning", ("spawn_retries", "spawn_failures", "hosts_quarantined")),
+    ("spawning", ("spawn_retries", "spawn_failures")),
     ("speculation", ("speculative_trials", "speculative_wins",
                      "speculative_losses")),
     ("journal", ("journal_records_dropped",)),
@@ -274,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     options = _build_parser().parse_args(argv)
     try:
+        _check_ranges(options)
         return options.run(options)
     except FileNotFoundError as exc:
         print(f"mm-report: {exc}", file=sys.stderr)

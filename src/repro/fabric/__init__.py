@@ -13,11 +13,12 @@ serial :func:`~repro.measure.supervise.run_supervised` of the same sweep
 
 The identity holds *under partial failure*, not just in its absence:
 protocol read/write deadlines and bounded resync
-(:mod:`~repro.fabric.protocol`), worker heartbeats and host quarantine
-(:mod:`~repro.fabric.health`), redelivery of outcomes the wire ate, and
-speculative re-execution of stragglers (:mod:`~repro.fabric.coordinator`)
-— each proven by the deterministic harness-fault injector
-(:mod:`~repro.fabric.faults`, the chaos plan's harness-side sibling).
+(:mod:`~repro.fabric.protocol`), worker heartbeats
+(:mod:`~repro.fabric.worker`), one loss/retry rule, redelivery of
+outcomes the wire ate, and speculative re-execution of stragglers
+(:mod:`~repro.fabric.coordinator`) — each proven by the deterministic
+harness-fault injector (:mod:`~repro.fabric.faults`, the chaos plan's
+harness-side sibling).
 
 Recorded corpora travel to workers as site manifests plus the
 missing-blob delta against the content-addressed store
@@ -43,20 +44,16 @@ from repro.fabric.faults import (
     SpawnFault,
     WedgeWorker,
 )
-from repro.fabric.health import BackoffPolicy, HeartbeatSender, HostHealth
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.fabric.sync import ShipReport, ship_corpus, ship_site
 from repro.fabric.worker import FactorySpec, worker_loop
 
 __all__ = [
-    "BackoffPolicy",
     "FabricBackend",
     "FabricFaultPlan",
     "FactorySpec",
     "FaultyBackend",
     "FrameFault",
-    "HeartbeatSender",
-    "HostHealth",
     "KillWorker",
     "LocalBackend",
     "PROTOCOL_VERSION",

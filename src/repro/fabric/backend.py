@@ -116,12 +116,6 @@ class FabricBackend:
         inherit a closure)."""
         return None
 
-    def host_key(self, shard: int) -> str:
-        """The host this shard's worker lands on, for per-host health
-        bookkeeping (:class:`~repro.fabric.health.HostHealth`). Local
-        transports share one key; remote backends return their host."""
-        return "local"
-
 
 def _forked_worker_main(rfd: int, wfd: int, close_fds: Sequence[int],
                         factory: ScenarioFactory) -> None:
@@ -281,9 +275,6 @@ class RemoteBackend(FabricBackend):
 
     def factory_spec(self) -> Optional[FactorySpec]:
         return self.spec
-
-    def host_key(self, shard: int) -> str:
-        return self.host
 
     def remote_command(self) -> str:
         """The shell command executed on the remote host."""

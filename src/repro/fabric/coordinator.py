@@ -33,18 +33,17 @@ recovery matrix):
 * A *lost holder* — crash, SIGKILL, torn stream, watchdog kill — costs
   exactly the one trial the worker held: it goes back on the queue and
   a replacement worker is spawned, until the trial has lost
-  ``worker_retries`` + 1 holders and is recorded ``crashed``. Losses are
-  counted per trial and never show in a successful outcome, which
-  records only the trial's own deterministic history.
+  ``retries`` + 1 holders and is recorded ``crashed``. Losses are
+  counted per trial, never per worker or host, and never show in a
+  successful outcome, which records only the trial's own deterministic
+  history.
 * A worker is *silent*, not slow, when neither an outcome nor a
   heartbeat arrived for ``deadline`` seconds since its trial was
   dispatched; the watchdog SIGKILLs it (a lost holder). With
   ``heartbeat`` set a slow trial keeps beating and is left alone.
-* A *spawn failure* is retried with capped exponential backoff and
-  seeded jitter; a slot that cannot be filled is given up and a host
-  that crashes ``quarantine_after`` times running is benched — fewer
-  workers pull from the same queue, the sweep degrades instead of
-  aborting.
+* A *spawn failure* is retried after a doubling delay (0.05 s, capped
+  at 2 s); a slot that cannot be filled is given up — fewer workers
+  pull from the same queue, the sweep degrades instead of aborting.
 * An outcome frame *eaten by the wire* shows as a ``done`` for the run
   in flight with no outcome before it: the trial is sent again
   (bounded), because re-running a pure function is always safe.
@@ -67,7 +66,6 @@ from typing import (
 
 from repro.errors import FabricError, ProtocolError
 from repro.fabric.backend import FabricBackend, WorkerHandle
-from repro.fabric.health import BackoffPolicy, HostHealth
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.measure.journal import TrialJournal
 from repro.measure.runner import DEFAULT_TRIAL_TIMEOUT
@@ -93,6 +91,10 @@ _SPECULATE_COPIES = 1
 #: Seconds a worker told to shut down may linger before it is SIGKILLed.
 _LINGER = 5.0
 
+#: The delay before the first spawn retry, doubled per retry up to the cap.
+_SPAWN_DELAY = 0.05
+_SPAWN_DELAY_CAP = 2.0
+
 
 @dataclass
 class _Worker:
@@ -100,7 +102,6 @@ class _Worker:
 
     seq: int                      # worker sequence number
     handle: WorkerHandle
-    host: str                     # backend host key (health bookkeeping)
     trial: int                    # the one trial in flight
     started: float                # wall clock of that trial's dispatch
     last_beat: float              # dispatch or latest heartbeat since
@@ -145,7 +146,6 @@ def run_fabric(
     timeout: float = DEFAULT_TRIAL_TIMEOUT,
     allow_failures: bool = False,
     retries: int = 1,
-    worker_retries: int = 1,
     journal: Optional[Union[str, TrialJournal]] = None,
     run_key: Optional[str] = None,
     capture_digest: bool = False,
@@ -154,7 +154,6 @@ def run_fabric(
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    quarantine_after: int = 3,
     speculate: bool = False,
 ) -> SweepResult:
     """Run a sweep over ``shards`` fabric workers; merge byte-identically.
@@ -169,10 +168,9 @@ def run_fabric(
             the count never shows in the output.
         timeout, allow_failures, journal, run_key, capture_digest: as
             for :func:`~repro.measure.supervise.run_supervised`.
-        retries: *in-worker* retry budget per trial for reported
-            failures (same meaning as ``run_supervised``).
-        worker_retries: how many lost holders (worker deaths, watchdog
-            kills) a trial survives before it is recorded ``crashed``.
+        retries: the budget of each of a trial's two failure counts,
+            reported failures and lost holders (same meaning as
+            ``run_supervised``).
         progress_deadline: wall-clock seconds a worker holding a trial
             may go without evidence of life before the watchdog kills it
             (None disables). With ``heartbeat`` set this measures
@@ -192,10 +190,9 @@ def run_fabric(
             instead of a hang. Must exceed ``heartbeat`` (beats are what
             keep an idle stream alive under a deadline).
         spawn_retries: extra attempts when ``backend.start_worker``
-            fails, spaced by a :class:`BackoffPolicy` (seeded jitter).
-        quarantine_after: consecutive crashes (spawn failures or worker
-            deaths) after which a host is quarantined and the sweep
-            degrades to the remaining workers.
+            fails, after a doubling delay (0.05 s, capped at 2 s); a
+            slot still unfilled is given up and the sweep degrades to
+            the remaining workers.
         speculate: a worker that finds the queue empty duplicates the
             oldest trial still in flight; first outcome wins,
             byte-identity is unaffected (trials are pure functions of
@@ -209,11 +206,9 @@ def run_fabric(
         None, backend, trials, shards,
         config={"timeout": timeout, "allow_failures": allow_failures,
                 "capture_digest": capture_digest},
-        retries=retries, worker_retries=worker_retries,
-        deadline=progress_deadline, journal=journal, run_key=run_key,
-        metrics=metrics, heartbeat=heartbeat, io_deadline=io_deadline,
-        spawn_retries=spawn_retries,
-        health=HostHealth(quarantine_after=quarantine_after),
+        retries=retries, deadline=progress_deadline, journal=journal,
+        run_key=run_key, metrics=metrics, heartbeat=heartbeat,
+        io_deadline=io_deadline, spawn_retries=spawn_retries,
         speculate=speculate, spelled=("shards", "progress_deadline"))
 
 
@@ -224,11 +219,9 @@ def dispatch(
     outcomes: Dict[int, TrialOutcome],
     config: Dict[str, Any],
     record: Callable[[TrialOutcome], None],
-    worker_retries: int,
     deadline: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    health: Optional[HostHealth] = None,
     speculate: bool = False,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
@@ -245,22 +238,18 @@ def dispatch(
     return; every worker is reaped, whatever raises.
 
     Args:
-        config: what every worker is configured with: ``retries``,
+        config: what every worker is configured with: ``retries``
+            (also the lost holders a trial survives, see module doc),
             ``heartbeat``, and the trial knobs (``timeout``,
             ``allow_failures``, ``capture_digest``) or ``task``.
         record: called once per trial with its first outcome, in
             arrival order (the sweep's journal writer).
-        worker_retries: lost holders a trial survives (see module doc).
         deadline: the liveness deadline, wall seconds (None: no
             watchdog).
-        health: per-host crash streaks; the default never quarantines
-            (one host has nowhere to fall back to).
     """
     if metrics is None:
         metrics = MetricsRegistry()
-    if health is None:
-        # More consecutive crashes than every loss budget together allows.
-        health = HostHealth(len(pending) * (worker_retries + 1) + 1)
+    retries = config["retries"]
     events: "queue.Queue[_Event]" = queue.Queue()
     todo: Deque[int] = deque(pending)
     active: Dict[int, _Worker] = {}
@@ -272,7 +261,6 @@ def dispatch(
     next_seq = 0
     max_gap = 0.0
     gave_up = "no worker could be spawned"
-    backoff = BackoffPolicy()
     spec = backend.factory_spec()
 
     def crash(trial: int, reason: str) -> None:
@@ -285,34 +273,30 @@ def dispatch(
         metrics.counter("fabric.trials_crashed").add(1)
 
     def spawn() -> bool:
-        """Start a worker for the head of the queue, with backoff-retry
-        and host quarantine; False when the slot cannot be filled."""
+        """Start a worker for the head of the queue, retrying a failed
+        spawn after a doubling delay; False when the slot cannot be
+        filled."""
         nonlocal next_seq, gave_up
         seq = next_seq
         next_seq += 1
-        host = backend.host_key(seq)
         handle: Optional[WorkerHandle] = None
-        gave_up = f"host {host!r} is quarantined"
         for attempt in range(spawn_retries + 1):
-            if not health.usable(host):
-                break
             try:
                 handle = backend.start_worker(seq)
                 break
             except FabricError as exc:
-                gave_up = (f"cannot spawn a worker on {host!r} after "
-                           f"{attempt + 1} attempts: {exc}")
-                if health.record_crash(host):
-                    metrics.counter("fabric.hosts_quarantined").add(1)
-                if attempt < spawn_retries and health.usable(host):
+                gave_up = (f"cannot spawn a worker after {attempt + 1} "
+                           f"attempts: {exc}")
+                if attempt < spawn_retries:
                     metrics.counter("fabric.spawn_retries").add(1)
-                    backoff.sleep(attempt)
+                    time.sleep(min(_SPAWN_DELAY * 2 ** attempt,
+                                   _SPAWN_DELAY_CAP))
         if handle is None:
             metrics.counter("fabric.spawn_failures").add(1)
             return False
         now = time.monotonic()
-        worker = _Worker(seq=seq, handle=handle, host=host,
-                         trial=todo.popleft(), started=now, last_beat=now)
+        worker = _Worker(seq=seq, handle=handle, trial=todo.popleft(),
+                         started=now, last_beat=now)
         worker.thread = threading.Thread(
             target=_reader, args=(seq, handle, events, io_deadline,
                                   worker.stats),
@@ -401,14 +385,12 @@ def dispatch(
         worker.handle.kill()
         code = worker.handle.wait()
         metrics.counter("fabric.worker_crashes").add(1)
-        if health.record_crash(worker.host):
-            metrics.counter("fabric.hosts_quarantined").add(1)
         trial = worker.trial
         if trial in outcomes or any(other.trial == trial
                                     for other in active.values()):
             return  # answered, or a speculative copy still holds it
         losses[trial] = losses.get(trial, 0) + 1
-        if losses[trial] <= worker_retries:
+        if losses[trial] <= retries:
             todo.append(trial)
             metrics.counter("fabric.trials_reassigned").add(1)
         else:
@@ -464,7 +446,6 @@ def dispatch(
                                  f"{data!r:.80} as its outcome")
                     continue
                 max_gap = max(max_gap, now - worker.last_beat)
-                health.record_success(worker.host)
                 first = data.trial not in outcomes
                 won = first and worker.speculative
                 if first:

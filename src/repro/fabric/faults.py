@@ -28,7 +28,7 @@ Clause catalogue:
   selected deterministically (skip the first ``skip`` matching frames,
   afflict the next ``count``) or stochastically (``rate``, seeded).
 * :class:`SpawnFault` — fail the first ``fail_first`` spawn attempts
-  for a shard (or all shards), exercising backoff-retry and quarantine.
+  for a shard (or all shards), exercising spawn retry and degradation.
 * :class:`KillWorker` — SIGKILL the worker after ``after_outcomes``
   outcome frames have crossed the wire (kill "at trial N").
 * :class:`WedgeWorker` — after ``after_outcomes`` outcomes, the worker's
@@ -146,9 +146,8 @@ class SpawnFault:
     """Fail the first ``fail_first`` spawn attempts for a shard.
 
     ``shard=None`` afflicts every shard independently (each gets its own
-    failure budget). Exercises the coordinator's backoff-retry spawn
-    path and, with ``fail_first`` past the retry budget, host
-    quarantine and shard degradation.
+    failure budget). Exercises the coordinator's spawn-retry path and,
+    with ``fail_first`` past the retry budget, shard degradation.
     """
 
     shard: Optional[int] = None
@@ -434,9 +433,6 @@ class FaultyBackend(FabricBackend):
 
     def factory_spec(self) -> Optional[FactorySpec]:
         return self.backend.factory_spec()
-
-    def host_key(self, shard: int) -> str:
-        return self.backend.host_key(shard)
 
     def _rng(self, shard: int, direction: str) -> random.Random:
         return random.Random(

@@ -18,11 +18,10 @@ trial per ``run``, which is what the fault tolerance rests on: a lost
 worker costs the one trial it held, a trial whose outcome frame the wire
 ate is simply sent again, and a straggler's trial can be copied to a
 worker with nothing else to do — all without respawning anything.
-Alongside the trial work, a
-:class:`~repro.fabric.health.HeartbeatSender` daemon thread pulses
-``heartbeat`` frames on a wall-clock period (sharing this module's write
-lock so frames never interleave), which is how the dispatcher tells a
-slow worker from a wedged one.
+Alongside the trial work, a :class:`HeartbeatSender` daemon thread
+pulses ``heartbeat`` frames on a wall-clock period (sharing this
+module's write lock so frames never interleave), which is how the
+dispatcher tells a slow worker from a wedged one.
 
 What a worker runs is a *task*, ``index -> result``: for a page-load
 sweep, :func:`~repro.measure.runner.run_trial` bound to the scenario
@@ -47,7 +46,6 @@ from functools import partial
 from typing import Any, BinaryIO, Dict, Optional
 
 from repro.errors import FabricError, ProtocolError, ReproError
-from repro.fabric.health import HeartbeatSender
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.measure.runner import (
     DEFAULT_TRIAL_TIMEOUT,
@@ -58,6 +56,7 @@ from repro.measure.supervise import run_shard
 
 __all__ = [
     "FactorySpec",
+    "HeartbeatSender",
     "worker_loop",
 ]
 
@@ -104,6 +103,59 @@ class FactorySpec:
                 f"{type(factory).__name__}"
             )
         return factory
+
+
+class HeartbeatSender:
+    """Worker-side liveness pulse.
+
+    A daemon thread that writes a ``heartbeat`` frame every ``interval``
+    wall seconds. The caller's ``lock`` must be the same one guarding
+    outcome/done writes so frames never interleave on the wire. Beats
+    continue *during* a long trial (the trial runs on the main thread),
+    which is precisely the signal that distinguishes slow from wedged.
+    Harness wall time only: nothing here touches a simulated world.
+
+    Write failures stop the sender silently: a dead coordinator pipe is
+    discovered — loudly — by the main conversation loop, not here.
+    """
+
+    def __init__(self, stream: BinaryIO, lock: threading.Lock,
+                 interval: float) -> None:
+        if interval <= 0:
+            raise ValueError(
+                f"heartbeat interval must be positive, got {interval}"
+            )
+        self._stream = stream
+        self._lock = lock
+        self._interval = interval
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="fabric-heartbeat")
+        self.sent = 0
+
+    def start(self) -> "HeartbeatSender":
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+
+    def __enter__(self) -> "HeartbeatSender":
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        self.stop()
+
+    def _run(self) -> None:
+        while not self._stop.wait(self._interval):
+            try:
+                with self._lock:
+                    write_message(
+                        self._stream, ("heartbeat", {"pid": os.getpid()}))
+                self.sent += 1
+            except Exception:
+                return
 
 
 def worker_loop(
@@ -168,10 +220,7 @@ def worker_loop(
                 capture_digest=bool(config.get("capture_digest", False)))
         interval = float(config.get("heartbeat") or 0)
         if interval > 0:
-            heartbeat = HeartbeatSender(
-                wfile, write_lock, interval=interval,
-                payload={"pid": os.getpid()},
-            ).start()
+            heartbeat = HeartbeatSender(wfile, write_lock, interval).start()
         configured = True
         batch = 0
         while True:

@@ -178,7 +178,6 @@ def parallel_map(
         outcomes,
         config={"task": True, "retries": 0},
         record=lambda outcome: None,
-        worker_retries=0,
     )
     failures: Dict[int, BaseException] = {}
     for index, outcome in outcomes.items():

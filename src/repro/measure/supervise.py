@@ -136,18 +136,14 @@ class SweepResult:
             also workers spawned, crashes, reassignments, heartbeats,
             speculation (None for a result assembled by hand).
         shards: the worker count the sweep ran with.
-        quarantined_hosts: hosts evicted for consecutive crashes, mapped
-            to the crash streak that evicted them (empty when none — the
-            degraded-but-complete signal).
     """
 
     def __init__(self, outcomes: List[TrialOutcome],
-                 metrics: Optional[MetricsRegistry] = None, shards: int = 1,
-                 quarantined_hosts: Optional[Dict[str, int]] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None,
+                 shards: int = 1) -> None:
         self.outcomes = outcomes
         self.metrics = metrics
         self.shards = shards
-        self.quarantined_hosts = dict(quarantined_hosts or {})
 
     @property
     def results(self) -> List[Optional[Any]]:
@@ -297,8 +293,8 @@ def run_supervised(
     return run_sweep(
         partial(run_trial, factory, timeout=timeout,
                 allow_failures=allow_failures, capture_digest=capture_digest),
-        None, trials, workers, retries=retries, worker_retries=retries,
-        deadline=deadline, journal=journal, run_key=run_key)
+        None, trials, workers, retries=retries, deadline=deadline,
+        journal=journal, run_key=run_key)
 
 
 def run_sweep(
@@ -308,7 +304,6 @@ def run_sweep(
     workers: int = 1,
     config: Optional[Dict[str, Any]] = None,
     retries: int = 0,
-    worker_retries: int = 0,
     deadline: Optional[float] = None,
     journal: Optional[Union[str, TrialJournal]] = None,
     run_key: Optional[str] = None,
@@ -316,7 +311,6 @@ def run_sweep(
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    health: Optional[Any] = None,
     speculate: bool = False,
     spelled: Tuple[str, str] = ("workers", "deadline"),
 ) -> SweepResult:
@@ -338,15 +332,14 @@ def run_sweep(
         config: what dispatched workers are configured with: the trial
             knobs of :func:`run_trial` for workers holding a factory,
             else ``{"task": True}`` (workers of ``LocalBackend(task)``).
-        health: a :class:`~repro.fabric.health.HostHealth` (per-host
-            crash streaks); None never quarantines.
+        retries: the budget of each of a trial's two failure counts —
+            reported failures retried in place, lost holders requeued.
         spelled: what the caller's signature calls ``workers`` and
             ``deadline``, for error messages.
     """
     for name, value, floor in (
             ("trials", trials, 1), (spelled[0], workers, 1),
-            ("retries", retries, 0), ("worker_retries", worker_retries, 0),
-            ("spawn_retries", spawn_retries, 0)):
+            ("retries", retries, 0), ("spawn_retries", spawn_retries, 0)):
         if value < floor:
             raise ValueError(f"{name} must be >= {floor}, got {value!r}")
     for name, value in ((spelled[1], deadline), ("heartbeat", heartbeat),
@@ -393,9 +386,9 @@ def run_sweep(
                 config=dict(config or {"task": True}, retries=retries,
                             heartbeat=heartbeat),
                 record=partial(_journal_record, journal),
-                worker_retries=worker_retries, deadline=deadline,
-                io_deadline=io_deadline, spawn_retries=spawn_retries,
-                health=health, speculate=speculate, metrics=metrics,
+                deadline=deadline, io_deadline=io_deadline,
+                spawn_retries=spawn_retries, speculate=speculate,
+                metrics=metrics,
             )
 
         if journal is not None:
@@ -413,8 +406,7 @@ def run_sweep(
     if elapsed > 0:
         metrics.gauge("fabric.trials_per_s").set(completed / elapsed, 0.0)
     return SweepResult(
-        [outcomes[index] for index in range(trials)], metrics, workers,
-        quarantined_hosts=health.quarantined if health is not None else None)
+        [outcomes[index] for index in range(trials)], metrics, workers)
 
 
 def _replay_journal(

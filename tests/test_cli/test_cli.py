@@ -11,7 +11,9 @@ from repro.cli import (
     mm_fabric,
     mm_fsck,
     mm_link,
+    mm_load,
     mm_loss,
+    mm_report,
     mm_trace,
     mm_webrecord,
     mm_webreplay,
@@ -80,6 +82,48 @@ def test_malformed_argv_exits_2_with_a_named_error(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert names in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+FABRIC_RUN = ["run", "--factory", "repro.scenarios:replay_smoke"]
+
+OUT_OF_RANGE = {
+    # id: (tool, argv, the flag the error must name)
+    "fabric-trials-0": (mm_fabric, FABRIC_RUN + ["--trials", "0"], "--trials"),
+    "fabric-shards-0": (
+        mm_fabric, FABRIC_RUN + ["--trials", "3", "--shards", "0"],
+        "--shards"),
+    "fabric-heartbeat-0": (
+        mm_fabric, FABRIC_RUN + ["--trials", "3", "--heartbeat", "0"],
+        "--heartbeat"),
+    "fabric-spawn-retries-negative": (
+        mm_fabric, FABRIC_RUN + ["--trials", "3", "--spawn-retries", "-1"],
+        "--spawn-retries"),
+    "fabric-io-deadline-under-heartbeat": (
+        mm_fabric, FABRIC_RUN + ["--trials", "3", "--heartbeat", "1",
+                                 "--io-deadline", "0.5"], "--io-deadline"),
+    "load-rate-0": (mm_load, ["run", "--rate", "0", "--clients", "5"],
+                    "--rate"),
+    "load-server-workers-0": (
+        mm_load, ["run", "--rate", "5", "--clients", "5",
+                  "--server-workers", "0"], "--server-workers"),
+    "report-width-0": (
+        mm_report, ["render", "--width", "0", "artifact.jsonl"], "--width"),
+    "report-height-0": (
+        mm_report, ["render", "--height", "0", "artifact.jsonl"], "--height"),
+}
+
+
+@pytest.mark.parametrize(
+    "tool,argv,flag", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_out_of_range_number_exits_2_naming_the_flag(
+        tool, argv, flag, monkeypatch, capsys):
+    """Refused as usage before any work starts — not a traceback and
+    exit 1, which ``mm-fabric`` documents as "sweep incomplete"."""
+    monkeypatch.setattr("sys.argv", [tool.__name__] + argv)
+    assert tool.main() == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -56,10 +56,10 @@ def test_flags_and_defaults_are_the_documented_ones():
     assert vars(options) == {
         "factory": "m:a", "kwargs": "{}", "trials": 5, "shards": 2,
         "backend": "subprocess", "host": ["a", "b"], "ssh": "ssh",
-        "timeout": 600.0, "retries": 1, "worker_retries": 1,
+        "timeout": 600.0, "retries": 1,
         "journal": None, "run_key": None, "capture_digest": False,
         "progress_deadline": None, "heartbeat": None, "io_deadline": None,
-        "spawn_retries": 2, "quarantine_after": 3, "speculate": False,
+        "spawn_retries": 2, "speculate": False,
         "artifact": None, "json": False,
     }
 

@@ -79,8 +79,8 @@ class TestLocalBackend:
             run_fabric(backend, 0)
         with pytest.raises(ValueError, match="shards"):
             run_fabric(backend, 1, shards=0)
-        with pytest.raises(ValueError, match="worker_retries"):
-            run_fabric(backend, 1, worker_retries=-1)
+        with pytest.raises(ValueError, match="retries"):
+            run_fabric(backend, 1, retries=-1)
         with pytest.raises(ValueError, match="progress_deadline"):
             run_fabric(backend, 1, progress_deadline=0)
 
@@ -152,7 +152,7 @@ class TestWorkerCrash:
         # results (and therefore digests) are untouched.
         paced = replay_smoke(pace=0.3, **KW)
         backend = _KillFirstWorker(paced, after=0.5)
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=2,
+        result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             capture_digest=True)
         assert backend.killed
         assert_identical(result, reference)
@@ -161,10 +161,10 @@ class TestWorkerCrash:
         assert metrics.counter("fabric.trials_reassigned").value == 1
         assert metrics.counter("fabric.workers_spawned").value == 3
 
-    def test_worker_retries_zero_quarantines_as_crashed(self, factory):
+    def test_retries_zero_records_the_lost_trial_crashed(self, factory):
         paced = replay_smoke(pace=0.3, **KW)
         backend = _KillFirstWorker(paced, after=0.5)
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=0)
+        result = run_fabric(backend, TRIALS, shards=2, retries=0)
         assert not result.complete
         # The kill cost exactly the one trial the worker held; a
         # replacement worker ran the rest of the queue.
@@ -192,7 +192,7 @@ class TestPoisonTrial:
 
         if engine == "run_fabric":
             result = run_fabric(LocalBackend(poisoned), 12, shards=2,
-                                worker_retries=budget)
+                                retries=budget)
         else:
             result = run_supervised(poisoned, 12, workers=2,
                                     retries=budget)
@@ -222,7 +222,7 @@ class TestRobustness:
         paced = replay_smoke(pace=0.6, **KW)
         backend = FaultyBackend(LocalBackend(paced), FabricFaultPlan(
             [WedgeWorker(shard=0, after_outcomes=1)]))
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=2,
+        result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             heartbeat=0.1, progress_deadline=0.45,
                             capture_digest=True)
         assert backend.injected.get("workers_wedged", 0) == 1
@@ -255,8 +255,8 @@ class TestRobustness:
         # First-outcome-wins journaling: no duplicates, canonical bytes.
         assert journal.read_bytes() == reference_bytes
 
-    def test_quarantined_host_degrades_to_fewer_shards(self, factory,
-                                                       serial):
+    def test_unspawnable_slot_degrades_to_fewer_shards(self, factory,
+                                                        serial):
         from repro.fabric.faults import (
             FabricFaultPlan, FaultyBackend, SpawnFault,
         )
@@ -264,12 +264,10 @@ class TestRobustness:
         backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
             [SpawnFault(shard=1, fail_first=99)]))
         result = run_fabric(backend, TRIALS, shards=2, spawn_retries=1,
-                            quarantine_after=2, capture_digest=True)
+                            capture_digest=True)
         # Worker 1 never spawned: its slot was given up and the one
         # live worker pulled every trial off the shared queue.
-        assert result.quarantined_hosts == {"local": 2}
         metrics = result.metrics
-        assert metrics.counter("fabric.hosts_quarantined").value == 1
         assert metrics.counter("fabric.spawn_retries").value == 1
         assert metrics.counter("fabric.spawn_failures").value == 1
         assert metrics.counter("fabric.workers_spawned").value == 1
@@ -282,7 +280,7 @@ class TestRobustness:
         reference, __ = serial
         paced = replay_smoke(pace=0.3, **KW)
         backend = _KillFirstWorker(paced, after=0.0)
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=2,
+        result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             capture_digest=True)
         assert backend.killed
         assert_identical(result, reference)
@@ -300,7 +298,7 @@ class TestRobustness:
             [WedgeWorker(shard=0, after_outcomes=0)]))
         result = run_fabric(backend, TRIALS, shards=2, speculate=True,
                             heartbeat=0.1, progress_deadline=1.0,
-                            worker_retries=2, capture_digest=True)
+                            retries=2, capture_digest=True)
         assert_identical(result, reference)
         # Two initial workers; the wedge's trial landed speculatively,
         # so its watchdog kill spawned nothing new.

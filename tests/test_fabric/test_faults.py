@@ -159,7 +159,7 @@ class TestInjectedRunsStayIdentical:
         backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
             [FrameFault(action="truncate", kinds=("outcome",), skip=1,
                         count=1, shard=0)]))
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=2,
+        result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             capture_digest=True)
         assert backend.injected.get("frames_truncated", 0) == 1
         assert result.metrics.counter("fabric.worker_crashes").value >= 1
@@ -172,13 +172,30 @@ class TestInjectedRunsStayIdentical:
                             capture_digest=True)
         assert backend.injected.get("spawn_failures", 0) == 2
         assert result.metrics.counter("fabric.spawn_retries").value == 2
-        assert not result.quarantined_hosts
+        assert_identical(result, serial)
+
+    def test_spawn_retries_wait_a_doubling_delay(self, factory, serial,
+                                                 monkeypatch):
+        # 0.05 s, doubled per retry, capped at 2 s; no jitter. The
+        # dispatcher's clock is swapped so the test sleeps none of it.
+        from types import SimpleNamespace
+
+        from repro.fabric import coordinator
+
+        slept = []
+        monkeypatch.setattr(coordinator, "time", SimpleNamespace(
+            sleep=slept.append, monotonic=coordinator.time.monotonic))
+        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
+            [SpawnFault(shard=0, fail_first=7)]))
+        result = run_fabric(backend, TRIALS, shards=1, spawn_retries=7,
+                            capture_digest=True)
+        assert slept == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0])
         assert_identical(result, serial)
 
     def test_killed_worker_reassigns(self, factory, serial):
         backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
             [KillWorker(shard=0, after_outcomes=1)]))
-        result = run_fabric(backend, TRIALS, shards=2, worker_retries=2,
+        result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             capture_digest=True)
         assert backend.injected.get("workers_killed", 0) == 1
         assert_identical(result, serial)

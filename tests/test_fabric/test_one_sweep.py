@@ -50,7 +50,8 @@ def mixed_fates(fates, marker_dir, driver_pid):
     how a first attempt is told from a retry. A ``poison`` trial only
     ever kills a *worker* (in-process there is no holder to lose, and
     the verdict is the same: a lost holder leaves no trace in a
-    successful outcome).
+    successful outcome); a ``lethal`` one kills every worker that
+    holds it.
     """
     inner = replay_smoke(**KW)
 
@@ -64,14 +65,15 @@ def mixed_fates(fates, marker_dir, driver_pid):
             raise ReproError(f"trial {trial}: injected {fate} failure")
         if fate == "bug":
             raise ValueError(f"trial {trial}: a bug in the factory")
-        if fate == "poison" and first and os.getpid() != driver_pid:
+        if (fate == "lethal" or fate == "poison" and first) \
+                and os.getpid() != driver_pid:
             os._exit(9)
         return inner(trial)
 
     return factory
 
 
-def _engines(fates, base):
+def _engines(fates, base, retries=1):
     """name -> callable(journal path) for the four entry points, each
     with its own marker directory."""
     def kwargs(name):
@@ -83,14 +85,13 @@ def _engines(fates, base):
     def supervised(name, workers):
         factory = mixed_fates(**kwargs(name))
         return lambda journal: run_supervised(
-            factory, len(fates), workers=workers, retries=1,
+            factory, len(fates), workers=workers, retries=retries,
             journal=journal, run_key=RUN_KEY, capture_digest=True)
 
-    def fabric(name, backend):
+    def fabric(name, backend, shards=2):
         return lambda journal: run_fabric(
-            backend, len(fates), shards=2, retries=1, worker_retries=1,
-            quarantine_after=99, journal=journal, run_key=RUN_KEY,
-            capture_digest=True)
+            backend, len(fates), shards=shards, retries=retries,
+            journal=journal, run_key=RUN_KEY, capture_digest=True)
 
     return {
         "supervised-1": supervised("supervised-1", 1),
@@ -199,3 +200,32 @@ def test_a_bug_in_a_trial_is_reported_once_and_costs_no_worker(
         # One attempt, wherever it ran.
         attempts = tmp_path / f"markers-{name}" / "1"
         assert attempts.read_text() == "x", name
+
+
+def test_trials_that_kill_every_holder_cost_only_themselves(
+        tmp_path, importable_here):
+    """Three trials at the head of the queue kill every worker that holds
+    them. Each costs itself — ``crashed`` after ``retries + 1`` lost
+    holders — and every queue-mate still runs ``ok``, under one loss
+    rule: the same verdicts from the pool, from the fabric on either
+    backend, and from a single fabric worker that sees nine crashes in a
+    row."""
+    retries = 2
+    fates = ["lethal"] * 3 + ["ok"] * 5
+    engines = _engines(fates, str(tmp_path), retries=retries)
+    del engines["supervised-1"]  # in process there is no holder to lose
+    markers = tmp_path / "markers-fabric-local-1"
+    markers.mkdir()
+    backend = LocalBackend(mixed_fates(fates, str(markers), os.getpid()))
+    engines["fabric-local-1"] = lambda journal: run_fabric(
+        backend, len(fates), shards=1, retries=retries, journal=journal,
+        run_key=RUN_KEY, capture_digest=True)
+
+    expected = [("crashed", retries + 1)] * 3 + [("ok", 1)] * 5
+    for name, engine in engines.items():
+        result = engine(str(tmp_path / f"{name}.jsonl"))
+        assert [(o.status, o.attempts) for o in result.outcomes] == \
+            expected, name
+        assert all("exit code 9" in o.error for o in result.crashed), name
+        assert result.metrics.counter("fabric.worker_crashes").value == \
+            3 * (retries + 1), name

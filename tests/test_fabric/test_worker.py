@@ -1,6 +1,10 @@
-"""Tests for FactorySpec resolution and the in-process worker shard."""
+"""Tests for FactorySpec resolution, the in-process worker shard, the
+worker loop and its heartbeat sender."""
 
+import io
+import os
 import threading
+import time
 from functools import partial
 
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from repro.errors import FabricError
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.scenarios import replay_smoke
-from repro.fabric.worker import FactorySpec, worker_loop
+from repro.fabric.worker import FactorySpec, HeartbeatSender, worker_loop
 from repro.measure.runner import run_trial
 from repro.measure.supervise import run_shard, run_supervised
 
@@ -175,3 +179,49 @@ class TestWorkerLoop:
         thread.start()
         thread.join(timeout=60)
         assert exits["status"] == 1
+
+
+class TestHeartbeatSender:
+    def test_beats_arrive_on_the_wire(self):
+        buffer = io.BytesIO()
+        lock = threading.Lock()
+        sender = HeartbeatSender(buffer, lock, interval=0.05)
+        with sender:
+            time.sleep(0.4)
+        assert sender.sent >= 2
+        buffer.seek(0)
+        beats = 0
+        while True:
+            try:
+                kind, data = read_message(buffer)
+            except EOFError:
+                break
+            assert kind == "heartbeat"
+            assert data == {"pid": os.getpid()}
+            beats += 1
+        assert beats == sender.sent
+
+    def test_stop_is_prompt_and_idempotent(self):
+        sender = HeartbeatSender(io.BytesIO(), threading.Lock(),
+                                 interval=30.0).start()
+        started = time.monotonic()
+        sender.stop()
+        sender.stop()
+        assert time.monotonic() - started < 5.0
+
+    def test_write_failure_silences_the_sender(self):
+        class Broken:
+            def write(self, data):
+                raise BrokenPipeError("gone")
+
+            def flush(self):
+                pass
+
+        sender = HeartbeatSender(Broken(), threading.Lock(), interval=0.05)
+        with sender:
+            time.sleep(0.3)
+        assert sender.sent == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="interval"):
+            HeartbeatSender(io.BytesIO(), threading.Lock(), interval=0.0)

@@ -154,7 +154,7 @@ class TestRetryAndQuarantine:
         assert result.counts()["retried"] == 2
         assert all(o.attempts == 2 for o in result.outcomes)
 
-    def test_serial_quarantine_after_budget(self, tmp_path):
+    def test_serial_quarantined_once_budget_spent(self, tmp_path):
         def factory(trial):
             raise ReproError(f"trial {trial}: always broken")
 
