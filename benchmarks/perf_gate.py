@@ -294,7 +294,7 @@ def _cas_corpus() -> str:
 def wl_cas_corpus_load() -> Tuple[float, str]:
     """Load every site of a CAS-backed corpus (manifest + pair files +
     blob resolution through the shared store)."""
-    from repro.fabric.sync import corpus_site_dirs
+    from repro.record.fsck import corpus_site_dirs
     from repro.record.store import RecordedSite
 
     site_dirs = corpus_site_dirs(_cas_corpus())

@@ -11,6 +11,7 @@ all inside one fresh simulator.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
@@ -31,6 +32,32 @@ _KNOWN_INNER = ("mm-delay", "mm-link", "mm-loss", "mm-chaos",
 
 class CliError(ReproError):
     """Bad command-line usage."""
+
+
+def finite_float(text: str) -> float:
+    """The one parse every CLI float goes through: a finite number.
+
+    ``float()`` also accepts ``nan`` and ``inf``, which measure nothing
+    (a NaN delay fails every resource, an infinite rate divides by
+    zero), so they are refused like any other non-number. As an argparse
+    ``type`` the refusal names its flag and exits 2; :func:`parse_float`
+    does the same for a hand-parsed argument.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def parse_float(text: str, name: str) -> float:
+    """:func:`finite_float` for the hand-parsed argument ``name``."""
+    try:
+        return finite_float(text)
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"{name}: {exc}") from None
 
 
 class Parser(argparse.ArgumentParser):
@@ -146,14 +173,15 @@ def _queue(spec):
     return DropTailQueue(max_packets=spec)
 
 
-def parse_trace_or_rate(text: str):
-    """mm-link argument: a trace file path, or a Mbit/s number."""
+def parse_trace_or_rate(text: str, name: str):
+    """mm-link argument ``name``: a trace file path, or a Mbit/s number."""
     try:
-        rate = float(text)
+        float(text)
     except ValueError:
         return PacketDeliveryTrace.from_file(text)
+    rate = parse_float(text, name)
     if rate <= 0:
-        raise CliError(f"link rate must be positive: {text!r}")
+        raise CliError(f"{name} must be positive: {text!r}")
     return rate
 
 

@@ -35,7 +35,9 @@ from __future__ import annotations
 import os
 from typing import List
 
-from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
+from repro.cli.common import (
+    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+)
 from repro.corpus import alexa_corpus, corpus_statistics
 from repro.errors import JournalError
 from repro.measure.journal import run_key
@@ -71,7 +73,7 @@ def _generate(argv: List[str]) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--size", type=int, default=500)
     parser.add_argument("--singles", type=int, default=9)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=finite_float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--resume", action="store_true")

@@ -10,7 +10,9 @@ from __future__ import annotations
 import sys
 from typing import List
 
-from repro.cli.common import CliError, ShellSpec, continue_command_line, main_wrapper
+from repro.cli.common import (
+    CliError, ShellSpec, continue_command_line, main_wrapper, parse_float,
+)
 
 USAGE = "usage: mm-delay <one-way-delay-ms> [inner command ...]"
 
@@ -18,10 +20,7 @@ USAGE = "usage: mm-delay <one-way-delay-ms> [inner command ...]"
 def run(argv: List[str], specs: List[ShellSpec]) -> int:
     if not argv:
         raise CliError(USAGE)
-    try:
-        delay_ms = float(argv[0])
-    except ValueError:
-        raise CliError(f"{USAGE}\nnot a delay: {argv[0]!r}") from None
+    delay_ms = parse_float(argv[0], "one-way delay")
     if delay_ms < 0:
         raise CliError("delay must be >= 0")
     spec = ("delay", {"delay": delay_ms / 1000.0, "label": f"{argv[0]}ms"})

@@ -3,14 +3,13 @@
 Subcommands::
 
     mm-fabric run --factory MOD:ATTR --trials N [--kwargs JSON]
-                  [--shards K] [--backend local|subprocess|remote]
-                  [--host H]... [--ssh CMD] [--timeout S] [--retries R]
+                  [--shards K] [--backend local|subprocess]
+                  [--timeout S] [--retries R]
                   [--journal PATH] [--run-key KEY] [--capture-digest]
                   [--progress-deadline S] [--heartbeat S]
                   [--io-deadline S] [--spawn-retries R] [--speculate]
                   [--artifact PATH] [--json]
     mm-fabric worker
-    mm-fabric ship SRC DEST [--json]
 
 ``run`` feeds the sweep's trial indices to ``--shards`` workers, one
 trial at a time, and merges the streamed outcomes by trial index — the
@@ -18,9 +17,8 @@ output (sample, combined event-stream digest, journal) is byte-identical
 to a serial ``run_supervised`` of the same sweep, for any ``--shards``
 and any ``--backend``. ``--factory`` names a scenario-factory *builder*
 (e.g. ``repro.scenarios:replay_smoke``); ``--kwargs`` is a JSON
-object of its arguments. ``--backend remote`` drives exactly one
-``--host``: more than one is refused, not half-applied, until a
-multi-host backend exists.
+object of its arguments. Both backends run their workers on this host:
+``local`` forks them, ``subprocess`` launches fresh interpreters.
 
 ``--retries`` is the one loss budget, as for ``run_supervised``: a trial
 is retried in place that many times after a reported failure, and put
@@ -34,7 +32,8 @@ slot that still cannot be filled is given up (the sweep degrades to the
 surviving workers); ``--speculate`` has a worker that finds the queue
 empty duplicate the oldest trial still in flight, first outcome wins.
 None of these change results: every knob preserves byte-identity to
-serial. An out-of-range value is a usage error naming its flag.
+serial. An out-of-range or non-finite value is a usage error naming
+its flag.
 
 When a run resumes from ``--journal``, corrupt journal lines are dropped
 (their trials re-run) and surfaced as the ``journal_records_dropped``
@@ -46,13 +45,8 @@ Exit codes: ``0`` — sweep complete (every trial produced an outcome);
 ``2`` — usage or toolkit error before/while running.
 
 ``worker`` is the fabric worker entry point: it speaks the wire protocol
-on stdin/stdout and is what the subprocess and remote backends launch.
-Never run it by hand — it expects a coordinator on the other end.
-
-``ship`` copies a recorded corpus to a destination as site manifests
-plus the missing-blob delta against the destination's content-addressed
-store (``<DEST>/.cas``): blobs the destination already holds are never
-re-transferred.
+on stdin/stdout and is what the subprocess backend launches. Never run
+it by hand — it expects a coordinator on the other end.
 """
 
 from __future__ import annotations
@@ -62,20 +56,17 @@ import os
 import sys
 from typing import List
 
-from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
-from repro.fabric.backend import (
-    LocalBackend,
-    RemoteBackend,
-    SubprocessBackend,
+from repro.cli.common import (
+    CliError, Parser, ShellSpec, finite_float, main_wrapper,
 )
+from repro.fabric.backend import LocalBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.sync import ship_corpus
 from repro.fabric.worker import FactorySpec, worker_loop
 from repro.measure.journal import run_key as make_run_key
 from repro.measure.runner import DEFAULT_TRIAL_TIMEOUT
 
 USAGE = ("usage: mm-fabric run --factory MOD:ATTR --trials N [options] "
-         "| mm-fabric worker | mm-fabric ship SRC DEST [--json]")
+         "| mm-fabric worker")
 
 
 def run(argv: List[str], specs: List[ShellSpec]) -> int:
@@ -88,9 +79,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
         return _run(rest)
     if command == "worker":
         return _worker(rest)
-    if command == "ship":
-        return _ship(rest)
-    raise CliError(USAGE)
+    raise CliError(f"{USAGE}\nunknown subcommand {command!r}")
 
 
 def _run_parser() -> Parser:
@@ -100,18 +89,15 @@ def _run_parser() -> Parser:
     add("--kwargs", default="{}")
     add("--trials", type=int, required=True)
     add("--shards", type=int, default=2)
-    add("--backend", default="subprocess",
-        choices=("local", "subprocess", "remote"))
-    add("--host", action="append", default=[])
-    add("--ssh", default="ssh")
-    add("--timeout", type=float, default=DEFAULT_TRIAL_TIMEOUT)
+    add("--backend", default="subprocess", choices=("local", "subprocess"))
+    add("--timeout", type=finite_float, default=DEFAULT_TRIAL_TIMEOUT)
     add("--retries", type=int, default=1)
     add("--journal")
     add("--run-key")
     add("--capture-digest", action="store_true")
-    add("--progress-deadline", type=float)
-    add("--heartbeat", type=float)
-    add("--io-deadline", type=float)
+    add("--progress-deadline", type=finite_float)
+    add("--heartbeat", type=finite_float)
+    add("--io-deadline", type=finite_float)
     add("--spawn-retries", type=int, default=2)
     add("--speculate", action="store_true")
     add("--artifact")
@@ -156,20 +142,8 @@ def _run(argv: List[str]) -> int:
         key = make_run_key(factory=factory_spec, kwargs=options.kwargs,
                            trials=trials, timeout=options.timeout)
 
-    if backend_name == "local":
-        backend = LocalBackend(spec.resolve())
-    elif backend_name == "subprocess":
-        backend = SubprocessBackend(spec)
-    else:
-        # The SSH-shaped stub drives one host; shard-per-host fan-out
-        # rides on the same protocol (DESIGN.md §13).
-        if len(options.host) != 1:
-            raise CliError(
-                "--backend remote drives exactly one --host (got "
-                f"{len(options.host)}): there is no multi-host backend yet")
-        backend = RemoteBackend(options.host[0], spec,
-                                ssh_command=options.ssh.split())
-
+    backend = (LocalBackend(spec.resolve()) if backend_name == "local"
+               else SubprocessBackend(spec))
     result = run_fabric(
         backend, trials, shards=options.shards, timeout=options.timeout,
         retries=options.retries, journal=options.journal, run_key=key,
@@ -225,32 +199,6 @@ def _worker(argv: List[str]) -> int:
     protocol_out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     return worker_loop(sys.stdin.buffer, protocol_out)
-
-
-def _ship(argv: List[str]) -> int:
-    parser = Parser("mm-fabric ship", USAGE)
-    parser.add_argument("source")
-    parser.add_argument("dest")
-    parser.add_argument("--json", action="store_true")
-    options = parser.parse_args(argv)
-    source, dest, as_json = options.source, options.dest, options.json
-    if not os.path.isdir(source):
-        raise CliError(f"not a corpus directory: {source!r}")
-    report = ship_corpus(source, dest)
-    if as_json:
-        print(json.dumps({
-            "sites": report.sites,
-            "refs": report.refs,
-            "blobs_transferred": report.blobs_transferred,
-            "blobs_deduped": report.blobs_deduped,
-            "bytes_transferred": report.bytes_transferred,
-        }, indent=2, sort_keys=True))
-    else:
-        print(f"shipped {report.sites} site(s) to {dest}")
-        print(f"blobs: {report.blobs_transferred} transferred "
-              f"({report.bytes_transferred} bytes), "
-              f"{report.blobs_deduped} already present")
-    return 0
 
 
 main = main_wrapper(run)

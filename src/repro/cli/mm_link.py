@@ -31,8 +31,8 @@ USAGE = ("usage: mm-link <uplink trace|Mbit/s> <downlink trace|Mbit/s> "
 def run(argv: List[str], specs: List[ShellSpec]) -> int:
     if len(argv) < 2:
         raise CliError(USAGE)
-    uplink = parse_trace_or_rate(argv[0])
-    downlink = parse_trace_or_rate(argv[1])
+    uplink = parse_trace_or_rate(argv[0], "uplink")
+    downlink = parse_trace_or_rate(argv[1], "downlink")
     rest = argv[2:]
     options = {"uplink": uplink, "downlink": downlink,
                "label": f"{argv[0]}/{argv[1]}"}

@@ -19,7 +19,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cli.common import CliError
+from repro.cli.common import CliError, finite_float
 from repro.errors import ReproError
 
 __all__ = ["main"]
@@ -111,21 +111,21 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
         help="synthetic corpus size (default: 4 sites)",
     )
     parser.add_argument(
-        "--site-scale", type=float, default=0.25,
+        "--site-scale", type=finite_float, default=0.25,
         help="per-site page complexity scale (default: 0.25)",
     )
     parser.add_argument(
         "--corpus-seed", type=int, default=0,
         help="seed for corpus generation (default: 0)",
     )
-    parser.add_argument("--link-mbps", type=float, default=1000.0)
+    parser.add_argument("--link-mbps", type=finite_float, default=1000.0)
     parser.add_argument(
-        "--delay", type=float, default=0.020,
+        "--delay", type=finite_float, default=0.020,
         help="one-way propagation delay in seconds (default: 0.020)",
     )
     parser.add_argument("--server-workers", type=int, default=2)
     parser.add_argument(
-        "--timeout", type=float, default=600.0,
+        "--timeout", type=finite_float, default=600.0,
         help="simulated-seconds budget per level (default: 600)",
     )
 
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--out", required=True, help="artifact output path")
     sweep.add_argument(
-        "--window", type=float, default=20.0,
+        "--window", type=finite_float, default=20.0,
         help="arrival window in simulated seconds; offered rate per level "
         "is clients/window (default: 20)",
     )
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--clients", type=int, required=True)
     run.add_argument(
-        "--rate", type=float, required=True,
+        "--rate", type=finite_float, required=True,
         help="offered load in clients per simulated second",
     )
     _add_world_options(run)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import sys
 from typing import List
 
-from repro.cli.common import CliError, ShellSpec, continue_command_line, main_wrapper
+from repro.cli.common import (
+    CliError, ShellSpec, continue_command_line, main_wrapper, parse_float,
+)
 
 USAGE = (
     "usage: mm-loss <uplink|downlink|both> <loss-rate> [inner command ...]\n"
@@ -28,10 +30,7 @@ USAGE = (
 
 
 def _probability(text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise CliError(f"{USAGE}\nnot a {what}: {text!r}") from None
+    value = parse_float(text, what)
     if not 0.0 <= value <= 1.0:
         raise CliError(f"{what} must be in [0, 1]: {text!r}")
     return value
@@ -60,12 +59,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
             "label": f"{direction}:ge({p_gb:g},{p_bg:g})",
         })
         return continue_command_line(argv[6:], specs + [spec])
-    try:
-        rate = float(argv[1])
-    except ValueError:
-        raise CliError(f"{USAGE}\nnot a loss rate: {argv[1]!r}") from None
-    if not 0.0 <= rate <= 1.0:
-        raise CliError("loss rate must be in [0, 1]")
+    rate = _probability(argv[1], "loss rate")
     spec = ("loss", {
         "uplink_loss": rate if direction in ("uplink", "both") else 0.0,
         "downlink_loss": rate if direction in ("downlink", "both") else 0.0,

@@ -13,7 +13,9 @@ import random
 import sys
 from typing import List
 
-from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
+from repro.cli.common import (
+    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+)
 from repro.linkem import PacketDeliveryTrace, cellular_trace, constant_rate_trace
 from repro.sim.random import stable_seed
 
@@ -39,7 +41,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
 
 def _constant(rest: List[str]) -> int:
     parser = Parser("mm-trace constant", USAGE)
-    parser.add_argument("--rate", type=float, required=True)
+    parser.add_argument("--rate", type=finite_float, required=True)
     parser.add_argument("--duration", type=int, default=1000)
     parser.add_argument("--out", required=True)
     options = parser.parse_args(rest)
@@ -52,7 +54,7 @@ def _constant(rest: List[str]) -> int:
 
 def _cellular(rest: List[str]) -> int:
     parser = Parser("mm-trace cellular", USAGE)
-    parser.add_argument("--mean", type=float, default=9.0)
+    parser.add_argument("--mean", type=finite_float, default=9.0)
     parser.add_argument("--duration", type=int, default=60_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True)

@@ -20,7 +20,9 @@ import sys
 from typing import List
 
 from repro.browser.resources import Url
-from repro.cli.common import CliError, Parser, ShellSpec, main_wrapper
+from repro.cli.common import (
+    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+)
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.record.store import RecordedSite
@@ -37,7 +39,7 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     parser = Parser("mm-webrecord", USAGE)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--origins", type=int)
-    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--scale", type=finite_float, default=1.0)
     parser.add_argument("--https", action="store_true")
     parser.add_argument("output_dir")
     parser.add_argument("url")

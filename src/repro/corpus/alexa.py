@@ -38,8 +38,9 @@ def alexa_corpus(
         single_origin_sites: how many pages use a single server (paper: 9).
         scale: per-site object-count/size multiplier (tests shrink it).
     """
-    if single_origin_sites > size:
-        raise CorpusError("more single-origin sites than sites")
+    if not 0 <= single_origin_sites <= size:
+        raise CorpusError(f"single-origin sites must be in [0, size={size}], "
+                          f"got {single_origin_sites}")
     rng = random.Random(stable_seed(seed, "alexa-corpus"))
     sites: List[SyntheticSite] = []
     single_slots = set(rng.sample(range(size), single_origin_sites))

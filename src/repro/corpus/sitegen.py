@@ -130,9 +130,11 @@ def generate_site(
         n_origins: force the number of distinct origin servers (default:
             drawn from the corpus distribution).
         scale: multiplies object counts and sizes (lets tests shrink
-            pages and "heavy page" presets grow them).
+            pages and "heavy page" presets grow them); positive, finite.
         https: serve everything over HTTPS instead of HTTP.
     """
+    if not 0.0 < scale < math.inf:
+        raise CorpusError(f"scale must be positive and finite, got {scale!r}")
     rng = random.Random(stable_seed(seed, f"site:{name}"))
     if n_origins is None:
         n_origins = draw_origin_count(rng)

@@ -1,10 +1,10 @@
-"""The distributed measurement fabric.
+"""The measurement fabric: one sweep over many worker processes.
 
 One coordinator (:func:`~repro.fabric.coordinator.run_fabric`) shards a
 sweep's trial indices across worker processes obtained from a pluggable
-:class:`~repro.fabric.backend.FabricBackend` — forked locally, spawned
-as ``mm-fabric worker`` subprocesses, or launched through an SSH-shaped
-transport — all speaking one length-prefixed, checksummed wire protocol
+:class:`~repro.fabric.backend.FabricBackend` — forked, or spawned as
+``mm-fabric worker`` subprocesses, both on this host — speaking one
+length-prefixed, checksummed wire protocol
 (:mod:`~repro.fabric.protocol`). Because trials are deterministic pure
 functions of their index, the merged result is **byte-identical** to a
 serial :func:`~repro.measure.supervise.run_supervised` of the same sweep
@@ -20,10 +20,6 @@ outcomes the wire ate, and speculative re-execution of stragglers
 harness-fault injector (:mod:`~repro.fabric.faults`, the chaos plan's
 harness-side sibling).
 
-Recorded corpora travel to workers as site manifests plus the
-missing-blob delta against the content-addressed store
-(:mod:`repro.fabric.sync`, :mod:`repro.record.cas`).
-
 This package is *harness* domain: wall clocks, processes, and pipes are
 all legitimate here — nothing in it runs inside a simulated world.
 """
@@ -31,7 +27,6 @@ all legitimate here — nothing in it runs inside a simulated world.
 from repro.fabric.backend import (
     FabricBackend,
     LocalBackend,
-    RemoteBackend,
     SubprocessBackend,
     WorkerHandle,
 )
@@ -45,7 +40,6 @@ from repro.fabric.faults import (
     WedgeWorker,
 )
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
-from repro.fabric.sync import ShipReport, ship_corpus, ship_site
 from repro.fabric.worker import FactorySpec, worker_loop
 
 __all__ = [
@@ -57,16 +51,12 @@ __all__ = [
     "KillWorker",
     "LocalBackend",
     "PROTOCOL_VERSION",
-    "RemoteBackend",
-    "ShipReport",
     "SpawnFault",
     "SubprocessBackend",
     "WedgeWorker",
     "WorkerHandle",
     "read_message",
     "run_fabric",
-    "ship_corpus",
-    "ship_site",
     "worker_loop",
     "write_message",
 ]

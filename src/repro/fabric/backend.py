@@ -2,31 +2,29 @@
 
 A backend answers exactly one question — *give me a live worker speaking
 the fabric protocol over a stream pair* — and the dispatcher never asks
-anything else. Three implementations cover the deployment spectrum:
+anything else. Two implementations, both on this host:
 
 * :class:`LocalBackend` — ``fork()`` a worker that inherits the scenario
   factory closure directly. Zero serialization of the factory, fastest
-  startup; the default for single-host campaigns, and what a sweep
-  given no backend and ``parallel_map`` dispatch to (their workers
-  inherit a task in the factory's place). This is the one
-  place in the package that forks (a tier-1 test holds it to that).
+  startup; the default for campaigns, and what a sweep given no backend
+  and ``parallel_map`` dispatch to (their workers inherit a task in the
+  factory's place). This is the one place in the package that forks (a
+  tier-1 test holds it to that).
 * :class:`SubprocessBackend` — launch ``mm-fabric worker`` as a fresh
   interpreter wired over stdin/stdout pipes. The factory travels as a
   :class:`~repro.fabric.worker.FactorySpec` import path. This is the
-  transport-equivalence proof: a worker that works here works anywhere
-  a byte stream reaches.
-* :class:`RemoteBackend` — the SSH-shaped transport: the same
-  ``mm-fabric worker`` command line, launched through a user-supplied
-  ``ssh``-like argv on another host. No remote-specific protocol —
-  byte-identity across hosts falls out of determinism (DESIGN.md §6)
-  plus the shared wire format.
+  transport-equivalence proof: a worker that inherits nothing from the
+  coordinator still merges byte-identically to serial.
+
+No backend crosses a network: a recorded corpus moves between machines
+as a folder (``cp -r``, then ``mm-fsck`` at the destination), and each
+machine runs its own sweeps.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import shlex
 import subprocess
 import sys
 from typing import Any, BinaryIO, Optional, Sequence
@@ -38,7 +36,6 @@ from repro.measure.runner import ScenarioFactory
 __all__ = [
     "FabricBackend",
     "LocalBackend",
-    "RemoteBackend",
     "SubprocessBackend",
     "WorkerHandle",
 ]
@@ -177,46 +174,6 @@ class LocalBackend(FabricBackend):
         )
 
 
-def worker_command(python: str = "python3") -> list:
-    """The canonical worker argv: ``<python> -m repro.cli.mm_fabric worker``.
-
-    One command line shared by the subprocess and remote backends — the
-    ISSUE's "same worker binary under every transport" in one place.
-    """
-    return [python, "-m", "repro.cli.mm_fabric", "worker"]
-
-
-def _pythonpath_env() -> dict:
-    """This interpreter's environment with ``repro``'s source root on
-    PYTHONPATH, so a spawned ``-m repro.cli.mm_fabric`` resolves even
-    when the package is not installed (the checkout-only case)."""
-    import repro
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing
-        else src_root + os.pathsep + existing
-    )
-    return env
-
-
-def _spawn_worker(argv: Sequence[str], what: str,
-                  env: Optional[dict] = None) -> WorkerHandle:
-    """Launch ``argv`` as a worker wired over unbuffered stdin/stdout
-    pipes — the transport every spawned backend shares."""
-    try:
-        process = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            bufsize=0, env=env)
-    except OSError as exc:
-        raise FabricError(f"cannot launch {what}: {exc}") from exc
-    return WorkerHandle(rfile=process.stdout, wfile=process.stdin,
-                        process=process, pid=process.pid)
-
-
 class SubprocessBackend(FabricBackend):
     """Launch ``mm-fabric worker`` children over stdin/stdout pipes.
 
@@ -235,58 +192,22 @@ class SubprocessBackend(FabricBackend):
         return self.spec
 
     def start_worker(self, shard: int) -> WorkerHandle:
-        return _spawn_worker(worker_command(self.python),
-                             "worker subprocess", env=_pythonpath_env())
+        # repro's source root goes first on PYTHONPATH, so the worker's
+        # ``-m repro.cli.mm_fabric`` resolves even when the package is
+        # not installed (the checkout-only case).
+        import repro
 
-
-class RemoteBackend(FabricBackend):
-    """The SSH-shaped transport: the same worker command on another host.
-
-    The worker is launched as ``[*ssh_command, host, <remote command>]``
-    — with the default ``ssh_command=("ssh",)`` that is plain
-    ``ssh host 'python3 -m repro.cli.mm_fabric worker'``, speaking the
-    identical wire protocol over the ssh channel's stdio. Tests swap in
-    a fake ``ssh`` executable to prove transport equivalence without a
-    network; real deployments additionally want the corpus shipped first
-    (:mod:`repro.fabric.sync`).
-
-    Args:
-        host: the remote host name (passed to ``ssh_command`` verbatim).
-        spec: the factory spec for the remote worker.
-        ssh_command: argv prefix for the transport (default ``("ssh",)``).
-        python: remote interpreter (default ``python3``).
-        remote_pythonpath: when set, exported before the worker command
-            so a checkout-only remote can resolve ``repro``.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        spec: FactorySpec,
-        ssh_command: Sequence[str] = ("ssh",),
-        python: str = "python3",
-        remote_pythonpath: Optional[str] = None,
-    ) -> None:
-        self.host = host
-        self.spec = spec
-        self.ssh_command = list(ssh_command)
-        self.python = python
-        self.remote_pythonpath = remote_pythonpath
-
-    def factory_spec(self) -> Optional[FactorySpec]:
-        return self.spec
-
-    def remote_command(self) -> str:
-        """The shell command executed on the remote host."""
-        command = shlex.join(worker_command(self.python))
-        if self.remote_pythonpath:
-            command = (
-                f"PYTHONPATH={shlex.quote(self.remote_pythonpath)} "
-                + command
-            )
-        return command
-
-    def start_worker(self, shard: int) -> WorkerHandle:
-        return _spawn_worker(
-            [*self.ssh_command, self.host, self.remote_command()],
-            f"remote worker via {self.ssh_command!r}")
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src_root, env.get("PYTHONPATH"))))
+        try:
+            process = subprocess.Popen(
+                [self.python, "-m", "repro.cli.mm_fabric", "worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+                env=env)
+        except OSError as exc:
+            raise FabricError(f"cannot launch worker subprocess: {exc}") from exc
+        return WorkerHandle(rfile=process.stdout, wfile=process.stdin,
+                            process=process, pid=process.pid)

@@ -124,7 +124,9 @@ def _reader(seq: int, handle: WorkerHandle, events: "queue.Queue[_Event]",
     event instead of a hung dispatcher. With an ``io_deadline`` even
     the blocking read is bounded (half-open connections become
     ``broken`` events); damaged frames are resync'd up to
-    :data:`_READ_RESYNC` per read and counted in ``stats``.
+    :data:`_READ_RESYNC` per read and counted in ``stats``. A reader
+    never ends without posting an event: the dispatcher may be waiting
+    on nothing else, so whatever a read raises is a ``broken`` stream.
     """
     try:
         while True:
@@ -135,8 +137,8 @@ def _reader(seq: int, handle: WorkerHandle, events: "queue.Queue[_Event]",
                 return
     except EOFError:
         events.put((seq, "eof", None))
-    except (ProtocolError, OSError, ValueError) as exc:
-        events.put((seq, "broken", str(exc)))
+    except Exception as exc:
+        events.put((seq, "broken", str(exc) or type(exc).__name__))
 
 
 def run_fabric(
@@ -159,8 +161,8 @@ def run_fabric(
     """Run a sweep over ``shards`` fabric workers; merge byte-identically.
 
     Args:
-        backend: where workers come from (local fork, subprocess,
-            remote). Spawned backends carry their own
+        backend: where workers come from (local fork or subprocess).
+            A spawning backend carries its own
             :class:`~repro.fabric.worker.FactorySpec`.
         trials: number of independent trials (indices ``0..trials-1``).
         shards: how many workers pull from the trial queue (never more

@@ -6,11 +6,10 @@ each ``run`` message answered by a stream of ``outcome`` messages and a
 ``done``, until ``shutdown`` (or a clean EOF) ends the conversation. The
 same :func:`worker_loop` body runs under every backend — forked with an
 inherited factory closure
-(:class:`~repro.fabric.backend.LocalBackend`), launched as
+(:class:`~repro.fabric.backend.LocalBackend`), or launched as
 ``mm-fabric worker`` over pipes
-(:class:`~repro.fabric.backend.SubprocessBackend`), or launched through
-an SSH-shaped transport (:class:`~repro.fabric.backend.RemoteBackend`) —
-and it is the only kind of worker there is: every dispatched sweep
+(:class:`~repro.fabric.backend.SubprocessBackend`) — and it is the only
+kind of worker there is: every dispatched sweep
 and ``parallel_map`` run on it.
 
 The dispatcher (:func:`repro.fabric.coordinator.dispatch`) sends one
@@ -65,8 +64,9 @@ __all__ = [
 class FactorySpec:
     """A scenario factory named by import path (for spawned workers).
 
-    Workers launched as fresh processes (subprocess, remote) cannot
-    inherit a closure, so the factory travels as data: ``spec`` is
+    Workers launched as fresh interpreters (:class:`SubprocessBackend
+    <repro.fabric.backend.SubprocessBackend>`) cannot inherit a closure,
+    so the factory travels as data: ``spec`` is
     ``"package.module:attribute"`` naming a *builder* callable, and
     ``kwargs`` are the keyword arguments the builder is called with to
     produce the actual :data:`~repro.measure.runner.ScenarioFactory`.

@@ -9,6 +9,8 @@ ordering is preserved by construction.
 
 from __future__ import annotations
 
+import math
+
 from repro.linkem.overhead import OverheadModel
 from repro.linkem.processing import SerialProcessor
 from repro.net.packet import Packet
@@ -21,7 +23,7 @@ class DelayPipe(PacketPipe):
 
     Args:
         sim: the simulator.
-        one_way_delay: seconds each packet is held (>= 0).
+        one_way_delay: seconds each packet is held (finite, >= 0).
         overhead: per-packet forwarding cost model; defaults to the
             calibrated mm-delay cost. Pass ``OverheadModel.none()`` for an
             ideal delay element.
@@ -34,8 +36,9 @@ class DelayPipe(PacketPipe):
         overhead: OverheadModel = None,
     ) -> None:
         super().__init__(sim)
-        if one_way_delay < 0.0:
-            raise ValueError(f"delay must be >= 0, got {one_way_delay!r}")
+        if not 0.0 <= one_way_delay < math.inf:
+            raise ValueError(
+                f"delay must be finite and >= 0, got {one_way_delay!r}")
         if overhead is None:
             overhead = OverheadModel.delay_shell()
         self.one_way_delay = one_way_delay

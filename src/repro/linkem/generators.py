@@ -27,15 +27,16 @@ def constant_rate_trace(
     """Build a constant-rate trace.
 
     Args:
-        rate_mbps: link rate in Mbit/s (> 0).
+        rate_mbps: link rate in Mbit/s (finite, > 0).
         duration_ms: trace period; longer periods express slow rates more
             precisely (a 1 Mbit/s link delivers one MTU every ~12 ms).
 
     The k-th opportunity is placed at ``round(k * MTU / rate)`` so the trace
     delivers exactly the requested average rate per period.
     """
-    if rate_mbps <= 0.0:
-        raise TraceError(f"rate must be positive, got {rate_mbps!r}")
+    if not 0.0 < rate_mbps < math.inf:
+        raise TraceError(
+            f"rate must be positive and finite, got {rate_mbps!r}")
     if duration_ms <= 0:
         raise TraceError(f"duration must be positive, got {duration_ms!r}")
     bytes_per_ms = rate_mbps * 1e6 / 8.0 / 1000.0

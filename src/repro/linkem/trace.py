@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import io
+import math
 from typing import Iterable, List, Sequence
 
 from repro.errors import TraceError
@@ -210,7 +211,7 @@ class ConstantRateSchedule:
     """Closed-form opportunities for a constant-rate link.
 
     Args:
-        rate_bps: link rate in bits per second (> 0).
+        rate_bps: link rate in bits per second (finite, > 0).
         start_time: virtual time of the link's first interval.
 
     Opportunities fall every ``MTU_BYTES * 8 / rate_bps`` seconds, the
@@ -220,8 +221,9 @@ class ConstantRateSchedule:
     """
 
     def __init__(self, rate_bps: float, start_time: float = 0.0) -> None:
-        if rate_bps <= 0.0:
-            raise TraceError(f"rate must be positive, got {rate_bps!r}")
+        if not 0.0 < rate_bps < math.inf:
+            raise TraceError(
+                f"rate must be positive and finite, got {rate_bps!r}")
         self.rate_bps = rate_bps
         self._interval = MTU_BYTES * 8.0 / rate_bps
         self._start = start_time

@@ -30,6 +30,7 @@ Processes:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence, Tuple
 
@@ -40,6 +41,13 @@ __all__ = ["ArrivalProcess", "Diurnal", "FixedRate", "Poisson"]
 #: simulation domain from aliasing it; the test that would notice is
 #: ``tests/test_load/test_capacity.py::test_arrivals_invariant_to_world_execution``.
 ARRIVALS_STREAM = "load:arrivals"
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float, refused unless positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class ArrivalProcess:
@@ -88,9 +96,7 @@ class FixedRate(ArrivalProcess):
     kind = "fixed"
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate!r}")
-        self.rate = float(rate)
+        self.rate = _positive("rate", rate)
 
     def times(self, clients: int, rng: random.Random) -> Tuple[float, ...]:
         self._check(clients, self.rate)
@@ -114,9 +120,7 @@ class Poisson(ArrivalProcess):
     kind = "poisson"
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate!r}")
-        self.rate = float(rate)
+        self.rate = _positive("rate", rate)
 
     def times(self, clients: int, rng: random.Random) -> Tuple[float, ...]:
         self._check(clients, self.rate)
@@ -161,18 +165,14 @@ class Diurnal(ArrivalProcess):
         profile: Sequence[float] = (1, 2, 4, 8, 4, 2),
         period: float = 60.0,
     ) -> None:
-        if rate <= 0.0:
-            raise ValueError(f"rate must be > 0, got {rate!r}")
-        if period <= 0.0:
-            raise ValueError(f"period must be > 0, got {period!r}")
+        self.rate = _positive("rate", rate)
+        self.period = _positive("period", period)
         shape = [float(v) for v in profile]
         if not shape or any(v < 0.0 for v in shape):
             raise ValueError("profile needs non-negative entries")
         mean = sum(shape) / len(shape)
         if mean <= 0.0:
             raise ValueError("profile must have a positive mean")
-        self.rate = float(rate)
-        self.period = float(period)
         #: Absolute clients/s per bucket (profile normalised to the mean).
         self.rates = tuple(v / mean * rate for v in shape)
 

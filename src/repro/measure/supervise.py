@@ -53,6 +53,7 @@ machine the sweep runs on, never the simulated world.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import traceback
 from dataclasses import dataclass
@@ -344,8 +345,9 @@ def run_sweep(
             raise ValueError(f"{name} must be >= {floor}, got {value!r}")
     for name, value in ((spelled[1], deadline), ("heartbeat", heartbeat),
                         ("io_deadline", io_deadline)):
-        if value is not None and value <= 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be positive and finite, got {value!r}")
     if io_deadline is not None and heartbeat is not None \
             and io_deadline <= heartbeat:
         raise ValueError(

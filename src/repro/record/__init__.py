@@ -14,7 +14,7 @@
   iptables-REDIRECT-equivalent :class:`~repro.record.proxy.Redirector`.
 """
 
-from repro.record.cas import CasStore, body_checksum, missing_blobs
+from repro.record.cas import CasStore, body_checksum
 from repro.record.entry import RequestResponsePair
 from repro.record.har import save_har, to_har
 from repro.record.matcher import MatchResult, RequestMatcher
@@ -30,7 +30,6 @@ __all__ = [
     "RequestMatcher",
     "RequestResponsePair",
     "body_checksum",
-    "missing_blobs",
     "read_site",
     "save_har",
     "site_cas",

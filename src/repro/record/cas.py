@@ -27,10 +27,9 @@ Properties:
 * **Concurrent-safe** — puts write a per-process temp name and
   ``os.replace`` into place, so parallel corpus generators (``mm-corpus
   generate --workers``) can share one store without torn writes.
-* **Shippable** — :func:`missing_blobs` computes the blob *delta* between
-  a site's references and a local store, so a corpus travels to a
-  fabric worker as site manifests plus only the blobs the worker lacks
-  (see :mod:`repro.fabric.sync`).
+* **Portable** — a corpus folder (sites plus its ``.cas``) is the whole
+  bundle: copied anywhere with ``cp -r``, it is checked at the
+  destination by ``mm-fsck``, with no shipping protocol.
 
 The round-trip contract: a site saved through a CAS and loaded back is
 *pair-for-pair byte-identical* (``to_canonical_bytes``) to the site that
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.errors import BlobCorruptError, BlobMissingError
 from repro.fsutil import fsync_dir
@@ -50,7 +49,6 @@ __all__ = [
     "CAS_DIR_NAME",
     "CasStore",
     "body_checksum",
-    "missing_blobs",
 ]
 
 #: Conventional CAS directory name inside a corpus folder (dot-named so
@@ -212,38 +210,6 @@ class CasStore:
         self.bytes_written += len(data)
         return ref
 
-    def import_blob(self, ref: str, data: bytes) -> bool:
-        """Install a blob shipped from another store (fabric sync).
-
-        The bytes are verified against the claimed address before they
-        are admitted — a corrupted transfer cannot poison the store.
-
-        Returns:
-            True when the blob was new, False when it was already held.
-
-        Raises:
-            BlobCorruptError: the bytes do not hash to ``ref``.
-        """
-        ref = self._check_ref(ref)
-        if body_checksum(data) != ref:
-            raise BlobCorruptError(
-                f"refusing to import blob {ref}: bytes hash to "
-                f"{body_checksum(data)}"
-            )
-        before = self.written
-        self.put(data)
-        return self.written > before
-
     def __repr__(self) -> str:
         return f"<CasStore {self.root!r}>"
 
-
-def missing_blobs(refs: Iterable[str], store: CasStore) -> List[str]:
-    """The delta: which of ``refs`` the store does not hold (sorted).
-
-    This is the unit of corpus shipping — a worker that already holds a
-    corpus's shared CDN objects receives only the manifests plus this
-    list's blobs, not the whole corpus again.
-    """
-    unique: Set[str] = set(refs)
-    return sorted(ref for ref in unique if not store.has(ref))

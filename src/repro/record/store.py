@@ -25,9 +25,7 @@ verifies everything the manifest vouches for and describes whatever
 fails in one vocabulary (:data:`STRICT_ERRORS`). Strict
 :meth:`RecordedSite.load` raises on the first problem,
 :meth:`RecordedSite.load_tolerant` and ``mm-fsck``
-(:mod:`repro.record.fsck`) collect them, ``mm-fabric ship``
-(:mod:`repro.fabric.sync`) takes its file list and blob references from
-it. The walk resolves a body reference wherever it meets one and accepts
+(:mod:`repro.record.fsck`) collect them. The walk resolves a body reference wherever it meets one and accepts
 an inline body wherever it meets one, so a flat folder from before the
 CAS (``format_version`` 2, no ``"cas"`` key, base64 bodies) is the same
 walk with no resolver attached; re-saving it upgrades it. Version 1

@@ -174,10 +174,10 @@ def recorded_site(
 ) -> ScenarioFactory:
     """Page loads against a recorded folder on this host.
 
-    The production shape: ship the corpus with :mod:`repro.fabric.sync`,
-    then point every worker's spec at it. The store is loaded (strictly)
-    once per worker through :meth:`RecordedSite.load
-    <repro.record.store.RecordedSite.load>`.
+    The production shape: a corpus folder copied to the host (``cp -r``,
+    then ``mm-fsck``), and every worker's spec pointed at one of its
+    sites. The store is loaded (strictly) once per worker through
+    :meth:`RecordedSite.load <repro.record.store.RecordedSite.load>`.
     """
     store = RecordedSite.load(directory)
     return _replayed(store, page_from_recording(store),

@@ -65,11 +65,11 @@ MALFORMED_ARGV = {
     "webrecord-origins-non-numeric": (
         mm_webrecord, ["--origins", "x", "O", "http://x.com/"], "--origins"),
     "webrecord-seed-missing-value": (mm_webrecord, ["--seed"], "--seed"),
-    "fabric-two-remote-hosts": (
+    "fabric-remote-backend-is-gone": (
         mm_fabric,
         ["run", "--factory", "repro.scenarios:replay_smoke", "--trials", "2",
-         "--backend", "remote", "--host", "a", "--host", "b"],
-        "--host"),
+         "--backend", "remote"],
+        "--backend"),
 }
 
 
@@ -111,17 +111,47 @@ OUT_OF_RANGE = {
         mm_report, ["render", "--width", "0", "artifact.jsonl"], "--width"),
     "report-height-0": (
         mm_report, ["render", "--height", "0", "artifact.jsonl"], "--height"),
+    # NaN and infinity parse as floats; every CLI float refuses them.
+    "delay-nan": (mm_webreplay, ["SITE", "mm-delay", "nan", "load"],
+                  "one-way delay"),
+    "delay-inf": (mm_webreplay, ["SITE", "mm-delay", "inf", "load"],
+                  "one-way delay"),
+    "link-nan": (mm_webreplay, ["SITE", "mm-link", "nan", "5", "load"],
+                 "uplink"),
+    "link-inf": (mm_webreplay, ["SITE", "mm-link", "inf", "5", "load"],
+                 "uplink"),
+    "trace-rate-nan": (
+        mm_trace, ["constant", "--rate", "nan", "--out", "F"], "--rate"),
+    "trace-rate-inf": (
+        mm_trace, ["constant", "--rate", "inf", "--out", "F"], "--rate"),
+    "load-rate-nan": (mm_load, ["run", "--rate", "nan", "--clients", "3"],
+                      "--rate"),
+    "fabric-timeout-nan": (
+        mm_fabric, FABRIC_RUN + ["--trials", "2", "--timeout", "nan"],
+        "--timeout"),
+    "fabric-heartbeat-nan": (
+        mm_fabric, FABRIC_RUN + ["--trials", "2", "--heartbeat", "nan"],
+        "--heartbeat"),
+    "fabric-progress-deadline-nan": (
+        mm_fabric, FABRIC_RUN + ["--trials", "2", "--progress-deadline", "nan"],
+        "--progress-deadline"),
 }
 
 
 @pytest.mark.parametrize(
     "tool,argv,flag", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
 def test_out_of_range_number_exits_2_naming_the_flag(
-        tool, argv, flag, monkeypatch, capsys):
+        tool, argv, flag, recorded_dir, monkeypatch, capsys):
     """Refused as usage before any work starts — not a traceback and
-    exit 1, which ``mm-fabric`` documents as "sweep incomplete"."""
+    exit 1, which ``mm-fabric`` documents as "sweep incomplete". (``SITE``
+    stands for a recorded folder; mm-load's argparse exits by raising.)"""
+    argv = [recorded_dir if arg == "SITE" else arg for arg in argv]
     monkeypatch.setattr("sys.argv", [tool.__name__] + argv)
-    assert tool.main() == 2
+    try:
+        status = tool.main()
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
     captured = capsys.readouterr()
     assert flag in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
@@ -517,11 +547,11 @@ class TestMmFsck:
 
 class TestHelpers:
     def test_parse_trace_or_rate_number(self):
-        assert parse_trace_or_rate("14") == 14.0
+        assert parse_trace_or_rate("14", "uplink") == 14.0
 
     def test_parse_trace_or_rate_rejects_nonpositive(self):
         with pytest.raises(CliError):
-            parse_trace_or_rate("0")
+            parse_trace_or_rate("0", "uplink")
 
     def test_page_from_recording_covers_all_pairs(self):
         site = generate_site("pfr.com", seed=6, n_origins=5)

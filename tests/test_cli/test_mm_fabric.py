@@ -25,10 +25,10 @@ MALFORMED = {
     "worker-missing-value": (["worker", "--trials"], "--trials"),
     "worker-stray-value": (["worker", "x"], "x"),
     "worker-unknown-flag": (["worker", "--bogus", "1"], "--bogus"),
-    "ship-unknown-flag": (
-        ["ship", "src", "dest", "--json", "--bogus"], "--bogus"),
-    "ship-missing-value": (["ship", "src"], "dest"),
-    "ship-stray-value": (["ship", "src", "dest", "extra"], "extra"),
+    "unknown-subcommand": (["ship", "src", "dest"], "'ship'"),
+    "run-backend-remote-is-gone": (
+        RUN + ["--trials", "3", "--backend", "remote"], "--backend"),
+    "run-host-is-gone": (RUN + ["--trials", "3", "--host", "h"], "--host"),
 }
 
 
@@ -52,11 +52,10 @@ def test_flags_and_defaults_are_the_documented_ones():
     """The parser accepts exactly the flags the module docstring lists,
     with the defaults ``run_fabric`` has."""
     options = mm_fabric._run_parser().parse_args(
-        ["--factory", "m:a", "--trials", "5", "--host", "a", "--host", "b"])
+        ["--factory", "m:a", "--trials", "5"])
     assert vars(options) == {
         "factory": "m:a", "kwargs": "{}", "trials": 5, "shards": 2,
-        "backend": "subprocess", "host": ["a", "b"], "ssh": "ssh",
-        "timeout": 600.0, "retries": 1,
+        "backend": "subprocess", "timeout": 600.0, "retries": 1,
         "journal": None, "run_key": None, "capture_digest": False,
         "progress_deadline": None, "heartbeat": None, "io_deadline": None,
         "spawn_retries": 2, "speculate": False,

@@ -152,3 +152,38 @@ class TestAlexaCorpus:
     def test_statistics_empty_rejected(self):
         with pytest.raises(CorpusError):
             corpus_statistics([])
+
+
+#: mm-corpus generate arguments (and the alexa_corpus keywords they
+#: become) refused as a CorpusError, exit 2 — not a math-domain
+#: traceback, and not zero-sized bodies.
+BAD_CORPUS_ARGS = {
+    "scale-negative": (["--scale", "-1"], {"scale": -1.0}, "scale"),
+    "singles-negative": (["--singles", "-1"], {"single_origin_sites": -1},
+                         "single-origin sites"),
+    "scale-zero": (["--scale", "0"], {"scale": 0.0}, "scale"),
+}
+
+
+@pytest.mark.parametrize("argv,kwargs,names", BAD_CORPUS_ARGS.values(),
+                         ids=BAD_CORPUS_ARGS)
+def test_out_of_range_corpus_arguments_are_refused(argv, kwargs, names,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    from repro.cli import mm_corpus
+
+    with pytest.raises(CorpusError, match=names):
+        alexa_corpus(seed=0, size=12, **kwargs)
+    out = tmp_path / "corpus"
+    monkeypatch.setattr("sys.argv", ["mm-corpus", "generate", "--out",
+                                     str(out), "--size", "12", *argv])
+    assert mm_corpus.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+def test_generate_site_refuses_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(CorpusError, match="scale must be positive"):
+        generate_site("bad.com", seed=1, scale=scale)

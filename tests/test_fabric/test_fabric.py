@@ -9,19 +9,34 @@ file bytes.
 
 import os
 import signal
-import stat
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.fabric.backend import LocalBackend, RemoteBackend, SubprocessBackend
+from repro.fabric.backend import LocalBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
 from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
+
+SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    __import__("repro").__file__)))
+
+_HUGE_IO_DEADLINE = """
+from repro.fabric.backend import LocalBackend
+from repro.fabric.coordinator import run_fabric
+from repro.scenarios import replay_smoke
+
+result = run_fabric(LocalBackend(replay_smoke(scale=0.2)), 2, shards=1,
+                    io_deadline=1e20)
+print("crashed", result.counts()["crashed"])
+for outcome in result.outcomes:
+    print(outcome.error.split(": ")[1])
+"""
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
 SPEC = FactorySpec("repro.scenarios:replay_smoke", KW)
@@ -83,6 +98,23 @@ class TestLocalBackend:
             run_fabric(backend, 1, retries=-1)
         with pytest.raises(ValueError, match="progress_deadline"):
             run_fabric(backend, 1, progress_deadline=0)
+        for knob in ("progress_deadline", "heartbeat", "io_deadline"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{knob} must be "
+                                                     f"positive and finite"):
+                    run_fabric(backend, 1, **{knob: value})
+
+    def test_a_reader_that_raises_cannot_hang_the_sweep(self):
+        """``select`` overflows on a 1e20 s deadline inside each reader
+        thread; the dispatcher must still hear of the broken stream and
+        end the sweep. Run in a child with a timeout, so a reader that
+        dies silently fails this test instead of hanging the suite."""
+        child = subprocess.run(
+            [sys.executable, "-c", _HUGE_IO_DEADLINE], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC_ROOT))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            "crashed 2", "worker stream broke", "worker stream broke"]
 
 
 class TestSpawnedBackends:
@@ -93,31 +125,6 @@ class TestSpawnedBackends:
                             journal=str(journal), capture_digest=True)
         assert_identical(result, reference)
         assert journal.read_bytes() == reference_bytes
-
-    def test_remote_backend_over_fake_ssh(self, serial, tmp_path):
-        # A fake ssh that drops the hostname and runs the command
-        # locally: proves the transport shape without a network.
-        reference, __ = serial
-        fake_ssh = tmp_path / "fake-ssh"
-        fake_ssh.write_text('#!/bin/sh\nshift\nexec sh -c "$@"\n')
-        fake_ssh.chmod(fake_ssh.stat().st_mode | stat.S_IEXEC)
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(
-            __import__("repro").__file__)))
-        backend = RemoteBackend(
-            "measurement-host", SPEC,
-            ssh_command=(str(fake_ssh),),
-            python=sys.executable,
-            remote_pythonpath=src_root,
-        )
-        result = run_fabric(backend, TRIALS, shards=2, capture_digest=True)
-        assert_identical(result, reference)
-
-    def test_remote_command_shape(self):
-        backend = RemoteBackend("host9", SPEC, python="python3",
-                                remote_pythonpath="/opt/repro/src")
-        command = backend.remote_command()
-        assert command.startswith("PYTHONPATH=/opt/repro/src ")
-        assert "python3 -m repro.cli.mm_fabric worker" in command
 
 
 class _KillFirstWorker(LocalBackend):

@@ -88,6 +88,11 @@ class TestDelayPipe:
         with pytest.raises(ValueError):
             DelayPipe(Simulator(), -0.1)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            DelayPipe(Simulator(), delay)
+
     def test_counters(self):
         sim = Simulator()
         pipe = DelayPipe(sim, 0.01, OverheadModel.none())

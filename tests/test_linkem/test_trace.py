@@ -163,3 +163,12 @@ class TestConstantRateSchedule:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(TraceError):
             ConstantRateSchedule(0.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        from repro.linkem import constant_rate_trace
+
+        with pytest.raises(TraceError, match="positive and finite"):
+            ConstantRateSchedule(rate)
+        with pytest.raises(TraceError, match="positive and finite"):
+            constant_rate_trace(rate)

@@ -80,6 +80,13 @@ def test_non_positive_rate_rejected(ctor):
         ctor(0.0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+@pytest.mark.parametrize("ctor", [FixedRate, Poisson, Diurnal])
+def test_non_finite_rate_rejected(ctor, rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        ctor(rate)
+
+
 def test_describe_is_json_shaped():
     for process in (FixedRate(2.0), Poisson(2.0), Diurnal(2.0)):
         described = process.describe()

@@ -11,7 +11,7 @@ from repro.errors import BlobCorruptError, BlobMissingError, StoreFormatError
 from repro.http.body import Body
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
-from repro.record.cas import CasStore, body_checksum, missing_blobs
+from repro.record.cas import CasStore, body_checksum
 from repro.record.entry import RequestResponsePair
 from repro.record.store import RecordedSite, read_site, site_cas
 from repro.sim import Simulator
@@ -82,21 +82,6 @@ class TestCasStore:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(BlobCorruptError):
             store.get(ref)
-
-    def test_import_blob_verifies(self, tmp_path):
-        src = CasStore(tmp_path / "src")
-        dst = CasStore(tmp_path / "dst")
-        ref = src.put(b"shipped")
-        assert dst.import_blob(ref, b"shipped") is True
-        assert dst.import_blob(ref, b"shipped") is False  # already held
-        with pytest.raises(BlobCorruptError):
-            dst.import_blob(ref, b"tampered in transit")
-
-    def test_missing_blobs_delta(self, tmp_path):
-        store = CasStore(tmp_path / "cas")
-        held = store.put(b"already here")
-        absent = body_checksum(b"not here")
-        assert missing_blobs([held, absent, held], store) == [absent]
 
     def test_blobs_and_stats(self, tmp_path):
         store = CasStore(tmp_path / "cas")

@@ -10,7 +10,9 @@ from repro.http.body import Body
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import AddressAllocator, IPv4Address
 from repro.record.entry import RequestResponsePair
-from repro.record.fsck import fsck_site, fsck_tree, is_site_dir
+from repro.record.fsck import (
+    corpus_site_dirs, fsck_site, fsck_tree, is_site_dir,
+)
 from repro.record.store import RecordedSite
 from tests.store_fixtures import revouch, write_flat_site
 
@@ -221,6 +223,17 @@ class TestFsckTree:
         assert [r.kind for r in reports] == ["site", "site", "cas"]
         assert reports[0].clean and not reports[1].clean
         assert reports[2].clean  # site-a still references the one blob
+
+    def test_site_dirs_skips_non_sites(self, tmp_path):
+        from repro.record.cas import CasStore
+
+        site = RecordedSite("a.example")
+        site.add_pair(make_pair("a.example", "/", "23.0.0.1"))
+        site.save(tmp_path / "src" / "a.example",
+                  cas=CasStore(tmp_path / "src" / ".cas"))
+        (tmp_path / "src" / "notes.txt").write_text("not a site")
+        dirs = corpus_site_dirs(tmp_path / "src")
+        assert [d.rsplit("/", 1)[-1] for d in dirs] == ["a.example"]
 
     def test_single_site_directory(self, site_dir):
         reports = fsck_tree(site_dir)

@@ -8,9 +8,9 @@ the ``cas`` key broken, a file left in place but unreadable — and every
 reader is run over the result:
 
 * ``RecordedSite.load`` / ``load_tolerant`` / ``fsck_tree`` (dry and
-  ``--repair``) / ``ship_corpus`` raise nothing but ``ReproError``;
+  ``--repair``) raise nothing but ``ReproError``;
 * they agree: strict load succeeds ⇔ the tolerant load reports nothing
-  ⇔ fsck finds the site clean ⇔ the site ships;
+  ⇔ fsck finds the site clean;
 * ``--repair`` moves, never rewrites or deletes, and after it every
   site it could read loads strictly and a second fsck is clean.
 
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.fabric.sync import ship_corpus
 from repro.http.body import Body
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
@@ -294,24 +293,22 @@ def test_store_surface_under_mutation(pristine, mutations):
         shutil.copytree(pristine, corpus)
         for mutation in mutations:
             _apply(corpus, mutation)
-        _check(root, corpus)
+        _check(corpus)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _check(root, corpus):
+def _check(corpus):
     site_dirs = [os.path.join(corpus, name) for name in SITES]
 
     # One verdict per site, whoever is asked.
-    strict_ok = {}
     for site_dir in site_dirs:
         site, error = _named_errors_only(RecordedSite.load, site_dir)
-        strict_ok[site_dir] = error is None
         salvaged, tolerant_error = _named_errors_only(
             RecordedSite.load_tolerant, site_dir)
         tolerant_ok = tolerant_error is None and salvaged[1].clean
         report = fsck_site(site_dir)  # never raises: fatal is a report
-        assert strict_ok[site_dir] == tolerant_ok == report.clean, (
+        assert (error is None) == tolerant_ok == report.clean, (
             site_dir, error, tolerant_error, report)
         if salvaged is not None:
             assert len(salvaged[0]) == report.pairs_ok
@@ -320,17 +317,8 @@ def _check(root, corpus):
             # Strict load raises what the first collected problem says.
             assert str(error) == report.problems[0].detail
 
-    # A corpus ships exactly when every site in it loads.
-    dest = os.path.join(root, "shipped")
-    shipped, ship_error = _named_errors_only(ship_corpus, corpus, dest)
-    present = corpus_site_dirs(corpus)
-    assert (ship_error is None) == all(strict_ok[d] for d in present)
-    if ship_error is None:
-        assert shipped.sites == len(present)
-        for report in fsck_tree(dest) if present else []:
-            assert report.clean, report
-
     # Dry run, then repair: moves only, and converges in one pass.
+    present = corpus_site_dirs(corpus)
     dry, dry_error = _named_errors_only(fsck_tree, corpus)
     assert (dry_error is None) == bool(present)
     before = _files(corpus)
