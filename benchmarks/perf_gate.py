@@ -236,15 +236,11 @@ def wl_fabric_degraded() -> Tuple[float, str]:
     itself."""
     from repro.fabric.backend import LocalBackend
     from repro.fabric.coordinator import run_fabric
-    from repro.fabric.faults import (
-        FabricFaultPlan, FaultyBackend, SpawnFault,
-    )
+    from repro.testing import FaultInjectingBackend, SpawnFault
 
     trials = max(8, int(32 * bench_scale()))
-    backend = FaultyBackend(
-        LocalBackend(_fabric_factory()),
-        FabricFaultPlan([SpawnFault(shard=1, fail_first=99)]),
-    )
+    backend = FaultInjectingBackend(
+        LocalBackend(_fabric_factory()), SpawnFault(shard=1, fail_first=99))
     result = run_fabric(backend, trials=trials, shards=2, spawn_retries=1)
     assert result.complete
     assert result.metrics.counter("fabric.spawn_failures").value == 1

@@ -7,7 +7,7 @@ Subcommands::
                   [--timeout S] [--retries R]
                   [--journal PATH] [--run-key KEY] [--capture-digest]
                   [--progress-deadline S] [--heartbeat S]
-                  [--io-deadline S] [--spawn-retries R] [--speculate]
+                  [--io-deadline S] [--spawn-retries R]
                   [--artifact PATH] [--json]
     mm-fabric worker
 
@@ -29,11 +29,9 @@ Robustness knobs: ``--heartbeat`` turns on worker liveness beats so the
 slow-but-alive ones; ``--io-deadline`` bounds every protocol read/write;
 ``--spawn-retries`` retries failed spawns after a doubling delay, and a
 slot that still cannot be filled is given up (the sweep degrades to the
-surviving workers); ``--speculate`` has a worker that finds the queue
-empty duplicate the oldest trial still in flight, first outcome wins.
-None of these change results: every knob preserves byte-identity to
-serial. An out-of-range or non-finite value is a usage error naming
-its flag.
+surviving workers). None of these change results: every knob preserves
+byte-identity to serial. An out-of-range or non-finite value is a usage
+error naming its flag.
 
 When a run resumes from ``--journal``, corrupt journal lines are dropped
 (their trials re-run) and surfaced as the ``journal_records_dropped``
@@ -46,7 +44,9 @@ Exit codes: ``0`` — sweep complete (every trial produced an outcome);
 
 ``worker`` is the fabric worker entry point: it speaks the wire protocol
 on stdin/stdout and is what the subprocess backend launches. Never run
-it by hand — it expects a coordinator on the other end.
+it by hand — it expects a coordinator on the other end. Input it cannot
+parse ends the conversation with one ``error`` frame naming the
+``ProtocolError`` and exit status 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def _run_parser() -> Parser:
     add("--heartbeat", type=finite_float)
     add("--io-deadline", type=finite_float)
     add("--spawn-retries", type=int, default=2)
-    add("--speculate", action="store_true")
     add("--artifact")
     add("--json", action="store_true")
     return parser
@@ -150,7 +149,7 @@ def _run(argv: List[str]) -> int:
         capture_digest=options.capture_digest,
         progress_deadline=options.progress_deadline,
         heartbeat=options.heartbeat, io_deadline=options.io_deadline,
-        spawn_retries=options.spawn_retries, speculate=options.speculate,
+        spawn_retries=options.spawn_retries,
     )
     counters = {name: c.value
                 for name, c in sorted(result.metrics.counters.items())}

@@ -124,10 +124,7 @@ def _cmd_load(options: argparse.Namespace) -> int:
 _FABRIC_GROUPS = (
     ("sweep", ("workers_spawned", "trials_completed", "trials_crashed")),
     ("liveness", ("heartbeats", "watchdog_kills", "worker_crashes")),
-    ("wire", ("frames_resynced", "trials_redelivered")),
     ("spawning", ("spawn_retries", "spawn_failures")),
-    ("speculation", ("speculative_trials", "speculative_wins",
-                     "speculative_losses")),
     ("journal", ("journal_records_dropped",)),
 )
 
@@ -258,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fabric = commands.add_parser(
         "fabric",
         help="fabric health view of an mm-fabric artifact "
-        "(liveness, wire damage, spawning, speculation counters)",
+        "(sweep, liveness, spawning and journal counters)",
     )
     fabric.add_argument("artifact", help="mm-fabric JSONL artifact path")
     fabric.add_argument(

@@ -12,13 +12,12 @@ serial :func:`~repro.measure.supervise.run_supervised` of the same sweep
 — for any shard count and any backend.
 
 The identity holds *under partial failure*, not just in its absence:
-protocol read/write deadlines and bounded resync
-(:mod:`~repro.fabric.protocol`), worker heartbeats
-(:mod:`~repro.fabric.worker`), one loss/retry rule, redelivery of
-outcomes the wire ate, and speculative re-execution of stragglers
-(:mod:`~repro.fabric.coordinator`) — each proven by the deterministic
-harness-fault injector (:mod:`~repro.fabric.faults`, the chaos plan's
-harness-side sibling).
+protocol read/write deadlines (:mod:`~repro.fabric.protocol`), worker
+heartbeats (:mod:`~repro.fabric.worker`) and one loss/retry rule
+(:mod:`~repro.fabric.coordinator`): a worker that dies, goes silent,
+never starts, or writes a frame that does not parse costs the one trial
+it held, which runs again elsewhere. :mod:`repro.testing` injects the
+first three (spawn failures, killed and wedged workers) to prove it.
 
 This package is *harness* domain: wall clocks, processes, and pipes are
 all legitimate here — nothing in it runs inside a simulated world.
@@ -31,29 +30,15 @@ from repro.fabric.backend import (
     WorkerHandle,
 )
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.faults import (
-    FabricFaultPlan,
-    FaultyBackend,
-    FrameFault,
-    KillWorker,
-    SpawnFault,
-    WedgeWorker,
-)
 from repro.fabric.protocol import PROTOCOL_VERSION, read_message, write_message
 from repro.fabric.worker import FactorySpec, worker_loop
 
 __all__ = [
     "FabricBackend",
-    "FabricFaultPlan",
     "FactorySpec",
-    "FaultyBackend",
-    "FrameFault",
-    "KillWorker",
     "LocalBackend",
     "PROTOCOL_VERSION",
-    "SpawnFault",
     "SubprocessBackend",
-    "WedgeWorker",
     "WorkerHandle",
     "read_message",
     "run_fabric",

@@ -4,8 +4,8 @@ Every parallel batch of trials in this repo runs through
 :func:`dispatch`: a single loop that owns a FIFO of pending trials and a
 set of live workers obtained from a
 :class:`~repro.fabric.backend.FabricBackend`, and hands each worker
-**one trial at a time** over the framed protocol (``run [t]`` →
-``outcome``, ``done``). It has two callers: the sweep
+**one trial at a time** over the framed protocol (``run t`` →
+``outcome``). It has two callers: the sweep
 (:func:`~repro.measure.supervise.run_sweep`, the one body under
 ``run_supervised``, :func:`run_fabric` and ``mm-corpus generate``,
 which journals every outcome it is handed) and
@@ -22,15 +22,16 @@ event-stream digest, and the rewritten journal are byte-identical to an
 in-process ``run_supervised(workers=1)`` of the same sweep, for any
 worker count, any backend, and any interleaving of worker completions.
 Tests assert this literally (``tests/test_fabric/``) and CI re-proves it
-on every push — including under injected harness faults
-(:mod:`repro.fabric.faults`).
+on every push — including under the harness faults that
+:mod:`repro.testing` injects (spawn failures, killed and wedged workers).
 
 **One loss/retry rule** (DESIGN.md §9 has the full fault × detection ×
 recovery matrix):
 
 * A *reported* failure never leaves the worker — that is
   :func:`~repro.measure.supervise.run_shard`'s retry/quarantine loop.
-* A *lost holder* — crash, SIGKILL, torn stream, watchdog kill — costs
+* A *lost holder* — crash, SIGKILL, a torn or bad frame (any
+  :class:`~repro.errors.ProtocolError`), watchdog kill — costs
   exactly the one trial the worker held: it goes back on the queue and
   a replacement worker is spawned, until the trial has lost
   ``retries`` + 1 holders and is recorded ``crashed``. Losses are
@@ -44,13 +45,6 @@ recovery matrix):
 * A *spawn failure* is retried after a doubling delay (0.05 s, capped
   at 2 s); a slot that cannot be filled is given up — fewer workers
   pull from the same queue, the sweep degrades instead of aborting.
-* An outcome frame *eaten by the wire* shows as a ``done`` for the run
-  in flight with no outcome before it: the trial is sent again
-  (bounded), because re-running a pure function is always safe.
-* With ``speculate``, a worker that finds the queue empty copies the
-  oldest trial still in flight elsewhere; the first outcome per trial
-  wins, the duplicate is discarded unjournaled, and the sweep returns
-  as soon as every trial has an outcome.
 """
 
 from __future__ import annotations
@@ -77,17 +71,6 @@ __all__ = [
     "run_fabric",
 ]
 
-#: How many damaged frames one read_message call may resync past in the
-#: dispatcher's reader threads (checksum skips + magic scans).
-_READ_RESYNC = 8
-
-#: How many times one worker may be sent a trial again because the wire
-#: ate its outcome before the dispatcher gives up on its stream.
-_MAX_REDELIVERIES = 3
-
-#: How many speculative duplicates one trial may get.
-_SPECULATE_COPIES = 1
-
 #: Seconds a worker told to shut down may linger before it is SIGKILLed.
 _LINGER = 5.0
 
@@ -103,42 +86,36 @@ class _Worker:
     seq: int                      # worker sequence number
     handle: WorkerHandle
     trial: int                    # the one trial in flight
-    started: float                # wall clock of that trial's dispatch
-    last_beat: float              # dispatch or latest heartbeat since
-    runs: int = 0                 # ``run`` frames sent so far
-    speculative: bool = False     # ``trial`` is a copy of a straggler's
-    redeliveries: int = 0
-    stats: Dict[str, int] = field(default_factory=dict)  # reader's resyncs
-    thread: threading.Thread = field(init=False)         # the reader
+    last_beat: float              # its dispatch, or a heartbeat since
+    thread: threading.Thread = field(init=False)  # the reader
 
 
 _Event = Tuple[int, str, Any]
 
 
 def _reader(seq: int, handle: WorkerHandle, events: "queue.Queue[_Event]",
-            io_deadline: Optional[float], stats: Dict[str, int]) -> None:
+            io_deadline: Optional[float]) -> None:
     """Pump one worker's messages into the dispatcher's event queue.
 
     One thread per worker: a blocking read only ever stalls its own
     worker's lane, and worker death surfaces as an ``eof``/``broken``
     event instead of a hung dispatcher. With an ``io_deadline`` even
-    the blocking read is bounded (half-open connections become
-    ``broken`` events); damaged frames are resync'd up to
-    :data:`_READ_RESYNC` per read and counted in ``stats``. A reader
-    never ends without posting an event: the dispatcher may be waiting
-    on nothing else, so whatever a read raises is a ``broken`` stream.
+    the blocking read is bounded (a silent peer becomes a ``broken``
+    event). A reader never ends without posting an event: the
+    dispatcher may be waiting on nothing else, so whatever a read
+    raises — a bad frame's :class:`~repro.errors.ProtocolError` first
+    among them — is a ``broken`` stream, named by its error type.
     """
     try:
         while True:
-            kind, data = read_message(handle.rfile, timeout=io_deadline,
-                                      resync=_READ_RESYNC, stats=stats)
+            kind, data = read_message(handle.rfile, timeout=io_deadline)
             events.put((seq, kind, data))
             if kind == "error":
                 return
     except EOFError:
         events.put((seq, "eof", None))
     except Exception as exc:
-        events.put((seq, "broken", str(exc) or type(exc).__name__))
+        events.put((seq, "broken", f"{type(exc).__name__}: {exc}"))
 
 
 def run_fabric(
@@ -156,7 +133,6 @@ def run_fabric(
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    speculate: bool = False,
 ) -> SweepResult:
     """Run a sweep over ``shards`` fabric workers; merge byte-identically.
 
@@ -195,10 +171,6 @@ def run_fabric(
             fails, after a doubling delay (0.05 s, capped at 2 s); a
             slot still unfilled is given up and the sweep degrades to
             the remaining workers.
-        speculate: a worker that finds the queue empty duplicates the
-            oldest trial still in flight; first outcome wins,
-            byte-identity is unaffected (trials are pure functions of
-            their index).
 
     Returns:
         A :class:`SweepResult` whose sample, digest, and journal are
@@ -211,7 +183,7 @@ def run_fabric(
         retries=retries, deadline=progress_deadline, journal=journal,
         run_key=run_key, metrics=metrics, heartbeat=heartbeat,
         io_deadline=io_deadline, spawn_retries=spawn_retries,
-        speculate=speculate, spelled=("shards", "progress_deadline"))
+        spelled=("shards", "progress_deadline"))
 
 
 def dispatch(
@@ -224,7 +196,6 @@ def dispatch(
     deadline: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    speculate: bool = False,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
     """Run ``pending`` trials on up to ``workers`` workers from
@@ -244,8 +215,8 @@ def dispatch(
             (also the lost holders a trial survives, see module doc),
             ``heartbeat``, and the trial knobs (``timeout``,
             ``allow_failures``, ``capture_digest``) or ``task``.
-        record: called once per trial with its first outcome, in
-            arrival order (the sweep's journal writer).
+        record: called once per trial with its outcome, in arrival
+            order (the sweep's journal writer).
         deadline: the liveness deadline, wall seconds (None: no
             watchdog).
     """
@@ -257,7 +228,6 @@ def dispatch(
     active: Dict[int, _Worker] = {}
     spent: List[_Worker] = []       # retired workers, reaped at the end
     losses: Dict[int, int] = {}     # trial -> holders lost so far
-    copies: Dict[int, int] = {}     # trial -> speculative duplicates
     slots = min(workers, len(pending))
     unresolved = len(pending)
     next_seq = 0
@@ -296,12 +266,10 @@ def dispatch(
         if handle is None:
             metrics.counter("fabric.spawn_failures").add(1)
             return False
-        now = time.monotonic()
         worker = _Worker(seq=seq, handle=handle, trial=todo.popleft(),
-                         started=now, last_beat=now)
+                         last_beat=time.monotonic())
         worker.thread = threading.Thread(
-            target=_reader, args=(seq, handle, events, io_deadline,
-                                  worker.stats),
+            target=_reader, args=(seq, handle, events, io_deadline),
             name=f"fabric-reader-{seq}", daemon=True,
         )
         worker.thread.start()
@@ -317,9 +285,8 @@ def dispatch(
 
     def run(worker: _Worker, trial: int) -> None:
         worker.trial = trial
-        worker.started = worker.last_beat = time.monotonic()
-        worker.runs += 1
-        send(worker, ("run", [trial]))
+        worker.last_beat = time.monotonic()
+        send(worker, ("run", trial))
 
     def configure(worker: _Worker, hello: Any) -> None:
         if not isinstance(hello, dict) or \
@@ -336,28 +303,6 @@ def dispatch(
         send(worker, ("config", settings))
         if worker.seq in active:
             run(worker, worker.trial)
-
-    def feed(worker: _Worker) -> None:
-        """Hand ``worker`` its next trial: the head of the queue, else
-        (speculating) a copy of the oldest trial still in flight
-        elsewhere, else send it home."""
-        worker.speculative = False
-        if todo:
-            run(worker, todo.popleft())
-            return
-        stragglers = [
-            other for other in active.values()
-            if other is not worker and other.trial not in outcomes
-            and copies.get(other.trial, 0) < _SPECULATE_COPIES
-        ] if speculate else []
-        if not stragglers:
-            shutdown(worker)
-            return
-        trial = min(stragglers, key=lambda other: other.started).trial
-        copies[trial] = copies.get(trial, 0) + 1
-        worker.speculative = True
-        metrics.counter("fabric.speculative_trials").add(1)
-        run(worker, trial)
 
     def shutdown(worker: _Worker) -> None:
         """End a finished worker's conversation politely (reaped, and
@@ -388,9 +333,6 @@ def dispatch(
         code = worker.handle.wait()
         metrics.counter("fabric.worker_crashes").add(1)
         trial = worker.trial
-        if trial in outcomes or any(other.trial == trial
-                                    for other in active.values()):
-            return  # answered, or a speculative copy still holds it
         losses[trial] = losses.get(trial, 0) + 1
         if losses[trial] <= retries:
             todo.append(trial)
@@ -448,37 +390,16 @@ def dispatch(
                                  f"{data!r:.80} as its outcome")
                     continue
                 max_gap = max(max_gap, now - worker.last_beat)
-                first = data.trial not in outcomes
-                won = first and worker.speculative
-                if first:
-                    outcomes[data.trial] = data
-                    unresolved -= 1
-                feed(worker)  # before the fsync below, not after
-                if first:
-                    record(data)
-                    metrics.counter("fabric.trials_completed").add(1)
-                    if won:
-                        metrics.counter("fabric.speculative_wins").add(1)
-                elif data.trial in copies:
-                    # A duplicate landed after the race was decided;
-                    # discard it (first outcome won, bytes identical).
-                    metrics.counter("fabric.speculative_losses").add(1)
-            elif kind == "done":
-                if not isinstance(data, dict) \
-                        or data.get("batch") != worker.runs - 1:
-                    continue  # an earlier run's: its outcome fed the worker
-                # The run in flight is over and no outcome fed the
-                # worker: the wire ate the frame (drop, resync'd
-                # corruption). Pure functions re-run safely — bounded.
-                if worker.trial in outcomes:
-                    feed(worker)
-                elif worker.redeliveries >= _MAX_REDELIVERIES:
-                    lose(worker, f"worker's outcome frames were lost "
-                                 f"{worker.redeliveries + 1} times running")
+                outcomes[data.trial] = data
+                unresolved -= 1
+                # The next trial goes out before the fsync below, not
+                # after; with the queue empty the worker is sent home.
+                if todo:
+                    run(worker, todo.popleft())
                 else:
-                    worker.redeliveries += 1
-                    metrics.counter("fabric.trials_redelivered").add(1)
-                    run(worker, worker.trial)
+                    shutdown(worker)
+                record(data)
+                metrics.counter("fabric.trials_completed").add(1)
             elif kind == "error":
                 lose(worker, f"worker error: {data}")
             elif kind == "eof":
@@ -501,8 +422,6 @@ def dispatch(
                 # by the handful of wedges a sweep can see.
                 worker.handle.close()
 
-    metrics.counter("fabric.frames_resynced").add(
-        sum(worker.stats.get("resyncs", 0) for worker in spent))
     metrics.gauge("fabric.heartbeat_gap_max").set(max_gap, 0.0)
 
     for trial in pending:  # no trial leaves without a fate

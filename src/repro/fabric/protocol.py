@@ -1,38 +1,37 @@
 """The fabric wire protocol: length-prefixed, checksummed frames.
 
-Every fabric backend — forked local workers, ``mm-fabric worker``
-subprocesses, SSH-shaped remote workers — speaks exactly this protocol
-over a byte stream, so the coordinator cannot tell backends apart and a
-worker binary works unchanged across all of them (the IoTreeplay shape:
-one coordinator, interchangeable transports).
+Both fabric backends — forked local workers and ``mm-fabric worker``
+subprocesses — speak exactly this protocol over an OS pipe on this
+host, so the coordinator cannot tell backends apart and a worker binary
+works unchanged under either.
 
 Frame layout (all integers big-endian)::
 
     MAGIC (4B) | length (4B) | blake2b-8 of payload (8B) | payload
 
-The payload is a pickled ``(kind, data)`` message tuple. The checksum
-makes a corrupted transport (a truncated pipe, line noise on a remote
-link) a loud :class:`~repro.errors.ProtocolError` naming what went wrong
-instead of a pickle crash deep in a worker; the magic catches streams
-that are not speaking the protocol at all (an ssh banner, a stray print
-to stdout inside a worker).
+The payload is a pickled ``(kind, data)`` message tuple. A local pipe
+does not flip, drop or reorder bytes, so a frame that is not well formed
+means the peer is broken, not the wire: the magic catches a stream that
+is not speaking the protocol at all (a stray print to stdout inside a
+worker), and the checksum fails fast on a payload that does not match
+its header. Either way the read raises one named
+:class:`~repro.errors.ProtocolError`, and the coordinator loses that
+worker exactly as it would on EOF.
 
-Message vocabulary (coordinator ↔ worker), protocol version 2::
+Message vocabulary (coordinator ↔ worker), protocol version 3::
 
     worker → coordinator:  ("hello",     {"protocol", "pid"})
     coordinator → worker:  ("config",    {...})      # see worker.py
-    coordinator → worker:  ("run",       [trial indices])   # repeatable
+    coordinator → worker:  ("run",       trial index)       # repeatable
     worker → coordinator:  ("heartbeat", {"pid"})    # liveness, any time
-    worker → coordinator:  ("outcome",   TrialOutcome)
-    worker → coordinator:  ("done",      {"trials": n, "batch": i})
+    worker → coordinator:  ("outcome",   TrialOutcome)      # ends a run
     coordinator → worker:  ("shutdown",  None)       # conversation over
     worker → coordinator:  ("error",     message string)
 
-Version 2 turned the conversation into a *batch loop*: after ``done``
-the worker blocks for either another ``run`` (reassigned or speculative
-trials) or ``shutdown``; heartbeats flow on a wall-clock timer between —
-and during — trials, so a coordinator can tell a slow worker (beating)
-from a wedged one (silent).
+After each ``outcome`` the worker blocks for either another ``run`` or
+``shutdown``; heartbeats flow on a wall-clock timer between — and during
+— trials, so a coordinator can tell a slow worker (beating) from a
+wedged one (silent).
 
 A clean EOF at a frame boundary raises :class:`EOFError` (the normal
 end-of-worker signal); EOF *inside* a frame is a :class:`ProtocolError`
@@ -40,22 +39,12 @@ end-of-worker signal); EOF *inside* a frame is a :class:`ProtocolError`
 
 **Deadlines.** :func:`read_message` and :func:`write_message` accept a
 ``timeout`` (wall seconds for the whole frame). On expiry they raise
-:class:`~repro.errors.ProtocolTimeout` — a half-open connection (peer
-host dead, transport process alive) can therefore never hang the caller.
-Deadlines need an *unbuffered* stream with a real file descriptor (the
-backends open their pipe ends with ``buffering=0``); on buffered or
-in-memory streams the timeout is ignored and the read blocks, which is
-fine for the in-process test harnesses that use them.
-
-**Resync.** A corrupted frame normally kills the conversation. With
-``resync=N``, :func:`read_message` instead survives up to ``N`` bad
-frames per call: a checksum mismatch skips that frame (its boundary is
-still intact — length was read before the damage was detected) and a bad
-magic scans forward at most :data:`MAX_RESYNC_SCAN` bytes for the next
-``MMFB`` marker. Every recovery is counted in the caller's ``stats``
-dict (``"resyncs"``), and the *content* lost with a skipped frame is
-recovered one level up: the worker's ``done`` message names how many
-trials it ran, so the coordinator redelivers any outcome the wire ate.
+:class:`~repro.errors.ProtocolTimeout` — a peer that stops mid-frame or
+stops reading can therefore never hang the caller. Deadlines need an
+*unbuffered* stream with a real file descriptor (the backends open their
+pipe ends with ``buffering=0``); on buffered or in-memory streams the
+timeout is ignored and the read blocks, which is fine for the
+in-process test harnesses that use them.
 """
 
 from __future__ import annotations
@@ -67,24 +56,21 @@ import pickle
 import select
 import struct
 import time
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Optional, Tuple
 
 from repro.errors import ProtocolError, ProtocolTimeout
 
 __all__ = [
-    "BadFrame",
-    "FrameReader",
     "MAX_FRAME",
-    "MAX_RESYNC_SCAN",
     "PROTOCOL_VERSION",
     "read_message",
     "write_message",
 ]
 
 #: Bumped on any incompatible frame or vocabulary change; the hello
-#: handshake refuses a mismatch instead of guessing. v2: batch loop
-#: (repeatable ``run`` / per-batch ``done``), ``heartbeat``/``shutdown``.
-PROTOCOL_VERSION = 2
+#: handshake refuses a mismatch instead of guessing. v3: one ``run`` is
+#: one trial index, answered by exactly one ``outcome`` (no ``done``).
+PROTOCOL_VERSION = 3
 
 _MAGIC = b"MMFB"
 _HEADER = struct.Struct(">4sI8s")
@@ -93,11 +79,6 @@ _CHECKSUM_SIZE = 8
 #: Refuse absurd frames before allocating for them (a corrupted length
 #: prefix must not become a 4 GiB read).
 MAX_FRAME = 256 * 1024 * 1024
-
-#: How far past a bad magic a resyncing reader will scan for the next
-#: frame marker before giving up (bounds the damage a garbage flood can
-#: do to the coordinator's memory and time).
-MAX_RESYNC_SCAN = 1024 * 1024
 
 
 def _checksum(payload: bytes) -> bytes:
@@ -123,17 +104,6 @@ def _selectable_fd(stream: BinaryIO) -> Optional[int]:
         return None
 
 
-def _wait_readable(fd: Optional[int], deadline: Optional[float],
-                   context: str) -> None:
-    if fd is None or deadline is None:
-        return
-    remaining = deadline - time.monotonic()
-    if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-        raise ProtocolTimeout(
-            f"read deadline expired waiting for a {context}"
-        )
-
-
 def write_message(stream: BinaryIO, message: Tuple[str, Any],
                   timeout: Optional[float] = None) -> None:
     """Frame and send one ``(kind, data)`` message (flushed).
@@ -142,11 +112,10 @@ def write_message(stream: BinaryIO, message: Tuple[str, Any],
         stream: the peer-bound byte stream.
         message: the ``(kind, data)`` tuple to frame.
         timeout: wall seconds for the whole frame to enter the pipe.
-            A peer that stopped reading (wedged worker, full buffer on a
-            half-open transport) then raises
-            :class:`~repro.errors.ProtocolTimeout` instead of blocking
-            the caller forever. Needs an unbuffered stream; ignored
-            otherwise.
+            A peer that stopped reading (a wedged worker, a full pipe
+            buffer) then raises :class:`~repro.errors.ProtocolTimeout`
+            instead of blocking the caller forever. Needs an unbuffered
+            stream; ignored otherwise.
     """
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     frame = _HEADER.pack(_MAGIC, len(payload), _checksum(payload)) + payload
@@ -181,116 +150,33 @@ def write_message(stream: BinaryIO, message: Tuple[str, Any],
         os.set_blocking(fd, blocking)
 
 
-class BadFrame(ProtocolError):
-    """The stream did not yield a whole frame: it ended part-way through
-    one, or what arrived was not one.
-
-    Attributes:
-        consumed: every byte taken off the stream for the frame, so a
-            relay can pass the damage on exactly as it arrived.
-        scannable: the frame *marker* was wrong (not the length, not the
-            stream's end): a resyncing reader may scan for the next one.
-    """
-
-    def __init__(self, message: str, consumed: bytes,
-                 scannable: bool = False) -> None:
-        super().__init__(message)
-        self.consumed = consumed
-        self.scannable = scannable
-
-
-class FrameReader:
-    """Raw frames off one byte stream: the one framing layer, under
-    :func:`read_message` and under the fault injector's relay, which
-    must cut the stream exactly where a receiver would.
-
-    Args:
-        stream: the peer's byte stream.
-        timeout: wall seconds, counted from construction, for everything
-            read through this reader (see :func:`read_message`).
-    """
-
-    def __init__(self, stream: BinaryIO,
-                 timeout: Optional[float] = None) -> None:
-        self._stream = stream
-        self._deadline = _deadline(timeout)
-        self._fd = _selectable_fd(stream) if timeout is not None else None
-        # Resync scans read in chunks and can overshoot past the marker
-        # they find; those already-consumed bytes are served first, so
-        # nothing on the wire is lost or double-read.
-        self._ahead = b""
-
-    def _take(self, n: int, context: str) -> bytes:
-        ahead, self._ahead = self._ahead[:n], self._ahead[n:]
-        chunks = [ahead] if ahead else []
-        remaining = n - len(ahead)
-        while remaining:
-            _wait_readable(self._fd, self._deadline, context)
-            chunk = self._stream.read(remaining)
-            if not chunk:
-                if chunks or context == "frame body":
-                    raise BadFrame(
-                        f"stream ended inside a {context}: got "
-                        f"{n - remaining} of {n} bytes", b"".join(chunks))
-                raise EOFError("fabric stream closed at a frame boundary")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def read(self) -> Tuple[bytes, bytes]:
-        """The next frame as ``(header, payload)``, exactly as on the
-        wire; the checksum is the caller's to verify. Raises EOFError at
-        a clean end of stream, :class:`BadFrame` for a truncated frame, a
-        bad magic or an oversized length."""
-        header = self._take(_HEADER.size, "frame header")
-        magic, length, _ = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise BadFrame(
-                f"bad frame magic {magic!r} (stream is not speaking "
-                f"the fabric protocol)", header, scannable=True)
-        if length > MAX_FRAME:
-            raise BadFrame(
-                f"frame length {length} exceeds the {MAX_FRAME}-byte cap "
-                f"(corrupted length prefix?)", header)
-        try:
-            return header, self._take(length, "frame body")
-        except BadFrame as exc:
-            exc.consumed = header + exc.consumed
-            raise
-
-    def scan(self, garbage: bytes) -> None:
-        """Recover a frame boundary: search ``garbage`` and then the
-        stream for the next MAGIC, so the next :meth:`read` starts on
-        it. Raises ProtocolError when no marker appears within
-        :data:`MAX_RESYNC_SCAN` bytes."""
-        buffer, self._ahead = garbage + self._ahead, b""
-        scanned = 0
-        while True:
-            at = buffer.find(_MAGIC)
-            if at >= 0:
-                self._ahead = buffer[at:]
-                return
-            # Keep a window of len(MAGIC)-1 bytes in case the marker spans
-            # the chunk boundary.
-            scanned += max(0, len(buffer) - (len(_MAGIC) - 1))
-            if scanned > MAX_RESYNC_SCAN:
+def _read_exactly(stream: BinaryIO, n: int, fd: Optional[int],
+                  deadline: Optional[float], context: str) -> bytes:
+    """``n`` bytes off ``stream``, waiting at most until ``deadline``
+    (when ``fd`` is selectable). EOF before the first byte of a header
+    is a clean end of stream; anywhere else it is a torn frame."""
+    chunks = []
+    remaining = n
+    while remaining:
+        if fd is not None and deadline is not None:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not select.select([fd], [], [], wait)[0]:
+                raise ProtocolTimeout(
+                    f"read deadline expired waiting for a {context}")
+        chunk = stream.read(remaining)
+        if not chunk:
+            if chunks or context == "frame body":
                 raise ProtocolError(
-                    f"no frame marker within {MAX_RESYNC_SCAN} bytes of "
-                    f"garbage (resync abandoned)"
-                )
-            buffer = buffer[-(len(_MAGIC) - 1):] if buffer else b""
-            _wait_readable(self._fd, self._deadline, "resync scan")
-            chunk = self._stream.read(4096)
-            if not chunk:
-                raise ProtocolError(
-                    "stream ended while scanning for a frame marker"
-                )
-            buffer += chunk
+                    f"stream ended inside a {context}: got "
+                    f"{n - remaining} of {n} bytes")
+            raise EOFError("fabric stream closed at a frame boundary")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
-def read_message(stream: BinaryIO, timeout: Optional[float] = None,
-                 resync: int = 0,
-                 stats: Optional[Dict[str, int]] = None) -> Tuple[str, Any]:
+def read_message(stream: BinaryIO,
+                 timeout: Optional[float] = None) -> Tuple[str, Any]:
     """Read one framed message.
 
     Args:
@@ -299,42 +185,29 @@ def read_message(stream: BinaryIO, timeout: Optional[float] = None,
             payload). Expiry raises
             :class:`~repro.errors.ProtocolTimeout`. Needs an unbuffered
             stream with a file descriptor; ignored otherwise.
-        resync: how many damaged frames this call may survive: a
-            checksum mismatch skips the frame, a bad magic scans forward
-            (at most :data:`MAX_RESYNC_SCAN` bytes) for the next one.
-            ``0`` keeps the strict fail-fast behaviour.
-        stats: when given, ``stats["resyncs"]`` is incremented per
-            recovery, so callers can surface wire damage as a counter.
 
     Raises:
         EOFError: clean end of stream (no partial frame).
         ProtocolTimeout: the deadline expired mid-read.
-        ProtocolError: bad magic, bad checksum, oversized or truncated
-            frame, or an unpicklable payload (after ``resync`` damaged
-            frames, where allowed).
+        ProtocolError: bad magic, oversized length, truncated frame,
+            checksum mismatch, or an unpicklable or malformed payload.
     """
-    reader = FrameReader(stream, timeout)
-    budget = resync
-    while True:
-        try:
-            header, payload = reader.read()
-        except BadFrame as exc:
-            if not exc.scannable or budget <= 0:
-                raise
-            reader.scan(exc.consumed[1:])
-        else:
-            if _checksum(payload) == _HEADER.unpack(header)[2]:
-                break
-            if budget <= 0:
-                raise ProtocolError(
-                    f"frame checksum mismatch over {len(payload)} "
-                    f"payload bytes"
-                )
-            # The boundary is intact (length was trusted and verified by
-            # position); drop the damaged frame and read the next one.
-        budget -= 1
-        if stats is not None:
-            stats["resyncs"] = stats.get("resyncs", 0) + 1
+    deadline = _deadline(timeout)
+    fd = _selectable_fd(stream) if timeout is not None else None
+    magic, length, checksum = _HEADER.unpack(
+        _read_exactly(stream, _HEADER.size, fd, deadline, "frame header"))
+    if magic != _MAGIC:
+        raise ProtocolError(
+            f"bad frame magic {magic!r} (stream is not speaking the "
+            f"fabric protocol)")
+    if length > MAX_FRAME:
+        raise ProtocolError(
+            f"frame length {length} exceeds the {MAX_FRAME}-byte cap "
+            f"(corrupted length prefix?)")
+    payload = _read_exactly(stream, length, fd, deadline, "frame body")
+    if _checksum(payload) != checksum:
+        raise ProtocolError(
+            f"frame checksum mismatch over {length} payload bytes")
     try:
         message = pickle.loads(payload)
     except Exception as exc:

@@ -2,25 +2,27 @@
 
 A worker is one process executing a conversation over the wire protocol
 (:mod:`repro.fabric.protocol`): hello → config → then a *run loop* —
-each ``run`` message answered by a stream of ``outcome`` messages and a
-``done``, until ``shutdown`` (or a clean EOF) ends the conversation. The
-same :func:`worker_loop` body runs under every backend — forked with an
-inherited factory closure
+each ``run`` message (one trial index) answered by exactly one
+``outcome``, until ``shutdown`` (or a clean EOF) ends the conversation.
+The same :func:`worker_loop` body runs under every backend — forked
+with an inherited factory closure
 (:class:`~repro.fabric.backend.LocalBackend`), or launched as
 ``mm-fabric worker`` over pipes
 (:class:`~repro.fabric.backend.SubprocessBackend`) — and it is the only
-kind of worker there is: every dispatched sweep
-and ``parallel_map`` run on it.
+kind of worker there is: every dispatched sweep and ``parallel_map`` run
+on it.
 
 The dispatcher (:func:`repro.fabric.coordinator.dispatch`) sends one
 trial per ``run``, which is what the fault tolerance rests on: a lost
-worker costs the one trial it held, a trial whose outcome frame the wire
-ate is simply sent again, and a straggler's trial can be copied to a
-worker with nothing else to do — all without respawning anything.
-Alongside the trial work, a :class:`HeartbeatSender` daemon thread
-pulses ``heartbeat`` frames on a wall-clock period (sharing this
-module's write lock so frames never interleave), which is how the
-dispatcher tells a slow worker from a wedged one.
+worker — dead, silent, or writing a frame that does not parse — costs
+the one trial it held, and nothing else. Alongside the trial work, a
+:class:`HeartbeatSender` daemon thread pulses ``heartbeat`` frames on a
+wall-clock period (sharing this module's write lock so frames never
+interleave), which is how the dispatcher tells a slow worker from a
+wedged one. Whatever a worker cannot make sense of on its input ends
+the conversation with one ``error`` frame naming the
+:class:`~repro.errors.ProtocolError` or
+:class:`~repro.errors.FabricError`, and exit status 1.
 
 What a worker runs is a *task*, ``index -> result``: for a page-load
 sweep, :func:`~repro.measure.runner.run_trial` bound to the scenario
@@ -110,7 +112,7 @@ class HeartbeatSender:
 
     A daemon thread that writes a ``heartbeat`` frame every ``interval``
     wall seconds. The caller's ``lock`` must be the same one guarding
-    outcome/done writes so frames never interleave on the wire. Beats
+    outcome writes so frames never interleave on the wire. Beats
     continue *during* a long trial (the trial runs on the main thread),
     which is precisely the signal that distinguishes slow from wedged.
     Harness wall time only: nothing here touches a simulated world.
@@ -193,8 +195,8 @@ def worker_loop(
     configured = False
     try:
         kind, config = read_message(rfile)
-        if kind != "config":
-            raise ProtocolError(f"expected config, got {kind!r}")
+        if kind != "config" or not isinstance(config, dict):
+            raise ProtocolError(f"expected a config dict, got {kind!r}")
         if config.get("protocol") != PROTOCOL_VERSION:
             raise ProtocolError(
                 f"coordinator speaks protocol "
@@ -222,39 +224,32 @@ def worker_loop(
         if interval > 0:
             heartbeat = HeartbeatSender(wfile, write_lock, interval).start()
         configured = True
-        batch = 0
+        retries = int(config.get("retries", 1))
         while True:
-            kind, data = read_message(rfile)
+            kind, trial = read_message(rfile)
             if kind == "shutdown":
                 return 0
-            if kind != "run":
-                raise ProtocolError(f"expected run or shutdown, got {kind!r}")
-            completed = 0
-            for outcome in run_shard(task, list(data),
-                                     int(config.get("retries", 1))):
-                try:
-                    send(("outcome", outcome))
-                except (pickle.PicklingError, AttributeError,
-                        TypeError) as exc:
-                    # Nothing reached the wire (a frame is pickled before
-                    # it is written): report the trial, keep the worker.
-                    send(("outcome", replace(
-                        outcome, status="quarantined", result=None,
-                        digest=None,
-                        error=f"trial {outcome.trial} returned an "
-                              f"unpicklable result "
-                              f"({type(outcome.result).__name__}): {exc}")))
-                completed += 1
-            send(("done", {"trials": completed, "batch": batch}))
-            batch += 1
+            if kind != "run" or not isinstance(trial, int):
+                raise ProtocolError(
+                    f"expected run <trial> or shutdown, got {kind!r}")
+            (outcome,) = run_shard(task, [trial], retries)
+            try:
+                send(("outcome", outcome))
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                # Nothing reached the wire (a frame is pickled before it
+                # is written): report the trial, keep the worker.
+                send(("outcome", replace(
+                    outcome, status="quarantined", result=None, digest=None,
+                    error=f"trial {trial} returned an unpicklable result "
+                          f"({type(outcome.result).__name__}): {exc}")))
     except (EOFError, BrokenPipeError):
         # Coordinator went away. After config that is a normal end of
-        # conversation (v1 coordinators, torn-down sweeps); before it,
-        # the worker never got to work.
+        # conversation (a torn-down sweep); before it, the worker never
+        # got to work.
         return 0 if configured else 1
     except ReproError as exc:
         try:
-            send(("error", str(exc)))
+            send(("error", f"{type(exc).__name__}: {exc}"))
         except (OSError, ValueError):
             pass
         return 1

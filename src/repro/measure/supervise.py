@@ -134,8 +134,8 @@ class SweepResult:
         metrics: harness-side instruments under the ``fabric.`` prefix —
             shards, trials completed / resumed, journal records dropped,
             wall seconds, trials per second, and from a dispatched sweep
-            also workers spawned, crashes, reassignments, heartbeats,
-            speculation (None for a result assembled by hand).
+            also workers spawned, crashes, reassignments, heartbeats and
+            spawn retries (None for a result assembled by hand).
         shards: the worker count the sweep ran with.
     """
 
@@ -312,7 +312,6 @@ def run_sweep(
     heartbeat: Optional[float] = None,
     io_deadline: Optional[float] = None,
     spawn_retries: int = 2,
-    speculate: bool = False,
     spelled: Tuple[str, str] = ("workers", "deadline"),
 ) -> SweepResult:
     """The sweep: the one body under :func:`run_supervised` and
@@ -389,7 +388,7 @@ def run_sweep(
                             heartbeat=heartbeat),
                 record=partial(_journal_record, journal),
                 deadline=deadline, io_deadline=io_deadline,
-                spawn_retries=spawn_retries, speculate=speculate,
+                spawn_retries=spawn_retries,
                 metrics=metrics,
             )
 

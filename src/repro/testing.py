@@ -9,6 +9,11 @@ This module doubles as a pytest plugin (registered from the root
 ``conftest.py``): the :func:`determinism` fixture hands tests
 :func:`assert_deterministic`, so any test can assert bit-identical replay
 of a scenario in one line.
+
+It also holds the harness faults the fabric's loss rule is proven
+against — :class:`SpawnFault`, :class:`KillWorker` and
+:class:`WedgeWorker`, injected by :class:`FaultInjectingBackend` — and
+the process helpers the kill-and-resume smokes share.
 """
 
 from __future__ import annotations
@@ -16,9 +21,16 @@ from __future__ import annotations
 import argparse
 import os
 import subprocess
+import threading
 import time
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Union,
+)
 
+from repro.errors import FabricError, ReproError
+from repro.fabric.backend import FabricBackend, WorkerHandle
+from repro.fabric.protocol import read_message, write_message
 from repro.linkem.overhead import OverheadModel
 from repro.net.address import Endpoint, IPv4Address
 from repro.net.namespace import NetworkNamespace
@@ -307,3 +319,115 @@ def sweeps_identical(result: Any, reference: Any) -> bool:
                     and ours.digest == theirs.digest
                     for ours, theirs in zip(result.outcomes,
                                             reference.outcomes)))
+
+
+@dataclass(frozen=True)
+class SpawnFault:
+    """Fail the first ``fail_first`` attempts to start worker ``shard``
+    (every worker, each on its own count, when None) with a
+    :class:`~repro.errors.FabricError`, as a failed spawn would."""
+
+    shard: Optional[int] = None
+    fail_first: int = 1
+
+
+@dataclass(frozen=True)
+class KillWorker:
+    """SIGKILL worker ``shard`` once ``after_outcomes`` of its outcomes
+    have reached the coordinator (0: as soon as it has said hello)."""
+
+    shard: int = 0
+    after_outcomes: int = 0
+
+
+@dataclass(frozen=True)
+class WedgeWorker:
+    """After ``after_outcomes`` outcomes, worker ``shard``'s messages —
+    heartbeats too — stop reaching the coordinator, while the process
+    computes on and both pipe ends stay open: only the watchdog can
+    tell."""
+
+    shard: int = 0
+    after_outcomes: int = 0
+
+
+HarnessFault = Union[SpawnFault, KillWorker, WedgeWorker]
+
+
+class FaultInjectingBackend(FabricBackend):
+    """A real backend with harness faults injected into the workers it
+    starts.
+
+    A spawn fault raises from :meth:`start_worker`; a kill or wedge puts
+    a message-level relay (``read_message`` → ``write_message``) between
+    the worker and the coordinator, which counts outcomes as they pass
+    and strikes once the fault falls due. The coordinator still reads a
+    real pipe, so its deadlines and watchdog run unchanged.
+
+    Attributes:
+        injected: how many of each fault were delivered
+            (``spawn_failures``, ``workers_killed``, ``workers_wedged``):
+            proof that a run really was afflicted.
+    """
+
+    def __init__(self, backend: FabricBackend,
+                 *faults: HarnessFault) -> None:
+        self.backend = backend
+        self.faults = faults
+        self.injected: Dict[str, int] = {}
+        self._lock = threading.Lock()  # relays count from their threads
+        self._spawns: Dict[int, int] = {}
+
+    def _count(self, key: str) -> None:
+        with self._lock:
+            self.injected[key] = self.injected.get(key, 0) + 1
+
+    def factory_spec(self):
+        return self.backend.factory_spec()
+
+    def start_worker(self, shard: int) -> WorkerHandle:
+        budget = sum(fault.fail_first for fault in self.faults
+                     if isinstance(fault, SpawnFault)
+                     and fault.shard in (None, shard))
+        tried = self._spawns.get(shard, 0)
+        if tried < budget:
+            self._spawns[shard] = tried + 1
+            self._count("spawn_failures")
+            raise FabricError(f"injected spawn failure {tried + 1}/{budget} "
+                              f"for shard {shard}")
+        handle = self.backend.start_worker(shard)
+        strike = next((fault for fault in self.faults
+                       if isinstance(fault, (KillWorker, WedgeWorker))
+                       and fault.shard == shard), None)
+        if strike is None:
+            return handle
+        read_fd, write_fd = os.pipe()
+        threading.Thread(target=self._relay, args=(handle, write_fd, strike),
+                         name=f"fault-relay-{shard}", daemon=True).start()
+        return WorkerHandle(os.fdopen(read_fd, "rb", buffering=0),
+                            handle.wfile, handle.process, handle.pid)
+
+    def _relay(self, handle: WorkerHandle, write_fd: int,
+               strike: Union[KillWorker, WedgeWorker]) -> None:
+        """Pass the worker's messages on until ``strike`` falls due, then
+        kill the worker, or drain it into the void; close the
+        coordinator's end once the worker's stream ends."""
+        outcomes = 0
+        struck = False
+        with os.fdopen(write_fd, "wb", buffering=0) as out, handle.rfile:
+            try:
+                while True:
+                    message = read_message(handle.rfile)
+                    if struck and isinstance(strike, WedgeWorker):
+                        continue
+                    write_message(out, message)
+                    outcomes += message[0] == "outcome"
+                    if not struck and outcomes >= strike.after_outcomes:
+                        struck = True
+                        if isinstance(strike, KillWorker):
+                            self._count("workers_killed")
+                            handle.kill()
+                        else:
+                            self._count("workers_wedged")
+            except (EOFError, ReproError, OSError, ValueError):
+                pass  # the worker is gone, or the coordinator hung up

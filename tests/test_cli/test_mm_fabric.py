@@ -29,6 +29,8 @@ MALFORMED = {
     "run-backend-remote-is-gone": (
         RUN + ["--trials", "3", "--backend", "remote"], "--backend"),
     "run-host-is-gone": (RUN + ["--trials", "3", "--host", "h"], "--host"),
+    "run-speculate-is-gone": (
+        RUN + ["--trials", "3", "--speculate"], "--speculate"),
 }
 
 
@@ -58,8 +60,7 @@ def test_flags_and_defaults_are_the_documented_ones():
         "backend": "subprocess", "timeout": 600.0, "retries": 1,
         "journal": None, "run_key": None, "capture_digest": False,
         "progress_deadline": None, "heartbeat": None, "io_deadline": None,
-        "spawn_retries": 2, "speculate": False,
-        "artifact": None, "json": False,
+        "spawn_retries": 2, "artifact": None, "json": False,
     }
 
 

@@ -73,7 +73,7 @@ class TestFabric:
         registry.counter("fabric.trials_completed").add(6)
         registry.counter("fabric.heartbeats").add(12)
         registry.counter("fabric.watchdog_kills").add(1)
-        registry.counter("fabric.speculative_wins").add(2)
+        registry.counter("fabric.spawn_retries").add(2)
         registry.counter("fabric.journal_records_dropped").add(1)
         registry.gauge("fabric.trials_per_s").set(8.5, time=0.0)
         return write_artifact(
@@ -88,7 +88,8 @@ class TestFabric:
         text = capsys.readouterr().out
         assert "mm-fabric mod:builder: 6 trial(s) over 2 shard(s)" in text
         assert "liveness:" in text and "watchdog_kills" in text
-        assert "speculation:" in text and "speculative_wins" in text
+        assert "spawning:" in text and "spawn_retries" in text
+        assert "wire:" not in text and "speculation:" not in text
         assert "journal_records_dropped" in text
         assert "trials_per_s (gauge)" in text
 

@@ -1,0 +1,81 @@
+"""The reader-facing documents name only code that exists.
+
+Every backticked ``repro.*`` name in DESIGN.md and README.md must import
+or resolve as an attribute, and every ``path.py:N`` (or
+``path.py::name``) reference must name an existing file with at least N
+lines (or defining ``name``). A change that deletes code therefore
+cannot leave its documentation behind. ROADMAP.md is left out on
+purpose: it names deleted modules as history.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ("DESIGN.md", "README.md")
+
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_SPAN = re.compile(r"`([^`]+)`")
+_NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
+_PATH_LINE = re.compile(r"([\w/.-]+\.py):(\d+)(?![\d:])")
+_PATH_NAME = re.compile(r"([\w/.-]+\.py)::(\w+)")
+
+
+def _spans(doc):
+    text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
+    return _SPAN.findall(text)
+
+
+def _resolves(dotted):
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[cut:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def _files(path):
+    """The files a documented path can mean: from the repo root, from
+    ``src/repro``, or — for a bare file name — anywhere it is unique
+    enough to be found."""
+    found = [base / path for base in (ROOT, ROOT / "src" / "repro")
+             if (base / path).is_file()]
+    if not found and "/" not in path:
+        found = [hit for top in ("src", "tests", "benchmarks")
+                 for hit in (ROOT / top).rglob(path)]
+    return found
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_backticked_repro_name_resolves(doc):
+    names = {name for span in _spans(doc) for name in _NAME.findall(span)}
+    assert names, f"{doc} names no repro.* object at all"
+    assert sorted(name for name in names if not _resolves(name)) == []
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_path_reference_names_an_existing_line_or_name(doc):
+    missing = []
+    for span in _spans(doc):
+        for path, line in _PATH_LINE.findall(span):
+            if not any(len(f.read_text(encoding="utf-8").splitlines())
+                       >= int(line) for f in _files(path)):
+                missing.append(f"{path}:{line}")
+        for path, name in _PATH_NAME.findall(span):
+            pattern = re.compile(rf"^\s*(?:def|class)\s+{name}\b|^{name}\s*=",
+                                 re.MULTILINE)
+            if not any(pattern.search(f.read_text(encoding="utf-8"))
+                       for f in _files(path)):
+                missing.append(f"{path}::{name}")
+    assert missing == []

@@ -22,6 +22,7 @@ from repro.scenarios import replay_smoke
 from repro.fabric.worker import FactorySpec
 from repro.measure.journal import TrialJournal
 from repro.measure.supervise import run_supervised
+from repro.testing import FaultInjectingBackend, SpawnFault, WedgeWorker
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     __import__("repro").__file__)))
@@ -213,8 +214,8 @@ class TestPoisonTrial:
 
 
 class TestRobustness:
-    """The chaos-hardening contract: wedge detection, speculation,
-    degradation — all while staying byte-identical to serial."""
+    """The chaos-hardening contract: wedge detection and degradation —
+    all while staying byte-identical to serial."""
 
     def test_wedged_worker_reassigned_slow_worker_survives(self, serial):
         # The acceptance scenario: one wedged worker and one slow-but-
@@ -222,13 +223,10 @@ class TestRobustness:
         # than the progress deadline, so without heartbeats the slow
         # worker would be killed as stalled; with them, only the wedged
         # worker (whose beats stop arriving) is watchdog-killed.
-        from repro.fabric.faults import (
-            FabricFaultPlan, FaultyBackend, WedgeWorker,
-        )
         reference, __ = serial
         paced = replay_smoke(pace=0.6, **KW)
-        backend = FaultyBackend(LocalBackend(paced), FabricFaultPlan(
-            [WedgeWorker(shard=0, after_outcomes=1)]))
+        backend = FaultInjectingBackend(
+            LocalBackend(paced), WedgeWorker(shard=0, after_outcomes=1))
         result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             heartbeat=0.1, progress_deadline=0.45,
                             capture_digest=True)
@@ -240,36 +238,11 @@ class TestRobustness:
         assert metrics.counter("fabric.heartbeats").value > 0
         assert_identical(result, reference)
 
-    def test_speculation_recovers_a_straggler(self, serial, tmp_path):
-        # A wedged shard is an infinite straggler: the idle worker
-        # duplicates its unfinished trials and the first outcome wins —
-        # no watchdog needed, journal bytes still canonical.
-        from repro.fabric.faults import (
-            FabricFaultPlan, FaultyBackend, WedgeWorker,
-        )
-        reference, reference_bytes = serial
-        factory = replay_smoke(**KW)
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [WedgeWorker(shard=0, after_outcomes=1)]))
-        journal = tmp_path / "journal.jsonl"
-        result = run_fabric(backend, TRIALS, shards=2, speculate=True,
-                            heartbeat=0.2, journal=str(journal),
-                            capture_digest=True)
-        metrics = result.metrics
-        assert metrics.counter("fabric.speculative_trials").value >= 1
-        assert metrics.counter("fabric.speculative_wins").value >= 1
-        assert_identical(result, reference)
-        # First-outcome-wins journaling: no duplicates, canonical bytes.
-        assert journal.read_bytes() == reference_bytes
-
     def test_unspawnable_slot_degrades_to_fewer_shards(self, factory,
                                                         serial):
-        from repro.fabric.faults import (
-            FabricFaultPlan, FaultyBackend, SpawnFault,
-        )
         reference, __ = serial
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [SpawnFault(shard=1, fail_first=99)]))
+        backend = FaultInjectingBackend(
+            LocalBackend(factory), SpawnFault(shard=1, fail_first=99))
         result = run_fabric(backend, TRIALS, shards=2, spawn_retries=1,
                             capture_digest=True)
         # Worker 1 never spawned: its slot was given up and the one
@@ -291,25 +264,6 @@ class TestRobustness:
                             capture_digest=True)
         assert backend.killed
         assert_identical(result, reference)
-
-    def test_reassignment_skips_trials_that_already_landed(self, serial):
-        # Regression pin: when a worker is lost while the trial it
-        # holds already has an outcome (here: delivered speculatively
-        # by its peer), no replacement worker is spawned for it.
-        from repro.fabric.faults import (
-            FabricFaultPlan, FaultyBackend, WedgeWorker,
-        )
-        reference, __ = serial
-        factory = replay_smoke(**KW)
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [WedgeWorker(shard=0, after_outcomes=0)]))
-        result = run_fabric(backend, TRIALS, shards=2, speculate=True,
-                            heartbeat=0.1, progress_deadline=1.0,
-                            retries=2, capture_digest=True)
-        assert_identical(result, reference)
-        # Two initial workers; the wedge's trial landed speculatively,
-        # so its watchdog kill spawned nothing new.
-        assert result.metrics.counter("fabric.workers_spawned").value == 2
 
     def test_io_deadline_must_exceed_heartbeat(self, factory):
         backend = LocalBackend(factory)

@@ -1,24 +1,32 @@
-"""Tests for the fabric fault injector: plans, pumps, and the injected
-runs staying byte-identical to serial."""
+"""Harness faults against the one loss rule: spawn failures, killed and
+wedged workers (the :mod:`repro.testing` hooks) and bad frames, each
+delivered for real — and the merged sweep still byte-identical to
+serial."""
+
+import hashlib
+import os
+import pickle
+import struct
+import threading
 
 import pytest
 
-from repro.errors import ChaosError, FabricError
+from repro.errors import FabricError, ReproError
 from repro.fabric.backend import LocalBackend
 from repro.fabric.coordinator import run_fabric
-from repro.fabric.faults import (
-    FabricFaultPlan,
-    FaultyBackend,
-    FrameFault,
+from repro.fabric.protocol import MAX_FRAME, read_message, write_message
+from repro.measure.supervise import run_supervised
+from repro.scenarios import replay_smoke
+from repro.testing import (
+    FaultInjectingBackend,
     KillWorker,
     SpawnFault,
-    WedgeWorker,
 )
-from repro.scenarios import replay_smoke
-from repro.measure.supervise import run_supervised
 
 KW = {"name": "fabtest.example", "seed": 7, "n_origins": 2, "scale": 0.3}
 TRIALS = 6
+
+_HEADER = struct.Struct(">4sI8s")
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +35,12 @@ def factory():
 
 
 @pytest.fixture(scope="module")
-def serial(factory):
-    result = run_supervised(factory, TRIALS, workers=1, capture_digest=True)
+def serial(factory, tmp_path_factory):
+    path = tmp_path_factory.mktemp("serial") / "journal.jsonl"
+    result = run_supervised(factory, TRIALS, workers=1, journal=str(path),
+                            capture_digest=True)
     assert result.complete
+    result.journal_bytes = path.read_bytes()
     return result
 
 
@@ -42,132 +53,121 @@ def assert_identical(result, reference):
         assert ours.digest == theirs.digest
 
 
+def _frame(payload, magic=b"MMFB", length=None):
+    checksum = hashlib.blake2b(payload, digest_size=8).digest()
+    return _HEADER.pack(magic, len(payload) if length is None else length,
+                        checksum) + payload
+
+
+def _damaged(message, kind):
+    """``message`` framed with one kind of damage: the bytes to write,
+    and whether the stream then ends."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    if kind == "bad-magic":
+        return _frame(payload, magic=b"HTTP"), False
+    if kind == "oversized-length":
+        return _frame(payload, length=MAX_FRAME + 1), False
+    if kind == "checksum-mismatch":
+        frame = bytearray(_frame(payload))
+        frame[-1] ^= 0xFF
+        return bytes(frame), False
+    if kind == "unpicklable-payload":
+        return _frame(b"not a pickle"), False
+    assert kind == "truncated"
+    frame = _frame(payload)
+    return frame[:_HEADER.size + len(payload) // 2], True
+
+
+class _BadFrameBackend(LocalBackend):
+    """A LocalBackend whose first worker writes its first outcome as a
+    damaged frame of ``kind``; every later message, and every other
+    worker, is passed on intact."""
+
+    def __init__(self, factory, kind):
+        super().__init__(factory)
+        self.kind = kind
+
+    def start_worker(self, shard):
+        handle = super().start_worker(shard)
+        if shard != 0:
+            return handle
+        read_fd, write_fd = os.pipe()
+        threading.Thread(target=self._relay, args=(handle, write_fd),
+                         daemon=True).start()
+        handle.rfile = os.fdopen(read_fd, "rb", buffering=0)
+        return handle
+
+    def _relay(self, handle, write_fd):
+        source = handle.rfile
+        damaged = False
+        with os.fdopen(write_fd, "wb", buffering=0) as out, source:
+            try:
+                while True:
+                    message = read_message(source)
+                    if damaged or message[0] != "outcome":
+                        write_message(out, message)
+                        continue
+                    damaged = True
+                    data, ends = _damaged(message, self.kind)
+                    out.write(data)
+                    if ends:
+                        return
+            except (EOFError, ReproError, OSError, ValueError):
+                pass
+
+
+BAD_FRAMES = ["bad-magic", "oversized-length", "checksum-mismatch",
+              "unpicklable-payload"]
+
+
+class TestBadFrames:
+    """A frame that does not parse is a lost worker, exactly as EOF is:
+    its one trial is requeued, and nothing else changes."""
+
+    @pytest.mark.parametrize("kind", BAD_FRAMES)
+    def test_a_bad_frame_loses_the_worker(self, kind, factory, serial,
+                                          tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        result = run_fabric(_BadFrameBackend(factory, kind), TRIALS,
+                            shards=2, journal=str(journal),
+                            capture_digest=True)
+        metrics = result.metrics
+        assert metrics.counter("fabric.worker_crashes").value == 1
+        assert metrics.counter("fabric.trials_reassigned").value == 1
+        assert_identical(result, serial)
+        assert journal.read_bytes() == serial.journal_bytes
+
+    @pytest.mark.parametrize("kind", BAD_FRAMES)
+    def test_retries_zero_crashes_the_trial_naming_the_error(self, kind,
+                                                             factory):
+        result = run_fabric(_BadFrameBackend(factory, kind), TRIALS,
+                            shards=2, retries=0)
+        (crashed,) = result.crashed
+        assert crashed.trial == 0
+        assert "worker stream broke: ProtocolError: " in crashed.error
+        assert result.counts()["ok"] == TRIALS - 1
+
+
 class TestClauseValidation:
-    def test_frame_fault_rejects_bad_fields(self):
-        with pytest.raises(ChaosError, match="action"):
-            FrameFault(action="explode")
-        with pytest.raises(ChaosError, match="direction"):
-            FrameFault(direction="sideways")
-        with pytest.raises(ChaosError, match="shard"):
-            FrameFault(shard=-1)
-        with pytest.raises(ChaosError, match="skip"):
-            FrameFault(skip=-1)
-        with pytest.raises(ChaosError, match="count"):
-            FrameFault(count=0)
-        with pytest.raises(ChaosError, match="rate"):
-            FrameFault(rate=1.5)
-        with pytest.raises(ChaosError, match="delay"):
-            FrameFault(action="delay", delay=0.0)
-
-    def test_spawn_kill_wedge_validation(self):
-        with pytest.raises(ChaosError, match="fail_first"):
-            SpawnFault(fail_first=0)
-        with pytest.raises(ChaosError, match="shard"):
-            KillWorker(shard=-1)
-        with pytest.raises(ChaosError, match="after_outcomes"):
-            WedgeWorker(after_outcomes=-1)
-
-    def test_plan_rejects_foreign_clauses(self):
-        with pytest.raises(ChaosError, match="not a fabric fault clause"):
-            FabricFaultPlan(clauses=("drop the frames",))
-
     def test_frozen(self):
-        clause = FrameFault()
+        fault = SpawnFault()
         with pytest.raises(AttributeError):
-            clause.action = "delay"
-
-
-class TestPlanSerialization:
-    PLAN = FabricFaultPlan(
-        clauses=(
-            FrameFault(action="corrupt", direction="w2c", shard=1,
-                       kinds=("outcome",), skip=2, count=3),
-            FrameFault(action="drop", direction="both", rate=0.1),
-            SpawnFault(shard=0, fail_first=2),
-            KillWorker(shard=1, after_outcomes=4),
-            WedgeWorker(shard=2, after_outcomes=1),
-        ),
-        name="torture",
-        seed=99,
-    )
-
-    def test_json_round_trip(self):
-        assert FabricFaultPlan.from_json(self.PLAN.to_json()) == self.PLAN
-
-    def test_equal_plans_equal_text(self):
-        again = FabricFaultPlan.from_json(self.PLAN.to_json())
-        assert again.to_json() == self.PLAN.to_json()
-
-    def test_unknown_clause_type_refused(self):
-        with pytest.raises(ChaosError, match="unknown type"):
-            FabricFaultPlan.from_dict(
-                {"clauses": [{"type": "meteor-strike"}]})
-
-    def test_unknown_field_refused(self):
-        with pytest.raises(ChaosError, match="unknown fields"):
-            FabricFaultPlan.from_dict(
-                {"clauses": [{"type": "spawn", "blast_radius": 3}]})
-
-    def test_not_json_refused(self):
-        with pytest.raises(ChaosError, match="not valid JSON"):
-            FabricFaultPlan.from_json("{nope")
-
-    def test_selection_helpers(self):
-        assert len(self.PLAN.frame_clauses("w2c", 1)) == 2
-        assert len(self.PLAN.frame_clauses("c2w", 1)) == 1  # rate clause
-        assert self.PLAN.spawn_budget(0) == 2
-        assert self.PLAN.spawn_budget(1) == 0
-        assert self.PLAN.kill_clause(1).after_outcomes == 4
-        assert self.PLAN.kill_clause(0) is None
-        assert self.PLAN.wedge_clause(2) is not None
-
-
-class TestFaultyBackendDeterminism:
-    def test_rate_rng_is_reproducible(self, factory):
-        plan = FabricFaultPlan(seed=5)
-        a = FaultyBackend(LocalBackend(factory), plan)
-        b = FaultyBackend(LocalBackend(factory), plan)
-        assert ([a._rng(0, "w2c").random() for _ in range(8)]
-                == [b._rng(0, "w2c").random() for _ in range(8)])
-        assert (a._rng(0, "w2c").random() != a._rng(1, "w2c").random())
+            fault.fail_first = 2
 
 
 class TestInjectedRunsStayIdentical:
     """Each fault class delivered for real — and the merged result still
     byte-identical to the serial reference."""
 
-    def test_dropped_outcomes(self, factory, serial):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [FrameFault(action="drop", kinds=("outcome",), skip=1,
-                        count=1)]))
-        result = run_fabric(backend, TRIALS, shards=2, capture_digest=True)
-        assert backend.injected.get("frames_dropped", 0) >= 1
-        assert (result.metrics.counter("fabric.trials_redelivered").value
-                >= 1)
-        assert_identical(result, serial)
-
-    def test_corrupted_frames_resync(self, factory, serial):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [FrameFault(action="corrupt", kinds=("outcome",), count=2)]))
-        result = run_fabric(backend, TRIALS, shards=2, capture_digest=True)
-        assert backend.injected.get("frames_corrupted", 0) >= 2
-        assert (result.metrics.counter("fabric.frames_resynced").value
-                >= 2)
-        assert_identical(result, serial)
-
     def test_truncated_stream_reassigns(self, factory, serial):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [FrameFault(action="truncate", kinds=("outcome",), skip=1,
-                        count=1, shard=0)]))
-        result = run_fabric(backend, TRIALS, shards=2, retries=2,
-                            capture_digest=True)
-        assert backend.injected.get("frames_truncated", 0) == 1
-        assert result.metrics.counter("fabric.worker_crashes").value >= 1
+        result = run_fabric(_BadFrameBackend(factory, "truncated"), TRIALS,
+                            shards=2, capture_digest=True)
+        assert result.metrics.counter("fabric.worker_crashes").value == 1
         assert_identical(result, serial)
 
     def test_spawn_failures_retried_with_backoff(self, factory, serial):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [SpawnFault(shard=0, fail_first=2)]))
+        backend = FaultInjectingBackend(LocalBackend(factory),
+                                        SpawnFault(shard=0, fail_first=2))
         result = run_fabric(backend, TRIALS, shards=2, spawn_retries=2,
                             capture_digest=True)
         assert backend.injected.get("spawn_failures", 0) == 2
@@ -185,24 +185,25 @@ class TestInjectedRunsStayIdentical:
         slept = []
         monkeypatch.setattr(coordinator, "time", SimpleNamespace(
             sleep=slept.append, monotonic=coordinator.time.monotonic))
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [SpawnFault(shard=0, fail_first=7)]))
+        backend = FaultInjectingBackend(LocalBackend(factory),
+                                        SpawnFault(shard=0, fail_first=7))
         result = run_fabric(backend, TRIALS, shards=1, spawn_retries=7,
                             capture_digest=True)
         assert slept == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0])
         assert_identical(result, serial)
 
     def test_killed_worker_reassigns(self, factory, serial):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [KillWorker(shard=0, after_outcomes=1)]))
+        backend = FaultInjectingBackend(LocalBackend(factory),
+                                        KillWorker(shard=0, after_outcomes=1))
         result = run_fabric(backend, TRIALS, shards=2, retries=2,
                             capture_digest=True)
         assert backend.injected.get("workers_killed", 0) == 1
         assert_identical(result, serial)
 
     def test_spawn_faults_are_real_fabric_errors(self, factory):
-        backend = FaultyBackend(LocalBackend(factory), FabricFaultPlan(
-            [SpawnFault(shard=0, fail_first=1)]))
+        backend = FaultInjectingBackend(LocalBackend(factory),
+                                        SpawnFault(shard=0, fail_first=1))
+        assert backend.factory_spec() is None
         with pytest.raises(FabricError, match="injected spawn failure"):
             backend.start_worker(0)
         # Budget spent: the next attempt goes through to the real backend.

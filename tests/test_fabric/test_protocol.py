@@ -33,7 +33,7 @@ class TestRoundTrip:
     def test_stream_of_messages(self):
         buffer = io.BytesIO()
         messages = [("run", [0, 2, 4]), ("outcome", None),
-                    ("done", {"trials": 3})]
+                    ("run", 3)]
         for message in messages:
             write_message(buffer, message)
         buffer.seek(0)
@@ -41,9 +41,9 @@ class TestRoundTrip:
 
     def test_empty_payload_data(self):
         buffer = io.BytesIO()
-        write_message(buffer, ("done", None))
+        write_message(buffer, ("shutdown", None))
         buffer.seek(0)
-        assert read_message(buffer) == ("done", None)
+        assert read_message(buffer) == ("shutdown", None)
 
 
 class TestFraming:
@@ -52,28 +52,28 @@ class TestFraming:
             read_message(io.BytesIO(b""))
 
     def test_eof_inside_header_is_protocol_error(self):
-        data = frame(("done", None))[:7]
+        data = frame(("shutdown", None))[:7]
         with pytest.raises(ProtocolError, match="frame header"):
             read_message(io.BytesIO(data))
 
     def test_eof_inside_body_is_protocol_error(self):
-        data = frame(("done", None))[:-3]
+        data = frame(("shutdown", None))[:-3]
         with pytest.raises(ProtocolError, match="frame body"):
             read_message(io.BytesIO(data))
 
     def test_bad_magic(self):
-        data = frame(("done", None), magic=b"SSH-")
+        data = frame(("shutdown", None), magic=b"SSH-")
         with pytest.raises(ProtocolError, match="magic"):
             read_message(io.BytesIO(data))
 
     def test_checksum_mismatch(self):
-        data = bytearray(frame(("done", None)))
+        data = bytearray(frame(("shutdown", None)))
         data[-1] ^= 0xFF  # flip a payload byte; header checksum stands
         with pytest.raises(ProtocolError, match="checksum"):
             read_message(io.BytesIO(bytes(data)))
 
     def test_oversized_frame_refused_before_read(self):
-        data = frame(("done", None), length=MAX_FRAME + 1)
+        data = frame(("shutdown", None), length=MAX_FRAME + 1)
         with pytest.raises(ProtocolError, match="cap"):
             read_message(io.BytesIO(data))
 

@@ -3,8 +3,9 @@
 The satellite contract: truncated, corrupt, oversized, and zero-length
 frames each yield a clean *named* error (``ProtocolError`` subtree or
 ``EOFError``) — and with a deadline set, within the deadline — never a
-hang and never a silently merged partial message. Plus the v2 recovery
-paths: bounded resync over checksum damage and garbage floods.
+hang and never a silently merged partial message. There is no recovery
+inside a stream: a damaged frame ends the read, and the dispatcher loses
+the worker that wrote it.
 """
 
 import hashlib
@@ -18,11 +19,7 @@ import time
 import pytest
 
 from repro.errors import ProtocolError, ProtocolTimeout
-from repro.fabric.protocol import (
-    MAX_RESYNC_SCAN,
-    read_message,
-    write_message,
-)
+from repro.fabric.protocol import read_message, write_message
 
 _HEADER = struct.Struct(">4sI8s")
 
@@ -77,14 +74,14 @@ class TestMalformedFrames:
 
     def test_truncated_header(self):
         with pytest.raises(ProtocolError, match="frame header"):
-            read_message(io.BytesIO(frame(("done", None))[:9]))
+            read_message(io.BytesIO(frame(("shutdown", None))[:9]))
 
     def test_truncated_body(self):
         with pytest.raises(ProtocolError, match="frame body"):
-            read_message(io.BytesIO(frame(("done", None))[:-4]))
+            read_message(io.BytesIO(frame(("shutdown", None))[:-4]))
 
     def test_oversized_length_refused_before_allocation(self):
-        data = frame(("done", None), length=0xFFFFFFFF)
+        data = frame(("shutdown", None), length=0xFFFFFFFF)
         with pytest.raises(ProtocolError, match="cap"):
             read_message(io.BytesIO(data))
 
@@ -94,7 +91,7 @@ class TestMalformedFrames:
 
     def test_corrupt_magic(self):
         with pytest.raises(ProtocolError, match="magic"):
-            read_message(io.BytesIO(frame(("done", None), magic=b"HTTP")))
+            read_message(io.BytesIO(frame(("shutdown", None), magic=b"HTTP")))
 
 
 class TestDeadlines:
@@ -134,49 +131,8 @@ class TestDeadlines:
     def test_timeout_ignored_on_buffered_streams(self):
         # BytesIO has no selectable fd; the timeout silently no-ops
         # (documented) rather than raising on a perfectly good read.
-        buffer = io.BytesIO(frame(("done", None)))
-        assert read_message(buffer, timeout=0.01) == ("done", None)
-
-
-class TestResync:
-    """Bounded recovery over damaged frames, counted for the caller."""
-
-    def test_checksum_skip_recovers_next_frame(self):
-        stream = io.BytesIO(corrupted(("lost", 1)) + frame(("kept", 2)))
-        stats = {}
-        assert read_message(stream, resync=1, stats=stats) == ("kept", 2)
-        assert stats["resyncs"] == 1
-
-    def test_strict_mode_still_fails_fast(self):
-        stream = io.BytesIO(corrupted(("lost", 1)) + frame(("kept", 2)))
-        with pytest.raises(ProtocolError, match="checksum"):
-            read_message(stream)
-
-    def test_budget_exhaustion_raises(self):
-        stream = io.BytesIO(
-            corrupted(("a", 1)) + corrupted(("b", 2)) + frame(("c", 3)))
-        with pytest.raises(ProtocolError, match="checksum"):
-            read_message(stream, resync=1)
-
-    def test_garbage_flood_scan_to_next_magic(self):
-        noise = b"ssh_exchange_identification: banner line\r\n" * 3
-        assert b"MMFB" not in noise
-        stream = io.BytesIO(noise + frame(("kept", 9)))
-        stats = {}
-        assert read_message(stream, resync=1, stats=stats) == ("kept", 9)
-        assert stats["resyncs"] == 1
-
-    def test_scan_bound_abandons_endless_garbage(self):
-        stream = io.BytesIO(b"\x00" * (MAX_RESYNC_SCAN + 4096))
-        with pytest.raises(ProtocolError, match="resync abandoned"):
-            read_message(stream, resync=1)
-
-    def test_multiple_recoveries_within_budget(self):
-        stream = io.BytesIO(
-            corrupted(("a", 1)) + b"NOISE" * 4 + frame(("kept", 3)))
-        stats = {}
-        assert read_message(stream, resync=3, stats=stats) == ("kept", 3)
-        assert stats["resyncs"] == 2
+        buffer = io.BytesIO(frame(("shutdown", None)))
+        assert read_message(buffer, timeout=0.01) == ("shutdown", None)
 
 
 class TestSeededFuzz:
@@ -188,10 +144,10 @@ class TestSeededFuzz:
     """
 
     MESSAGES = [
-        ("hello", {"protocol": 2, "pid": 11}),
+        ("hello", {"protocol": 3, "pid": 11}),
         ("outcome", {"trial": 3, "plt": 1.25}),
         ("heartbeat", {"pid": 11}),
-        ("done", {"trials": 2, "batch": 0}),
+        ("run", 4),
     ]
 
     def _mutate(self, data, rng):
@@ -215,7 +171,7 @@ class TestSeededFuzz:
         read = 0
         while read < len(self.MESSAGES) + 4:
             try:
-                kind, _data = read_message(stream, resync=rng.randint(0, 2))
+                kind, _data = read_message(stream)
             except EOFError:
                 break
             except ProtocolError:

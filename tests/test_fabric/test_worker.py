@@ -122,25 +122,31 @@ class TestWorkerLoop:
         config = {"protocol": PROTOCOL_VERSION, "timeout": 600.0}
         config.update(config_extra or {})
         write_message(to_worker, ("config", config))
-        write_message(to_worker, ("run", list(indices)))
         messages = []
-        while True:
+        for index in indices:
+            write_message(to_worker, ("run", index))
             kind, data = read_message(from_worker)
             messages.append((kind, data))
-            if kind in ("done", "error"):
+            if kind == "error":
                 break
-        if kind == "done":  # v2 batch loop: the worker waits for more work
+        else:  # every run answered: the worker waits for more work
             write_message(to_worker, ("shutdown", None))
         thread.join(timeout=60)
         return status["exit"], messages
 
-    def test_streams_outcomes_then_done(self, factory):
+    def test_streams_one_outcome_per_run(self, factory):
         exit_status, messages = self._converse(factory=factory)
         assert exit_status == 0
-        kinds = [kind for kind, __ in messages]
-        assert kinds == ["outcome", "outcome", "done"]
-        assert messages[-1][1] == {"trials": 2, "batch": 0}
-        assert [m[1].trial for m in messages[:-1]] == [0, 1]
+        assert [kind for kind, __ in messages] == ["outcome", "outcome"]
+        assert [data.trial for __, data in messages] == [0, 1]
+
+    def test_a_run_that_is_not_one_trial_index_is_a_protocol_error(
+            self, factory):
+        exit_status, messages = self._converse(factory=factory,
+                                               indices=([0, 1],))
+        assert exit_status == 1
+        assert messages == [("error", "ProtocolError: expected run <trial> "
+                                      "or shutdown, got 'run'")]
 
     def test_spawn_config_carries_factory_spec(self):
         exit_status, messages = self._converse(
@@ -149,7 +155,8 @@ class TestWorkerLoop:
             indices=(0,),
         )
         assert exit_status == 0
-        assert messages[-1] == ("done", {"trials": 1, "batch": 0})
+        assert [(kind, data.trial) for kind, data in messages] == \
+            [("outcome", 0)]
 
     def test_spawned_worker_without_spec_errors(self):
         exit_status, messages = self._converse(factory=None, indices=(0,))
