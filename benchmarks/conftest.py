@@ -34,15 +34,11 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 def obs_dir(request):
     """Directory for repro.obs JSONL artifacts (None = export disabled).
 
-    Set with ``--obs-dir`` or the ``REPRO_BENCH_OBS_DIR`` environment
-    variable; instrumented benches write their registries there so CI can
-    upload them and ``mm-report`` can render them afterwards.
+    Set with ``--obs-dir``; instrumented benches write their registries
+    there so CI can upload them and ``mm-report`` can render them
+    afterwards.
     """
-    return (
-        request.config.getoption("--obs-dir")
-        or os.environ.get("REPRO_BENCH_OBS_DIR")
-        or None
-    )
+    return request.config.getoption("--obs-dir")
 
 
 @pytest.fixture

@@ -81,7 +81,8 @@ class ApiClient:
         resolver: DNS endpoint (replay's or the live web's).
         workload: launch-sequence shape.
 
-    Call :meth:`launch`; run the simulator until :attr:`done`.
+    Call :meth:`launch` once; run the simulator until :attr:`done`.
+    Completion closes the client's resolver socket.
     """
 
     def __init__(
@@ -166,6 +167,7 @@ class ApiClient:
         self._outstanding -= 1
         if self._outstanding == 0:
             self.finished_at = self.sim.now
+            self.resolver.close()
 
     def _with_connection(self, host: str, use, fail) -> None:
         endpoint = self._addresses.get(host)

@@ -125,7 +125,8 @@ class Browser:
 
         The result fills in as the simulation runs; ``on_complete`` fires
         at onload. Run the simulator (e.g. ``sim.run_until(lambda:
-        result.complete)``) to make progress.
+        result.complete)``) to make progress. A browser loads one page:
+        onload closes its resolver socket.
         """
         result = PageLoadResult(page, self.sim.now)
         load = _PageLoad(self, page, result, on_complete)
@@ -359,6 +360,7 @@ class _PageLoad:
             self.result.finished_at = self.browser.sim.now
             for pool in self._pools.values():
                 pool.shutdown()
+            self.browser.resolver.close()
             if self.on_complete is not None:
                 self.on_complete(self.result)
 

@@ -21,10 +21,9 @@ The records sit in one ``heapq``. This class is the producer side —
 push, cancel, compact, clear — and the accounting; the consumer side is
 the one loop in :meth:`Simulator._drain <repro.sim.simulator.Simulator>`,
 which pops the heap directly (a ``pop`` method per event would be two
-call frames on the hottest path in the toolkit; ``perf_gate.py``'s
-``event_loop`` reads +34 % with them and +2–5 % without). Why one heap and
-not a heap plus an append-only lane for monotone pushes: DESIGN.md §10,
-*Why not two lanes*.
+call frames on the hottest path in the toolkit; DESIGN.md §10 has the
+measurement). Why one heap and not a heap plus an append-only lane for
+monotone pushes: DESIGN.md §10, *Why not two lanes*.
 
 Cancellation is lazy: the dead record stays in the heap until it surfaces
 at the top and the drain loop discards it. To stop dead records from

@@ -3,9 +3,11 @@
 Every backticked ``repro.*`` name in DESIGN.md and README.md must import
 or resolve as an attribute, and every ``path.py:N`` (or
 ``path.py::name``) reference must name an existing file with at least N
-lines (or defining ``name``). A change that deletes code therefore
-cannot leave its documentation behind. ROADMAP.md is left out on
-purpose: it names deleted modules as history.
+lines (or defining ``name``). Every backticked ``*.py`` path and every
+backticked ``benchmarks/`` path must exist, and so must every
+``benchmarks/*.py`` script the CI workflow runs. A change that deletes
+code therefore cannot leave its documentation behind. ROADMAP.md is
+left out on purpose: it names deleted modules as history.
 """
 
 import importlib
@@ -16,12 +18,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("DESIGN.md", "README.md")
+CI = ".github/workflows/ci.yml"
 
 _FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _SPAN = re.compile(r"`([^`]+)`")
 _NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
 _PATH_LINE = re.compile(r"([\w/.-]+\.py):(\d+)(?![\d:])")
 _PATH_NAME = re.compile(r"([\w/.-]+\.py)::(\w+)")
+_PY_FILE = re.compile(r"(?<![\w/.-])([\w/.-]+\.py)\b")
+_BENCH_PATH = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*benchmarks/[\w/.-]*)")
+_CI_SCRIPT = re.compile(r"benchmarks/[\w/.-]+\.py\b")
 
 
 def _spans(doc):
@@ -50,11 +56,21 @@ def _files(path):
     ``src/repro``, or — for a bare file name — anywhere it is unique
     enough to be found."""
     found = [base / path for base in (ROOT, ROOT / "src" / "repro")
-             if (base / path).is_file()]
+             if (base / path).exists()]
     if not found and "/" not in path:
-        found = [hit for top in ("src", "tests", "benchmarks")
+        found = [hit for top in ("src", "tests", "benchmarks", "examples")
                  for hit in (ROOT / top).rglob(path)]
     return found
+
+
+def _named_files(doc):
+    """The file paths ``doc`` names: backticked in a document, or, in the
+    CI workflow (read as text), the bench scripts it runs."""
+    if doc == CI:
+        return set(_CI_SCRIPT.findall((ROOT / doc).read_text(encoding="utf-8")))
+    return {path for span in _spans(doc)
+            for pattern in (_PY_FILE, _BENCH_PATH)
+            for path in pattern.findall(span)}
 
 
 @pytest.mark.parametrize("doc", DOCS)
@@ -79,3 +95,8 @@ def test_every_path_reference_names_an_existing_line_or_name(doc):
                        for f in _files(path)):
                 missing.append(f"{path}::{name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("doc", DOCS + (CI,))
+def test_every_named_file_exists(doc):
+    assert sorted(path for path in _named_files(doc) if not _files(path)) == []

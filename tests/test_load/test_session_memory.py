@@ -3,8 +3,9 @@
 A finished session is one reference cycle (simulator, queue, every
 client's connections and callbacks), which reference counting never
 frees; a :class:`LoadSession` collects before it builds its world, so a
-dead session and a live one never overlap. Fetch clients release their
-resolver's port once their one lookup is answered.
+dead session and a live one never overlap. Every client releases its
+resolver's port: a fetch client once its one lookup is answered, a
+browser at onload, an app client when its launch sequence ends.
 """
 
 import gc
@@ -66,3 +67,12 @@ def test_fetch_clients_release_their_resolver_sockets():
     assert len(resolvers) == 20
     bound = set(session.stack.transport._udp_sockets.values())
     assert not resolvers & bound
+
+
+def test_no_client_leaves_a_resolver_socket_bound(factory):
+    # The load scenario mixes browsers, app clients and fetch clients.
+    __, session = factory(1)
+    session.run()
+    kinds = {type(client).__name__ for client in session._clients}
+    assert {"_BrowserClient", "_ApiAppClient", "_FetchClient"} <= kinds
+    assert session.stack.transport._udp_sockets == {}
