@@ -20,7 +20,7 @@ Two degradation curves and one taxonomy:
 import json
 import os
 
-from benchmarks._workloads import bench_journal_dir, scaled, site_store
+from benchmarks.knobs import bench_journal, scaled
 from repro.chaos import (
     DnsFaultClause,
     FaultPlan,
@@ -54,15 +54,7 @@ TAXONOMY_PLAN = FaultPlan(
 )
 
 
-def bench_site():
-    site = generate_site("chaos-bench.com", seed=17, n_origins=4, scale=0.4)
-    site_store(site)  # build once; trials reuse the cached store
-    return site
-
-
-def chaos_factory(site, plan):
-    store = site_store(site)
-
+def chaos_factory(site, store, plan):
     def factory(trial):
         stack = ShellStack.fresh(trial)
         stack.add_replay(store)
@@ -97,34 +89,30 @@ def ge_plan(loss_bad):
 
 def _chaos_sweep(label, factory, trials):
     """One chaos sweep, journaled when REPRO_BENCH_JOURNAL is set."""
-    journal_dir = bench_journal_dir()
-    if journal_dir is None:
-        return run_chaos_trials(factory, trials, timeout=120.0)
-    os.makedirs(journal_dir, exist_ok=True)
-    return run_chaos_trials(
-        factory, trials, timeout=120.0,
-        journal=os.path.join(journal_dir, f"chaos-{label}.journal.jsonl"),
-        run_key=run_key(bench=f"chaos-{label}", trials=trials),
-    )
+    name = f"chaos-{label}"
+    return run_chaos_trials(factory, trials, timeout=120.0,
+                            journal=bench_journal(name),
+                            run_key=run_key(bench=name, trials=trials))
 
 
 def run_experiment():
-    site = bench_site()
+    site = generate_site("chaos-bench.com", seed=17, n_origins=4, scale=0.4)
+    store = site.to_recorded_site()
     trials = scaled(20, minimum=3)
     outage = {
         duration: _chaos_sweep(
             f"outage-{duration * 1000:g}ms",
-            chaos_factory(site, outage_plan(duration)), trials)
+            chaos_factory(site, store, outage_plan(duration)), trials)
         for duration in OUTAGE_DURATIONS
     }
     ge = {
         loss_bad: _chaos_sweep(
             f"ge-{loss_bad:g}",
-            chaos_factory(site, ge_plan(loss_bad)), trials)
+            chaos_factory(site, store, ge_plan(loss_bad)), trials)
         for loss_bad in GE_LOSS_BAD
     }
     taxonomy = _chaos_sweep(
-        "taxonomy", chaos_factory(site, TAXONOMY_PLAN), trials)
+        "taxonomy", chaos_factory(site, store, TAXONOMY_PLAN), trials)
     return outage, ge, taxonomy, trials
 
 

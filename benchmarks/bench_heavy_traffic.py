@@ -18,7 +18,7 @@ and ``mm-report load`` renders the former.
 import json
 import os
 
-from benchmarks._workloads import bench_workers, scaled
+from benchmarks.knobs import bench_workers, scaled
 from repro.load import (
     default_population,
     run_capacity_curve,

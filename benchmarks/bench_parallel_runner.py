@@ -12,14 +12,13 @@ execution layer promises on the Table 1 workload (wikiHow behind an
    fork) the speedup is reported but not asserted — there is nothing to
    win on one core, and the fallback path is the serial runner itself.
 
-``REPRO_BENCH_SCALE`` scales the trial count as everywhere else;
-``REPRO_BENCH_WORKERS`` (default 4 here) sizes the parallel arm.
+``REPRO_BENCH_SCALE`` scales the trial count as everywhere else; the
+parallel arm is always 4 workers.
 """
 
-import os
 import time
 
-from benchmarks._workloads import scaled
+from benchmarks.knobs import scaled
 from repro.core import ShellStack
 from repro.corpus import named_site
 from repro.measure.parallel import default_workers, fork_available
@@ -27,7 +26,7 @@ from repro.measure.runner import run_page_loads
 
 LINK_MBPS = 8.0
 ONE_WAY_DELAY = 0.040
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4")) or 4
+WORKERS = 4
 
 
 def _table1_factory():

@@ -5,22 +5,8 @@ per-experiment index). Outputs are printed and also written to
 ``benchmarks/results/<experiment>.txt`` so a full run leaves the artifacts
 on disk.
 
-Scale: the paper's full trial counts (500-site corpus, 100 loads per
-distribution) make the suite take tens of minutes in pure Python; the
-``REPRO_BENCH_SCALE`` environment variable (default 0.25) scales trial
-counts down proportionally. ``REPRO_BENCH_SCALE=1.0`` reproduces the
-paper-size runs; EXPERIMENTS.md records numbers from such a run.
-
-Parallelism: ``REPRO_BENCH_WORKERS`` (default 1 — serial, the historical
-behaviour) fans each experiment's independent page loads out over that
-many worker processes via
-``repro.measure.run_page_loads(workers=)``. Per-trial seeding and
-trial ordering are preserved, so reported statistics are bit-identical
-at any worker count; ``REPRO_BENCH_WORKERS=0`` means one worker per
-available core.
-
-Both variables are read by ``benchmarks/_workloads.py`` (``scaled``,
-``bench_workers``), which every bench imports them from.
+Scale, worker count and checkpoint journals are the three knobs of
+``benchmarks/knobs.py``, the one place they are read.
 """
 
 import os

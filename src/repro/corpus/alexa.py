@@ -6,8 +6,8 @@ The paper's in-text corpus statistics (§4) are reproduced by construction:
 * the rest draw origin counts from a lognormal matched to median 20 and
   95th percentile 51.
 
-``benchmarks/bench_corpus_stats.py`` regenerates and checks those numbers
-(experiment C1 in DESIGN.md).
+The ``corpus_stats`` claim of ``repro.scenarios.CLAIMS`` regenerates and
+checks those numbers (experiment C1 in DESIGN.md).
 """
 
 from __future__ import annotations

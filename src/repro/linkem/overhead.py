@@ -13,9 +13,9 @@ process on the packet path. Here they are modelled explicitly:
 * LinkShell additionally quantizes deliveries to trace opportunities, which
   at 1000 Mbit/s adds ~12 us of serialization per MTU packet.
 
-The two constants below were calibrated once against the Figure 2 bench
-(`benchmarks/bench_figure2_overhead.py`) so that the reproduced overheads
-land in the paper's regime. They are defaults, not hard-coded behaviour —
+The two constants below were calibrated once against Figure 2 (the
+`figure2_overhead` claim in `repro.scenarios`) so that the reproduced
+overheads land in the paper's regime. They are defaults, not hard-coded behaviour —
 every shell constructor accepts an :class:`OverheadModel`.
 """
 

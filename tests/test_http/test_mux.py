@@ -177,7 +177,7 @@ class TestMuxPageLoads:
         # SPDY's headline effect shows on consolidated pages (deep
         # per-origin request queues): concurrent streams beat six
         # serial-request connections. Sharded pages see little gain —
-        # bench_multiplexing.py maps the full landscape.
+        # the multiplexing_study row of bench_studies.py maps the full landscape.
         mux = self._load("mux", delay=0.050, n_origins=2,
                          name="muxconsolidated.com")
         http1 = self._load("http/1.1", delay=0.050, n_origins=2,
