@@ -1,22 +1,28 @@
 """Every page-load study, run at bench scale and rendered: one row each.
 
 The six paper claims are ``repro.scenarios.CLAIMS`` entries, which
-tier-1 also runs at a seconds-long size. A2–A5 are not paper claims
+tier-1 also runs at a seconds-long size. A2–A6 are not paper claims
 (their worlds: a naive link, an API client, multiplexing, a bulk flow
-with a probe), so they are declared here, in the same shape, and only
-the benches run them. Each row runs ``scaled(trials, floor)`` trials
-through ``measure_claim`` with the ``benchmarks/knobs.py`` settings,
-writes ``benchmarks/results/<name>.txt`` and fails on any statement its
-check reports.
+with a probe, fault plans), so they are declared here, in the same
+shape, and only the benches run them. Each row runs ``scaled(trials,
+floor)`` trials through ``measure_claim`` with the
+``benchmarks/knobs.py`` settings, writes
+``benchmarks/results/<name>.txt`` and fails on any statement its check
+reports.
 """
 
-from typing import Dict, List
+import math
+from typing import Dict, List, Tuple
 
 import pytest
 
 from benchmarks.knobs import bench_journal, bench_workers, scaled
 from repro.apps import ApiClient, ApiWorkload, make_api_site
 from repro.browser import BrowserConfig
+from repro.chaos import (
+    DnsFaultClause, FaultPlan, GilbertElliottClause, OutageClause,
+    ServerFaultClause,
+)
 from repro.core import ShellStack
 from repro.core.base import Shell
 from repro.corpus import generate_site
@@ -25,6 +31,7 @@ from repro.linkem import CoDelQueue, DropTailQueue
 from repro.linkem.overhead import OverheadModel
 from repro.linkem.trace import ConstantRateSchedule
 from repro.linkem.tracelink import TracePipe
+from repro.measure import FAILURE_CLASSES, Sample, classify_result
 from repro.measure.report import format_table
 from repro.net.address import Endpoint
 from repro.scenarios import (
@@ -342,6 +349,116 @@ def _bufferbloat_render(samples: Samples) -> str:
     )
 
 
+# -- A6: chaos robustness (repro.chaos; no paper counterpart) ---------- #
+
+_A6_OUTAGES = (0.0, 0.15, 0.3, 0.6)
+_A6_LOSS_BAD = (0.0, 0.3, 0.6)
+
+
+def _chaos_sweep(trials):
+    """Trial ``i`` loads one site through ReplayShell > LinkShell 14
+    Mbit/s > ChaosShell > DelayShell 30 ms under each plan: a downlink
+    outage of growing length, Gilbert-Elliott burst loss of growing
+    bad-state loss, and a mixed server/DNS plan. A degraded or hung load
+    is a measurement (PLT ``inf`` when onload never fires), not a lost
+    trial."""
+    site = generate_site("chaos-bench.com", seed=17, n_origins=4, scale=0.4)
+    store = site.to_recorded_site()
+    plans = {f"outage {duration:g}": FaultPlan(clauses=(
+        OutageClause(direction="downlink", start=0.2, duration=duration),))
+        if duration else None for duration in _A6_OUTAGES}
+    plans.update({f"GE {loss_bad:g}": FaultPlan(clauses=(
+        GilbertElliottClause(direction="downlink", p_good_bad=0.05,
+                             p_bad_good=0.4, loss_bad=loss_bad),))
+        if loss_bad else None for loss_bad in _A6_LOSS_BAD})
+    # skip=1 everywhere keeps the root document intact (a truncated or
+    # unresolvable root would hide the rest of the page); the one
+    # SERVFAIL breaks one CDN origin, so the server clauses still see
+    # traffic on the others.
+    plans["taxonomy"] = FaultPlan(clauses=(
+        ServerFaultClause(kind="truncate", skip=1, count=2, after_bytes=256),
+        ServerFaultClause(kind="reset", skip=5, count=2, after_bytes=128),
+        DnsFaultClause(kind="servfail", skip=1, count=1)))
+
+    def trial(i):
+        row = {}
+        for key, plan in plans.items():
+            stack = ShellStack.fresh(i)
+            stack.add_replay(store)
+            stack.add_link(14.0, 14.0)
+            if plan is not None:
+                stack.add_chaos(plan)
+            stack.add_delay(0.030)
+            result = stack.load(site.page)
+            stack.sim.run_until(lambda: result.complete, timeout=120.0)
+            outcome, failures = classify_result(result)
+            row[f"{key} PLT"] = result.page_load_time \
+                if result.complete else math.inf
+            row[f"{key} clean"] = float(outcome == "success")
+            if key == "taxonomy":
+                row.update({f"taxonomy {cls}": float(failures.get(cls, 0))
+                            for cls in FAILURE_CLASSES})
+        return row
+
+    return trial
+
+
+def _completed(samples: Samples, key: str) -> Tuple[float, float]:
+    """Under plan ``key``: the mean PLT of the loads whose onload fired
+    (NaN if none did), and their share of the loads."""
+    plts = [plt for plt in samples[f"{key} PLT"].values if plt < math.inf]
+    trials = len(samples[f"{key} PLT"])
+    return (Sample(plts).mean if plts else math.nan,
+            1.0 - (trials - len(plts)) / trials)
+
+
+def _chaos_check(samples: Samples) -> List[Miss]:
+    outage, ge = f"outage {max(_A6_OUTAGES):g}", f"GE {max(_A6_LOSS_BAD):g}"
+    (base, __), (worst, completed) = (_completed(samples, key)
+                                      for key in ("outage 0", outage))
+    ge_base, ge_worst = (_completed(samples, key)[0] for key in ("GE 0", ge))
+    return misses(
+        ("clean share, fault-free", samples["outage 0 clean"].mean,
+         "==", 1.0),
+        (f"completed share, {outage} s", completed, ">", 0.0),
+        (f"mean PLT, {outage} s minus fault-free", worst - base, ">", 0.0),
+        (f"mean PLT, {ge} minus GE 0", ge_worst - ge_base, ">", 0.0),
+        # Body truncation and DNS breakage are always client-visible.
+        ("clean share, taxonomy", samples["taxonomy clean"].mean, "<", 1.0),
+        *((f"{cls} fetches, taxonomy",
+           sum(samples[f"taxonomy {cls}"].values), ">", 0)
+          for cls in ("truncated", "dns")))
+
+
+def _chaos_render(samples: Samples) -> str:
+    trials = len(samples["taxonomy clean"])
+
+    def rows(prefix, values):
+        for value in values:
+            key = f"{prefix} {value:g}"
+            mean, completed = _completed(samples, key)
+            yield [f"{value:g}",
+                   "-" if math.isnan(mean) else f"{mean * 1000:.0f}",
+                   f"{completed:.0%}", f"{samples[f'{key} clean'].mean:.0%}"]
+
+    counts = {cls: sum(samples[f"taxonomy {cls}"].values)
+              for cls in FAILURE_CLASSES}
+    return "\n\n".join([
+        format_table(["outage (s)", "PLT (ms)", "completed", "clean"],
+                     list(rows("outage", _A6_OUTAGES)),
+                     title="PLT degradation vs downlink outage duration "
+                           f"({trials} loads each)"),
+        format_table(["GE loss_bad", "PLT (ms)", "completed", "clean"],
+                     list(rows("GE", _A6_LOSS_BAD)),
+                     title="PLT degradation vs Gilbert-Elliott bad-state "
+                           "loss"),
+        f"failure taxonomy under 'taxonomy' ({trials} loads, success rate "
+        f"{samples['taxonomy clean'].mean:.0%}):",
+        "\n".join(f"  {cls}: {count:.0f}" for cls, count in counts.items()
+                  if count) or "  (no failures)",
+    ])
+
+
 def _table2_tail(samples: Samples) -> List[Miss]:
     """Table 2's tail size, held at bench scale only. This substrate
     under-reproduces the paper's high-speed single-server penalty (the
@@ -369,6 +486,8 @@ STUDIES: Dict[str, Claim] = dict(
                              _multiplexing_check, _multiplexing_render),
     bufferbloat=Claim(_bufferbloat_sweep, 8, 3, 3,
                       _bufferbloat_check, _bufferbloat_render),
+    chaos_robustness=Claim(_chaos_sweep, 20, 3, 3,
+                           _chaos_check, _chaos_render),
 )
 
 @pytest.mark.parametrize("name", list(STUDIES))

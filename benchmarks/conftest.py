@@ -1,9 +1,10 @@
 """Shared benchmark infrastructure.
 
-Every bench regenerates one of the paper's tables or figures (DESIGN.md's
-per-experiment index). Outputs are printed and also written to
-``benchmarks/results/<experiment>.txt`` so a full run leaves the artifacts
-on disk.
+Every bench regenerates one of the paper's tables or figures, or one of
+the reproduction's own studies (DESIGN.md's per-experiment index).
+Outputs are printed and also written to
+``benchmarks/results/<experiment>.txt`` (the ``report`` fixture) so a
+full run leaves the artifacts on disk.
 
 Scale, worker count and checkpoint journals are the three knobs of
 ``benchmarks/knobs.py``, the one place they are read.
@@ -14,17 +15,6 @@ import os
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture
-def obs_dir(request):
-    """Directory for repro.obs JSONL artifacts (None = export disabled).
-
-    Set with ``--obs-dir``; instrumented benches write their registries
-    there so CI can upload them and ``mm-report`` can render them
-    afterwards.
-    """
-    return request.config.getoption("--obs-dir")
 
 
 @pytest.fixture

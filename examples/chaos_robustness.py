@@ -13,8 +13,9 @@ inserted between the link and the delay::
     mm-webreplay site/ mm-link 14 14 mm-chaos plan.json mm-delay 30 load
 
 then (1) loads the same page under increasingly hostile plans and
-classifies the outcomes, and (2) proves the chaos determinism contract by
-replaying one faulty load twice, bit for bit.
+classifies each load's outcome and failed fetches with
+``repro.measure.classify_result``, and (2) proves the chaos determinism
+contract by replaying one faulty load twice, bit for bit.
 
 Run: python examples/chaos_robustness.py
 """
@@ -26,7 +27,7 @@ from repro.chaos import (
     OutageClause,
     ServerFaultClause,
 )
-from repro.measure import run_chaos_trials
+from repro.measure import FAILURE_CLASSES, Sample, classify_result
 
 PLANS = {
     "clean": FaultPlan(name="clean"),
@@ -51,6 +52,7 @@ PLANS = {
         name="hostile",
     ),
 }
+TRIALS = 8  # loads per plan
 
 
 def make_factory(site, store, plan):
@@ -75,14 +77,22 @@ def main():
     print(f"{'plan':>12}  {'PLT p50':>8}  {'clean':>6}  {'completed':>9}  "
           f"failure classes")
     for label, plan in PLANS.items():
-        summary = run_chaos_trials(make_factory(site, store, plan),
-                                   trials=8, timeout=120.0)
-        taxonomy = ", ".join(f"{k}:{v}" for k, v in
-                             summary.failure_counts.items() if v) or "-"
-        plt = (f"{summary.plt.percentile(50) * 1000:.0f} ms"
-               if summary.plt else "-")
-        print(f"{label:>12}  {plt:>8}  {summary.success_rate:>6.0%}  "
-              f"{summary.completion_rate:>9.0%}  {taxonomy}")
+        plts, clean, counts = [], 0, dict.fromkeys(FAILURE_CLASSES, 0)
+        for trial in range(TRIALS):
+            sim, result = make_factory(site, store, plan)(trial)
+            sim.run_until(lambda: result.complete, timeout=120.0)
+            outcome, failures = classify_result(result)
+            if result.complete:           # "hung" loads have no PLT
+                plts.append(result.page_load_time)
+            clean += outcome == "success"
+            for cls, count in failures.items():
+                counts[cls] += count
+        taxonomy = ", ".join(f"{k}:{v}" for k, v in counts.items() if v) \
+            or "-"
+        plt = (f"{Sample(plts).percentile(50) * 1000:.0f} ms"
+               if plts else "-")
+        print(f"{label:>12}  {plt:>8}  {clean / TRIALS:>6.0%}  "
+              f"{len(plts) / TRIALS:>9.0%}  {taxonomy}")
 
     # The determinism contract: same seed + same plan => the same faults
     # hit the same packets/requests, bit for bit.

@@ -17,6 +17,7 @@ exact same failure sequence — bit-reproducible chaos (DESIGN.md §8).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Tuple, Type, Union
 
@@ -44,6 +45,15 @@ def _check_probability(name: str, value: float) -> None:
         raise ChaosError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def _check_finite(clause: object, *names: str) -> None:
+    """A NaN time makes a clause silently inert; an infinite one never
+    ends. Both are refused, naming the field."""
+    for name in names:
+        value = getattr(clause, name)
+        if value is not None and not math.isfinite(value):
+            raise ChaosError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OutageClause:
     """The link goes dark for a window; held packets release at its end.
@@ -68,6 +78,7 @@ class OutageClause:
 
     def __post_init__(self) -> None:
         _check_direction(self.direction)
+        _check_finite(self, "start", "duration", "period")
         if self.start < 0.0:
             raise ChaosError(f"outage start must be >= 0, got {self.start!r}")
         if self.duration <= 0.0:
@@ -159,6 +170,7 @@ class ReorderClause:
     def __post_init__(self) -> None:
         _check_direction(self.direction)
         _check_probability("probability", self.probability)
+        _check_finite(self, "extra_delay")
         if self.extra_delay <= 0.0:
             raise ChaosError(
                 f"extra_delay must be > 0, got {self.extra_delay!r}"
@@ -181,6 +193,7 @@ class SynBlackholeClause:
 
     def __post_init__(self) -> None:
         _check_direction(self.direction)
+        _check_finite(self, "start", "duration")
         if self.start < 0.0:
             raise ChaosError(f"start must be >= 0, got {self.start!r}")
         if self.duration <= 0.0:
@@ -237,6 +250,7 @@ class ServerFaultClause:
             raise ChaosError(
                 f"after_bytes must be >= 0, got {self.after_bytes!r}"
             )
+        _check_finite(self, "stall")
         if self.kind == "stall" and self.stall <= 0.0:
             raise ChaosError(f"stall must be > 0, got {self.stall!r}")
         if not 100 <= self.status <= 599:
@@ -272,6 +286,7 @@ class DnsFaultClause:
             raise ChaosError(f"skip must be >= 0, got {self.skip!r}")
         if self.count is not None and self.count < 1:
             raise ChaosError(f"count must be >= 1 or None, got {self.count!r}")
+        _check_finite(self, "delay")
         if self.kind == "slow" and self.delay <= 0.0:
             raise ChaosError(f"slow clause needs delay > 0, got {self.delay!r}")
 

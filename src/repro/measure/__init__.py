@@ -13,7 +13,6 @@ wall-clock watchdog, bounded retry with quarantine, crash detection, and
 :class:`~repro.measure.journal.TrialJournal` checkpoint/resume.
 """
 
-from repro.measure.compare import Comparison, compare_page_loads
 from repro.measure.journal import TrialJournal, run_key
 from repro.measure.parallel import parallel_map
 from repro.measure.supervise import (
@@ -24,19 +23,14 @@ from repro.measure.supervise import (
 from repro.measure.report import ascii_cdf, format_table, percent_diff
 from repro.measure.robustness import (
     FAILURE_CLASSES,
-    LoadOutcome,
-    RobustnessSummary,
     classify_error,
-    run_chaos_trials,
+    classify_result,
 )
 from repro.measure.runner import ScenarioResult, run_page_loads, run_trial
 from repro.measure.stats import Sample, StreamingQuantiles, quantiles_of
 
 __all__ = [
-    "Comparison",
     "FAILURE_CLASSES",
-    "LoadOutcome",
-    "RobustnessSummary",
     "Sample",
     "ScenarioResult",
     "StreamingQuantiles",
@@ -45,12 +39,11 @@ __all__ = [
     "TrialOutcome",
     "ascii_cdf",
     "classify_error",
-    "compare_page_loads",
+    "classify_result",
     "format_table",
     "parallel_map",
     "percent_diff",
     "quantiles_of",
-    "run_chaos_trials",
     "run_key",
     "run_page_loads",
     "run_supervised",

@@ -12,8 +12,8 @@ that opens, replays, appends to and compacts a journal.
 :func:`run_supervised` (local forks) and
 :func:`repro.fabric.coordinator.run_fabric` (workers from any backend)
 are its two page-load spellings;
-:func:`~repro.measure.robustness.run_chaos_trials` and ``mm-corpus
-generate`` hand it tasks of their own. It has two ways to run a batch:
+:func:`repro.scenarios.measure_claim` (every bench study) and
+``mm-corpus generate`` hand it tasks of their own. It has two ways to run a batch:
 in this process (:func:`run_shard`, for ``workers=1`` or a platform
 without ``fork``) or *dispatched* — the one trial dispatcher
 (:func:`repro.fabric.coordinator.dispatch`), whose workers run the same

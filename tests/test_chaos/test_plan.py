@@ -159,6 +159,22 @@ class TestSerialization:
             FaultPlan.from_json("{not json")
 
 
+#: (clause type tag, time field) for every time a clause carries.
+TIME_FIELDS = [("outage", "start"), ("outage", "duration"),
+               ("outage", "period"), ("syn-blackhole", "start"),
+               ("syn-blackhole", "duration"), ("reorder", "extra_delay"),
+               ("server", "stall"), ("dns", "delay")]
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("tag,field", TIME_FIELDS)
+def test_a_non_finite_time_is_refused_naming_its_field(tag, field, number):
+    # A NaN time silently disables its clause; an infinite one never ends.
+    text = f'{{"clauses": [{{"type": "{tag}", "{field}": {number}}}]}}'
+    with pytest.raises(ChaosError, match=f"^{field} must be finite"):
+        FaultPlan.from_json(text)
+
+
 class TestOutageWindows:
     def test_single_window(self):
         clause = OutageClause(start=1.0, duration=0.5)

@@ -20,6 +20,14 @@ def test_claim_holds_at_tier1_size(name):
     assert [str(miss) for miss in claim.check(samples)] == []
 
 
+def test_corpus_claim_holds_above_the_paper_size():
+    # A scale above 1 runs a larger corpus; the 9-in-500 single-server
+    # ratio scales with it.
+    claim = CLAIMS["corpus_stats"]
+    samples = measure_claim("corpus_stats", claim, 1000)
+    assert [str(miss) for miss in claim.check(samples)] == []
+
+
 def _table2(broken_cell):
     cells = {t2_cell(rate, delay): Sample([0.0, 0.0, 1.0])
              for rate in T2_RATES for delay in T2_DELAYS}

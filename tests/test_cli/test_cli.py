@@ -652,3 +652,14 @@ class TestMmChaos:
     def test_usage(self):
         with pytest.raises(CliError):
             mm_chaos.run([], [])
+
+    def test_non_finite_plan_exits_2_naming_the_field(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"clauses": [{"type": "reorder", '
+                        '"probability": 0.2, "extra_delay": NaN}]}')
+        monkeypatch.setattr("sys.argv", ["mm-chaos", str(path), "load"])
+        assert mm_chaos.main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad fault plan {str(path)!r}: "
+                              f"extra_delay must be finite, got nan")

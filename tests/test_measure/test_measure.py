@@ -128,38 +128,6 @@ class TestRunner:
             run_page_loads(lambda t: None, trials=0)
 
 
-class TestComparePageLoads:
-    def _factory(self, site, single):
-        store = site.to_recorded_site()
-
-        def factory(trial):
-            sim = Simulator(seed=trial)
-            machine = HostMachine(sim)
-            stack = ShellStack(machine)
-            stack.add_replay(store, single_server=single)
-            browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                              machine=machine)
-            return sim, browser.load(site.page)
-        return factory
-
-    def test_identical_arms_diff_zero(self):
-        from repro.measure import compare_page_loads
-        site = generate_site("cmp.com", seed=40, n_origins=5, scale=0.5)
-        comparison = compare_page_loads(
-            self._factory(site, False), self._factory(site, False), trials=3)
-        assert comparison.median_diff == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_vs_multi_reports_difference(self):
-        from repro.measure import compare_page_loads
-        site = generate_site("cmp2.com", seed=41, n_origins=10)
-        comparison = compare_page_loads(
-            self._factory(site, False), self._factory(site, True), trials=3)
-        assert len(comparison.percent_diffs) == 3
-        assert "50th, 95th pct" in comparison.summary()
-        assert comparison.baseline.median > 0
-        assert comparison.treatment.median > 0
-
-
 class TestReport:
     def test_format_table(self):
         text = format_table(

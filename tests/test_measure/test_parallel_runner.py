@@ -236,26 +236,3 @@ class TestMetricsRideAlong:
         assert result.metrics == [None, None]
         assert result.merged_metrics() is None
 
-
-class TestComparePageLoadsWorkers:
-    @needs_fork
-    def test_workers_do_not_change_comparison(self):
-        from repro.measure import compare_page_loads
-        site = generate_site("cmppar.com", seed=57, n_origins=4, scale=0.5)
-        store = site.to_recorded_site()
-
-        def arm(single):
-            def factory(trial):
-                sim = Simulator(seed=trial)
-                machine = HostMachine(sim)
-                stack = ShellStack(machine)
-                stack.add_replay(store, single_server=single)
-                browser = Browser(sim, stack.transport,
-                                  stack.resolver_endpoint, machine=machine)
-                return sim, browser.load(site.page)
-            return factory
-
-        serial = compare_page_loads(arm(False), arm(True), trials=3)
-        parallel = compare_page_loads(arm(False), arm(True), trials=3,
-                                      workers=2)
-        assert serial.percent_diffs.values == parallel.percent_diffs.values
