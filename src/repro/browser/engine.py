@@ -157,13 +157,14 @@ class _PageLoad:
         self._pools: Dict[tuple, _EndpointPool] = {}
         self._finished = False
         # Resource-scheduler state: low-priority ("delayable") requests
-        # beyond the cap wait here until an in-flight one completes. The
-        # cap binds only while render-critical (non-delayable) requests
-        # are outstanding, as in Chrome's ResourceScheduler; once the
-        # critical work drains, images go wide open.
+        # beyond the cap wait here (a deque only while any wait, None
+        # otherwise) until an in-flight one completes. The cap binds only
+        # while render-critical (non-delayable) requests are outstanding,
+        # as in Chrome's ResourceScheduler; once the critical work drains,
+        # images go wide open.
         self._delayable_in_flight = 0
         self._nondelayable_in_flight = 0
-        self._delayable_queue: Deque[Resource] = deque()
+        self._delayable_queue: Optional[Deque[Resource]] = None
         # Observability: one waterfall per load plus a per-origin in-flight
         # series, all observer-owned state (zero observer effect).
         registry = browser.sim.metrics
@@ -251,6 +252,8 @@ class _PageLoad:
             limit = self.browser.config.max_delayable_in_flight
             if (self._nondelayable_in_flight > 0
                     and self._delayable_in_flight >= limit):
+                if self._delayable_queue is None:
+                    self._delayable_queue = deque()
                 self._delayable_queue.append(resource)
                 return
             self._delayable_in_flight += 1
@@ -267,6 +270,7 @@ class _PageLoad:
                 return
             self._delayable_in_flight += 1
             self._dispatch(self._delayable_queue.popleft())
+        self._delayable_queue = None
 
     def _dispatch(self, resource: Resource) -> None:
         # One DNS resolution per hostname; one 6-connection pool per
@@ -397,7 +401,8 @@ class _HostEntry:
         self.address: Optional[IPv4Address] = None
         self.failed: Optional[str] = None
         self.failed_exc: Optional[Exception] = None
-        self._waiting: Deque[Resource] = deque()
+        # Resources waiting for the lookup; dropped once it answers.
+        self._waiting: Optional[List[Resource]] = []
         # HAR convention: the lookup is charged to the resource that
         # triggered it (``obs_owner`` is its waterfall entry, or None).
         self._obs_owner = obs_owner
@@ -421,8 +426,7 @@ class _HostEntry:
                 error = DnsError(f"no addresses for {self.url.host!r}")
             self.failed = f"DNS failure: {error}"
             self.failed_exc = error
-            waiting = list(self._waiting)
-            self._waiting.clear()
+            waiting, self._waiting = self._waiting, None
             for resource in waiting:
                 self.load.fail_resource(resource, self.failed,
                                         exc=self.failed_exc)
@@ -430,8 +434,9 @@ class _HostEntry:
         if self._obs_owner is not None:
             self._obs_owner.dns = self.load.browser.sim.now - self._created_at
         self.address = addresses[0]
-        while self._waiting:
-            self._route(self._waiting.popleft())
+        waiting, self._waiting = self._waiting, None
+        for resource in waiting:
+            self._route(resource)
 
     def _route(self, resource: Resource) -> None:
         endpoint = Endpoint(self.address, self.url.port)
@@ -453,7 +458,8 @@ class _EndpointPool:
         self.browser = load.browser
         self.endpoint = endpoint
         self.tls = tls
-        self._pending: Deque[Resource] = deque()
+        # Requests waiting for a connection: a deque only while any wait.
+        self._pending: Optional[Deque[Resource]] = None
         self._connections: List[HttpClient] = []
         self._mux = None
 
@@ -461,6 +467,8 @@ class _EndpointPool:
         if self.browser.config.protocol == "mux":
             self._issue(self._mux_session(), resource)
             return
+        if self._pending is None:
+            self._pending = deque()
         self._pending.append(resource)
         self._pump()
 
@@ -487,6 +495,7 @@ class _EndpointPool:
                 conn = self._open_connection()
             resource = self._pending.popleft()
             self._issue(conn, resource)
+        self._pending = None
 
     def _idle_connection(self) -> Optional[HttpClient]:
         for conn in self._connections:

@@ -49,6 +49,13 @@ class HttpClient:
     fails all outstanding requests.
     """
 
+    __slots__ = (
+        "sim", "origin", "tls", "on_error", "on_idle", "requests_sent",
+        "responses_received", "_queue", "_inflight", "_parser", "_ready",
+        "_closed", "created_at", "ready_at", "last_timing", "_sent_at",
+        "_first_byte_at", "_bytes_received", "conn", "_tls",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -64,7 +71,9 @@ class HttpClient:
         self.on_idle: Optional[Callable[[], None]] = None
         self.requests_sent = 0
         self.responses_received = 0
-        self._queue: Deque[Tuple[HttpRequest, ResponseCallback]] = deque()
+        # Requests waiting behind the in-flight one (or the handshake): a
+        # deque only while any wait, so an idle connection holds none.
+        self._queue: Optional[Deque[Tuple[HttpRequest, ResponseCallback]]] = None
         self._inflight: Optional[Tuple[HttpRequest, ResponseCallback]] = None
         self._parser = HttpParser("response")
         self._parser.on_message = self._response_arrived
@@ -106,7 +115,7 @@ class HttpClient:
     @property
     def busy(self) -> bool:
         """True while a request is outstanding or queued."""
-        return self._inflight is not None or bool(self._queue)
+        return self._inflight is not None or self._queue is not None
 
     @property
     def closed(self) -> bool:
@@ -123,8 +132,12 @@ class HttpClient:
         """
         if self._closed:
             raise ConnectionClosed(f"connection to {self.origin} is closed")
+        if self._queue is None:
+            if self._ready and self._inflight is None:
+                self._issue(request, on_response)
+                return
+            self._queue = deque()
         self._queue.append((request, on_response))
-        self._pump()
 
     def close(self) -> None:
         """Close the connection (outstanding requests fail)."""
@@ -148,9 +161,15 @@ class HttpClient:
     def _pump(self) -> None:
         if not self._ready or self._closed or self._inflight is not None:
             return
-        if not self._queue:
+        queue = self._queue
+        if queue is None:
             return
-        request, callback = self._queue.popleft()
+        request, callback = queue.popleft()
+        if not queue:
+            self._queue = None
+        self._issue(request, callback)
+
+    def _issue(self, request: HttpRequest, callback: ResponseCallback) -> None:
         self._inflight = (request, callback)
         self._sent_at = self.sim.now
         self._first_byte_at = None
@@ -239,8 +258,9 @@ class HttpClient:
         if self._inflight is not None:
             outstanding.append(self._inflight)
             self._inflight = None
-        outstanding.extend(self._queue)
-        self._queue.clear()
+        if self._queue is not None:
+            outstanding.extend(self._queue)
+            self._queue = None
         for __, callback in outstanding:
             if isinstance(callback, FailableCallback):
                 callback.fail(exc)

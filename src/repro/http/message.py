@@ -85,8 +85,26 @@ class Headers:
         return f"Headers({self._items!r})"
 
 
+def _message_body(owner: str, body: Optional[Body]) -> Body:
+    """``body`` checked at construction (None means empty), so a wrong
+    type fails here, naming itself, rather than mid-simulation when the
+    message is first serialized."""
+    if body is None:
+        return Body.empty()
+    if not isinstance(body, Body):
+        raise HttpProtocolError(
+            f"{owner} body must be a Body, not {type(body).__name__}: "
+            "wrap bytes with Body.from_bytes or a length with Body.virtual"
+        )
+    return body
+
+
 class HttpRequest:
-    """An HTTP/1.x request."""
+    """An HTTP/1.x request.
+
+    Raises:
+        HttpProtocolError: if ``body`` is neither None nor a :class:`Body`.
+    """
 
     __slots__ = ("method", "uri", "version", "headers", "body")
 
@@ -102,7 +120,7 @@ class HttpRequest:
         self.uri = uri
         self.version = version
         self.headers = headers if headers is not None else Headers()
-        self.body = body if body is not None else Body.empty()
+        self.body = _message_body("HttpRequest", body)
 
     @property
     def host(self) -> Optional[str]:
@@ -148,7 +166,11 @@ class HttpRequest:
 
 
 class HttpResponse:
-    """An HTTP/1.x response."""
+    """An HTTP/1.x response.
+
+    Raises:
+        HttpProtocolError: if ``body`` is neither None nor a :class:`Body`.
+    """
 
     __slots__ = ("status", "reason", "version", "headers", "body")
 
@@ -166,7 +188,7 @@ class HttpResponse:
         self.reason = reason if reason is not None else reason_phrase(status)
         self.version = version
         self.headers = headers if headers is not None else Headers()
-        self.body = body if body is not None else Body.empty()
+        self.body = _message_body("HttpResponse", body)
 
     @property
     def content_length(self) -> Optional[int]:

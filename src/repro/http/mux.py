@@ -118,7 +118,9 @@ class MuxClientSession:
         self._streams: Dict[int, "_ClientStream"] = {}
         self._ready = False
         self._closed = False
-        self._queue: Deque[tuple] = deque()
+        # Requests made before the handshake completes: a deque only
+        # until then (None otherwise).
+        self._queue: Optional[Deque[tuple]] = None
 
         self.conn = transport.connect(origin)
         self.conn.on_error = self._failed
@@ -162,6 +164,8 @@ class MuxClientSession:
         if self._closed:
             raise ConnectionClosed(f"mux session to {self.origin} is closed")
         if not self._ready:
+            if self._queue is None:
+                self._queue = deque()
             self._queue.append((request, on_response))
             return
         self._send_request(request, on_response)
@@ -184,6 +188,7 @@ class MuxClientSession:
         while self._queue:
             request, on_response = self._queue.popleft()
             self._send_request(request, on_response)
+        self._queue = None
 
     def _send_request(self, request: HttpRequest, on_response) -> None:
         stream_id = self._next_stream
@@ -240,8 +245,8 @@ class MuxClientSession:
     def _fail_streams(self, exc: Exception) -> None:
         streams = list(self._streams.values())
         self._streams.clear()
-        pending = list(self._queue)
-        self._queue.clear()
+        pending = list(self._queue) if self._queue is not None else []
+        self._queue = None
         for stream in streams:
             self._stream_failed(stream, exc)
         for __, on_response in pending:
@@ -315,8 +320,8 @@ class _MuxServerConnection:
         self._codec = _FrameCodec()
         self._parsers: Dict[int, HttpParser] = {}
         # Streams with body bytes left to write: round-robin queue of
-        # [stream_id, remaining_pieces] entries.
-        self._write_queue: Deque[list] = deque()
+        # [stream_id, remaining_pieces] entries (None while there are none).
+        self._write_queue: Optional[Deque[list]] = None
         self._pumping = False
         if server.tls:
             self._tls = TlsServerSession(conn, server.tls_config)
@@ -372,6 +377,8 @@ class _MuxServerConnection:
         fin_now = not body_pieces
         self._write(_FrameCodec.encode(stream_id, "H", head, fin=fin_now))
         if body_pieces:
+            if self._write_queue is None:
+                self._write_queue = deque()
             self._write_queue.append([stream_id, list(body_pieces)])
             self._pump()
 
@@ -410,6 +417,7 @@ class _MuxServerConnection:
                 if rest:
                     entry[1] = rest
                     self._write_queue.append(entry)
+            self._write_queue = None
         finally:
             self._pumping = False
 

@@ -15,6 +15,7 @@ intercepted connection, pairing their outputs.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, List, Optional
 
 from repro.errors import HttpParseError
@@ -36,10 +37,18 @@ _BODY_CLOSE = "body-close-delimited"
 
 
 class _PieceBuffer:
-    """FIFO of stream pieces with line- and byte-oriented reads."""
+    """FIFO of stream pieces with line- and byte-oriented reads.
+
+    Pieces queue in a plain list consumed from index ``_next`` (a pop is
+    O(1) however many pieces one delivery brought); the list is cleared
+    whenever it drains, so an idle buffer holds no piece storage.
+    """
+
+    __slots__ = ("_pieces", "_next", "_real_head")
 
     def __init__(self) -> None:
-        self._pieces: Deque[Piece] = deque()
+        self._pieces: List[Piece] = []
+        self._next = 0
         self._real_head = bytearray()
 
     def push(self, piece: Piece) -> None:
@@ -47,10 +56,20 @@ class _PieceBuffer:
             return
         self._pieces.append(piece)
 
+    def _consumed_to(self, index: int) -> None:
+        """Mark the pieces before ``index`` read; clear once all are."""
+        if index == len(self._pieces):
+            self._pieces.clear()
+            index = 0
+        self._next = index
+
     def _fill_real_head(self) -> None:
         # Move leading real pieces into the line-scan buffer.
-        while self._pieces and isinstance(self._pieces[0], (bytes, bytearray)):
-            self._real_head.extend(self._pieces.popleft())
+        pieces, index = self._pieces, self._next
+        while index < len(pieces) and isinstance(pieces[index], (bytes, bytearray)):
+            self._real_head.extend(pieces[index])
+            index += 1
+        self._consumed_to(index)
 
     def read_line(self) -> Optional[bytes]:
         """One CRLF- (or LF-) terminated line, without the terminator.
@@ -84,26 +103,32 @@ class _PieceBuffer:
             out.append(bytes(self._real_head[:take]))
             del self._real_head[:take]
             remaining -= take
-        while remaining > 0 and self._pieces:
-            piece = self._pieces.popleft()
+        pieces, index = self._pieces, self._next
+        while remaining > 0 and index < len(pieces):
+            piece = pieces[index]
             length = piece_len(piece)
             if length <= remaining:
                 out.append(piece)
                 remaining -= length
+                index += 1
             else:
+                # Split in place: the remainder stays at the head.
                 if isinstance(piece, int):
                     out.append(remaining)
-                    self._pieces.appendleft(piece - remaining)
+                    pieces[index] = piece - remaining
                 else:
                     out.append(bytes(piece[:remaining]))
-                    self._pieces.appendleft(piece[remaining:])
+                    pieces[index] = piece[remaining:]
                 remaining = 0
+        self._consumed_to(index)
         return out
 
     @property
     def buffered(self) -> int:
         """Total bytes currently buffered."""
-        return len(self._real_head) + sum(piece_len(p) for p in self._pieces)
+        return len(self._real_head) + sum(
+            piece_len(p) for p in islice(self._pieces, self._next, None)
+        )
 
 
 class HttpParser:
@@ -122,6 +147,12 @@ class HttpParser:
     :meth:`expect` so HEAD responses frame correctly.
     """
 
+    __slots__ = (
+        "kind", "messages", "on_message", "_buffer", "_state",
+        "_expected_methods", "_start_line", "_headers", "_body_pieces",
+        "_body_remaining", "_current_method", "_finished",
+    )
+
     def __init__(self, kind: str) -> None:
         if kind not in ("request", "response"):
             raise ValueError(f"kind must be 'request' or 'response': {kind!r}")
@@ -130,14 +161,18 @@ class HttpParser:
         self.on_message = None
         self._buffer = _PieceBuffer()
         self._state = _START
-        self._expected_methods: Deque[str] = deque()
+        # Methods of outstanding requests: a deque only while one is
+        # outstanding (None otherwise), so an idle parser holds none.
+        self._expected_methods: Optional[Deque[str]] = None
         self._reset_message_state()
         self._finished = False
 
     def _reset_message_state(self) -> None:
+        # The header map and body list of a message are built when its
+        # start line arrives; between messages the parser holds neither.
         self._start_line: Optional[str] = None
-        self._headers = Headers()
-        self._body_pieces: List[Piece] = []
+        self._headers: Optional[Headers] = None
+        self._body_pieces: Optional[List[Piece]] = None
         self._body_remaining = 0
         self._current_method = "GET"
 
@@ -146,6 +181,8 @@ class HttpParser:
 
     def expect(self, method: str) -> None:
         """(Response parsers) note the method of an outstanding request."""
+        if self._expected_methods is None:
+            self._expected_methods = deque()
         self._expected_methods.append(method.upper())
 
     def feed(self, pieces: List[Piece]) -> None:
@@ -188,6 +225,8 @@ class HttpParser:
                     progressing = True
                     continue
                 self._start_line = line.decode("latin-1")
+                self._headers = Headers()
+                self._body_pieces = []
                 self._state = _HEADERS
                 progressing = True
             elif self._state == _HEADERS:
@@ -241,11 +280,11 @@ class HttpParser:
         self._headers.add(name, value.strip())
 
     def _headers_complete(self) -> None:
-        if self.kind == "response":
-            self._current_method = (
-                self._expected_methods.popleft()
-                if self._expected_methods else "GET"
-            )
+        expected = self._expected_methods
+        if self.kind == "response" and expected is not None:
+            self._current_method = expected.popleft()
+            if not expected:
+                self._expected_methods = None
         framing = self._body_framing()
         if framing == "none":
             self._emit()

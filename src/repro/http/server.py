@@ -223,8 +223,18 @@ class HttpServer:
         )
 
 
+def _ignore_error(exc: Exception) -> None:
+    """A server connection's transport errors need no handling: the
+    client side sees (and reports) them."""
+
+
 class _ServerConnection:
     """Per-connection request loop."""
+
+    __slots__ = (
+        "server", "conn", "parser", "_pending", "_closing", "_stalled",
+        "_tls", "_sender",
+    )
 
     def __init__(self, server: HttpServer, conn: TcpConnection) -> None:
         self.server = server
@@ -232,8 +242,10 @@ class _ServerConnection:
         self.parser = HttpParser("request")
         self.parser.on_message = self._request_arrived
         # Responses must go out in request order even if processing times
-        # differ; each entry is [request, response-or-None, close-after].
-        self._pending: Deque[list] = deque()
+        # differ; each entry is [request, response-or-None, close-after,
+        # fault-or-None]. A deque only while requests are pending (None
+        # otherwise), so an idle keep-alive connection holds none.
+        self._pending: Optional[Deque[list]] = None
         self._closing = False
         self._stalled = False
         if server.tls:
@@ -245,7 +257,7 @@ class _ServerConnection:
             self._sender = conn
             conn.on_data = self._data
         conn.on_remote_close = self._remote_closed
-        conn.on_error = lambda exc: None
+        conn.on_error = _ignore_error
 
     def _data(self, pieces) -> None:
         self.parser.feed(pieces)
@@ -255,8 +267,9 @@ class _ServerConnection:
             (request.headers.get("Connection") or "").lower() == "close"
             or request.version == "HTTP/1.0"
         )
-        # Entry: [request, response-or-None, close-after, fault-or-None].
         entry = [request, None, close_after, None]
+        if self._pending is None:
+            self._pending = deque()
         self._pending.append(entry)
         delay = 0.0
         if self.server.processing_time is not None:
@@ -283,13 +296,14 @@ class _ServerConnection:
         self._flush()
 
     def _flush(self) -> None:
-        while (not self._stalled and self._pending
+        while (not self._stalled and self._pending is not None
                 and self._pending[0][1] is not None):
-            entry = self._pending[0]
-            __, response, close_after, fault = entry
+            __, response, close_after, fault = self._pending[0]
             if self.conn.state == "CLOSED":
                 return
             self._pending.popleft()
+            if not self._pending:
+                self._pending = None
             if fault is not None:
                 self._apply_fault(response, close_after, fault)
                 return
@@ -353,7 +367,7 @@ class _ServerConnection:
 
     def _remote_closed(self) -> None:
         # Client half-closed; answer what is pending, then close our side.
-        if not self._pending and not self._closing:
+        if self._pending is None and not self._closing:
             self._closing = True
             try:
                 self.conn.close()

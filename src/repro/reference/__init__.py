@@ -1,5 +1,5 @@
 """Deliberately naive, obviously-correct models the fast paths are tested
-against (ROADMAP item 1).
+against.
 
 Nothing here is used at run time and nothing here imports the module it
 checks: each resident is the plain-list version of a structure the

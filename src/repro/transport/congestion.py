@@ -16,6 +16,8 @@ from __future__ import annotations
 class CongestionControl:
     """Interface: a sender's congestion window policy (sizes in bytes)."""
 
+    __slots__ = ()
+
     @property
     def cwnd(self) -> int:
         """Current congestion window in bytes."""
@@ -47,6 +49,15 @@ class NewReno(CongestionControl):
         initial_ssthresh: initial slow-start threshold in bytes
             (effectively infinite by default).
     """
+
+    __slots__ = (
+        "mss",
+        "_iw",
+        "_cwnd",
+        "_ssthresh",
+        "_in_recovery",
+        "_ca_accumulator",
+    )
 
     def __init__(
         self,
@@ -119,6 +130,8 @@ class NewReno(CongestionControl):
 
 class FixedWindow(CongestionControl):
     """A constant congestion window (for deterministic unit tests)."""
+
+    __slots__ = ("_cwnd",)
 
     def __init__(self, window_bytes: int) -> None:
         if window_bytes <= 0:

@@ -272,6 +272,9 @@ class TransportHost:
         self._register(conn)
 
         def _accepted() -> None:
+            # It fires once: drop it, so the connection does not hold this
+            # closure (and a reference cycle through itself) for life.
+            conn.on_established = None
             listener.accepted += 1
             listener.on_connection(conn)
 

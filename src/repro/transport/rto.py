@@ -22,6 +22,17 @@ class RttEstimator:
         initial_rto: timeout to use before the first sample.
     """
 
+    __slots__ = (
+        "min_rto",
+        "max_rto",
+        "_initial_rto",
+        "_srtt",
+        "_rttvar",
+        "_backoff",
+        "samples",
+        "_rto",
+    )
+
     ALPHA = 0.125
     BETA = 0.25
     K = 4.0

@@ -238,8 +238,9 @@ class TcpConnection:
         self._in_recovery = False
         self._recover_seq = 0
         # SACK scoreboard: the sequence ranges the peer has reported
-        # holding above snd_una.
-        self._sacked = RangeSet()
+        # holding above snd_una. Like _rexmit_out below, None while empty:
+        # a connection that never sees loss never builds one.
+        self._sacked: Optional[RangeSet] = None
         # Within a recovery episode, holes below this have been retransmitted.
         self._rexmit_next = 0
         # After an RTO, every unsacked byte below this sequence is presumed
@@ -248,7 +249,7 @@ class TcpConnection:
         # Ranges retransmitted but not yet cumulatively ACKed or SACKed;
         # these count as in-flight in the pipe estimate while the holes
         # they repair are presumed lost.
-        self._rexmit_out = RangeSet()
+        self._rexmit_out: Optional[RangeSet] = None
         self._rtt_seq: Optional[int] = None
         self._rtt_time = 0.0
         self._peer_rwnd = self.config.receive_window
@@ -507,8 +508,16 @@ class TcpConnection:
             self._snd_una = ack
             self._dupacks = 0
             self._rexmit_next = max(self._rexmit_next, ack)
-            self._sacked.trim_below(ack)
-            self._rexmit_out.trim_below(ack)
+            sacked = self._sacked
+            if sacked is not None:
+                sacked.trim_below(ack)
+                if not sacked:
+                    self._sacked = None
+            rexmit_out = self._rexmit_out
+            if rexmit_out is not None:
+                rexmit_out.trim_below(ack)
+                if not rexmit_out:
+                    self._rexmit_out = None
             # Advance the acknowledged prefix of the stream (sequence 0 is
             # the SYN; the FIN sequence is past the stream end).
             stream_len = self._send_buffer.length
@@ -570,7 +579,7 @@ class TcpConnection:
         self._rexmit_next = self._snd_una
         self._rtt_seq = None
         self._arm_rto()
-        if not self._sacked:
+        if self._sacked is None:
             # Dupacks without SACK information (e.g. pure-ACK peers):
             # fall back to retransmitting the head immediately.
             self.retransmissions += 1
@@ -656,7 +665,7 @@ class TcpConnection:
         # or an RTO having declared the outstanding window lost.
         if (
             not self._in_recovery
-            and not self._sacked.total
+            and self._sacked is None
             and self._snd_una >= self._lost_edge
         ):
             # Loss-free fast path (the steady state): no scoreboard, no
@@ -666,6 +675,8 @@ class TcpConnection:
             repairing = False
             pipe = self._snd_nxt - self._snd_una
         else:
+            # A scoreboard exists here unless recovery or a declared loss
+            # brought us, and those two short-circuit before it is read.
             repairing = (
                 self._in_recovery
                 or self._snd_una < self._lost_edge
@@ -753,6 +764,8 @@ class TcpConnection:
             return 0
         pieces = self._send_buffer.slice(offset, seg_len)
         self.retransmissions += 1
+        if self._rexmit_out is None:
+            self._rexmit_out = RangeSet()
         self._rexmit_out.add(start_seq, start_seq + seg_len)
         self._send_segment(
             "A", seq=start_seq, ack=self._rcv_nxt, pieces=pieces, data_len=seg_len
@@ -766,20 +779,28 @@ class TcpConnection:
         """Fold an ACK's blocks into the scoreboard. Every ACK of a loss
         episode repeats the receiver's whole picture, so nearly every
         block is already held and costs one bisect."""
-        sacked = self._sacked
         for start, end in blocks:
             start = max(start, self._snd_una)
-            if end <= start or sacked.covers(start, end):
+            if end <= start:
+                continue
+            sacked = self._sacked
+            if sacked is None:
+                sacked = self._sacked = RangeSet()
+            elif sacked.covers(start, end):
                 continue
             sacked.add(start, end)
             # SACKed data no longer counts as a retransmission in flight
             # (a block already held took its share out when it was added).
-            self._rexmit_out.remove(start, end)
+            rexmit_out = self._rexmit_out
+            if rexmit_out is not None:
+                rexmit_out.remove(start, end)
+                if not rexmit_out:
+                    self._rexmit_out = None
 
     def _loss_bound(self) -> int:
         """Sequence below which unsacked bytes are presumed lost: the
         highest SACKed byte, or the RTO-declared lost edge."""
-        high = self._sacked.ends[-1] if self._sacked.total else 0
+        high = self._sacked.ends[-1] if self._sacked is not None else 0
         return max(high, self._lost_edge)
 
     def _pipe_bytes(self) -> int:
@@ -795,13 +816,18 @@ class TcpConnection:
         bound = self._loss_bound()
         if bound <= self._snd_una:
             return self._snd_nxt - self._snd_una
-        return max(0, self._snd_nxt - bound) + self._rexmit_out.total
+        in_flight = max(0, self._snd_nxt - bound)
+        if self._rexmit_out is not None:
+            in_flight += self._rexmit_out.total
+        return in_flight
 
     def _next_hole(self) -> Optional[Tuple[int, int]]:
         """The next unretransmitted presumed-lost hole, as
         (start_seq, bound); None when no repairable hole remains."""
         bound = self._loss_bound()
         cursor = max(self._snd_una, self._rexmit_next)
+        if self._sacked is None:
+            return (cursor, bound) if cursor < bound else None
         # The first unsacked stretch of [cursor, bound), found from a
         # bisect at the cursor rather than a walk from the scoreboard's head.
         return next(self._sacked.gaps(cursor, bound), None)
@@ -830,7 +856,7 @@ class TcpConnection:
         # whole outstanding window is now presumed lost: hole repair
         # restarts from snd_una under the collapsed window, skipping
         # SACKed ranges (go-back-N, SACK-aware).
-        self._rexmit_out = RangeSet()
+        self._rexmit_out = None
         self._lost_edge = self._snd_nxt
         self._rtt_seq = None
         sent_before = self.segments_sent

@@ -17,7 +17,7 @@ under it and under the sender's SACK scoreboard and retransmit ledger.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 Piece = Union[bytes, int]
 
@@ -86,14 +86,16 @@ class SendBuffer:
 
     Appended pieces accumulate at increasing offsets; :meth:`slice` serves
     any byte range at or beyond the acknowledged prefix, which is advanced
-    by :meth:`ack_to` (releasing memory for real pieces).
+    by :meth:`ack_to` (releasing memory for real pieces). The piece lists
+    exist only while unacknowledged bytes do (None otherwise), so a
+    connection with nothing in flight holds no send storage.
     """
 
     __slots__ = ("_starts", "_pieces", "_length", "_acked")
 
     def __init__(self) -> None:
-        self._starts: List[int] = []
-        self._pieces: List[Piece] = []
+        self._starts: Optional[List[int]] = None
+        self._pieces: Optional[List[Piece]] = None
         self._length = 0
         self._acked = 0
 
@@ -117,8 +119,12 @@ class SendBuffer:
         length = piece_len(piece)
         if length == 0:
             return
-        self._starts.append(self._length)
-        self._pieces.append(piece)
+        if self._pieces is None:
+            self._starts = [self._length]
+            self._pieces = [piece]
+        else:
+            self._starts.append(self._length)
+            self._pieces.append(piece)
         self._length += length
 
     def slice(self, start: int, length: int) -> List[Piece]:
@@ -156,6 +162,9 @@ class SendBuffer:
         if offset > self._length:
             raise ValueError(f"ack {offset} beyond stream end {self._length}")
         self._acked = offset
+        if offset == self._length:
+            self._starts = self._pieces = None
+            return
         # Release fully acked pieces from the front.
         drop = 0
         while drop < len(self._pieces):
@@ -272,27 +281,34 @@ class ReassemblyBuffer:
     def __init__(self) -> None:
         self.next_offset = 0
         # The offsets held out of order, and each run's pieces (in stream
-        # order) keyed by the run's start offset.
-        self._held = RangeSet()
-        self._runs: Dict[int, List[Piece]] = {}
+        # order) keyed by the run's start offset; both None while nothing
+        # is held, so an in-order stream never builds either.
+        self._held: Optional[RangeSet] = None
+        self._runs: Optional[Dict[int, List[Piece]]] = None
 
     @property
     def buffered_bytes(self) -> int:
         """Bytes held out of order, not yet deliverable."""
-        return self._held.total
+        return self._held.total if self._held is not None else 0
 
     def ranges(self) -> List[Tuple[int, int]]:
         """The out-of-order (start, end) offset runs held, lowest first:
         what TCP reports as SACK blocks."""
-        return self._held.ranges()
+        return self._held.ranges() if self._held is not None else []
 
     def insert(self, offset: int, pieces: List[Piece]) -> None:
         """Store a fragment of the stream starting at ``offset``."""
+        start = max(offset, self.next_offset)
         end = offset + pieces_len(pieces)
+        if start >= end:
+            return
+        if self._held is None:
+            self._held = RangeSet()
+            self._runs = {}
         held, runs = self._held, self._runs
         # Only what falls in the gaps between stored runs (and above the
         # delivered prefix) is new; stored data wins an overlap.
-        for gap_start, gap_end in list(held.gaps(max(offset, self.next_offset), end)):
+        for gap_start, gap_end in list(held.gaps(start, end)):
             run_start, run_end = held.add(gap_start, gap_end)
             # The gap was uncovered, so add() merged at most a run ending
             # exactly at gap_start (whose list this extends) and one
@@ -305,10 +321,12 @@ class ReassemblyBuffer:
     def pop_ready(self) -> List[Piece]:
         """Remove and return all pieces now contiguous at ``next_offset``."""
         held = self._held
-        if not held.starts or held.starts[0] != self.next_offset:
+        if held is None or held.starts[0] != self.next_offset:
             return []
         # Runs never touch, so at most the lowest one is deliverable.
         ready = self._runs.pop(self.next_offset)
         self.next_offset = held.ends[0]
         held.trim_below(self.next_offset)
+        if not held:
+            self._held = self._runs = None
         return ready

@@ -8,6 +8,10 @@ backticked ``benchmarks/`` path must exist, and so must every
 ``benchmarks/*.py`` script the CI workflow runs. A change that deletes
 code therefore cannot leave its documentation behind. ROADMAP.md is
 left out on purpose: it names deleted modules as history.
+
+ROADMAP renumbers its items whenever it is revised, so nothing outside
+it (the code, the tests, DESIGN, EXPERIMENTS, README) cites one by
+number; each names the work it means instead.
 """
 
 import importlib
@@ -28,6 +32,7 @@ _PATH_NAME = re.compile(r"([\w/.-]+\.py)::(\w+)")
 _PY_FILE = re.compile(r"(?<![\w/.-])([\w/.-]+\.py)\b")
 _BENCH_PATH = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*benchmarks/[\w/.-]*)")
 _CI_SCRIPT = re.compile(r"benchmarks/[\w/.-]+\.py\b")
+_ROADMAP_NUMBER = re.compile(r"ROADMAP\s+(?:item\b|\d)")
 
 
 def _spans(doc):
@@ -100,3 +105,21 @@ def test_every_path_reference_names_an_existing_line_or_name(doc):
 @pytest.mark.parametrize("doc", DOCS + (CI,))
 def test_every_named_file_exists(doc):
     assert sorted(path for path in _named_files(doc) if not _files(path)) == []
+
+
+def _unnumbered_files():
+    """Every file that must not cite a roadmap item by its number."""
+    files = [ROOT / doc for doc in ("DESIGN.md", "EXPERIMENTS.md", "README.md")]
+    for top in ("src", "tests"):
+        files.extend(sorted((ROOT / top).rglob("*.py")))
+    return files
+
+
+def test_no_roadmap_item_number_outside_roadmap():
+    stale = []
+    for path in _unnumbered_files():
+        text = path.read_text(encoding="utf-8")
+        for match in _ROADMAP_NUMBER.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            stale.append(f"{path.relative_to(ROOT)}:{line}: {match.group()!r}")
+    assert stale == []

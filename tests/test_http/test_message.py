@@ -133,6 +133,13 @@ class TestHttpRequest:
         assert a == b
         assert a != HttpRequest("POST", "/", Headers([("Host", "h")]))
 
+    @pytest.mark.parametrize("body", [b"hello", "hello", 5, [b"x"]])
+    def test_non_body_refused_by_type_name(self, body):
+        with pytest.raises(HttpProtocolError,
+                           match=f"HttpRequest body must be a Body, not "
+                                 f"{type(body).__name__}"):
+            HttpRequest("POST", "/", body=body)
+
 
 class TestHttpResponse:
     def test_default_reason_phrase(self):
@@ -157,3 +164,12 @@ class TestHttpResponse:
 
     def test_reason_phrase_table(self):
         assert reason_phrase(503) == "Service Unavailable"
+
+    @pytest.mark.parametrize("body", [b"hello", "hello", 5, [b"x"]])
+    def test_non_body_refused_by_type_name(self, body):
+        # Refused here, naming the type, not mid-simulation inside the
+        # serializer when a handler's response is first sent.
+        with pytest.raises(HttpProtocolError,
+                           match=f"HttpResponse body must be a Body, not "
+                                 f"{type(body).__name__}"):
+            HttpResponse(200, body=body)

@@ -10,7 +10,7 @@ its stack is held, from public counters only, to
   drained simulator has nothing in flight, so nothing is unaccounted for;
 * **admission**: a link pipe's queue admitted every packet it did not
   tail-drop (``packets_sent == queue.enqueued + packets_dropped``);
-* **LinkShell's bound** (ROADMAP 1): ``bytes_delivered <=
+* **LinkShell's bound**: ``bytes_delivered <=
   opportunities_used * MTU_BYTES`` on every trace-driven pipe, since an
   opportunity is one MTU of budget.
 

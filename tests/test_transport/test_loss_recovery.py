@@ -5,7 +5,7 @@ The SACK option carries one block per *hole* — RFC 2018's meaning — not
 one per out-of-order segment held, so the work an ACK causes at the sender
 grows with the holes in flight, not with the window behind them. And a
 long flow over a path losing packets at rate p settles at the Mathis et
-al. throughput, the first of ROADMAP item 1's closed-form checks.
+al. throughput, the first of the transport's closed-form checks.
 """
 
 import math
