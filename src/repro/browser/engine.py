@@ -30,10 +30,15 @@ from repro.transport.host import TransportHost
 
 
 class PageLoadResult:
-    """Outcome of one page load."""
+    """Outcome of one page load.
 
-    def __init__(self, page: PageModel, started_at: float) -> None:
-        self.page = page
+    A result keeps what the load measured and the page's name, never the
+    :class:`PageModel` itself: results cross process boundaries and land
+    in trial journals, and the page is the trial's input, not its output.
+    """
+
+    def __init__(self, name: str, started_at: float) -> None:
+        self.name = name
         self.started_at = started_at
         self.finished_at: Optional[float] = None
         self.resources_loaded = 0
@@ -75,7 +80,7 @@ class PageLoadResult:
             else "loading"
         )
         return (
-            f"<PageLoadResult {self.page.name!r} {state} "
+            f"<PageLoadResult {self.name!r} {state} "
             f"loaded={self.resources_loaded} failed={self.resources_failed}>"
         )
 
@@ -128,7 +133,7 @@ class Browser:
         result.complete)``) to make progress. A browser loads one page:
         onload closes its resolver socket.
         """
-        result = PageLoadResult(page, self.sim.now)
+        result = PageLoadResult(page.name, self.sim.now)
         load = _PageLoad(self, page, result, on_complete)
         self.sim.schedule(
             self.compute_time(self.config.start_delay, key="nav-start"),

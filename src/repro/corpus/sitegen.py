@@ -220,11 +220,10 @@ def generate_site(
     )
     page = PageModel(root, name=name)
     host_ips = {host: ip_for_host(host) for host in hosts}
-    site = SyntheticSite(name, page, host_ips)
     # Rendering the root document fixes its true size; do it now so the
     # PageModel and the recording agree.
-    site.to_recorded_site()
-    return site
+    root.size = len(render_html(name, children, root.size))
+    return SyntheticSite(name, page, host_ips)
 
 
 _EXT = {

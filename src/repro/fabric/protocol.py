@@ -18,7 +18,7 @@ its header. Either way the read raises one named
 :class:`~repro.errors.ProtocolError`, and the coordinator loses that
 worker exactly as it would on EOF.
 
-Message vocabulary (coordinator ↔ worker), protocol version 3::
+Message vocabulary (coordinator ↔ worker), protocol version 4::
 
     worker → coordinator:  ("hello",     {"protocol", "pid"})
     coordinator → worker:  ("config",    {...})      # see worker.py
@@ -70,7 +70,9 @@ __all__ = [
 #: Bumped on any incompatible frame or vocabulary change; the hello
 #: handshake refuses a mismatch instead of guessing. v3: one ``run`` is
 #: one trial index, answered by exactly one ``outcome`` (no ``done``).
-PROTOCOL_VERSION = 3
+#: v4: an outcome's page-load result keeps its page's name, not its
+#: PageModel (the same record change as journal version 2).
+PROTOCOL_VERSION = 4
 
 _MAGIC = b"MMFB"
 _HEADER = struct.Struct(">4sI8s")

@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 #: Journal wire-format version (bump on incompatible record changes).
-JOURNAL_VERSION = 1
+#: Version 2: a page-load result keeps its page's name, not its PageModel.
+JOURNAL_VERSION = 2
 
 
 def run_key(**config: Any) -> str:

@@ -118,6 +118,21 @@ class TestRunKeyEnforcement:
         with pytest.raises(JournalError, match="version"):
             TrialJournal(path)
 
+    def test_version_1_journal_refused(self, tmp_path):
+        # A version-1 record pickles a result that carries its whole
+        # PageModel and no ``name``; resuming from one would merge
+        # results of another shape, so the header alone refuses it.
+        path = tmp_path / "j.jsonl"
+        with TrialJournal(path, key="k") as journal:
+            journal.append(0, {"plt": 1.5}, digest="aa")
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == JOURNAL_VERSION == 2
+        header["version"] = 1
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(JournalError, match=r"version 1 \(expected 2\)"):
+            TrialJournal(path, key="k")
+
     def test_headerless_trials_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
         donor = tmp_path / "donor.jsonl"
