@@ -15,7 +15,8 @@ The load loop mirrors what a 2014-era browser does on navigation:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.browser.config import BrowserConfig
 from repro.browser.resources import PageModel, Resource, Url
@@ -27,6 +28,9 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import Endpoint, IPv4Address
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
+
+if TYPE_CHECKING:
+    from repro.obs.waterfall import ResourceTiming
 
 
 class PageLoadResult:
@@ -52,8 +56,6 @@ class PageLoadResult:
         #: TruncatedBody, DnsError...), picklable across worker
         #: processes, and what measure.robustness classifies.
         self.failures: List[Tuple[str, Exception]] = []
-        # url text -> (request_enqueued, response_done) in sim time.
-        self.timings: Dict[str, Tuple[float, float]] = {}
         #: The trial's MetricsRegistry (attached by measure.runner.run_trial
         #: when the simulator was instrumented; None otherwise).
         self.metrics = None
@@ -157,7 +159,6 @@ class _PageLoad:
         self.result = result
         self.on_complete = on_complete
         self._outstanding = 0
-        self._seen: set = set()
         self._hosts: Dict[tuple, _HostEntry] = {}
         self._pools: Dict[tuple, _EndpointPool] = {}
         self._finished = False
@@ -170,28 +171,30 @@ class _PageLoad:
         self._delayable_in_flight = 0
         self._nondelayable_in_flight = 0
         self._delayable_queue: Optional[Deque[Resource]] = None
-        # Observability: one waterfall per load plus a per-origin in-flight
-        # series, all observer-owned state (zero observer effect).
+        # The load's one per-resource timeline: an entry per fetched
+        # resource, keyed by resource id (a resource already here is not
+        # fetched again), each phase written once by the event that ends
+        # it. The entries live in the registry's waterfall when one is
+        # installed, in a private one otherwise. Timeline writes read the
+        # clock and never schedule (zero observer effect). Imported here:
+        # repro.obs imports repro.measure, which imports this module.
+        from repro.obs.waterfall import Waterfall
+
         registry = browser.sim.metrics
+        name = f"browser.{page.name}"
+        self._waterfall = (registry.waterfall(name) if registry is not None
+                           else Waterfall(name))
+        self.entries: Dict[int, ResourceTiming] = {}
+        # The per-origin in-flight series is registry-owned.
         self._obs_registry = registry
         if registry is not None:
-            self._obs_waterfall = registry.waterfall(f"browser.{page.name}")
-            self._obs_entries: Dict[int, object] = {}
             self._obs_inflight: Dict[str, int] = {}
-        else:
-            self._obs_waterfall = None
 
     def start(self) -> None:
         self._fetch(self.page.root)
 
     # ------------------------------------------------------------------ #
-    # observability (reads sim state, appends to registry — never schedules)
-
-    def obs_entry(self, resource: Resource):
-        """The resource's waterfall entry (None when uninstrumented)."""
-        if self._obs_waterfall is None:
-            return None
-        return self._obs_entries.get(id(resource))
+    # timeline (reads the clock, writes entries and series — never schedules)
 
     def _obs_inflight_delta(self, resource: Resource, delta: int) -> None:
         host = resource.url.host
@@ -201,40 +204,35 @@ class _PageLoad:
             self.browser.sim.now, count
         )
 
-    def obs_finish(self, timing, conn, fresh: bool, response) -> None:
-        """Fill the transport/transfer phases of one waterfall entry.
+    def fetched(self, resource: Resource, conn, fresh: bool,
+                response: HttpResponse) -> None:
+        """A response arrived on ``conn``: write the resource's transfer
+        phases from the connection's stamps, then finish the resource.
 
         HAR convention: connection setup (TCP connect, TLS) is charged to
-        the resource that triggered the connection (``fresh``); reusers
-        show those phases as not-applicable.
+        the resource the pool opened the connection for (``fresh``; the
+        connection was opened at its ``issued`` time), and its wait to
+        send starts once the connection is usable; reusers show setup as
+        not-applicable and wait from their own ``issued`` time.
         """
+        entry = self.entries[id(resource)]
+        sent_at, first_byte_at, done_at = conn.last_timing
+        wait_from = issued = entry.issued
         if fresh:
-            created = getattr(conn, "created_at", None)
-            ready = getattr(conn, "ready_at", None)
-            established = getattr(getattr(conn, "conn", None),
-                                  "established_at", None)
-            if created is not None and ready is not None:
-                if established is not None and established >= created:
-                    timing.connect = established - created
-                    if ready > established:
-                        timing.tls = ready - established
-                else:
-                    timing.connect = ready - created
-        last = getattr(conn, "last_timing", None)
-        if last is not None:
-            sent_at, first_byte_at, done_at = last
-            if timing.issued >= 0.0:
-                # Time spent connecting is already charged to the
-                # connect/TLS phases; waiting starts once the connection
-                # is usable.
-                wait_from = timing.issued
-                ready = getattr(conn, "ready_at", None)
-                if ready is not None and ready > wait_from:
-                    wait_from = ready
-                timing.send_wait = max(0.0, sent_at - wait_from)
-            timing.ttfb = first_byte_at - sent_at
-            timing.download = done_at - first_byte_at
-        timing.size = response.body.length
+            ready = conn.ready_at
+            established = conn.conn.established_at
+            if established is not None and established >= issued:
+                entry.connect = established - issued
+                if ready > established:
+                    entry.tls = ready - established
+            else:
+                entry.connect = ready - issued
+            wait_from = ready
+        entry.send_wait = max(0.0, sent_at - wait_from)
+        entry.ttfb = first_byte_at - sent_at
+        entry.download = done_at - first_byte_at
+        entry.size = response.body.length
+        self.resource_done(resource, response)
 
     # ------------------------------------------------------------------ #
 
@@ -244,15 +242,13 @@ class _PageLoad:
         return resource.kind in ("image", "other")
 
     def _fetch(self, resource: Resource) -> None:
-        if id(resource) in self._seen:
+        key = id(resource)
+        if key in self.entries:
             return
-        self._seen.add(id(resource))
+        self.entries[key] = self._waterfall.start(
+            str(resource.url), resource.kind, self.browser.sim.now
+        )
         self._outstanding += 1
-        self.result.timings[str(resource.url)] = (self.browser.sim.now, -1.0)
-        if self._obs_waterfall is not None:
-            self._obs_entries[id(resource)] = self._obs_waterfall.start(
-                str(resource.url), resource.kind, self.browser.sim.now
-            )
         if self._is_delayable(resource):
             limit = self.browser.config.max_delayable_in_flight
             if (self._nondelayable_in_flight > 0
@@ -288,7 +284,7 @@ class _PageLoad:
         entry = self._hosts.get(host_key)
         if entry is None:
             entry = _HostEntry(self, resource.url,
-                               obs_owner=self.obs_entry(resource))
+                               self.entries[id(resource)])
             self._hosts[host_key] = entry
         entry.enqueue(resource)
 
@@ -305,6 +301,7 @@ class _PageLoad:
 
     def resource_done(self, resource: Resource, response: Optional[HttpResponse]) -> None:
         """A response arrived (or the fetch failed: response None)."""
+        entry = self.entries[id(resource)]
         if self._obs_registry is not None:
             self._obs_inflight_delta(resource, -1)
         if self._is_delayable(resource):
@@ -322,9 +319,7 @@ class _PageLoad:
                 )
             delay = self.browser.compute_time(
                 parse, key=f"parse:{resource.url}")
-            timing = self.obs_entry(resource)
-            if timing is not None:
-                timing.compute = delay
+            entry.compute = delay
             # Documents are parsed incrementally: references are
             # discovered *during* the parse, not in one burst at its end.
             # Spreading child fetches over the parse window reproduces the
@@ -345,18 +340,12 @@ class _PageLoad:
                 )
         else:
             self.result.resources_failed += 1
-            timing = self.obs_entry(resource)
-            if timing is not None:
-                timing.failed = True
-                timing.finished = self.browser.sim.now
+            entry.failed = True
+            entry.finished = self.browser.sim.now
             self._complete_one(resource)
 
     def _processed(self, resource: Resource, fetch_children: bool) -> None:
-        started = self.result.timings[str(resource.url)][0]
-        self.result.timings[str(resource.url)] = (started, self.browser.sim.now)
-        timing = self.obs_entry(resource)
-        if timing is not None:
-            timing.finished = self.browser.sim.now
+        self.entries[id(resource)].finished = self.browser.sim.now
         if fetch_children:
             for child in resource.children:
                 self._fetch(child)
@@ -389,9 +378,7 @@ class _PageLoad:
         self.result.errors.append(f"{resource.url}: {message}")
         if exc is not None:
             self.result.failures.append((str(resource.url), exc))
-        timing = self.obs_entry(resource)
-        if timing is not None:
-            timing.error = message
+        self.entries[id(resource)].error = message
         self.resource_done(resource, None)
 
 
@@ -399,7 +386,7 @@ class _HostEntry:
     """Per-hostname DNS state: resolve once, then route to endpoint pools."""
 
     def __init__(
-        self, load: _PageLoad, sample_url: Url, obs_owner=None
+        self, load: _PageLoad, sample_url: Url, owner: ResourceTiming
     ) -> None:
         self.load = load
         self.url = sample_url
@@ -409,8 +396,8 @@ class _HostEntry:
         # Resources waiting for the lookup; dropped once it answers.
         self._waiting: Optional[List[Resource]] = []
         # HAR convention: the lookup is charged to the resource that
-        # triggered it (``obs_owner`` is its waterfall entry, or None).
-        self._obs_owner = obs_owner
+        # triggered it (``owner`` is its timeline entry).
+        self._owner = owner
         self._created_at = load.browser.sim.now
         load.result.dns_lookups += 1
         load.browser.resolver.resolve(sample_url.host, self._resolved)
@@ -436,8 +423,7 @@ class _HostEntry:
                 self.load.fail_resource(resource, self.failed,
                                         exc=self.failed_exc)
             return
-        if self._obs_owner is not None:
-            self._obs_owner.dns = self.load.browser.sim.now - self._created_at
+        self._owner.dns = self.load.browser.sim.now - self._created_at
         self.address = addresses[0]
         waiting, self._waiting = self._waiting, None
         for resource in waiting:
@@ -470,23 +456,24 @@ class _EndpointPool:
 
     def enqueue(self, resource: Resource) -> None:
         if self.browser.config.protocol == "mux":
-            self._issue(self._mux_session(), resource)
+            fresh = self._mux is None or self._mux.closed
+            if fresh:
+                self._mux = self._open_mux_session()
+            self._issue(self._mux, resource, fresh)
             return
         if self._pending is None:
             self._pending = deque()
         self._pending.append(resource)
         self._pump()
 
-    def _mux_session(self):
-        if self._mux is None or self._mux.closed:
-            from repro.http.mux import MuxClientSession
+    def _open_mux_session(self):
+        from repro.http.mux import MuxClientSession
 
-            self._mux = MuxClientSession(
-                self.browser.sim, self.browser.transport,
-                self.endpoint, tls=self.tls,
-            )
-            self.load.result.connections_opened += 1
-        return self._mux
+        self.load.result.connections_opened += 1
+        return MuxClientSession(
+            self.browser.sim, self.browser.transport,
+            self.endpoint, tls=self.tls,
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -494,12 +481,13 @@ class _EndpointPool:
         config = self.browser.config
         while self._pending:
             conn = self._idle_connection()
-            if conn is None:
+            fresh = conn is None
+            if fresh:
                 if len(self._connections) >= config.max_connections_per_origin:
                     return
                 conn = self._open_connection()
             resource = self._pending.popleft()
-            self._issue(conn, resource)
+            self._issue(conn, resource, fresh)
         self._pending = None
 
     def _idle_connection(self) -> Optional[HttpClient]:
@@ -519,22 +507,14 @@ class _EndpointPool:
         self.load.result.connections_opened += 1
         return conn
 
-    def _issue(self, conn: HttpClient, resource: Resource) -> None:
+    def _issue(self, conn, resource: Resource, fresh: bool) -> None:
+        """Hand ``resource``'s request to ``conn`` (an HttpClient, or the
+        mux session); ``fresh`` when the pool opened ``conn`` for it."""
         request = self._build_request(resource)
-        timing = self.load.obs_entry(resource)
-        if timing is None:
-            def on_response(response):
-                self.load.resource_done(resource, response)
-        else:
-            timing.issued = self.browser.sim.now
-            fresh = getattr(conn, "requests_sent", 0) == 0
-
-            def on_response(response, timing=timing, conn=conn, fresh=fresh):
-                self.load.obs_finish(timing, conn, fresh, response)
-                self.load.resource_done(resource, response)
+        self.load.entries[id(resource)].issued = self.browser.sim.now
         callback = FailableCallback(
-            on_response,
-            lambda exc: self.load.fail_resource(resource, exc),
+            partial(self.load.fetched, resource, conn, fresh),
+            partial(self.load.fail_resource, resource),
         )
         conn.request(request, callback)
 

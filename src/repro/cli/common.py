@@ -136,8 +136,6 @@ def build_stack(specs: List[ShellSpec], seed: int = 0):
             stack.add_loss(
                 downlink_loss=args.get("downlink_loss", 0.0),
                 uplink_loss=args.get("uplink_loss", 0.0),
-                downlink_ge=_ge_clause(args.get("downlink_ge"), "downlink"),
-                uplink_ge=_ge_clause(args.get("uplink_ge"), "uplink"),
             )
         elif kind == "chaos":
             from repro.chaos.plan import FaultPlan
@@ -151,15 +149,6 @@ def build_stack(specs: List[ShellSpec], seed: int = 0):
         else:
             raise CliError(f"cannot build shell kind {kind!r}")
     return stack, replay_store
-
-
-def _ge_clause(params, direction: str):
-    """Build a GilbertElliottClause from a spec's plain-dict parameters."""
-    if params is None:
-        return None
-    from repro.chaos.plan import GilbertElliottClause
-
-    return GilbertElliottClause(direction=direction, **params)
 
 
 def _queue(spec):

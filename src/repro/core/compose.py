@@ -120,8 +120,6 @@ class ShellStack:
         self,
         downlink_loss: float = 0.0,
         uplink_loss: float = 0.0,
-        downlink_ge=None,
-        uplink_ge=None,
     ):
         """Nest a LossShell inside the current innermost namespace."""
         from repro.core.lossshell import LossShell
@@ -129,7 +127,6 @@ class ShellStack:
         shell = LossShell(
             self.machine.sim, self.namespace, self.machine.allocator,
             downlink_loss=downlink_loss, uplink_loss=uplink_loss,
-            downlink_ge=downlink_ge, uplink_ge=uplink_ge,
             name=self._name("lossshell"),
         )
         self.shells.append(shell)

@@ -6,12 +6,8 @@ dropped independently with the given probability. Composes with the other
 shells (``mm-loss downlink 0.01 mm-link ...``) to study loss-recovery
 behaviour under emulated links.
 
-Besides independent (Bernoulli) loss, a direction can run a
-Gilbert–Elliott bursty-loss model instead: pass a
-:class:`repro.chaos.plan.GilbertElliottClause` as ``downlink_ge`` /
-``uplink_ge``. This is a thin re-export of the chaos subsystem's GE
-machinery — ``mm-loss downlink ge ...`` and a one-clause ``mm-chaos``
-plan drop exactly the same packets for the same seed.
+Bursty (Gilbert–Elliott) loss is a chaos clause: a one-clause ``mm-chaos``
+plan (``ge-loss``) runs it.
 """
 
 from __future__ import annotations
@@ -34,10 +30,6 @@ class LossShell(Shell):
         allocator: shared shell address allocator.
         downlink_loss: drop probability, parent->child direction.
         uplink_loss: drop probability, child->parent direction.
-        downlink_ge: a :class:`repro.chaos.plan.GilbertElliottClause`
-            for bursty loss on the downlink (exclusive with
-            ``downlink_loss``).
-        uplink_ge: likewise for the uplink.
         name: shell/namespace name.
 
     Loss draws come from the simulation's named streams, so runs stay
@@ -51,46 +43,20 @@ class LossShell(Shell):
         allocator: AddressAllocator,
         downlink_loss: float = 0.0,
         uplink_loss: float = 0.0,
-        downlink_ge=None,
-        uplink_ge=None,
         name: str = "lossshell",
     ) -> None:
         for rate in (downlink_loss, uplink_loss):
             if not 0.0 <= rate <= 1.0:
                 raise ShellError(f"loss rate must be in [0, 1]: {rate!r}")
-        if downlink_ge is not None and downlink_loss > 0.0:
-            raise ShellError("downlink: pick Bernoulli loss or GE, not both")
-        if uplink_ge is not None and uplink_loss > 0.0:
-            raise ShellError("uplink: pick Bernoulli loss or GE, not both")
         rng = sim.streams.stream(f"loss:{name}")
-        downlink = self._build_pipe(
-            sim, rng, downlink_loss, downlink_ge, f"loss:{name}:downlink"
-        )
-        uplink = self._build_pipe(
-            sim, rng, uplink_loss, uplink_ge, f"loss:{name}:uplink"
-        )
+        downlink = self._build_pipe(sim, rng, downlink_loss)
+        uplink = self._build_pipe(sim, rng, uplink_loss)
         super().__init__(sim, parent, allocator, name, downlink, uplink)
         self.downlink_loss = downlink_loss
         self.uplink_loss = uplink_loss
-        self.downlink_ge = downlink_ge
-        self.uplink_ge = uplink_ge
 
     @staticmethod
-    def _build_pipe(sim, rng, loss: float, ge, stream_name: str):
-        if ge is not None:
-            # Imported lazily: repro.core is imported by repro.chaos.shell,
-            # so a top-level import here would be a cycle.
-            from repro.chaos.pipes import ChaosPipe
-            from repro.chaos.plan import GilbertElliottClause
-
-            if not isinstance(ge, GilbertElliottClause):
-                raise ShellError(
-                    f"GE mode wants a GilbertElliottClause, got {ge!r}"
-                )
-            # A dedicated stream per GE direction: the two-state chain
-            # draws twice per packet, and sharing the Bernoulli stream
-            # would couple the directions' sequences.
-            return ChaosPipe(sim, [ge], sim.streams.stream(stream_name))
+    def _build_pipe(sim, rng, loss: float):
         if loss > 0.0:
             return LossPipe(sim, loss, rng)
         return InstantPipe(sim)

@@ -52,7 +52,7 @@ class HttpClient:
     __slots__ = (
         "sim", "origin", "tls", "on_error", "on_idle", "requests_sent",
         "responses_received", "_queue", "_inflight", "_parser", "_ready",
-        "_closed", "created_at", "ready_at", "last_timing", "_sent_at",
+        "_closed", "ready_at", "last_timing", "_sent_at",
         "_first_byte_at", "_bytes_received", "conn", "_tls",
     )
 
@@ -79,9 +79,8 @@ class HttpClient:
         self._parser.on_message = self._response_arrived
         self._ready = False
         self._closed = False
-        # Timing capture for waterfall observability (plain floats, always
+        # Timing capture for the browser's waterfall (plain floats, always
         # on — reading the clock costs nothing and schedules nothing).
-        self.created_at = sim.now
         self.ready_at: Optional[float] = None
         #: (sent_at, first_byte_at, done_at) of the most recently completed
         #: request, refreshed just before its response callback fires.

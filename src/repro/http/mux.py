@@ -26,7 +26,7 @@ constructed with ``protocol="mux"``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConnectionClosed, HttpParseError
 from repro.http.client import FailableCallback
@@ -38,7 +38,7 @@ from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 from repro.transport.tcp import TcpConnection
 from repro.transport.tls import TlsClientSession, TlsConfig, TlsServerSession
-from repro.transport.wire import Piece, piece_len, pieces_len
+from repro.transport.wire import Piece, pieces_len, pieces_split
 
 #: Bytes of response body per DATA frame (SPDY implementations used
 #: 4-16 KB; interleaving granularity on the wire).
@@ -96,8 +96,9 @@ class MuxClientSession:
     """Client half: one multiplexed connection to one origin.
 
     Mirrors :class:`~repro.http.client.HttpClient`'s interface (``request``,
-    ``busy``, ``closed``, ``on_error``) but never queues behind an
-    outstanding response — streams are concurrent.
+    ``busy``, ``closed``, ``on_error``, and the ``ready_at`` /
+    ``last_timing`` / ``conn.established_at`` timing stamps) but never
+    queues behind an outstanding response — streams are concurrent.
     """
 
     def __init__(
@@ -121,6 +122,11 @@ class MuxClientSession:
         # Requests made before the handshake completes: a deque only
         # until then (None otherwise).
         self._queue: Optional[Deque[tuple]] = None
+        # Timing capture for the browser's waterfall, as on HttpClient.
+        self.ready_at: Optional[float] = None
+        #: (sent_at, first_byte_at, done_at) of the most recently finished
+        #: stream, refreshed just before its response callback fires.
+        self.last_timing: Optional[Tuple[float, float, float]] = None
 
         self.conn = transport.connect(origin)
         self.conn.on_error = self._failed
@@ -185,6 +191,7 @@ class MuxClientSession:
 
     def _became_ready(self) -> None:
         self._ready = True
+        self.ready_at = self.sim.now
         while self._queue:
             request, on_response = self._queue.popleft()
             self._send_request(request, on_response)
@@ -193,7 +200,8 @@ class MuxClientSession:
     def _send_request(self, request: HttpRequest, on_response) -> None:
         stream_id = self._next_stream
         self._next_stream += 2  # odd ids, like SPDY clients
-        self._streams[stream_id] = _ClientStream(request, on_response)
+        self._streams[stream_id] = _ClientStream(
+            request, on_response, self.sim.now)
         payload = serialize_request(request)
         self._write(_FrameCodec.encode(stream_id, "H", payload, fin=True))
         self.requests_sent += 1
@@ -216,6 +224,8 @@ class MuxClientSession:
         stream = self._streams.get(stream_id)
         if stream is None:
             return  # reset/unknown stream: ignore
+        if stream.first_byte_at is None:
+            stream.first_byte_at = self.sim.now
         if frame_type == "H":
             stream.parser.feed(payload)
         elif frame_type == "D":
@@ -225,6 +235,8 @@ class MuxClientSession:
             del self._streams[stream_id]
             self.responses_received += 1
             if messages:
+                self.last_timing = (
+                    stream.sent_at, stream.first_byte_at, self.sim.now)
                 stream.on_response(messages[0])
             else:
                 self._stream_failed(stream, HttpParseError(
@@ -255,13 +267,17 @@ class MuxClientSession:
 
 
 class _ClientStream:
-    __slots__ = ("request", "on_response", "parser")
+    __slots__ = ("request", "on_response", "parser", "sent_at",
+                 "first_byte_at")
 
-    def __init__(self, request: HttpRequest, on_response) -> None:
+    def __init__(self, request: HttpRequest, on_response,
+                 sent_at: float) -> None:
         self.request = request
         self.on_response = on_response
         self.parser = HttpParser("response")
         self.parser.expect(request.method)
+        self.sent_at = sent_at
+        self.first_byte_at: Optional[float] = None
 
 
 class MuxHttpServer:
@@ -379,7 +395,7 @@ class _MuxServerConnection:
         if body_pieces:
             if self._write_queue is None:
                 self._write_queue = deque()
-            self._write_queue.append([stream_id, list(body_pieces)])
+            self._write_queue.append([stream_id, body_pieces])
             self._pump()
 
     def _write(self, pieces: List[Piece]) -> None:
@@ -411,7 +427,7 @@ class _MuxServerConnection:
                     return
                 entry = self._write_queue.popleft()
                 stream_id, remaining = entry
-                frame, rest = _take(remaining, FRAME_CHUNK)
+                frame, rest = pieces_split(remaining, FRAME_CHUNK)
                 fin = not rest
                 self._write(_FrameCodec.encode(stream_id, "D", frame, fin))
                 if rest:
@@ -421,26 +437,3 @@ class _MuxServerConnection:
         finally:
             self._pumping = False
 
-
-def _take(pieces: List[Piece], limit: int):
-    """Split ``pieces`` into (first ``limit`` bytes, remainder)."""
-    taken: List[Piece] = []
-    count = 0
-    index = 0
-    while index < len(pieces) and count < limit:
-        piece = pieces[index]
-        length = piece_len(piece)
-        if count + length <= limit:
-            taken.append(piece)
-            count += length
-            index += 1
-        else:
-            cut = limit - count
-            if isinstance(piece, int):
-                taken.append(cut)
-                pieces[index] = piece - cut
-            else:
-                taken.append(piece[:cut])
-                pieces[index] = piece[cut:]
-            count = limit
-    return taken, pieces[index:]

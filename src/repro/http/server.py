@@ -32,36 +32,10 @@ from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 from repro.transport.tcp import TcpConnection
 from repro.transport.tls import TlsConfig, TlsServerSession
+from repro.transport.wire import pieces_split
 
 Handler = Callable[[HttpRequest], HttpResponse]
 ProcessingTime = Callable[[HttpRequest], float]
-
-
-def _split_pieces(pieces, limit: int):
-    """Split a serialized-piece list at ``limit`` bytes.
-
-    Pieces are real bytes or virtual byte counts (ints); both split
-    exactly, so the prefix carries precisely ``limit`` on-wire bytes
-    (or everything, if shorter).
-    """
-    sent, rest = [], []
-    budget = limit
-    for piece in pieces:
-        size = len(piece) if isinstance(piece, (bytes, bytearray)) else piece
-        if budget <= 0:
-            rest.append(piece)
-        elif size <= budget:
-            sent.append(piece)
-            budget -= size
-        else:
-            if isinstance(piece, (bytes, bytearray)):
-                sent.append(piece[:budget])
-                rest.append(piece[budget:])
-            else:
-                sent.append(budget)
-                rest.append(size - budget)
-            budget = 0
-    return sent, rest
 
 
 class WorkerPool:
@@ -333,7 +307,7 @@ class _ServerConnection:
         """
         pieces = serialize_response(response)
         head, body = pieces[:1], pieces[1:]
-        sent_body, rest = _split_pieces(body, fault.after_bytes)
+        sent_body, rest = pieces_split(body, fault.after_bytes)
         self._send_pieces(head)
         self._send_pieces(sent_body)
         if fault.kind == "reset":

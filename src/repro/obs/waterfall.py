@@ -1,12 +1,16 @@
 """Per-load resource waterfalls (HAR-adjacent phase timelines).
 
-The browser engine records one :class:`ResourceTiming` per fetched
-resource: when it was discovered, when its request was handed to a
-connection, and how long each phase took — DNS resolution, TCP connect,
-TLS handshake, waiting to send, time to first byte, download, and
-post-download compute (parse). Phase conventions follow HAR: DNS,
-connect and TLS are charged to the resource that *triggered* them; a
-resource reusing a warm connection shows zeros there.
+The browser engine keeps one :class:`ResourceTiming` per fetched
+resource on every load, its only per-resource record (a registry, when
+installed, holds the load's :class:`Waterfall` for export): when it was
+discovered, when its request was handed to a connection, and how long
+each phase took — DNS resolution, TCP connect, TLS handshake, waiting to
+send, time to first byte, download, and post-download compute (parse).
+Phase conventions follow HAR: DNS is charged to the resource that
+triggered the lookup, connect and TLS to the resource the connection
+was opened for; a resource reusing a warm connection shows ``-1.0``
+(not applicable) there. The phases tile a finished entry's span, on
+``http/1.1`` and ``mux`` alike.
 
 All times are virtual seconds. Entries are mutable while a load is in
 flight (the engine fills phases in as they complete) and plain data

@@ -16,7 +16,6 @@
 
 from repro.record.cas import CasStore, body_checksum
 from repro.record.entry import RequestResponsePair
-from repro.record.har import save_har, to_har
 from repro.record.matcher import MatchResult, RequestMatcher
 from repro.record.proxy import RecordingProxy, Redirector
 from repro.record.store import RecordedSite, read_site, site_cas
@@ -31,7 +30,5 @@ __all__ = [
     "RequestResponsePair",
     "body_checksum",
     "read_site",
-    "save_har",
     "site_cas",
-    "to_har",
 ]

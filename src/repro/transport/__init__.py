@@ -24,6 +24,7 @@ from repro.transport.wire import (
     SendBuffer,
     pieces_len,
     pieces_slice,
+    pieces_split,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "UdpSocket",
     "pieces_len",
     "pieces_slice",
+    "pieces_split",
 ]

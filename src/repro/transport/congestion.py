@@ -7,7 +7,7 @@ page-load shapes in every figure — bandwidth ramps, loss recovery on
 bounded queues — come from here.
 
 :class:`FixedWindow` pins the window, which makes transfer times
-closed-form computable; unit tests use it to assert exact timings.
+closed-form computable; unit tests use it to assert exact transfer times.
 """
 
 from __future__ import annotations

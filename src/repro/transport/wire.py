@@ -17,7 +17,7 @@ under it and under the sender's SACK scoreboard and retransmit ledger.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 Piece = Union[bytes, int]
 
@@ -65,6 +65,32 @@ def pieces_slice(pieces: List[Piece], start: int, end: int) -> List[Piece]:
             result.append(piece_slice(piece, lo, hi))
         offset += length
     return result
+
+
+def pieces_split(
+    pieces: Sequence[Piece], limit: int
+) -> Tuple[List[Piece], List[Piece]]:
+    """Split a piece list into (its first ``limit`` bytes, the rest).
+
+    Real and virtual pieces both split exactly, so the head carries
+    precisely ``limit`` bytes (or everything, if shorter); ``pieces``
+    itself is left as it was.
+    """
+    head: List[Piece] = []
+    budget = limit
+    for index, piece in enumerate(pieces):
+        if budget <= 0:
+            return head, list(pieces[index:])
+        size = piece_len(piece)
+        if size <= budget:
+            head.append(piece)
+            budget -= size
+        else:
+            head.append(piece_slice(piece, 0, budget))
+            rest = [piece_slice(piece, budget, size)]
+            rest.extend(pieces[index + 1:])
+            return head, rest
+    return head, []
 
 
 def pieces_to_bytes(pieces: List[Piece], fill: bytes = b"\x00") -> bytes:

@@ -7,12 +7,15 @@ from repro.browser.html import render_html, scan_references
 from repro.browser.resources import PageModel, Resource, Url
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
+from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
 def replay_world(site, seed=0, single_server=False, config=None,
-                 with_machine=True):
+                 with_machine=True, instrument=False):
     sim = Simulator(seed=seed)
+    if instrument:
+        MetricsRegistry.install(sim)
     machine = HostMachine(sim)
     stack = ShellStack(machine)
     stack.add_replay(site.to_recorded_site(), single_server=single_server)
@@ -84,23 +87,25 @@ class TestPageLoads:
 
     def test_timings_recorded_per_resource(self):
         site = generate_site("timing.com", seed=13, n_origins=4)
-        sim, browser, stack = replay_world(site)
+        sim, browser, stack = replay_world(site, instrument=True)
         result = browser.load(site.page)
         sim.run_until(lambda: result.complete, timeout=120)
-        assert len(result.timings) == site.page.resource_count
-        for start, end in result.timings.values():
-            assert 0 <= start <= end
+        (waterfall,) = sim.metrics.waterfalls.values()
+        assert len(waterfall) == site.page.resource_count
+        assert len({entry.url for entry in waterfall}) == len(waterfall)
+        for entry in waterfall:
+            assert 0 <= entry.discovered <= entry.finished
 
     def test_dependency_children_load_after_parents(self):
         site = generate_site("deps.com", seed=14, n_origins=5)
-        sim, browser, stack = replay_world(site)
+        sim, browser, stack = replay_world(site, instrument=True)
         result = browser.load(site.page)
         sim.run_until(lambda: result.complete, timeout=120)
-        root_url = str(site.page.root.url)
-        root_start = result.timings[root_url][0]
+        (waterfall,) = sim.metrics.waterfalls.values()
+        discovered = {entry.url: entry.discovered for entry in waterfall}
+        root_start = discovered[str(site.page.root.url)]
         for child in site.page.root.children:
-            child_start = result.timings[str(child.url)][0]
-            assert child_start > root_start
+            assert discovered[str(child.url)] > root_start
 
     def test_determinism(self):
         site = generate_site("det.com", seed=15, n_origins=6)

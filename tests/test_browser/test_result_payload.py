@@ -3,7 +3,9 @@
 A result crosses the worker->coordinator pipe and lands in an fsync'd
 journal line once per trial, so it must hold what the load measured and
 nothing of its input: the page's name, never its ``PageModel`` or any
-``Resource`` of it. A pickle's length repeats exactly from run to run (a
+``Resource`` of it. The per-resource timeline is not part of it either:
+it lives in the trial's waterfall, which rides along in ``metrics`` only
+when the trial was instrumented. A pickle's length repeats exactly from run to run (a
 speed reading does not), so the byte bound below is a hard gate.
 
 The checks are plain functions so the same body runs without pytest on
@@ -21,9 +23,10 @@ from repro.measure.runner import run_trial
 from repro.scenarios import SCENARIOS
 
 #: Pickled bytes (protocol 5, event digest attached) of the ``smoke``
-#: scenario's seed-0 result: ~1.6 KB on CPython 3.10-3.12; ~3.2 KB when
-#: the result carried its page.
-MAX_SMOKE_RESULT_BYTES = 2200
+#: scenario's seed-0 result: 320 B on CPython 3.11; ~1.6 KB when it also
+#: carried a per-URL (start, end) timing map, ~3.2 KB when it carried its
+#: page as well.
+MAX_SMOKE_RESULT_BYTES = 400
 
 #: Referents not walked: a class, module or function reaches the whole
 #: interpreter, and no result owns one.

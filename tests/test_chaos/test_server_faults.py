@@ -6,7 +6,7 @@ from repro.errors import ResetMidTransfer, TruncatedBody
 from repro.http.body import Body
 from repro.http.client import FailableCallback, HttpClient
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.server import HttpServer, _split_pieces
+from repro.http.server import HttpServer
 from repro.testing import delayed_world
 
 BODY = b"x" * 4000
@@ -31,24 +31,6 @@ def make_world(clauses, delay=0.010):
 
 def issue(world, client, on_response, failures):
     client.request(get(), FailableCallback(on_response, failures.append))
-
-
-class TestSplitPieces:
-    def test_splits_real_bytes_exactly(self):
-        sent, rest = _split_pieces([b"abcdef"], 4)
-        assert sent == [b"abcd"] and rest == [b"ef"]
-
-    def test_splits_virtual_bytes_exactly(self):
-        sent, rest = _split_pieces([1000], 300)
-        assert sent == [300] and rest == [700]
-
-    def test_mixed_pieces(self):
-        sent, rest = _split_pieces([b"ab", 10, b"cd"], 5)
-        assert sent == [b"ab", 3] and rest == [7, b"cd"]
-
-    def test_limit_beyond_total(self):
-        sent, rest = _split_pieces([b"ab", 3], 100)
-        assert sent == [b"ab", 3] and rest == []
 
 
 class TestErrorBurst:

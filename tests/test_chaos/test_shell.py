@@ -113,38 +113,3 @@ class TestChaosShell:
         sim.run_until(lambda: result.complete, timeout=120.0)
         assert result.complete
         assert "ChaosShell" in repr(stack)
-
-
-class TestLossShellGeMode:
-    def test_ge_mode_drops_bursts(self):
-        from repro.core.lossshell import LossShell
-
-        site = generate_site("ge.example", seed=3, n_origins=2, scale=0.3)
-        sim = Simulator(seed=3)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
-        stack.add_replay(site.to_recorded_site())
-        ge = GilbertElliottClause(direction="downlink", p_good_bad=0.1,
-                                  p_bad_good=0.4, loss_bad=0.5)
-        shell = stack.add_loss(downlink_ge=ge)
-        assert isinstance(shell, LossShell)
-        browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          machine=machine)
-        result = browser.load(site.page)
-        sim.run_until(lambda: result.complete, timeout=120.0)
-        assert result.complete
-        assert shell.downlink_pipe.ge_dropped > 0
-
-    def test_ge_exclusive_with_bernoulli(self):
-        sim = Simulator(seed=0)
-        machine = HostMachine(sim)
-        stack = ShellStack(machine)
-        with pytest.raises(ShellError):
-            stack.add_loss(downlink_loss=0.1,
-                           downlink_ge=GilbertElliottClause())
-
-    def test_ge_wants_a_clause(self):
-        sim = Simulator(seed=0)
-        stack = ShellStack(HostMachine(sim))
-        with pytest.raises(ShellError):
-            stack.add_loss(downlink_ge={"p_good_bad": 0.1})

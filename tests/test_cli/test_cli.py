@@ -579,27 +579,6 @@ class TestHelpers:
             "error: recording 'rootless' has no scannable root")
 
 
-class TestMmLossGeMode:
-    def test_ge_load(self, recorded_dir, capsys):
-        code = mm_webreplay.run(
-            [recorded_dir, "mm-loss", "downlink", "ge",
-             "0.05", "0.4", "0.0", "0.5", "mm-delay", "20", "load"], [])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "page load time" in out
-        assert "ge(0.05,0.4)" in out
-
-    def test_ge_needs_four_params(self):
-        with pytest.raises(CliError):
-            mm_loss.run(["downlink", "ge", "0.05", "0.4"], [])
-
-    def test_ge_rejects_bad_probability(self):
-        with pytest.raises(CliError):
-            mm_loss.run(["downlink", "ge", "1.5", "0.4", "0.0", "0.5"], [])
-        with pytest.raises(CliError):
-            mm_loss.run(["downlink", "ge", "p", "0.4", "0.0", "0.5"], [])
-
-
 class TestMmChaos:
     @pytest.fixture()
     def plan_file(self, tmp_path):

@@ -9,7 +9,7 @@ from repro.errors import ShellError
 from repro.http.body import Body
 from repro.http.client import FailableCallback
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.mux import MuxClientSession, MuxHttpServer, _FrameCodec, _take
+from repro.http.mux import MuxClientSession, MuxHttpServer, _FrameCodec
 from repro.sim import Simulator
 from repro.testing import delayed_world
 
@@ -54,11 +54,6 @@ class TestFrameCodec:
                 + _FrameCodec.encode(2, "H", [b"b"], fin=True))
         codec.feed(wire, lambda *a: frames.append(a))
         assert [f[0] for f in frames] == [1, 2]
-
-    def test_take_splits_mixed_pieces(self):
-        taken, rest = _take([b"abcd", 10, b"xy"], 6)
-        assert taken == [b"abcd", 2]
-        assert rest == [8, b"xy"]
 
     def test_garbage_header_rejected(self):
         from repro.errors import HttpParseError

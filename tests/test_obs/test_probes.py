@@ -5,7 +5,7 @@ simulation (the zero-observer-effect contract)."""
 import pytest
 
 from repro.analysis.sanitizer import check_observer_effect
-from repro.browser import Browser
+from repro.browser import Browser, BrowserConfig
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.obs import MetricsRegistry
@@ -16,16 +16,17 @@ SITE = generate_site("probes.test", seed=21, n_origins=4)
 STORE = SITE.to_recorded_site()
 
 
-def build_world(seed, instrument=False):
+def build_world(seed, instrument=False, protocol="http/1.1"):
     sim = Simulator(seed=seed)
     if instrument:
         MetricsRegistry.install(sim)
     machine = HostMachine(sim)
     stack = ShellStack(machine)
-    stack.add_replay(STORE)
+    stack.add_replay(STORE, protocol=protocol)
     stack.add_link(14, 14)
     stack.add_delay(0.020)
     browser = Browser(sim, stack.transport, stack.resolver_endpoint,
+                      config=BrowserConfig(protocol=protocol),
                       machine=machine)
     result = browser.load(SITE.page)
     sim.run_until(lambda: result.complete, timeout=600)
@@ -65,8 +66,13 @@ class TestProbesPopulate:
         assert occupancy
         assert any(v >= 1 for s in occupancy for __, v in s.points)
 
-    def test_browser_waterfall_and_inflight(self, instrumented):
-        registry, result = instrumented
+    @pytest.mark.parametrize("protocol", ["http/1.1", "mux"])
+    def test_browser_waterfall_and_inflight(self, instrumented, protocol):
+        if protocol == "http/1.1":
+            registry, result = instrumented
+        else:
+            sim, result = build_world(0, instrument=True, protocol=protocol)
+            registry = sim.metrics
         (waterfall,) = registry.waterfalls.values()
         assert len(waterfall.entries) == result.resources_loaded
         for entry in waterfall.entries:
@@ -74,7 +80,17 @@ class TestProbesPopulate:
             assert entry.finished >= entry.issued >= entry.discovered >= 0.0
             assert entry.send_wait >= 0.0
             assert entry.ttfb > 0.0
+            assert entry.download >= 0.0
             assert entry.size > 0
+            # The phases tile the entry's span: DNS, then the scheduler's
+            # hold before issue, then connection setup, the wait to send,
+            # the transfer and the parse.
+            dns = max(entry.dns, 0.0)
+            phases = [dns, entry.issued - entry.discovered - dns,
+                      entry.connect, entry.tls, entry.send_wait, entry.ttfb,
+                      entry.download, entry.compute]
+            assert sum(max(p, 0.0) for p in phases) == pytest.approx(
+                entry.finished - entry.discovered, rel=0.0, abs=1e-9)
         # The root resource pays DNS and connect on a fresh connection.
         root = waterfall.entries[0]
         assert root.dns > 0.0

@@ -11,6 +11,7 @@ from repro.transport.wire import (
     piece_slice,
     pieces_len,
     pieces_slice,
+    pieces_split,
     pieces_to_bytes,
 )
 
@@ -46,6 +47,21 @@ class TestPieceHelpers:
     def test_pieces_slice_negative_start_rejected(self):
         with pytest.raises(ValueError):
             pieces_slice([b"abc"], -1, 2)
+
+    @pytest.mark.parametrize("pieces, limit, head, rest", [
+        ([b"abcdef"], 4, [b"abcd"], [b"ef"]),
+        ([1000], 300, [300], [700]),
+        ([b"ab", 10, b"cd"], 5, [b"ab", 3], [7, b"cd"]),
+        ([b"abcd", 10, b"xy"], 6, [b"abcd", 2], [8, b"xy"]),
+        ([b"ab", b"", 3], 2, [b"ab"], [b"", 3]),
+        ([b"ab", 3], 0, [], [b"ab", 3]),
+        ([b"ab", 3], 100, [b"ab", 3], []),
+    ], ids=["real-bytes", "virtual-bytes", "mixed", "mixed-frame",
+            "empty-piece-at-limit", "zero-limit", "limit-beyond-total"])
+    def test_pieces_split(self, pieces, limit, head, rest):
+        before = list(pieces)
+        assert pieces_split(pieces, limit) == (head, rest)
+        assert pieces == before  # the caller's list is not consumed
 
     def test_pieces_to_bytes(self):
         assert pieces_to_bytes([b"ab", 3, b"c"]) == b"ab\x00\x00\x00c"
