@@ -2,10 +2,11 @@
 
 The corpus generator renders each synthetic page's root document as real
 HTML whose ``<link>``/``<script>``/``<img>`` tags reference the page's
-actual subresources; the recorded store therefore contains genuine
-scannable content, and :func:`scan_references` can rediscover the resource
-list from recorded bytes (used by tests to prove the record path preserves
-page structure). :func:`page_from_recording` builds on it to turn a
+actual subresources, followed by a virtual filler up to the page's drawn
+weight; the recorded store therefore contains genuine scannable markup
+(a body's real prefix), and :func:`scan_references` can rediscover the
+resource list from recorded bytes (used by tests to prove the record path
+preserves page structure). :func:`page_from_recording` builds on it to turn a
 recorded folder back into a loadable page — what ``mm-webreplay ... load``
 and every recorded-site scenario load.
 
@@ -44,11 +45,9 @@ _CONTENT_KINDS = {
 }
 
 
-def render_html(
-    title: str, children: List[Resource], target_size: int
-) -> bytes:
-    """Render a root document referencing ``children``, padded to
-    ``target_size`` bytes (so recorded HTML has realistic weight)."""
+def render_html(title: str, children: List[Resource]) -> bytes:
+    """Render the markup of a root document referencing ``children``
+    (the page's weight beyond it is a virtual filler, not markup)."""
     lines = [
         "<!DOCTYPE html>",
         "<html><head>",
@@ -67,12 +66,7 @@ def render_html(
     lines.append("</head><body>")
     lines.extend(body_tags)
     lines.append("</body></html>")
-    document = "\n".join(lines).encode("utf-8")
-    if len(document) < target_size:
-        padding = target_size - len(document) - len("<!--  -->\n")
-        if padding > 0:
-            document += b"<!-- " + b"x" * padding + b" -->\n"
-    return document
+    return "\n".join(lines).encode("utf-8")
 
 
 def scan_references(document: bytes) -> List[str]:
@@ -86,11 +80,11 @@ def scan_references(document: bytes) -> List[str]:
 def page_from_recording(store: RecordedSite) -> PageModel:
     """Reconstruct a loadable page from a recorded folder.
 
-    The root document's real HTML is scanned for subresource references
-    (what a browser would rediscover); recorded exchanges that the scan
-    cannot see (XHRs hidden in scripts, fonts behind stylesheets — their
-    bodies are virtual) become direct children of the root so the load
-    still covers the full recording.
+    The root document's markup (its body's real prefix) is scanned for
+    subresource references (what a browser would rediscover); recorded
+    exchanges that the scan cannot see (XHRs hidden in scripts, fonts
+    behind stylesheets — their bodies are virtual) become direct children
+    of the root so the load still covers the full recording.
 
     Raises:
         StoreFormatError: if the recording holds no root document with
@@ -98,7 +92,7 @@ def page_from_recording(store: RecordedSite) -> PageModel:
     """
     root_pair = None
     for pair in store.pairs:
-        if pair.request.path == "/" and pair.response.body.is_fully_real:
+        if pair.request.path == "/" and pair.response.body.real_prefix:
             root_pair = pair
             break
     if root_pair is None:
@@ -114,7 +108,7 @@ def page_from_recording(store: RecordedSite) -> PageModel:
 
     children: List[Resource] = []
     seen = set()
-    for ref in scan_references(root_pair.response.body.as_bytes()):
+    for ref in scan_references(root_pair.response.body.real_prefix):
         try:
             url = Url.parse(ref)
         except ReproError:

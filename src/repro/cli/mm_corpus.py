@@ -15,7 +15,9 @@ Response bodies land in one content-addressed store shared by the whole
 corpus (``<out>/.cas``), so identical bodies are stored exactly once.
 Concurrent workers share the store safely (per-process temp names +
 atomic rename). ``stats`` reports the resulting body dedup: unique vs
-total body bytes and the dedup ratio.
+total stored (real) body bytes and the dedup ratio, plus the virtual
+tails the pair files declare instead of storing (a root document's
+filler).
 
 Generation is one sweep (:func:`repro.measure.supervise.run_sweep`,
 one site per trial, no retries): it checkpoints every completed site in
@@ -140,18 +142,21 @@ def _stats(argv: List[str]) -> int:
     if not os.path.isdir(directory):
         raise CliError(f"not a corpus directory: {directory!r}")
     counts = []
-    total_bodies = total_bytes = 0
-    unique: dict = {}  # body checksum -> length
+    total_bodies = total_bytes = tails = tail_bytes = 0
+    unique: dict = {}  # real-prefix checksum -> length
     for site_dir in corpus_site_dirs(directory):
         store = RecordedSite.load(site_dir)
         counts.append(len(store.origins()))
         for pair in store.pairs:
             for body in (pair.request.body, pair.response.body):
-                if body.length and body.is_fully_real:
+                prefix = body.real_prefix
+                if prefix:
                     total_bodies += 1
-                    total_bytes += body.length
-                    unique.setdefault(body_checksum(body.as_bytes()),
-                                      body.length)
+                    total_bytes += len(prefix)
+                    unique.setdefault(body_checksum(prefix), len(prefix))
+                    if body.virtual_tail:
+                        tails += 1
+                        tail_bytes += body.virtual_tail
     if not counts:
         raise CliError(f"no recorded sites under {directory!r}")
     counts.sort()
@@ -162,9 +167,11 @@ def _stats(argv: List[str]) -> int:
     print(f"single-server sites: {sum(1 for c in counts if c == 1)}")
     unique_bytes = sum(unique.values())
     ratio = (total_bytes / unique_bytes) if unique_bytes else 1.0
-    print(f"real bodies: {total_bodies} ({total_bytes} bytes), "
+    print(f"bodies with real bytes: {total_bodies} ({total_bytes} bytes), "
           f"unique: {len(unique)} ({unique_bytes} bytes)")
     print(f"body dedup ratio: {ratio:.2f}x")
+    print(f"virtual tails: {tails} ({tail_bytes} bytes declared, "
+          f"not stored)")
     cas_dir = os.path.join(directory, CAS_DIR_NAME)
     if os.path.isdir(cas_dir):
         stored = CasStore(cas_dir).stats()

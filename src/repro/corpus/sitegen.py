@@ -5,8 +5,9 @@ experiments consume it:
 
 * a :class:`~repro.browser.resources.PageModel` the browser loads;
 * a ground-truth :class:`~repro.record.store.RecordedSite` (what a
-  perfect RecordShell session would capture), whose HTML bodies are real
-  rendered documents referencing the actual subresources;
+  perfect RecordShell session would capture), whose root document is
+  real rendered markup referencing the actual subresources, followed by
+  a virtual filler up to the page's drawn weight;
 * a host->IP map so the live-web model can serve the same content.
 
 Structure follows the anatomy of 2014-era pages: one root document on the
@@ -92,9 +93,7 @@ class SyntheticSite:
             ("Accept", "*/*"),
         ]))
         if resource.kind == "html":
-            body = Body.from_bytes(
-                render_html(self.name, resource.children, resource.size)
-            )
+            body = root_document(self.name, resource.children, resource.size)
             resource.size = body.length
         else:
             body = Body.virtual(resource.size)
@@ -222,8 +221,28 @@ def generate_site(
     host_ips = {host: ip_for_host(host) for host in hosts}
     # Rendering the root document fixes its true size; do it now so the
     # PageModel and the recording agree.
-    root.size = len(render_html(name, children, root.size))
+    root.size = root_document(name, children, root.size).length
     return SyntheticSite(name, page, host_ips)
+
+
+#: The largest gap between markup and drawn weight left unfilled. The
+#: filler was once a literal HTML comment, whose 10-byte wrapper did not
+#: fit a gap this small, and every seed keeps the sizes it drew then.
+_UNFILLED_GAP = len("<!--  -->\n")
+
+
+def root_document(
+    title: str, children: List[Resource], weight: int
+) -> Body:
+    """A root document's body: its markup (:func:`render_html`) as real
+    bytes, then a virtual filler up to ``weight`` bytes.
+
+    A document whose markup already reaches ``weight``, or falls short by
+    no more than ``_UNFILLED_GAP`` bytes, is its markup alone.
+    """
+    markup = render_html(title, children)
+    filler = weight - len(markup)
+    return Body([markup, filler if filler > _UNFILLED_GAP else 0])
 
 
 _EXT = {

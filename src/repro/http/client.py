@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
-from repro.http.serialize import serialize_request
+from repro.http.serialize import serialize_request, write_message
 from repro.net.address import Endpoint
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
@@ -175,11 +175,7 @@ class HttpClient:
         self._bytes_received = 0
         self._parser.expect(request.method)
         sender = self._tls if self._tls is not None else self.conn
-        for piece in serialize_request(request):
-            if isinstance(piece, int):
-                sender.send_virtual(piece)
-            else:
-                sender.send(piece)
+        write_message(sender, serialize_request(request))
         self.requests_sent += 1
 
     def _data(self, pieces) -> None:

@@ -32,7 +32,9 @@ from repro.errors import ConnectionClosed, HttpParseError
 from repro.http.client import FailableCallback
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import HttpParser, _PieceBuffer
-from repro.http.serialize import serialize_request, serialize_response
+from repro.http.serialize import (
+    serialize_request, serialize_response, write_message,
+)
 from repro.net.address import Endpoint, IPv4Address
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
@@ -59,6 +61,21 @@ class _FrameCodec:
         length = pieces_len(payload)
         header = f"MUX {stream_id} {frame_type} {length} {int(fin)}\n"
         return [header.encode("ascii")] + list(payload)
+
+    @staticmethod
+    def write(sender, stream_id: int, frame_type: str,
+              payload: List[Piece], fin: bool) -> None:
+        """Write one frame to ``sender``: its header line, then its
+        payload. A headers frame's payload is a serialized message,
+        written as :func:`~repro.http.serialize.write_message` writes
+        one; a data frame's is one write, so no segment boundary depends
+        on how the body is split into pieces."""
+        frame = _FrameCodec.encode(stream_id, frame_type, payload, fin)
+        sender.write(frame[:1])
+        if frame_type == "H":
+            write_message(sender, frame[1:])
+        else:
+            sender.write(frame[1:])
 
     def feed(self, pieces: List[Piece], on_frame) -> None:
         """Consume bytes; call ``on_frame(stream_id, type, payload, fin)``
@@ -203,15 +220,8 @@ class MuxClientSession:
         self._streams[stream_id] = _ClientStream(
             request, on_response, self.sim.now)
         payload = serialize_request(request)
-        self._write(_FrameCodec.encode(stream_id, "H", payload, fin=True))
+        _FrameCodec.write(self._sender, stream_id, "H", payload, fin=True)
         self.requests_sent += 1
-
-    def _write(self, pieces: List[Piece]) -> None:
-        for piece in pieces:
-            if isinstance(piece, int):
-                self._sender.send_virtual(piece)
-            else:
-                self._sender.send(piece)
 
     def _data(self, pieces: List[Piece]) -> None:
         try:
@@ -391,19 +401,12 @@ class _MuxServerConnection:
             version=response.version,
         ))
         fin_now = not body_pieces
-        self._write(_FrameCodec.encode(stream_id, "H", head, fin=fin_now))
+        _FrameCodec.write(self._sender, stream_id, "H", head, fin=fin_now)
         if body_pieces:
             if self._write_queue is None:
                 self._write_queue = deque()
             self._write_queue.append([stream_id, body_pieces])
             self._pump()
-
-    def _write(self, pieces: List[Piece]) -> None:
-        for piece in pieces:
-            if isinstance(piece, int):
-                self._sender.send_virtual(piece)
-            else:
-                self._sender.send(piece)
 
     def _pump(self) -> None:
         """Round-robin DATA frames across active streams, under TCP
@@ -429,7 +432,7 @@ class _MuxServerConnection:
                 stream_id, remaining = entry
                 frame, rest = pieces_split(remaining, FRAME_CHUNK)
                 fin = not rest
-                self._write(_FrameCodec.encode(stream_id, "D", frame, fin))
+                _FrameCodec.write(self._sender, stream_id, "D", frame, fin)
                 if rest:
                     entry[1] = rest
                     self._write_queue.append(entry)

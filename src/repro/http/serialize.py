@@ -2,8 +2,11 @@
 
 Serialization returns a list of stream pieces: one real-bytes block for the
 start line and headers, followed by the body's pieces (real or virtual).
-The byte count on the wire is identical either way, which is the invariant
-that lets bodies stay virtual without affecting timing.
+The byte count on the wire is identical either way, and
+:func:`write_message` hands the body to TCP in one write however many
+pieces carry it, so no segment boundary depends on a body's shape either:
+that is the invariant that lets bodies stay virtual without affecting
+timing.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ def serialize_response(response: HttpResponse) -> List[Piece]:
     pieces: List[Piece] = [serialize_headers(first_line, headers)]
     pieces.extend(response.body.pieces)
     return pieces
+
+
+def write_message(sender, pieces: List[Piece]) -> None:
+    """Hand a serialized message to a stream (a TCP connection or a TLS
+    session): its header block as one write, then its body as another.
+
+    One write queues every piece before any is transmitted, so a body
+    split into many pieces (a capture's segment-sized slices, markup
+    followed by a virtual filler) leaves in the same segments as the same
+    body in one piece. The header block stays a write of its own, which
+    is why each response's headers leave in a segment ahead of their
+    body (DESIGN.md §2).
+    """
+    sender.write(pieces[:1])
+    if len(pieces) > 1:
+        sender.write(pieces[1:])
 
 
 def message_wire_length(pieces: List[Piece]) -> int:

@@ -26,7 +26,7 @@ from typing import Callable, Deque, Optional
 
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
-from repro.http.serialize import serialize_response
+from repro.http.serialize import serialize_response, write_message
 from repro.net.address import IPv4Address
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
@@ -281,19 +281,12 @@ class _ServerConnection:
             if fault is not None:
                 self._apply_fault(response, close_after, fault)
                 return
-            self._send_pieces(serialize_response(response))
+            write_message(self._sender, serialize_response(response))
             self.server.requests_served += 1
             if close_after:
                 self._closing = True
                 self.conn.close()
                 return
-
-    def _send_pieces(self, pieces) -> None:
-        for piece in pieces:
-            if isinstance(piece, int):
-                self._sender.send_virtual(piece)
-            else:
-                self._sender.send(piece)
 
     # ------------------------------------------------------------------ #
     # fault injection (repro.chaos server clauses)
@@ -308,8 +301,8 @@ class _ServerConnection:
         pieces = serialize_response(response)
         head, body = pieces[:1], pieces[1:]
         sent_body, rest = pieces_split(body, fault.after_bytes)
-        self._send_pieces(head)
-        self._send_pieces(sent_body)
+        self._sender.write(head)
+        self._sender.write(sent_body)
         if fault.kind == "reset":
             self._closing = True
             self.conn.abort()
@@ -331,7 +324,7 @@ class _ServerConnection:
         self._stalled = False
         if self.conn.state == "CLOSED":
             return
-        self._send_pieces(rest)
+        self._sender.write(rest)
         self.server.requests_served += 1
         if close_after:
             self._closing = True

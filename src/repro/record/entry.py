@@ -3,9 +3,12 @@
 Mahimahi stores each pair as a protobuf file containing the raw request,
 the raw response, and the connection's original destination (IP/port) —
 the datum that makes multi-origin replay possible. This class is the same
-record with JSON serialization; bodies can be real (on disk: a reference
-into the content-addressed store; in the canonical in-memory form:
-base64) or virtual (length only).
+record with JSON serialization. A body is stored as its real prefix (on
+disk: a reference into the content-addressed store; in the canonical
+in-memory form: base64) plus a declared ``tail`` of virtual bytes:
+``{"length", "cas", "tail"}``, with ``tail`` omitted when it is 0 and the
+content omitted when the body is all virtual. A body of any other shape
+(real bytes after virtual ones) cannot be stored, and saving it fails.
 """
 
 from __future__ import annotations
@@ -65,16 +68,33 @@ class RequestResponsePair:
             "scheme": self.scheme,
             "origin_ip": str(self.origin_ip),
             "origin_port": self.origin_port,
-            "request": _message_to_dict(
-                self.request,
-                first_line=[self.request.method, self.request.uri,
-                            self.request.version],
+            "request": self._message_to_dict(
+                "request", self.request,
+                [self.request.method, self.request.uri, self.request.version],
             ),
-            "response": _message_to_dict(
-                self.response,
-                first_line=[self.response.version, self.response.status,
-                            self.response.reason],
+            "response": self._message_to_dict(
+                "response", self.response,
+                [self.response.version, self.response.status,
+                 self.response.reason],
             ),
+        }
+
+    def _message_to_dict(self, kind: str, message, first_line) -> Dict[str, Any]:
+        body: Body = message.body
+        prefix, tail = body.real_prefix, body.virtual_tail
+        if len(prefix) + tail != body.length:
+            raise StoreFormatError(
+                f"cannot store {self!r}: its {kind} body {body!r} is not "
+                f"real bytes followed by virtual bytes")
+        body_dict: Dict[str, Any] = {"length": body.length}
+        if prefix:
+            body_dict["content_b64"] = base64.b64encode(prefix).decode("ascii")
+            if tail:
+                body_dict["tail"] = tail
+        return {
+            "first_line": list(first_line),
+            "headers": [[name, value] for name, value in message.headers],
+            "body": body_dict,
         }
 
     def to_canonical_bytes(self) -> bytes:
@@ -91,13 +111,13 @@ class RequestResponsePair:
         ).encode("utf-8")
 
     def to_cas_dict(self, put: BodyPut) -> Dict[str, Any]:
-        """JSON form with real bodies externalised into a CAS.
+        """JSON form with real bytes externalised into a CAS.
 
-        Every fully-real, non-empty body is handed to ``put`` (which
+        Every body's non-empty real prefix is handed to ``put`` (which
         stores it and returns its address) and serialised as
-        ``{"length": N, "cas": "<hex>"}`` instead of inline base64.
-        Virtual and empty bodies are unchanged — they carry no content
-        to deduplicate.
+        ``{"length": N, "cas": "<hex>"}`` (plus its ``"tail"``) instead
+        of inline base64. Virtual and empty bodies are unchanged — they
+        carry no content to deduplicate.
         """
         data = self.to_dict()
         for message, body in (("request", self.request.body),
@@ -105,7 +125,7 @@ class RequestResponsePair:
             body_dict = data[message]["body"]
             if "content_b64" in body_dict:
                 body_dict.pop("content_b64")
-                body_dict["cas"] = put(body.as_bytes())
+                body_dict["cas"] = put(body.real_prefix)
         return data
 
     def to_cas_bytes(self, put: BodyPut) -> bytes:
@@ -172,18 +192,6 @@ class RequestResponsePair:
         )
 
 
-def _message_to_dict(message, first_line) -> Dict[str, Any]:
-    body: Body = message.body
-    body_dict: Dict[str, Any] = {"length": body.length}
-    if body.length and body.is_fully_real:
-        body_dict["content_b64"] = base64.b64encode(body.as_bytes()).decode("ascii")
-    return {
-        "first_line": list(first_line),
-        "headers": [[name, value] for name, value in message.headers],
-        "body": body_dict,
-    }
-
-
 def _headers_from_list(items) -> Headers:
     return Headers((name, value) for name, value in items)
 
@@ -194,13 +202,18 @@ def _body_from_dict(
     length = int(data["length"])
     content = data.get("content_b64")
     cas_ref = data.get("cas")
+    tail = int(data.get("tail", 0))
+    if tail < 0:
+        raise StoreFormatError(f"negative body tail {tail}")
+    stated = f" + {tail}B tail" if tail else ""
     if content is not None:
         raw = base64.b64decode(content)
-        if len(raw) != length:
+        if len(raw) + tail != length:
             raise StoreFormatError(
-                f"body length {length} does not match content ({len(raw)}B)"
+                f"body length {length} does not match content "
+                f"({len(raw)}B{stated})"
             )
-        return Body.from_bytes(raw)
+        return Body([raw, tail])
     if cas_ref is not None:
         if resolver is None:
             raise StoreFormatError(
@@ -208,12 +221,15 @@ def _body_from_dict(
                 f"attached (the manifest names no cas directory)"
             )
         raw = resolver(str(cas_ref))
-        if len(raw) != length:
+        if len(raw) + tail != length:
             raise StoreFormatError(
                 f"body length {length} does not match CAS blob "
-                f"{cas_ref} ({len(raw)}B)"
+                f"{cas_ref} ({len(raw)}B{stated})"
             )
-        return Body.from_bytes(raw)
+        return Body([raw, tail])
+    if tail:
+        raise StoreFormatError(
+            f"body declares a {tail}B tail but carries no content")
     if length == 0:
         return Body.empty()
     return Body.virtual(length)

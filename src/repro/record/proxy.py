@@ -28,7 +28,9 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
-from repro.http.serialize import serialize_request, serialize_response
+from repro.http.serialize import (
+    serialize_request, serialize_response, write_message,
+)
 from repro.net.address import Endpoint, IPv4Address
 from repro.net.namespace import NetworkNamespace
 from repro.net.packet import Packet
@@ -193,7 +195,7 @@ class _ProxiedConnection:
     def _client_request(self, request: HttpRequest) -> None:
         self._outstanding.append(request)
         self._response_parser.expect(request.method)
-        self._send(self._upstream_sender, serialize_request(request))
+        write_message(self._upstream_sender, serialize_request(request))
 
     def _upstream_response(self, response: HttpResponse) -> None:
         if self._outstanding:
@@ -204,15 +206,7 @@ class _ProxiedConnection:
             )
             self.proxy.store.add_pair(pair)
             self.proxy.pairs_recorded += 1
-        self._send(self._client_sender, serialize_response(response))
-
-    @staticmethod
-    def _send(sender, pieces) -> None:
-        for piece in pieces:
-            if isinstance(piece, int):
-                sender.send_virtual(piece)
-            else:
-                sender.send(piece)
+        write_message(self._client_sender, serialize_response(response))
 
     def _client_closed(self) -> None:
         if not self._outstanding:

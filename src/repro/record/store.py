@@ -10,11 +10,15 @@ recorded folders of protobuf files::
       .cas/              # bodies, content-addressed (or a shared store
                          # elsewhere; the manifest's "cas" key says where)
 
-``site.json`` (``format_version`` 3) names the site, the CAS directory
+``site.json`` (``format_version`` 4) names the site, the CAS directory
 (relative to the folder) and, per pair file, its size and a BLAKE2
-checksum over its bytes. Pair files carry ``{"length", "cas"}`` body
-references; the bytes live once in the content-addressed store
-(:mod:`repro.record.cas`), however many pairs or sites repeat them.
+checksum over its bytes. Pair files carry ``{"length", "cas", "tail"}``
+body references: a body's real prefix lives once in the
+content-addressed store (:mod:`repro.record.cas`), however many pairs or
+sites repeat it, and ``tail`` declares the virtual bytes that follow it
+(a generated root document's filler), so ``length`` is the blob's size
+plus the tail. Version 3 is the same format without tails: its bodies
+were all real or all virtual.
 :meth:`RecordedSite.save` is the only writer: every file goes through
 temp + fsync + ``os.replace``, blobs before the pairs that reference
 them and the manifest last, so a crash mid-save never leaves a folder
@@ -26,9 +30,10 @@ fails in one vocabulary (:data:`STRICT_ERRORS`). Strict
 :meth:`RecordedSite.load` raises on the first problem,
 :meth:`RecordedSite.load_tolerant` and ``mm-fsck``
 (:mod:`repro.record.fsck`) collect them. The walk resolves a body reference wherever it meets one and accepts
-an inline body wherever it meets one, so a flat folder from before the
-CAS (``format_version`` 2, no ``"cas"`` key, base64 bodies) is the same
-walk with no resolver attached; re-saving it upgrades it. Version 1
+an inline body wherever it meets one, so a version 3 folder and a flat
+folder from before the CAS (``format_version`` 2, no ``"cas"`` key,
+base64 bodies) are the same walk, the latter with no resolver attached;
+re-saving either upgrades it. Version 1
 folders had no manifest to verify against and are refused.
 """
 
@@ -55,9 +60,10 @@ from repro.record.entry import RequestResponsePair
 _SITE_FILE = "site.json"
 _PAIR_PREFIX = "pair-"
 _QUARANTINE_DIR = "quarantine"
-_FORMAT_VERSION = 3
-#: What :func:`read_manifest` accepts: the format, and its flat ancestor.
-_READABLE_VERSIONS = (_FORMAT_VERSION, 2)
+_FORMAT_VERSION = 4
+#: What :func:`read_manifest` accepts: the format, its tail-less
+#: predecessor and its flat ancestor.
+_READABLE_VERSIONS = (_FORMAT_VERSION, 3, 2)
 #: The only pair-file names a manifest may vouch for: bare, so an entry
 #: can never point the reader, the shipper or the repair outside the folder.
 _PAIR_NAME = re.compile(r"pair-[0-9]+\.json")
@@ -71,7 +77,8 @@ _PAIR_NAME = re.compile(r"pair-[0-9]+\.json")
 #: * ``truncated`` / ``corrupt`` — the file's size / checksum differs
 #:   from the manifest's;
 #: * ``malformed`` — bytes the manifest vouches for are not a pair (bad
-#:   JSON, bad fields), or a manifest entry is not ``{"file": a bare
+#:   JSON, bad fields, a body whose content plus tail is not its
+#:   length), or a manifest entry is not ``{"file": a bare
 #:   pair-<digits>.json name, "size", "checksum"}`` (reported against
 #:   ``site.json``);
 #: * ``dangling`` / ``corrupt-blob`` — a body references a blob the CAS

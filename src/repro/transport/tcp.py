@@ -364,20 +364,27 @@ class TcpConnection:
 
     def send(self, data: bytes) -> None:
         """Queue real bytes on the stream (transmitted as window allows)."""
-        self._queue_piece(data)
+        self.write([data])
 
     def send_virtual(self, length: int) -> None:
         """Queue ``length`` virtual bytes (content-free payload)."""
-        self._queue_piece(int(length))
+        self.write([int(length)])
 
-    def _queue_piece(self, piece: Piece) -> None:
+    def write(self, pieces: List[Piece]) -> None:
+        """Queue real and virtual pieces as one write: all of them are on
+        the stream before any is transmitted, so how the data is split
+        into pieces never decides where a segment ends."""
+        if not pieces:
+            return
         if self.state in (FIN_WAIT_1, FIN_WAIT_2, CLOSING, LAST_ACK) or (
             self._fin_queued
         ):
             raise ConnectionClosed("send() after close()")
         if self.state == CLOSED and not self.passive and self._snd_nxt != 0:
             raise ConnectionClosed("send() on closed connection")
-        self._send_buffer.append(piece)
+        buffer = self._send_buffer
+        for piece in pieces:
+            buffer.append(piece)
         self._try_send()
         self._flush_pending_ack()
 

@@ -46,24 +46,26 @@ class _TlsSession:
         self.on_established: Optional[Callable[[], None]] = None
         self.on_data: Optional[Callable[[List[Piece]], None]] = None
         self._expecting = 0
-        self._pending_app: List[Piece] = []
+        self._pending_app: List[List[Piece]] = []
         conn.on_data = self._data_arrived
 
     def send(self, data: bytes) -> None:
-        """Send application bytes (queued until the handshake completes —
-        interleaving app data with handshake flights would corrupt the
-        peer's stream framing)."""
-        if self.established:
-            self.conn.send(data)
-        else:
-            self._pending_app.append(data)
+        """Send application bytes (see :meth:`write`)."""
+        self.write([data])
 
     def send_virtual(self, length: int) -> None:
-        """Send virtual application bytes (queued until established)."""
+        """Send virtual application bytes (see :meth:`write`)."""
+        self.write([int(length)])
+
+    def write(self, pieces: List[Piece]) -> None:
+        """Send application pieces as one TCP write (queued until the
+        handshake completes — interleaving app data with handshake
+        flights would corrupt the peer's stream framing — and then
+        replayed write for write)."""
         if self.established:
-            self.conn.send_virtual(length)
+            self.conn.write(pieces)
         else:
-            self._pending_app.append(int(length))
+            self._pending_app.append(list(pieces))
 
     def _data_arrived(self, pieces: List[Piece]) -> None:
         queue: List[Piece] = list(pieces)
@@ -100,11 +102,8 @@ class _TlsSession:
     def _become_established(self) -> None:
         self.established = True
         pending, self._pending_app = self._pending_app, []
-        for piece in pending:
-            if isinstance(piece, int):
-                self.conn.send_virtual(piece)
-            else:
-                self.conn.send(piece)
+        for pieces in pending:
+            self.conn.write(pieces)
         if self.on_established is not None:
             self.on_established()
 

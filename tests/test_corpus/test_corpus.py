@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro.corpus.alexa import alexa_corpus, corpus_statistics
+from repro.browser.html import render_html
 from repro.corpus.sitegen import (
     draw_origin_count,
     generate_site,
     ip_for_host,
     named_site,
+    root_document,
 )
 from repro.errors import CorpusError
 from repro.net.address import IPv4Network
@@ -70,13 +72,33 @@ class TestGenerateSite:
             assert by_uri[key].response.body.length == resource.size
 
     def test_html_body_is_real_others_virtual(self):
+        # The root document is its markup as real bytes, then a virtual
+        # filler up to the page's weight; every other body is virtual.
         site = generate_site("b.com", seed=7, n_origins=4)
         store = site.to_recorded_site()
         for pair in store.pairs:
+            body = pair.response.body
             if pair.request.uri == "/":
-                assert pair.response.body.is_fully_real
+                markup = render_html(site.name, site.page.root.children)
+                assert body.real_prefix == markup
+                assert body.virtual_tail == site.page.root.size - len(markup)
+                assert body.virtual_tail > 0
             else:
-                assert not pair.response.body.is_fully_real
+                assert body.real_prefix == b""
+                assert body.virtual_tail == body.length
+
+    def test_root_filler_skips_gaps_of_ten_bytes_or_less(self):
+        # Sizes stay those the padded documents of earlier versions had:
+        # their 10-byte comment wrapper left a gap of <= 10 bytes unfilled.
+        site = generate_site("e.com", seed=3, n_origins=2)
+        children = site.page.root.children
+        markup = render_html("e.com", children)
+        for gap in range(-3, 20):
+            body = root_document("e.com", children, len(markup) + gap)
+            assert body.real_prefix == markup
+            expected = len(markup) + gap if gap > 10 else len(markup)
+            assert (body.length, body.virtual_tail) == (
+                expected, expected - len(markup))
 
     def test_https_mode(self):
         site = generate_site("sec.com", seed=8, n_origins=4, https=True)

@@ -94,6 +94,36 @@ class TestBody:
         # (virtual content is unknowable).
         assert Body.virtual(2) == Body.from_bytes(b"ab")
 
+    def test_equality_compares_the_real_bytes_both_carry(self):
+        assert Body([b"abc", 5]) != Body([b"xyz", 5])
+        assert Body([b"abc", 5]) == Body([b"abc", 5])
+        assert Body([b"abc", 5]) != Body([b"abc", 6])
+        # Where one side is virtual, only the overlap is compared.
+        assert Body([b"abc", 5]) == Body.virtual(8)
+        assert Body([b"abc", 5]) == Body([b"ab", 6])
+        assert Body([b"abc", 5]) != Body([b"az", 6])
+        assert Body([b"abc", 5]) == Body.from_bytes(b"abc12345")
+        assert Body([b"abc", 5]) != Body.from_bytes(b"abd12345")
+        assert Body([3, b"tail"]) != Body([3, b"tale"])
+
+    def test_real_prefix_and_virtual_tail(self):
+        body = Body([b"<html>", 100])
+        assert (body.real_prefix, body.virtual_tail) == (b"<html>", 100)
+        assert body.length == 106 and not body.is_fully_real
+        assert (Body.virtual(7).real_prefix, Body.virtual(7).virtual_tail) \
+            == (b"", 7)
+        real = Body.from_bytes(b"abc")
+        assert (real.real_prefix, real.virtual_tail) == (b"abc", 0)
+        assert (Body.empty().real_prefix, Body.empty().virtual_tail) \
+            == (b"", 0)
+
+    def test_pieces_normalised(self):
+        # A capture's segment-sized pieces become one run of each kind.
+        body = Body([b"<ht", bytearray(b"ml>"), 0, 40, b"", 60])
+        assert body.pieces == [b"<html>", 100]
+        assert isinstance(body.pieces[0], bytes)
+        assert Body([b"a", 2, b"b", 3]).pieces == [b"a", 2, b"b", 3]
+
     def test_mixed_pieces(self):
         body = Body([b"head", 100, b"tail"])
         assert body.length == 108

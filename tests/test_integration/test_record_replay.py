@@ -7,6 +7,7 @@ the recording must then see the same content.
 """
 
 from repro.browser import Browser
+from repro.browser.html import page_from_recording
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.record import RecordedSite
@@ -73,6 +74,24 @@ class TestRecordPath:
         sim.run_until(lambda: direct_result.complete, timeout=300)
         assert direct_result.resources_loaded == recorded_result.resources_loaded
         assert direct_result.bytes_downloaded == recorded_result.bytes_downloaded
+
+    def test_recorded_root_keeps_its_markup(self, tmp_path):
+        # Pair keys carry lengths only; the root document's bytes must
+        # come through the proxy too: its markup byte for byte, then a
+        # virtual tail as long as the ground truth's.
+        site = generate_site("markup.com", seed=47, n_origins=6)
+        store, result, shell = record_site(site)
+        truth = next(p for p in site.to_recorded_site().pairs
+                     if p.request.uri == "/").response.body
+        recorded = next(p for p in store.pairs
+                        if p.request.uri == "/").response.body
+        assert truth.real_prefix and truth.virtual_tail
+        assert recorded.real_prefix == truth.real_prefix
+        assert recorded.virtual_tail == truth.virtual_tail
+        store.save(tmp_path / "recorded")
+        page = page_from_recording(RecordedSite.load(tmp_path / "recorded"))
+        assert sorted(str(r.url) for r in page.resources()) == \
+               sorted(str(r.url) for r in site.page.resources())
 
     def test_https_site_recorded_through_mitm(self):
         site = generate_site("secure.com", seed=43, n_origins=5, https=True)

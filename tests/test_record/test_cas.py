@@ -115,12 +115,12 @@ class TestFormatV3:
         for f, c in zip(flat.pairs, cased.pairs):
             assert f.to_canonical_bytes() == c.to_canonical_bytes()
 
-    def test_manifest_declares_v3_and_cas(self, tmp_path):
+    def test_manifest_declares_v4_and_cas(self, tmp_path):
         site = make_site("v3.example")
         cas = CasStore(tmp_path / "cas")
         site.save(tmp_path / "site", cas=cas)
         metadata = json.load(open(tmp_path / "site" / "site.json"))
-        assert metadata["format_version"] == 3
+        assert metadata["format_version"] == 4
         assert metadata["cas"] == os.path.relpath(cas.root,
                                                   tmp_path / "site")
         resolved = site_cas(tmp_path / "site")
@@ -149,7 +149,7 @@ class TestFormatV3:
         site = make_site("v3.example")
         site.save(tmp_path / "site")
         metadata = json.load(open(tmp_path / "site" / "site.json"))
-        assert metadata["format_version"] == 3 and metadata["cas"] == ".cas"
+        assert metadata["format_version"] == 4 and metadata["cas"] == ".cas"
         assert len(CasStore(tmp_path / "site" / ".cas")) == 3
         loaded = RecordedSite.load(tmp_path / "site")
         assert ([p.to_canonical_bytes() for p in loaded.pairs]

@@ -54,7 +54,7 @@ class TestCleanSite:
         report = fsck_site(site_dir)
         assert report.clean
         assert report.pairs_ok == 6
-        assert report.format_version == 3
+        assert report.format_version == 4
         assert not report.repaired
 
     def test_is_site_dir(self, site_dir, tmp_path):
@@ -88,6 +88,21 @@ class TestDetection:
         revouch(site_dir, "pair-00003.json")
         report = fsck_site(site_dir)
         assert [p.kind for p in report.problems] == ["malformed"]
+
+    def test_blob_plus_tail_short_of_the_length_is_damage(self, site_dir):
+        # A pair file (vouched for) declaring a tail its length disagrees
+        # with: the load refuses it and fsck reports it.
+        path = site_dir / "pair-00004.json"
+        data = json.loads(path.read_text())
+        data["response"]["body"]["tail"] = 7
+        path.write_text(json.dumps(data))
+        revouch(site_dir, "pair-00004.json")
+        with pytest.raises(StoreFormatError, match="tail"):
+            RecordedSite.load(site_dir)
+        report = fsck_site(site_dir)
+        assert [(p.file, p.kind) for p in report.problems] == [
+            ("pair-00004.json", "malformed")]
+        assert "7B tail" in report.problems[0].detail
 
     def test_unreadable_pair_is_damage_not_an_oserror(self, site_dir):
         # The file is there, the OS will not hand over its bytes.
@@ -137,7 +152,7 @@ class TestRepair:
             assert (site_dir / name).read_bytes() == content
         # The rewritten manifest covers exactly the survivors.
         manifest = json.loads((site_dir / "site.json").read_text())
-        assert manifest["format_version"] == 3 and manifest["cas"] == ".cas"
+        assert manifest["format_version"] == 4 and manifest["cas"] == ".cas"
         assert manifest["pair_count"] == 3
         assert sorted(e["file"] for e in manifest["pairs"]) == \
             sorted(survivors)

@@ -11,7 +11,7 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.net.address import IPv4Address
 from repro.record.entry import RequestResponsePair
 from repro.record.store import RecordedSite
-from tests.store_fixtures import write_flat_site
+from tests.store_fixtures import revouch, write_flat_site
 
 
 def make_pair(host="www.example.com", uri="/", ip="23.0.0.1", port=80,
@@ -62,6 +62,74 @@ class TestRequestResponsePair:
         data["response"]["body"]["length"] = 99
         with pytest.raises(StoreFormatError):
             RequestResponsePair.from_dict(data)
+
+
+class TestBodyShapes:
+    """A stored body is its real prefix plus a declared virtual tail."""
+
+    def test_prefix_and_tail_round_trip(self, tmp_path):
+        body = Body([b"<html>", 100])
+        pair = make_pair(body=body)
+        restored = RequestResponsePair.from_dict(pair.to_dict())
+        assert restored.response.body.pieces == [b"<html>", 100]
+        assert restored.to_canonical_bytes() == pair.to_canonical_bytes()
+        site = RecordedSite("mixed")
+        site.add_pair(pair)
+        site.save(tmp_path / "site")
+        stored = json.loads((tmp_path / "site" / "pair-00000.json").read_text())
+        assert stored["response"]["body"]["tail"] == 100
+        loaded = RecordedSite.load(tmp_path / "site").pairs[0]
+        assert loaded.response.body.pieces == [b"<html>", 100]
+        assert loaded.to_canonical_bytes() == pair.to_canonical_bytes()
+
+    @pytest.mark.parametrize("pieces", [[100, b"<html>"],
+                                        [b"<html>", 100, b"</html>"]])
+    def test_other_mixed_shapes_are_refused_at_save(self, tmp_path, pieces):
+        pair = make_pair(host="www.mixed.com", uri="/odd",
+                         body=Body(pieces))
+        with pytest.raises(StoreFormatError, match="www.mixed.com/odd"):
+            pair.to_dict()
+        site = RecordedSite("odd")
+        site.add_pair(pair)
+        with pytest.raises(StoreFormatError, match="www.mixed.com/odd"):
+            site.save(tmp_path / "site")
+        assert not (tmp_path / "site" / "site.json").exists()
+
+    def test_content_plus_tail_must_be_the_length(self):
+        data = make_pair(body=Body([b"abc", 10])).to_dict()
+        data["response"]["body"]["tail"] = 11
+        with pytest.raises(StoreFormatError, match="3B \\+ 11B tail"):
+            RequestResponsePair.from_dict(data)
+
+    @pytest.mark.parametrize("body", [{"length": 10, "tail": 10},
+                                      {"length": 10, "tail": -1,
+                                       "content_b64": "YWJj"}])
+    def test_tail_needs_content_and_a_sign(self, body):
+        data = make_pair().to_dict()
+        data["response"]["body"] = body
+        with pytest.raises(StoreFormatError, match="tail"):
+            RequestResponsePair.from_dict(data)
+
+    def test_blob_length_check_stays_strict(self, tmp_path):
+        site = RecordedSite("strict")
+        site.add_pair(make_pair(body=Body.from_bytes(b"<html></html>")))
+        site.add_pair(make_pair(uri="/2", body=Body([b"<html>", 50])))
+        site.save(tmp_path / "site")
+        for name, length in (("pair-00000.json", 14),
+                             ("pair-00001.json", 57)):
+            path = tmp_path / "site" / name
+            data = json.loads(path.read_text())
+            data["response"]["body"]["length"] = length
+            path.write_text(json.dumps(data))
+            revouch(tmp_path / "site", name)
+            with pytest.raises(StoreFormatError,
+                               match="does not match CAS blob"):
+                RecordedSite.load(tmp_path / "site")
+            path.write_text(json.dumps(dict(data, response=dict(
+                data["response"], body=dict(data["response"]["body"],
+                                            length=length - 1)))))
+            revouch(tmp_path / "site", name)
+        assert len(RecordedSite.load(tmp_path / "site")) == 2
 
 
 class TestRecordedSite:
@@ -160,7 +228,7 @@ class TestStoreIntegrityV2:
     def test_manifest_carries_size_and_checksum(self, tmp_path):
         directory = self._saved(tmp_path)
         manifest = json.loads((directory / "site.json").read_text())
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         for entry in manifest["pairs"]:
             raw = (directory / entry["file"]).read_bytes()
             assert entry["size"] == len(raw)
@@ -288,6 +356,21 @@ class TestOlderFormats:
         with pytest.raises(StoreFormatError, match="format version 1"):
             RecordedSite.load_tolerant(directory)
 
+    def test_v3_folder_loads(self, tmp_path):
+        # Version 3 is version 4 without tails: every body is all real or
+        # all virtual, and its folders load as they are.
+        site = RecordedSite("v3site")
+        site.add_pair(make_pair(body=Body.from_bytes(b"<html>v3</html>")))
+        site.add_pair(make_pair(uri="/big", body=Body.virtual(4000)))
+        site.save(tmp_path / "v3")
+        manifest_path = tmp_path / "v3" / "site.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(dict(manifest, format_version=3)))
+        loaded, damage = RecordedSite.load_tolerant(tmp_path / "v3")
+        assert damage.clean and damage.format_version == 3
+        assert ([p.to_canonical_bytes() for p in loaded.pairs]
+                == [p.to_canonical_bytes() for p in site.pairs])
+
     def test_flat_folder_resaves_as_a_cas_bundle(self, tmp_path):
         site = RecordedSite("old")
         site.add_pair(make_pair(body=Body.from_bytes(b"<html>old</html>")))
@@ -295,7 +378,7 @@ class TestOlderFormats:
         flat = write_flat_site(site, tmp_path / "flat")
         RecordedSite.load(flat).save(tmp_path / "new")
         manifest = json.loads((tmp_path / "new" / "site.json").read_text())
-        assert manifest["format_version"] == 3 and manifest["cas"] == ".cas"
+        assert manifest["format_version"] == 4 and manifest["cas"] == ".cas"
         assert ([p.to_canonical_bytes()
                  for p in RecordedSite.load(tmp_path / "new").pairs]
                 == [p.to_canonical_bytes() for p in site.pairs])
