@@ -62,7 +62,8 @@ from repro.transport.tcp import TcpConnection
 from repro.web import Internet
 
 
-def smoke(plan: Optional[FaultPlan] = None) -> ScenarioFactory:
+def smoke(plan: Optional[FaultPlan] = None,
+          protocol: str = "http/1.1") -> ScenarioFactory:
     """Reduced-scale replay scenario exercising the full stack.
 
     One synthetic multi-origin site (regenerated from the trial seed)
@@ -70,19 +71,22 @@ def smoke(plan: Optional[FaultPlan] = None) -> ScenarioFactory:
     (30 ms) — the Table 2 shape at Figure 2 cost: browser, DNS, HTTP,
     TCP, link emulation, and host jitter all feed the event stream, so
     the digest covers every simulation-domain package. With ``plan``, a
-    ChaosShell running it sits between the link and the delay.
+    ChaosShell running it sits between the link and the delay;
+    ``protocol`` is the replay's and the browser's (``"mux"`` for the
+    multiplexed framing).
     """
 
     def factory(seed: int, instrument: bool = False):
         site = generate_site("smoke.example", seed=seed, n_origins=4,
                              scale=0.3)
         stack = ShellStack.fresh(seed, instrument=instrument)
-        stack.add_replay(site.to_recorded_site())
+        stack.add_replay(site.to_recorded_site(), protocol=protocol)
         stack.add_link(14.0, 14.0)
         if plan is not None:
             stack.add_chaos(plan)
         stack.add_delay(0.030)
-        return stack.sim, stack.load(site.page)
+        return stack.sim, stack.load(site.page,
+                                     BrowserConfig(protocol=protocol))
 
     return factory
 
@@ -109,6 +113,10 @@ CHAOS_PLAN = FaultPlan(
 #: :func:`smoke` under :data:`CHAOS_PLAN`: same seed + same plan =>
 #: bit-identical event stream, with every fault layer firing.
 chaos = partial(smoke, plan=CHAOS_PLAN)
+
+#: :func:`smoke` with replay and browser on the multiplexed protocol, so
+#: the mux framing is held to the same digest as HTTP/1.1.
+mux = partial(smoke, protocol="mux")
 
 
 #: The ``load`` scenario's corpus (``default_population`` arguments).
@@ -305,6 +313,7 @@ class Scenario(NamedTuple):
 SCENARIOS: Dict[str, Scenario] = {
     "smoke": Scenario(smoke, "70516bfc60dbc606521f510e4aa901d3"),
     "chaos": Scenario(chaos, "819e55b3591d9cf60f3904f447f58fc8"),
+    "mux": Scenario(mux, "c60202dfb93153e426844b0ebb3d9bb8"),
     "load": Scenario(load, "f0539f72fbcab883df4457ded2a9b962",
                      artifact=load_artifact),
     "replay_smoke": Scenario(replay_smoke,
