@@ -145,42 +145,48 @@ class ShellStack:
 
         Raises:
             ShellError: if the plan has server/DNS clauses but the stack
-                has no ReplayShell to host them.
+                has no ReplayShell to host them, or server clauses and a
+                replay that is not HTTP/1.1 (stall, truncate and reset
+                are defined on an HTTP/1.1 byte stream).
         """
         from repro.chaos import ChaosShell
         from repro.chaos.inject import DnsFaultInjector, ServerFaultInjector
 
+        server_clauses = plan.server_clauses
+        dns_clauses = plan.dns_clauses
+        replay = next(
+            (s for s in self.shells if isinstance(s, ReplayShell)), None
+        )
+        if (server_clauses or dns_clauses) and replay is None:
+            raise ShellError(
+                "plan has server/DNS fault clauses but the stack has "
+                "no ReplayShell to inject them into"
+            )
+        if server_clauses and replay.protocol != "http/1.1":
+            raise ShellError(
+                f"plan has server fault clauses but the replay serves "
+                f"{replay.protocol!r}; they need 'http/1.1'"
+            )
         shell = ChaosShell(
             self.machine.sim, self.namespace, self.machine.allocator,
             plan, name=self._name("chaosshell"),
         )
         self.shells.append(shell)
-        server_clauses = plan.server_clauses
-        dns_clauses = plan.dns_clauses
-        if server_clauses or dns_clauses:
-            replay = next(
-                (s for s in self.shells if isinstance(s, ReplayShell)), None
+        if server_clauses:
+            injector = ServerFaultInjector(
+                self.machine.sim, server_clauses,
+                obs_path=f"chaos.{shell.name}.server",
             )
-            if replay is None:
-                raise ShellError(
-                    "plan has server/DNS fault clauses but the stack has "
-                    "no ReplayShell to inject them into"
-                )
-            if server_clauses:
-                injector = ServerFaultInjector(
-                    self.machine.sim, server_clauses,
-                    obs_path=f"chaos.{shell.name}.server",
-                )
-                shell.server_injector = injector
-                for server in replay.servers:
-                    server.fault_injector = injector
-            if dns_clauses:
-                dns_injector = DnsFaultInjector(
-                    self.machine.sim, dns_clauses,
-                    obs_path=f"chaos.{shell.name}.dns",
-                )
-                shell.dns_injector = dns_injector
-                replay.dns.fault_injector = dns_injector
+            shell.server_injector = injector
+            for server in replay.servers:
+                server.fault_injector = injector
+        if dns_clauses:
+            dns_injector = DnsFaultInjector(
+                self.machine.sim, dns_clauses,
+                obs_path=f"chaos.{shell.name}.dns",
+            )
+            shell.dns_injector = dns_injector
+            replay.dns.fault_injector = dns_injector
         return shell
 
     def add_link(

@@ -133,11 +133,7 @@ class ReplayShell(Shell):
             serve_points = origins
             zone = {host: [ip] for host, ip in hostmap.items()}
 
-        server_class = HttpServer
-        if protocol == "mux":
-            from repro.http.mux import MuxHttpServer
-            server_class = MuxHttpServer
-        self.servers: List = []
+        self.servers: List[HttpServer] = []
         bound: set = set()
         for index, (ip, port) in enumerate(serve_points):
             if ip not in bound:
@@ -145,12 +141,13 @@ class ReplayShell(Shell):
                 self.namespace.add_interface(iface)
                 iface.add_address(ip, 32)
                 bound.add(ip)
-            self.servers.append(server_class(
+            self.servers.append(HttpServer(
                 sim, self.transport, ip, port,
                 handler=self._handle,
                 processing_time=self._processing_time,
                 tls=(port == 443),
                 max_workers=server_workers,
+                protocol=protocol,
             ))
 
         # Namespace-local DNS (Mahimahi runs dnsmasq inside the shell).

@@ -3,7 +3,10 @@
 One :class:`HttpClient` wraps one TCP connection to one origin and issues
 requests serially (no pipelining — matching the browsers of the paper's
 era, which open parallel connections instead). The browser model's
-per-origin pools are built from these.
+per-origin pools are built from these. Its connection code — connect,
+TLS, readiness, timing stamps, close, failing what is outstanding — is
+:class:`OriginConnection`, which the multiplexed session
+(:class:`~repro.http.mux.MuxClientSession`) shares.
 
 TLS is supported through the cost model in :mod:`repro.transport.tls`: pass
 ``tls=True`` and the request stream starts after the handshake flights.
@@ -33,7 +36,100 @@ ResponseCallback = Callable[[HttpResponse], None]
 ErrorCallback = Callable[[Exception], None]
 
 
-class HttpClient:
+class OriginConnection:
+    """What every client connection to one origin shares, whatever it
+    frames on the stream: connect, TLS, readiness, close and failure.
+
+    Wires the transport once — ``stream`` is the TLS session when ``tls``
+    is set and the TCP connection otherwise, and both deliver through
+    ``on_data`` and announce readiness through ``on_established`` — and
+    keeps the stamps the browser's waterfall reads (``ready_at``,
+    ``last_timing``, ``conn.established_at``). A malformed message fails
+    every outstanding request with the parse error.
+
+    A subclass frames requests on ``stream`` and supplies ``_pump`` (send
+    what waited for readiness), ``_receive`` (parse a delivery),
+    ``_remote_closed``, ``_failed`` and ``_take_outstanding`` (hand over,
+    and forget, the callbacks of every outstanding request).
+    """
+
+    __slots__ = (
+        "sim", "origin", "tls", "on_error", "requests_sent",
+        "responses_received", "_ready", "_closed", "ready_at",
+        "last_timing", "conn", "stream",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        transport: TransportHost,
+        origin: Endpoint,
+        tls: bool = False,
+        tls_config: Optional[TlsConfig] = None,
+    ) -> None:
+        self.sim = sim
+        self.origin = origin
+        self.tls = tls
+        self.on_error: Optional[ErrorCallback] = None
+        self.requests_sent = 0
+        self.responses_received = 0
+        self._ready = False
+        self._closed = False
+        # Timing capture for the browser's waterfall (plain floats, always
+        # on — reading the clock costs nothing and schedules nothing).
+        self.ready_at: Optional[float] = None
+        #: (sent_at, first_byte_at, done_at) of the most recently completed
+        #: request, refreshed just before its response callback fires.
+        self.last_timing: Optional[Tuple[float, float, float]] = None
+
+        self.conn = transport.connect(origin)
+        self.conn.on_error = self._failed
+        self.conn.on_remote_close = self._remote_closed
+        self.stream = (TlsClientSession(self.conn, tls_config) if tls
+                       else self.conn)
+        self.stream.on_established = self._became_ready
+        self.stream.on_data = self._data
+
+    @property
+    def ready(self) -> bool:
+        """True once the transport (and TLS, if any) is established."""
+        return self._ready
+
+    @property
+    def closed(self) -> bool:
+        """True once the connection is unusable."""
+        return self._closed
+
+    def close(self) -> None:
+        """Close the connection (outstanding requests fail)."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self.conn.close()
+        except ConnectionClosed:
+            pass
+        self._fail_outstanding(ConnectionClosed("client closed connection"))
+
+    def _became_ready(self) -> None:
+        self._ready = True
+        self.ready_at = self.sim.now
+        self._pump()
+
+    def _data(self, pieces) -> None:
+        try:
+            self._receive(pieces)
+        except HttpParseError as exc:
+            if not self._closed:
+                self._failed(exc)
+
+    def _fail_outstanding(self, exc: Exception) -> None:
+        for callback in self._take_outstanding():
+            if isinstance(callback, FailableCallback):
+                callback.fail(exc)
+
+
+class HttpClient(OriginConnection):
     """One HTTP connection to one origin.
 
     Args:
@@ -50,10 +146,8 @@ class HttpClient:
     """
 
     __slots__ = (
-        "sim", "origin", "tls", "on_error", "on_idle", "requests_sent",
-        "responses_received", "_queue", "_inflight", "_parser", "_ready",
-        "_closed", "ready_at", "last_timing", "_sent_at",
-        "_first_byte_at", "_bytes_received", "conn", "_tls",
+        "on_idle", "_queue", "_inflight", "_parser", "_sent_at",
+        "_first_byte_at", "_bytes_received",
     )
 
     def __init__(
@@ -64,62 +158,27 @@ class HttpClient:
         tls: bool = False,
         tls_config: Optional[TlsConfig] = None,
     ) -> None:
-        self.sim = sim
-        self.origin = origin
-        self.tls = tls
-        self.on_error: Optional[ErrorCallback] = None
         self.on_idle: Optional[Callable[[], None]] = None
-        self.requests_sent = 0
-        self.responses_received = 0
         # Requests waiting behind the in-flight one (or the handshake): a
         # deque only while any wait, so an idle connection holds none.
         self._queue: Optional[Deque[Tuple[HttpRequest, ResponseCallback]]] = None
         self._inflight: Optional[Tuple[HttpRequest, ResponseCallback]] = None
         self._parser = HttpParser("response")
         self._parser.on_message = self._response_arrived
-        self._ready = False
-        self._closed = False
-        # Timing capture for the browser's waterfall (plain floats, always
-        # on — reading the clock costs nothing and schedules nothing).
-        self.ready_at: Optional[float] = None
-        #: (sent_at, first_byte_at, done_at) of the most recently completed
-        #: request, refreshed just before its response callback fires.
-        self.last_timing: Optional[Tuple[float, float, float]] = None
         self._sent_at: Optional[float] = None
         self._first_byte_at: Optional[float] = None
         # Response bytes received for the in-flight request — the byte
         # offset reported by structured mid-transfer errors.
         self._bytes_received = 0
-
-        self.conn = transport.connect(origin)
-        self.conn.on_error = self._failed
-        self.conn.on_remote_close = self._remote_closed
-        if tls:
-            self._tls = TlsClientSession(self.conn, tls_config)
-            self._tls.on_established = self._became_ready
-            self._tls.on_data = self._data
-        else:
-            self._tls = None
-            self.conn.on_established = self._became_ready
-            self.conn.on_data = self._data
+        super().__init__(sim, transport, origin, tls, tls_config)
 
     # ------------------------------------------------------------------ #
     # public API
 
     @property
-    def ready(self) -> bool:
-        """True once the transport (and TLS, if any) is established."""
-        return self._ready
-
-    @property
     def busy(self) -> bool:
         """True while a request is outstanding or queued."""
         return self._inflight is not None or self._queue is not None
-
-    @property
-    def closed(self) -> bool:
-        """True once the connection is unusable."""
-        return self._closed
 
     def request(
         self, request: HttpRequest, on_response: ResponseCallback
@@ -138,24 +197,8 @@ class HttpClient:
             self._queue = deque()
         self._queue.append((request, on_response))
 
-    def close(self) -> None:
-        """Close the connection (outstanding requests fail)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.conn.close()
-        except ConnectionClosed:
-            pass
-        self._fail_outstanding(ConnectionClosed("client closed connection"))
-
     # ------------------------------------------------------------------ #
     # internals
-
-    def _became_ready(self) -> None:
-        self._ready = True
-        self.ready_at = self.sim.now
-        self._pump()
 
     def _pump(self) -> None:
         if not self._ready or self._closed or self._inflight is not None:
@@ -174,11 +217,10 @@ class HttpClient:
         self._first_byte_at = None
         self._bytes_received = 0
         self._parser.expect(request.method)
-        sender = self._tls if self._tls is not None else self.conn
-        write_message(sender, serialize_request(request))
+        write_message(self.stream, serialize_request(request))
         self.requests_sent += 1
 
-    def _data(self, pieces) -> None:
+    def _receive(self, pieces) -> None:
         if self._inflight is not None:
             if self._first_byte_at is None:
                 self._first_byte_at = self.sim.now
@@ -248,17 +290,15 @@ class HttpClient:
         if self.on_error is not None:
             self.on_error(exc)
 
-    def _fail_outstanding(self, exc: Exception) -> None:
+    def _take_outstanding(self) -> list:
         outstanding = []
         if self._inflight is not None:
-            outstanding.append(self._inflight)
+            outstanding.append(self._inflight[1])
             self._inflight = None
         if self._queue is not None:
-            outstanding.extend(self._queue)
+            outstanding.extend(callback for __, callback in self._queue)
             self._queue = None
-        for __, callback in outstanding:
-            if isinstance(callback, FailableCallback):
-                callback.fail(exc)
+        return outstanding
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else ("ready" if self._ready else "connecting")

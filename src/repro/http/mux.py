@@ -18,28 +18,31 @@ frames and written round-robin across active streams, which is what gives
 multiplexing its bandwidth-sharing behaviour on a bottleneck.
 
 :class:`MuxClientSession` replaces a pool of six
-:class:`~repro.http.client.HttpClient` connections;
-:class:`MuxHttpServer` is the server half (ReplayShell spawns these when
-constructed with ``protocol="mux"``).
+:class:`~repro.http.client.HttpClient` connections and shares their
+connection code. The server half is a framing, not a second server: an
+:class:`~repro.http.server.HttpServer` built with ``protocol="mux"``
+(ReplayShell's ``protocol``) serves each accepted connection through a
+:class:`_MuxServerConnection`, on the same worker pool, handler and
+counters as HTTP/1.1.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConnectionClosed, HttpParseError
-from repro.http.client import FailableCallback
+from repro.http.client import FailableCallback, OriginConnection
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import HttpParser, _PieceBuffer
 from repro.http.serialize import (
     serialize_request, serialize_response, write_message,
 )
-from repro.net.address import Endpoint, IPv4Address
+from repro.net.address import Endpoint
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 from repro.transport.tcp import TcpConnection
-from repro.transport.tls import TlsClientSession, TlsConfig, TlsServerSession
+from repro.transport.tls import TlsConfig, TlsServerSession
 from repro.transport.wire import Piece, pieces_len, pieces_split
 
 #: Bytes of response body per DATA frame (SPDY implementations used
@@ -109,14 +112,17 @@ class _FrameCodec:
             on_frame(stream_id, frame_type, payload, fin)
 
 
-class MuxClientSession:
+class MuxClientSession(OriginConnection):
     """Client half: one multiplexed connection to one origin.
 
-    Mirrors :class:`~repro.http.client.HttpClient`'s interface (``request``,
-    ``busy``, ``closed``, ``on_error``, and the ``ready_at`` /
-    ``last_timing`` / ``conn.established_at`` timing stamps) but never
-    queues behind an outstanding response — streams are concurrent.
+    An :class:`~repro.http.client.OriginConnection` like
+    :class:`~repro.http.client.HttpClient`, with the same interface
+    (``request``, ``busy``, ``closed``, ``on_error`` and the timing
+    stamps), but it never queues behind an outstanding response —
+    streams are concurrent.
     """
+
+    __slots__ = ("_codec", "_next_stream", "_streams", "_queue")
 
     def __init__(
         self,
@@ -126,60 +132,19 @@ class MuxClientSession:
         tls: bool = False,
         tls_config: Optional[TlsConfig] = None,
     ) -> None:
-        self.sim = sim
-        self.origin = origin
-        self.on_error: Optional[Callable[[Exception], None]] = None
-        self.requests_sent = 0
-        self.responses_received = 0
         self._codec = _FrameCodec()
         self._next_stream = 1
         self._streams: Dict[int, "_ClientStream"] = {}
-        self._ready = False
-        self._closed = False
         # Requests made before the handshake completes: a deque only
         # until then (None otherwise).
         self._queue: Optional[Deque[tuple]] = None
-        # Timing capture for the browser's waterfall, as on HttpClient.
-        self.ready_at: Optional[float] = None
-        #: (sent_at, first_byte_at, done_at) of the most recently finished
-        #: stream, refreshed just before its response callback fires.
-        self.last_timing: Optional[Tuple[float, float, float]] = None
-
-        self.conn = transport.connect(origin)
-        self.conn.on_error = self._failed
-        self.conn.on_remote_close = lambda: self._failed(
-            ConnectionClosed(f"{origin} closed the mux connection"))
-        if tls:
-            self._tls = TlsClientSession(self.conn, tls_config)
-            self._tls.on_established = self._became_ready
-            self._tls.on_data = self._data
-            self._sender = self._tls
-        else:
-            self._tls = None
-            self.conn.on_established = self._became_ready
-            self.conn.on_data = self._data
-            self._sender = self.conn
-
-    @property
-    def ready(self) -> bool:
-        """True once the transport is established."""
-        return self._ready
+        super().__init__(sim, transport, origin, tls, tls_config)
 
     @property
     def busy(self) -> bool:
         """Streams outstanding? (A mux session is never head-of-line
         blocked, but callers may still want to know.)"""
         return bool(self._streams) or bool(self._queue)
-
-    @property
-    def closed(self) -> bool:
-        """True once the connection has failed or been closed."""
-        return self._closed
-
-    @property
-    def active_streams(self) -> int:
-        """Streams with a response still outstanding."""
-        return len(self._streams)
 
     def request(self, request: HttpRequest, on_response) -> None:
         """Open a new stream for ``request``; responses may arrive in any
@@ -193,22 +158,9 @@ class MuxClientSession:
             return
         self._send_request(request, on_response)
 
-    def close(self) -> None:
-        """Close the session (outstanding streams fail)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.conn.close()
-        except ConnectionClosed:
-            pass
-        self._fail_streams(ConnectionClosed("mux session closed"))
-
     # ------------------------------------------------------------------ #
 
-    def _became_ready(self) -> None:
-        self._ready = True
-        self.ready_at = self.sim.now
+    def _pump(self) -> None:
         while self._queue:
             request, on_response = self._queue.popleft()
             self._send_request(request, on_response)
@@ -220,14 +172,11 @@ class MuxClientSession:
         self._streams[stream_id] = _ClientStream(
             request, on_response, self.sim.now)
         payload = serialize_request(request)
-        _FrameCodec.write(self._sender, stream_id, "H", payload, fin=True)
+        _FrameCodec.write(self.stream, stream_id, "H", payload, fin=True)
         self.requests_sent += 1
 
-    def _data(self, pieces: List[Piece]) -> None:
-        try:
-            self._codec.feed(pieces, self._frame)
-        except HttpParseError as exc:
-            self._failed(exc)
+    def _receive(self, pieces: List[Piece]) -> None:
+        self._codec.feed(pieces, self._frame)
 
     def _frame(self, stream_id: int, frame_type: str,
                payload: List[Piece], fin: bool) -> None:
@@ -236,111 +185,65 @@ class MuxClientSession:
             return  # reset/unknown stream: ignore
         if stream.first_byte_at is None:
             stream.first_byte_at = self.sim.now
-        if frame_type == "H":
-            stream.parser.feed(payload)
-        elif frame_type == "D":
-            stream.parser.feed(payload)
+        stream.parser.feed(payload)
         if fin:
-            messages = stream.parser.pop_messages()
             del self._streams[stream_id]
             self.responses_received += 1
-            if messages:
+            if stream.responses:
                 self.last_timing = (
                     stream.sent_at, stream.first_byte_at, self.sim.now)
-                stream.on_response(messages[0])
-            else:
-                self._stream_failed(stream, HttpParseError(
+                stream.on_response(stream.responses[0])
+            elif isinstance(stream.on_response, FailableCallback):
+                stream.on_response.fail(HttpParseError(
                     "stream finished without a complete response"))
 
-    def _stream_failed(self, stream: "_ClientStream", exc: Exception) -> None:
-        if isinstance(stream.on_response, FailableCallback):
-            stream.on_response.fail(exc)
+    def _remote_closed(self) -> None:
+        self._failed(ConnectionClosed(
+            f"{self.origin} closed the mux connection"))
 
     def _failed(self, exc: Exception) -> None:
         if self._closed:
             return
         self._closed = True
-        self._fail_streams(exc)
+        self._fail_outstanding(exc)
         if self.on_error is not None:
             self.on_error(exc)
 
-    def _fail_streams(self, exc: Exception) -> None:
-        streams = list(self._streams.values())
+    def _take_outstanding(self) -> list:
+        outstanding = [stream.on_response for stream in self._streams.values()]
         self._streams.clear()
-        pending = list(self._queue) if self._queue is not None else []
-        self._queue = None
-        for stream in streams:
-            self._stream_failed(stream, exc)
-        for __, on_response in pending:
-            if isinstance(on_response, FailableCallback):
-                on_response.fail(exc)
+        if self._queue is not None:
+            outstanding.extend(on_response for __, on_response in self._queue)
+            self._queue = None
+        return outstanding
 
 
 class _ClientStream:
-    __slots__ = ("request", "on_response", "parser", "sent_at",
+    __slots__ = ("on_response", "parser", "responses", "sent_at",
                  "first_byte_at")
 
     def __init__(self, request: HttpRequest, on_response,
                  sent_at: float) -> None:
-        self.request = request
         self.on_response = on_response
+        self.responses: List[HttpResponse] = []
         self.parser = HttpParser("response")
         self.parser.expect(request.method)
+        self.parser.on_message = self.responses.append
         self.sent_at = sent_at
         self.first_byte_at: Optional[float] = None
 
 
-class MuxHttpServer:
-    """Server half: accepts mux connections, answers via a handler.
-
-    Interface matches :class:`~repro.http.server.HttpServer` (handler,
-    processing_time, bounded workers), so ReplayShell can spawn either.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: TransportHost,
-        address,
-        port: int,
-        handler: Callable[[HttpRequest], HttpResponse],
-        processing_time=None,
-        tls: bool = False,
-        tls_config: Optional[TlsConfig] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        from repro.http.server import WorkerPool
-
-        self.sim = sim
-        self.address = IPv4Address(address)
-        self.port = port
-        self.handler = handler
-        self.processing_time = processing_time
-        self.tls = tls
-        self.tls_config = tls_config
-        self.requests_served = 0
-        self.connections_accepted = 0
-        self._pool = WorkerPool(sim, max_workers)
-        self._listener = transport.listen(self.address, port, self._accept)
-
-    @property
-    def peak_backlog(self) -> int:
-        """Deepest worker-pool backlog observed."""
-        return self._pool.peak_backlog
-
-    def close(self) -> None:
-        """Stop accepting connections."""
-        self._listener.close()
-
-    def _accept(self, conn: TcpConnection) -> None:
-        self.connections_accepted += 1
-        _MuxServerConnection(self, conn)
-
-
 class _MuxServerConnection:
-    """One accepted mux connection: streams in, interleaved frames out."""
+    """One accepted mux connection on an
+    :class:`~repro.http.server.HttpServer`: streams in, interleaved
+    frames out. Each stream's request is dispatched to the server's
+    worker pool as soon as it parses; a malformed frame or request aborts
+    the connection."""
 
-    def __init__(self, server: MuxHttpServer, conn: TcpConnection) -> None:
+    __slots__ = ("server", "conn", "stream", "_codec", "_parsers",
+                 "_write_queue", "_pumping")
+
+    def __init__(self, server, conn: TcpConnection) -> None:
         self.server = server
         self.conn = conn
         self._codec = _FrameCodec()
@@ -349,16 +252,9 @@ class _MuxServerConnection:
         # [stream_id, remaining_pieces] entries (None while there are none).
         self._write_queue: Optional[Deque[list]] = None
         self._pumping = False
-        if server.tls:
-            self._tls = TlsServerSession(conn, server.tls_config)
-            self._tls.on_data = self._data
-            self._sender = self._tls
-        else:
-            self._tls = None
-            self._sender = conn
-            conn.on_data = self._data
-        conn.on_error = lambda exc: None
-        conn.on_remote_close = lambda: None
+        self.stream = (TlsServerSession(conn, server.tls_config)
+                       if server.tls else conn)
+        self.stream.on_data = self._data
 
     def _data(self, pieces: List[Piece]) -> None:
         try:
@@ -370,20 +266,12 @@ class _MuxServerConnection:
                payload: List[Piece], fin: bool) -> None:
         parser = self._parsers.get(stream_id)
         if parser is None:
-            parser = HttpParser("request")
-            self._parsers[stream_id] = parser
+            parser = self._parsers[stream_id] = HttpParser("request")
+            parser.on_message = lambda request: self.server.dispatch(
+                request, lambda: self._respond(stream_id, request))
         parser.feed(payload)
         if fin:
-            messages = parser.pop_messages()
             del self._parsers[stream_id]
-            if not messages:
-                return
-            request = messages[0]
-            delay = 0.0
-            if self.server.processing_time is not None:
-                delay = self.server.processing_time(request)
-            self.server._pool.submit(
-                lambda: self._respond(stream_id, request), delay)
 
     def _respond(self, stream_id: int, request: HttpRequest) -> None:
         if self.conn.state == "CLOSED":
@@ -401,7 +289,7 @@ class _MuxServerConnection:
             version=response.version,
         ))
         fin_now = not body_pieces
-        _FrameCodec.write(self._sender, stream_id, "H", head, fin=fin_now)
+        _FrameCodec.write(self.stream, stream_id, "H", head, fin=fin_now)
         if body_pieces:
             if self._write_queue is None:
                 self._write_queue = deque()
@@ -432,7 +320,7 @@ class _MuxServerConnection:
                 stream_id, remaining = entry
                 frame, rest = pieces_split(remaining, FRAME_CHUNK)
                 fin = not rest
-                _FrameCodec.write(self._sender, stream_id, "D", frame, fin)
+                _FrameCodec.write(self.stream, stream_id, "D", frame, fin)
                 if rest:
                     entry[1] = rest
                     self._write_queue.append(entry)

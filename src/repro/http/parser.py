@@ -137,10 +137,9 @@ class HttpParser:
     Args:
         kind: "request" or "response".
 
-    Feed transport deliveries with :meth:`feed`. Completed messages go to
-    exactly one place: the ``on_message`` callback attribute when it is
-    set, or else the :attr:`messages` queue (drain it with
-    :meth:`pop_messages`). A callback parser keeps nothing, so a message,
+    Feed transport deliveries with :meth:`feed`. Set the ``on_message``
+    callback attribute before the first feed: every completed message
+    goes to it and nowhere else. The parser keeps nothing, so a message,
     its header strings and its body bytes live only as long as the
     callback's consumer holds them — not as long as the connection.
     For a response parser, push the method of each outstanding request with
@@ -148,7 +147,7 @@ class HttpParser:
     """
 
     __slots__ = (
-        "kind", "messages", "on_message", "_buffer", "_state",
+        "kind", "on_message", "_buffer", "_state",
         "_expected_methods", "_start_line", "_headers", "_body_pieces",
         "_body_remaining", "_current_method", "_finished",
     )
@@ -157,7 +156,6 @@ class HttpParser:
         if kind not in ("request", "response"):
             raise ValueError(f"kind must be 'request' or 'response': {kind!r}")
         self.kind = kind
-        self.messages: List = []
         self.on_message = None
         self._buffer = _PieceBuffer()
         self._state = _START
@@ -382,14 +380,4 @@ class HttpParser:
             version, status, reason = self._parse_status_line()
             message = HttpResponse(status, reason, self._headers, body, version)
         self._reset_message_state()
-        if self.on_message is not None:
-            self.on_message(message)
-        else:
-            self.messages.append(message)
-
-    def pop_messages(self) -> List:
-        """Drain and return the completed-message queue (callback-less
-        parsers only; a callback parser's queue stays empty)."""
-        out = self.messages
-        self.messages = []
-        return out
+        self.on_message(message)

@@ -1,4 +1,4 @@
-"""An HTTP/1.1 server on the simulated transport.
+"""The replay web server on the simulated transport.
 
 One :class:`HttpServer` binds one (address, port) — ReplayShell spawns one
 per recorded origin, exactly as Mahimahi spawns one Apache per distinct
@@ -14,9 +14,16 @@ single-server replay slow — one Apache handling a hundred parallel
 requests queues where twenty Apaches would not — the mechanism behind the
 paper's Table 2 ablation.
 
-Persistent connections are the default; ``Connection: close`` on a request
-closes after the response, like Apache's keep-alive handling. Pipelined
-requests are answered in order.
+The server is one model whatever the framing: ``protocol`` only picks
+how an accepted connection reads requests and writes responses —
+:class:`_ServerConnection` for HTTP/1.1, or the SPDY-style
+:class:`~repro.http.mux._MuxServerConnection` for ``"mux"``. The
+listener, pool, handler, processing time and counters are shared.
+
+On HTTP/1.1, persistent connections are the default; ``Connection:
+close`` on a request closes after the response, like Apache's keep-alive
+handling. Pipelined requests are answered in order. A malformed request
+aborts its connection; the server keeps serving the others.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional
 
+from repro.errors import HttpParseError
 from repro.http.message import Headers, HttpRequest, HttpResponse
+from repro.http.mux import _MuxServerConnection
 from repro.http.parser import HttpParser
 from repro.http.serialize import serialize_response, write_message
 from repro.net.address import IPv4Address
@@ -119,7 +128,7 @@ class WorkerPool:
 
 
 class HttpServer:
-    """An HTTP server bound to one (address, port).
+    """A web server bound to one (address, port).
 
     Args:
         sim: the simulator.
@@ -134,6 +143,12 @@ class HttpServer:
         tls_config: handshake sizes when ``tls`` is set.
         max_workers: concurrent request-processing slots (None =
             unbounded). Requests beyond this queue FIFO server-wide.
+        fault_injector: optional
+            :class:`repro.chaos.inject.ServerFaultInjector`, assignable
+            after construction (``ShellStack.add_chaos`` wires one across
+            a replay's servers). HTTP/1.1 only: its clauses act on an
+            HTTP/1.1 byte stream.
+        protocol: the framing, ``"http/1.1"`` (default) or ``"mux"``.
     """
 
     def __init__(
@@ -148,9 +163,11 @@ class HttpServer:
         tls_config: Optional[TlsConfig] = None,
         max_workers: Optional[int] = None,
         fault_injector=None,
+        protocol: str = "http/1.1",
     ) -> None:
+        if protocol not in _CONNECTIONS:
+            raise ValueError(f"unknown server protocol: {protocol!r}")
         self.sim = sim
-        self.transport = transport
         self.address = IPv4Address(address)
         self.port = port
         self.handler = handler
@@ -158,9 +175,7 @@ class HttpServer:
         self.tls = tls
         self.tls_config = tls_config
         self.max_workers = max_workers
-        #: Optional :class:`repro.chaos.inject.ServerFaultInjector`;
-        #: assignable after construction (``ShellStack.add_chaos`` wires
-        #: one shared injector across all of a replay's servers).
+        self.protocol = protocol
         self.fault_injector = fault_injector
         self.requests_served = 0
         self.connections_accepted = 0
@@ -178,8 +193,12 @@ class HttpServer:
         """Deepest worker-pool backlog observed."""
         return self.pool.peak_backlog
 
-    def submit(self, work: Callable[[], None], delay: float) -> None:
-        """Run ``work`` on the worker pool (see :class:`WorkerPool`)."""
+    def dispatch(self, request: HttpRequest, work: Callable[[], None]) -> None:
+        """Run ``work`` on the worker pool after ``request``'s processing
+        time (see :class:`WorkerPool`)."""
+        delay = 0.0
+        if self.processing_time is not None:
+            delay = self.processing_time(request)
         self.pool.submit(work, delay)
 
     def close(self) -> None:
@@ -188,7 +207,7 @@ class HttpServer:
 
     def _accept(self, conn: TcpConnection) -> None:
         self.connections_accepted += 1
-        _ServerConnection(self, conn)
+        _CONNECTIONS[self.protocol](self, conn)
 
     def __repr__(self) -> str:
         return (
@@ -197,17 +216,13 @@ class HttpServer:
         )
 
 
-def _ignore_error(exc: Exception) -> None:
-    """A server connection's transport errors need no handling: the
-    client side sees (and reports) them."""
-
-
 class _ServerConnection:
-    """Per-connection request loop."""
+    """Per-connection HTTP/1.1 request loop. Transport errors need no
+    handling here: the client side sees (and reports) them."""
 
     __slots__ = (
-        "server", "conn", "parser", "_pending", "_closing", "_stalled",
-        "_tls", "_sender",
+        "server", "conn", "stream", "parser", "_pending", "_closing",
+        "_stalled",
     )
 
     def __init__(self, server: HttpServer, conn: TcpConnection) -> None:
@@ -222,19 +237,16 @@ class _ServerConnection:
         self._pending: Optional[Deque[list]] = None
         self._closing = False
         self._stalled = False
-        if server.tls:
-            self._tls = TlsServerSession(conn, server.tls_config)
-            self._tls.on_data = self._data
-            self._sender = self._tls
-        else:
-            self._tls = None
-            self._sender = conn
-            conn.on_data = self._data
+        self.stream = (TlsServerSession(conn, server.tls_config)
+                       if server.tls else conn)
+        self.stream.on_data = self._data
         conn.on_remote_close = self._remote_closed
-        conn.on_error = _ignore_error
 
     def _data(self, pieces) -> None:
-        self.parser.feed(pieces)
+        try:
+            self.parser.feed(pieces)
+        except HttpParseError:
+            self.conn.abort()
 
     def _request_arrived(self, request: HttpRequest) -> None:
         close_after = (
@@ -245,10 +257,7 @@ class _ServerConnection:
         if self._pending is None:
             self._pending = deque()
         self._pending.append(entry)
-        delay = 0.0
-        if self.server.processing_time is not None:
-            delay = self.server.processing_time(request)
-        self.server.submit(lambda: self._process(entry), delay)
+        self.server.dispatch(request, lambda: self._process(entry))
 
     def _process(self, entry: list) -> None:
         request = entry[0]
@@ -281,7 +290,7 @@ class _ServerConnection:
             if fault is not None:
                 self._apply_fault(response, close_after, fault)
                 return
-            write_message(self._sender, serialize_response(response))
+            write_message(self.stream, serialize_response(response))
             self.server.requests_served += 1
             if close_after:
                 self._closing = True
@@ -301,8 +310,8 @@ class _ServerConnection:
         pieces = serialize_response(response)
         head, body = pieces[:1], pieces[1:]
         sent_body, rest = pieces_split(body, fault.after_bytes)
-        self._sender.write(head)
-        self._sender.write(sent_body)
+        self.stream.write(head)
+        self.stream.write(sent_body)
         if fault.kind == "reset":
             self._closing = True
             self.conn.abort()
@@ -324,7 +333,7 @@ class _ServerConnection:
         self._stalled = False
         if self.conn.state == "CLOSED":
             return
-        self._sender.write(rest)
+        self.stream.write(rest)
         self.server.requests_served += 1
         if close_after:
             self._closing = True
@@ -340,3 +349,7 @@ class _ServerConnection:
                 self.conn.close()
             except Exception:
                 pass
+
+
+#: protocol -> the connection class that frames it.
+_CONNECTIONS = {"http/1.1": _ServerConnection, "mux": _MuxServerConnection}

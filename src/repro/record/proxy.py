@@ -177,25 +177,18 @@ class _ProxiedConnection:
         client_conn.on_remote_close = self._client_closed
         client_conn.on_error = lambda exc: self._teardown()
 
-        if self.scheme == "https":
-            self._client_tls = TlsServerSession(client_conn)
-            self._client_tls.on_data = self._request_parser.feed
-            self._upstream_tls = TlsClientSession(self.upstream_conn)
-            self._upstream_tls.on_data = self._response_parser.feed
-            self._client_sender = self._client_tls
-            self._upstream_sender = self._upstream_tls
-        else:
-            self._client_tls = None
-            self._upstream_tls = None
-            client_conn.on_data = self._request_parser.feed
-            self.upstream_conn.on_data = self._response_parser.feed
-            self._client_sender = client_conn
-            self._upstream_sender = self.upstream_conn
+        https = self.scheme == "https"
+        self._client_stream = (TlsServerSession(client_conn) if https
+                               else client_conn)
+        self._upstream_stream = (TlsClientSession(self.upstream_conn)
+                                 if https else self.upstream_conn)
+        self._client_stream.on_data = self._request_parser.feed
+        self._upstream_stream.on_data = self._response_parser.feed
 
     def _client_request(self, request: HttpRequest) -> None:
         self._outstanding.append(request)
         self._response_parser.expect(request.method)
-        write_message(self._upstream_sender, serialize_request(request))
+        write_message(self._upstream_stream, serialize_request(request))
 
     def _upstream_response(self, response: HttpResponse) -> None:
         if self._outstanding:
@@ -206,7 +199,7 @@ class _ProxiedConnection:
             )
             self.proxy.store.add_pair(pair)
             self.proxy.pairs_recorded += 1
-        write_message(self._client_sender, serialize_response(response))
+        write_message(self._client_stream, serialize_response(response))
 
     def _client_closed(self) -> None:
         if not self._outstanding:

@@ -89,6 +89,20 @@ class TestChaosShell:
         with pytest.raises(ShellError):
             stack.add_chaos(FaultPlan(clauses=(ServerFaultClause(),)))
 
+    def test_server_clauses_on_a_mux_replay_rejected(self):
+        # Stall, truncate and reset act on an HTTP/1.1 byte stream; on a
+        # mux replay they would be silently dropped, so they are refused.
+        site = generate_site("mux.example", seed=0, n_origins=2, scale=0.3)
+        stack = ShellStack(HostMachine(Simulator(seed=0)))
+        stack.add_replay(site.to_recorded_site(), protocol="mux")
+        with pytest.raises(ShellError, match="'mux'"):
+            stack.add_chaos(FaultPlan(clauses=(ServerFaultClause(),)))
+        shell = stack.add_chaos(FaultPlan(clauses=(
+            DnsFaultClause(kind="servfail", skip=0, count=1),)
+            + link_plan().clauses))
+        assert shell.dns_injector is not None
+        assert shell.server_injector is None
+
     def test_link_only_plan_needs_no_replay(self):
         sim = Simulator(seed=0)
         stack = ShellStack(HostMachine(sim))

@@ -611,6 +611,21 @@ class TestMmChaos:
         with pytest.raises(CliError):
             mm_chaos.run([str(path), "load"], [])
 
+    def test_server_clauses_on_a_mux_replay_exit_2(
+            self, recorded_dir, tmp_path, monkeypatch, capsys):
+        from repro.chaos import FaultPlan, ServerFaultClause
+
+        path = tmp_path / "server-plan.json"
+        path.write_text(
+            FaultPlan(clauses=(ServerFaultClause(),)).to_json())
+        monkeypatch.setattr("sys.argv", [
+            "mm-webreplay", "--protocol=mux", recorded_dir,
+            "mm-chaos", str(path), "load"])
+        assert mm_webreplay.main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan has server fault clauses")
+        assert "'mux'" in err
+
     def test_example_prints_valid_plan(self, capsys):
         from repro.chaos import FaultPlan
 

@@ -13,7 +13,7 @@ import pytest
 from repro.http.body import Body
 from repro.http.client import HttpClient
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.mux import MuxClientSession, MuxHttpServer
+from repro.http.mux import MuxClientSession
 from repro.http.server import HttpServer
 from repro.net.capture import PacketCapture
 from repro.testing import TwoHostWorld, delayed_world
@@ -33,22 +33,19 @@ SHAPES = {
     "many small real pieces": lambda: _chunks(b"c" * LENGTH, 700),
 }
 
-SERVERS = {
-    "http/1.1": (HttpServer, HttpClient),
-    "mux": (MuxHttpServer, MuxClientSession),
-}
+CLIENTS = {"http/1.1": HttpClient, "mux": MuxClientSession}
 
 
 def _server_segments(protocol, pieces, tls=False):
     """(time, size) of every packet the server sent for one GET."""
-    server_cls, client_cls = SERVERS[protocol]
+    client_cls = CLIENTS[protocol]
     world: TwoHostWorld = delayed_world(0.010)
     capture = PacketCapture(
         world.client_ns,
         match=lambda packet: str(packet.src) == world.SERVER_ADDR)
-    server_cls(world.sim, world.server, world.SERVER_ADDR, 80,
+    HttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
                lambda request: HttpResponse(200, body=Body(pieces)),
-               tls=tls)
+               tls=tls, protocol=protocol)
     client = client_cls(world.sim, world.client, world.server_endpoint,
                         tls=tls)
     got = []
@@ -60,7 +57,7 @@ def _server_segments(protocol, pieces, tls=False):
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("protocol", sorted(SERVERS))
+@pytest.mark.parametrize("protocol", sorted(CLIENTS))
 @pytest.mark.parametrize("tls", [False, True], ids=["tcp", "tls"])
 def test_server_segments_do_not_depend_on_body_shape(shape, protocol, tls):
     reference = _server_segments(protocol, SHAPES["one real piece"](), tls)
@@ -68,14 +65,15 @@ def test_server_segments_do_not_depend_on_body_shape(shape, protocol, tls):
     assert _server_segments(protocol, SHAPES[shape](), tls) == reference
 
 
-@pytest.mark.parametrize("protocol", sorted(SERVERS))
+@pytest.mark.parametrize("protocol", sorted(CLIENTS))
 def test_markup_survives_the_trip(protocol):
     """The client parses the markup back out of the mixed body."""
-    server_cls, client_cls = SERVERS[protocol]
+    client_cls = CLIENTS[protocol]
     world = delayed_world(0.010)
     body = Body([MARKUP, LENGTH - len(MARKUP)])
-    server_cls(world.sim, world.server, world.SERVER_ADDR, 80,
-               lambda request: HttpResponse(200, body=body))
+    HttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
+               lambda request: HttpResponse(200, body=body),
+               protocol=protocol)
     client = client_cls(world.sim, world.client, world.server_endpoint)
     got = []
     client.request(HttpRequest("GET", "/", Headers([("Host", "x.com")])),

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.errors import ConnectionClosed
+from repro.errors import ConnectionClosed, ConnectionReset, HttpParseError
 from repro.http.body import Body
 from repro.http.client import FailableCallback, HttpClient
 from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.serialize import message_wire_length
 from repro.http.server import HttpServer
+from repro.net.address import IPv4Address
 from repro.testing import delayed_world
 
 
@@ -204,3 +205,46 @@ class TestFailableCallback:
         world.sim.run_until(lambda: bool(failures), timeout=10)
         assert responses == []
         assert failures
+
+
+class TestMalformedMessages:
+    """A malformed message costs its own connection, never the world:
+    the server aborts that connection and the client fails what it has
+    outstanding with the parse error."""
+
+    def test_garbage_request_resets_only_its_connection(self):
+        world = delayed_world(0.010)
+        server = HttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
+                            simple_handler)
+        raw = world.client.connect(world.server_endpoint)
+        errors = []
+        raw.on_error = errors.append
+        raw.on_established = lambda: raw.write(
+            [b"MUX 1 H 30 1\nGET / HTTP/1.1\r\nHost: h\r\n\r\n"])
+        world.sim.run()
+        assert [type(exc) for exc in errors] == [ConnectionReset]
+
+        client = HttpClient(world.sim, world.client, world.server_endpoint)
+        got = []
+        client.request(get("/small"), got.append)
+        world.sim.run()
+        assert [response.status for response in got] == [200]
+        assert server.connections_accepted == 2
+        assert server.requests_served == 1
+
+    def test_garbage_response_fails_the_outstanding_request(self):
+        world = delayed_world(0.010)
+
+        def accept(conn):
+            conn.on_data = lambda pieces: conn.write(
+                [b"HTTP/1.1 200 OK\r\nnot a header\r\n\r\n"])
+
+        world.server.listen(IPv4Address(world.SERVER_ADDR), 80, accept)
+        client = HttpClient(world.sim, world.client, world.server_endpoint)
+        responses, failures = [], []
+        client.request(get("/x"),
+                       FailableCallback(responses.append, failures.append))
+        world.sim.run()
+        assert responses == []
+        assert [type(exc) for exc in failures] == [HttpParseError]
+        assert client.closed

@@ -9,7 +9,8 @@ from repro.errors import ShellError
 from repro.http.body import Body
 from repro.http.client import FailableCallback
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.mux import MuxClientSession, MuxHttpServer, _FrameCodec
+from repro.http.mux import MuxClientSession, _FrameCodec
+from repro.http.server import HttpServer
 from repro.sim import Simulator
 from repro.testing import delayed_world
 
@@ -20,8 +21,8 @@ def get(uri, host="example.com"):
 
 def mux_world(handler, delay=0.020, **server_kwargs):
     world = delayed_world(delay)
-    server = MuxHttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
-                           handler, **server_kwargs)
+    server = HttpServer(world.sim, world.server, world.SERVER_ADDR, 80,
+                        handler, protocol="mux", **server_kwargs)
     session = MuxClientSession(world.sim, world.client, world.server_endpoint)
     return world, server, session
 
@@ -142,13 +143,13 @@ class TestMuxSession:
 
 class TestMuxPageLoads:
     def _load(self, protocol, rate=14, delay=0.150, seed=0, n_origins=8,
-              name="muxpage.com"):
+              name="muxpage.com", replay_protocol=None):
         site = generate_site(name, seed=70, n_origins=n_origins)
         store = site.to_recorded_site()
         sim = Simulator(seed=seed)
         machine = HostMachine(sim)
         stack = ShellStack(machine)
-        stack.add_replay(store, protocol=protocol)
+        stack.add_replay(store, protocol=replay_protocol or protocol)
         stack.add_link(rate, rate)
         stack.add_delay(delay)
         browser = Browser(sim, stack.transport, stack.resolver_endpoint,
@@ -156,7 +157,8 @@ class TestMuxPageLoads:
                           machine=machine)
         result = browser.load(site.page)
         sim.run_until(lambda: result.complete, timeout=600)
-        assert result.complete and result.resources_failed == 0
+        if replay_protocol is None:
+            assert result.complete and result.resources_failed == 0
         return result
 
     def test_mux_page_load_completes(self):
@@ -178,6 +180,17 @@ class TestMuxPageLoads:
         http1 = self._load("http/1.1", delay=0.050, n_origins=2,
                            name="muxconsolidated.com")
         assert mux.page_load_time < http1.page_load_time
+
+    @pytest.mark.parametrize("browser,replay",
+                             [("mux", "http/1.1"), ("http/1.1", "mux")])
+    def test_mismatched_protocols_fail_the_load_not_the_world(
+            self, browser, replay):
+        # Each server reads the other framing as a malformed message and
+        # aborts the connection; the browser fails the root document.
+        result = self._load(browser, n_origins=2, replay_protocol=replay)
+        assert result.complete
+        assert result.resources_loaded == 0
+        assert result.resources_failed >= 1
 
     def test_unknown_protocol_rejected(self):
         site = generate_site("badproto.com", seed=71, n_origins=3)

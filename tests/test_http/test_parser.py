@@ -16,13 +16,21 @@ from repro.testing import delayed_world
 from repro.transport.wire import pieces_slice
 
 
+def collect(parser):
+    """The list ``parser``'s completed messages go to."""
+    got = []
+    parser.on_message = got.append
+    return got
+
+
 def feed_bytes(parser, data, chunk=None):
+    got = collect(parser)
     if chunk is None:
         parser.feed([data])
     else:
         for i in range(0, len(data), chunk):
             parser.feed([data[i:i + chunk]])
-    return parser.pop_messages()
+    return got
 
 
 class TestRequestParsing:
@@ -95,18 +103,20 @@ class TestResponseParsing:
 
     def test_virtual_body(self):
         parser = HttpParser("response")
+        got = collect(parser)
         parser.feed([b"HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n"])
         parser.feed([2000])
-        assert parser.messages == []
+        assert got == []
         parser.feed([3000])
-        resp = parser.pop_messages()[0]
+        resp = got[0]
         assert resp.body.length == 5000
         assert not resp.body.is_fully_real
 
     def test_mixed_real_virtual_body(self):
         parser = HttpParser("response")
+        got = collect(parser)
         parser.feed([b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nab", 8])
-        resp = parser.pop_messages()[0]
+        resp = got[0]
         assert resp.body.length == 10
 
     def test_204_has_no_body(self):
@@ -121,8 +131,7 @@ class TestResponseParsing:
         parser.expect("GET")
         wire = (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
                 b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nxy")
-        parser.feed([wire])
-        messages = parser.pop_messages()
+        messages = feed_bytes(parser, wire)
         assert len(messages) == 2
         assert messages[0].body.length == 0
         assert messages[1].body.as_bytes() == b"xy"
@@ -147,11 +156,12 @@ class TestResponseParsing:
 
     def test_close_delimited_body(self):
         parser = HttpParser("response")
+        got = collect(parser)
         parser.feed([b"HTTP/1.1 200 OK\r\n\r\nsome data"])
-        assert parser.messages == []
+        assert got == []
         parser.feed([b" more"])
         parser.finish()
-        resp = parser.pop_messages()[0]
+        resp = got[0]
         assert resp.body.as_bytes() == b"some data more"
 
     def test_finish_mid_message_raises(self):
@@ -175,7 +185,8 @@ class TestResponseParsing:
 
     def test_feed_after_finish_rejected(self):
         parser = HttpParser("response")
-        parser.feed([b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"])
+        assert len(feed_bytes(
+            parser, b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")) == 1
         parser.finish()
         with pytest.raises(HttpParseError):
             parser.feed([b"x"])
@@ -189,27 +200,25 @@ class TestResponseParsing:
 
 
 class TestRetention:
-    """A message goes to the callback or to the queue, never both."""
+    """A message goes to the callback and nowhere else."""
 
     WIRE = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n"
 
-    def test_callback_parser_keeps_nothing(self):
-        got = []
+    def test_callback_parser_keeps_nothing(self, collector_off, monkeypatch):
+        class Traceable(HttpRequest):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr("repro.http.parser.HttpRequest", Traceable)
         parser = HttpParser("request")
-        parser.on_message = got.append
+        got = collect(parser)
         for __ in range(5):
             parser.feed([self.WIRE])
         assert len(got) == 5
-        assert parser.messages == []
-        assert parser.pop_messages() == []
-
-    def test_callback_less_parser_queues(self):
-        parser = HttpParser("request")
-        for __ in range(5):
-            parser.feed([self.WIRE])
-        assert len(parser.messages) == 5
-        assert len(parser.pop_messages()) == 5
-        assert parser.messages == []
+        delivered = [weakref.ref(message) for message in got]
+        got.clear()
+        assert [ref() for ref in delivered] == [None] * 5
+        assert not hasattr(parser, "messages")
+        assert not hasattr(parser, "pop_messages")
 
     def test_keep_alive_client_holds_no_delivered_response(
             self, collector_off, monkeypatch):
@@ -245,8 +254,9 @@ class TestRoundTrip:
             Body.from_bytes(b"payload"),
         )
         parser = HttpParser("request")
+        got = collect(parser)
         parser.feed(serialize_request(original))
-        parsed = parser.pop_messages()[0]
+        parsed = got[0]
         assert parsed == original
 
     def test_response_roundtrip_virtual(self):
@@ -255,8 +265,9 @@ class TestRoundTrip:
             body=Body.virtual(100_000),
         )
         parser = HttpParser("response")
+        got = collect(parser)
         parser.feed(serialize_response(original))
-        parsed = parser.pop_messages()[0]
+        parsed = got[0]
         assert parsed.status == 200
         assert parsed.body.length == 100_000
         assert parsed.headers.get("Content-Type") == "image/jpeg"
@@ -298,11 +309,11 @@ class TestParserProperties:
     def test_serialize_parse_roundtrip_any_chunking(self, request, chunk):
         pieces = serialize_request(request)
         parser = HttpParser("request")
+        parsed = collect(parser)
         # Re-chunk the serialized stream arbitrarily.
         total = sum(len(p) if isinstance(p, bytes) else p for p in pieces)
         for start in range(0, total, chunk):
             parser.feed(pieces_slice(pieces, start, min(start + chunk, total)))
-        parsed = parser.pop_messages()
         assert len(parsed) == 1
         assert parsed[0].method == request.method
         assert parsed[0].uri == request.uri

@@ -40,6 +40,12 @@ def instrumented():
     return sim.metrics, result
 
 
+@pytest.fixture(scope="module")
+def instrumented_mux():
+    sim, result = build_world(0, instrument=True, protocol="mux")
+    return sim.metrics, result
+
+
 class TestProbesPopulate:
     def test_linkem_series_and_counters(self, instrumented):
         registry, __ = instrumented
@@ -65,6 +71,20 @@ class TestProbesPopulate:
                      if ".occupancy" in name]
         assert occupancy
         assert any(v >= 1 for s in occupancy for __, v in s.points)
+
+    @pytest.mark.parametrize("protocol", ["http/1.1", "mux"])
+    def test_every_origin_records_server_probes(self, request, protocol):
+        # One server model on both framings: each replay origin's worker
+        # pool records its occupancy, backlog and sojourn latency.
+        registry, __ = request.getfixturevalue(
+            "instrumented" if protocol == "http/1.1" else "instrumented_mux")
+        origins = sorted(STORE.origins())
+        assert len(origins) > 1
+        for ip, port in origins:
+            path = f"http.server.{ip}:{port}"
+            assert registry.series[f"{path}.occupancy"].points
+            assert f"{path}.backlog" in registry.series
+            assert registry.histograms[f"{path}.latency"].count > 0
 
     @pytest.mark.parametrize("protocol", ["http/1.1", "mux"])
     def test_browser_waterfall_and_inflight(self, instrumented, protocol):
