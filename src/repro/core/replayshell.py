@@ -69,8 +69,9 @@ class ReplayShell(Shell):
             prefork's initial pool); the contention source in
             single-server mode.
         protocol: "http/1.1" (default) or "mux" — replay over the
-            SPDY-style multiplexed transport (the browser must be
-            configured to match; see BrowserConfig.protocol).
+            SPDY-style multiplexed framing (the browser must be
+            configured to match; see BrowserConfig.protocol). A fault
+            plan's server clauses need "http/1.1".
         name: shell/namespace name.
     """
 
