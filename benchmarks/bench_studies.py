@@ -28,7 +28,6 @@ from repro.core.base import Shell
 from repro.corpus import generate_site
 from repro.errors import ReproError
 from repro.linkem import CoDelQueue, DropTailQueue
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.trace import ConstantRateSchedule
 from repro.linkem.tracelink import TracePipe
 from repro.measure import FAILURE_CLASSES, Sample, classify_result
@@ -71,7 +70,7 @@ def _trace_semantics_sweep(trials):
             sim = stack.sim
             downlink, uplink = (
                 pipe_class(sim, ConstantRateSchedule(rate * 1e6, sim.now),
-                           DropTailQueue(), OverheadModel.none())
+                           DropTailQueue(), service_time=0.0)
                 for __ in range(2))
             stack.shells.append(Shell(
                 sim, stack.namespace, stack.machine.allocator,

@@ -5,41 +5,15 @@ twice: they set the absolute scale of page load times when the network is
 fast (Figure 2's ReplayShell-alone distribution is compute-dominated), and
 their jitter (via the machine profile) is the variance Table 1 reports.
 
-Defaults are calibrated so a mid-sized multi-origin page loads in roughly
-1-2 s over an unconstrained network — the regime of the paper's Figure 2
-corpus runs on 2014 Chrome.
+The cost tables are ``calibration.PARSE_BASE`` and
+``calibration.PARSE_PER_KB``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
-
-def _default_parse_base() -> Dict[str, float]:
-    # Fixed per-resource cost, seconds: dispatch, style/script bookkeeping.
-    return {
-        "html": 0.030,
-        "css": 0.008,
-        "js": 0.014,
-        "image": 0.002,
-        "font": 0.003,
-        "xhr": 0.004,
-        "other": 0.002,
-    }
-
-
-def _default_parse_per_kb() -> Dict[str, float]:
-    # Size-dependent cost, seconds per KiB: parsing, JIT, decode.
-    return {
-        "html": 0.00050,
-        "css": 0.00030,
-        "js": 0.00085,
-        "image": 0.00006,
-        "font": 0.00010,
-        "xhr": 0.00020,
-        "other": 0.00005,
-    }
+from repro import calibration
 
 
 @dataclass
@@ -55,8 +29,6 @@ class BrowserConfig:
             render-critical scripts and stylesheets of bandwidth; without
             this cap, every object on a shared bottleneck finishes at the
             link-drain time and page load dynamics come out wrong.
-        connection_reuse: keep connections alive across requests.
-        parse_base / parse_per_kb: compute cost model by resource kind.
         request_header_bytes: size of a typical request (cookies, UA...).
         dns_timeout / dns_retries: stub resolver behaviour.
         start_delay: compute time before the first request (navigation,
@@ -69,10 +41,7 @@ class BrowserConfig:
 
     max_connections_per_origin: int = 6
     max_delayable_in_flight: int = 10
-    connection_reuse: bool = True
     protocol: str = "http/1.1"
-    parse_base: Dict[str, float] = field(default_factory=_default_parse_base)
-    parse_per_kb: Dict[str, float] = field(default_factory=_default_parse_per_kb)
     request_header_bytes: int = 420
     dns_timeout: float = 2.0
     dns_retries: int = 4
@@ -80,6 +49,8 @@ class BrowserConfig:
 
     def parse_cost(self, kind: str, size: int) -> float:
         """Idealized compute seconds to process one resource."""
-        base = self.parse_base.get(kind, self.parse_base["other"])
-        per_kb = self.parse_per_kb.get(kind, self.parse_per_kb["other"])
+        parse_base = calibration.PARSE_BASE
+        parse_per_kb = calibration.PARSE_PER_KB
+        base = parse_base.get(kind, parse_base["other"])
+        per_kb = parse_per_kb.get(kind, parse_per_kb["other"])
         return base + per_kb * (size / 1024.0)

@@ -107,11 +107,6 @@ class ChaosPipe(PacketPipe):
             self._obs_held = None
             self._obs_faults = None
 
-    @property
-    def ge_state(self) -> Optional[str]:
-        """The GE chain's current state (None without a GE clause)."""
-        return self._ge.state if self._ge is not None else None
-
     def _obs_fault(self, counter) -> None:
         if counter is not None:
             counter.add(1)

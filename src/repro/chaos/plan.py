@@ -470,9 +470,8 @@ class FaultPlan:
 class OutageSchedule:
     """The merged outage windows of several clauses, queryable in time.
 
-    Used by :class:`~repro.chaos.pipes.ChaosPipe` (hold and release
-    packets) and :class:`~repro.linkem.tracelink.TracePipe` (suppress
-    delivery opportunities inside windows).
+    Used by :class:`~repro.chaos.pipes.ChaosPipe` to hold and release
+    packets.
     """
 
     def __init__(self, clauses: Iterable[OutageClause]) -> None:
@@ -483,10 +482,6 @@ class OutageSchedule:
 
     def __bool__(self) -> bool:
         return bool(self._clauses)
-
-    def active(self, when: float) -> bool:
-        """Whether any outage window covers ``when``."""
-        return any(c.window_end(when) is not None for c in self._clauses)
 
     def release_time(self, when: float) -> float:
         """Earliest time >= ``when`` not inside any window.

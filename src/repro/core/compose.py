@@ -27,7 +27,6 @@ from repro.core.machine import HostMachine, MachineProfile
 from repro.core.recordshell import RecordShell
 from repro.core.replayshell import ReplayShell
 from repro.errors import ShellError
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.queues import DropTailQueue
 from repro.net.address import Endpoint
 from repro.net.namespace import NetworkNamespace
@@ -103,15 +102,11 @@ class ShellStack:
         self.shells.append(shell)
         return shell
 
-    def add_delay(
-        self,
-        one_way_delay: float,
-        overhead: Optional[OverheadModel] = None,
-    ) -> DelayShell:
+    def add_delay(self, one_way_delay: float) -> DelayShell:
         """Nest a DelayShell inside the current innermost namespace."""
         shell = DelayShell(
             self.machine.sim, self.namespace, self.machine.allocator,
-            one_way_delay, overhead=overhead, name=self._name("delayshell"),
+            one_way_delay, name=self._name("delayshell"),
         )
         self.shells.append(shell)
         return shell
@@ -195,14 +190,13 @@ class ShellStack:
         downlink,
         uplink_queue: Optional[DropTailQueue] = None,
         downlink_queue: Optional[DropTailQueue] = None,
-        overhead: Optional[OverheadModel] = None,
     ) -> LinkShell:
         """Nest a LinkShell inside the current innermost namespace."""
         shell = LinkShell(
             self.machine.sim, self.namespace, self.machine.allocator,
             uplink, downlink,
             uplink_queue=uplink_queue, downlink_queue=downlink_queue,
-            overhead=overhead, name=self._name("linkshell"),
+            name=self._name("linkshell"),
         )
         self.shells.append(shell)
         return shell

@@ -8,12 +8,9 @@ toolkit's own overhead (Figure 2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.base import Shell
 from repro.errors import ShellError
 from repro.linkem.delay import DelayPipe
-from repro.linkem.overhead import OverheadModel
 from repro.net.address import AddressAllocator
 from repro.net.namespace import NetworkNamespace
 from repro.sim.simulator import Simulator
@@ -28,9 +25,6 @@ class DelayShell(Shell):
         allocator: shared shell address allocator.
         one_way_delay: seconds of delay each direction (``mm-delay 40``
             is ``one_way_delay=0.040``).
-        overhead: per-packet forwarding cost; defaults to the calibrated
-            mm-delay cost (pass ``OverheadModel.none()`` for an ideal
-            delay element).
         name: shell/namespace name.
     """
 
@@ -40,12 +34,11 @@ class DelayShell(Shell):
         parent: NetworkNamespace,
         allocator: AddressAllocator,
         one_way_delay: float,
-        overhead: Optional[OverheadModel] = None,
         name: str = "delayshell",
     ) -> None:
         if one_way_delay < 0.0:
             raise ShellError(f"negative delay: {one_way_delay!r}")
         self.one_way_delay = one_way_delay
-        downlink = DelayPipe(sim, one_way_delay, overhead)
-        uplink = DelayPipe(sim, one_way_delay, overhead)
+        downlink = DelayPipe(sim, one_way_delay)
+        uplink = DelayPipe(sim, one_way_delay)
         super().__init__(sim, parent, allocator, name, downlink, uplink)

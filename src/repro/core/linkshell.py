@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.base import Shell
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.trace import (
     ConstantRateSchedule,
     FileTraceSchedule,
@@ -45,8 +44,6 @@ class LinkShell(Shell):
         downlink: trace (or constant rate in Mbit/s) for parent->child.
         uplink_queue / downlink_queue: queue disciplines — DropTailQueue
             or CoDelQueue (default: unbounded drop-tail, like mm-link).
-        overhead: per-packet forwarding cost; defaults to the calibrated
-            mm-link cost.
         name: shell/namespace name.
     """
 
@@ -59,16 +56,15 @@ class LinkShell(Shell):
         downlink: TraceLike,
         uplink_queue: Optional[object] = None,
         downlink_queue: Optional[object] = None,
-        overhead: Optional[OverheadModel] = None,
         name: str = "linkshell",
     ) -> None:
         start = sim.now
         down_pipe = TracePipe(
-            sim, _make_schedule(downlink, start), downlink_queue, overhead,
+            sim, _make_schedule(downlink, start), downlink_queue,
             obs_path=f"{name}.downlink",
         )
         up_pipe = TracePipe(
-            sim, _make_schedule(uplink, start), uplink_queue, overhead,
+            sim, _make_schedule(uplink, start), uplink_queue,
             obs_path=f"{name}.uplink",
         )
         super().__init__(sim, parent, allocator, name, down_pipe, up_pipe)

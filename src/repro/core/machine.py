@@ -14,9 +14,10 @@ shell address allocator — the root every shell stack hangs off.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro import calibration
 from repro.net.address import AddressAllocator
 from repro.net.namespace import NetworkNamespace
 from repro.sim.simulator import Simulator
@@ -32,20 +33,24 @@ class MachineProfile:
             machine; 1.05 = 5% slower).
         jitter_stddev: relative standard deviation of per-operation timing
             noise (OS scheduling, cache effects). Applied as a truncated
-            Gaussian factor around 1.0, independently per operation.
+            Gaussian factor around 1.0, independently per operation
+            (default ``calibration.JITTER_STDDEV``).
         trial_jitter_stddev: relative standard deviation of the *per-run*
             host condition (background load, thermal state) — one factor
             drawn per HostMachine and applied to every compute delay of
             that run. This correlated component is what gives repeated
             page loads their percent-scale spread (Table 1's standard
             deviations); the per-operation component alone averages out
-            across a page's many resources.
+            across a page's many resources (default
+            ``calibration.TRIAL_JITTER_STDDEV``).
     """
 
     name: str = "machine"
     cpu_factor: float = 1.0
-    jitter_stddev: float = 0.015
-    trial_jitter_stddev: float = 0.035
+    jitter_stddev: float = field(
+        default_factory=lambda: calibration.JITTER_STDDEV)
+    trial_jitter_stddev: float = field(
+        default_factory=lambda: calibration.TRIAL_JITTER_STDDEV)
 
     def compute_time(self, base_seconds: float, rng: random.Random) -> float:
         """Turn an idealized compute cost into this machine's actual cost."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro import calibration
 from repro.core.base import Shell
 from repro.core.machine import HostMachine
 from repro.dns.server import DnsServer
@@ -35,23 +36,6 @@ from repro.record.matcher import RequestMatcher
 from repro.record.store import RecordedSite
 from repro.sim.simulator import Simulator
 
-#: Default per-request server compute: fork/exec of the CGI script.
-DEFAULT_SERVER_PROCESSING = 0.005
-
-#: The CGI script compares each request against every recorded pair, so
-#: its cost scales with the size of the recorded site (seconds per pair).
-DEFAULT_SERVER_PER_PAIR = 0.00003
-
-#: Default concurrent CGI slots per replay server (one Apache's effective
-#: CGI throughput is a few hundred requests/second). One server bound by
-#: this queues under a browser's parallel request burst where twenty
-#: servers would not — the single-server penalty of Table 2.
-DEFAULT_SERVER_WORKERS = 2
-
-#: Default DNS lookup latency inside the namespace (dnsmasq is fast).
-DEFAULT_DNS_PROCESSING = 0.0002
-
-
 class ReplayShell(Shell):
     """Replay a recorded site with multi-origin preservation.
 
@@ -64,9 +48,9 @@ class ReplayShell(Shell):
             (optional; without it, compute delays are unjittered).
         single_server: serve all content from one server instead of one
             per recorded origin (the paper's ablation).
-        server_processing: base seconds of server compute per request.
         server_workers: concurrent request slots per server (Apache
-            prefork's initial pool); the contention source in
+            prefork's initial pool; default
+            ``calibration.SERVER_WORKERS``); the contention source in
             single-server mode.
         protocol: "http/1.1" (default) or "mux" — replay over the
             SPDY-style multiplexed framing (the browser must be
@@ -83,8 +67,7 @@ class ReplayShell(Shell):
         site: RecordedSite,
         machine: Optional[HostMachine] = None,
         single_server: bool = False,
-        server_processing: float = DEFAULT_SERVER_PROCESSING,
-        server_workers: int = DEFAULT_SERVER_WORKERS,
+        server_workers: Optional[int] = None,
         protocol: str = "http/1.1",
         name: str = "replayshell",
     ) -> None:
@@ -116,9 +99,14 @@ class ReplayShell(Shell):
                 sim.metrics.counter(
                     "replayshell.store.pairs_damaged"
                 ).add(damaged)
+        # The CGI script's cost: a fork/exec, plus one comparison per
+        # recorded pair.
         self._server_processing = (
-            server_processing + DEFAULT_SERVER_PER_PAIR * len(site)
+            calibration.SERVER_PROCESSING
+            + calibration.SERVER_PER_PAIR * len(site)
         )
+        if server_workers is None:
+            server_workers = calibration.SERVER_WORKERS
 
         hostmap = site.hostnames()
         origins = sorted(site.origins())
@@ -158,7 +146,7 @@ class ReplayShell(Shell):
         dns_iface.add_address(dns_addr, 32)
         self.dns = DnsServer(
             sim, self.transport, dns_addr, zone,
-            processing_time=DEFAULT_DNS_PROCESSING,
+            processing_time=calibration.DNS_PROCESSING,
         )
 
     @property

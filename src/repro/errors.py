@@ -188,10 +188,6 @@ class ProtocolTimeout(ProtocolError):
     """
 
 
-class NoMatchingResponse(RecordError):
-    """The replay matcher found no recorded response for a request."""
-
-
 class TraceError(ReproError):
     """Malformed packet-delivery trace file."""
 

@@ -30,7 +30,7 @@ from repro.http.serialize import serialize_request, write_message
 from repro.net.address import Endpoint
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
-from repro.transport.tls import TlsClientSession, TlsConfig
+from repro.transport.tls import TlsClientSession
 
 ResponseCallback = Callable[[HttpResponse], None]
 ErrorCallback = Callable[[Exception], None]
@@ -65,7 +65,6 @@ class OriginConnection:
         transport: TransportHost,
         origin: Endpoint,
         tls: bool = False,
-        tls_config: Optional[TlsConfig] = None,
     ) -> None:
         self.sim = sim
         self.origin = origin
@@ -85,8 +84,7 @@ class OriginConnection:
         self.conn = transport.connect(origin)
         self.conn.on_error = self._failed
         self.conn.on_remote_close = self._remote_closed
-        self.stream = (TlsClientSession(self.conn, tls_config) if tls
-                       else self.conn)
+        self.stream = TlsClientSession(self.conn) if tls else self.conn
         self.stream.on_established = self._became_ready
         self.stream.on_data = self._data
 
@@ -137,7 +135,6 @@ class HttpClient(OriginConnection):
         transport: the local namespace's transport host.
         origin: server endpoint to connect to.
         tls: model a TLS handshake before the first request.
-        tls_config: handshake sizes when ``tls`` is set.
 
     Requests are queued with :meth:`request` and issued strictly one at a
     time; the connection is reusable immediately after each response
@@ -156,7 +153,6 @@ class HttpClient(OriginConnection):
         transport: TransportHost,
         origin: Endpoint,
         tls: bool = False,
-        tls_config: Optional[TlsConfig] = None,
     ) -> None:
         self.on_idle: Optional[Callable[[], None]] = None
         # Requests waiting behind the in-flight one (or the handshake): a
@@ -170,7 +166,7 @@ class HttpClient(OriginConnection):
         # Response bytes received for the in-flight request — the byte
         # offset reported by structured mid-transfer errors.
         self._bytes_received = 0
-        super().__init__(sim, transport, origin, tls, tls_config)
+        super().__init__(sim, transport, origin, tls)
 
     # ------------------------------------------------------------------ #
     # public API

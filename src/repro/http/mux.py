@@ -42,7 +42,7 @@ from repro.net.address import Endpoint
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 from repro.transport.tcp import TcpConnection
-from repro.transport.tls import TlsConfig, TlsServerSession
+from repro.transport.tls import TlsServerSession
 from repro.transport.wire import Piece, pieces_len, pieces_split
 
 #: Bytes of response body per DATA frame (SPDY implementations used
@@ -130,7 +130,6 @@ class MuxClientSession(OriginConnection):
         transport: TransportHost,
         origin: Endpoint,
         tls: bool = False,
-        tls_config: Optional[TlsConfig] = None,
     ) -> None:
         self._codec = _FrameCodec()
         self._next_stream = 1
@@ -138,7 +137,7 @@ class MuxClientSession(OriginConnection):
         # Requests made before the handshake completes: a deque only
         # until then (None otherwise).
         self._queue: Optional[Deque[tuple]] = None
-        super().__init__(sim, transport, origin, tls, tls_config)
+        super().__init__(sim, transport, origin, tls)
 
     @property
     def busy(self) -> bool:
@@ -252,8 +251,7 @@ class _MuxServerConnection:
         # [stream_id, remaining_pieces] entries (None while there are none).
         self._write_queue: Optional[Deque[list]] = None
         self._pumping = False
-        self.stream = (TlsServerSession(conn, server.tls_config)
-                       if server.tls else conn)
+        self.stream = TlsServerSession(conn) if server.tls else conn
         self.stream.on_data = self._data
 
     def _data(self, pieces: List[Piece]) -> None:

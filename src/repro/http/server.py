@@ -40,7 +40,7 @@ from repro.net.address import IPv4Address
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 from repro.transport.tcp import TcpConnection
-from repro.transport.tls import TlsConfig, TlsServerSession
+from repro.transport.tls import TlsServerSession
 from repro.transport.wire import pieces_split
 
 Handler = Callable[[HttpRequest], HttpResponse]
@@ -140,7 +140,6 @@ class HttpServer:
             (default: none). Called per request, so it can depend on the
             resource or draw jitter.
         tls: terminate a (cost-model) TLS session on each connection.
-        tls_config: handshake sizes when ``tls`` is set.
         max_workers: concurrent request-processing slots (None =
             unbounded). Requests beyond this queue FIFO server-wide.
         fault_injector: optional
@@ -160,7 +159,6 @@ class HttpServer:
         handler: Handler,
         processing_time: Optional[ProcessingTime] = None,
         tls: bool = False,
-        tls_config: Optional[TlsConfig] = None,
         max_workers: Optional[int] = None,
         fault_injector=None,
         protocol: str = "http/1.1",
@@ -173,7 +171,6 @@ class HttpServer:
         self.handler = handler
         self.processing_time = processing_time
         self.tls = tls
-        self.tls_config = tls_config
         self.max_workers = max_workers
         self.protocol = protocol
         self.fault_injector = fault_injector
@@ -237,8 +234,7 @@ class _ServerConnection:
         self._pending: Optional[Deque[list]] = None
         self._closing = False
         self._stalled = False
-        self.stream = (TlsServerSession(conn, server.tls_config)
-                       if server.tls else conn)
+        self.stream = TlsServerSession(conn) if server.tls else conn
         self.stream.on_data = self._data
         conn.on_remote_close = self._remote_closed
 

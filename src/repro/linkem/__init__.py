@@ -11,14 +11,11 @@
 * :class:`~repro.linkem.queues.DropTailQueue` — bounded FIFO packet queue.
 * :mod:`~repro.linkem.generators` — synthetic constant-rate and cellular
   trace generators.
-* :mod:`~repro.linkem.overhead` — the calibrated per-packet forwarding
-  costs behind the Figure 2 overhead measurement.
 """
 
 from repro.linkem.codel import CoDelQueue
 from repro.linkem.delay import DelayPipe, JitterDelayPipe, LossPipe
 from repro.linkem.generators import cellular_trace, constant_rate_trace
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.processing import SerialProcessor
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.trace import (
@@ -36,7 +33,6 @@ __all__ = [
     "FileTraceSchedule",
     "JitterDelayPipe",
     "LossPipe",
-    "OverheadModel",
     "PacketDeliveryTrace",
     "SerialProcessor",
     "TracePipe",

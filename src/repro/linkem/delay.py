@@ -10,8 +10,9 @@ ordering is preserved by construction.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
-from repro.linkem.overhead import OverheadModel
+from repro import calibration
 from repro.linkem.processing import SerialProcessor
 from repro.net.packet import Packet
 from repro.net.pipe import PacketPipe
@@ -24,25 +25,25 @@ class DelayPipe(PacketPipe):
     Args:
         sim: the simulator.
         one_way_delay: seconds each packet is held (finite, >= 0).
-        overhead: per-packet forwarding cost model; defaults to the
-            calibrated mm-delay cost. Pass ``OverheadModel.none()`` for an
-            ideal delay element.
+        service_time: serial per-packet forwarding seconds; defaults to
+            ``calibration.DELAY_SERVICE_TIME``, the mm-delay cost. Pass
+            ``0.0`` for an ideal delay element.
     """
 
     def __init__(
         self,
         sim: Simulator,
         one_way_delay: float,
-        overhead: OverheadModel = None,
+        service_time: Optional[float] = None,
     ) -> None:
         super().__init__(sim)
         if not 0.0 <= one_way_delay < math.inf:
             raise ValueError(
                 f"delay must be finite and >= 0, got {one_way_delay!r}")
-        if overhead is None:
-            overhead = OverheadModel.delay_shell()
+        if service_time is None:
+            service_time = calibration.DELAY_SERVICE_TIME
         self.one_way_delay = one_way_delay
-        self._processor = SerialProcessor(overhead.service_time)
+        self._processor = SerialProcessor(service_time)
 
     def send(self, packet: Packet) -> None:
         self.packets_sent += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.linkem.overhead import OverheadModel
+from repro import calibration
 from repro.linkem.processing import SerialProcessor
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.trace import ConstantRateSchedule, FileTraceSchedule
@@ -36,8 +36,8 @@ class TracePipe(PacketPipe):
         sim: the simulator.
         schedule: opportunity source (file trace or constant rate).
         queue: drop-tail buffer; defaults to unbounded like ``mm-link``.
-        overhead: per-packet forwarding cost; defaults to the calibrated
-            mm-link cost.
+        service_time: serial per-packet forwarding seconds; defaults to
+            ``calibration.LINK_SERVICE_TIME``, the mm-link cost.
         obs_path: component path for observability probes (e.g.
             ``linkshell.uplink``); with a registry attached to ``sim``,
             the pipe records queue depth/bytes step series at each
@@ -46,12 +46,6 @@ class TracePipe(PacketPipe):
             counters. Probes fire only on events the pipe already
             executes — they never schedule, and the per-packet enqueue
             path stays probe-free.
-        outages: optional outage windows (an object with
-            ``active(t)``/``release_time(t)``, e.g.
-            :class:`repro.chaos.plan.OutageSchedule`). Delivery
-            opportunities falling inside a window are suppressed; the
-            queue keeps filling and drains at the first opportunity
-            after the window — a dead link with a surviving buffer.
     """
 
     def __init__(
@@ -59,17 +53,15 @@ class TracePipe(PacketPipe):
         sim: Simulator,
         schedule: Schedule,
         queue: Optional[DropTailQueue] = None,
-        overhead: OverheadModel = None,
+        service_time: Optional[float] = None,
         obs_path: Optional[str] = None,
-        outages=None,
     ) -> None:
         super().__init__(sim)
-        if overhead is None:
-            overhead = OverheadModel.link_shell()
+        if service_time is None:
+            service_time = calibration.LINK_SERVICE_TIME
         self._schedule = schedule
-        self._outages = outages if outages else None
         self._queue = queue if queue is not None else DropTailQueue()
-        self._processor = SerialProcessor(overhead.service_time)
+        self._processor = SerialProcessor(service_time)
         # The packet currently "on the wire" (partially transmitted across
         # opportunities). Dequeue-time disciplines (CoDel) decide drops
         # when a packet is committed to transmission, so the in-flight
@@ -135,21 +127,6 @@ class TracePipe(PacketPipe):
 
     def _schedule_wake(self) -> None:
         when = self._schedule.next_opportunity(self._sim.now)
-        if self._outages is not None:
-            # Opportunities inside an outage window never happen; the
-            # next usable one is the schedule's first opportunity after
-            # the window ends (windows may abut, hence the loop). The
-            # iteration cap guards against a periodic outage phase-locked
-            # to the opportunity grid; past it, the window end itself
-            # becomes the opportunity time.
-            for __ in range(1024):
-                if not self._outages.active(when):
-                    break
-                when = self._schedule.next_opportunity(
-                    self._outages.release_time(when)
-                )
-            else:
-                when = self._outages.release_time(when)
         self._wake = self._sim.schedule_at(when, self._opportunity)
 
     def _opportunity(self) -> None:

@@ -123,10 +123,6 @@ class IPv4Network:
             self._mask = (_MAX_IPV4 << (32 - prefix_len)) & _MAX_IPV4
         self._network = address.value & self._mask
 
-    def netmask_int(self) -> int:
-        """The netmask as a 32-bit integer."""
-        return self._mask
-
     @property
     def network_address(self) -> IPv4Address:
         """First address of the prefix."""
@@ -145,10 +141,6 @@ class IPv4Network:
     def __contains__(self, address) -> bool:
         addr = IPv4Address(address)
         return (addr.value & self._mask) == self._network
-
-    def contains_int(self, value: int) -> bool:
-        """Fast containment check on a raw integer address."""
-        return (value & self._mask) == self._network
 
     def hosts(self) -> Iterator[IPv4Address]:
         """Iterate the usable host addresses (skips network & broadcast for

@@ -3,8 +3,8 @@
 A :class:`PacketPipe` carries packets in one direction between the two ends
 of a veth pair. The base pipe delivers instantly; :mod:`repro.linkem`
 provides pipes that add fixed delay (DelayShell) or trace-driven pacing
-(LinkShell). Pipes are composable by chaining: the output of one pipe can be
-the input of the next, exactly as Mahimahi shells nest.
+(LinkShell). Pipes chain through :meth:`PacketPipe.attach_sink`: one
+pipe's sink can be the next pipe's ``send``.
 """
 
 from __future__ import annotations
@@ -71,30 +71,3 @@ class InstantPipe(PacketPipe):
     def send(self, packet: Packet) -> None:
         self.packets_sent += 1
         self._sim.call_soon(self.deliver, packet)
-
-
-class ChainPipe(PacketPipe):
-    """Composes several pipes into one, in order.
-
-    ``ChainPipe([a, b])`` feeds packets into ``a``, whose output goes into
-    ``b``, whose output goes to the chain's sink. This is how nested shells
-    stack their emulation on a single path.
-    """
-
-    def __init__(self, sim: Simulator, stages: list) -> None:
-        super().__init__(sim)
-        if not stages:
-            raise ValueError("ChainPipe needs at least one stage")
-        self._stages = list(stages)
-        for upstream, downstream in zip(self._stages, self._stages[1:]):
-            upstream.attach_sink(downstream.send)
-        self._stages[-1].attach_sink(self.deliver)
-
-    @property
-    def stages(self) -> list:
-        """The component pipes, first to last."""
-        return list(self._stages)
-
-    def send(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        self._stages[0].send(packet)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.errors import HttpParseError
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
 from repro.http.serialize import (
@@ -182,8 +183,26 @@ class _ProxiedConnection:
                                else client_conn)
         self._upstream_stream = (TlsClientSession(self.upstream_conn)
                                  if https else self.upstream_conn)
-        self._client_stream.on_data = self._request_parser.feed
-        self._upstream_stream.on_data = self._response_parser.feed
+        self._client_stream.on_data = self._from_client
+        self._upstream_stream.on_data = self._from_upstream
+
+    def _from_client(self, pieces) -> None:
+        try:
+            self._request_parser.feed(pieces)
+        except HttpParseError:
+            self._abort()
+
+    def _from_upstream(self, pieces) -> None:
+        try:
+            self._response_parser.feed(pieces)
+        except HttpParseError:
+            self._abort()
+
+    def _abort(self) -> None:
+        # A malformed message on either leg resets both, as HttpServer and
+        # OriginConnection reset their one leg.
+        self.client_conn.abort()
+        self.upstream_conn.abort()
 
     def _client_request(self, request: HttpRequest) -> None:
         self._outstanding.append(request)

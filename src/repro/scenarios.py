@@ -18,7 +18,9 @@ to its pinned digest, zero observer effect and a byte-identical artifact.
 
 :data:`CLAIMS` does the same for the paper's results: each entry is one
 claim's sweep, the statements its result must satisfy and its artifact
-text. ``tests/test_claims.py`` runs every claim at a seconds-long size
+text. :data:`CALIBRATION` (re-exported from :mod:`repro.calibration`)
+names, for every fitted constant, the one claim it was fitted on; every
+other claim is out-of-sample for it. ``tests/test_claims.py`` runs every claim at a seconds-long size
 and ``benchmarks/bench_studies.py`` at paper scale, both through
 :func:`measure_claim`. Nothing here builds a site until a sweep asks.
 """
@@ -31,6 +33,7 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.browser.config import BrowserConfig
+from repro.calibration import CALIBRATION as CALIBRATION
 from repro.browser.html import page_from_recording
 from repro.chaos import (
     DnsFaultClause,
@@ -515,8 +518,8 @@ def _overhead_render(samples: Samples) -> str:
 #: The two host machines: a reference one and a 0.3 %-faster one, each
 #: with its own independent timing noise.
 MACHINES = (
-    MachineProfile(name="Machine 1", cpu_factor=1.000, jitter_stddev=0.015),
-    MachineProfile(name="Machine 2", cpu_factor=1.003, jitter_stddev=0.015),
+    MachineProfile(name="Machine 1", cpu_factor=1.000),
+    MachineProfile(name="Machine 2", cpu_factor=1.003),
 )
 _T1_SITES = (("CNBC", "cnbc"), ("wikiHow", "wikihow"))
 

@@ -7,20 +7,17 @@ tie-break on simultaneous events and (b) named, seeded random streams from
 :class:`~repro.sim.random.RandomStreams`.
 """
 
-from repro.sim.clock import VirtualClock
 from repro.sim.events import EventCallback, EventHandle, EventQueue
 from repro.sim.random import RandomStreams, stable_seed
 from repro.sim.simulator import Simulator
-from repro.sim.timers import PeriodicTask, Timer
+from repro.sim.timers import Timer
 
 __all__ = [
     "EventCallback",
     "EventHandle",
     "EventQueue",
-    "PeriodicTask",
     "RandomStreams",
     "Simulator",
     "Timer",
-    "VirtualClock",
     "stable_seed",
 ]

@@ -21,8 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
+from repro.errors import ClockError, SimulationError
 from repro.sim.events import EventCallback, EventHandle, EventQueue
 from repro.sim.random import RandomStreams
 
@@ -51,7 +50,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._clock = VirtualClock()
+        # The virtual clock: seconds since the start, never decreasing.
+        self._now = 0.0
         self._queue = EventQueue()
         self._streams = RandomStreams(seed)
         self._running = False
@@ -65,10 +65,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
-        # Reads the clock's slot directly: this property is the single
-        # most-called function in a simulation, and going through
-        # Clock.now would stack a second property frame on every read.
-        return self._clock._now
+        return self._now
 
     @property
     def streams(self) -> RandomStreams:
@@ -99,7 +96,7 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
-        return self._queue.push(self._clock._now + delay, callback, args)
+        return self._queue.push(self._now + delay, callback, args)
 
     def schedule_at(
         self, time: float, callback: EventCallback, *args: Any
@@ -109,17 +106,17 @@ class Simulator:
         Raises:
             SimulationError: if ``time`` is before the current time.
         """
-        if time < self._clock._now:
+        if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: "
-                f"t={time!r} < now={self._clock._now!r}"
+                f"t={time!r} < now={self._now!r}"
             )
         return self._queue.push(time, callback, args)
 
     def call_soon(self, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current instant (after pending
         same-time events already in the queue)."""
-        return self._queue.push(self._clock._now, callback, args)
+        return self._queue.push(self._now, callback, args)
 
     def cancel(self, event: EventHandle) -> None:
         """Cancel a scheduled event. Cancelling twice (or cancelling a
@@ -168,7 +165,6 @@ class Simulator:
             SimulationError: when more than ``max_events`` events execute.
         """
         queue = self._queue
-        clock = self._clock
         trace = self._trace
         # Cached once: the queue compacts and clears its heap in place,
         # never rebinding it (EventQueue._compact).
@@ -187,10 +183,10 @@ class Simulator:
                 if deadline is not None and time > deadline:
                     heapq.heappush(heap, entry)  # overshot: un-pop
                     return False
-                if time > clock._now:
+                if time > self._now:
                     # Direct store: pop order is monotone by construction,
                     # so this cannot move backwards.
-                    clock._now = time
+                    self._now = time
                 # Nulling the slots is what makes a retained handle inert
                 # once its event has fired.
                 args = entry[3]
@@ -239,14 +235,14 @@ class Simulator:
         self._running = True
         try:
             self._drain(until, max_events)
-            if until is not None and until > self._clock._now:
-                self._clock.advance_to(until)
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of virtual time from now."""
-        self.run(until=self._clock._now + duration)
+        self.run(until=self._now + duration)
 
     def run_until(
         self,
@@ -271,14 +267,18 @@ class Simulator:
         """
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every!r}")
-        deadline = None if timeout is None else self._clock._now + timeout
+        deadline = None if timeout is None else self._now + timeout
         if predicate():
             return True
         if self._drain(deadline, None, predicate, check_every):
             return True
         if deadline is not None and self._queue:
             # Events remain, but all after the deadline.
-            self._clock.advance_to(deadline)
+            if deadline < self._now:
+                raise ClockError(
+                    f"clock cannot move backwards: {deadline!r} < {self._now!r}"
+                )
+            self._now = deadline
         return predicate()
 
     def reset(self) -> None:

@@ -1,8 +1,8 @@
-"""Restartable timers and periodic tasks built on the simulator.
+"""Restartable timers built on the simulator.
 
 TCP needs a retransmission timer that is armed, re-armed, and cancelled
-constantly; links need periodic delivery opportunities. Both patterns live
-here so the rest of the code never touches raw event handles.
+constantly; it lives here so the rest of the code never touches raw event
+handles.
 """
 
 from __future__ import annotations
@@ -54,54 +54,4 @@ class Timer:
 
     def _fire(self) -> None:
         self._event = None
-        self._callback()
-
-
-class PeriodicTask:
-    """Calls ``callback`` every ``interval`` seconds until stopped.
-
-    The first call happens ``interval`` seconds after :meth:`start` (or
-    immediately if ``fire_now=True``). The schedule is drift-free: ticks are
-    at start + k * interval regardless of callback duration (callbacks take
-    zero virtual time anyway unless they schedule work).
-    """
-
-    __slots__ = ("_sim", "_interval", "_callback", "_event", "_next_tick")
-
-    def __init__(
-        self, sim: Simulator, interval: float, callback: Callable[[], Any]
-    ) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        self._sim = sim
-        self._interval = interval
-        self._callback = callback
-        self._event: Optional[EventHandle] = None
-        self._next_tick = 0.0
-
-    @property
-    def running(self) -> bool:
-        """True while the task is scheduled to keep ticking."""
-        return self._event is not None
-
-    def start(self, fire_now: bool = False) -> None:
-        """Begin ticking. Raises ValueError if already running."""
-        if self._event is not None:
-            raise ValueError("PeriodicTask is already running")
-        if fire_now:
-            self._next_tick = self._sim.now
-            self._event = self._sim.call_soon(self._tick)
-        else:
-            self._next_tick = self._sim.now + self._interval
-            self._event = self._sim.schedule(self._interval, self._tick)
-
-    def stop(self) -> None:
-        """Stop ticking; no-op if not running."""
-        if self._event is not None:
-            self._sim.cancel(self._event)
-            self._event = None
-
-    def _tick(self) -> None:
-        self._next_tick += self._interval
-        self._event = self._sim.schedule_at(self._next_tick, self._tick)
         self._callback()

@@ -31,7 +31,6 @@ from typing import (
 from repro.errors import FabricError, ReproError
 from repro.fabric.backend import FabricBackend, WorkerHandle
 from repro.fabric.protocol import read_message, write_message
-from repro.linkem.overhead import OverheadModel
 from repro.net.address import Endpoint, IPv4Address
 from repro.net.namespace import NetworkNamespace
 from repro.net.pipe import PacketPipe
@@ -197,8 +196,8 @@ def delayed_world(
     sim = Simulator(seed=seed)
     return TwoHostWorld(
         sim=sim,
-        pipe_ab=DelayPipe(sim, one_way_delay, OverheadModel.none()),
-        pipe_ba=DelayPipe(sim, one_way_delay, OverheadModel.none()),
+        pipe_ab=DelayPipe(sim, one_way_delay, service_time=0.0),
+        pipe_ba=DelayPipe(sim, one_way_delay, service_time=0.0),
         tcp_config=tcp_config,
     )
 

@@ -317,11 +317,6 @@ class TcpConnection:
         return self._rtt.srtt
 
     @property
-    def is_open(self) -> bool:
-        """True until the connection fully closes or errors."""
-        return self.state != CLOSED or not self._established_fired
-
-    @property
     def unsent_bytes(self) -> int:
         """Stream bytes queued but not yet transmitted (send backlog)."""
         backlog = self._send_buffer.length - max(0, self._snd_nxt - 1)

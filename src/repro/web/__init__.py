@@ -8,6 +8,6 @@ link; shells and browsers then reach the "real" origins exactly as a
 Mahimahi user's host reaches the Internet.
 """
 
-from repro.web.internet import Internet, OriginSpec
+from repro.web.internet import Internet
 
-__all__ = ["Internet", "OriginSpec"]
+__all__ = ["Internet"]

@@ -18,8 +18,9 @@ matcher the replay side uses.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
+from repro import calibration
 from repro.core.machine import HostMachine
 from repro.corpus.sitegen import SyntheticSite
 from repro.dns.server import DnsServer
@@ -36,27 +37,15 @@ from repro.transport.host import TransportHost
 #: Well-known public resolver address (bound inside the core).
 PUBLIC_DNS = IPv4Address("198.41.0.4")
 
-#: Default per-request origin server compute.
-DEFAULT_ORIGIN_PROCESSING = 0.002
-
-
-class OriginSpec(NamedTuple):
-    """Path characteristics of one origin."""
-
-    host: str
-    ip: IPv4Address
-    rtt: float
-    jitter_mean: float
-
 
 class Internet:
     """The public-network half of a record / actual-web experiment."""
 
-    def __init__(self, sim: Simulator, seed_label: str = "internet") -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.core = NetworkNamespace(sim, "internet-core")
         self.allocator = AddressAllocator("172.16.0.0/12")
-        self._rng = sim.streams.stream(f"web:{seed_label}")
+        self._rng = sim.streams.stream("web:internet")
         self._origins: Dict[str, "_Origin"] = {}
         self._zone: Dict[str, List[IPv4Address]] = {}
         self._iface_counter = 0
@@ -69,7 +58,7 @@ class Internet:
         self.core_transport = TransportHost(sim, self.core)
         self.dns = DnsServer(
             sim, self.core_transport, PUBLIC_DNS, {},
-            processing_time=0.002,
+            processing_time=calibration.PUBLIC_DNS_PROCESSING,
         )
 
     @property
@@ -80,14 +69,7 @@ class Internet:
     # ------------------------------------------------------------------ #
     # origins
 
-    def add_origin(
-        self,
-        host: str,
-        ip: IPv4Address,
-        rtt: float,
-        jitter_mean: float = 0.0015,
-        processing_time: float = DEFAULT_ORIGIN_PROCESSING,
-    ) -> "_Origin":
+    def add_origin(self, host: str, ip: IPv4Address, rtt: float) -> "_Origin":
         """Create an origin namespace for ``host`` at ``ip``.
 
         ``rtt`` is the round trip from the core to the origin and back;
@@ -98,6 +80,7 @@ class Internet:
             return existing
         self._iface_counter += 1
         ns = NetworkNamespace(self.sim, f"origin-{host}")
+        jitter_mean = calibration.ORIGIN_JITTER_MEAN
         pipe_to = JitterDelayPipe(self.sim, rtt / 2.0, jitter_mean, self._rng)
         pipe_back = JitterDelayPipe(self.sim, rtt / 2.0, jitter_mean, self._rng)
         veth = VethPair(
@@ -119,7 +102,7 @@ class Internet:
         ns.routes.add_default(veth.iface_b, via=core_addr)
         origin = _Origin(
             self.sim, host, ip, ns, TransportHost(self.sim, ns),
-            processing_time,
+            calibration.ORIGIN_PROCESSING,
         )
         origin.rtt = rtt
         self._origins[host] = origin
@@ -127,29 +110,13 @@ class Internet:
         self.dns.add_record(host, [ip])
         return origin
 
-    def install_site(
-        self,
-        site: SyntheticSite,
-        rtt_for_host=None,
-        processing_time: float = DEFAULT_ORIGIN_PROCESSING,
-    ) -> None:
-        """Serve a synthetic site: one origin per host, matcher-backed.
-
-        Args:
-            site: the content.
-            rtt_for_host: ``host -> rtt seconds`` (default: a realistic
-                mixture — main origin ~40 ms, CDNs closer, third parties
-                scattered).
-            processing_time: per-request origin compute.
-        """
+    def install_site(self, site: SyntheticSite) -> None:
+        """Serve a synthetic site: one origin per host, matcher-backed,
+        each at its :meth:`default_rtt`."""
         store = site.to_recorded_site()
         matcher = RequestMatcher(store.pairs)
         for host, ip in site.host_ips.items():
-            rtt = (rtt_for_host(host) if rtt_for_host is not None
-                   else self.default_rtt(host))
-            origin = self.add_origin(
-                host, ip, rtt, processing_time=processing_time
-            )
+            origin = self.add_origin(host, ip, self.default_rtt(host))
             origin.serve(matcher, ports=self._ports_for(store, ip))
 
     @staticmethod
@@ -162,14 +129,14 @@ class Internet:
         """The Figure 3 RTT mixture: the main origin sits ~40 ms away,
         CDN hosts are nearer (anycast), third parties are scattered."""
         if host.startswith("www."):
-            return 0.040
+            return calibration.MAIN_ORIGIN_RTT
         if host.startswith("cdn"):
             # Anycast CDN edges sit very close to the client — closer
             # than the main origin whose min-RTT uniform replay emulates,
             # which is exactly why replay runs slightly slower than the
             # real Web (Figure 3's +7.9%).
-            return self._rng.uniform(0.003, 0.016)
-        return self._rng.uniform(0.015, 0.090)
+            return self._rng.uniform(*calibration.CDN_RTT)
+        return self._rng.uniform(*calibration.THIRD_PARTY_RTT)
 
     def min_rtt(self, host: str) -> Optional[float]:
         """The configured core<->origin RTT for ``host`` (the quantity the
@@ -180,14 +147,11 @@ class Internet:
     # ------------------------------------------------------------------ #
     # clients
 
-    def attach_machine(
-        self,
-        machine: HostMachine,
-        last_mile_rtt: float = 0.002,
-        jitter_mean: float = 0.0002,
-    ) -> None:
+    def attach_machine(self, machine: HostMachine) -> None:
         """Connect a host machine to the core through a last-mile link."""
         self._iface_counter += 1
+        last_mile_rtt = calibration.LAST_MILE_RTT
+        jitter_mean = calibration.LAST_MILE_JITTER_MEAN
         pipe_down = JitterDelayPipe(
             self.sim, last_mile_rtt / 2.0, jitter_mean, self._rng
         )

@@ -194,9 +194,9 @@ class TestOutageWindows:
             OutageClause(start=1.0, duration=0.5),
             OutageClause(start=1.5, duration=0.5),
         ])
-        assert schedule.active(1.2)
-        assert schedule.active(1.7)
         assert schedule.release_time(1.2) == 2.0
+        assert schedule.release_time(1.7) == 2.0
+        assert schedule.release_time(2.0) == 2.0
 
     def test_empty_schedule_is_falsy(self):
         assert not OutageSchedule([])

@@ -7,7 +7,7 @@ from repro.corpus import generate_site
 from repro.errors import ShellError
 from repro.http.client import HttpClient
 from repro.http.message import Headers, HttpRequest
-from repro.linkem import DropTailQueue, OverheadModel, constant_rate_trace
+from repro.linkem import DropTailQueue, constant_rate_trace
 from repro.net.address import Endpoint
 from repro.record.store import RecordedSite
 from repro.sim import Simulator
@@ -45,13 +45,13 @@ def ping_setup(stack_builder):
 class TestDelayShell:
     def test_adds_exact_rtt(self):
         sim, machine, stack, probe = ping_setup(
-            lambda s: s.add_delay(0.040, overhead=OverheadModel.none()))
+            lambda s: s.add_delay(0.040))
         assert probe() == pytest.approx(0.080, abs=0.001)
 
     def test_nested_delays_accumulate(self):
         def build(stack):
-            stack.add_delay(0.030, overhead=OverheadModel.none())
-            stack.add_delay(0.020, overhead=OverheadModel.none())
+            stack.add_delay(0.030)
+            stack.add_delay(0.020)
         sim, machine, stack, probe = ping_setup(build)
         assert probe() == pytest.approx(0.100, abs=0.001)
 
@@ -73,8 +73,7 @@ class TestLinkShell:
         machine = HostMachine(sim)
         host_transport = TransportHost.ensure(sim, machine.namespace)
         stack = ShellStack(machine)
-        stack.add_link(uplink=8.0, downlink=8.0,
-                       overhead=OverheadModel.none())
+        stack.add_link(uplink=8.0, downlink=8.0)
         server_addr = machine.namespace.any_local_address()
 
         def on_conn(conn):

@@ -11,7 +11,7 @@ import pytest
 from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
-from repro.linkem import DropTailQueue, OverheadModel, cellular_trace
+from repro.linkem import DropTailQueue, cellular_trace
 from repro.sim import Simulator
 
 
@@ -49,9 +49,9 @@ class TestComposition:
         # Five stacked shells, like an elaborate mm-* pipeline.
         result = load_through(lambda s: (
             s.add_replay(STORE),
-            s.add_delay(0.010, overhead=OverheadModel.none()),
+            s.add_delay(0.010),
             s.add_link(50, 50),
-            s.add_delay(0.010, overhead=OverheadModel.none()),
+            s.add_delay(0.010),
             s.add_link(25, 25),
         ))
         assert result.resources_loaded == SITE.page.resource_count

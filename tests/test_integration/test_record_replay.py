@@ -10,6 +10,10 @@ from repro.browser import Browser
 from repro.browser.html import page_from_recording
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
+from repro.errors import ConnectionReset
+from repro.http.client import HttpClient
+from repro.http.message import Headers, HttpRequest
+from repro.net.address import Endpoint
 from repro.record import RecordedSite
 from repro.sim import Simulator
 from repro.web import Internet
@@ -105,6 +109,42 @@ class TestRecordPath:
         site = generate_site("flows.com", seed=44, n_origins=4)
         store, result, shell = record_site(site)
         assert shell.redirector.redirected_flows == result.connections_opened
+
+    def test_malformed_request_resets_only_its_connection(self):
+        # A mux frame to an HTTP/1.1 origin: the proxy's request parser
+        # rejects it. The world must drain, that connection must be reset
+        # on the client's side, and a well-formed client after it must
+        # still be recorded.
+        site = generate_site("garbled.com", seed=48, n_origins=2)
+        sim = Simulator(seed=0)
+        internet = Internet(sim)
+        internet.install_site(site)
+        machine = HostMachine(sim)
+        internet.attach_machine(machine)
+        store = RecordedSite(site.name)
+        stack = ShellStack(machine)
+        stack.add_record(store)
+        host = "www.garbled.com"
+        origin = Endpoint(site.host_ips[host], 80)
+
+        raw = stack.transport.connect(origin)
+        errors = []
+        raw.on_established = lambda: raw.send(
+            b"MUX 1 H 30 1\nGET / HTTP/1.1\r\nHost: " + host.encode()
+            + b"\r\n\r\n")
+        raw.on_error = errors.append
+        sim.run()
+        assert [type(exc) for exc in errors] == [ConnectionReset]
+        assert len(store) == 0
+
+        client = HttpClient(sim, stack.transport, origin)
+        responses = []
+        client.request(HttpRequest("GET", "/", Headers([("Host", host)])),
+                       responses.append)
+        sim.run()
+        assert [r.status for r in responses] == [200]
+        assert [(p.host, p.request.uri) for p in store.pairs] == \
+               [(host, "/")]
 
 
 class TestRecordThenReplay:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.linkem import CoDelQueue, DropTailQueue, OverheadModel, TracePipe
+from repro.linkem import CoDelQueue, DropTailQueue, TracePipe
 from repro.linkem.trace import ConstantRateSchedule
 from repro.net.address import IPv4Address
 from repro.net.packet import tcp_packet
@@ -73,16 +73,17 @@ class TestCoDelQueueUnit:
 class TestCoDelOnLink:
     def _world(self, queue):
         sim = Simulator(seed=0)
-        from repro.net.pipe import ChainPipe
         from repro.linkem.delay import DelayPipe
 
-        down = ChainPipe(sim, [
-            DelayPipe(sim, 0.020, OverheadModel.none()),
-            TracePipe(sim, ConstantRateSchedule(3e6), queue,
-                      OverheadModel.none()),
-        ])
-        up = DelayPipe(sim, 0.020, OverheadModel.none())
-        return TwoHostWorld(sim=sim, pipe_ab=up, pipe_ba=down)
+        link = TracePipe(sim, ConstantRateSchedule(3e6), queue,
+                         service_time=0.0)
+        up = DelayPipe(sim, 0.020, service_time=0.0)
+        world = TwoHostWorld(sim=sim, pipe_ab=up, pipe_ba=link)
+        # The downlink's delay feeds its link.
+        delay = DelayPipe(sim, 0.020, service_time=0.0)
+        delay.attach_sink(link.send)
+        world.veth.iface_b.attach_tx(delay)
+        return world
 
     def _transfer(self, world, total=2_000_000):
         def on_conn(conn):

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import calibration
 from repro.linkem.delay import DelayPipe, JitterDelayPipe
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.processing import SerialProcessor
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.trace import ConstantRateSchedule, FileTraceSchedule, PacketDeliveryTrace
@@ -46,7 +46,7 @@ class TestSerialProcessor:
 class TestDelayPipe:
     def test_fixed_delay(self):
         sim = Simulator()
-        pipe = DelayPipe(sim, 0.040, OverheadModel.none())
+        pipe = DelayPipe(sim, 0.040, service_time=0.0)
         got = []
         pipe.attach_sink(lambda p: got.append(sim.now))
         pipe.send(packet())
@@ -55,7 +55,7 @@ class TestDelayPipe:
 
     def test_order_preserved(self):
         sim = Simulator()
-        pipe = DelayPipe(sim, 0.010, OverheadModel.none())
+        pipe = DelayPipe(sim, 0.010, service_time=0.0)
         got = []
         pipe.attach_sink(lambda p: got.append(p.uid))
         sent = [packet() for _ in range(5)]
@@ -66,7 +66,7 @@ class TestDelayPipe:
 
     def test_zero_delay_with_overhead_serializes(self):
         sim = Simulator()
-        pipe = DelayPipe(sim, 0.0, OverheadModel(service_time=1e-6))
+        pipe = DelayPipe(sim, 0.0, service_time=1e-6)
         got = []
         pipe.attach_sink(lambda p: got.append(sim.now))
         for _ in range(3):
@@ -82,7 +82,7 @@ class TestDelayPipe:
         pipe.attach_sink(lambda p: got.append(sim.now))
         pipe.send(packet())
         sim.run()
-        assert got[0] == pytest.approx(OverheadModel.delay_shell().service_time)
+        assert got[0] == pytest.approx(calibration.DELAY_SERVICE_TIME)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -95,7 +95,7 @@ class TestDelayPipe:
 
     def test_counters(self):
         sim = Simulator()
-        pipe = DelayPipe(sim, 0.01, OverheadModel.none())
+        pipe = DelayPipe(sim, 0.01, service_time=0.0)
         pipe.attach_sink(lambda p: None)
         pipe.send(packet())
         sim.run()
@@ -105,7 +105,7 @@ class TestDelayPipe:
 
     def test_unattached_sink_blackholes(self):
         sim = Simulator()
-        pipe = DelayPipe(sim, 0.01, OverheadModel.none())
+        pipe = DelayPipe(sim, 0.01, service_time=0.0)
         pipe.send(packet())
         sim.run()
         assert pipe.packets_dropped == 1
@@ -148,7 +148,7 @@ class TestJitterDelayPipe:
 class TestTracePipe:
     def _pipe(self, sim, rate_bps=12e6, queue=None):
         pipe = TracePipe(sim, ConstantRateSchedule(rate_bps),
-                         queue, OverheadModel.none())
+                         queue, service_time=0.0)
         got = []
         pipe.attach_sink(lambda p: got.append((sim.now, p)))
         return pipe, got
@@ -232,7 +232,7 @@ class TestTracePipe:
     def test_file_trace_pacing(self):
         sim = Simulator()
         trace = PacketDeliveryTrace([5, 10])
-        pipe = TracePipe(sim, FileTraceSchedule(trace), None, OverheadModel.none())
+        pipe = TracePipe(sim, FileTraceSchedule(trace), None, service_time=0.0)
         got = []
         pipe.attach_sink(lambda p: got.append(sim.now))
         for _ in range(4):

@@ -1,12 +1,12 @@
-"""Tests for pipe composition (ChainPipe) and pipe bookkeeping."""
+"""Tests for pipe composition (chaining through attach_sink) and pipe
+bookkeeping."""
 
 import pytest
 
 from repro.linkem.delay import DelayPipe
-from repro.linkem.overhead import OverheadModel
 from repro.net.address import IPv4Address
 from repro.net.packet import tcp_packet
-from repro.net.pipe import ChainPipe, InstantPipe
+from repro.net.pipe import InstantPipe
 from repro.sim import Simulator
 
 
@@ -39,53 +39,33 @@ class TestInstantPipe:
         assert pipe.bytes_delivered == 3 * 140
 
 
+def chain(*stages):
+    """Feed each stage's output into the next; return (first, last)."""
+    for upstream, downstream in zip(stages, stages[1:]):
+        upstream.attach_sink(downstream.send)
+    return stages[0], stages[-1]
+
+
 class TestChainPipe:
     def test_stages_compose_delays(self):
         sim = Simulator()
-        chain = ChainPipe(sim, [
-            DelayPipe(sim, 0.010, OverheadModel.none()),
-            DelayPipe(sim, 0.025, OverheadModel.none()),
-        ])
+        first, last = chain(DelayPipe(sim, 0.010, service_time=0.0),
+                            DelayPipe(sim, 0.025, service_time=0.0))
         got = []
-        chain.attach_sink(lambda p: got.append(sim.now))
-        chain.send(packet())
+        last.attach_sink(lambda p: got.append(sim.now))
+        first.send(packet())
         sim.run()
         assert got == [pytest.approx(0.035)]
 
     def test_order_preserved_through_chain(self):
         sim = Simulator()
-        chain = ChainPipe(sim, [
-            InstantPipe(sim),
-            DelayPipe(sim, 0.005, OverheadModel.none()),
-            InstantPipe(sim),
-        ])
+        first, last = chain(InstantPipe(sim),
+                            DelayPipe(sim, 0.005, service_time=0.0),
+                            InstantPipe(sim))
         got = []
-        chain.attach_sink(lambda p: got.append(p.uid))
+        last.attach_sink(lambda p: got.append(p.uid))
         sent = [packet() for _ in range(10)]
         for p in sent:
-            chain.send(p)
+            first.send(p)
         sim.run()
         assert got == [p.uid for p in sent]
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            ChainPipe(Simulator(), [])
-
-    def test_stages_property(self):
-        sim = Simulator()
-        stages = [InstantPipe(sim), InstantPipe(sim)]
-        chain = ChainPipe(sim, stages)
-        assert chain.stages == stages
-
-
-class TestOverheadModel:
-    def test_presets(self):
-        assert OverheadModel.none().service_time == 0.0
-        assert OverheadModel.delay_shell().service_time > 0.0
-        assert (OverheadModel.link_shell().service_time
-                > OverheadModel.delay_shell().service_time)
-
-    def test_frozen(self):
-        model = OverheadModel.none()
-        with pytest.raises(Exception):
-            model.service_time = 1.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linkem.overhead import OverheadModel
 from repro.linkem.queues import DropTailQueue
 from repro.linkem.trace import FileTraceSchedule, PacketDeliveryTrace
 from repro.linkem.tracelink import TracePipe
@@ -57,7 +56,7 @@ def run_pipe(times_ms, timed_arrivals, max_packets):
     sim = Simulator()
     queue = None if max_packets is None else DropTailQueue(max_packets=max_packets)
     pipe = TracePipe(sim, FileTraceSchedule(PacketDeliveryTrace(times_ms)),
-                     queue=queue, overhead=OverheadModel.none())
+                     queue=queue, service_time=0.0)
     delivered = [None] * len(timed_arrivals)
     index_of = {}
 

@@ -3,36 +3,33 @@
 import pytest
 
 from repro.errors import ClockError, SimulationError
-from repro.sim import Simulator, Timer, VirtualClock
+from repro.sim import Simulator, Timer
 
 
 class TestVirtualClock:
+    """The simulator's clock: starts at zero, advances only forward."""
+
     def test_starts_at_zero(self):
-        assert VirtualClock().now == 0.0
-
-    def test_custom_start(self):
-        assert VirtualClock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ClockError):
-            VirtualClock(-1.0)
+        assert Simulator().now == 0.0
 
     def test_advance(self):
-        clock = VirtualClock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
+        sim = Simulator()
+        sim.run(until=3.5)
+        assert sim.now == 3.5
 
     def test_advance_backwards_rejected(self):
-        clock = VirtualClock()
-        clock.advance_to(2.0)
+        sim = Simulator()
+        sim.run(until=2.0)
+        sim.schedule(1.0, lambda: None)
         with pytest.raises(ClockError):
-            clock.advance_to(1.0)
+            sim.run_until(lambda: False, timeout=-1.0)
+        assert sim.now == 2.0
 
     def test_advance_to_same_time_ok(self):
-        clock = VirtualClock()
-        clock.advance_to(2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
+        sim = Simulator()
+        sim.run(until=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
 
 
 class TestScheduling:

@@ -1,8 +1,6 @@
-"""Unit tests for Timer and PeriodicTask."""
+"""Unit tests for Timer."""
 
-import pytest
-
-from repro.sim import PeriodicTask, Simulator, Timer
+from repro.sim import Simulator, Timer
 
 
 class TestTimer:
@@ -61,46 +59,3 @@ class TestTimer:
         timer.start(1.0)
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
-
-
-class TestPeriodicTask:
-    def test_ticks_at_interval(self):
-        sim = Simulator()
-        ticks = []
-        task = PeriodicTask(sim, 0.5, lambda: ticks.append(sim.now))
-        task.start()
-        sim.run(until=2.0)
-        task.stop()
-        assert ticks == [0.5, 1.0, 1.5, 2.0]
-
-    def test_fire_now(self):
-        sim = Simulator()
-        ticks = []
-        task = PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now))
-        task.start(fire_now=True)
-        sim.run(until=2.0)
-        task.stop()
-        assert ticks == [0.0, 1.0, 2.0]
-
-    def test_stop_halts_ticks(self):
-        sim = Simulator()
-        ticks = []
-        task = PeriodicTask(sim, 1.0, lambda: ticks.append(sim.now))
-        task.start()
-        sim.schedule(2.5, task.stop)
-        sim.run()
-        assert ticks == [1.0, 2.0]
-        assert not task.running
-
-    def test_double_start_rejected(self):
-        sim = Simulator()
-        task = PeriodicTask(sim, 1.0, lambda: None)
-        task.start()
-        with pytest.raises(ValueError):
-            task.start()
-        task.stop()
-
-    def test_nonpositive_interval_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicTask(sim, 0.0, lambda: None)

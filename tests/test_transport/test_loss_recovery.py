@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import ShellStack
 from repro.linkem.delay import DelayPipe
-from repro.linkem.overhead import OverheadModel
 from repro.reference import merge_range
 from repro.scenarios import SCENARIOS, bulk_download
 from repro.sim import Simulator
@@ -51,7 +50,7 @@ class TestOneSackBlockPerHole:
         sim = Simulator()
         world = TwoHostWorld(
             sim=sim,
-            pipe_ab=DelayPipe(sim, 0.020, OverheadModel.none()),
+            pipe_ab=DelayPipe(sim, 0.020, service_time=0.0),
             # Server -> client: packet 0 is the SYN-ACK, 1.. are data; the
             # third data segment is lost, the initial window's other seven
             # segments after it arrive in order behind the hole.

@@ -1,7 +1,6 @@
 """TCP behaviour under packet reordering (no loss)."""
 
 from repro.linkem.delay import DelayPipe
-from repro.linkem.overhead import OverheadModel
 from repro.sim import Simulator
 from repro.testing import ReorderPipe, TwoHostWorld
 from repro.transport.wire import pieces_len, pieces_to_bytes
@@ -11,7 +10,7 @@ def reordering_world(probability=0.2, seed=0):
     sim = Simulator(seed=seed)
     rng = sim.streams.stream("reorder")
     down = ReorderPipe(sim, 0.020, rng, reorder_probability=probability)
-    up = DelayPipe(sim, 0.020, OverheadModel.none())
+    up = DelayPipe(sim, 0.020, service_time=0.0)
     return TwoHostWorld(sim=sim, pipe_ab=up, pipe_ba=down), down
 
 

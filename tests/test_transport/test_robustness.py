@@ -7,8 +7,6 @@ from repro.http.message import Headers, HttpRequest, HttpResponse
 from repro.http.client import HttpClient
 from repro.http.server import HttpServer, WorkerPool
 from repro.linkem.delay import DelayPipe, LossPipe
-from repro.linkem.overhead import OverheadModel
-from repro.net.pipe import ChainPipe
 from repro.sim import Simulator
 from repro.testing import TwoHostWorld
 
@@ -16,15 +14,16 @@ from repro.testing import TwoHostWorld
 def lossy_world(loss_rate, seed=0, delay=0.015):
     sim = Simulator(seed=seed)
     rng = sim.streams.stream("loss")
-    down = ChainPipe(sim, [
-        LossPipe(sim, loss_rate, rng),
-        DelayPipe(sim, delay, OverheadModel.none()),
-    ])
-    up = ChainPipe(sim, [
-        LossPipe(sim, loss_rate, rng),
-        DelayPipe(sim, delay, OverheadModel.none()),
-    ])
-    return TwoHostWorld(sim=sim, pipe_ab=up, pipe_ba=down)
+    up = DelayPipe(sim, delay, service_time=0.0)
+    down = DelayPipe(sim, delay, service_time=0.0)
+    world = TwoHostWorld(sim=sim, pipe_ab=up, pipe_ba=down)
+    # Each direction loses packets before delaying them.
+    for iface, delayed in ((world.veth.iface_a, up),
+                           (world.veth.iface_b, down)):
+        loss = LossPipe(sim, loss_rate, rng)
+        loss.attach_sink(delayed.send)
+        iface.attach_tx(loss)
+    return world
 
 
 class TestHttpsUnderLoss:

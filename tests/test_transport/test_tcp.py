@@ -59,8 +59,7 @@ class TestHandshake:
         # Drop the first packet ever sent client->server (the SYN).
         lossy_up = ScriptedLossPipe(sim, 0.010, drop_indices={0})
         from repro.linkem.delay import DelayPipe
-        from repro.linkem.overhead import OverheadModel
-        down = DelayPipe(sim, 0.010, OverheadModel.none())
+        down = DelayPipe(sim, 0.010, service_time=0.0)
         world = TwoHostWorld(sim=sim, pipe_ab=lossy_up, pipe_ba=down)
         echo_server(world)
         conn = world.client.connect(world.server_endpoint)
@@ -81,10 +80,9 @@ class TestHandshake:
         sim = Simulator()
         lossy = ScriptedLossPipe(sim, 0.010, drop_indices=set(range(100)))
         from repro.linkem.delay import DelayPipe
-        from repro.linkem.overhead import OverheadModel
         world = TwoHostWorld(
             sim=sim, pipe_ab=lossy,
-            pipe_ba=DelayPipe(sim, 0.010, OverheadModel.none()),
+            pipe_ba=DelayPipe(sim, 0.010, service_time=0.0),
             tcp_config=TcpConfig(max_syn_retries=2),
         )
         conn = world.client.connect(world.server_endpoint)
@@ -189,11 +187,10 @@ class TestLossRecovery:
     def _lossy_world(self, drop_indices, delay=0.020):
         sim = Simulator()
         from repro.linkem.delay import DelayPipe
-        from repro.linkem.overhead import OverheadModel
         lossy_down = ScriptedLossPipe(sim, delay, drop_indices)
         world = TwoHostWorld(
             sim=sim,
-            pipe_ab=DelayPipe(sim, delay, OverheadModel.none()),
+            pipe_ab=DelayPipe(sim, delay, service_time=0.0),
             pipe_ba=lossy_down,  # server->client loses packets
         )
         return world

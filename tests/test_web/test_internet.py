@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import calibration
 from repro.browser import Browser
 from repro.core import HostMachine
 from repro.corpus import generate_site
@@ -52,18 +53,20 @@ class TestTopology:
         sim.run_until(lambda: bool(got), timeout=10)
         assert "NXDOMAIN" in str(got[0])
 
-    def test_origin_rtt_shapes_connect_time(self):
+    def test_origin_rtt_shapes_connect_time(self, monkeypatch):
+        monkeypatch.setattr(calibration, "ORIGIN_JITTER_MEAN", 0.0)
+        monkeypatch.setattr(calibration, "LAST_MILE_JITTER_MEAN", 0.0)
         sim = Simulator(seed=0)
         internet = Internet(sim)
         near = internet.add_origin("near.com", IPv4Address("23.1.0.1"),
-                                   rtt=0.010, jitter_mean=0.0)
+                                   rtt=0.010)
         far = internet.add_origin("far.com", IPv4Address("23.2.0.1"),
-                                  rtt=0.200, jitter_mean=0.0)
+                                  rtt=0.200)
         from repro.record.matcher import RequestMatcher
         near.serve(RequestMatcher([]), ports=[80])
         far.serve(RequestMatcher([]), ports=[80])
         machine = HostMachine(sim)
-        internet.attach_machine(machine, last_mile_rtt=0.002, jitter_mean=0.0)
+        internet.attach_machine(machine)
         th = TransportHost.ensure(sim, machine.namespace)
 
         def connect_time(ip):
