@@ -18,7 +18,6 @@ import pytest
 
 from benchmarks.knobs import bench_journal, bench_workers, scaled
 from repro.apps import ApiClient, ApiWorkload, make_api_site
-from repro.browser import BrowserConfig
 from repro.chaos import (
     DnsFaultClause, FaultPlan, GilbertElliottClause, OutageClause,
     ServerFaultClause,
@@ -202,8 +201,7 @@ def _multiplexing_sweep(trials):
             stack.add_link(rate, rate)
             stack.add_delay(delay)
 
-        return page_load_time(i, sites[page].page, shells,
-                              config=BrowserConfig(protocol=protocol))
+        return page_load_time(i, sites[page].page, shells)
 
     def trial(i):
         return {f"{page} | {label} | {protocol}":

@@ -11,7 +11,7 @@ each is known to shine or suffer.
 Run: python examples/multiplexing_protocols.py
 """
 
-from repro import BrowserConfig, ShellStack, generate_site
+from repro import ShellStack, generate_site
 from repro.measure.report import format_table
 
 
@@ -22,7 +22,7 @@ def load(store, page, protocol, rate, delay, loss=0.0, seed=0):
         stack.add_loss(downlink_loss=loss, uplink_loss=loss)
     stack.add_link(rate, rate)
     stack.add_delay(delay)
-    result = stack.load(page, config=BrowserConfig(protocol=protocol))
+    result = stack.load(page)  # the browser speaks the replay's protocol
     stack.sim.run_until(lambda: result.complete, timeout=900)
     assert result.resources_failed == 0, result.errors
     return result

@@ -25,7 +25,7 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 reproduced tables and figures.
 """
 
-from repro.browser import Browser, BrowserConfig, PageLoadResult, PageModel, Resource, Url
+from repro.browser import Browser, PageLoadResult, PageModel, Resource, Url
 from repro.chaos import FaultPlan
 from repro.core import (
     DelayShell,
@@ -54,7 +54,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Browser",
-    "BrowserConfig",
     "DelayShell",
     "DropTailQueue",
     "FaultPlan",

@@ -19,13 +19,11 @@ Pages are :class:`~repro.browser.resources.PageModel` dependency graphs;
 and scan it back (used by the corpus generator and the record path).
 """
 
-from repro.browser.config import BrowserConfig
 from repro.browser.engine import Browser, PageLoadResult
 from repro.browser.resources import PageModel, Resource, Url
 
 __all__ = [
     "Browser",
-    "BrowserConfig",
     "PageLoadResult",
     "PageModel",
     "Resource",

@@ -4,7 +4,7 @@ The load loop mirrors what a 2014-era browser does on navigation:
 
 1. after a small navigation delay, fetch the root HTML;
 2. for each origin encountered, resolve it once via DNS and open up to
-   ``max_connections_per_origin`` persistent connections, assigning queued
+   ``MAX_CONNECTIONS_PER_ORIGIN`` persistent connections, assigning queued
    requests to idle connections FIFO;
 3. when a response completes, charge the resource's compute cost (scaled
    and jittered by the host machine profile), then enqueue its children;
@@ -18,7 +18,7 @@ from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.browser.config import BrowserConfig
+from repro import calibration
 from repro.browser.resources import PageModel, Resource, Url
 from repro.core.machine import HostMachine
 from repro.dns.resolver import StubResolver
@@ -31,6 +31,48 @@ from repro.transport.host import TransportHost
 
 if TYPE_CHECKING:
     from repro.obs.waterfall import ResourceTiming
+
+# Browser standards of the paper's era, read at use time: to vary one for
+# an experiment, ``monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", v)``.
+
+#: Parallel persistent connections per origin (6, the universal browser
+#: default of the paper's era).
+MAX_CONNECTIONS_PER_ORIGIN = 6
+
+#: Cap on concurrently outstanding low-priority ("delayable") requests —
+#: images and other media. Browsers' resource schedulers keep image floods
+#: from starving render-critical scripts and stylesheets of bandwidth;
+#: without this cap, every object on a shared bottleneck finishes at the
+#: link-drain time and page load dynamics come out wrong.
+MAX_DELAYABLE_IN_FLIGHT = 10
+
+#: Size of a typical request (cookies, UA...), bytes.
+REQUEST_HEADER_BYTES = 420
+
+#: Stub resolver behaviour.
+DNS_TIMEOUT = 2.0
+DNS_RETRIES = 4
+
+#: Compute time before the first request (navigation, cache lookup) —
+#: part of every real PLT measurement.
+START_DELAY = 0.040
+
+
+def parse_cost(kind: str, size: int) -> float:
+    """Idealized compute seconds to process one resource.
+
+    The parse costs are the browser-side CPU work per resource. They
+    matter twice: they set the absolute scale of page load times when the
+    network is fast (Figure 2's ReplayShell-alone distribution is
+    compute-dominated), and their jitter (via the machine profile) is the
+    variance Table 1 reports. The cost tables are
+    ``calibration.PARSE_BASE`` and ``calibration.PARSE_PER_KB``.
+    """
+    parse_base = calibration.PARSE_BASE
+    parse_per_kb = calibration.PARSE_PER_KB
+    base = parse_base.get(kind, parse_base["other"])
+    per_kb = parse_per_kb.get(kind, parse_per_kb["other"])
+    return base + per_kb * (size / 1024.0)
 
 
 class PageLoadResult:
@@ -94,7 +136,10 @@ class Browser:
         sim: the simulator.
         transport: the namespace's transport host.
         resolver: DNS server endpoint (ReplayShell's or the live web's).
-        config: browser tunables.
+        protocol: ``"http/1.1"`` (parallel persistent connections) or
+            ``"mux"`` (one SPDY-style multiplexed connection per origin —
+            the paper's motivating "new multiplexing protocols" use case;
+            the replay/origin servers must speak the same protocol).
         machine: host machine scaling compute costs (optional).
     """
 
@@ -103,18 +148,19 @@ class Browser:
         sim: Simulator,
         transport: TransportHost,
         resolver: Endpoint,
-        config: Optional[BrowserConfig] = None,
+        protocol: str = "http/1.1",
         machine: Optional[HostMachine] = None,
     ) -> None:
+        if protocol not in ("http/1.1", "mux"):
+            raise ValueError(f"unknown browser protocol: {protocol!r}")
         self.sim = sim
         self.transport = transport
-        self.config = config if config is not None else BrowserConfig()
+        self.protocol = protocol
         self.machine = machine
         local = transport.namespace.any_local_address()
         self.resolver = StubResolver(
             sim, transport, local, resolver,
-            timeout=self.config.dns_timeout,
-            retries=self.config.dns_retries,
+            timeout=DNS_TIMEOUT, retries=DNS_RETRIES,
         )
 
     def compute_time(self, base: float, key: Optional[str] = None) -> float:
@@ -138,7 +184,7 @@ class Browser:
         result = PageLoadResult(page.name, self.sim.now)
         load = _PageLoad(self, page, result, on_complete)
         self.sim.schedule(
-            self.compute_time(self.config.start_delay, key="nav-start"),
+            self.compute_time(START_DELAY, key="nav-start"),
             load.start,
         )
         return result
@@ -250,9 +296,8 @@ class _PageLoad:
         )
         self._outstanding += 1
         if self._is_delayable(resource):
-            limit = self.browser.config.max_delayable_in_flight
             if (self._nondelayable_in_flight > 0
-                    and self._delayable_in_flight >= limit):
+                    and self._delayable_in_flight >= MAX_DELAYABLE_IN_FLIGHT):
                 if self._delayable_queue is None:
                     self._delayable_queue = deque()
                 self._delayable_queue.append(resource)
@@ -264,10 +309,9 @@ class _PageLoad:
 
     def _pump_delayables(self) -> None:
         """Release queued delayable requests as the scheduler allows."""
-        limit = self.browser.config.max_delayable_in_flight
         while self._delayable_queue:
             if (self._nondelayable_in_flight > 0
-                    and self._delayable_in_flight >= limit):
+                    and self._delayable_in_flight >= MAX_DELAYABLE_IN_FLIGHT):
                 return
             self._delayable_in_flight += 1
             self._dispatch(self._delayable_queue.popleft())
@@ -314,9 +358,7 @@ class _PageLoad:
             self.result.bytes_downloaded += response.body.length
             parse = resource.parse_cost
             if parse <= 0.0:
-                parse = self.browser.config.parse_cost(
-                    resource.kind, resource.size
-                )
+                parse = parse_cost(resource.kind, resource.size)
             delay = self.browser.compute_time(
                 parse, key=f"parse:{resource.url}")
             entry.compute = delay
@@ -455,7 +497,7 @@ class _EndpointPool:
         self._mux = None
 
     def enqueue(self, resource: Resource) -> None:
-        if self.browser.config.protocol == "mux":
+        if self.browser.protocol == "mux":
             fresh = self._mux is None or self._mux.closed
             if fresh:
                 self._mux = self._open_mux_session()
@@ -478,12 +520,11 @@ class _EndpointPool:
     # ------------------------------------------------------------------ #
 
     def _pump(self) -> None:
-        config = self.browser.config
         while self._pending:
             conn = self._idle_connection()
             fresh = conn is None
             if fresh:
-                if len(self._connections) >= config.max_connections_per_origin:
+                if len(self._connections) >= MAX_CONNECTIONS_PER_ORIGIN:
                     return
                 conn = self._open_connection()
             resource = self._pending.popleft()
@@ -530,7 +571,7 @@ class _EndpointPool:
         # Pad to a realistic request size (cookies, referer, UA string...).
         base = sum(len(n) + len(v) + 4 for n, v in headers)
         base += len("GET  HTTP/1.1\r\n") + len(url.path)
-        pad = self.browser.config.request_header_bytes - base
+        pad = REQUEST_HEADER_BYTES - base
         if pad > 12:
             headers.add("X-Browser-Meta", "m" * (pad - 18))
         return HttpRequest("GET", url.path, headers)

@@ -15,7 +15,6 @@ import math
 import sys
 from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
-from repro.browser import BrowserConfig
 from repro.browser.html import page_from_recording
 from repro.browser.resources import PageModel, Resource, Url
 from repro.core import ShellStack
@@ -192,9 +191,7 @@ def run_load(argv: List[str], specs: List[ShellSpec]) -> int:
         raise CliError("load needs a mm-webreplay shell in the stack")
     stack, store = build_stack(specs, seed=seed)
     page = page_from_recording(store)
-    protocol = next((args.get("protocol", "http/1.1")
-                     for kind, args in specs if kind == "replay"), "http/1.1")
-    result = stack.load(page, config=BrowserConfig(protocol=protocol))
+    result = stack.load(page)
     stack.sim.run_until(lambda: result.complete, timeout=600.0)
     if not result.complete:
         print("page load did not complete within 600 virtual seconds",

@@ -40,7 +40,7 @@ def _parse_levels(spec: str) -> List[int]:
 def _check_ranges(options: argparse.Namespace) -> None:
     """Refuse an out-of-range number naming its flag, before any world
     is built."""
-    if options.server_workers < 1:
+    if options.server_workers is not None and options.server_workers < 1:
         raise CliError(f"--server-workers must be >= 1, "
                        f"got {options.server_workers}")
     if options.command == "run" and options.rate <= 0:
@@ -123,7 +123,11 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
         "--delay", type=finite_float, default=0.020,
         help="one-way propagation delay in seconds (default: 0.020)",
     )
-    parser.add_argument("--server-workers", type=int, default=2)
+    parser.add_argument(
+        "--server-workers", type=int, default=None,
+        help="request slots per replay origin "
+             "(default: calibration.SERVER_WORKERS)",
+    )
     parser.add_argument(
         "--timeout", type=finite_float, default=600.0,
         help="simulated-seconds budget per level (default: 600)",

@@ -5,7 +5,7 @@ from a single server (the paper's ablation). Options::
 
     --single-server   one server for everything (web-page-replay style)
     --protocol=mux    replay over the SPDY-style multiplexed transport
-                      (the load command's browser follows automatically)
+                      (the browser of load and fetch follows automatically)
 
 Example::
 

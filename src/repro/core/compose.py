@@ -35,7 +35,7 @@ from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
 
 if TYPE_CHECKING:
-    from repro.browser import BrowserConfig, PageLoadResult, PageModel
+    from repro.browser import PageLoadResult, PageModel
 
 
 class ShellStack:
@@ -149,9 +149,7 @@ class ShellStack:
 
         server_clauses = plan.server_clauses
         dns_clauses = plan.dns_clauses
-        replay = next(
-            (s for s in self.shells if isinstance(s, ReplayShell)), None
-        )
+        replay = self.replay
         if (server_clauses or dns_clauses) and replay is None:
             raise ShellError(
                 "plan has server/DNS fault clauses but the stack has "
@@ -229,6 +227,13 @@ class ShellStack:
         return TransportHost.ensure(self.machine.sim, self.machine.namespace)
 
     @property
+    def replay(self) -> Optional[ReplayShell]:
+        """The stack's (outermost) ReplayShell, or None."""
+        return next(
+            (s for s in self.shells if isinstance(s, ReplayShell)), None
+        )
+
+    @property
     def resolver_endpoint(self) -> Endpoint:
         """The DNS endpoint applications should resolve against.
 
@@ -236,34 +241,35 @@ class ShellStack:
             ShellError: if the stack contains no ReplayShell (use the
                 live-web model's resolver instead).
         """
-        for shell in self.shells:
-            if isinstance(shell, ReplayShell):
-                return shell.resolver_endpoint
-        raise ShellError("no ReplayShell in this stack to resolve against")
+        replay = self.replay
+        if replay is None:
+            raise ShellError("no ReplayShell in this stack to resolve against")
+        return replay.resolver_endpoint
 
     def load(
         self,
         page: PageModel,
-        config: Optional[BrowserConfig] = None,
         resolver: Optional[Endpoint] = None,
     ) -> PageLoadResult:
         """Start a browser in the innermost namespace loading ``page``.
 
         The stack's innermost application command. Returns the live
-        result; run the simulator to make progress.
+        result; run the simulator to make progress. The browser speaks
+        the protocol of the stack's ReplayShell (``http/1.1`` with none).
 
         Args:
-            config: browser configuration (default: ``BrowserConfig()``).
             resolver: DNS endpoint to resolve against; defaults to the
                 stack's ReplayShell. Record and live-web worlds pass the
                 simulated Internet's public resolver.
         """
         from repro.browser import Browser
 
+        replay = self.replay
         browser = Browser(
             self.sim, self.transport,
             self.resolver_endpoint if resolver is None else resolver,
-            config=config, machine=self.machine,
+            protocol="http/1.1" if replay is None else replay.protocol,
+            machine=self.machine,
         )
         return browser.load(page)
 

@@ -53,8 +53,8 @@ class ReplayShell(Shell):
             ``calibration.SERVER_WORKERS``); the contention source in
             single-server mode.
         protocol: "http/1.1" (default) or "mux" — replay over the
-            SPDY-style multiplexed framing (the browser must be
-            configured to match; see BrowserConfig.protocol). A fault
+            SPDY-style multiplexed framing (``ShellStack.load`` starts a
+            browser speaking the same protocol). A fault
             plan's server clauses need "http/1.1".
         name: shell/namespace name.
     """

@@ -27,7 +27,8 @@ ResolveCallback = Callable[[Optional[List[IPv4Address]], Optional[Exception]], N
 
 DEFAULT_TIMEOUT = 2.0
 DEFAULT_RETRIES = 2
-DEFAULT_TTL = 60.0
+#: Positive-cache lifetime, seconds (read at use time).
+TTL = 60.0
 
 
 class StubResolver:
@@ -40,7 +41,6 @@ class StubResolver:
         server: the DNS server endpoint.
         timeout: per-attempt timeout, seconds.
         retries: retransmissions before failing.
-        ttl: positive-cache lifetime, seconds.
     """
 
     def __init__(
@@ -51,13 +51,11 @@ class StubResolver:
         server: Endpoint,
         timeout: float = DEFAULT_TIMEOUT,
         retries: int = DEFAULT_RETRIES,
-        ttl: float = DEFAULT_TTL,
     ) -> None:
         self.sim = sim
         self.server = server
         self.timeout = timeout
         self.retries = retries
-        self.ttl = ttl
         self.queries_sent = 0
         self.cache_hits = 0
         self._next_qid = 1
@@ -130,7 +128,7 @@ class StubResolver:
             pending.timer.stop()
         if message.ok:
             addresses = [IPv4Address(a) for a in message.addresses]
-            self._cache[name] = (self.sim.now + self.ttl, addresses)
+            self._cache[name] = (self.sim.now + TTL, addresses)
             for callback in pending.callbacks:
                 callback(list(addresses), None)
         else:

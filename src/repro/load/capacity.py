@@ -139,7 +139,7 @@ def run_capacity_curve(
     arrivals: str = "poisson",
     link_mbps: float = 1000.0,
     one_way_delay: float = 0.020,
-    server_workers: int = 2,
+    server_workers: Optional[int] = None,
     timeout: float = DEFAULT_TIMEOUT,
     workers: Optional[int] = None,
     instrument: bool = True,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import calibration
 from repro.apps.apiclient import ApiClient
 from repro.core import ShellStack
 from repro.dns.resolver import StubResolver
@@ -63,7 +64,9 @@ class LoadScenario:
             emulated link. Narrow it to study link-bound regimes.
         one_way_delay: DelayShell one-way latency (seconds).
         server_workers: concurrent request slots per replay origin (the
-            paper's Apache prefork pool; the knee-position knob).
+            paper's Apache prefork pool; the knee-position knob; default
+            ``calibration.SERVER_WORKERS``, resolved here so
+            :meth:`describe` records the integer).
         timeout: virtual-time budget for the run; clients still
             unfinished at the deadline are recorded as failed.
     """
@@ -75,7 +78,7 @@ class LoadScenario:
         clients: int,
         link_mbps: float = 1000.0,
         one_way_delay: float = 0.020,
-        server_workers: int = 2,
+        server_workers: Optional[int] = None,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
         if clients < 1:
@@ -85,6 +88,8 @@ class LoadScenario:
         self.clients = clients
         self.link_mbps = float(link_mbps)
         self.one_way_delay = float(one_way_delay)
+        if server_workers is None:
+            server_workers = calibration.SERVER_WORKERS
         self.server_workers = int(server_workers)
         self.timeout = float(timeout)
 

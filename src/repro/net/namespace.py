@@ -26,9 +26,10 @@ from repro.sim.simulator import Simulator
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.nat import Nat
 
-#: Default one-way latency of the simulated loopback path, seconds. Models
-#: the cost of traversing the local stack twice (send + receive).
-DEFAULT_LOOPBACK_LATENCY = 25e-6
+#: One-way latency of the simulated loopback path, seconds (read at use
+#: time). Models the cost of traversing the local stack twice (send +
+#: receive).
+LOOPBACK_LATENCY = 25e-6
 
 
 class NetworkNamespace:
@@ -37,18 +38,11 @@ class NetworkNamespace:
     Args:
         sim: the simulator whose clock this namespace lives on.
         name: diagnostic name (shells name theirs after themselves).
-        loopback_latency: one-way delay for namespace-local connections.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        loopback_latency: float = DEFAULT_LOOPBACK_LATENCY,
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.loopback_latency = loopback_latency
         self.routes = RoutingTable()
         self.nat: Optional["Nat"] = None
         self.forwarding_delay = 0.0
@@ -145,7 +139,7 @@ class NetworkNamespace:
         if self.is_local(packet.dst):
             # Namespace-local connection: loop it back after the loopback
             # latency, never touching any interface.
-            self.sim.schedule(self.loopback_latency, self._deliver_local, packet)
+            self.sim.schedule(LOOPBACK_LATENCY, self._deliver_local, packet)
             return
         self._forward(packet, originated=True)
 

@@ -97,10 +97,9 @@ def tcp_packet(
     dport: int,
     payload: Any,
     data_len: int,
-    options_len: int = 0,
 ) -> Packet:
     """Build a TCP packet; ``data_len`` is the payload byte count."""
-    size = IP_HEADER_BYTES + TCP_HEADER_BYTES + options_len + data_len
+    size = IP_HEADER_BYTES + TCP_HEADER_BYTES + data_len
     return Packet(src, dst, sport, dport, "tcp", payload, size)
 
 

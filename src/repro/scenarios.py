@@ -32,7 +32,6 @@ import time
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.browser.config import BrowserConfig
 from repro.calibration import CALIBRATION as CALIBRATION
 from repro.browser.html import page_from_recording
 from repro.chaos import (
@@ -88,8 +87,7 @@ def smoke(plan: Optional[FaultPlan] = None,
         if plan is not None:
             stack.add_chaos(plan)
         stack.add_delay(0.030)
-        return stack.sim, stack.load(site.page,
-                                     BrowserConfig(protocol=protocol))
+        return stack.sim, stack.load(site.page)
 
     return factory
 
@@ -425,7 +423,6 @@ def page_load_time(
     page,
     shells: Callable[[ShellStack], object],
     profile: Optional[MachineProfile] = None,
-    config: Optional[BrowserConfig] = None,
 ) -> float:
     """PLT of ``page`` loaded through the stack ``shells(stack)`` builds
     on a fresh machine seeded with ``seed``; a hung or failed load raises
@@ -434,7 +431,7 @@ def page_load_time(
     def world(trial: int):
         stack = ShellStack.fresh(trial, profile)
         shells(stack)
-        return stack.sim, stack.load(page, config)
+        return stack.sim, stack.load(page)
 
     return run_trial(world, seed, timeout=900.0).page_load_time
 

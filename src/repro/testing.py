@@ -37,7 +37,6 @@ from repro.net.pipe import PacketPipe
 from repro.net.veth import VethPair
 from repro.sim.simulator import Simulator
 from repro.transport.host import TransportHost
-from repro.transport.tcp import TcpConfig
 
 
 class ScriptedLossPipe(PacketPipe):
@@ -119,7 +118,6 @@ class TwoHostWorld:
         sim: Optional[Simulator] = None,
         pipe_ab: Optional[PacketPipe] = None,
         pipe_ba: Optional[PacketPipe] = None,
-        tcp_config: Optional[TcpConfig] = None,
         seed: int = 0,
     ) -> None:
         self.sim = sim if sim is not None else Simulator(seed=seed)
@@ -131,8 +129,8 @@ class TwoHostWorld:
         )
         self.veth.iface_a.add_address(self.CLIENT_ADDR, 24)
         self.veth.iface_b.add_address(self.SERVER_ADDR, 24)
-        self.client = TransportHost(self.sim, self.client_ns, tcp_config)
-        self.server = TransportHost(self.sim, self.server_ns, tcp_config)
+        self.client = TransportHost(self.sim, self.client_ns)
+        self.server = TransportHost(self.sim, self.server_ns)
 
     @property
     def server_endpoint(self) -> Endpoint:
@@ -184,11 +182,7 @@ if _pytest is not None:
         return assert_deterministic
 
 
-def delayed_world(
-    one_way_delay: float,
-    tcp_config: Optional[TcpConfig] = None,
-    seed: int = 0,
-) -> TwoHostWorld:
+def delayed_world(one_way_delay: float, seed: int = 0) -> TwoHostWorld:
     """A :class:`TwoHostWorld` whose veth adds a symmetric fixed delay
     (ideal delay elements: no per-packet overhead)."""
     from repro.linkem.delay import DelayPipe
@@ -198,7 +192,6 @@ def delayed_world(
         sim=sim,
         pipe_ab=DelayPipe(sim, one_way_delay, service_time=0.0),
         pipe_ba=DelayPipe(sim, one_way_delay, service_time=0.0),
-        tcp_config=tcp_config,
     )
 
 

@@ -13,11 +13,10 @@ as counted virtual bytes, so a megabyte page costs a handful of Python
 objects instead of a megabyte of copies.
 """
 
-from repro.transport.congestion import CongestionControl, FixedWindow, NewReno
+from repro.transport.congestion import NewReno
 from repro.transport.host import TransportHost
 from repro.transport.rto import RttEstimator
-from repro.transport.tcp import TcpConfig, TcpConnection, TcpSegment
-from repro.transport.tls import TlsConfig
+from repro.transport.tcp import TcpConnection, TcpSegment
 from repro.transport.udp import UdpDatagram, UdpSocket
 from repro.transport.wire import (
     ReassemblyBuffer,
@@ -28,16 +27,12 @@ from repro.transport.wire import (
 )
 
 __all__ = [
-    "CongestionControl",
-    "FixedWindow",
     "NewReno",
     "ReassemblyBuffer",
     "RttEstimator",
     "SendBuffer",
-    "TcpConfig",
     "TcpConnection",
     "TcpSegment",
-    "TlsConfig",
     "TransportHost",
     "UdpDatagram",
     "UdpSocket",

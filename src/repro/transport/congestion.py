@@ -1,46 +1,16 @@
-"""Congestion control algorithms.
+"""Congestion control: NewReno, the one controller.
 
-:class:`NewReno` is the default: slow start with an initial window of 10
+:class:`NewReno` does slow start with an initial window of 10
 segments (RFC 6928), AIMD congestion avoidance, window halving on fast
 retransmit, and collapse to one segment on a retransmission timeout. The
 page-load shapes in every figure — bandwidth ramps, loss recovery on
 bounded queues — come from here.
-
-:class:`FixedWindow` pins the window, which makes transfer times
-closed-form computable; unit tests use it to assert exact transfer times.
 """
 
 from __future__ import annotations
 
 
-class CongestionControl:
-    """Interface: a sender's congestion window policy (sizes in bytes)."""
-
-    __slots__ = ()
-
-    @property
-    def cwnd(self) -> int:
-        """Current congestion window in bytes."""
-        raise NotImplementedError
-
-    def on_ack(self, acked_bytes: int) -> None:
-        """A cumulative ACK covered ``acked_bytes`` new bytes."""
-        raise NotImplementedError
-
-    def on_fast_retransmit(self) -> None:
-        """Three duplicate ACKs: entering loss recovery."""
-        raise NotImplementedError
-
-    def on_recovery_exit(self) -> None:
-        """Recovery completed (the retransmitted hole was filled)."""
-        raise NotImplementedError
-
-    def on_timeout(self) -> None:
-        """The RTO fired."""
-        raise NotImplementedError
-
-
-class NewReno(CongestionControl):
+class NewReno:
     """Slow start + AIMD + multiplicative decrease (NewReno flavour).
 
     Args:
@@ -76,6 +46,7 @@ class NewReno(CongestionControl):
 
     @property
     def cwnd(self) -> int:
+        """Current congestion window in bytes."""
         return self._cwnd
 
     @property
@@ -127,29 +98,3 @@ class NewReno(CongestionControl):
             phase = "recovery"
         return f"<NewReno cwnd={self._cwnd} ssthresh={self._ssthresh} {phase}>"
 
-
-class FixedWindow(CongestionControl):
-    """A constant congestion window (for deterministic unit tests)."""
-
-    __slots__ = ("_cwnd",)
-
-    def __init__(self, window_bytes: int) -> None:
-        if window_bytes <= 0:
-            raise ValueError(f"window must be positive, got {window_bytes!r}")
-        self._cwnd = window_bytes
-
-    @property
-    def cwnd(self) -> int:
-        return self._cwnd
-
-    def on_ack(self, acked_bytes: int) -> None:
-        pass
-
-    def on_fast_retransmit(self) -> None:
-        pass
-
-    def on_recovery_exit(self) -> None:
-        pass
-
-    def on_timeout(self) -> None:
-        pass

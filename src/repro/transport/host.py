@@ -18,7 +18,7 @@ from repro.net.address import Endpoint, IPv4Address
 from repro.net.namespace import NetworkNamespace
 from repro.net.packet import Packet, tcp_packet
 from repro.sim.simulator import Simulator
-from repro.transport.tcp import TcpConfig, TcpConnection, TcpSegment
+from repro.transport.tcp import TcpConnection, TcpSegment
 from repro.transport.udp import UdpSocket
 
 _EPHEMERAL_FIRST = 49152
@@ -44,13 +44,11 @@ class TcpListener:
         address: Optional[IPv4Address],
         port: int,
         on_connection: Callable[[TcpConnection], None],
-        config: Optional[TcpConfig],
     ) -> None:
         self.host = host
         self.address = address
         self.port = port
         self.on_connection = on_connection
-        self.config = config
         self.accepted = 0
 
     def close(self) -> None:
@@ -68,18 +66,11 @@ class TransportHost:
     Args:
         sim: the simulator.
         namespace: the namespace whose local deliveries this host handles.
-        tcp_config: default config for connections created by this host.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        namespace: NetworkNamespace,
-        tcp_config: Optional[TcpConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, namespace: NetworkNamespace) -> None:
         self.sim = sim
         self.namespace = namespace
-        self.tcp_config = tcp_config if tcp_config is not None else TcpConfig()
         namespace.attach_transport(self.receive)
         namespace.transport_host = self
         self._connections: Dict[ConnKey, TcpConnection] = {}
@@ -93,10 +84,7 @@ class TransportHost:
 
     @classmethod
     def ensure(
-        cls,
-        sim: Simulator,
-        namespace: NetworkNamespace,
-        tcp_config: Optional[TcpConfig] = None,
+        cls, sim: Simulator, namespace: NetworkNamespace
     ) -> "TransportHost":
         """The namespace's transport host, created on first use.
 
@@ -107,7 +95,7 @@ class TransportHost:
         existing = getattr(namespace, "transport_host", None)
         if existing is not None:
             return existing
-        return cls(sim, namespace, tcp_config)
+        return cls(sim, namespace)
 
     # ------------------------------------------------------------------ #
     # TCP
@@ -117,7 +105,6 @@ class TransportHost:
         address,
         port: int,
         on_connection: Callable[[TcpConnection], None],
-        config: Optional[TcpConfig] = None,
     ) -> TcpListener:
         """Open a passive socket on (address, port).
 
@@ -131,7 +118,7 @@ class TransportHost:
         key = (None if addr is None else addr._value, port)
         if key in self._listeners:
             raise PortInUse(f"already listening on {addr}:{port}")
-        listener = TcpListener(self, addr, port, on_connection, config)
+        listener = TcpListener(self, addr, port, on_connection)
         self._listeners[key] = listener
         return listener
 
@@ -139,7 +126,6 @@ class TransportHost:
         self,
         remote: Endpoint,
         local_address: Optional[IPv4Address] = None,
-        config: Optional[TcpConfig] = None,
     ) -> TcpConnection:
         """Open an active connection to ``remote``; returns immediately.
 
@@ -151,14 +137,7 @@ class TransportHost:
         if local_address is None:
             local_address = self._source_address_for(remote.address)
         local = Endpoint(local_address, self._allocate_port(local_address))
-        conn = TcpConnection(
-            self.sim,
-            self,
-            local,
-            remote,
-            config if config is not None else self.tcp_config,
-            passive=False,
-        )
+        conn = TcpConnection(self.sim, self, local, remote, passive=False)
         self._register(conn)
         conn.connect()
         return conn
@@ -267,8 +246,7 @@ class TransportHost:
     def _accept(self, listener: TcpListener, packet: Packet) -> None:
         local = Endpoint(packet.dst, packet.dport)
         remote = Endpoint(packet.src, packet.sport)
-        config = listener.config if listener.config is not None else self.tcp_config
-        conn = TcpConnection(self.sim, self, local, remote, config, passive=True)
+        conn = TcpConnection(self.sim, self, local, remote, passive=True)
         self._register(conn)
 
         def _accepted() -> None:

@@ -15,7 +15,6 @@ retransmissions re-slice the send buffer instead of holding copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import ConnectionClosed, ConnectionReset, TransportError
@@ -23,51 +22,37 @@ from repro.net.address import Endpoint
 from repro.net.packet import IP_HEADER_BYTES, MTU_BYTES, TCP_HEADER_BYTES, Packet
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
-from repro.transport.congestion import CongestionControl, NewReno
+from repro.transport.congestion import NewReno
 from repro.transport.rto import RttEstimator
 from repro.transport.wire import Piece, RangeSet, ReassemblyBuffer, SendBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transport.host import TransportHost
 
+# Protocol constants, read at use time: to vary one for an experiment,
+# ``monkeypatch.setattr(tcp, "MSS", v)`` before the connection is built.
+
 #: Standard Ethernet MSS: MTU minus IP and TCP headers.
-DEFAULT_MSS = 1460
+MSS = 1460
 
-#: Default advertised receive window. Large enough that modern
+#: Advertised receive window, bytes. Large enough that modern
 #: autotuned-receiver behaviour (cwnd-limited, not rwnd-limited) holds.
-DEFAULT_RECEIVE_WINDOW = 4 * 1024 * 1024
+RECEIVE_WINDOW = 4 * 1024 * 1024
 
+#: NewReno's initial window in segments (RFC 6928).
+INITIAL_WINDOW_SEGMENTS = 10
 
-@dataclass
-class TcpConfig:
-    """Tunables for one connection (shared freely between connections).
+#: RTO policy, seconds: Linux's 200 ms floor, RFC 6298's 60 s ceiling and
+#: 1 s first value.
+MIN_RTO = 0.2
+MAX_RTO = 60.0
+INITIAL_RTO = 1.0
 
-    Attributes:
-        mss: maximum segment size, bytes.
-        receive_window: advertised window, bytes.
-        initial_window_segments: IW for the default NewReno controller.
-        min_rto / max_rto / initial_rto: RTO policy, seconds.
-        dupack_threshold: duplicate ACKs that trigger fast retransmit.
-        max_syn_retries: SYN / SYN-ACK retransmissions before giving up.
-        congestion_control: factory ``mss -> CongestionControl``; defaults
-            to NewReno with the configured initial window.
-    """
+#: Duplicate ACKs that trigger fast retransmit.
+DUPACK_THRESHOLD = 3
 
-    mss: int = DEFAULT_MSS
-    receive_window: int = DEFAULT_RECEIVE_WINDOW
-    initial_window_segments: int = 10
-    min_rto: float = 0.2
-    max_rto: float = 60.0
-    initial_rto: float = 1.0
-    dupack_threshold: int = 3
-    max_syn_retries: int = 6
-    congestion_control: Optional[Callable[[int], CongestionControl]] = None
-
-    def make_congestion_control(self) -> CongestionControl:
-        """Instantiate this config's congestion controller."""
-        if self.congestion_control is not None:
-            return self.congestion_control(self.mss)
-        return NewReno(self.mss, self.initial_window_segments)
+#: SYN / SYN-ACK retransmissions before the handshake gives up.
+MAX_SYN_RETRIES = 6
 
 
 class TcpSegment:
@@ -142,7 +127,6 @@ class TcpConnection:
         "host",
         "local",
         "remote",
-        "config",
         "passive",
         "state",
         "on_established",
@@ -197,14 +181,12 @@ class TcpConnection:
         host: "TransportHost",
         local: Endpoint,
         remote: Endpoint,
-        config: Optional[TcpConfig] = None,
         passive: bool = False,
     ) -> None:
         self.sim = sim
         self.host = host
         self.local = local
         self.remote = remote
-        self.config = config if config is not None else TcpConfig()
         self.passive = passive
         self.state = CLOSED
 
@@ -212,11 +194,9 @@ class TcpConnection:
         # lifetime; an mss that cannot fit the MTU is refused here rather
         # than by Packet.__init__ on the first full-size segment.
         self._header_bytes = IP_HEADER_BYTES + TCP_HEADER_BYTES
-        if self.config.mss + self._header_bytes > MTU_BYTES:
-            raise TransportError(
-                f"mss {self.config.mss} + headers exceeds MTU {MTU_BYTES}"
-            )
-        self._rcv_wnd = self.config.receive_window
+        if MSS + self._header_bytes > MTU_BYTES:
+            raise TransportError(f"mss {MSS} + headers exceeds MTU {MTU_BYTES}")
+        self._rcv_wnd = RECEIVE_WINDOW
 
         # Callbacks
         self.on_established: Optional[Callable[[], None]] = None
@@ -229,10 +209,8 @@ class TcpConnection:
         self._send_buffer = SendBuffer()
         self._snd_una = 0
         self._snd_nxt = 0
-        self._cc = self.config.make_congestion_control()
-        self._rtt = RttEstimator(
-            self.config.min_rto, self.config.max_rto, self.config.initial_rto
-        )
+        self._cc = NewReno(MSS, INITIAL_WINDOW_SEGMENTS)
+        self._rtt = RttEstimator(MIN_RTO, MAX_RTO, INITIAL_RTO)
         self._rto_timer = Timer(sim, self._on_rto)
         self._dupacks = 0
         self._in_recovery = False
@@ -252,7 +230,7 @@ class TcpConnection:
         self._rexmit_out: Optional[RangeSet] = None
         self._rtt_seq: Optional[int] = None
         self._rtt_time = 0.0
-        self._peer_rwnd = self.config.receive_window
+        self._peer_rwnd = RECEIVE_WINDOW
         self._fin_queued = False
         self._fin_sent = False
         self._syn_retries = 0
@@ -307,7 +285,7 @@ class TcpConnection:
         return self._cc.cwnd
 
     @property
-    def congestion(self) -> CongestionControl:
+    def congestion(self) -> NewReno:
         """The congestion controller (for inspection in tests)."""
         return self._cc
 
@@ -567,10 +545,7 @@ class TcpConnection:
             and "F" not in segment.flags
         ):
             self._dupacks += 1
-            if (
-                self._dupacks == self.config.dupack_threshold
-                and not self._in_recovery
-            ):
+            if self._dupacks == DUPACK_THRESHOLD and not self._in_recovery:
                 self._fast_retransmit()
 
     def _fast_retransmit(self) -> None:
@@ -682,7 +657,7 @@ class TcpConnection:
             repairing = (
                 self._in_recovery
                 or self._snd_una < self._lost_edge
-                or self._sacked.total >= self.config.dupack_threshold * self.config.mss
+                or self._sacked.total >= DUPACK_THRESHOLD * MSS
             )
             pipe = self._pipe_bytes()
         while pipe < window:
@@ -699,7 +674,7 @@ class TcpConnection:
             available = self._send_buffer.length - stream_sent
             if available <= 0:
                 break
-            seg_len = min(self.config.mss, available, window - pipe)
+            seg_len = min(MSS, available, window - pipe)
             pieces = self._send_buffer.slice(stream_sent, seg_len)
             self._send_segment(
                 "A",
@@ -744,7 +719,7 @@ class TcpConnection:
                 self._send_segment("FA", seq=self._snd_una, ack=self._rcv_nxt)
             return
         seg_len = min(
-            self.config.mss, stream_len - head_offset, self._snd_nxt - self._snd_una
+            MSS, stream_len - head_offset, self._snd_nxt - self._snd_una
         )
         pieces = self._send_buffer.slice(head_offset, seg_len)
         self._send_segment(
@@ -757,7 +732,7 @@ class TcpConnection:
         stream_len = self._send_buffer.length
         offset = start_seq - 1
         seg_len = min(
-            self.config.mss,
+            MSS,
             max_end - start_seq,
             stream_len - offset,
             self._snd_nxt - start_seq,
@@ -844,7 +819,7 @@ class TcpConnection:
             return
         if self.state in (SYN_SENT, SYN_RCVD):
             self._syn_retries += 1
-            if self._syn_retries > self.config.max_syn_retries:
+            if self._syn_retries > MAX_SYN_RETRIES:
                 self._fail(TransportError(f"handshake to {self.remote} timed out"))
                 return
         self._rtt.on_timeout()

@@ -15,33 +15,26 @@ This reproduces TLS 1.2's two extra round trips. Record framing overhead
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.transport.tcp import TcpConnection
 from repro.transport.wire import Piece, piece_len
 
 
-@dataclass(frozen=True)
-class TlsConfig:
-    """Sizes of the handshake flights, bytes.
-
-    Defaults approximate a TLS 1.2 handshake with a typical 2-certificate
-    chain.
-    """
-
-    client_hello_bytes: int = 300
-    server_flight_bytes: int = 3400
-    client_finished_bytes: int = 130
-    server_finished_bytes: int = 60
+# Sizes of the handshake flights, bytes, approximating a TLS 1.2
+# handshake with a typical 2-certificate chain. Read at use time, so
+# ``monkeypatch.setattr(tls, "SERVER_FLIGHT_BYTES", v)`` varies one.
+CLIENT_HELLO_BYTES = 300
+SERVER_FLIGHT_BYTES = 3400
+CLIENT_FINISHED_BYTES = 130
+SERVER_FINISHED_BYTES = 60
 
 
 class _TlsSession:
     """Shared plumbing: swallow handshake bytes, then pass data through."""
 
-    def __init__(self, conn: TcpConnection, config: TlsConfig) -> None:
+    def __init__(self, conn: TcpConnection) -> None:
         self.conn = conn
-        self.config = config
         self.established = False
         self.on_established: Optional[Callable[[], None]] = None
         self.on_data: Optional[Callable[[List[Piece]], None]] = None
@@ -111,8 +104,8 @@ class _TlsSession:
 class TlsClientSession(_TlsSession):
     """Client side: drives the handshake once TCP is established."""
 
-    def __init__(self, conn: TcpConnection, config: Optional[TlsConfig] = None) -> None:
-        super().__init__(conn, config if config is not None else TlsConfig())
+    def __init__(self, conn: TcpConnection) -> None:
+        super().__init__(conn)
         self._phase = "hello"
         if conn.established_at is not None:
             self._start()
@@ -125,14 +118,14 @@ class TlsClientSession(_TlsSession):
             conn.on_established = _chain
 
     def _start(self) -> None:
-        self.conn.send_virtual(self.config.client_hello_bytes)
-        self._expecting = self.config.server_flight_bytes
+        self.conn.send_virtual(CLIENT_HELLO_BYTES)
+        self._expecting = SERVER_FLIGHT_BYTES
         self._phase = "await_server_flight"
 
     def _flight_complete(self) -> None:
         if self._phase == "await_server_flight":
-            self.conn.send_virtual(self.config.client_finished_bytes)
-            self._expecting = self.config.server_finished_bytes
+            self.conn.send_virtual(CLIENT_FINISHED_BYTES)
+            self._expecting = SERVER_FINISHED_BYTES
             self._phase = "await_server_finished"
         elif self._phase == "await_server_finished":
             self._phase = "done"
@@ -142,17 +135,17 @@ class TlsClientSession(_TlsSession):
 class TlsServerSession(_TlsSession):
     """Server side: responds to the client's flights."""
 
-    def __init__(self, conn: TcpConnection, config: Optional[TlsConfig] = None) -> None:
-        super().__init__(conn, config if config is not None else TlsConfig())
+    def __init__(self, conn: TcpConnection) -> None:
+        super().__init__(conn)
         self._phase = "await_hello"
-        self._expecting = self.config.client_hello_bytes
+        self._expecting = CLIENT_HELLO_BYTES
 
     def _flight_complete(self) -> None:
         if self._phase == "await_hello":
-            self.conn.send_virtual(self.config.server_flight_bytes)
-            self._expecting = self.config.client_finished_bytes
+            self.conn.send_virtual(SERVER_FLIGHT_BYTES)
+            self._expecting = CLIENT_FINISHED_BYTES
             self._phase = "await_finished"
         elif self._phase == "await_finished":
-            self.conn.send_virtual(self.config.server_finished_bytes)
+            self.conn.send_virtual(SERVER_FINISHED_BYTES)
             self._phase = "done"
             self._become_established()

@@ -93,8 +93,8 @@ def pieces_split(
     return head, []
 
 
-def pieces_to_bytes(pieces: List[Piece], fill: bytes = b"\x00") -> bytes:
-    """Materialize a piece list as real bytes (virtual bytes become fill).
+def pieces_to_bytes(pieces: List[Piece]) -> bytes:
+    """Materialize a piece list as real bytes (virtual bytes become zeros).
 
     Only used by tests and by code paths that genuinely need content.
     """
@@ -103,7 +103,7 @@ def pieces_to_bytes(pieces: List[Piece], fill: bytes = b"\x00") -> bytes:
         if isinstance(piece, (bytes, bytearray)):
             parts.append(bytes(piece))
         else:
-            parts.append(fill * piece)
+            parts.append(b"\x00" * piece)
     return b"".join(parts)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.browser import Browser, BrowserConfig
+from repro.browser import Browser, engine
 from repro.browser.html import render_html, scan_references
 from repro.browser.resources import PageModel, Resource, Url
 from repro.core import HostMachine, ShellStack
@@ -11,7 +11,7 @@ from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 
 
-def replay_world(site, seed=0, single_server=False, config=None,
+def replay_world(site, seed=0, single_server=False,
                  with_machine=True, instrument=False):
     sim = Simulator(seed=seed)
     if instrument:
@@ -21,7 +21,7 @@ def replay_world(site, seed=0, single_server=False, config=None,
     stack.add_replay(site.to_recorded_site(), single_server=single_server)
     browser = Browser(
         sim, stack.transport, stack.resolver_endpoint,
-        config=config, machine=machine if with_machine else None,
+        machine=machine if with_machine else None,
     )
     return sim, browser, stack
 
@@ -69,7 +69,7 @@ class TestPageLoads:
         sim.run_until(lambda: result.complete, timeout=120)
         assert result.connections_opened <= 6
 
-    def test_connection_limit_configurable(self):
+    def test_connection_limit_configurable(self, monkeypatch):
         children = [
             Resource(Url.parse(f"http://one.com/i{i}.jpg"), "image", 5000)
             for i in range(30)
@@ -79,8 +79,8 @@ class TestPageLoads:
         from repro.corpus.sitegen import SyntheticSite, ip_for_host
         site = SyntheticSite("one.com", PageModel(root),
                              {"one.com": ip_for_host("one.com")})
-        config = BrowserConfig(max_connections_per_origin=2)
-        sim, browser, stack = replay_world(site, config=config)
+        monkeypatch.setattr(engine, "MAX_CONNECTIONS_PER_ORIGIN", 2)
+        sim, browser, stack = replay_world(site)
         result = browser.load(site.page)
         sim.run_until(lambda: result.complete, timeout=240)
         assert result.connections_opened <= 2

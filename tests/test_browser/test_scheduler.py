@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.browser import Browser, BrowserConfig
+from repro.browser import Browser, engine
 from repro.browser.resources import PageModel, Resource, Url
 from repro.core import HostMachine, ShellStack
 from repro.corpus.sitegen import SyntheticSite, ip_for_host
@@ -29,7 +29,7 @@ def image_heavy_site(n_images=48, host="imgs.com", image_hosts=4):
                          {h: ip_for_host(h) for h in hosts})
 
 
-def load(site, config=None, seed=0, rate=10):
+def load(site, seed=0, rate=10):
     sim = Simulator(seed=seed)
     machine = HostMachine(sim)
     stack = ShellStack(machine)
@@ -37,7 +37,7 @@ def load(site, config=None, seed=0, rate=10):
     stack.add_link(rate, rate)
     stack.add_delay(0.030)
     browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      config=config, machine=machine)
+                      machine=machine)
     result = browser.load(site.page)
     sim.run_until(lambda: result.complete, timeout=600)
     assert result.complete and result.resources_failed == 0
@@ -50,25 +50,27 @@ class TestResourceScheduler:
         result = load(site)
         assert result.resources_loaded == site.page.resource_count
 
-    def test_cap_tames_image_flood_on_bottleneck(self):
+    def test_cap_tames_image_flood_on_bottleneck(self, monkeypatch):
         # Unthrottled, 48 images burst into the 2 Mbit/s bottleneck at
         # once and bufferbloat the whole load; the cap pipelines them and
         # the page finishes substantially sooner.
         site = image_heavy_site()
-        capped = load(site, BrowserConfig(max_delayable_in_flight=10),
-                      rate=2)
-        uncapped = load(site, BrowserConfig(max_delayable_in_flight=10_000),
-                        rate=2)
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 10)
+        capped = load(site, rate=2)
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 10_000)
+        uncapped = load(site, rate=2)
         assert capped.page_load_time < 0.95 * uncapped.page_load_time
 
-    def test_cap_configurable(self):
+    def test_cap_configurable(self, monkeypatch):
         site = image_heavy_site()
-        tight = load(site, BrowserConfig(max_delayable_in_flight=2))
-        loose = load(site, BrowserConfig(max_delayable_in_flight=100))
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 2)
+        tight = load(site)
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 100)
+        loose = load(site)
         # Both complete everything; the tight cap serializes images more.
         assert tight.resources_loaded == loose.resources_loaded
 
-    def test_non_delayable_not_capped(self):
+    def test_non_delayable_not_capped(self, monkeypatch):
         # A page of many scripts is unaffected by a tiny delayable cap.
         host = "scripts.com"
         children = [
@@ -79,6 +81,8 @@ class TestResourceScheduler:
                         children=children)
         site = SyntheticSite(host, PageModel(root),
                              {host: ip_for_host(host)})
-        capped = load(site, BrowserConfig(max_delayable_in_flight=1))
-        open_ = load(site, BrowserConfig(max_delayable_in_flight=100))
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 1)
+        capped = load(site)
+        monkeypatch.setattr(engine, "MAX_DELAYABLE_IN_FLIGHT", 100)
+        open_ = load(site)
         assert capped.page_load_time == pytest.approx(open_.page_load_time)

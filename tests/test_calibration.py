@@ -9,11 +9,14 @@ import pytest
 
 import repro
 from repro import calibration
-from repro.browser.config import BrowserConfig
+from repro.browser.engine import parse_cost
 from repro.core import MachineProfile, ShellStack
 from repro.corpus import generate_site
 from repro.linkem.delay import DelayPipe
 from repro.linkem.trace import ConstantRateSchedule
+from repro.load import LoadScenario, default_population
+from repro.load.arrivals import Poisson
+from repro.load.runner import LoadSession
 from repro.linkem.tracelink import TracePipe
 from repro.scenarios import CALIBRATION, CLAIMS
 from repro.sim import Simulator
@@ -108,6 +111,15 @@ def test_server_workers_and_dns_move_a_fresh_replay(monkeypatch):
     assert shell.dns.processing_time == 0.25
 
 
+def test_server_workers_move_a_fresh_load_world(monkeypatch):
+    monkeypatch.setattr(calibration, "SERVER_WORKERS", 5)
+    scenario = LoadScenario(default_population(n_sites=1), Poisson(1.0),
+                            clients=1)
+    assert scenario.describe()["server_workers"] == 5
+    replay = LoadSession(scenario, seed=0).stack.replay
+    assert {server.max_workers for server in replay.servers} == {5}
+
+
 @pytest.mark.parametrize("pipe, entry", [
     (lambda sim: DelayPipe(sim, 0.0), "DELAY_SERVICE_TIME"),
     (lambda sim: TracePipe(sim, ConstantRateSchedule(1e6)),
@@ -133,11 +145,10 @@ def test_machine_jitter_moves_a_fresh_profile(monkeypatch):
 
 
 def test_parse_tables_move_the_browser_cost(monkeypatch):
-    config = BrowserConfig()
-    before = config.parse_cost("js", 2048)
+    before = parse_cost("js", 2048)
     monkeypatch.setattr(calibration, "PARSE_PER_KB",
                         {**calibration.PARSE_PER_KB, "js": 0.0})
-    assert config.parse_cost("js", 2048) == calibration.PARSE_BASE["js"]
+    assert parse_cost("js", 2048) == calibration.PARSE_BASE["js"]
     assert before > calibration.PARSE_BASE["js"]
 
 

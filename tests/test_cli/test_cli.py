@@ -242,6 +242,14 @@ class TestMmWebreplayLoad:
         assert code == 0
         assert "ok in" in capsys.readouterr().out
 
+    def test_fetch_over_mux(self, recorded_dir, capsys):
+        # fetch's browser speaks the replay's framing, as load's does.
+        code = mm_webreplay.run(
+            ["--protocol=mux", recorded_dir, "fetch", "http://www.clitest.com/"],
+            [])
+        assert code == 0
+        assert "ok in" in capsys.readouterr().out
+
     def test_no_app_command_prints_stack(self, recorded_dir, capsys):
         code = mm_webreplay.run([recorded_dir], [])
         assert code == 0

@@ -11,6 +11,7 @@ from repro.dns.message import (
     encode_query,
     encode_response,
 )
+from repro.dns import resolver as resolver_module
 from repro.dns.resolver import StubResolver
 from repro.dns.server import DnsServer
 from repro.errors import DnsError
@@ -111,9 +112,9 @@ class TestServerAndResolver:
         assert resolver.cache_hits == 1
         assert got[1] - got[0] < 0.001
 
-    def test_cache_expiry(self):
+    def test_cache_expiry(self, monkeypatch):
+        monkeypatch.setattr(resolver_module, "TTL", 1.0)
         world, server, resolver = make_world()
-        resolver.ttl = 1.0
         got = []
         resolver.resolve("www.example.com", lambda a, e: got.append(1))
         world.sim.run_until(lambda: bool(got), timeout=5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.browser import Browser, BrowserConfig
+from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.errors import ShellError
@@ -153,8 +153,7 @@ class TestMuxPageLoads:
         stack.add_link(rate, rate)
         stack.add_delay(delay)
         browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                          config=BrowserConfig(protocol=protocol),
-                          machine=machine)
+                          protocol=protocol, machine=machine)
         result = browser.load(site.page)
         sim.run_until(lambda: result.complete, timeout=600)
         if replay_protocol is None:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NamespaceError
 from repro.net.address import IPv4Address
 from repro.net.interface import Interface
+from repro.net import namespace
 from repro.net.namespace import NetworkNamespace
 from repro.net.nat import Nat
 from repro.net.packet import tcp_packet
@@ -103,7 +104,7 @@ class TestVethForwarding:
         sim.run()
         assert got == [packet]
         # Loopback adds its configured latency.
-        assert sim.now == pytest.approx(a.loopback_latency)
+        assert sim.now == pytest.approx(namespace.LOOPBACK_LATENCY)
 
     def test_no_route_drops(self):
         sim, a, b, veth = self._two_namespaces()

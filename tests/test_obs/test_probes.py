@@ -5,7 +5,7 @@ simulation (the zero-observer-effect contract)."""
 import pytest
 
 from repro.analysis.sanitizer import check_observer_effect
-from repro.browser import Browser, BrowserConfig
+from repro.browser import Browser
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
 from repro.obs import MetricsRegistry
@@ -26,8 +26,7 @@ def build_world(seed, instrument=False, protocol="http/1.1"):
     stack.add_link(14, 14)
     stack.add_delay(0.020)
     browser = Browser(sim, stack.transport, stack.resolver_endpoint,
-                      config=BrowserConfig(protocol=protocol),
-                      machine=machine)
+                      protocol=protocol, machine=machine)
     result = browser.load(SITE.page)
     sim.run_until(lambda: result.complete, timeout=600)
     assert result.resources_failed == 0

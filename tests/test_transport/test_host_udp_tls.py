@@ -6,8 +6,9 @@ from repro.errors import ConnectionClosed, PortInUse, TransportError
 from repro.net.address import Endpoint, IPv4Address
 from repro.sim import Simulator
 from repro.testing import TwoHostWorld, delayed_world
+from repro.transport import tls
 from repro.transport.host import TransportHost
-from repro.transport.tls import TlsClientSession, TlsConfig, TlsServerSession
+from repro.transport.tls import TlsClientSession, TlsServerSession
 from repro.transport.wire import pieces_len, pieces_to_bytes
 
 
@@ -222,15 +223,16 @@ class TestTls:
         world.sim.run_until(lambda: pieces_len(server_app) >= 14, timeout=5)
         assert pieces_to_bytes(server_app) == b"secret-request"
 
-    def test_custom_flight_sizes(self):
-        config = TlsConfig(server_flight_bytes=100_000)  # giant cert chain
+    def test_custom_flight_sizes(self, monkeypatch):
+        # A giant cert chain.
+        monkeypatch.setattr(tls, "SERVER_FLIGHT_BYTES", 100_000)
         world = delayed_world(0.020)
 
         def on_conn(conn):
-            TlsServerSession(conn, config)
+            TlsServerSession(conn)
         world.server.listen(None, 443, on_conn)
         conn = world.client.connect(world.endpoint(443))
-        client = TlsClientSession(conn, config)
+        client = TlsClientSession(conn)
         ready = []
         client.on_established = lambda: ready.append(world.sim.now)
         world.sim.run_until(lambda: bool(ready), timeout=5)

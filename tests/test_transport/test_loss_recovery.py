@@ -19,7 +19,7 @@ from repro.reference import merge_range
 from repro.scenarios import SCENARIOS, bulk_download
 from repro.sim import Simulator
 from repro.testing import ScriptedLossPipe, TwoHostWorld
-from repro.transport.tcp import DEFAULT_MSS
+from repro.transport.tcp import MSS
 
 
 def sack_options_sent_by(host):
@@ -70,7 +70,7 @@ class TestOneSackBlockPerHole:
         assert {len(blocks) for blocks in options} == {1}
         # ... however much piled up behind the hole.
         assert max(end - start for blocks in options
-                   for start, end in blocks) >= 7 * DEFAULT_MSS
+                   for start, end in blocks) >= 7 * MSS
 
     def test_a_lossy_transfer_never_reports_more_blocks_than_holes(self):
         stack = ShellStack.fresh(seed=3)
@@ -85,7 +85,7 @@ class TestOneSackBlockPerHole:
         # The guard bites: some block spans many segments, each of which
         # was a block of its own when the receiver never coalesced.
         assert max(end - start for blocks in options
-                   for start, end in blocks) > 20 * DEFAULT_MSS
+                   for start, end in blocks) > 20 * MSS
         assert max(map(len, options)) <= 8
 
 
@@ -137,7 +137,7 @@ class TestMathisThroughput:
     def test_goodput_follows_the_inverse_square_root_law(self):
         typical = []
         for loss in (0.005, 0.01, 0.02):
-            bound = DEFAULT_MSS / (self.RTT * math.sqrt(2 * loss / 3))
+            bound = MSS / (self.RTT * math.sqrt(2 * loss / 3))
             ratios = [self.goodput(loss, seed) / bound for seed in range(3)]
             assert all(0.5 <= ratio <= 2.0 for ratio in ratios), (loss, ratios)
             typical.append(median(ratios) * bound)

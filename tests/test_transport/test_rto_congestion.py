@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.transport.congestion import FixedWindow, NewReno
+from repro.transport.congestion import NewReno
 from repro.transport.rto import RttEstimator
 
 
@@ -135,16 +135,3 @@ class TestNewReno:
         with pytest.raises(ValueError):
             NewReno(0)
 
-
-class TestFixedWindow:
-    def test_constant(self):
-        cc = FixedWindow(10_000)
-        cc.on_ack(5000)
-        cc.on_fast_retransmit()
-        cc.on_timeout()
-        cc.on_recovery_exit()
-        assert cc.cwnd == 10_000
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            FixedWindow(0)

@@ -9,8 +9,7 @@ import pytest
 from repro.errors import ConnectionClosed, TransportError
 from repro.sim import Simulator
 from repro.testing import ScriptedLossPipe, TwoHostWorld, delayed_world
-from repro.transport.congestion import FixedWindow
-from repro.transport.tcp import TcpConfig
+from repro.transport import tcp
 from repro.transport.wire import pieces_len, pieces_to_bytes
 
 
@@ -76,14 +75,14 @@ class TestHandshake:
         world.sim.run_until(lambda: conn.state == "ESTABLISHED")
         assert conn.srtt == pytest.approx(0.080, abs=0.001)
 
-    def test_handshake_gives_up_after_retries(self):
+    def test_handshake_gives_up_after_retries(self, monkeypatch):
+        monkeypatch.setattr(tcp, "MAX_SYN_RETRIES", 2)
         sim = Simulator()
         lossy = ScriptedLossPipe(sim, 0.010, drop_indices=set(range(100)))
         from repro.linkem.delay import DelayPipe
         world = TwoHostWorld(
             sim=sim, pipe_ab=lossy,
             pipe_ba=DelayPipe(sim, 0.010, service_time=0.0),
-            tcp_config=TcpConfig(max_syn_retries=2),
         )
         conn = world.client.connect(world.server_endpoint)
         errors = []
@@ -121,10 +120,10 @@ class TestDataTransfer:
         # 10000 bytes at MSS 1460 -> 7 segments + SYN.
         assert conn.segments_sent >= 8
 
-    def test_fixed_window_transfer_timing(self):
+    def test_fixed_window_transfer_timing(self, monkeypatch):
         # One segment per RTT with a 1-MSS window: deterministic timing.
-        config = TcpConfig(congestion_control=lambda mss: FixedWindow(mss))
-        world = delayed_world(0.050, tcp_config=config)
+        monkeypatch.setattr(tcp, "RECEIVE_WINDOW", 1460)
+        world = delayed_world(0.050)
         total = [0]
         echo_server(world, respond=lambda conn, pieces:
                     total.__setitem__(0, total[0] + pieces_len(pieces)))
@@ -147,9 +146,9 @@ class TestDataTransfer:
         # -> 7 transfer rounds. Total ~ handshake + 7 RTT.
         assert world.sim.now == pytest.approx(0.85, abs=0.1)
 
-    def test_receive_window_caps_flight(self):
-        config = TcpConfig(receive_window=8 * 1460)
-        world = delayed_world(0.020, tcp_config=config)
+    def test_receive_window_caps_flight(self, monkeypatch):
+        monkeypatch.setattr(tcp, "RECEIVE_WINDOW", 8 * 1460)
+        world = delayed_world(0.020)
         echo_server(world)
         conn = world.client.connect(world.server_endpoint)
         conn.on_established = lambda: conn.send_virtual(200_000)
