@@ -1,6 +1,6 @@
 """Command-line tools mirroring Mahimahi's shells.
 
-The commands compose on the command line exactly like the originals::
+The shells compose on the command line exactly like the originals::
 
     mm-webreplay recorded/ mm-link 14 14 mm-delay 40 load
     mm-webrecord --seed 3 out/ http://www.example.com/
@@ -9,6 +9,14 @@ The commands compose on the command line exactly like the originals::
     mm-fsck corpus/ --repair
 
 Because the whole toolkit is a simulation, "running a browser inside the
-shells" means: build the shell stack in a fresh simulator, run the browser
-model in the innermost namespace, and print the measured page load time.
+shells" means: each shell (``mm-webreplay``, ``mm-link``, ``mm-delay``,
+``mm-loss``, ``mm-chaos``) parses its own arguments into the one call
+that adds it to a stack and hands the rest of the command line on; the
+innermost ``load`` runs those calls, outermost first, on one fresh
+simulator, runs the browser model in the innermost namespace, and
+prints the measured page load time.
+
+Every tool but ``mm-lint`` is ``main = main_wrapper(run)`` over
+:mod:`repro.cli.common`: one argparse ``Parser``, bounds checked by
+argparse types, and one exit path (an ``error:`` line and status 2).
 """

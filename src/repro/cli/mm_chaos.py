@@ -13,9 +13,9 @@ shell::
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import List, Sequence
 
-from repro.cli.common import CliError, ShellSpec, continue_command_line, main_wrapper
+from repro.cli.common import CliError, Shell, continue_command_line, main_wrapper
 
 USAGE = "usage: mm-chaos <plan.json> [inner command ...]"
 
@@ -40,7 +40,7 @@ def _example_plan():
     return FaultPlan(clauses=clauses, name="example")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
     if not argv:
         raise CliError(USAGE)
     if argv[0] == "--example":
@@ -60,11 +60,9 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
         plan = FaultPlan.from_json(text)
     except ChaosError as exc:
         raise CliError(f"bad fault plan {path!r}: {exc}") from None
-    spec = ("chaos", {
-        "plan_json": text,
-        "label": f"{plan.name}:{len(plan)}",
-    })
-    return continue_command_line(argv[1:], specs + [spec])
+    shell = (f"chaos({plan.name}:{len(plan)})",
+             lambda stack: stack.add_chaos(plan))
+    return continue_command_line(argv[1:], [*shells, shell])
 
 
 main = main_wrapper(run)

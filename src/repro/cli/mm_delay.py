@@ -8,23 +8,22 @@ Example::
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import List, Sequence
 
 from repro.cli.common import (
-    CliError, ShellSpec, continue_command_line, main_wrapper, parse_float,
+    CliError, Shell, continue_command_line, main_wrapper, non_negative_float,
+    parse_arg,
 )
 
 USAGE = "usage: mm-delay <one-way-delay-ms> [inner command ...]"
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
     if not argv:
         raise CliError(USAGE)
-    delay_ms = parse_float(argv[0], "one-way delay")
-    if delay_ms < 0:
-        raise CliError("delay must be >= 0")
-    spec = ("delay", {"delay": delay_ms / 1000.0, "label": f"{argv[0]}ms"})
-    return continue_command_line(argv[1:], specs + [spec])
+    delay = parse_arg(argv[0], "one-way delay", non_negative_float) / 1000.0
+    shell = (f"delay({argv[0]}ms)", lambda stack: stack.add_delay(delay))
+    return continue_command_line(argv[1:], [*shells, shell])
 
 
 main = main_wrapper(run)

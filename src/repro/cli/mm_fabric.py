@@ -57,7 +57,7 @@ import sys
 from typing import List
 
 from repro.cli.common import (
-    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+    CliError, Parser, finite_float, main_wrapper,
 )
 from repro.fabric.backend import LocalBackend, SubprocessBackend
 from repro.fabric.coordinator import run_fabric
@@ -69,9 +69,7 @@ USAGE = ("usage: mm-fabric run --factory MOD:ATTR --trials N [options] "
          "| mm-fabric worker")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
-    if specs:
-        raise CliError("mm-fabric cannot nest inside other shells")
+def run(argv: List[str]) -> int:
     if not argv:
         raise CliError(USAGE)
     command, rest = argv[0], argv[1:]

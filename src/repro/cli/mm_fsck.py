@@ -33,37 +33,24 @@ import json
 import os
 from typing import List
 
-from repro.cli.common import CliError, ShellSpec, main_wrapper
+from repro.cli.common import CliError, Parser, main_wrapper
 from repro.record.fsck import fsck_tree
 from repro.record.store import StoreDamage
 
 USAGE = "usage: mm-fsck DIR [--repair] [--json]"
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
-    if specs:
-        raise CliError("mm-fsck cannot nest inside other shells")
-    directory, repair, as_json = None, False, False
-    rest = list(argv)
-    while rest:
-        flag = rest.pop(0)
-        if flag == "--repair":
-            repair = True
-        elif flag == "--json":
-            as_json = True
-        elif flag.startswith("-"):
-            raise CliError(f"{USAGE}\nunknown option {flag!r}")
-        elif directory is None:
-            directory = flag
-        else:
-            raise CliError(USAGE)
-    if directory is None:
-        raise CliError(USAGE)
-    if not os.path.isdir(directory):
-        raise CliError(f"not a directory: {directory!r}")
+def run(argv: List[str]) -> int:
+    parser = Parser("mm-fsck", USAGE)
+    parser.add_argument("directory", metavar="DIR")
+    parser.add_argument("--repair", action="store_true")
+    parser.add_argument("--json", action="store_true")
+    options = parser.parse_args(argv)
+    if not os.path.isdir(options.directory):
+        raise CliError(f"not a directory: {options.directory!r}")
 
-    reports = fsck_tree(directory, repair=repair)
-    if as_json:
+    reports = fsck_tree(options.directory, repair=options.repair)
+    if options.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True))
     else:

@@ -14,47 +14,51 @@ Example::
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import List, Sequence
 
 from repro.cli.common import (
     CliError,
-    ShellSpec,
+    Shell,
     continue_command_line,
     main_wrapper,
+    parse_arg,
     parse_trace_or_rate,
+    positive_int,
 )
+from repro.linkem.codel import CoDelQueue
+from repro.linkem.queues import DropTailQueue
 
 USAGE = ("usage: mm-link <uplink trace|Mbit/s> <downlink trace|Mbit/s> "
          "[--uplink-queue=N] [--downlink-queue=N] [inner command ...]")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
     if len(argv) < 2:
         raise CliError(USAGE)
     uplink = parse_trace_or_rate(argv[0], "uplink")
     downlink = parse_trace_or_rate(argv[1], "downlink")
     rest = argv[2:]
-    options = {"uplink": uplink, "downlink": downlink,
-               "label": f"{argv[0]}/{argv[1]}"}
+    queues = {}  # add_link keyword -> queue factory
     while rest and rest[0].startswith("--"):
-        flag = rest.pop(0)
-        name, __, value = flag.partition("=")
-        if name == "--uplink-queue":
-            options["uplink_queue"] = _packets(value)
-        elif name == "--downlink-queue":
-            options["downlink_queue"] = _packets(value)
-        else:
+        name, __, value = rest.pop(0).partition("=")
+        if name not in ("--uplink-queue", "--downlink-queue"):
             raise CliError(f"{USAGE}\nunknown option {name!r}")
-    return continue_command_line(rest, specs + [("link", options)])
+        queues[name[2:].replace("-", "_")] = parse_arg(value, name, _queue)
+
+    def add(stack):
+        return stack.add_link(uplink, downlink, **{
+            keyword: make() for keyword, make in queues.items()})
+
+    return continue_command_line(
+        rest, [*shells, (f"link({argv[0]}/{argv[1]})", add)])
 
 
-def _packets(value: str):
-    if value == "codel":
-        return "codel"
-    if not value.isdigit() or int(value) < 1:
-        raise CliError(
-            f"queue must be a positive packet count or 'codel': {value!r}")
-    return int(value)
+def _queue(text: str):
+    """A queue option's type: ``codel``, or a drop-tail packet count."""
+    if text == "codel":
+        return CoDelQueue
+    packets = positive_int(text)
+    return lambda: DropTailQueue(max_packets=packets)
 
 
 main = main_wrapper(run)

@@ -17,34 +17,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
-from repro.cli.common import CliError, finite_float
-from repro.errors import ReproError
+from repro.cli.common import (
+    Parser, finite_float, main_wrapper, positive_float, positive_int,
+)
 
 __all__ = ["main"]
 
 
-def _parse_levels(spec: str) -> List[int]:
+def _levels(spec: str) -> List[int]:
+    """The ``--levels`` type: strictly increasing client counts."""
     try:
         levels = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
-        raise ReproError(f"bad --levels {spec!r}: expected N,N,N ...")
+        raise argparse.ArgumentTypeError(
+            f"expected N,N,N ..., got {spec!r}") from None
     if len(levels) < 2:
-        raise ReproError("--levels needs at least two client counts")
+        raise argparse.ArgumentTypeError("needs at least two client counts")
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ReproError(f"--levels must be strictly increasing: {spec}")
+        raise argparse.ArgumentTypeError(
+            f"must be strictly increasing: {spec}")
     return levels
-
-
-def _check_ranges(options: argparse.Namespace) -> None:
-    """Refuse an out-of-range number naming its flag, before any world
-    is built."""
-    if options.server_workers is not None and options.server_workers < 1:
-        raise CliError(f"--server-workers must be >= 1, "
-                       f"got {options.server_workers}")
-    if options.command == "run" and options.rate <= 0:
-        raise CliError(f"--rate must be positive, got {options.rate}")
 
 
 def _population(options: argparse.Namespace):
@@ -64,7 +58,7 @@ def _cmd_sweep(options: argparse.Namespace) -> int:
 
     curve = run_capacity_curve(
         _population(options),
-        _parse_levels(options.levels),
+        options.levels,
         window=options.window,
         seed=options.seed,
         arrivals=options.arrivals,
@@ -124,7 +118,7 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
         help="one-way propagation delay in seconds (default: 0.020)",
     )
     parser.add_argument(
-        "--server-workers", type=int, default=None,
+        "--server-workers", type=positive_int, default=None,
         help="request slots per replay origin "
              "(default: calibration.SERVER_WORKERS)",
     )
@@ -134,19 +128,20 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mm-load",
+def _build_parser() -> Parser:
+    parser = Parser(
+        "mm-load", add_help=True,
         description="Open-loop heavy-traffic load generation with "
         "capacity-curve measurement.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     sweep = commands.add_parser(
-        "sweep", help="sweep client counts into a capacity-curve artifact"
+        "sweep", add_help=True,
+        help="sweep client counts into a capacity-curve artifact",
     )
     sweep.add_argument(
-        "--levels", required=True, metavar="N,N,...",
+        "--levels", type=_levels, required=True, metavar="N,N,...",
         help="strictly increasing client counts, e.g. 40,80,160,320",
     )
     sweep.add_argument("--out", required=True, help="artifact output path")
@@ -167,11 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(run=_cmd_sweep)
 
     run = commands.add_parser(
-        "run", help="run one load level and print its JSON summary"
+        "run", add_help=True,
+        help="run one load level and print its JSON summary",
     )
     run.add_argument("--clients", type=int, required=True)
     run.add_argument(
-        "--rate", type=finite_float, required=True,
+        "--rate", type=positive_float, required=True,
         help="offered load in clients per simulated second",
     )
     _add_world_options(run)
@@ -180,21 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def run(argv: List[str]) -> int:
     options = _build_parser().parse_args(argv)
-    try:
-        _check_ranges(options)
-        return options.run(options)
-    except ReproError as exc:
-        print(f"mm-load: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        return 0
+    return options.run(options)
 
+
+main = main_wrapper(run)
 
 if __name__ == "__main__":
     sys.exit(main())

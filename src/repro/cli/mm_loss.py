@@ -11,30 +11,28 @@ Bursty (Gilbert–Elliott) loss is a one-clause ``mm-chaos`` plan
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import List, Sequence
 
 from repro.cli.common import (
-    CliError, ShellSpec, continue_command_line, main_wrapper, parse_float,
+    CliError, Shell, continue_command_line, main_wrapper, parse_arg,
+    unit_float,
 )
 
 USAGE = "usage: mm-loss <uplink|downlink|both> <loss-rate> [inner command ...]"
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
     if len(argv) < 2:
         raise CliError(USAGE)
     direction = argv[0]
     if direction not in ("uplink", "downlink", "both"):
         raise CliError(f"{USAGE}\nbad direction: {direction!r}")
-    rate = parse_float(argv[1], "loss rate")
-    if not 0.0 <= rate <= 1.0:
-        raise CliError(f"loss rate must be in [0, 1]: {argv[1]!r}")
-    spec = ("loss", {
-        "uplink_loss": rate if direction in ("uplink", "both") else 0.0,
-        "downlink_loss": rate if direction in ("downlink", "both") else 0.0,
-        "label": f"{direction}:{rate:g}",
-    })
-    return continue_command_line(argv[2:], specs + [spec])
+    rate = parse_arg(argv[1], "loss rate", unit_float)
+    uplink = rate if direction in ("uplink", "both") else 0.0
+    downlink = rate if direction in ("downlink", "both") else 0.0
+    shell = (f"loss({direction}:{rate:g})", lambda stack: stack.add_loss(
+        downlink_loss=downlink, uplink_loss=uplink))
+    return continue_command_line(argv[2:], [*shells, shell])
 
 
 main = main_wrapper(run)

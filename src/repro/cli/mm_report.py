@@ -20,20 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
-from repro.cli.common import CliError
+from repro.cli.common import Parser, main_wrapper, positive_int
 from repro.errors import ReproError
 
 __all__ = ["main"]
-
-
-def _check_ranges(options: argparse.Namespace) -> None:
-    """Refuse a plot smaller than one cell, naming its flag."""
-    for flag in ("--width", "--height"):
-        value = getattr(options, flag[2:], 1)  # not every command plots
-        if value < 1:
-            raise CliError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_render(options: argparse.Namespace) -> int:
@@ -211,41 +203,42 @@ def _cmd_record_smoke(options: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mm-report",
+def _build_parser() -> Parser:
+    parser = Parser(
+        "mm-report", add_help=True,
         description="Render repro.obs observability artifacts.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     render = commands.add_parser(
-        "render", help="ASCII time series, waterfalls, and summary table"
+        "render", add_help=True,
+        help="ASCII time series, waterfalls, and summary table",
     )
     render.add_argument("artifact", help="JSONL artifact path")
     render.add_argument(
         "--series", action="append", metavar="SUBSTR",
         help="plot only series whose name contains SUBSTR (repeatable)",
     )
-    render.add_argument("--width", type=int, default=64)
-    render.add_argument("--height", type=int, default=12)
+    render.add_argument("--width", type=positive_int, default=64)
+    render.add_argument("--height", type=positive_int, default=12)
     render.add_argument("--no-waterfalls", action="store_true")
     render.add_argument("--no-captures", action="store_true")
     render.set_defaults(run=_cmd_render)
 
     summary = commands.add_parser(
-        "summary", help="machine-readable JSON summary"
+        "summary", add_help=True, help="machine-readable JSON summary"
     )
     summary.add_argument("artifact", help="JSONL artifact path")
     summary.set_defaults(run=_cmd_summary)
 
     load = commands.add_parser(
-        "load",
+        "load", add_help=True,
         help="capacity-curve view of an mm-load artifact "
         "(level table, knee, occupancy/backlog)",
     )
     load.add_argument("artifact", help="capacity-curve JSONL artifact path")
-    load.add_argument("--width", type=int, default=64)
-    load.add_argument("--height", type=int, default=12)
+    load.add_argument("--width", type=positive_int, default=64)
+    load.add_argument("--height", type=positive_int, default=12)
     load.add_argument(
         "--no-series", action="store_true",
         help="omit the occupancy/backlog time-series plots",
@@ -253,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     load.set_defaults(run=_cmd_load)
 
     fabric = commands.add_parser(
-        "fabric",
+        "fabric", add_help=True,
         help="fabric health view of an mm-fabric artifact "
         "(sweep, liveness, spawning and journal counters)",
     )
@@ -265,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fabric.set_defaults(run=_cmd_fabric)
 
     smoke = commands.add_parser(
-        "record-smoke",
+        "record-smoke", add_help=True,
         help="run the registry's smoke scenario instrumented and write "
         "its artifact (CI's render input)",
     )
@@ -277,26 +270,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def run(argv: List[str]) -> int:
     options = _build_parser().parse_args(argv)
-    try:
-        _check_ranges(options)
-        return options.run(options)
-    except FileNotFoundError as exc:
-        print(f"mm-report: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"mm-report: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # Output was piped into something that stopped reading (head);
-        # suppress the stderr-flush traceback on interpreter exit too.
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        return 0
+    return options.run(options)
 
+
+main = main_wrapper(run)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -14,7 +14,7 @@ import sys
 from typing import List
 
 from repro.cli.common import (
-    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+    CliError, Parser, finite_float, main_wrapper,
 )
 from repro.linkem import PacketDeliveryTrace, cellular_trace, constant_rate_trace
 from repro.sim.random import stable_seed
@@ -24,9 +24,7 @@ USAGE = ("usage: mm-trace constant --rate MBPS [--duration MS] --out FILE"
          " --out FILE | mm-trace info FILE")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
-    if specs:
-        raise CliError("mm-trace cannot nest inside other shells")
+def run(argv: List[str]) -> int:
     if not argv:
         raise CliError(USAGE)
     command, rest = argv[0], list(argv[1:])

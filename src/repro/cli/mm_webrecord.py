@@ -17,11 +17,11 @@ the full record path end to end. Options::
 from __future__ import annotations
 
 import sys
-from typing import List
+from typing import List, Sequence
 
 from repro.browser.resources import Url
 from repro.cli.common import (
-    CliError, Parser, ShellSpec, finite_float, main_wrapper,
+    CliError, Parser, Shell, finite_float, main_wrapper,
 )
 from repro.core import HostMachine, ShellStack
 from repro.corpus import generate_site
@@ -33,8 +33,8 @@ USAGE = ("usage: mm-webrecord [--seed N] [--origins K] [--scale S] "
          "[--https] <output-dir> <url>")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
-    if specs:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
+    if shells:
         raise CliError("mm-webrecord cannot nest inside other shells")
     parser = Parser("mm-webrecord", USAGE)
     parser.add_argument("--seed", type=int, default=0)

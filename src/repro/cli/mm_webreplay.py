@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import List
+from typing import List, Sequence
 
-from repro.cli.common import CliError, ShellSpec, continue_command_line, main_wrapper
+from repro.cli.common import CliError, Shell, continue_command_line, main_wrapper
+from repro.record.store import RecordedSite
 
 USAGE = ("usage: mm-webreplay [--single-server] [--protocol=http/1.1|mux] "
          "<recorded-dir> [inner command ...]")
 
 
-def run(argv: List[str], specs: List[ShellSpec]) -> int:
+def run(argv: List[str], shells: Sequence[Shell] = ()) -> int:
     single_server = False
     protocol = "http/1.1"
     rest = list(argv)
@@ -43,15 +44,16 @@ def run(argv: List[str], specs: List[ShellSpec]) -> int:
     directory = rest.pop(0)
     if not os.path.isdir(directory):
         raise CliError(f"not a recorded-site directory: {directory!r}")
-    spec = ("replay", {
-        "directory": directory,
-        "single_server": single_server,
-        "protocol": protocol,
-        "label": os.path.basename(directory.rstrip("/"))
-                 + ("!single" if single_server else "")
-                 + ("!mux" if protocol == "mux" else ""),
-    })
-    return continue_command_line(rest, specs + [spec])
+    label = (os.path.basename(directory.rstrip("/"))
+             + ("!single" if single_server else "")
+             + ("!mux" if protocol == "mux" else ""))
+
+    def add(stack):
+        return stack.add_replay(RecordedSite.load(directory),
+                                single_server=single_server,
+                                protocol=protocol)
+
+    return continue_command_line(rest, [*shells, (f"replay({label})", add)])
 
 
 main = main_wrapper(run)

@@ -194,52 +194,70 @@ def read_artifact(path: Union[str, Path]) -> Artifact:
     """Load a JSONL artifact written by :func:`write_artifact`.
 
     Raises:
-        ReproError: on a malformed line or an unsupported version.
+        ReproError: naming ``path`` (and the line, where there is one)
+            when the file cannot be read as UTF-8 text, or a line is not
+            a JSON object, is of an unknown kind, lacks a field its kind
+            needs, or carries an unsupported version.
     """
     artifact = Artifact()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ReproError(
+            f"{path}: cannot read artifact: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ReproError(
+            f"{path}: not UTF-8 text at byte {exc.start}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"{path}:{lineno}: not valid JSON: {exc}"
-            ) from exc
+            raise ReproError(f"{where}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ReproError(f"{where}: not a JSON object")
         kind = record.get("kind")
-        if kind == "meta":
-            version = record.get("version")
-            if version != ARTIFACT_VERSION:
-                raise ReproError(
-                    f"{path}:{lineno}: unsupported artifact version "
-                    f"{version!r} (expected {ARTIFACT_VERSION})"
-                )
-            artifact.meta = {
-                k: v for k, v in record.items() if k != "kind"
-            }
-        elif kind == "counter":
-            artifact.counters[record["name"]] = record["value"]
-        elif kind == "gauge":
-            artifact.gauges[record["name"]] = {
-                "value": record["value"], "time": record["time"],
-            }
-        elif kind == "histogram":
-            artifact.histograms[record["name"]] = {
-                "summary": record["summary"], "values": record["values"],
-            }
-        elif kind == "series":
-            artifact.series[record["name"]] = record["points"]
-        elif kind == "waterfall":
-            artifact.waterfalls[record["name"]] = Waterfall.from_records(
-                record["name"], record["entries"]
-            )
-        elif kind == "capture":
-            artifact.captures[record["name"]] = {
-                k: v for k, v in record.items() if k != "kind"
-            }
-        else:
-            raise ReproError(
-                f"{path}:{lineno}: unknown artifact line kind {kind!r}"
-            )
+        try:
+            _read_line(artifact, kind, record, where)
+        except KeyError as exc:
+            raise ReproError(f"{where}: {kind} line has no {exc} field") \
+                from None
+        except (TypeError, ValueError) as exc:
+            raise ReproError(f"{where}: malformed {kind} line: {exc}") \
+                from None
     return artifact
+
+
+def _read_line(artifact: Artifact, kind, record: dict, where: str) -> None:
+    if kind == "meta":
+        version = record.get("version")
+        if version != ARTIFACT_VERSION:
+            raise ReproError(
+                f"{where}: unsupported artifact version "
+                f"{version!r} (expected {ARTIFACT_VERSION})"
+            )
+        artifact.meta = {k: v for k, v in record.items() if k != "kind"}
+    elif kind == "counter":
+        artifact.counters[record["name"]] = record["value"]
+    elif kind == "gauge":
+        artifact.gauges[record["name"]] = {
+            "value": record["value"], "time": record["time"],
+        }
+    elif kind == "histogram":
+        artifact.histograms[record["name"]] = {
+            "summary": record["summary"], "values": record["values"],
+        }
+    elif kind == "series":
+        artifact.series[record["name"]] = record["points"]
+    elif kind == "waterfall":
+        artifact.waterfalls[record["name"]] = Waterfall.from_records(
+            record["name"], record["entries"]
+        )
+    elif kind == "capture":
+        artifact.captures[record["name"]] = {
+            k: v for k, v in record.items() if k != "kind"
+        }
+    else:
+        raise ReproError(f"{where}: unknown artifact line kind {kind!r}")

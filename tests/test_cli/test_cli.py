@@ -30,7 +30,7 @@ def recorded_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("sites") / "rec"
     code = mm_webrecord.run(
         ["--seed", "5", "--origins", "5", "--scale", "0.5",
-         str(directory), "http://www.clitest.com/"], [])
+         str(directory), "http://www.clitest.com/"])
     assert code == 0
     return str(directory)
 
@@ -40,13 +40,12 @@ class TestMmWebrecord:
         assert os.path.exists(os.path.join(recorded_dir, "site.json"))
 
     def test_rejects_nesting(self):
-        with pytest.raises(CliError):
-            mm_webrecord.run(["out", "http://x.com/"],
-                             [("delay", {"delay": 0.01})])
+        with pytest.raises(CliError, match="cannot nest"):
+            mm_delay.run(["10", "mm-webrecord", "out", "http://x.com/"])
 
     def test_usage_error(self):
         with pytest.raises(CliError):
-            mm_webrecord.run([], [])
+            mm_webrecord.run([])
 
 
 MALFORMED_ARGV = {
@@ -70,6 +69,22 @@ MALFORMED_ARGV = {
         ["run", "--factory", "repro.scenarios:replay_smoke", "--trials", "2",
          "--backend", "remote"],
         "--backend"),
+    "report-no-subcommand": (mm_report, [], "command"),
+    "report-unknown-subcommand": (mm_report, ["frobnicate", "a.jsonl"],
+                                  "'frobnicate'"),
+    "report-artifact-missing": (mm_report, ["render"], "artifact"),
+    "report-width-non-numeric": (
+        mm_report, ["render", "a.jsonl", "--width", "x"], "--width"),
+    "report-unknown-flag": (mm_report, ["summary", "a.jsonl", "--bogus"],
+                            "--bogus"),
+    "load-no-subcommand": (mm_load, [], "command"),
+    "load-levels-missing-value": (
+        mm_load, ["sweep", "--out", "c.jsonl", "--levels"], "--levels"),
+    "load-clients-non-numeric": (
+        mm_load, ["run", "--clients", "x", "--rate", "5"], "--clients"),
+    "load-rate-missing": (mm_load, ["run", "--clients", "5"], "--rate"),
+    "load-no-abbreviations": (
+        mm_load, ["run", "--clients", "5", "--rat", "5"], "--rat"),
 }
 
 
@@ -144,14 +159,10 @@ def test_out_of_range_number_exits_2_naming_the_flag(
         tool, argv, flag, recorded_dir, monkeypatch, capsys):
     """Refused as usage before any work starts — not a traceback and
     exit 1, which ``mm-fabric`` documents as "sweep incomplete". (``SITE``
-    stands for a recorded folder; mm-load's argparse exits by raising.)"""
+    stands for a recorded folder.)"""
     argv = [recorded_dir if arg == "SITE" else arg for arg in argv]
     monkeypatch.setattr("sys.argv", [tool.__name__] + argv)
-    try:
-        status = tool.main()
-    except SystemExit as exc:
-        status = exc.code
-    assert status == 2
+    assert tool.main() == 2
     captured = capsys.readouterr()
     assert flag in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
@@ -192,8 +203,7 @@ def test_bad_trace_file_exits_2_naming_path_and_line(
 class TestMmWebreplayLoad:
     def test_full_pipeline(self, recorded_dir, capsys):
         code = mm_webreplay.run(
-            [recorded_dir, "mm-link", "14", "14", "mm-delay", "40", "load"],
-            [])
+            [recorded_dir, "mm-link", "14", "14", "mm-delay", "40", "load"])
         assert code == 0
         out = capsys.readouterr().out
         assert "page load time:" in out
@@ -201,13 +211,13 @@ class TestMmWebreplayLoad:
 
     def test_single_server_flag(self, recorded_dir, capsys):
         code = mm_webreplay.run([
-            "--single-server", recorded_dir, "load"], [])
+            "--single-server", recorded_dir, "load"])
         assert code == 0
         assert "!single" in capsys.readouterr().out
 
     def test_mux_protocol_flag(self, recorded_dir, capsys):
         code = mm_webreplay.run([
-            "--protocol=mux", recorded_dir, "mm-delay", "20", "load"], [])
+            "--protocol=mux", recorded_dir, "mm-delay", "20", "load"])
         assert code == 0
         out = capsys.readouterr().out
         assert "!mux" in out
@@ -215,17 +225,17 @@ class TestMmWebreplayLoad:
 
     def test_bad_protocol_rejected(self, recorded_dir):
         with pytest.raises(CliError):
-            mm_webreplay.run(["--protocol=quic", recorded_dir, "load"], [])
+            mm_webreplay.run(["--protocol=quic", recorded_dir, "load"])
 
     def test_load_without_replay_rejected(self):
         with pytest.raises(CliError):
-            mm_delay.run(["40", "load"], [])
+            mm_delay.run(["40", "load"])
 
     @pytest.mark.parametrize("seed_argv", [["--seed"], ["--seed", "x"]])
     def test_load_seed_must_be_an_integer(self, recorded_dir, seed_argv,
                                           monkeypatch, capsys):
         with pytest.raises(CliError, match="--seed"):
-            mm_webreplay.run([recorded_dir, "load"] + seed_argv, [])
+            mm_webreplay.run([recorded_dir, "load"] + seed_argv)
         monkeypatch.setattr(
             "sys.argv", ["mm-webreplay", recorded_dir, "load"] + seed_argv)
         assert mm_webreplay.main() == 2
@@ -234,96 +244,95 @@ class TestMmWebreplayLoad:
 
     def test_missing_directory_rejected(self):
         with pytest.raises(CliError):
-            mm_webreplay.run(["/nonexistent-dir", "load"], [])
+            mm_webreplay.run(["/nonexistent-dir", "load"])
 
     def test_fetch_single_url(self, recorded_dir, capsys):
         code = mm_webreplay.run(
-            [recorded_dir, "fetch", "http://www.clitest.com/"], [])
+            [recorded_dir, "fetch", "http://www.clitest.com/"])
         assert code == 0
         assert "ok in" in capsys.readouterr().out
 
     def test_fetch_over_mux(self, recorded_dir, capsys):
         # fetch's browser speaks the replay's framing, as load's does.
         code = mm_webreplay.run(
-            ["--protocol=mux", recorded_dir, "fetch", "http://www.clitest.com/"],
-            [])
+            ["--protocol=mux", recorded_dir, "fetch", "http://www.clitest.com/"])
         assert code == 0
         assert "ok in" in capsys.readouterr().out
 
     def test_no_app_command_prints_stack(self, recorded_dir, capsys):
-        code = mm_webreplay.run([recorded_dir], [])
+        code = mm_webreplay.run([recorded_dir])
         assert code == 0
         assert "no application command" in capsys.readouterr().out
 
 
 class TestMmDelayMmLink:
     def test_delay_parses(self, recorded_dir, capsys):
-        code = mm_webreplay.run([recorded_dir, "mm-delay", "0", "load"], [])
+        code = mm_webreplay.run([recorded_dir, "mm-delay", "0", "load"])
         assert code == 0
 
     def test_delay_rejects_garbage(self):
         with pytest.raises(CliError):
-            mm_delay.run(["fast"], [])
+            mm_delay.run(["fast"])
 
     def test_delay_rejects_negative(self):
         with pytest.raises(CliError):
-            mm_delay.run(["-5"], [])
+            mm_delay.run(["-5"])
 
     def test_link_queue_options(self, recorded_dir, capsys):
         code = mm_webreplay.run(
             [recorded_dir, "mm-link", "5", "5", "--downlink-queue=50",
-             "--uplink-queue=50", "load"], [])
+             "--uplink-queue=50", "load"])
         assert code == 0
 
     def test_link_rejects_bad_queue(self):
         with pytest.raises(CliError):
-            mm_link.run(["5", "5", "--downlink-queue=zero", "load"], [])
+            mm_link.run(["5", "5", "--downlink-queue=zero", "load"])
 
     def test_link_codel_queue(self, recorded_dir, capsys):
         code = mm_webreplay.run(
             [recorded_dir, "mm-link", "5", "5", "--downlink-queue=codel",
-             "load"], [])
+             "load"])
         assert code == 0
         assert "page load time" in capsys.readouterr().out
 
     def test_link_rejects_unknown_flag(self):
         with pytest.raises(CliError):
-            mm_link.run(["5", "5", "--mystery=1", "load"], [])
+            mm_link.run(["5", "5", "--mystery=1", "load"])
 
     def test_unknown_inner_command(self):
         with pytest.raises(CliError):
-            mm_delay.run(["40", "mm-teleport"], [])
+            mm_delay.run(["40", "mm-teleport"])
 
 
 class TestMmLoss:
     def test_lossy_load(self, recorded_dir, capsys):
         code = mm_webreplay.run(
             [recorded_dir, "mm-loss", "downlink", "0.01",
-             "mm-delay", "20", "load"], [])
+             "mm-delay", "20", "load"])
         assert code == 0
         assert "page load time" in capsys.readouterr().out
 
     def test_both_directions(self, recorded_dir, capsys):
         code = mm_webreplay.run(
-            [recorded_dir, "mm-loss", "both", "0.005", "load"], [])
+            [recorded_dir, "mm-loss", "both", "0.005", "load"])
         assert code == 0
 
     def test_bad_direction(self):
         with pytest.raises(CliError):
-            mm_loss.run(["sideways", "0.1"], [])
+            mm_loss.run(["sideways", "0.1"])
 
     def test_bad_rate(self):
         with pytest.raises(CliError):
-            mm_loss.run(["uplink", "2.0"], [])
+            mm_loss.run(["uplink", "2.0"])
         with pytest.raises(CliError):
-            mm_loss.run(["uplink", "lots"], [])
+            mm_loss.run(["uplink", "lots"])
 
 
 class TestMmTrace:
     def test_constant_generation(self, tmp_path, capsys):
         out = tmp_path / "c.trace"
         assert mm_trace.run(
-            ["constant", "--rate", "12", "--out", str(out)], []) == 0
+            ["constant", "--rate", "12", "--out", str(out)]) == 0
         trace = PacketDeliveryTrace.from_file(out)
         assert trace.average_rate_mbps == pytest.approx(12, rel=0.05)
 
@@ -331,25 +340,25 @@ class TestMmTrace:
         out = tmp_path / "lte.trace"
         assert mm_trace.run(
             ["cellular", "--mean", "8", "--duration", "20000",
-             "--out", str(out)], []) == 0
+             "--out", str(out)]) == 0
         assert PacketDeliveryTrace.from_file(out).period_ms == 20000
 
     def test_info(self, tmp_path, capsys):
         out = tmp_path / "c.trace"
-        mm_trace.run(["constant", "--rate", "5", "--out", str(out)], [])
-        assert mm_trace.run(["info", str(out)], []) == 0
+        mm_trace.run(["constant", "--rate", "5", "--out", str(out)])
+        assert mm_trace.run(["info", str(out)]) == 0
         assert "Mbit/s" in capsys.readouterr().out
 
     def test_trace_file_used_by_mm_link(self, recorded_dir, tmp_path, capsys):
         out = tmp_path / "c.trace"
-        mm_trace.run(["constant", "--rate", "14", "--out", str(out)], [])
+        mm_trace.run(["constant", "--rate", "14", "--out", str(out)])
         code = mm_webreplay.run(
-            [recorded_dir, "mm-link", str(out), str(out), "load"], [])
+            [recorded_dir, "mm-link", str(out), str(out), "load"])
         assert code == 0
 
     def test_usage(self):
         with pytest.raises(CliError):
-            mm_trace.run(["constant"], [])
+            mm_trace.run(["constant"])
 
 
 class TestMmCorpus:
@@ -357,36 +366,49 @@ class TestMmCorpus:
         out = tmp_path / "corpus"
         code = mm_corpus.run(
             ["generate", "--out", str(out), "--size", "6", "--singles", "1",
-             "--scale", "0.3"], [])
+             "--scale", "0.3"])
         assert code == 0
         assert len(corpus_site_dirs(out)) == 6
         assert ".cas" in os.listdir(out)  # one store for the whole corpus
-        code = mm_corpus.run(["stats", str(out)], [])
+        code = mm_corpus.run(["stats", str(out)])
         assert code == 0
         text = capsys.readouterr().out
         assert "sites: 6" in text
         assert "single-server sites: 1" in text
 
+    def test_stats_percentiles_interpolate_like_corpus_statistics(
+            self, tmp_path, capsys):
+        # The README's example corpus: nearest-rank picks printed a 95th
+        # percentile of 33 origins, the interpolated rule gives 24.45.
+        out = tmp_path / "corpus"
+        assert mm_corpus.run(["generate", "--out", str(out), "--size", "20",
+                              "--scale", "0.3", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert mm_corpus.run(["stats", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "median origins: 8" in lines
+        assert "95th pct origins: 24.45" in lines
+
     def test_cas_switch_is_gone(self, tmp_path):
         with pytest.raises(CliError, match="unrecognized arguments: --cas"):
             mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
-                           "--cas"], [])
+                           "--cas"])
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_size_below_one_refused(self, tmp_path, size):
         # Not a traceback at the missing journal, nor a complaint about
         # single-origin sites.
-        with pytest.raises(CliError, match="--size must be >= 1"):
+        with pytest.raises(CliError, match="--size: must be >= 1"):
             mm_corpus.run(["generate", "--out", str(tmp_path / "c"),
-                           "--size", size, "--singles", "0"], [])
+                           "--size", size, "--singles", "0"])
 
     def test_stats_missing_dir(self):
         with pytest.raises(CliError):
-            mm_corpus.run(["stats", "/nonexistent"], [])
+            mm_corpus.run(["stats", "/nonexistent"])
 
     def test_rejects_nesting(self):
-        with pytest.raises(CliError):
-            mm_corpus.run(["stats", "x"], [("delay", {"delay": 0.01})])
+        with pytest.raises(CliError, match="unknown command 'mm-corpus'"):
+            mm_delay.run(["10", "mm-corpus", "stats", "x"])
 
 
 class TestMmCorpusResume:
@@ -394,7 +416,7 @@ class TestMmCorpusResume:
 
     def _generate(self, out, extra=()):
         return mm_corpus.run(
-            ["generate", "--out", str(out), *self.ARGS, *extra], [])
+            ["generate", "--out", str(out), *self.ARGS, *extra])
 
     def test_journal_removed_after_success(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -512,28 +534,28 @@ class TestMmFsck:
         return directory
 
     def test_clean_site_exits_zero(self, fsck_dir, capsys):
-        assert mm_fsck.run([str(fsck_dir)], []) == 0
+        assert mm_fsck.run([str(fsck_dir)]) == 0
         assert "all clean" in capsys.readouterr().out
 
     def test_damage_detected_exits_one(self, fsck_dir, capsys):
         (fsck_dir / "pair-00000.json").write_bytes(b"junk")
-        assert mm_fsck.run([str(fsck_dir)], []) == 1
+        assert mm_fsck.run([str(fsck_dir)]) == 1
         assert "truncated" in capsys.readouterr().out
         # Detection never modifies the folder.
         assert not (fsck_dir / "quarantine").exists()
 
     def test_repair_then_clean(self, fsck_dir, capsys):
         (fsck_dir / "pair-00000.json").write_bytes(b"junk")
-        assert mm_fsck.run([str(fsck_dir), "--repair"], []) == 1
+        assert mm_fsck.run([str(fsck_dir), "--repair"]) == 1
         assert "quarantined" in capsys.readouterr().out
         assert (fsck_dir / "quarantine" / "pair-00000.json").exists()
-        assert mm_fsck.run([str(fsck_dir)], []) == 0
+        assert mm_fsck.run([str(fsck_dir)]) == 0
 
     def test_json_output(self, fsck_dir, capsys):
         import json
 
         (fsck_dir / "pair-00001.json").write_bytes(b"junk")
-        assert mm_fsck.run([str(fsck_dir), "--json"], []) == 1
+        assert mm_fsck.run([str(fsck_dir), "--json"]) == 1
         reports = json.loads(capsys.readouterr().out)
         assert [r["kind"] for r in reports] == ["site", "cas"]
         assert reports[0]["problems"][0] == {
@@ -542,15 +564,15 @@ class TestMmFsck:
 
     def test_usage_errors(self, fsck_dir):
         with pytest.raises(CliError):
-            mm_fsck.run([], [])
+            mm_fsck.run([])
         with pytest.raises(CliError):
-            mm_fsck.run(["--bogus", str(fsck_dir)], [])
+            mm_fsck.run(["--bogus", str(fsck_dir)])
         with pytest.raises(CliError):
-            mm_fsck.run(["/nonexistent-dir"], [])
+            mm_fsck.run(["/nonexistent-dir"])
 
     def test_rejects_nesting(self, fsck_dir):
-        with pytest.raises(CliError):
-            mm_fsck.run([str(fsck_dir)], [("delay", {"delay": 0.01})])
+        with pytest.raises(CliError, match="unknown command 'mm-fsck'"):
+            mm_delay.run(["10", "mm-fsck", str(fsck_dir)])
 
 
 class TestHelpers:
@@ -604,7 +626,7 @@ class TestMmChaos:
     def test_chaos_load(self, recorded_dir, plan_file, capsys):
         code = mm_webreplay.run(
             [recorded_dir, "mm-link", "14", "14", "mm-chaos", plan_file,
-             "mm-delay", "20", "load"], [])
+             "mm-delay", "20", "load"])
         assert code == 0
         out = capsys.readouterr().out
         assert "page load time" in out
@@ -612,12 +634,13 @@ class TestMmChaos:
 
     def test_server_clauses_need_replay(self, plan_file, tmp_path):
         from repro.chaos import FaultPlan, ServerFaultClause
+        from repro.errors import ShellError
 
         path = tmp_path / "server-plan.json"
         path.write_text(
             FaultPlan(clauses=(ServerFaultClause(),)).to_json())
-        with pytest.raises(CliError):
-            mm_chaos.run([str(path), "load"], [])
+        with pytest.raises(ShellError, match="no ReplayShell"):
+            mm_chaos.run([str(path), "load"])
 
     def test_server_clauses_on_a_mux_replay_exit_2(
             self, recorded_dir, tmp_path, monkeypatch, capsys):
@@ -637,23 +660,23 @@ class TestMmChaos:
     def test_example_prints_valid_plan(self, capsys):
         from repro.chaos import FaultPlan
 
-        assert mm_chaos.run(["--example"], []) == 0
+        assert mm_chaos.run(["--example"]) == 0
         plan = FaultPlan.from_json(capsys.readouterr().out)
         assert len(plan) == 4
 
     def test_missing_plan_file(self):
         with pytest.raises(CliError):
-            mm_chaos.run(["/nonexistent-plan.json", "load"], [])
+            mm_chaos.run(["/nonexistent-plan.json", "load"])
 
     def test_bad_plan_rejected_before_simulation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "clauses": [{"type": "gremlins"}]}')
         with pytest.raises(CliError):
-            mm_chaos.run([str(path), "load"], [])
+            mm_chaos.run([str(path), "load"])
 
     def test_usage(self):
         with pytest.raises(CliError):
-            mm_chaos.run([], [])
+            mm_chaos.run([])
 
     def test_non_finite_plan_exits_2_naming_the_field(
             self, tmp_path, monkeypatch, capsys):

@@ -60,4 +60,4 @@ def test_module_rejects_nonsense_like_a_cli(module):
     output = proc.stdout + proc.stderr
     assert "Traceback" not in output, output
     assert output.strip(), f"{module} swallowed a bogus flag silently"
-    assert proc.returncode in (1, 2), output
+    assert proc.returncode == 2, output

@@ -37,7 +37,7 @@ MALFORMED = {
 @pytest.mark.parametrize("argv,names", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_argv_is_a_cli_error_naming_the_flag(argv, names):
     with pytest.raises(CliError) as info:
-        mm_fabric.run(argv, [])
+        mm_fabric.run(argv)
     assert names in str(info.value)
     assert "usage: mm-fabric" in str(info.value)
 
@@ -67,7 +67,7 @@ def test_flags_and_defaults_are_the_documented_ones():
 def test_local_run_end_to_end(capsys):
     status = mm_fabric.run(
         RUN + ["--trials", "3", "--backend", "local", "--shards", "2",
-               "--kwargs", '{"scale": 0.2}', "--capture-digest"], [])
+               "--kwargs", '{"scale": 0.2}', "--capture-digest"])
     out = capsys.readouterr().out
     assert status == 0
     assert "outcomes: ok=3" in out and "combined digest:" in out

@@ -115,4 +115,4 @@ class TestReportLoadMode:
 
     def test_missing_artifact_exits_2(self, capsys):
         assert report_main(["load", "/nonexistent/nope.jsonl"]) == 2
-        assert "mm-report:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")

@@ -109,7 +109,7 @@ class TestFabric:
 class TestErrorPaths:
     def test_missing_artifact_exits_2(self, capsys):
         assert main(["render", "/nonexistent/nope.jsonl"]) == 2
-        assert "mm-report:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_artifact_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

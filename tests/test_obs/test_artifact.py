@@ -108,6 +108,52 @@ class TestReadErrors:
         with pytest.raises(ReproError, match="unsupported artifact version"):
             read_artifact(path)
 
+    @pytest.mark.parametrize("name,content,detail", [
+        ("missing", None, "cannot read artifact: No such file"),
+        ("directory", "dir", "cannot read artifact: Is a directory"),
+        ("not-utf8", b'{"kind": "meta", "version": 1}\n\xff\xfe\n',
+         "not UTF-8 text"),
+        ("list-line", b"[1]\n", "1: not a JSON object"),
+        ("string-line", b'{"kind": "meta", "version": 1}\n"x"\n',
+         "2: not a JSON object"),
+        ("counter-without-value", b'{"kind": "counter", "name": "c"}\n',
+         "1: counter line has no 'value' field"),
+        ("series-without-points", b'{"kind": "series", "name": "s"}\n',
+         "1: series line has no 'points' field"),
+        ("gauge-without-time",
+         b'{"kind": "gauge", "name": "g", "value": 1}\n',
+         "1: gauge line has no 'time' field"),
+        ("histogram-without-values",
+         b'{"kind": "histogram", "name": "h", "summary": {}}\n',
+         "1: histogram line has no 'values' field"),
+        ("waterfall-without-entries", b'{"kind": "waterfall", "name": "w"}\n',
+         "1: waterfall line has no 'entries' field"),
+        ("capture-without-name", b'{"kind": "capture"}\n',
+         "1: capture line has no 'name' field"),
+        ("waterfall-entry-not-a-record",
+         b'{"kind": "waterfall", "name": "w", "entries": [5]}\n',
+         "1: malformed waterfall line"),
+    ])
+    def test_unreadable_input_is_a_repro_error_naming_the_path(
+            self, tmp_path, name, content, detail):
+        path = tmp_path / "bad.jsonl"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ReproError) as info:
+            read_artifact(path)
+        assert str(info.value).startswith(f"{path}:")
+        assert detail in str(info.value)
+
+    def test_mm_report_summary_of_a_directory_exits_2(self, tmp_path, capsys):
+        from repro.cli.mm_report import main
+
+        assert main(["summary", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path}: cannot read")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text(
